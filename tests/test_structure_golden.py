@@ -1,0 +1,97 @@
+"""Golden digests of the structure tables and of the law reports.
+
+For every corpus pair, two larger ladder pairs and a deliberately corrupted
+pair, the sha256 of ``structure_dump``, of the ``check_axioms`` report lines
+and of the ``group_subalgebra_check`` report lines must match the digests
+stored in ``tests/data/structure_digests.json``.  Any change to how the
+algebra is stored or checked must leave all three texts byte-identical,
+including the deviation counts on the corrupted pair.
+
+Regenerate the file (only when a change of output is intended) with
+``PYTHONPATH=src python -m tests.test_structure_golden``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kacforge.hopf import (build_algebra, check_axioms, group_subalgebra_check,
+                           structure_dump)
+from kacforge.library import corpus_pairs, pair_conjugation, symmetric_group
+from kacforge.matched import MatchedPair, derive_actions
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "structure_digests.json"
+
+
+def _stabilizer_times_cycle(n, name):
+    """S_n = (stabilizer of the last point) * <n-cycle>."""
+    S = symmetric_group(n)
+    stab = [i for i, p in enumerate(S.permutations) if p[n - 1] == n - 1]
+    cycle = S.permutations.index(tuple(list(range(1, n)) + [0]))
+    return derive_actions(S, stab, S.closure([cycle]), name=name)
+
+
+def _conj_s4_s3():
+    S4 = symmetric_group(4)
+    stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
+    return pair_conjugation(S4, stab, name="conj-s4-s3")
+
+
+def _corrupted_s4_cyclic4(mp):
+    """s4-cyclic4 with two entries of one nontrivial beta row swapped."""
+    beta = np.array(mp.beta)
+    nr = mp.discrete.order
+    g = next(gg for gg in range(mp.compact.order)
+             if not np.array_equal(beta[gg], np.arange(nr)))
+    beta[g, 0], beta[g, 1] = beta[g, 1], beta[g, 0]
+    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
+                       name="broken", validate=False)
+
+
+def golden_pairs():
+    pairs = {mp.name: mp for mp in corpus_pairs()}
+    for mp in (_stabilizer_times_cycle(5, "s5-cyclic5"), _conj_s4_s3(),
+               _corrupted_s4_cyclic4(pairs["s4-cyclic4"])):
+        pairs[mp.name] = mp
+    return pairs
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_text(report):
+    """Report lines, each with its exact deviation appended."""
+    return "\n".join(f"{line} [{c.deviation!r}]"
+                     for line, c in zip(report.lines(), report.checks))
+
+
+def digests_of(mp):
+    A = build_algebra(mp)
+    return {
+        "structure_dump": _sha(structure_dump(A)),
+        "check_axioms": _sha(_report_text(check_axioms(A))),
+        "group_subalgebra_check": _sha(_report_text(group_subalgebra_check(A))),
+    }
+
+
+_PAIRS = golden_pairs()
+
+
+@pytest.mark.parametrize("name", list(_PAIRS))
+def test_structure_and_reports_match_golden(name):
+    stored = json.loads(DIGESTS.read_text())
+    assert digests_of(_PAIRS[name]) == stored[name]
+
+
+def test_golden_file_covers_every_pair():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(_PAIRS)
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {name: digests_of(mp) for name, mp in _PAIRS.items()},
+        indent=1, sort_keys=True) + "\n")
