@@ -2,8 +2,9 @@
 
 Subcommands: validate, build, irreps, fusion, invariants, deform, crossed,
 audit, shadow.  Exit code 0 on PASS (audit findings included), 1 on a
-parse/validation failure, 2 on a tolerance breach.  The environment
-variable KACFORGE_SEED overrides the configured seed.
+parse/validation failure or other input fault, 2 on a tolerance breach;
+every package error reaches the user as a single ``error:`` line.  The
+environment variable KACFORGE_SEED overrides the configured seed.
 """
 
 import argparse
@@ -12,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG
-from .errors import ParseError, ValidationError
+from .errors import (IdentityViolated, KacforgeError, NonIntegral,
+                     PeterWeylMismatch, SeedDegenerate, ValidationError)
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
 from .matched import magic_relations_report, magic_unitary, orbits_fixed_sets
@@ -20,6 +22,11 @@ from .reps import audit_fusion, enumerate_irreps, invariant_groups
 
 _PAIR_COMMANDS = ("validate", "build", "irreps", "fusion", "invariants",
                   "deform", "crossed", "audit")
+
+# errors that report a numeric tolerance breach (exit 2); every other
+# package error is an input fault (exit 1)
+_NUMERIC_ERRORS = (SeedDegenerate, NonIntegral, PeterWeylMismatch,
+                   IdentityViolated)
 
 
 def _algebra_and_catalog(mp, seed):
@@ -311,9 +318,9 @@ def main(argv=None):
     try:
         bundle = parse_inputs(args.inputs, config=config)
         report = run_pipeline(args.cmd, bundle, config=config, args=args)
-    except (ParseError, ValidationError) as exc:
+    except KacforgeError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, _NUMERIC_ERRORS) else 1
     sys.stdout.write(report.render(config.output))
     return report.exit_code()
 

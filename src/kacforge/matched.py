@@ -109,10 +109,6 @@ class MatchedPair:
         """alpha_r(g)."""
         return int(self.alpha[r, g])
 
-    def act_discrete(self, g, r):
-        """beta_g(r)."""
-        return int(self.beta[g, r])
-
     def stabilizer_in_compact(self, r):
         """{g : beta_g(r) = r}."""
         return [g for g in range(self.compact.order) if self.beta[g, r] == r]

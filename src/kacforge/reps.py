@@ -10,7 +10,7 @@ exact nullspace solve) and every enumeration is certified against the
 squared-dimension count of the algebra.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -529,17 +529,9 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED, tol=TOL_MULT):
     ones = [c for c in catalog.canonical if c.dim == 1]
     vecs = [c.coeffs[0, 0].copy() for c in ones]
     for v in vecs:       # group-likeness: the coproduct doubles the vector
-        got = A.coproduct_dict(v)
-        want = np.outer(v, v)
-        dev = 0.0
-        seen = set()
-        for (j, k), coeff in got.items():
-            dev = max(dev, abs(coeff - want[j, k]))
-            seen.add((j, k))
-        rest = np.abs(want).copy()
-        for j, k in seen:
-            rest[j, k] = 0.0
-        dev = max(dev, float(rest.max(initial=0.0)))
+        got = np.zeros((A.dim, A.dim), dtype=complex)
+        got[A.delta_left, A.delta_right] = v[:, None]   # coproduct terms are distinct
+        dev = float(np.abs(got - np.outer(v, v)).max(initial=0.0))
         if dev > tol:
             raise ValidationError("intrinsic-grouplike",
                                   f"deviation {dev:.3e}")
@@ -572,18 +564,16 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED, tol=TOL_MULT):
 
     # --- algebra characters under convolution
     dualR = dual_group(R, seed=seed)
-    n = A.dim
-    gamma_of, g_of = A.gamma_of, A.g_of
-    P = A.prod_index
-    padded_ok = np.clip(P, 0, None)
+    rows = np.arange(A.dim)[:, None]
     passers = []
     pass_vectors = []
     for g in range(K.order):
-        point = (g_of == g).astype(complex)
+        point = (A.g_of == g).astype(complex)
         for mi in range(dualR.group.order):
-            phi = dualR.characters[mi][gamma_of] * point
-            prod_vals = np.where(P >= 0, phi[padded_ok], 0.0)
-            if np.abs(prod_vals - np.outer(phi, phi)).max() > tol:
+            phi = dualR.characters[mi][A.gamma_of] * point
+            defect = np.outer(phi, phi)       # phi(e_i) phi(e_j) - phi(e_i e_j)
+            defect[rows, A.partner] -= phi[A.result]
+            if np.abs(defect).max() > tol:
                 continue
             if np.abs(phi[A.star_index] - np.conj(phi)).max() > tol:
                 continue
@@ -595,10 +585,8 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED, tol=TOL_MULT):
     conv_cayley = np.zeros((mS, mS), dtype=np.int64)
     for i in range(mS):
         for j in range(mS):
-            conv = np.zeros(n, dtype=complex)
-            for b in range(n):
-                conv[b] = sum(pass_vectors[i][jj] * pass_vectors[j][kk]
-                              for jj, kk in A.coproduct[b])
+            conv = (pass_vectors[i][A.delta_left]
+                    * pass_vectors[j][A.delta_right]).sum(1)
             k = _match_vector(pass_vectors, conv, tol)
             if k is None:
                 raise ValidationError("spectrum-closure",
@@ -663,23 +651,3 @@ def branching_sets(rho, source_catalog, target_catalog):
                 hits.add(xi)
         out[yi] = hits
     return out
-
-
-# ---------------------------------------------------------------------------
-# spectral-gap metadata
-
-
-@dataclass
-class KazhdanPair:
-    labels: tuple
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError("kazhdan-delta", "delta must be positive")
-
-
-def kazhdan_combine(p1, p2):
-    """Union the label sets, keep the weaker gap."""
-    return KazhdanPair(labels=tuple(sorted(set(p1.labels) | set(p2.labels))),
-                       delta=min(p1.delta, p2.delta))

@@ -131,3 +131,116 @@ def transpose_partial_map(mi, n):
     cols = np.nonzero(mi >= 0)[0]
     t[mi[cols]] = cols
     return t
+
+
+def naive_law_violations(mp):
+    """Violation counts of every structure law of the crossed product.
+
+    A dense brute-force reference for small pairs (dims up to about 42).
+    The product of basis elements i and j is read off the operator model
+    ``covariant_rep_partial_maps``: the basis element whose partial map is
+    the composite, or None (zero) when the composite is empty; the star is
+    the operator adjoint.  The coproduct of u_r d_g comes from the group law
+    alone: every a, b with ab = g gives (u_r d_a) x (u_{beta_a(r)} d_b).
+    Every law is then counted in plain loops over basis elements, pairs or
+    triples; a count of 0 means the law holds.
+    """
+    from collections import Counter
+
+    R, K = mp.discrete, mp.compact
+    nr, nk = R.order, K.order
+    n = nr * nk
+    rep = covariant_rep_partial_maps(mp)
+    row_of = {tuple(rep[i]): i for i in range(n)}
+
+    def lookup(m):
+        if (m < 0).all():
+            return None
+        return row_of[tuple(m)]
+
+    prod = [[lookup(compose_partial_maps(rep[i], rep[j])) for j in range(n)]
+            for i in range(n)]
+
+    def mul(i, j):
+        return None if i is None or j is None else prod[i][j]
+
+    star = [lookup(transpose_partial_map(rep[i], n)) for i in range(n)]
+    unit = [R.identity * nk + g for g in range(nk)]
+    eps = [1 if i % nk == K.identity else 0 for i in range(n)]
+    haar = [Fraction(1, nk) if i // nk == R.identity else Fraction(0)
+            for i in range(n)]
+    delta = [[(r * nk + a, int(mp.beta[a, r]) * nk + b)
+              for a in range(nk) for b in range(nk) if K.mul(a, b) == g]
+             for r in range(nr) for g in range(nk)]
+    anti = [R.inv(int(mp.beta[g, r])) * nk + K.inv(int(mp.alpha[r, g]))
+            for r in range(nr) for g in range(nk)]
+
+    def h(i):
+        return Fraction(0) if i is None else haar[i]
+
+    out = {}
+    out["product-associativity"] = sum(
+        mul(mul(i, j), k) != mul(i, mul(j, k))
+        for i in range(n) for j in range(n) for k in range(n))
+    out["unit-element"] = sum(
+        Counter(m for u in unit if (m := mul(u, i)) is not None) != Counter([i])
+        or Counter(m for u in unit if (m := mul(i, u)) is not None) != Counter([i])
+        for i in range(n))
+    out["star-involution"] = sum(star[star[i]] != i for i in range(n))
+    out["star-antihomomorphism"] = sum(
+        (None if mul(i, j) is None else star[mul(i, j)]) != mul(star[j], star[i])
+        for i in range(n) for j in range(n))
+    out["coassociativity"] = sum(
+        Counter((j1, j2, k) for j, k in delta[i] for j1, j2 in delta[j])
+        != Counter((j, k1, k2) for j, k in delta[i] for k1, k2 in delta[k])
+        for i in range(n))
+    out["counit-laws"] = sum(
+        Counter(k for j, k in delta[i] if eps[j]) != Counter([i])
+        or Counter(j for j, k in delta[i] if eps[k]) != Counter([i])
+        for i in range(n))
+    out["counit-multiplicative"] = sum(
+        (0 if mul(i, j) is None else eps[mul(i, j)]) != eps[i] * eps[j]
+        for i in range(n) for j in range(n))
+    bad = 0
+    for i in range(n):
+        for j in range(n):
+            want = Counter() if mul(i, j) is None else Counter(delta[mul(i, j)])
+            got = Counter()
+            for j1, k1 in delta[i]:
+                for j2, k2 in delta[j]:
+                    a, b = mul(j1, j2), mul(k1, k2)
+                    if a is not None and b is not None:
+                        got[(a, b)] += 1
+            bad += got != want
+    out["coproduct-multiplicative"] = bad
+    out["coproduct-star-compatible"] = sum(
+        Counter((star[j], star[k]) for j, k in delta[i]) != Counter(delta[star[i]])
+        for i in range(n))
+    bad = 0
+    for i in range(n):
+        want = Counter(unit) if eps[i] else Counter()
+        left = Counter(m for j, k in delta[i] if (m := mul(anti[j], k)) is not None)
+        right = Counter(m for j, k in delta[i] if (m := mul(j, anti[k])) is not None)
+        bad += left != want or right != want
+    out["antipode-laws"] = bad
+    out["antipode-involutive"] = sum(anti[anti[i]] != i for i in range(n))
+    out["antipode-star-commute"] = sum(star[anti[i]] != anti[star[i]]
+                                       for i in range(n))
+    bad = 0
+    for i in range(n):
+        want = {u: haar[i] for u in unit if haar[i]}
+        left, right = {}, {}
+        for j, k in delta[i]:
+            left[j] = left.get(j, 0) + haar[k]
+            right[k] = right.get(k, 0) + haar[j]
+        left = {x: v for x, v in left.items() if v}
+        right = {x: v for x, v in right.items() if v}
+        bad += left != want or right != want
+    out["haar-invariance"] = bad
+    out["haar-trace"] = sum(h(mul(i, j)) != h(mul(j, i))
+                            for i in range(n) for j in range(n))
+    out["haar-positivity"] = sum(
+        h(mul(star[i], j)) != (Fraction(1, nk) if i == j else 0)
+        for i in range(n) for j in range(n))
+    out["haar-unital"] = int(sum(haar[u] for u in unit) != 1)
+    return out

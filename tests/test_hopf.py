@@ -16,7 +16,8 @@ from kacforge.library import corpus_pairs, symmetric_group
 from kacforge.matched import (MatchedPair, beta_kernel_elements,
                               compact_subpair)
 
-from .oracles import covariant_rep_partial_maps, transpose_partial_map
+from .oracles import (covariant_rep_partial_maps, naive_law_violations,
+                      transpose_partial_map)
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 SMALL = ["z6-abelian", "s3-split", "s3-split-dual", "conj-s3-rot", "s4-cyclic4"]
@@ -43,13 +44,12 @@ def test_product_table_matches_operator_model(name):
     n = A.dim
     # the model must separate basis elements for the comparison to mean anything
     assert len({tuple(row) for row in rep}) == n
-    P = A.prod_index
     for i in range(n):
         mi = rep[i]
         composed = np.where(rep >= 0, mi[np.clip(rep, 0, None)], -1)
+        # every j outside the partner row multiplies to zero: an empty map
         expected = np.full_like(rep, -1)
-        mask = P[i] >= 0
-        expected[mask] = rep[P[i][mask]]
+        expected[A.partner[i]] = rep[A.result[i]]
         assert np.array_equal(composed, expected), f"row {i} of {name}"
 
 
@@ -75,22 +75,36 @@ def test_axioms_hold_exactly(name):
     report.raise_if_failed()  # must be a no-op
 
 
-def test_corrupted_action_fails_axioms():
+def _corrupted_s4_cyclic4():
+    """s4-cyclic4 with two entries of one nontrivial beta row swapped."""
     mp = CORPUS["s4-cyclic4"]
     beta = np.array(mp.beta)
     nr = mp.discrete.order
     g = next(gg for gg in range(mp.compact.order)
              if not np.array_equal(beta[gg], np.arange(nr)))
     beta[g, 0], beta[g, 1] = beta[g, 1], beta[g, 0]
-    broken = MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
-                         name="broken", validate=False)
-    report = check_axioms(build_algebra(broken))
+    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
+                       name="broken", validate=False)
+
+
+def test_corrupted_action_fails_axioms():
+    report = check_axioms(build_algebra(_corrupted_s4_cyclic4()))
     assert not report.passed
     failing = {c.name for c in report.checks if c.deviation > report.tol}
     assert failing & {"coassociativity", "coproduct-multiplicative",
                       "antipode-laws", "haar-invariance"}
     with pytest.raises(AxiomViolation):
         report.raise_if_failed()
+
+
+@pytest.mark.parametrize("name", MEDIUM + ["broken"])
+def test_axiom_report_agrees_with_naive_checker(name):
+    mp = _corrupted_s4_cyclic4() if name == "broken" else CORPUS[name]
+    report = check_axioms(build_algebra(mp))
+    naive = naive_law_violations(mp)
+    assert [c.name for c in report.checks] == list(naive)
+    assert {c.name for c in report.checks if c.deviation > report.tol} == \
+        {law for law, count in naive.items() if count > 0}
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -101,7 +115,9 @@ def test_classical_pieces_embed(name):
 
 def test_plain_function_algebra_is_commutative():
     A = plain_function_algebra(symmetric_group(3))
-    assert np.array_equal(A.prod_index, A.prod_index.T)
+    table = np.full((A.dim, A.dim), -1)
+    table[np.arange(A.dim)[:, None], A.partner] = A.result
+    assert np.array_equal(table, table.T)
     assert check_axioms(A).passed
     assert A.dim == 6
 
@@ -117,8 +133,7 @@ def test_invariant_state_is_unique(name):
     one = A.one().vec.real
     constraints = np.zeros((n * n, n))
     for i in range(n):
-        for j, k in A.coproduct[i]:
-            constraints[i * n + j, k] += 1.0
+        np.add.at(constraints, (i * n + A.delta_left[i], A.delta_right[i]), 1.0)
         constraints[i * n: i * n + n, i] -= one
     svals = np.linalg.svd(constraints, compute_uv=False)
     assert int(np.sum(svals <= 1e-9 * svals.max())) == 1

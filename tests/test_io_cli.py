@@ -271,6 +271,41 @@ def test_cli_validation_failure_exits_one(capsys):
     assert "associativity" in err
 
 
+def test_cli_unmatched_ambient_pair_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "s4.group").write_text((SAMPLES / "s4.group").read_text())
+    pair = tmp_path / "bad.pair"
+    pair.write_text("kind: ambient\nambient: s4.group\n"
+                    "discrete-gens:\n1\ncompact-gens:\n2\n")
+    code = main(["validate", str(pair)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_oversized_group_is_one_error_line(tmp_path, capsys):
+    group = tmp_path / "s7.group"
+    group.write_text("kind: perm\ndegree: 7\ngens:\n"
+                     "1 0 2 3 4 5 6\n1 2 3 4 5 6 0\n")
+    code = main(["shadow", "separation", str(group)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_numeric_breach_error_exits_two(capsys, monkeypatch):
+    from kacforge import cli
+    from kacforge.errors import SeedDegenerate
+
+    def degenerate(*args, **kwargs):
+        raise SeedDegenerate("still degenerate")
+    monkeypatch.setattr(cli, "run_pipeline", degenerate)
+    code = main(["shadow", "chebyshev"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: still degenerate\n"
+
+
 def test_cli_shadow_chebyshev_table(capsys):
     code = main(["shadow", "chebyshev", "--N", "3", "--t", "2",
                  "--cutoff", "10"])

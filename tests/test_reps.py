@@ -16,11 +16,11 @@ from kacforge.hopf import (Morphism, build_algebra, compact_restriction_morphism
                            counit_morphism, plain_function_algebra)
 from kacforge.library import corpus_pairs, cyclic_group, symmetric_group
 from kacforge.matched import beta_kernel_elements, compact_subpair
-from kacforge.reps import (Corepresentation, KazhdanPair, audit_fusion,
+from kacforge.reps import (Corepresentation, audit_fusion,
                            branching_sets, build_candidates,
                            check_corepresentation, decompose,
                            enumerate_irreps, fusion_paper_formula,
-                           invariant_groups, kazhdan_combine,
+                           invariant_groups,
                            lifted_irrep_corepresentation, mor_dim_haar,
                            mor_dim_solver, orbit_corepresentation,
                            push_corepresentation, spectrum_support_points)
@@ -410,20 +410,3 @@ def test_pushed_corep_still_satisfies_invariants():
     for c in cat.canonical:
         assert check_corepresentation(push_corepresentation(rho, c)) < 1e-7
 
-
-# ---------------------------------------------------------------------------
-# spectral-gap metadata
-
-
-def test_kazhdan_combine():
-    p1 = KazhdanPair(labels=("x1",), delta=0.5)
-    p2 = KazhdanPair(labels=("g2",), delta=0.3)
-    out = kazhdan_combine(p1, p2)
-    assert out.labels == ("g2", "x1")
-    assert out.delta == 0.3
-    same = kazhdan_combine(p1, p1)
-    assert same.labels == p1.labels and same.delta == p1.delta
-    empty = kazhdan_combine(p1, KazhdanPair(labels=(), delta=9.0))
-    assert empty.labels == p1.labels and empty.delta == 0.5
-    with pytest.raises(ValidationError):
-        KazhdanPair(labels=("x",), delta=0.0)
