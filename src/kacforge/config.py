@@ -1,10 +1,11 @@
 """Numeric tolerances, caps, and the run configuration record.
 
-All floating-point comparisons in the package go through these constants so
-that a single RunConfig can tighten or relax them coherently.
+Tolerances and size caps are module constants, read where they apply; the
+run configuration carries only what a run chooses: its seed and its output
+format.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 #: general numeric equality of derived quantities
 TOL_EQ = 1e-8
@@ -30,23 +31,16 @@ CHARTABLE_CAP = 2000
 ISO_CAP = 512
 #: retry budget for seeded spectral steps
 RETRY_BUDGET = 8
+#: label cap for fusion rings (the int32 multiplicity tensor is n^3 entries,
+#: 64 MB at the cap)
+RING_CAP = 256
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Immutable knobs shared by the pipeline and the CLI."""
+    """Immutable per-run choices shared by the pipeline and the CLI."""
 
     seed: int = DEFAULT_SEED
-    tol_eq: float = TOL_EQ
-    tol_int: float = TOL_INT
-    tol_axiom: float = TOL_AXIOM
-    tol_coeff: float = TOL_COEFF
-    tol_mult: float = TOL_MULT
-    closure_cap: int = CLOSURE_CAP
-    table_cap: int = TABLE_CAP
-    chartable_cap: int = CHARTABLE_CAP
-    iso_cap: int = ISO_CAP
-    retry_budget: int = RETRY_BUDGET
     output: str = "text"  # "text" | "structured"
 
     def with_(self, **kw):

@@ -10,15 +10,16 @@ sampling harness for polynomial operator-norm bounds along a length
 function.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEED
+from .config import DEFAULT_SEED, RING_CAP
 from .errors import (ActionNotCompatible, IdentityViolated, NonIntegral,
-                     OrbitInfinite, TruncationOverflow, ValidationError)
-from .groups import (character_table, direct_product, dual_group,
-                     is_isomorphic_small, matrix_irreps, rng_from)
+                     OrbitInfinite, SizeBound, TruncationOverflow,
+                     ValidationError)
+from .groups import (character_table, conjugacy_and_center, direct_product,
+                     dual_group, is_isomorphic_small, matrix_irreps, rng_from)
 from .hopf import build_algebra, plain_function_algebra
 from .library import pair_conjugation
 from .reps import build_candidates, enumerate_irreps, invariant_groups
@@ -28,25 +29,41 @@ from .reps import build_candidates, enumerate_irreps, invariant_groups
 # fusion rings
 
 
-class FusionRing:
-    """Finite (or truncated) fusion data over integer-indexed labels."""
+def _check_ring_size(n, what):
+    if n > RING_CAP:
+        raise SizeBound(f"{what} has {n} labels, over the ring cap {RING_CAP}")
 
-    def __init__(self, labels, unit, dual, dims, mults, truncated=False,
-                 name=None, validate=True):
+
+class FusionRing:
+    """Finite (or truncated) fusion data over integer-indexed labels.
+
+    ``mult[x, y, z]`` (int32, shape (n, n, n)) is the multiplicity of z in
+    the product of x and y.  A truncated ring keeps only the labels inside
+    a cutoff window; ``overflow[x, y]`` marks the products that leave it,
+    decided once from exact integer dimensions.
+    """
+
+    def __init__(self, labels, unit, dual, dims, mult, truncated=False,
+                 name=None):
+        _check_ring_size(len(labels), "fusion ring")
         self.labels = list(labels)
         self.n = len(self.labels)
         self.unit = int(unit)
         self.dual = np.asarray(dual, dtype=np.int64)
         self.dims = np.asarray(dims, dtype=float)
-        self.mults = dict(mults)          # (x, y, z) -> positive integer
+        self.mult = np.asarray(mult, dtype=np.int32)
         self.truncated = truncated
         self.name = name or f"ring({self.n})"
-        if validate:
-            self._validate_basic()
+        self._validate_basic()
+        self.overflow = (self._overflow_mask(dims) if truncated
+                         else np.zeros((self.n, self.n), dtype=bool))
 
     def _validate_basic(self):
-        n = self.n
-        if not (0 <= self.unit < n):
+        n, M, u = self.n, self.mult, self.unit
+        if M.shape != (n, n, n):
+            raise ValidationError("ring-mult",
+                                  f"multiplicity tensor has shape {M.shape}")
+        if not (0 <= u < n):
             raise ValidationError("ring-unit", "unit label out of range")
         if sorted(self.dual) != list(range(n)):
             raise ValidationError("ring-dual", "dual is not an involution base")
@@ -54,86 +71,65 @@ class FusionRing:
             raise ValidationError("ring-dual", "dual is not an involution")
         if (self.dims <= 0).any():
             raise ValidationError("ring-dim", "dimensions must be positive")
-        for x in range(n):
-            for z in range(n):
-                want = 1 if x == z else 0
-                if self.N(x, self.unit, z) != want or \
-                        self.N(self.unit, x, z) != want:
-                    raise ValidationError("ring-unit-law",
-                                          f"unit fusion fails at ({x},{z})")
-            for y in range(n):
-                want = 1 if y == self.dual[x] else 0
-                if self.N(x, y, self.unit) != want:
-                    raise ValidationError(
-                        "ring-dual-law", f"dual pairing fails at ({x},{y})")
+        eye = np.eye(n, dtype=bool)
+        unit_bad = (M[:, u, :] != eye) | (M[u, :, :] != eye)        # (x, z)
+        dual_bad = M[:, :, u] != eye[self.dual]                      # (x, y)
+        rows = np.flatnonzero(unit_bad.any(1) | dual_bad.any(1))
+        if len(rows):
+            x = rows[0]
+            if unit_bad[x].any():
+                z = np.flatnonzero(unit_bad[x])[0]
+                raise ValidationError("ring-unit-law",
+                                      f"unit fusion fails at ({x},{z})")
+            y = np.flatnonzero(dual_bad[x])[0]
+            raise ValidationError("ring-dual-law",
+                                  f"dual pairing fails at ({x},{y})")
 
-    def N(self, x, y, z):
-        return self.mults.get((int(x), int(y), int(z)), 0)
+    def _overflow_mask(self, dims):
+        # Python-int dimensions: products of large labels pass 2**53
+        exact = np.array([int(d) for d in dims], dtype=object)
+        return np.array([self.mult[x].astype(object) @ exact != exact[x] * exact
+                         for x in range(self.n)], dtype=bool)
 
     def fuse(self, x, y, allow_truncation=False):
-        """{z: multiplicity} of the product of labels x and y."""
-        out = {z: m for (a, b, z), m in self.mults.items()
-               if a == x and b == y}
-        if self.truncated:
-            dim_total = sum(m * self.dims[z] for z, m in out.items())
-            if abs(dim_total - self.dims[x] * self.dims[y]) > 1e-6:
-                if not allow_truncation:
-                    raise TruncationOverflow(
-                        f"product of {self.labels[x]} and {self.labels[y]} "
-                        f"leaves the cutoff window")
-        return out
-
-    def label_index(self, label):
-        return self.labels.index(label)
+        """{z: multiplicity} of the product of labels x and y, z ascending."""
+        if self.overflow[x, y] and not allow_truncation:
+            raise TruncationOverflow(
+                f"product of {self.labels[x]} and {self.labels[y]} "
+                f"leaves the cutoff window")
+        row = self.mult[x, y]
+        return {int(z): int(row[z]) for z in np.flatnonzero(row)}
 
     def __repr__(self):
         return f"FusionRing({self.name!r}, n={self.n})"
 
 
-def check_fusion_ring(ring, sample=None, seed=DEFAULT_SEED):
+def check_fusion_ring(ring):
     """Associativity, Frobenius symmetry and dimension multiplicativity.
 
-    Returns a dict of named deviations (0.0 when exact).  For truncated
-    rings the dimension law is only applied where no output overflows.
+    Returns a dict of named deviations (0.0 when exact): the number of
+    (a, b, c, d) on which the two groupings of a*b*c disagree, the number
+    of (a, b, c) breaking Frobenius reciprocity and the largest dimension
+    defect.  For truncated rings a triple (a, b, c) is skipped (and
+    counted) when either grouping leaves the cutoff window, since the two
+    sides then lose different parts, and the dimension law is not applied.
     """
-    n = ring.n
-    quads = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    if sample is not None and len(quads) > sample:
-        rng = rng_from(seed, 6)
-        keep = rng.choice(len(quads), size=sample, replace=False)
-        quads = [quads[int(i)] for i in sorted(keep)]
-    assoc_bad = 0
-    skipped = 0
-    for a, b, c in quads:
-        if ring.truncated:
-            # both groupings must stay inside the cutoff window, otherwise
-            # the two sides lose different parts and the comparison is void
-            try:
-                left_mid = ring.fuse(a, b)
-                right_mid = ring.fuse(b, c)
-                for w in left_mid:
-                    ring.fuse(w, c)
-                for w in right_mid:
-                    ring.fuse(a, w)
-            except TruncationOverflow:
-                skipped += 1
-                continue
-        for d in range(n):
-            left = sum(ring.N(a, b, w) * ring.N(w, c, d) for w in range(n))
-            right = sum(ring.N(b, c, w) * ring.N(a, w, d) for w in range(n))
-            if left != right:
-                assoc_bad += 1
-    frob_bad = 0
-    for a, b, c in quads:
-        if ring.N(a, b, c) != ring.N(c, ring.dual[b], a):
-            frob_bad += 1
+    n, O = ring.n, ring.overflow
+    M = ring.mult.astype(np.int64)
+    support = M != 0
+    assoc_bad = skipped = 0
+    for a in range(n):
+        # (b, c, d) tensors of (a*b)*c and a*(b*c)
+        left = (M[a] @ M.reshape(n, n * n)).reshape(n, n, n)
+        right = (M.reshape(n * n, n) @ M[a]).reshape(n, n, n)
+        skip = O[a][:, None] | O | (support[a] @ O) | (support @ O[a])
+        assoc_bad += int((left != right).sum(axis=2)[~skip].sum())
+        skipped += int(skip.sum())
+    frob_bad = int((M != M[:, ring.dual, :].transpose(2, 1, 0)).sum())
     dim_dev = 0.0
     if not ring.truncated:
-        for x in range(n):
-            for y in range(n):
-                total = sum(ring.N(x, y, z) * ring.dims[z] for z in range(n))
-                dim_dev = max(dim_dev,
-                              abs(total - ring.dims[x] * ring.dims[y]))
+        dim_dev = float(np.abs(M @ ring.dims -
+                               np.outer(ring.dims, ring.dims)).max())
     return {"associativity": float(assoc_bad), "frobenius": float(frob_bad),
             "dimension-homomorphism": dim_dev,
             "associativity-skipped": float(skipped)}
@@ -142,6 +138,9 @@ def check_fusion_ring(ring, sample=None, seed=DEFAULT_SEED):
 def irrep_fusion_ring(G, seed=DEFAULT_SEED, tol=1e-6):
     """Fusion of the irreducible characters of a finite group (exact
     multiplicities from character inner products)."""
+    # one irrep per conjugacy class: refuse before building the table
+    _check_ring_size(len(conjugacy_and_center(G).classes),
+                     f"irrep ring of order {G.order}")
     table = character_table(G, seed=seed)
     k = table.n_irreps
     chars = np.stack([table.char_on_elements(i) for i in range(k)])
@@ -154,19 +153,18 @@ def irrep_fusion_ring(G, seed=DEFAULT_SEED, tol=1e-6):
         if len(hits) != 1:
             raise ValidationError("ring-dual", f"conjugate of row {x} unclear")
         dual[x] = hits[0]
-    mults = {}
+    mult = np.zeros((k, k, k), dtype=np.int32)
     for x in range(k):
-        for y in range(k):
-            prod = chars[x] * chars[y]
-            for z in range(k):
-                val = complex(np.mean(prod * np.conj(chars[z])))
-                m = int(round(val.real))
-                if abs(val - m) > tol:
-                    raise NonIntegral(f"multiplicity ({x},{y},{z}) = {val}")
-                if m:
-                    mults[(x, y, z)] = m
+        # (y, z) inner products <chi_x chi_y, chi_z>, one block per x
+        vals = (chars[x] * chars) @ np.conj(chars).T / G.order
+        mult[x] = np.rint(vals.real)
+        bad = np.argwhere(np.abs(vals - mult[x]) > tol)
+        if len(bad):
+            y, z = bad[0]
+            val = complex(np.mean(chars[x] * chars[y] * np.conj(chars[z])))
+            raise NonIntegral(f"multiplicity ({x},{y},{z}) = {val}")
     return FusionRing(labels=[f"x{i}" for i in range(k)], unit=unit,
-                      dual=dual, dims=dims, mults=mults,
+                      dual=dual, dims=dims, mult=mult,
                       name=f"irr({G.order})")
 
 
@@ -174,11 +172,13 @@ def element_fusion_ring(G):
     """Group elements as labels with the group law as fusion (the dual-side
     picture of a finite group)."""
     n = G.order
-    mults = {(x, y, int(G.cayley[x, y])): 1
-             for x in range(n) for y in range(n)}
+    _check_ring_size(n, f"element ring of order {n}")
+    mult = np.zeros((n, n, n), dtype=np.int32)
+    x, y = np.indices((n, n))
+    mult[x, y, G.cayley] = 1
     return FusionRing(labels=list(G.labels), unit=G.identity,
                       dual=G.inverse.astype(np.int64), dims=[1.0] * n,
-                      mults=mults, name=f"elements({G.order})")
+                      mult=mult, name=f"elements({G.order})")
 
 
 def free_orthogonal_ring(N, cutoff):
@@ -188,17 +188,16 @@ def free_orthogonal_ring(N, cutoff):
         raise ValidationError("free-ring", "parameter must be >= 2")
     if cutoff < 1:
         raise ValidationError("free-ring", "cutoff must be >= 1")
+    _check_ring_size(cutoff + 1, f"free-orthogonal ring with cutoff {cutoff}")
     dims = [1, N]
     while len(dims) <= cutoff:
         dims.append(N * dims[-1] - dims[-2])
-    mults = {}
-    for j in range(cutoff + 1):
-        for k in range(cutoff + 1):
-            for m in range(abs(j - k), min(j + k, cutoff) + 1, 2):
-                mults[(j, k, m)] = 1
+    # j*k = sum of m from |j-k| to j+k in steps of 2, cut at the window
+    j, k, m = np.ogrid[:cutoff + 1, :cutoff + 1, :cutoff + 1]
+    mult = (abs(j - k) <= m) & (m <= j + k) & ((j + k) % 2 == m % 2)
     return FusionRing(labels=list(range(cutoff + 1)), unit=0,
                       dual=np.arange(cutoff + 1), dims=dims[:cutoff + 1],
-                      mults=mults, truncated=True,
+                      mult=mult, truncated=True,
                       name=f"free-orthogonal(N={N},cutoff={cutoff})")
 
 
@@ -232,10 +231,12 @@ def validate_ring_action(ring, action):
             raise ActionNotCompatible(f"row {g} breaks the dual")
         if np.abs(ring.dims[row] - ring.dims).max() > 1e-9:
             raise ActionNotCompatible(f"row {g} changes dimensions")
-        for (x, y, z), m in ring.mults.items():
-            if ring.N(row[x], row[y], row[z]) != m:
-                raise ActionNotCompatible(
-                    f"row {g} breaks fusion at ({x},{y},{z})")
+        moved = ring.mult[np.ix_(row, row, row)]
+        bad = np.argwhere((moved != ring.mult) & (ring.mult != 0))
+        if len(bad):
+            x, y, z = bad[0]
+            raise ActionNotCompatible(
+                f"row {g} breaks fusion at ({x},{y},{z})")
     for g in range(G.order):
         for h in range(G.order):
             if not np.array_equal(P[G.mul(g, h)], P[g][P[h]]):
@@ -244,36 +245,38 @@ def validate_ring_action(ring, action):
 
 
 class CrossedFusionRing(FusionRing):
-    """Labels (group element, base label) with action-twisted fusion."""
+    """Labels (group element, base label) with action-twisted fusion:
+    (r, x) * (s, y) = sum over z of base(act(s^-1, x) * y, z) (rs, z)."""
 
     def __init__(self, base, action, name=None):
         validate_ring_action(base, action)
+        G = action.group
+        nr, nb = G.order, base.n
+        _check_ring_size(nr * nb, f"crossed ring over {base.name}")
         self.base = base
         self.action = action
-        G = action.group
-        pairs = [(g, x) for g in range(G.order) for x in range(base.n)]
-        index = {p: i for i, p in enumerate(pairs)}
-        self.pairs = pairs
-        self.pair_index = index
-        labels = [f"{G.labels[g]}.{base.labels[x]}" for g, x in pairs]
-        dual = np.zeros(len(pairs), dtype=np.int64)
-        for i, (g, x) in enumerate(pairs):
-            gi = G.inv(g)
-            dual[i] = index[(gi, action.act(g, int(base.dual[x])))]
-        dims = [base.dims[x] for _, x in pairs]
-        mults = {}
-        for i, (r, x) in enumerate(pairs):
-            for j, (s, y) in enumerate(pairs):
-                t = G.mul(r, s)
-                moved = action.act(G.inv(s), x)
-                for z in range(base.n):
-                    m = base.N(moved, y, z)
-                    if m:
-                        mults[(i, j, index[(t, z)])] = m
-        super().__init__(labels=labels, unit=index[(G.identity, base.unit)],
-                         dual=dual, dims=dims, mults=mults,
+        self.pairs = [(g, x) for g in range(nr) for x in range(nb)]
+        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
+        P = np.asarray(action.perms, dtype=np.int64)
+        labels = [f"{G.labels[g]}.{base.labels[x]}" for g, x in self.pairs]
+        dual = (G.inverse[:, None] * nb + P[:, base.dual]).ravel()
+        mult = np.zeros((nr, nb, nr, nb, nr, nb), dtype=np.int32)
+        r, s = np.indices((nr, nr))
+        mult[r, :, s, :, G.cayley, :] = base.mult[P[G.inverse]][None]
+        super().__init__(labels=labels, unit=G.identity * nb + base.unit,
+                         dual=dual, dims=np.tile(base.dims, nr),
+                         mult=mult.reshape(nr * nb, nr * nb, nr * nb),
                          truncated=base.truncated,
                          name=name or f"crossed[{base.name}]")
+
+    def _overflow_mask(self, dims):
+        # (r, x) * (s, y) leaves the window exactly when act(s^-1, x) * y
+        # does, which the base decided from its exact dimensions
+        G, nb = self.action.group, self.base.n
+        moved = self.action.perms[G.inverse]                   # (s, x)
+        over = self.base.overflow[moved].transpose(1, 0, 2)    # (x, s, y)
+        return np.broadcast_to(over, (G.order,) + over.shape).reshape(
+            G.order * nb, G.order * nb)
 
 
 def crossed_ring(base, action, name=None):
@@ -312,14 +315,9 @@ def action_from_pair(mp, ring=None, seed=DEFAULT_SEED, tol=1e-6):
 
 @dataclass
 class DualElement:
-    """Finitely supported block element over a fusion ring's labels.
-
-    ``q_blocks`` keeps a per-label positive matrix slot (None = identity);
-    anything non-identity is accepted but experimental and untested.
-    """
+    """Finitely supported block element over a fusion ring's labels."""
     ring: FusionRing
     blocks: dict                   # label index -> complex (d, d) matrix
-    q_blocks: dict = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
@@ -332,10 +330,6 @@ class DualElement:
                     f"({d},{d}), got {mat.shape}")
             clean[int(x)] = mat
         self.blocks = clean
-
-    @property
-    def experimental(self):
-        return any(q is not None for q in self.q_blocks.values())
 
     def block(self, x):
         d = int(round(self.ring.dims[x]))
@@ -568,11 +562,10 @@ def check_length(lf, tol=1e-9):
         dev = max(dev, abs(v[x] - v[ring.dual[x]]))
         if v[x] < -tol:
             dev = max(dev, -v[x])
-    for (x, y, z), m in ring.mults.items():
-        if m > 0:
-            excess = v[z] - (v[x] + v[y])
-            if excess > tol:
-                dev = max(dev, excess)
+    x, y, z = np.nonzero(ring.mult > 0)
+    worst = (v[z] - (v[x] + v[y])).max(initial=-np.inf)
+    if worst > tol:
+        dev = max(dev, worst)
     return float(dev)
 
 

@@ -244,3 +244,50 @@ def naive_law_violations(mp):
         for i in range(n) for j in range(n))
     out["haar-unital"] = int(sum(haar[u] for u in unit) != 1)
     return out
+
+
+def naive_fusion_laws(mult, dual, dims, truncated):
+    """Fusion-ring law counts in plain loops over nested Python lists.
+
+    Same four numbers as the package's ring check: associativity counted
+    over every (a, b, c, d) with a triple (a, b, c) skipped, for a
+    truncated ring, when a product met by either grouping leaves the
+    cutoff window; Frobenius reciprocity N(a,b,c) = N(c, dual b, a) over
+    every (a, b, c); the largest dimension defect, untruncated rings only.
+    A product leaves the window when its multiplicities miss the product
+    of dimensions, decided here from exact Python-int dimensions.
+    """
+    n = len(mult)
+    N = [[[int(mult[a][b][c]) for c in range(n)] for b in range(n)]
+         for a in range(n)]
+    d = [int(v) for v in dims]
+    support = [[[(w, N[a][b][w]) for w in range(n) if N[a][b][w]]
+                for b in range(n)] for a in range(n)]
+    leaves = [[sum(m * d[w] for w, m in support[a][b]) != d[a] * d[b]
+               for b in range(n)] for a in range(n)]
+    assoc = skipped = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if truncated and (
+                        leaves[a][b] or leaves[b][c]
+                        or any(leaves[w][c] for w, _ in support[a][b])
+                        or any(leaves[a][w] for w, _ in support[b][c])):
+                    skipped += 1
+                    continue
+                for e in range(n):
+                    # zero multiplicities add nothing to either grouping
+                    left = sum(m * N[w][c][e] for w, m in support[a][b])
+                    right = sum(m * N[a][w][e] for w, m in support[b][c])
+                    assoc += left != right
+    frob = sum(N[a][b][c] != N[c][int(dual[b])][a]
+               for a in range(n) for b in range(n) for c in range(n))
+    dim = 0
+    if not truncated:
+        for a in range(n):
+            for b in range(n):
+                total = sum(m * d[w] for w, m in support[a][b])
+                dim = max(dim, abs(total - d[a] * d[b]))
+    return {"associativity": float(assoc), "frobenius": float(frob),
+            "dimension-homomorphism": float(dim),
+            "associativity-skipped": float(skipped)}

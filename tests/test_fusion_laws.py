@@ -1,0 +1,106 @@
+"""The tensor ring-law check against a loop oracle, exact truncation and
+the ring size cap.
+
+``check_fusion_ring`` must give the same four numbers as the plain-loop
+``naive_fusion_laws`` in ``tests/oracles.py``, on the golden rings and on
+rings with one corrupted multiplicity.  Truncation is decided from exact
+integer dimensions, and every ring builder refuses more than ``RING_CAP``
+labels before it allocates anything of that size.
+"""
+
+import numpy as np
+import pytest
+
+from kacforge.config import RING_CAP
+from kacforge.crossed import (CrossedFusionRing, FusionRing, RingAction,
+                              check_fusion_ring, element_fusion_ring,
+                              free_orthogonal_ring, irrep_fusion_ring)
+from kacforge.errors import SizeBound, TruncationOverflow
+from kacforge.library import cyclic_group, symmetric_group
+
+from .oracles import naive_fusion_laws
+from .test_fusion_golden import CHECKED_MAX, golden_rings
+
+
+def oracle_of(ring):
+    dims = [int(round(float(v))) for v in ring.dims]
+    return naive_fusion_laws(ring.mult.tolist(), list(ring.dual), dims,
+                             ring.truncated)
+
+
+def bumped(ring, x, y, z):
+    """The same ring rebuilt through the constructor with N(x, y, z) + 1."""
+    mult = ring.mult.copy()
+    mult[x, y, z] += 1
+    return FusionRing(ring.labels, ring.unit, ring.dual,
+                      [int(round(float(v))) for v in ring.dims], mult,
+                      truncated=ring.truncated, name=f"bumped {ring.name}")
+
+
+_SMALL = {name: build for name, build in golden_rings().items()
+          if name != "crossed-sign-on-z7"}
+
+
+@pytest.mark.parametrize("name", list(_SMALL))
+def test_tensor_check_matches_loop_oracle(name):
+    ring = _SMALL[name]()
+    assert ring.n <= CHECKED_MAX
+    assert check_fusion_ring(ring) == oracle_of(ring)
+
+
+def test_corrupted_irrep_ring_fails_like_the_oracle():
+    ring = bumped(irrep_fusion_ring(symmetric_group(4)), 2, 3, 4)
+    got = check_fusion_ring(ring)
+    assert got == oracle_of(ring)
+    assert got["associativity"] > 0 and got["frobenius"] > 0
+    assert got["dimension-homomorphism"] > 0
+
+
+def test_corrupted_truncated_ring_fails_like_the_oracle():
+    # the bump breaks the dimension count of 1*2, so that product now leaves
+    # the window and every triple that meets it is skipped: under the skip
+    # rule no single bump of this ring reaches the associativity count
+    ring = bumped(free_orthogonal_ring(3, 6), 1, 2, 3)
+    got = check_fusion_ring(ring)
+    assert got == oracle_of(ring)
+    assert got["frobenius"] > 0
+    assert got["associativity-skipped"] > 259
+    with pytest.raises(TruncationOverflow):
+        ring.fuse(1, 2)
+    # read as untruncated, every triple and the dimension law count
+    whole = FusionRing(ring.labels, ring.unit, ring.dual,
+                       [int(round(float(v))) for v in ring.dims], ring.mult)
+    got = check_fusion_ring(whole)
+    assert got == oracle_of(whole)
+    assert got["associativity"] > 0 and got["frobenius"] > 0
+    assert got["associativity-skipped"] == 0
+
+
+def test_truncation_is_decided_from_exact_dimensions():
+    ring = free_orthogonal_ring(5, 40)       # dimensions reach 1.7e27
+    assert ring.fuse(1, 32) == {31: 1, 33: 1}
+    for j in range(41):
+        for k in range(41):
+            if j + k > 40:
+                with pytest.raises(TruncationOverflow):
+                    ring.fuse(j, k)
+            else:
+                ring.fuse(j, k)
+
+
+def test_ring_builders_refuse_more_than_the_cap():
+    with pytest.raises(SizeBound):
+        free_orthogonal_ring(3, RING_CAP)
+    assert free_orthogonal_ring(2, RING_CAP - 1).n == RING_CAP
+    with pytest.raises(SizeBound):
+        element_fusion_ring(cyclic_group(RING_CAP + 1))
+    with pytest.raises(SizeBound):
+        irrep_fusion_ring(cyclic_group(RING_CAP + 1))
+    with pytest.raises(SizeBound):
+        FusionRing(range(RING_CAP + 1), 0, np.arange(RING_CAP + 1),
+                   [1] * (RING_CAP + 1), None)
+    base = element_fusion_ring(cyclic_group(16))
+    G = cyclic_group(17)
+    with pytest.raises(SizeBound):
+        CrossedFusionRing(base, RingAction(G, np.tile(np.arange(16),
+                                                      (17, 1))))

@@ -338,3 +338,25 @@ def test_cli_shadow_separation_and_transform(capsys):
     code = main(["shadow", "transform", str(SAMPLES / "uniform_s3.measure")])
     out = capsys.readouterr().out
     assert code == 0 and "uniform-check" in out
+
+
+def test_cli_ring_over_the_cap_is_one_error_line(tmp_path, capsys):
+    ring = tmp_path / "big.ring"
+    ring.write_text("spec: free-orthogonal:N=3,cutoff=256\n")
+    code = main(["validate", str(ring)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_partial_ring_law_check_says_so(capsys):
+    code = main(["fusion", str(SAMPLES / "free_o3.ring")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert ("PASS           ring free-o3 laws residual=0.000000e+00 -- "
+            "associativity on 84 of 343 triples; 259 leave the cutoff "
+            "window\n") in out
+    code = main(["fusion", str(SAMPLES / "s3_irreps.ring")])
+    out = capsys.readouterr().out
+    assert "ring s3-irreps laws residual=0.000000e+00\n" in out
