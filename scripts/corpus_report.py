@@ -45,7 +45,7 @@ def main(argv=None):
         inv = invariant_groups(A, cat, seed=args.seed)
         if args.audit:
             rep = audit_fusion(A, cat, seed=args.seed)
-            audit = (f"{len(rep.entries)} triples, "
+            audit = (f"{rep.coverage(f'{len(rep.entries)} triples')}, "
                      f"{len(rep.disagreements())} disagree")
         else:
             audit = "-"

@@ -199,13 +199,14 @@ def _cmd_audit(bundle, config, report, args):
         A, catalog = _algebra_and_catalog(mp, config.seed)
         audit = audit_fusion(A, catalog, seed=config.seed)
         formula_bad = [e for e in audit.entries if e.status != "AUDIT-AGREE"]
+        checked = len(audit.entries)
         report.add("audit", f"{name} closed-form-fusion",
                    "AUDIT-AGREE" if not formula_bad else "AUDIT-DISAGREE",
-                   witness=f"{len(audit.entries)} triples checked, "
+                   witness=f"{audit.coverage(f'{checked} triples checked')}, "
                            f"{len(formula_bad)} off")
         status = "PASS" if audit.oracle_consistent else "FAIL"
         report.add("audit", f"{name} solver-vs-haar", status,
-                   witness=f"{len(audit.entries)} triples")
+                   witness=audit.coverage(f"{checked} triples"))
         disagree = [e for e in audit.distinctness
                     if e.status == "AUDIT-DISAGREE"]
         for entry in disagree:

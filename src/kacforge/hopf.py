@@ -78,13 +78,6 @@ class KacAlgebra:
 
     # -- elements -----------------------------------------------------------
 
-    def element(self, coeffs):
-        """Element from a {(r, g): coefficient} map."""
-        vec = np.zeros(self.dim, dtype=complex)
-        for (r, g), c in coeffs.items():
-            vec[self.basis_index(r, g)] += c
-        return AlgebraElement(self, vec)
-
     def from_vector(self, vec):
         return AlgebraElement(self, np.asarray(vec, dtype=complex).copy())
 
@@ -128,31 +121,31 @@ class KacAlgebra:
         return np.where(hit, self.result[ii, s], self.dim)
 
     def mul_vec(self, a, b):
-        out = np.zeros(self.dim, dtype=complex)
-        ia = np.nonzero(a)[0]
-        if len(ia) == 0:
-            return out
-        contrib = a[ia][:, None] * b[self.partner[ia]]
-        np.add.at(out, self.result[ia].ravel(), contrib.ravel())
+        """Product of coefficient vectors, broadcast over leading axes.
+
+        Each row accumulates its terms i-major, s-minor over the columns
+        that are nonzero anywhere in ``a`` (the extra zero terms leave its
+        sums unchanged), in row blocks of bounded size."""
+        a, b = np.broadcast_arrays(a, b)
+        out = np.zeros(a.shape, dtype=complex)
+        ia = np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1))))
+        a, b, flat = (x.reshape(-1, self.dim) for x in (a, b, out))
+        terms = self.result[ia].ravel()
+        for blk in _row_blocks(len(flat), len(ia) * self.nr):
+            contrib = a[blk, ia, None] * b[blk][:, self.partner[ia]]
+            rows = np.arange(len(contrib))[:, None] * self.dim
+            np.add.at(flat[blk].reshape(-1), (rows + terms).ravel(),
+                      contrib.reshape(-1))
         return out
 
     def star_vec(self, a):
-        out = np.zeros(self.dim, dtype=complex)
-        np.add.at(out, self.star_index, np.conj(a))
+        out = np.zeros(np.shape(a), dtype=complex)
+        np.add.at(out.T, self.star_index, np.conj(a).T)
         return out
 
     def antipode_vec(self, a):
         out = np.zeros(self.dim, dtype=complex)
         np.add.at(out, self.antipode_index, a)
-        return out
-
-    def coproduct_dict(self, a):
-        """{(j, k): coefficient} over the doubled basis."""
-        out = {}
-        for i in np.nonzero(a)[0]:
-            c = a[i]
-            for jk in zip(self.delta_left[i].tolist(), self.delta_right[i].tolist()):
-                out[jk] = out.get(jk, 0.0) + c
         return out
 
     def counit(self, a):
@@ -525,35 +518,29 @@ def validate_morphism(rho, tol=TOL_EQ):
         raise NotAMorphism("unit is not preserved")
     if np.abs(B.counit_vec @ M - A.counit_vec).max() > tol:
         raise NotAMorphism("counit is not preserved")
+    # star of basis i is basis star_index[i]; image columns are M[:, i]
+    bad = np.abs(M[:, A.star_index] - B.star_vec(M.T).T).max(0) > tol
+    if bad.any():
+        raise NotAMorphism(
+            f"star fails at basis {A.basis_label(np.argmax(bad))}")
+    basis_images = np.vstack([M.T, np.zeros(B.dim)])   # row dim: the zero
     for i in range(A.dim):
-        si = np.zeros(A.dim, dtype=complex)
-        si[i] = 1.0
-        if np.abs(M @ A.star_vec(si) - B.star_vec(M @ si)).max() > tol:
-            raise NotAMorphism(f"star fails at basis {A.basis_label(i)}")
-    basis_images = M                      # column i = image of basis i
+        lhs = basis_images[A.mul_index(i, np.arange(A.dim))]
+        rhs = B.mul_vec(M[:, i], M.T)
+        bad = np.abs(lhs - rhs).max(1, initial=0.0) > tol
+        if bad.any():
+            raise NotAMorphism(
+                f"multiplicativity fails at ({A.basis_label(i)}, "
+                f"{A.basis_label(np.argmax(bad))})")
+    # coproduct intertwining on every basis element (the coproduct terms of
+    # distinct basis elements of B are distinct pairs)
     for i in range(A.dim):
-        prods = A.mul_index(i, np.arange(A.dim))
-        for j in range(A.dim):
-            m = prods[j]
-            lhs = basis_images[:, m] if m < A.dim else np.zeros(B.dim)
-            rhs = B.mul_vec(basis_images[:, i], basis_images[:, j])
-            if np.abs(lhs - rhs).max() > tol:
-                raise NotAMorphism(
-                    f"multiplicativity fails at ({A.basis_label(i)}, {A.basis_label(j)})")
-    # coproduct intertwining on every basis element
-    for i in range(A.dim):
-        lhs = basis_images[:, A.delta_left[i]] @ basis_images[:, A.delta_right[i]].T
+        lhs = M[:, A.delta_left[i]] @ M[:, A.delta_right[i]].T
         rhs = np.zeros((B.dim, B.dim), dtype=complex)
-        for t, c in _vec_items(basis_images[:, i]):
-            rhs[B.delta_left[t], B.delta_right[t]] += c
+        rhs[B.delta_left, B.delta_right] = M[:, i, None]
         if np.abs(lhs - rhs).max() > tol:
             raise NotAMorphism(f"coproduct fails at basis {A.basis_label(i)}")
     return True
-
-
-def _vec_items(vec, tol=TOL_COEFF):
-    for i in np.nonzero(np.abs(vec) > tol)[0]:
-        yield int(i), complex(vec[i])
 
 
 def compact_restriction_morphism(A, A0, embed):
@@ -607,43 +594,44 @@ def group_subalgebra_check(A, tol=TOL_AXIOM):
     """Exact report that the discrete group algebra and the compact function
     algebra both embed with the expected relations."""
     R, K = A.pair.discrete, A.pair.compact
+    n, nr, nk = A.dim, R.order, K.order
+    e = R.identity
+    ks = np.arange(nk)
     checks = []
 
-    u = [A.discrete_unitary(r).vec for r in range(R.order)]
-    bad = sum(1 for r in range(R.order) for s in range(R.order)
-              if np.abs(A.mul_vec(u[r], u[s]) - u[R.mul(r, s)]).max() > tol)
+    # u_r u_s = sum_g e_{result[(r, g), s]}: its terms must be the nk basis
+    # elements of u_{rs}, each once (all coefficients are 0/1 counts)
+    terms = np.sort(A.result.reshape(nr, nk, nr), 1)          # [r, ., s]
+    want = (R.cayley * nk)[:, None, :] + ks[None, :, None]
+    bad = (terms != want).any(1).sum()
     checks.append(AxiomCheck("discrete-product-embedding", float(bad)))
-    bad = sum(1 for r in range(R.order)
-              if np.abs(A.star_vec(u[r]) - u[R.inv(r)]).max() > tol)
+    # u_r* = sum_g e_{star_index[(r, g)]} against u_{r^-1}
+    terms = np.sort(A.star_index.reshape(nr, nk), 1)
+    bad = (terms != (R.inverse * nk)[:, None] + ks).any(1).sum()
     checks.append(AxiomCheck("discrete-star-embedding", float(bad)))
 
-    delta = []
-    e = R.identity
-    for g in range(K.order):
-        v = np.zeros(A.dim, dtype=complex)
-        v[A.basis_index(e, g)] = 1.0
-        delta.append(v)
-    bad = 0
-    for g in range(K.order):
-        for h in range(K.order):
-            expect = delta[g] if g == h else np.zeros(A.dim)
-            if np.abs(A.mul_vec(delta[g], delta[h]) - expect).max() > tol:
-                bad += 1
+    # d_g d_h = [g = h] d_g on the compact copy u_e d_g
+    d = e * nk + ks
+    prod = A.mul_index(d[:, None], d[None, :])
+    bad = (prod != np.where(ks[:, None] == ks, d[:, None], n)).sum()
     checks.append(AxiomCheck("compact-idempotents", float(bad)))
 
-    # covariance: u_r d_h u_r^* = d_{alpha_r(h)}
-    bad = 0
-    for r in range(R.order):
-        for hh in range(K.order):
-            lhs = A.mul_vec(A.mul_vec(u[r], delta[hh]), A.star_vec(u[r]))
-            if np.abs(lhs - delta[A.pair.alpha[r, hh]]).max() > tol:
-                bad += 1
+    # covariance: u_r d_h u_r^* = d_{alpha_r(h)}.  Term i = (r, g) of u_r
+    # meets d_h only for h = h_of[i], landing on result[i, e]; for each
+    # (r, h) the products of those landings with the terms of u_r^* must
+    # leave exactly one nonzero term, and that one d_{alpha_r(h)}
+    h_of = A.partner[:, e] - e * nk
+    prod = A.mul_index(A.result[:, e, None],
+                       A.star_index.reshape(nr, nk)[A.gamma_of])    # (n, nk)
+    target = e * nk + A.pair.alpha[A.gamma_of, h_of]
+    rh = A.gamma_of * nk + h_of
+    live = np.bincount(rh, (prod < n).sum(1), minlength=n)
+    hits = np.bincount(rh, (prod == target[:, None]).sum(1), minlength=n)
+    bad = ((live != 1) | (hits == 0)).sum()
     checks.append(AxiomCheck("covariance-relation", float(bad)))
 
     # coproduct of a compact indicator stays inside the compact copy:
     # Delta(d_g) = sum_a d_a x d_{a^-1 g}
-    n, nk = A.dim, K.order
-    ks = np.arange(nk)
     got = _key((A.delta_left[e * nk + ks], A.delta_right[e * nk + ks]), n)
     want = _key((e * nk + ks[None, :], e * nk + K.cayley[K.inverse][:, ks].T), n)
     bad = (np.sort(got.reshape(nk, -1), 1)

@@ -18,10 +18,10 @@ from .config import (DEFAULT_SEED, RETRY_BUDGET, TOL_EQ, TOL_INT,
                      TOL_MULT)
 from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
-from .groups import (FiniteGroup, character_table, dual_group,
+from .groups import (FiniteGroup, MatrixIrrep, character_table, dual_group,
                      is_isomorphic_small, matrix_irreps, rng_from,
                      semidirect_product)
-from .hopf import validate_morphism
+from .hopf import _row_blocks, validate_morphism
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -39,9 +39,6 @@ class Corepresentation:
         self.label = label if label is not None else f"w{self.dim}"
         self.unitary = unitary
 
-    def entry(self, i, j):
-        return self.algebra.from_vector(self.coeffs[i, j])
-
     def character(self):
         return np.einsum("iin->n", self.coeffs)
 
@@ -54,13 +51,9 @@ class Corepresentation:
         if other.algebra is not A:
             raise ValidationError("corep-tensor", "different algebras")
         d1, d2 = self.dim, other.dim
-        out = np.zeros((d1 * d2, d1 * d2, A.dim), dtype=complex)
-        for i in range(d1):
-            for j in range(d1):
-                for k in range(d2):
-                    for ell in range(d2):
-                        out[i * d2 + k, j * d2 + ell] = A.mul_vec(
-                            self.coeffs[i, j], other.coeffs[k, ell])
+        out = A.mul_vec(self.coeffs[:, None, :, None],
+                        other.coeffs[None, :, None, :])    # [i, k, j, l]
+        out = out.reshape(d1 * d2, d1 * d2, A.dim)
         return Corepresentation(
             A, out, label=label or f"{self.label}(x){other.label}",
             unitary=self.unitary and other.unitary)
@@ -70,35 +63,38 @@ class Corepresentation:
 
 
 def check_corepresentation(c, tol=TOL_MULT):
-    """Max deviation over the coaction identity and (if flagged) unitarity."""
+    """Max deviation over the coaction identity and (if flagged) unitarity.
+
+    The coaction identity Delta(c_ij) = sum_k c_ik x c_kj is compared on
+    the support of the corepresentation, in row blocks of its left leg: the
+    coproduct terms of distinct basis elements are distinct pairs, so the
+    left-hand side at the term (delta_left, delta_right)[t, a] is c_ij[t].
+    """
     A = c.algebra
     d = c.dim
-    dev = 0.0
-    for i in range(d):
-        for j in range(d):
-            lhs = A.coproduct_dict(c.coeffs[i, j])
-            rhs = {}
-            for k in range(d):
-                left = c.coeffs[i, k]
-                right = c.coeffs[k, j]
-                for a in np.nonzero(np.abs(left) > 1e-14)[0]:
-                    for b in np.nonzero(np.abs(right) > 1e-14)[0]:
-                        key = (int(a), int(b))
-                        rhs[key] = rhs.get(key, 0.0) + left[a] * right[b]
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                dev = max(dev, abs(lhs.get(key, 0.0) - rhs.get(key, 0.0)))
+    S = c.support()
+    cS = c.coeffs[:, :, S]
+    pos = np.full(A.dim, -1)
+    pos[S] = np.arange(len(S))
+    left, right = pos[A.delta_left[S]], pos[A.delta_right[S]]   # (|S|, nk)
+    inside = (left >= 0) & (right >= 0)
+    # a term with a leg off the support has no right-hand side to meet
+    dev = float(np.abs(cS[:, :, ~inside.all(1)]).max(initial=0.0))
+    t, a = np.nonzero(inside)
+    for blk in _row_blocks(len(S), d * d * len(S)):
+        rhs = np.einsum("ikp,kjq->ijpq", cS[:, :, blk], cS)
+        mine = (left[t, a] >= blk.start) & (left[t, a] < blk.stop)
+        tt, aa = t[mine], a[mine]
+        rhs[:, :, left[tt, aa] - blk.start, right[tt, aa]] -= cS[:, :, tt]
+        dev = max(dev, float(np.abs(rhs).max(initial=0.0)))
     if c.unitary:
         one = A.one().vec
-        for i in range(d):
-            for j in range(d):
-                row = sum(A.mul_vec(c.coeffs[i, k], A.star_vec(c.coeffs[j, k]))
-                          for k in range(d))
-                col = sum(A.mul_vec(A.star_vec(c.coeffs[k, i]), c.coeffs[k, j])
-                          for k in range(d))
-                want = one if i == j else 0.0 * one
-                dev = max(dev, float(np.abs(row - want).max()),
-                          float(np.abs(col - want).max()))
+        want = np.eye(d)[:, :, None] * one
+        cs = A.star_vec(c.coeffs)                   # entrywise star
+        row = A.mul_vec(c.coeffs[:, None], cs[None, :]).sum(2)     # c c*
+        col = A.mul_vec(cs[:, :, None], c.coeffs[:, None]).sum(0)  # c* c
+        dev = max(dev, float(np.abs(row - want).max()),
+                  float(np.abs(col - want).max()))
     return dev
 
 
@@ -106,50 +102,40 @@ def check_corepresentation(c, tol=TOL_MULT):
 # candidate builders
 
 
-def orbit_corepresentation(A, orbit, label=None):
-    """Matrix over one orbit of the discrete action; entry (r, s) sums the
-    basis elements u_r d_g over the fiber {g : the action sends r to s}."""
-    mp = A.pair
-    pos = {r: idx for idx, r in enumerate(orbit)}
-    d = len(orbit)
-    coeffs = np.zeros((d, d, A.dim), dtype=complex)
-    for r in orbit:
-        for g in range(A.nk):
-            s = int(mp.beta[g, r])
-            coeffs[pos[r], pos[s], A.basis_index(r, g)] += 1.0
-    return Corepresentation(A, coeffs, label=label or f"orb{orbit[0]}")
-
-
-def lifted_irrep_corepresentation(A, mx, label=None):
-    """A matrix irrep of the compact group, embedded via point indicators."""
-    e = A.pair.discrete.identity
-    d = mx.dim
-    coeffs = np.zeros((d, d, A.dim), dtype=complex)
-    for g in range(A.nk):
-        U = mx.matrices[g]
-        for i in range(d):
-            for j in range(d):
-                coeffs[i, j, A.basis_index(e, g)] += U[i, j]
-    return Corepresentation(A, coeffs, label=label or f"lift[{mx.label}]")
-
-
 def candidate_corepresentation(A, orbit, mx, label=None):
     """Closed form of (orbit matrix) tensor (lifted irrep): the entry at
     ((r,i),(s,j)) collects U^x_{ij}(g) u_r d_g over the (r -> s) fiber."""
-    mp = A.pair
-    pos = {r: idx for idx, r in enumerate(orbit)}
+    orbit = np.asarray(orbit)
     do, dx = len(orbit), mx.dim
-    d = do * dx
-    coeffs = np.zeros((d, d, A.dim), dtype=complex)
-    for r in orbit:
-        for g in range(A.nk):
-            s = int(mp.beta[g, r])
-            U = mx.matrices[g]
-            base = A.basis_index(r, g)
-            for i in range(dx):
-                for j in range(dx):
-                    coeffs[pos[r] * dx + i, pos[s] * dx + j, base] += U[i, j]
+    pos = np.full(A.nr, -1)
+    pos[orbit] = np.arange(do)
+    g = np.arange(A.nk)
+    s = A.pair.beta[g[None, :], orbit[:, None]]              # (do, nk)
+    if (pos[s] < 0).any():
+        raise ValidationError("orbit", f"{orbit.tolist()} is not closed")
+    i = np.arange(dx)[:, None]
+    rows = np.arange(do)[:, None, None, None] * dx + i
+    cols = (pos[s] * dx)[..., None, None] + i.T
+    basis = (orbit[:, None] * A.nk + g)[..., None, None]
+    coeffs = np.zeros((do * dx, do * dx, A.dim), dtype=complex)
+    # the cells are distinct; adding into zeros turns -0.0 entries into 0.0
+    coeffs[rows, cols, basis] += np.asarray(mx.matrices)
     return Corepresentation(A, coeffs, label=label)
+
+
+def orbit_corepresentation(A, orbit, label=None):
+    """Matrix over one orbit of the discrete action; entry (r, s) sums the
+    basis elements u_r d_g over the fiber {g : the action sends r to s}."""
+    trivial = MatrixIrrep("1", 1, np.ones((A.nk, 1, 1)))
+    return candidate_corepresentation(A, orbit, trivial,
+                                      label=label or f"orb{orbit[0]}")
+
+
+def lifted_irrep_corepresentation(A, mx, label=None):
+    """A matrix irrep of the compact group, embedded via point indicators
+    (the candidate on the fixed orbit {e})."""
+    return candidate_corepresentation(A, [A.pair.discrete.identity], mx,
+                                      label=label or f"lift[{mx.label}]")
 
 
 def build_candidates(A, seed=DEFAULT_SEED):
@@ -198,17 +184,14 @@ def mor_dim_solver(u, w, tol=TOL_EQ):
     if not support:
         return 0, []
     S = len(support)
-    M = np.zeros((dw, du, S, dw * du), dtype=complex)
     Uc = u.coeffs[:, :, support]            # (du, du, S)
     Wc = w.coeffs[:, :, support]            # (dw, dw, S)
-    for i in range(dw):
-        for k in range(du):
-            # + sum_j T[i, j] * u[j, k]
-            for j in range(du):
-                M[i, k, :, i * du + j] += Uc[j, k]
-            # - sum_j w[i, j] * T[j, k]
-            for j in range(dw):
-                M[i, k, :, j * du + k] -= Wc[i, j]
+    # row (i, k, s) of (T x 1)u - w(T x 1), column (a, b) of T:
+    # [a = i] u[b, k] - [b = k] w[i, a] at support element s
+    M = np.zeros((dw, du, S, dw, du), dtype=complex)
+    ii, kk = np.arange(dw), np.arange(du)
+    M[ii, :, :, ii, :] += Uc.transpose(1, 2, 0)
+    M[:, kk, :, :, kk] -= Wc.transpose(0, 2, 1)
     M = M.reshape(dw * du * S, dw * du)
     svals, vh = np.linalg.svd(M, compute_uv=True)[1:]
     cutoff = tol * max(float(svals.max(initial=0.0)), 1.0)
@@ -385,10 +368,20 @@ class FusionAuditReport:
     entries: list
     distinctness: list
     flips: list
+    triples_total: int
+    seed: int
 
     @property
     def oracle_consistent(self):
         return all(e.solver == e.haar for e in self.entries)
+
+    def coverage(self, complete):
+        """``complete`` when every triple was checked, else what share of
+        them the seeded sample checked."""
+        if len(self.entries) == self.triples_total:
+            return complete
+        return (f"checked {len(self.entries)} of {self.triples_total} "
+                f"triples (sampled, seed {self.seed:#x})")
 
     def disagreements(self):
         return [e for e in self.entries + self.distinctness
@@ -396,7 +389,7 @@ class FusionAuditReport:
 
     def lines(self):
         out = [f"fusion audit for {self.pair_name}: "
-               f"{len(self.entries)} triples, "
+               f"{self.coverage(f'{len(self.entries)} triples')}, "
                f"{len(self.disagreements())} disagreements"]
         for e in self.entries:
             if e.status == "AUDIT-DISAGREE":
@@ -436,6 +429,7 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
     triples = [(gi, xi, ri, si)
                for gi in range(n_orb) for xi in range(len(catalog.irreps))
                for ri in range(n_orb) for si in range(n_orb)]
+    triples_total = len(triples)
     if len(triples) > max_triples:
         rng = rng_from(seed, 5)
         keep = rng.choice(len(triples), size=max_triples, replace=False)
@@ -489,7 +483,8 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
         flips.append(FlipEntry(candidate=cand.label, partner=found))
 
     return FusionAuditReport(pair_name=mp.name, entries=entries,
-                             distinctness=distinctness, flips=flips)
+                             distinctness=distinctness, flips=flips,
+                             triples_total=triples_total, seed=seed)
 
 
 # ---------------------------------------------------------------------------

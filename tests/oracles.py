@@ -291,3 +291,54 @@ def naive_fusion_laws(mult, dual, dims, truncated):
     return {"associativity": float(assoc), "frobenius": float(frob),
             "dimension-homomorphism": float(dim),
             "associativity-skipped": float(skipped)}
+
+
+def naive_corep_tensor(u, w):
+    """Coefficient tensor of the tensor product of two corepresentations,
+    one algebra product per matrix entry: entry ((i, k), (j, l)) is
+    u_ij w_kl."""
+    A = u.algebra
+    d1, d2 = u.dim, w.dim
+    out = np.zeros((d1 * d2, d1 * d2, A.dim), dtype=complex)
+    for i in range(d1):
+        for j in range(d1):
+            for k in range(d2):
+                for ell in range(d2):
+                    out[i * d2 + k, j * d2 + ell] = A.mul_vec(
+                        u.coeffs[i, j], w.coeffs[k, ell])
+    return out
+
+
+def naive_embedding_violations(A, tol=1e-9):
+    """Violation counts of the classical embeddings, one algebra product
+    per group pair: (r, s) with u_r u_s != u_rs, r with u_r* != u_r^-1,
+    (g, h) with d_g d_h != [g = h] d_g and (r, h) with
+    u_r d_h u_r* != d_alpha_r(h)."""
+    R, K = A.pair.discrete, A.pair.compact
+    nr, nk = R.order, K.order
+
+    def vec(*idx):
+        v = np.zeros(A.dim, dtype=complex)
+        for i in idx:
+            v[i] += 1.0
+        return v
+
+    def differs(x, y):
+        return np.abs(x - y).max() > tol
+
+    u = [vec(*(r * nk + g for g in range(nk))) for r in range(nr)]
+    d = [vec(R.identity * nk + g) for g in range(nk)]
+    return {
+        "discrete-product-embedding": sum(
+            differs(A.mul_vec(u[r], u[s]), u[R.mul(r, s)])
+            for r in range(nr) for s in range(nr)),
+        "discrete-star-embedding": sum(
+            differs(A.star_vec(u[r]), u[R.inv(r)]) for r in range(nr)),
+        "compact-idempotents": sum(
+            differs(A.mul_vec(d[g], d[h]), d[g] if g == h else 0 * d[g])
+            for g in range(nk) for h in range(nk)),
+        "covariance-relation": sum(
+            differs(A.mul_vec(A.mul_vec(u[r], d[h]), A.star_vec(u[r])),
+                    d[A.pair.alpha[r, h]])
+            for r in range(nr) for h in range(nk)),
+    }

@@ -1,0 +1,139 @@
+"""Corepresentations on the algebra's index arrays.
+
+The broadcasting product must equal stacked one-dimensional products bit
+for bit; the tensor product must equal the entry-by-entry loop of
+``tests/oracles.py`` bit for bit; the exact embedding counts of
+``group_subalgebra_check`` must equal the per-pair product loop, also on
+pairs whose actions were corrupted; and the coaction check must see a
+broken corepresentation.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kacforge import hopf
+from kacforge.hopf import build_algebra, group_subalgebra_check
+from kacforge.library import corpus_pairs
+from kacforge.matched import MatchedPair
+from kacforge.errors import ValidationError
+from kacforge.groups import matrix_irreps
+from kacforge.reps import (Corepresentation, build_candidates,
+                           candidate_corepresentation, check_corepresentation,
+                           enumerate_irreps)
+
+from .oracles import naive_corep_tensor, naive_embedding_violations
+from .test_reps import SMALL, algebra_of, catalog_of
+from .test_structure_golden import _corrupted_s4_cyclic4
+
+CORPUS = {mp.name: mp for mp in corpus_pairs()}
+UP_TO_84 = [name for name, mp in CORPUS.items()
+            if mp.discrete.order * mp.compact.order <= 84]
+
+
+def _sparse(rng, shape, density):
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return vals * (rng.random(shape) < density)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(UP_TO_84), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 4), cols=st.integers(1, 3),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_broadcast_product_equals_stacked_products(name, seed, rows, cols,
+                                                   density):
+    A = algebra_of(name)
+    rng = np.random.default_rng(seed)
+    a = _sparse(rng, (rows, cols, A.dim), density)
+    b = _sparse(rng, (cols, A.dim), density)        # broadcast over rows
+    got = A.mul_vec(a, b)
+    want = np.array([[A.mul_vec(a[i, j], b[j]) for j in range(cols)]
+                     for i in range(rows)])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_broadcast_product_over_several_row_blocks():
+    A = build_algebra(CORPUS["double-s3-twist"])
+    rng = np.random.default_rng(7)
+    a = _sparse(rng, (12, 10, A.dim), 0.5)
+    b = _sparse(rng, (10, A.dim), 0.5)
+    assert 12 * 10 * A.dim * A.nr > hopf._BLOCK       # more than one block
+    got = A.mul_vec(a, b)
+    want = np.array([[A.mul_vec(a[i, j], b[j]) for j in range(10)]
+                     for i in range(12)])
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_tensor_equals_entrywise_loop(name):
+    irreps = catalog_of(name).canonical
+    for u in irreps:
+        for w in irreps:
+            got = u.tensor(w).coeffs
+            assert np.array_equal(got.view(np.float64),
+                                  naive_corep_tensor(u, w).view(np.float64))
+
+
+def _collapsed_alpha(mp):
+    """mp with one nontrivial alpha row no longer a bijection."""
+    alpha = np.array(mp.alpha)
+    r = next(rr for rr in range(mp.discrete.order)
+             if not np.array_equal(alpha[rr], np.arange(mp.compact.order)))
+    g = next(gg for gg in range(mp.compact.order) if alpha[r, gg] != gg)
+    alpha[r, g] = alpha[r, 0]
+    return MatchedPair(mp.discrete, mp.compact, alpha, mp.beta,
+                       name="alpha-collapsed", validate=False)
+
+
+def _embedding_counts(A):
+    report = group_subalgebra_check(A)
+    return {c.name: int(c.deviation) for c in report.checks[:4]}
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["beta-broken",
+                                                 "alpha-collapsed"])
+def test_embedding_counts_equal_product_loop(name):
+    if name == "beta-broken":
+        mp = _corrupted_s4_cyclic4(CORPUS["s4-cyclic4"])
+    elif name == "alpha-collapsed":
+        mp = _collapsed_alpha(CORPUS["s4-cyclic4"])
+    else:
+        mp = CORPUS[name]
+    A = build_algebra(mp)
+    want = naive_embedding_violations(A)
+    assert _embedding_counts(A) == want
+    if name == "alpha-collapsed":
+        assert any(want.values())
+
+
+def test_coaction_check_sees_a_broken_entry():
+    A = algebra_of("s4-cyclic4")
+    cands, _, _ = build_candidates(A)
+    cand = max(cands, key=lambda c: c.dim)
+    coeffs = cand.coeffs.copy()
+    i = cand.support()[0]
+    j = next(t for t in range(A.dim) if t not in set(cand.support()))
+    coeffs[:, :, [i, j]] = coeffs[:, :, [j, i]]     # move one basis element
+    broken = Corepresentation(A, coeffs, unitary=False)
+    assert check_corepresentation(cand) < 1e-7
+    assert check_corepresentation(broken) > 0.5
+
+
+def test_coaction_check_sees_a_wrong_value():
+    A = algebra_of("conj-s3-rot")
+    corep = enumerate_irreps(A).canonical[-1]
+    coeffs = corep.coeffs.copy()
+    t = corep.support()[1]
+    coeffs[0, 0, t] += 1.0
+    assert check_corepresentation(Corepresentation(A, coeffs)) > 0.5
+
+
+def test_candidate_builder_refuses_an_orbit_that_is_not_closed():
+    A = algebra_of("s4-cyclic4")
+    big = next(o for o in build_candidates(A)[1].orbits if len(o) > 1)
+    mx = matrix_irreps(A.pair.compact)[0]
+    assert candidate_corepresentation(A, big, mx).dim == len(big)
+    with pytest.raises(ValidationError, match="orbit"):
+        candidate_corepresentation(A, big[:1], mx)

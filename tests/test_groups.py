@@ -368,3 +368,28 @@ def test_closure_is_subgroup(G, a, b):
     sub, back = G.subgroup(elems)
     assert sub.order == k
     assert back == elems
+
+
+def test_cayley_rejects_swapped_intercalate_above_sampling_size():
+    # Z_2048 with one intercalate swapped stays latin with an identity;
+    # only the products through rows 1 and 1 + t are wrong
+    n, t = 2048, 1024
+    table = (np.arange(n)[:, None] + np.arange(n)) % n
+    for row in (1, 1 + t):
+        table[row, [2, 2 + t]] = table[row, [2 + t, 2]]
+    with pytest.raises(ValidationError, match="associativity"):
+        group_from_cayley(table)
+
+
+def test_matrix_irreps_memory_stays_quadratic():
+    import tracemalloc
+    G = symmetric_group(5)
+    table = character_table(G)
+    tracemalloc.start()
+    try:
+        irreps = matrix_irreps(G, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mx.dim ** 2 for mx in irreps) == G.order
+    assert peak < 5 * 2 ** 20

@@ -360,3 +360,21 @@ def test_cli_partial_ring_law_check_says_so(capsys):
     code = main(["fusion", str(SAMPLES / "s3_irreps.ring")])
     out = capsys.readouterr().out
     assert "ring s3-irreps laws residual=0.000000e+00\n" in out
+
+
+def test_audit_witnesses_say_when_the_audit_was_sampled(monkeypatch):
+    import functools
+    from kacforge import cli, reps
+    path = [str(SAMPLES / "s4_s3_z4.pair")]
+    full = {e.name: e.witness for e in run_pipeline("audit", path).entries()}
+    monkeypatch.setattr(cli, "audit_fusion",
+                        functools.partial(reps.audit_fusion, max_triples=10))
+    part = {e.name: e.witness for e in run_pipeline("audit", path).entries()}
+    name = next(n for n in full if n.endswith("solver-vs-haar"))
+    total = int(full[name].split()[0])
+    assert total > 10 and part.keys() == full.keys()
+    note = f"checked 10 of {total} triples (sampled, seed 0xc0ffee)"
+    assert part[name] == note
+    fusion = name.replace("solver-vs-haar", "closed-form-fusion")
+    assert full[fusion].startswith(f"{total} triples checked, ")
+    assert part[fusion].startswith(note + ", ")

@@ -410,3 +410,17 @@ def test_pushed_corep_still_satisfies_invariants():
     for c in cat.canonical:
         assert check_corepresentation(push_corepresentation(rho, c)) < 1e-7
 
+
+
+def test_sampled_audit_says_it_was_sampled():
+    A = algebra_of("s4-cyclic4")
+    full = audit_fusion(A, catalog_of("s4-cyclic4"))
+    part = audit_fusion(A, catalog_of("s4-cyclic4"), max_triples=10)
+    assert full.triples_total == part.triples_total == len(full.entries) > 10
+    assert len(part.entries) == 10
+    assert full.lines()[0] == (f"fusion audit for {full.pair_name}: "
+                               f"{full.triples_total} triples, "
+                               f"{len(full.disagreements())} disagreements")
+    assert part.lines()[0].startswith(
+        f"fusion audit for {part.pair_name}: checked 10 of "
+        f"{part.triples_total} triples (sampled, seed 0xc0ffee), ")
