@@ -1,0 +1,142 @@
+"""Golden digests of the data derived from a pair's action tables.
+
+For every corpus pair the sha256 of each of the following must match the
+digest stored in ``tests/data/pair_digests.json``:
+
+* the ``magic_relations_report`` triples of every orbit, for the pair and
+  for two corrupted copies of it (``validate=False``; orbits taken from the
+  honest pair): one swaps two entries of a ``beta`` row, the other collapses
+  one entry of that row onto another;
+* the members of every B-set (r, s);
+* the closed-form fusion value of every (x, gamma, r, s), rounded to 9
+  decimals;
+* the ``invariant_groups`` Cayley tables and labels, both model tables and
+  both isomorphism flags with their witnesses;
+* ``dual_group`` of each side: invariants, Cayley table and characters;
+* ``action_from_pair(mp).perms`` for pairs with trivial discrete-side action.
+
+Any change to how these are derived must leave all of them unchanged.
+
+Regenerate the file (only when a change of output is intended) with
+``PYTHONPATH=src python -m tests.test_pair_golden``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kacforge import reps
+from kacforge.crossed import action_from_pair
+from kacforge.groups import character_table, dual_group
+from kacforge.hopf import build_algebra
+from kacforge.library import corpus_pairs
+from kacforge.matched import (MatchedPair, b_sets, magic_relations_report,
+                              magic_unitary, orbits_fixed_sets)
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "pair_digests.json"
+
+
+def corrupted(mp, kind):
+    """``mp`` with the ``beta`` row of the last non-identity compact element
+    changed at two points r1 < r2: the last two points of the first largest
+    orbit, or the last two discrete indices when every orbit is a point.
+    ``swap`` exchanges the two entries, ``collapse`` copies the entry at r1
+    onto r2."""
+    beta = np.array(mp.beta)
+    g = max(gg for gg in range(mp.compact.order) if gg != mp.compact.identity)
+    orb = max(orbits_fixed_sets(mp)[0].orbits, key=len)
+    if len(orb) < 2:
+        orb = range(mp.discrete.order)
+    r1, r2 = orb[-2:]
+    if kind == "swap":
+        beta[g, r1], beta[g, r2] = beta[g, r2], beta[g, r1]
+    else:
+        beta[g, r2] = beta[g, r1]
+    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
+                       name=f"{mp.name}-{kind}", validate=False)
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _r9(values):
+    """Complex values as (real, imag) pairs rounded to 9 decimals, with
+    -0.0 written as 0.0."""
+    z = np.asarray(values, dtype=complex).ravel()
+    return [(round(float(v.real), 9) + 0.0, round(float(v.imag), 9) + 0.0)
+            for v in z]
+
+
+def _bset_members(mp):
+    """Sorted members of every B-set (r, s), r-major.  ``b_sets`` may give
+    a boolean (r, s, g) mask or a table of member sets keyed by (r, s)."""
+    table = b_sets(mp)
+    if isinstance(table, np.ndarray):
+        return [np.flatnonzero(m).tolist()
+                for m in table.reshape(-1, table.shape[-1])]
+    nr = mp.discrete.order
+    return [sorted(table.sets[(r, s)]) for r in range(nr) for s in range(nr)]
+
+
+def _closed_form(mp, space):
+    """Closed-form fusion values indexed [x, gamma, r, s], from the table
+    builder or, where there is none, from the per-triple evaluator."""
+    table = character_table(mp.compact)
+    chars = table.chars[:, table.classes.class_of]
+    if hasattr(reps, "fusion_formula_table"):
+        return reps.fusion_formula_table(mp, space, chars)
+    n = len(space.orbits)
+    bst = b_sets(mp)
+    return np.array([[[[reps.fusion_formula_value(mp, space, bst, chi, gi,
+                                                   ri, si)
+                        for si in range(n)] for ri in range(n)]
+                      for gi in range(n)] for chi in chars])
+
+
+def digests_of(mp):
+    space, _, _ = orbits_fixed_sets(mp)
+    out = {}
+    for variant in ("honest", "swap", "collapse"):
+        pair = mp if variant == "honest" else corrupted(mp, variant)
+        out[f"magic-{variant}"] = _sha([
+            magic_relations_report(magic_unitary(pair, orb))
+            for orb in space.orbits])
+    out["b-sets"] = _sha(_bset_members(mp))
+    out["closed-form"] = _sha(_r9(_closed_form(mp, space)))
+    A = build_algebra(mp)
+    inv = reps.invariant_groups(A, reps.enumerate_irreps(A))
+    out["invariant-groups"] = _sha([
+        inv.intrinsic.cayley.tolist(), inv.intrinsic.labels,
+        inv.spectrum.cayley.tolist(), inv.spectrum.labels,
+        inv.intrinsic_model.cayley.tolist(), inv.spectrum_model.cayley.tolist(),
+        inv.intrinsic_iso, inv.spectrum_iso])
+    for side in ("discrete", "compact"):
+        d = dual_group(getattr(mp, side))
+        out[f"dual-{side}"] = _sha([str(d.abelian), d.group.cayley.tolist(),
+                                    _r9(d.characters)])
+    if mp.beta_trivial:
+        out["action-perms"] = _sha(action_from_pair(mp)[0].perms.tolist())
+    return out
+
+
+_PAIRS = {mp.name: mp for mp in corpus_pairs()}
+
+
+@pytest.mark.parametrize("name", list(_PAIRS))
+def test_pair_data_match_golden(name):
+    stored = json.loads(DIGESTS.read_text())
+    assert digests_of(_PAIRS[name]) == stored[name]
+
+
+def test_golden_file_covers_every_pair():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(_PAIRS)
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {name: digests_of(mp) for name, mp in _PAIRS.items()},
+        indent=1, sort_keys=True) + "\n")
