@@ -65,7 +65,7 @@ def _cmd_validate(bundle, config, report, args):
 def _cmd_build(bundle, config, report, args):
     for name, mp in sorted(bundle.pairs.items()):
         A = build_algebra(mp)
-        ax = check_axioms(A, tol=TOL_AXIOM)
+        ax = check_axioms(A)
         status = "PASS" if ax.passed else "FAIL"
         failing = [c.name for c in ax.checks if c.deviation > ax.tol]
         report.add("algebra", f"{name} axioms", status,

@@ -19,7 +19,8 @@ from .errors import (ActionNotCompatible, IdentityViolated, NonIntegral,
                      OrbitInfinite, SizeBound, TruncationOverflow,
                      ValidationError)
 from .groups import (character_table, conjugacy_and_center, direct_product,
-                     dual_group, is_isomorphic_small, matrix_irreps, rng_from)
+                     dual_group, is_isomorphic_small, match_rows,
+                     matrix_irreps, rng_from)
 from .hopf import build_algebra, plain_function_algebra
 from .library import pair_conjugation
 from .reps import build_candidates, enumerate_irreps, invariant_groups
@@ -135,7 +136,7 @@ def check_fusion_ring(ring):
             "associativity-skipped": float(skipped)}
 
 
-def irrep_fusion_ring(G, seed=DEFAULT_SEED, tol=1e-6):
+def irrep_fusion_ring(G, seed=DEFAULT_SEED):
     """Fusion of the irreducible characters of a finite group (exact
     multiplicities from character inner products)."""
     # one irrep per conjugacy class: refuse before building the table
@@ -143,22 +144,19 @@ def irrep_fusion_ring(G, seed=DEFAULT_SEED, tol=1e-6):
                      f"irrep ring of order {G.order}")
     table = character_table(G, seed=seed)
     k = table.n_irreps
-    chars = np.stack([table.char_on_elements(i) for i in range(k)])
+    chars = table.chars[:, table.classes.class_of]
     dims = [int(round(table.dims[i].real)) for i in range(k)]
     unit = 0                       # trivial character is pinned to row 0
-    dual = np.zeros(k, dtype=np.int64)
-    for x in range(k):
-        target = np.conj(chars[x])
-        hits = [y for y in range(k) if np.abs(chars[y] - target).max() < tol]
-        if len(hits) != 1:
-            raise ValidationError("ring-dual", f"conjugate of row {x} unclear")
-        dual[x] = hits[0]
+    dual = match_rows(chars, np.conj(chars), 1e-6)
+    if (dual < 0).any():
+        raise ValidationError("ring-dual",
+                              f"conjugate of row {np.argmax(dual < 0)} unclear")
     mult = np.zeros((k, k, k), dtype=np.int32)
     for x in range(k):
         # (y, z) inner products <chi_x chi_y, chi_z>, one block per x
         vals = (chars[x] * chars) @ np.conj(chars).T / G.order
         mult[x] = np.rint(vals.real)
-        bad = np.argwhere(np.abs(vals - mult[x]) > tol)
+        bad = np.argwhere(np.abs(vals - mult[x]) > 1e-6)
         if len(bad):
             y, z = bad[0]
             val = complex(np.mean(chars[x] * chars[y] * np.conj(chars[z])))
@@ -283,30 +281,22 @@ def crossed_ring(base, action, name=None):
     return CrossedFusionRing(base, action, name=name)
 
 
-def action_from_pair(mp, ring=None, seed=DEFAULT_SEED, tol=1e-6):
+def action_from_pair(mp, seed=DEFAULT_SEED):
     """The discrete side of a crossed pair permuting compact irrep labels
     (matched through characters composed with the action)."""
     if not mp.beta_trivial:
         raise ActionNotCompatible(
             "only pairs with trivial discrete-side action are graded rings")
     K, R = mp.compact, mp.discrete
-    if ring is None:
-        ring = irrep_fusion_ring(K, seed=seed)
+    ring = irrep_fusion_ring(K, seed=seed)
     table = character_table(K, seed=seed)
-    chars = np.stack([table.char_on_elements(i)
-                      for i in range(table.n_irreps)])
-    perms = np.zeros((R.order, ring.n), dtype=np.int64)
-    for r in range(R.order):
-        row = mp.alpha[R.inv(r)]
-        for x in range(ring.n):
-            moved = chars[x][row]
-            hits = [y for y in range(ring.n)
-                    if np.abs(chars[y] - moved).max() < tol]
-            if len(hits) != 1:
-                raise ActionNotCompatible(
-                    f"twisted character of label {x} unmatched")
-            perms[r, x] = hits[0]
-    return RingAction(group=R, perms=perms), ring
+    chars = table.chars[:, table.classes.class_of]
+    moved = chars[:, mp.alpha[R.inverse]].transpose(1, 0, 2)   # [r, x, g]
+    perms = match_rows(chars, moved.reshape(-1, K.order), 1e-6)
+    if (perms < 0).any():
+        x = np.argmax(perms < 0) % len(chars)
+        raise ActionNotCompatible(f"twisted character of label {x} unmatched")
+    return RingAction(group=R, perms=perms.reshape(R.order, -1)), ring
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +544,17 @@ class LengthFunction:
         return float(self.values[x])
 
 
-def check_length(lf, tol=1e-9):
+def check_length(lf):
     """Unit value, dual symmetry, triangle law along fusion."""
     ring, v = lf.ring, lf.values
     dev = abs(v[ring.unit])
     for x in range(ring.n):
         dev = max(dev, abs(v[x] - v[ring.dual[x]]))
-        if v[x] < -tol:
+        if v[x] < -1e-9:
             dev = max(dev, -v[x])
     x, y, z = np.nonzero(ring.mult > 0)
     worst = (v[z] - (v[x] + v[y])).max(initial=-np.inf)
-    if worst > tol:
+    if worst > 1e-9:
         dev = max(dev, worst)
     return float(dev)
 

@@ -22,6 +22,26 @@ def rng_from(seed, *salt):
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in salt))
 
 
+# entries per row block of the larger temporaries
+_BLOCK = 1 << 18
+
+
+def _row_blocks(n, per_row):
+    step = max(1, _BLOCK // max(per_row, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def match_rows(table, queries, tol):
+    """For each query row, the index of the single row of ``table`` within
+    ``tol`` of it in max-abs, or -1 when no row or more than one row is
+    that close.  Temporaries stay in row blocks of bounded size."""
+    out = np.full(len(queries), -1, dtype=np.int64)
+    for blk in _row_blocks(len(queries), table.size):
+        close = np.abs(queries[blk, None] - table).max(2, initial=0.0) <= tol
+        out[blk] = np.where(close.sum(1) == 1, close.argmax(1), -1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # core type
 
@@ -367,7 +387,7 @@ def group_from_permutations(gens, degree=None, table_cap=TABLE_CAP):
     return G
 
 
-def group_from_matrices_mod(gens, modulus, table_cap=TABLE_CAP):
+def group_from_matrices_mod(gens, modulus):
     """Group generated by integer matrices modulo m."""
     if modulus < 2:
         raise ValidationError("modulus", "modulus must be >= 2")
@@ -394,7 +414,7 @@ def group_from_matrices_mod(gens, modulus, table_cap=TABLE_CAP):
         return key(unkey(ka) @ unkey(kb) % modulus)
 
     elems, index = _closure_of_generators(gen_keys, compose, ident, CLOSURE_CAP)
-    table = _table_from_elements(elems, index, compose, table_cap)
+    table = _table_from_elements(elems, index, compose, TABLE_CAP)
 
     def mat_label(k):
         rows = [" ".join(str(v) for v in k[i * dim:(i + 1) * dim]) for i in range(dim)]
@@ -683,7 +703,7 @@ def _char_sort_key(row):
 # explicit unitary irreps
 
 
-def matrix_irreps(G, tol=TOL_MULT, seed=DEFAULT_SEED, table=None):
+def matrix_irreps(G, seed=DEFAULT_SEED, table=None):
     """One explicit unitary matrix representation per irreducible character.
 
     Extraction: project the left regular representation onto an isotypic
@@ -729,7 +749,7 @@ def matrix_irreps(G, tol=TOL_MULT, seed=DEFAULT_SEED, table=None):
                 continue
             W = B @ vecs2[:, pick]
             mats = [W.conj().T[:, C[g]] @ W for g in range(n)]   # W* lam[g] W
-            if _irrep_ok(G, mats, chi, tol):
+            if _irrep_ok(G, mats, chi):
                 got = mats
                 break
         if got is None:
@@ -750,20 +770,18 @@ def _eigen_groups(vals, tol):
     return groups
 
 
-def _irrep_ok(G, mats, chi, tol):
-    n = G.order
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    for g in range(n):
-        if np.linalg.norm(mats[g] @ mats[g].conj().T - eye) > tol:
-            return False
-        if abs(np.trace(mats[g]) - chi[g]) > TOL_EQ * 10:
-            return False
-    for g in range(n):
-        for h in range(n):
-            if np.linalg.norm(mats[g] @ mats[h] - mats[G.mul(g, h)]) > tol:
-                return False
-    return True
+def _irrep_ok(G, mats, chi):
+    """Unitarity, the character and the homomorphism law, each checked as
+    stacked products (Frobenius norms against TOL_MULT)."""
+    M = np.asarray(mats)
+    eye = np.eye(M.shape[1])
+    if (np.linalg.norm(M @ M.conj().transpose(0, 2, 1) - eye, axis=(1, 2))
+            > TOL_MULT).any():
+        return False
+    if (np.abs(np.trace(M, axis1=1, axis2=2) - chi) > TOL_EQ * 10).any():
+        return False
+    return not any((np.linalg.norm(M[g] @ M - M[G.cayley[g]], axis=(1, 2))
+                    > TOL_MULT).any() for g in range(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -778,18 +796,12 @@ def dual_group(G, seed=DEFAULT_SEED):
     tq = character_table(Q, seed=seed)
     chars = tq.chars[:, tq.classes.class_of]     # rows -> functions on Q
     pulled = chars[:, proj]                      # functions on G
-    m = pulled.shape[0]
     # pointwise products close on the rows; match to build the dual table
-    table = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        prod = pulled[i] * pulled
-        for j in range(m):
-            diffs = np.abs(pulled - prod[j]).max(axis=1)
-            t = int(np.argmin(diffs))
-            if diffs[t] > 1e-6:
-                raise ValidationError("dual-closure", "character product not in list")
-            table[i, j] = t
-    dual = FiniteGroup(table, labels=[f"w{i}" for i in range(m)])
+    table = np.stack([match_rows(pulled, pulled[i] * pulled, 1e-6)
+                      for i in range(len(pulled))])
+    if (table < 0).any():
+        raise ValidationError("dual-closure", "character product not in list")
+    dual = FiniteGroup(table, labels=[f"w{i}" for i in range(len(pulled))])
     return DualGroup(abelian=ab, characters=pulled, group=dual)
 
 
@@ -818,14 +830,14 @@ def _generating_sequence(G):
     return gens
 
 
-def is_isomorphic_small(A, B, cap=ISO_CAP):
+def is_isomorphic_small(A, B):
     """Exhaustive-with-pruning isomorphism search; returns (flag, witness).
 
     The witness maps element indices of A to element indices of B.  Raises
     SizeBound above the order cap.
     """
-    if A.order > cap or B.order > cap:
-        raise SizeBound(f"orders ({A.order},{B.order}) exceed iso cap {cap}")
+    if A.order > ISO_CAP or B.order > ISO_CAP:
+        raise SizeBound(f"orders ({A.order},{B.order}) exceed iso cap {ISO_CAP}")
     if A.order != B.order:
         return False, None
     if _invariant_profile(A) != _invariant_profile(B):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL_AXIOM, TOL_COEFF, TOL_EQ
 from .errors import AxiomViolation, NotAMorphism
-from .groups import group_from_cayley
+from .groups import _row_blocks, group_from_cayley
 from .matched import MatchedPair, trivial_pair
 
 
@@ -215,10 +215,10 @@ class AlgebraElement:
         """Invariant-state 2-norm."""
         return float(np.sqrt(max(self.algebra.inner(self.vec, self.vec).real, 0.0)))
 
-    def coeffs(self, tol=TOL_COEFF):
+    def coeffs(self):
         nk = self.algebra.nk
         return {divmod(int(i), nk): complex(self.vec[i])
-                for i in np.nonzero(np.abs(self.vec) > tol)[0]}
+                for i in np.nonzero(np.abs(self.vec) > TOL_COEFF)[0]}
 
     def isclose(self, other, tol=TOL_COEFF):
         self._same(other)
@@ -284,15 +284,6 @@ class AxiomReport:
         return out
 
 
-# entries per row block of the larger check temporaries
-_BLOCK = 1 << 18
-
-
-def _row_blocks(n, per_row):
-    step = max(1, _BLOCK // max(per_row, 1))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def _key(cols, n):
     """Encode index tuples (broadcastable arrays with entries in range(n)) as
     int64 keys that sort like the tuples."""
@@ -319,7 +310,7 @@ def _row_check(A, name, bad):
                       A.basis_label(hits[0]) if len(hits) else None)
 
 
-def check_axioms(A, tol=TOL_AXIOM):
+def check_axioms(A):
     """Certify every structural identity of the built algebra.
 
     All underlying structure constants are 0/1, so each check is exact
@@ -489,7 +480,7 @@ def check_axioms(A, tol=TOL_AXIOM):
     checks.append(AxiomCheck("haar-positivity", dev))
 
     checks.append(AxiomCheck("haar-unital", float(abs(A.haar(one) - 1.0))))
-    return AxiomReport(algebra=A, checks=checks, tol=tol)
+    return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +499,18 @@ class Morphism:
         return self.matrix @ vec
 
 
-def validate_morphism(rho, tol=TOL_EQ):
+def validate_morphism(rho):
     """Certify unital *-homomorphism property plus coproduct intertwining."""
     A, B = rho.source, rho.target
     M = rho.matrix
     if M.shape != (B.dim, A.dim):
         raise NotAMorphism(f"matrix shape {M.shape} != ({B.dim},{A.dim})")
-    if np.abs(M @ A.one().vec - B.one().vec).max() > tol:
+    if np.abs(M @ A.one().vec - B.one().vec).max() > TOL_EQ:
         raise NotAMorphism("unit is not preserved")
-    if np.abs(B.counit_vec @ M - A.counit_vec).max() > tol:
+    if np.abs(B.counit_vec @ M - A.counit_vec).max() > TOL_EQ:
         raise NotAMorphism("counit is not preserved")
     # star of basis i is basis star_index[i]; image columns are M[:, i]
-    bad = np.abs(M[:, A.star_index] - B.star_vec(M.T).T).max(0) > tol
+    bad = np.abs(M[:, A.star_index] - B.star_vec(M.T).T).max(0) > TOL_EQ
     if bad.any():
         raise NotAMorphism(
             f"star fails at basis {A.basis_label(np.argmax(bad))}")
@@ -527,7 +518,7 @@ def validate_morphism(rho, tol=TOL_EQ):
     for i in range(A.dim):
         lhs = basis_images[A.mul_index(i, np.arange(A.dim))]
         rhs = B.mul_vec(M[:, i], M.T)
-        bad = np.abs(lhs - rhs).max(1, initial=0.0) > tol
+        bad = np.abs(lhs - rhs).max(1, initial=0.0) > TOL_EQ
         if bad.any():
             raise NotAMorphism(
                 f"multiplicativity fails at ({A.basis_label(i)}, "
@@ -538,7 +529,7 @@ def validate_morphism(rho, tol=TOL_EQ):
         lhs = M[:, A.delta_left[i]] @ M[:, A.delta_right[i]].T
         rhs = np.zeros((B.dim, B.dim), dtype=complex)
         rhs[B.delta_left, B.delta_right] = M[:, i, None]
-        if np.abs(lhs - rhs).max() > tol:
+        if np.abs(lhs - rhs).max() > TOL_EQ:
             raise NotAMorphism(f"coproduct fails at basis {A.basis_label(i)}")
     return True
 
@@ -571,7 +562,7 @@ def counit_morphism(A):
     return rho
 
 
-def coset_space_dimension(A, rho, tol=TOL_AXIOM):
+def coset_space_dimension(A, rho):
     """Dimension of {a : (id x rho) of the coproduct of a equals a x unit}."""
     validate_morphism(rho)
     B = rho.target
@@ -583,14 +574,14 @@ def coset_space_dimension(A, rho, tol=TOL_AXIOM):
     T[np.arange(n), :, np.arange(n)] -= B.one().vec
     svals = np.linalg.svd(T.reshape(n * m, n), compute_uv=False)
     scale = svals.max(initial=1.0)
-    return int(np.sum(svals <= max(tol, 1e-12) * max(scale, 1.0)))
+    return int(np.sum(svals <= TOL_AXIOM * max(scale, 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # embedded copies of the two classical pieces
 
 
-def group_subalgebra_check(A, tol=TOL_AXIOM):
+def group_subalgebra_check(A):
     """Exact report that the discrete group algebra and the compact function
     algebra both embed with the expected relations."""
     R, K = A.pair.discrete, A.pair.compact
@@ -647,7 +638,7 @@ def group_subalgebra_check(A, tol=TOL_AXIOM):
            != np.sort(want.reshape(R.order, -1), 1)).any(1).sum()
     checks.append(AxiomCheck("discrete-coproduct-form", float(bad)))
 
-    return AxiomReport(algebra=A, checks=checks, tol=tol)
+    return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
 
 
 # ---------------------------------------------------------------------------

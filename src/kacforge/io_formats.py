@@ -306,6 +306,7 @@ def load_measure(path):
     G = load_group(_resolve(pf.path, pf.header("group", required=True)))
     rows = pf.block("weights", required=True)
     weights = [Fraction(0)] * G.order
+    first_line = {}
     for ln, toks in rows:
         if len(toks) != 2:
             raise ParseError("weight rows are 'element weight'",
@@ -314,6 +315,11 @@ def load_measure(path):
         if not (0 <= idx < G.order):
             raise ParseError(f"element {idx} out of range 0..{G.order - 1}",
                              path=pf.path, line=ln, column=toks[0][1])
+        if idx in first_line:
+            raise ParseError(f"element {idx} already has a weight on line "
+                             f"{first_line[idx]}",
+                             path=pf.path, line=ln, column=toks[0][1])
+        first_line[idx] = ln
         weights[idx] = _fraction_token(toks[1], pf.path, ln)
     return FiniteMeasure(G, tuple(weights)), G
 

@@ -111,7 +111,7 @@ class MatchedPair:
 
     def stabilizer_in_compact(self, r):
         """{g : beta_g(r) = r}."""
-        return [g for g in range(self.compact.order) if self.beta[g, r] == r]
+        return np.flatnonzero(self.beta[:, r] == r).tolist()
 
     def __repr__(self):
         return (f"MatchedPair({self.name!r}, discrete={self.discrete.order}, "
@@ -218,10 +218,8 @@ def trivial_pair(K, name=None):
 
 def beta_kernel_elements(mp):
     """Compact elements acting trivially on the discrete side (a subgroup)."""
-    nr = mp.discrete.order
-    ident = np.arange(nr)
-    return [g for g in range(mp.compact.order)
-            if np.array_equal(mp.beta[g], ident)]
+    return np.flatnonzero(
+        (mp.beta == np.arange(mp.discrete.order)).all(1)).tolist()
 
 
 def compact_subpair(mp, subset_elements, name=None):
@@ -229,20 +227,16 @@ def compact_subpair(mp, subset_elements, name=None):
     preserves.  Returns the restricted pair and the embedding index list."""
     sub, embed = mp.compact.subgroup(subset_elements)
     embed = list(embed)
-    back = {g: i for i, g in enumerate(embed)}
-    nr, nk0 = mp.discrete.order, sub.order
-    alpha0 = np.zeros((nr, nk0), dtype=np.int32)
-    for r in range(nr):
-        for i, g in enumerate(embed):
-            img = int(mp.alpha[r, g])
-            if img not in back:
-                raise NotMatched(
-                    f"discrete action does not preserve the subgroup: "
-                    f"alpha[{r}] moves element {g} outside")
-            alpha0[r, i] = back[img]
-    beta0 = np.stack([mp.beta[g] for g in embed]).astype(np.int32)
-    restricted = MatchedPair(mp.discrete, sub, alpha0, beta0,
-                             name=name or f"{mp.name}|sub{nk0}")
+    back = np.full(mp.compact.order, -1)
+    back[embed] = np.arange(sub.order)
+    alpha0 = back[mp.alpha[:, embed]]
+    if (alpha0 < 0).any():
+        r, i = np.argwhere(alpha0 < 0)[0]
+        raise NotMatched(
+            f"discrete action does not preserve the subgroup: "
+            f"alpha[{r}] moves element {embed[i]} outside")
+    restricted = MatchedPair(mp.discrete, sub, alpha0, mp.beta[embed],
+                             name=name or f"{mp.name}|sub{sub.order}")
     return restricted, embed
 
 
@@ -262,40 +256,26 @@ class OrbitSpace:
 
 def orbits_fixed_sets(mp):
     """Orbits of the compact action on the discrete side, plus both fixed
-    subgroups (as (FiniteGroup, parent element list))."""
-    R, K = mp.discrete, mp.compact
-    nr, nk = R.order, K.order
-    seen = np.zeros(nr, dtype=bool)
-    orbits = []
-    for r in range(nr):
-        if seen[r]:
-            continue
-        orb = sorted(int(v) for v in np.unique(mp.beta[:, r]))
-        # orbit closure: beta is a right action, so the column already
-        # gives the full orbit of r
-        for s in orb:
-            seen[s] = True
-        orbits.append(orb)
-    orbit_of = np.empty(nr, dtype=np.int32)
-    for oi, orb in enumerate(orbits):
-        for s in orb:
-            orbit_of[s] = oi
-    space = OrbitSpace(pair=mp, orbits=orbits, orbit_of=orbit_of)
-    fixed_r = [r for r in range(nr) if np.all(mp.beta[:, r] == r)]
-    fixed_k = [g for g in range(nk) if np.all(mp.alpha[:, g] == g)]
-    sub_r = R.subgroup(fixed_r)
-    sub_k = K.subgroup(fixed_k)
-    return space, sub_r, sub_k
+    subgroups (as (FiniteGroup, parent element list)).
+
+    beta is a right action, so column r of beta is the whole orbit of r and
+    its minimum names the orbit; orbits are ordered by that minimum."""
+    A, B = mp.alpha, mp.beta
+    _, orbit_of = np.unique(B.min(0), return_inverse=True)
+    orbits = [np.flatnonzero(orbit_of == oi).tolist()
+              for oi in range(orbit_of.max() + 1)]
+    space = OrbitSpace(pair=mp, orbits=orbits,
+                       orbit_of=orbit_of.astype(np.int32))
+    fixed_r = np.flatnonzero((B == np.arange(B.shape[1])).all(0))
+    fixed_k = np.flatnonzero((A == np.arange(A.shape[1])).all(0))
+    return space, mp.discrete.subgroup(fixed_r), mp.compact.subgroup(fixed_k)
 
 
 def burnside_orbit_counts(mp, space):
     """Average number of fixed points per orbit; exactly 1 for every orbit."""
-    K = mp.compact
-    out = []
-    for orb in space.orbits:
-        total = sum(1 for g in range(K.order) for r in orb if mp.beta[g, r] == r)
-        out.append(Fraction(total, K.order))
-    return out
+    fixed = (mp.beta == np.arange(mp.discrete.order)).sum(0)
+    return [Fraction(int(fixed[orb].sum()), mp.compact.order)
+            for orb in space.orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -306,101 +286,74 @@ def burnside_orbit_counts(mp, space):
 class MagicUnitary:
     pair: MatchedPair
     orbit: tuple
-    sets: dict            # (r, s) -> frozenset of compact indices
+    fiber: np.ndarray     # (nk, |orbit|): fiber[g, i] = beta_g(orbit[i])
 
 
 def magic_unitary(mp, orbit):
-    """Partition-of-unity matrix over one orbit: entry (r,s) collects the
-    compact elements moving r to s."""
+    """Partition-of-unity matrix over one orbit: entry (r, s) collects the
+    compact elements moving r to s, {g : fiber[g, r] = s}."""
     orbit = tuple(int(v) for v in orbit)
-    nk = mp.compact.order
-    sets = {}
-    for r in orbit:
-        for s in orbit:
-            sets[(r, s)] = frozenset(
-                g for g in range(nk) if mp.beta[g, r] == s)
-    return MagicUnitary(pair=mp, orbit=orbit, sets=sets)
+    return MagicUnitary(pair=mp, orbit=orbit, fiber=mp.beta[:, list(orbit)])
+
+
+def _last(bad, orbit, n_points):
+    """(ok, witness) of a violation mask: the witness is the last violation
+    in C order, its first ``n_points`` indices read as orbit points."""
+    if not bad.any():
+        return True, None
+    idx = np.argwhere(bad)[-1].tolist()
+    wit = [orbit[v] for v in idx[:n_points]] + idx[n_points:]
+    return False, wit[0] if len(wit) == 1 else tuple(wit)
 
 
 def magic_relations_report(mu):
     """Exact check of the five structural relations of an indicator matrix.
 
     Returns a list of (relation-name, ok, witness) triples; every check is
-    set arithmetic, no floats involved.
+    integer array work on the fiber map, no floats involved.  Each witness
+    is the last violation in loop order, the loops running over its entries
+    left to right, except that column-orthogonality's (r1, r2, s) runs over
+    s first.
     """
-    mp, orbit, sets = mu.pair, mu.orbit, mu.sets
-    K = mp.compact
-    full = frozenset(range(K.order))
+    mp, orbit, fiber = mu.pair, mu.orbit, mu.fiber
+    o = np.array(orbit)
+    # member[g, i, j]: g lies in entry (orbit[i], orbit[j])
+    member = (fiber[:, :, None] == o).astype(np.int64)
+    ascending = o[:, None] < o
     out = []
 
-    def record(name, ok, witness=None):
-        out.append((name, bool(ok), witness))
-
-    ok, wit = True, None
-    for r in orbit:
-        for s1 in orbit:
-            for s2 in orbit:
-                if s1 < s2 and sets[(r, s1)] & sets[(r, s2)]:
-                    ok, wit = False, (r, s1, s2)
-    record("row-orthogonality", ok, wit)
-
-    ok, wit = True, None
-    for s in orbit:
-        for r1 in orbit:
-            for r2 in orbit:
-                if r1 < r2 and sets[(r1, s)] & sets[(r2, s)]:
-                    ok, wit = False, (r1, r2, s)
-    record("column-orthogonality", ok, wit)
-
-    ok, wit = True, None
-    for r in orbit:
-        union = frozenset().union(*(sets[(r, s)] for s in orbit))
-        if union != full:
-            ok, wit = False, r
-    record("row-partition", ok, wit)
-
-    ok, wit = True, None
-    for s in orbit:
-        union = frozenset().union(*(sets[(r, s)] for r in orbit))
-        if union != full:
-            ok, wit = False, s
-    record("column-partition", ok, wit)
+    # entries (r, s1), (r, s2) with s1 < s2 share an element
+    shared = np.einsum("gij,gik->ijk", member, member) > 0
+    out.append(("row-orthogonality", *_last(shared & ascending, orbit, 3)))
+    # entries (r1, s), (r2, s) with r1 < r2 share an element; mask [s, r1, r2]
+    shared = np.einsum("gis,gjs->sij", member, member) > 0
+    ok, wit = _last(shared & ascending, orbit, 3)
+    out.append(("column-orthogonality", ok, wit and wit[1:] + wit[:1]))
+    # every row and every column of entries covers the whole compact group
+    out.append(("row-partition", *_last(~member.any(2).all(0), orbit, 1)))
+    out.append(("column-partition", *_last(~member.any(1).all(0), orbit, 1)))
 
     # coproduct compatibility inside the orbit: membership of a product ab
-    # in entry (s,r) splits along the intermediate point beta_a(s)
-    ok, wit = True, None
-    for s in orbit:
-        for r in orbit:
-            target = sets[(s, r)]
-            for a in range(K.order):
-                t = int(mp.beta[a, s])
-                for b in range(K.order):
-                    lhs = K.mul(a, b) in target
-                    rhs = (t in orbit) and (a in sets[(s, t)]) and (b in sets[(t, r)])
-                    if lhs != rhs:
-                        ok, wit = False, (s, r, a, b)
-    record("coproduct-splitting", ok, wit)
+    # in entry (s, r) splits along the intermediate point t = beta_a(s);
+    # both sides indexed [s, r, a, b]
+    target = o[None, :, None, None]
+    ab = mp.beta[mp.compact.cayley[..., None], o].transpose(2, 0, 1)
+    lhs = ab[:, None] == target
+    t_in = np.isin(fiber, o).T[:, None, :, None]
+    then_b = mp.beta[:, fiber].transpose(2, 1, 0)        # beta_b(beta_a(s))
+    rhs = t_in & (then_b[:, None] == target)
+    out.append(("coproduct-splitting", *_last(lhs != rhs, orbit, 2)))
     return out
 
 
-@dataclass
-class BSetTable:
-    pair: MatchedPair
-    sets: dict            # (r, s) over discrete x discrete -> frozenset
-
-
 def b_sets(mp):
-    """For each (r, s): compact elements g with alpha_s(g) stabilizing r and
-    g stabilizing s.  These index the character sums in the closed fusion
-    formula."""
-    nr, nk = mp.discrete.order, mp.compact.order
-    sets = {}
-    for r in range(nr):
-        for s in range(nr):
-            sets[(r, s)] = frozenset(
-                g for g in range(nk)
-                if mp.beta[mp.alpha[s, g], r] == r and mp.beta[g, s] == s)
-    return BSetTable(pair=mp, sets=sets)
+    """Boolean (r, s, g) mask of the B-sets: g with alpha_s(g) stabilizing
+    r and g stabilizing s.  These index the character sums in the closed
+    fusion formula."""
+    B, nr = mp.beta, mp.discrete.order
+    r = np.arange(nr)
+    return ((B[mp.alpha] == r).transpose(2, 0, 1)
+            & (B == r).T[None])
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +368,11 @@ def _check_chi_compact_to_discrete(mp0, chi):
         raise NotCrossedHom(f"chi has shape {chi.shape}, expected ({K.order},)")
     if chi[K.identity] != R.identity:
         raise NotCrossedHom("chi must send the unit to the unit")
-    for g in range(K.order):
-        cg_inv = R.inv(chi[g])
-        for h in range(K.order):
-            lhs = chi[K.mul(g, h)]
-            rhs = R.mul(chi[g], chi[A[cg_inv, h]])
-            if lhs != rhs:
-                raise NotCrossedHom(f"twisted multiplicativity fails at (g,h)=({g},{h})")
+    # [g, h]: chi(gh) against chi(g) chi(alpha_{chi(g)^-1}(h))
+    bad = chi[K.cayley] != R.cayley[chi[:, None], chi[A[R.inverse[chi]]]]
+    if bad.any():
+        g, h = np.argwhere(bad)[0]
+        raise NotCrossedHom(f"twisted multiplicativity fails at (g,h)=({g},{h})")
     return chi
 
 
@@ -439,10 +390,8 @@ def deform_by_chi_G(mp0, chi, name=None):
     twisted = K.cayley[g_idx[:, None], A[chi[g_idx][:, None], g_idx[None, :]]]
     K_new = group_from_cayley(twisted, labels=K.labels)
     # beta'_g(r) = chi(alpha_r(g))^-1 r chi(g)
-    beta_new = np.empty((nk, R.order), dtype=np.int32)
-    for g in range(nk):
-        for r in range(R.order):
-            beta_new[g, r] = R.mul(R.mul(R.inv(chi[A[r, g]]), r), chi[g])
+    beta_new = R.cayley[R.cayley[R.inverse[chi[A.T]], np.arange(R.order)],
+                        chi[:, None]]
     return MatchedPair(R, K_new, A, beta_new,
                        name=name or f"{mp0.name}-twist-compact")
 
@@ -455,13 +404,11 @@ def _check_chi_discrete_to_compact(mp0, chi):
         raise NotCrossedHom(f"chi has shape {chi.shape}, expected ({R.order},)")
     if chi[R.identity] != K.identity:
         raise NotCrossedHom("chi must send the unit to the unit")
-    for r in range(R.order):
-        for s in range(R.order):
-            cs_inv = K.inv(chi[s])
-            lhs = chi[R.mul(r, s)]
-            rhs = K.mul(chi[B[cs_inv, r]], chi[s])
-            if lhs != rhs:
-                raise NotCrossedHom(f"twisted multiplicativity fails at (r,s)=({r},{s})")
+    # [r, s]: chi(rs) against chi(beta_{chi(s)^-1}(r)) chi(s)
+    bad = chi[R.cayley] != K.cayley[chi[B[K.inverse[chi]].T], chi]
+    if bad.any():
+        r, s = np.argwhere(bad)[0]
+        raise NotCrossedHom(f"twisted multiplicativity fails at (r,s)=({r},{s})")
     return chi
 
 
@@ -479,9 +426,7 @@ def deform_by_chi_Gamma(mp0, chi, name=None):
     twisted = R.cayley[B[chi[r_idx][None, :], r_idx[:, None]], r_idx[None, :]]
     R_new = group_from_cayley(twisted, labels=R.labels)
     # alpha'_r(g) = chi(r) g chi(beta_g(r))^-1
-    alpha_new = np.empty((nr, K.order), dtype=np.int32)
-    for r in range(nr):
-        for g in range(K.order):
-            alpha_new[r, g] = K.mul(K.mul(chi[r], g), K.inv(chi[B[g, r]]))
+    alpha_new = K.cayley[K.cayley[chi[:, None], np.arange(K.order)],
+                         K.inverse[chi[B.T]]]
     return MatchedPair(R_new, K, alpha_new, B,
                        name=name or f"{mp0.name}-twist-discrete")

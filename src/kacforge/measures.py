@@ -55,9 +55,6 @@ class FiniteMeasure:
     def support(self):
         return [g for g, x in enumerate(self.weights) if x != 0]
 
-    def as_floats(self):
-        return np.array([float(x) for x in self.weights])
-
 
 def uniform_measure(G):
     return FiniteMeasure(G, (Fraction(1, G.order),) * G.order)
@@ -69,10 +66,10 @@ def delta_measure(G, g):
     return FiniteMeasure(G, tuple(w))
 
 
-def random_rational_measure(G, seed, denominator=60, zero_at=None, salt=()):
+def random_rational_measure(G, seed, zero_at=None, salt=()):
     """Seeded exact measure; optionally forced to vanish at given points."""
     rng = rng_from(seed, 31, *salt)
-    counts = rng.integers(0, denominator + 1, size=G.order)
+    counts = rng.integers(0, 61, size=G.order)          # counts 0..60
     if zero_at is not None:
         for g in zero_at:
             counts[g] = 0
@@ -261,7 +258,7 @@ def c0_profile(a):
     return out
 
 
-def uniform_is_unit_projection(dual, tol=1e-10):
+def uniform_is_unit_projection(dual):
     """Deviation of the uniform measure's transform from the trivial-block
     projection (Schur orthogonality kills every other block)."""
     a = measure_fourier(uniform_measure(dual.group), dual)

@@ -18,10 +18,10 @@ from .config import (DEFAULT_SEED, RETRY_BUDGET, TOL_EQ, TOL_INT,
                      TOL_MULT)
 from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
-from .groups import (FiniteGroup, MatrixIrrep, character_table, dual_group,
-                     is_isomorphic_small, matrix_irreps, rng_from,
-                     semidirect_product)
-from .hopf import _row_blocks, validate_morphism
+from .groups import (FiniteGroup, MatrixIrrep, _eigen_groups, _row_blocks,
+                     character_table, dual_group, is_isomorphic_small,
+                     match_rows, matrix_irreps, rng_from, semidirect_product)
+from .hopf import validate_morphism
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -62,7 +62,7 @@ class Corepresentation:
         return f"Corepresentation({self.label!r}, dim={self.dim})"
 
 
-def check_corepresentation(c, tol=TOL_MULT):
+def check_corepresentation(c):
     """Max deviation over the coaction identity and (if flagged) unitarity.
 
     The coaction identity Delta(c_ij) = sum_k c_ik x c_kj is compared on
@@ -161,18 +161,18 @@ def build_candidates(A, seed=DEFAULT_SEED):
 # intertwiner dimensions, two independent routes
 
 
-def mor_dim_haar(u, w, tol=TOL_INT):
+def mor_dim_haar(u, w):
     """Invariant-state pairing of characters, rounded to an integer."""
     if not (u.unitary and w.unitary):
         raise ValidationError("mor-haar", "both inputs must be unitary")
     val = complex(np.vdot(u.character(), w.character())) / u.algebra.nk
     best = int(round(val.real))
-    if abs(val - best) > tol:
+    if abs(val - best) > TOL_INT:
         raise NonIntegral(f"character pairing {val} is not near an integer")
     return best
 
 
-def mor_dim_solver(u, w, tol=TOL_EQ):
+def mor_dim_solver(u, w):
     """Exact nullspace of the intertwiner equations; returns (dim, basis).
 
     Solves for T (w.dim x u.dim) with (T x 1)u = w(T x 1) over the
@@ -194,7 +194,7 @@ def mor_dim_solver(u, w, tol=TOL_EQ):
     M[:, kk, :, :, kk] -= Wc.transpose(0, 2, 1)
     M = M.reshape(dw * du * S, dw * du)
     svals, vh = np.linalg.svd(M, compute_uv=True)[1:]
-    cutoff = tol * max(float(svals.max(initial=0.0)), 1.0)
+    cutoff = TOL_EQ * max(float(svals.max(initial=0.0)), 1.0)
     null_rows = [r for r in range(vh.shape[0])
                  if r >= len(svals) or svals[r] <= cutoff]
     basis = [vh[r].conj().reshape(dw, du) for r in null_rows]
@@ -217,10 +217,10 @@ class IrrepCatalog:
     def dims(self):
         return [c.dim for c in self.canonical]
 
-    def coefficient_span_rank(self, tol=1e-8):
+    def coefficient_span_rank(self):
         rows = np.concatenate([c.coeffs.reshape(-1, self.algebra.dim)
                                for c in self.canonical])
-        return int(np.linalg.matrix_rank(rows, tol=tol))
+        return int(np.linalg.matrix_rank(rows, tol=1e-8))
 
 
 def _split_once(corep, basis, seed, depth, attempt):
@@ -228,12 +228,7 @@ def _split_once(corep, basis, seed, depth, attempt):
     Y = sum(c * B for c, B in zip(rng.normal(size=len(basis)), basis))
     M = Y + Y.conj().T
     vals, vecs = np.linalg.eigh(M)
-    groups = []
-    start = 0
-    for t in range(1, len(vals) + 1):
-        if t == len(vals) or vals[t] - vals[t - 1] > 1e-6:
-            groups.append(list(range(start, t)))
-            start = t
+    groups = _eigen_groups(vals, 1e-6)
     if len(groups) < 2:
         return None
     parts = []
@@ -300,37 +295,29 @@ def enumerate_irreps(A, seed=DEFAULT_SEED):
 # fusion: closed-form evaluation and the three-way audit
 
 
-def fusion_formula_value(mp, space, bset_table, chi_x, gamma_orbit, r_orbit,
-                         s_orbit):
-    """Closed-form multiplicity: sum over orbit pairs landing in the target
-    orbit of the mean of the conjugated compact character over the B-set."""
-    R = mp.discrete
-    nk = mp.compact.order
-    total = 0.0 + 0.0j
-    for r in space.orbits[r_orbit]:
-        for s in space.orbits[s_orbit]:
-            if space.orbit_index_of(R.mul(r, s)) != gamma_orbit:
-                continue
-            members = bset_table.sets[(r, s)]
-            total += sum(np.conj(chi_x[g]) for g in members) / nk
-    return total
+def fusion_formula_table(mp, space, chars):
+    """Closed-form fusion multiplicities, indexed [x, gamma, r, s] by a row
+    of ``chars`` (characters on the compact elements) and three orbits: the
+    sum over points r, s of the two orbits with rs in orbit gamma of the
+    mean of the conjugated character over the B-set of (r, s)."""
+    nr, nk = mp.discrete.order, mp.compact.order
+    per_pair = b_sets(mp).reshape(nr * nr, nk) @ np.conj(chars).T / nk
+    o, n = space.orbit_of, len(space.orbits)
+    out = np.zeros((n, n, n, len(chars)), dtype=complex)
+    np.add.at(out, (o[mp.discrete.cayley].ravel(), np.repeat(o, nr),
+                    np.tile(o, nr)), per_pair)
+    return out.transpose(3, 0, 1, 2)
 
 
-def fusion_paper_formula(A, gamma_orbit, x_index, r_orbit, s_orbit,
-                         context=None, tol=TOL_INT):
+def fusion_paper_formula(A, gamma_orbit, x_index, r_orbit, s_orbit):
     """Integer value of the closed-form fusion multiplicity."""
     mp = A.pair
-    if context is None:
-        space, _, _ = orbits_fixed_sets(mp)
-        table = character_table(mp.compact)
-        bst = b_sets(mp)
-    else:
-        space, table, bst = context
-    chi_x = table.char_on_elements(x_index)
-    val = fusion_formula_value(mp, space, bst, chi_x, gamma_orbit, r_orbit,
-                               s_orbit)
+    space, _, _ = orbits_fixed_sets(mp)
+    chi_x = character_table(mp.compact).char_on_elements(x_index)
+    val = fusion_formula_table(mp, space, chi_x[None])[
+        0, gamma_orbit, r_orbit, s_orbit]
     best = int(round(val.real))
-    if abs(val - best) > tol:
+    if abs(val - best) > TOL_INT:
         raise NonIntegral(f"fusion formula value {val} not near an integer")
     return best
 
@@ -420,7 +407,8 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
     mp = A.pair
     space = catalog.orbit_space
     table = character_table(mp.compact, seed=seed)
-    bst = b_sets(mp)
+    closed = fusion_formula_table(mp, space,
+                                  table.chars[:, table.classes.class_of])
     n_orb = len(space.orbits)
     orbit_coreps = [orbit_corepresentation(A, orb, label=f"orb#{oi}")
                     for oi, orb in enumerate(space.orbits)]
@@ -444,8 +432,7 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
         target = tensor_cache[(ri, si)]
         solver = mor_dim_solver(cand, target)[0]
         haar = mor_dim_haar(cand, target)
-        chi_x = table.char_on_elements(xi)
-        formula = fusion_formula_value(mp, space, bst, chi_x, gi, ri, si)
+        formula = closed[xi, gi, ri, si]
         agree = abs(formula - solver) < 1e-6
         entries.append(FusionAuditEntry(
             gamma_orbit=gi, x_label=catalog.irreps[xi].label, r_orbit=ri,
@@ -503,14 +490,30 @@ class InvariantGroups:
     spectrum_iso: tuple
 
 
-def _match_vector(vecs, target, tol):
-    for idx, v in enumerate(vecs):
-        if np.abs(v - target).max() <= tol:
-            return idx
-    return None
+def _closure_table(vectors, row_products, name, what):
+    """Cayley table of a finite set of vectors closed under a product: row i
+    matches ``row_products(i)``, the products of vector i with every vector."""
+    table = np.stack([match_rows(vectors, row_products(i), TOL_MULT)
+                      for i in range(len(vectors))])
+    if (table < 0).any():
+        i, j = np.argwhere(table < 0)[0]
+        raise ValidationError(name, f"{what} {i}*{j} left the set")
+    return table
 
 
-def invariant_groups(A, catalog=None, seed=DEFAULT_SEED, tol=TOL_MULT):
+def _twisted_action(dual, points, name):
+    """Action table [q, n] of a fixed subgroup on a dual group: row q of
+    ``points`` is the point map of q, and character n composed with it is
+    the dual character act[q, n]."""
+    chars = dual.characters
+    moved = chars[:, points].transpose(1, 0, 2)         # [q, n, element]
+    act = match_rows(chars, moved.reshape(-1, chars.shape[1]), 1e-6)
+    if (act < 0).any():
+        raise ValidationError(name, "twisted character escaped the dual")
+    return act.reshape(len(points), len(chars))
+
+
+def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
     """Both canonical finite groups attached to the algebra, with the
     independently built structured models and isomorphism tests."""
     if catalog is None:
@@ -527,33 +530,18 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED, tol=TOL_MULT):
         got = np.zeros((A.dim, A.dim), dtype=complex)
         got[A.delta_left, A.delta_right] = v[:, None]   # coproduct terms are distinct
         dev = float(np.abs(got - np.outer(v, v)).max(initial=0.0))
-        if dev > tol:
+        if dev > TOL_MULT:
             raise ValidationError("intrinsic-grouplike",
                                   f"deviation {dev:.3e}")
-    m = len(ones)
-    cayley = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            prod = A.mul_vec(vecs[i], vecs[j])
-            k = _match_vector(vecs, prod, tol)
-            if k is None:
-                raise ValidationError("intrinsic-closure",
-                                      f"product {i}*{j} left the set")
-            cayley[i, j] = k
+    V = np.array(vecs)
+    cayley = _closure_table(V, lambda i: A.mul_vec(V[i], V),
+                            "intrinsic-closure", "product")
     intrinsic = FiniteGroup(cayley, labels=[c.label for c in ones])
 
     # structured model: compact-side dual extended by the fixed discrete part
     dualK = dual_group(K, seed=seed)
-    act = np.zeros((fix_r_group.order, dualK.group.order), dtype=np.int64)
-    for qi, gamma in enumerate(fix_r_el):
-        row = mp.alpha[R.inv(int(gamma))]
-        for ni in range(dualK.group.order):
-            moved = dualK.characters[ni][row]
-            hit = _match_vector(list(dualK.characters), moved, 1e-6)
-            if hit is None:
-                raise ValidationError("intrinsic-model",
-                                      "twisted character escaped the dual")
-            act[qi, ni] = hit
+    act = _twisted_action(dualK, mp.alpha[R.inverse[fix_r_el]],
+                          "intrinsic-model")
     intrinsic_model = semidirect_product(dualK.group, fix_r_group, act)
     intrinsic_iso = is_isomorphic_small(intrinsic, intrinsic_model)
 
@@ -568,40 +556,25 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED, tol=TOL_MULT):
             phi = dualR.characters[mi][A.gamma_of] * point
             defect = np.outer(phi, phi)       # phi(e_i) phi(e_j) - phi(e_i e_j)
             defect[rows, A.partner] -= phi[A.result]
-            if np.abs(defect).max() > tol:
+            if np.abs(defect).max() > TOL_MULT:
                 continue
-            if np.abs(phi[A.star_index] - np.conj(phi)).max() > tol:
+            if np.abs(phi[A.star_index] - np.conj(phi)).max() > TOL_MULT:
                 continue
-            if abs(np.dot(phi, A.one().vec) - 1.0) > tol:
+            if abs(np.dot(phi, A.one().vec) - 1.0) > TOL_MULT:
                 continue
             passers.append((g, mi))
             pass_vectors.append(phi)
-    mS = len(passers)
-    conv_cayley = np.zeros((mS, mS), dtype=np.int64)
-    for i in range(mS):
-        for j in range(mS):
-            conv = (pass_vectors[i][A.delta_left]
-                    * pass_vectors[j][A.delta_right]).sum(1)
-            k = _match_vector(pass_vectors, conv, tol)
-            if k is None:
-                raise ValidationError("spectrum-closure",
-                                      f"convolution {i}*{j} left the set")
-            conv_cayley[i, j] = k
+    P = np.array(pass_vectors)
+    right = P[:, A.delta_right]                  # [j, basis, coproduct term]
+    conv_cayley = _closure_table(
+        P, lambda i: (P[i][A.delta_left] * right).sum(2),
+        "spectrum-closure", "convolution")
     spectrum = FiniteGroup(conv_cayley,
                            labels=[f"({K.labels[g]},m{mi})"
                                    for g, mi in passers])
 
     # structured model: discrete-side dual extended by the fixed compact part
-    actS = np.zeros((fix_k_group.order, dualR.group.order), dtype=np.int64)
-    for qi, g in enumerate(fix_k_el):
-        row = mp.beta[int(g)]
-        for ni in range(dualR.group.order):
-            moved = dualR.characters[ni][row]
-            hit = _match_vector(list(dualR.characters), moved, 1e-6)
-            if hit is None:
-                raise ValidationError("spectrum-model",
-                                      "twisted character escaped the dual")
-            actS[qi, ni] = hit
+    actS = _twisted_action(dualR, mp.beta[fix_k_el], "spectrum-model")
     spectrum_model = semidirect_product(dualR.group, fix_k_group, actS)
     spectrum_iso = is_isomorphic_small(spectrum, spectrum_model)
 

@@ -342,3 +342,62 @@ def naive_embedding_violations(A, tol=1e-9):
                     d[A.pair.alpha[r, h]])
             for r in range(nr) for h in range(nk)),
     }
+
+
+def naive_magic_relations(mp, orbit):
+    """The five indicator-matrix relations over one orbit, from Python sets
+    of compact elements and plain loops: (name, ok, witness) triples, each
+    witness the last violation in loop order."""
+    K = mp.compact
+    orbit = tuple(int(v) for v in orbit)
+    sets = {(r, s): {g for g in range(K.order) if mp.beta[g, r] == s}
+            for r in orbit for s in orbit}
+    full = set(range(K.order))
+
+    row_orth = col_orth = row_part = col_part = split = None
+    for r in orbit:
+        for s1 in orbit:
+            for s2 in orbit:
+                if s1 < s2 and sets[(r, s1)] & sets[(r, s2)]:
+                    row_orth = (r, s1, s2)
+    for s in orbit:
+        for r1 in orbit:
+            for r2 in orbit:
+                if r1 < r2 and sets[(r1, s)] & sets[(r2, s)]:
+                    col_orth = (r1, r2, s)
+    for r in orbit:
+        if set().union(*(sets[(r, s)] for s in orbit)) != full:
+            row_part = r
+    for s in orbit:
+        if set().union(*(sets[(r, s)] for r in orbit)) != full:
+            col_part = s
+    for s in orbit:
+        for r in orbit:
+            for a in range(K.order):
+                t = int(mp.beta[a, s])
+                for b in range(K.order):
+                    lhs = K.mul(a, b) in sets[(s, r)]
+                    rhs = (t in orbit and a in sets[(s, t)]
+                           and b in sets[(t, r)])
+                    if lhs != rhs:
+                        split = (s, r, a, b)
+    return [(name, wit is None, wit) for name, wit in (
+        ("row-orthogonality", row_orth), ("column-orthogonality", col_orth),
+        ("row-partition", row_part), ("column-partition", col_part),
+        ("coproduct-splitting", split))]
+
+
+def naive_fusion_formula(mp, space, chi_x, gamma_orbit, r_orbit, s_orbit):
+    """Closed-form fusion value of one (x, gamma, r, s): over r, s in the two
+    orbits with rs in orbit gamma, the conjugated character summed over
+    {g : alpha_s(g) fixes r and g fixes s}, divided by |K|."""
+    R, nk = mp.discrete, mp.compact.order
+    total = 0j
+    for r in space.orbits[r_orbit]:
+        for s in space.orbits[s_orbit]:
+            if space.orbit_of[R.mul(r, s)] != gamma_orbit:
+                continue
+            for g in range(nk):
+                if mp.beta[mp.alpha[s, g], r] == r and mp.beta[g, s] == s:
+                    total += np.conj(chi_x[g]) / nk
+    return total

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacforge import hopf
+from kacforge import groups
 from kacforge.hopf import build_algebra, group_subalgebra_check
 from kacforge.library import corpus_pairs
 from kacforge.matched import MatchedPair
@@ -59,7 +59,7 @@ def test_broadcast_product_over_several_row_blocks():
     rng = np.random.default_rng(7)
     a = _sparse(rng, (12, 10, A.dim), 0.5)
     b = _sparse(rng, (10, A.dim), 0.5)
-    assert 12 * 10 * A.dim * A.nr > hopf._BLOCK       # more than one block
+    assert 12 * 10 * A.dim * A.nr > groups._BLOCK       # more than one block
     got = A.mul_vec(a, b)
     want = np.array([[A.mul_vec(a[i, j], b[j]) for j in range(10)]
                      for i in range(12)])

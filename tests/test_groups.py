@@ -393,3 +393,19 @@ def test_matrix_irreps_memory_stays_quadratic():
         tracemalloc.stop()
     assert sum(mx.dim ** 2 for mx in irreps) == G.order
     assert peak < 5 * 2 ** 20
+
+
+def test_irrep_check_rejects_perturbed_and_non_unitary_matrices():
+    from kacforge.groups import _irrep_ok
+    table = character_table(S4)
+    row = table.dims.index(3)
+    mats = np.array(matrix_irreps(S4, table=table)[row].matrices)
+    chi = table.char_on_elements(row)
+    assert _irrep_ok(S4, mats, chi)
+    bumped = mats.copy()
+    bumped[5, 0, 1] += 1e-3               # breaks unitarity and the law
+    assert not _irrep_ok(S4, bumped, chi)
+    g = next(g for g in range(S4.order) if g != S4.identity)
+    scaled = mats.copy()
+    scaled[g] *= 1.01                     # a non-unitary rescaling
+    assert not _irrep_ok(S4, scaled, chi)

@@ -378,3 +378,15 @@ def test_audit_witnesses_say_when_the_audit_was_sampled(monkeypatch):
     fusion = name.replace("solver-vs-haar", "closed-form-fusion")
     assert full[fusion].startswith(f"{total} triples checked, ")
     assert part[fusion].startswith(note + ", ")
+
+
+def test_cli_measure_listing_an_element_twice_is_one_error_line(tmp_path,
+                                                                 capsys):
+    (tmp_path / "s3.group").write_text((SAMPLES / "s3.group").read_text())
+    dup = tmp_path / "dup.measure"
+    dup.write_text("group: s3.group\nweights:\n0 1/2\n1 1/2\n  0 1/2\n")
+    code = main(["validate", str(dup)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: {dup}:5:3: element 0 already has a weight on "
+                   f"line 3\n")

@@ -1,0 +1,45 @@
+"""Smoke tests of the command-line scripts under ``scripts/``: each one's
+``main(argv)`` runs on a small input, exits 0 and prints its rows."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv, capsys):
+    spec = importlib.util.spec_from_file_location(
+        f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    code = module.main(argv)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_corpus_report_audit_row_per_matching_instance(capsys):
+    code, lines = run_script("corpus_report", ["--name", "s3-split",
+                                               "--audit"], capsys)
+    assert code == 0
+    assert lines[0].split()[-1] == "audit"
+    rows = lines[2:-1]
+    assert [row.split()[0] for row in rows] == ["s3-split", "s3-split-dual"]
+    for row in rows:
+        assert "triples, " in row and row.endswith(" disagree")
+    assert lines[-1].startswith("done in ")
+
+
+def test_decay_profile_level_five(capsys):
+    code, lines = run_script("decay_profile", ["--cutoff", "5"], capsys)
+    assert code == 0
+    row = next(line.split() for line in lines if line.strip().startswith("k=5"))
+    assert row[1] == "1/24"
+
+
+def test_rd_scan_two_instances_pass_the_bound(capsys):
+    code, lines = run_script("rd_scan", ["--samples", "2"], capsys)
+    assert code == 0
+    heads = [line for line in lines if line and not line.startswith(" ")]
+    assert len(heads) == 2
+    passes = [line for line in lines if "PASS polynomial bound" in line]
+    assert len(passes) == 2
+    assert all("over 2 samples" in line for line in passes)
