@@ -235,10 +235,11 @@ def validate_ring_action(ring, action):
             x, y, z = bad[0]
             raise ActionNotCompatible(
                 f"row {g} breaks fusion at ({x},{y},{z})")
-    for g in range(G.order):
-        for h in range(G.order):
-            if not np.array_equal(P[G.mul(g, h)], P[g][P[h]]):
-                raise ActionNotCompatible(f"not a homomorphism at ({g},{h})")
+    # P[gh] against P[g] composed with P[h], for every (g, h) at once
+    bad = (P[G.cayley] != P[np.arange(G.order)[:, None, None], P]).any(2)
+    if bad.any():
+        g, h = np.argwhere(bad)[0]
+        raise ActionNotCompatible(f"not a homomorphism at ({g},{h})")
     return True
 
 

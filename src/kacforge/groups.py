@@ -7,6 +7,7 @@ seed and retry deterministically.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,11 @@ _BLOCK = 1 << 18
 def _row_blocks(n, per_row):
     step = max(1, _BLOCK // max(per_row, 1))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _blockwise(n, per_row, fn):
+    """``fn`` over row blocks of ``range(n)``, results concatenated."""
+    return np.concatenate([fn(blk) for blk in _row_blocks(n, per_row)])
 
 
 def match_rows(table, queries, tol):
@@ -74,6 +80,7 @@ class FiniteGroup:
         self.inverse = self._find_inverses()
         self._validate()
         self._class_cache = None
+        self._orders = None
 
     # -- construction checks ------------------------------------------------
 
@@ -87,8 +94,7 @@ class FiniteGroup:
     def _find_inverses(self):
         inv = np.full(self.order, -1, dtype=np.int32)
         rows, cols = np.nonzero(self.cayley == self.identity)
-        for a, b in zip(rows, cols):
-            inv[a] = b
+        inv[rows] = cols
         if (inv < 0).any():
             raise ValidationError("inverses", "element without inverse")
         return inv
@@ -102,26 +108,12 @@ class FiniteGroup:
             raise ValidationError("latin-columns", "some column is not a permutation")
         # Light's test: the a with (xa)y = x(ay) for all x, y are closed under
         # the product, so checking a generating set certifies every triple.
-        # BFS by left multiplication from the identity; whenever it stalls the
-        # smallest unreached element joins the generators.  A group needs at
-        # most log2(n) + 1 of them, each checked in O(n^2).
-        reached = np.zeros(n, dtype=bool)
-        reached[self.identity] = True
-        frontier, gens = [], []
-        while True:
-            if not len(frontier):
-                if reached.all():
-                    return
-                a = int(np.argmin(reached))
-                bad = C[C[:, a]] != C[:, C[a]]
-                if bad.any():
-                    x, y = np.argwhere(bad)[0]
-                    raise ValidationError("associativity", f"({x},{a},{y}) fails")
-                gens.append(a)
-                frontier = np.flatnonzero(reached)
-            nxt = C[np.ix_(gens, frontier)].ravel()
-            frontier = np.unique(nxt[~reached[nxt]])
-            reached[frontier] = True
+        # A group needs at most log2(n) + 1 generators, each checked in O(n^2).
+        for a in _generating_sequence(self):
+            bad = C[C[:, a]] != C[:, C[a]]
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                raise ValidationError("associativity", f"({x},{a},{y}) fails")
 
     # -- elementwise operations --------------------------------------------
 
@@ -131,78 +123,73 @@ class FiniteGroup:
     def inv(self, a):
         return int(self.inverse[a])
 
-    def conjugate(self, g, x):
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def commutator(self, a, b):
-        """a^-1 b^-1 a b."""
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
     def element_order(self, a):
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return int(self.element_orders()[a])
 
     def element_orders(self):
-        return [self.element_order(a) for a in range(self.order)]
+        """Order of every element, from the powers of all elements at once;
+        computed once and kept on the group."""
+        if self._orders is None:
+            ar = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            power, k = ar, 1
+            while not orders.all():
+                orders[(power == self.identity) & (orders == 0)] = k
+                power, k = self.cayley[power, ar], k + 1
+            orders.flags.writeable = False
+            self._orders = orders
+        return self._orders
 
     def is_abelian(self):
         return np.array_equal(self.cayley, self.cayley.T)
 
     def exponent(self):
-        out = 1
-        for k in set(self.element_orders()):
-            out = out * k // np.gcd(out, k)
-        return int(out)
+        return int(np.lcm.reduce(self.element_orders()))
 
     # -- subgroup machinery -------------------------------------------------
 
     def closure(self, gens):
         """Sorted element list of the subgroup generated by ``gens``."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = [int(g) for g in gens]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
+        gens = np.fromiter(gens, dtype=np.intp)
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        frontier = np.array([self.identity])
+        while len(frontier):
+            nxt = _blockwise(len(frontier), len(gens), lambda blk: self.cayley[
+                np.ix_(gens, frontier[blk])].ravel())
+            frontier = np.unique(nxt[~reached[nxt]])
+            reached[frontier] = True
+        return np.flatnonzero(reached).tolist()
 
     def subgroup(self, elements):
         """Induced group on a closed subset; returns (group, parent indices)."""
-        elements = sorted(int(x) for x in elements)
-        pos = {x: i for i, x in enumerate(elements)}
-        k = len(elements)
-        table = np.empty((k, k), dtype=np.int32)
-        for i, a in enumerate(elements):
-            row = self.cayley[a, elements]
-            try:
-                table[i] = [pos[int(v)] for v in row]
-            except KeyError:
-                raise ValidationError("closed-subset",
-                                      f"subset not closed at element {a}")
+        elements = np.sort(np.fromiter(elements, dtype=np.intp))
+        pos = np.full(self.order, -1, dtype=np.int32)
+        pos[elements] = np.arange(len(elements))
+        table = pos[self.cayley[np.ix_(elements, elements)]]
+        open_rows = (table < 0).any(1)
+        if open_rows.any():
+            raise ValidationError("closed-subset", "subset not closed at "
+                                  f"element {elements[open_rows.argmax()]}")
         labels = [self.labels[x] for x in elements]
-        return FiniteGroup(table, labels=labels, source=self.source), elements
+        return (FiniteGroup(table, labels=labels, source=self.source),
+                elements.tolist())
 
     def commutator_subgroup_elements(self):
-        gens = set()
-        for a in range(self.order):
-            for b in range(self.order):
-                gens.add(self.commutator(a, b))
-        return self.closure(gens)
+        """The subgroup generated by all commutators a^-1 b^-1 a b."""
+        C, inv = self.cayley, self.inverse
+        comms = _blockwise(self.order, self.order, lambda blk: np.unique(
+            C[C[inv[blk, None], inv], C[blk]]))
+        return self.closure(np.unique(comms))
 
     def is_normal(self, elements):
-        elems = set(int(x) for x in elements)
-        return all(self.conjugate(g, x) in elems for g in range(self.order)
-                   for x in elems)
+        elems = np.fromiter(elements, dtype=np.intp)
+        inside = np.zeros(self.order, dtype=bool)
+        inside[elems] = True
+        C, inv = self.cayley, self.inverse
+        # g x g^-1 for every g (rows) and every x in the subset (columns)
+        return bool(_blockwise(self.order, len(elems), lambda blk: inside[
+            C[C[blk][:, elems], inv[blk, None]]].all(1)).all())
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, source={self.source!r})"
@@ -221,12 +208,7 @@ class AbelianGroup:
 
     @property
     def order(self):
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return None if self.free_rank else math.prod(self.invariant_factors)
 
     def __str__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors]
@@ -258,12 +240,9 @@ class ConjugacyData:
     def centralizer(self, elements):
         """Elements commuting with every member of ``elements``."""
         C = self.group.cayley
-        out = []
-        elems = [int(x) for x in elements]
-        for z in range(self.group.order):
-            if all(C[z, x] == C[x, z] for x in elems):
-                out.append(z)
-        return out
+        elems = np.fromiter(elements, dtype=np.intp)
+        return np.flatnonzero(_blockwise(len(C), len(elems), lambda blk: (
+            C[blk][:, elems] == C[elems, blk].T).all(1))).tolist()
 
 
 @dataclass
@@ -334,34 +313,45 @@ def _perm_label(p):
     return "".join("(" + sep.join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
-def _closure_of_generators(gens, compose, identity, cap):
-    """BFS closure; returns elements in discovery order, identity first."""
-    elems = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
-                if y not in index:
-                    if len(elems) >= cap:
-                        raise SizeBound(f"closure exceeds cap {cap}")
-                    index[y] = len(elems)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems, index
+def _spanning_tree(gens, compose, identity, cap):
+    """Queue BFS of the Cayley graph from the identity.
+
+    Returns the elements in discovery order (identity first); for each, the
+    position of its parent x and of its generator g (y = g x; both 0 for the
+    identity); and left[g, x], the position of g x.
+    """
+    elems, index = [identity], {identity: 0}
+    parent, via, left = [0], [0], []
+    for i, x in enumerate(elems):            # grows while read: queue order
+        for gi, g in enumerate(gens):
+            y = compose(g, x)
+            j = index.get(y)
+            if j is None:
+                if len(elems) >= cap:
+                    raise SizeBound(f"closure exceeds cap {cap}")
+                j = index[y] = len(elems)
+                elems.append(y)
+                parent.append(i)
+                via.append(gi)
+            left.append(j)
+    left = np.array(left, dtype=np.int32).reshape(len(elems), len(gens)).T
+    return elems, np.array(parent), np.array(via), left
 
 
-def _table_from_elements(elems, index, compose, table_cap):
+def _cayley_from_generators(gens, compose, identity, cap, table_cap):
+    """Elements generated by ``gens`` in BFS discovery order, with their
+    Cayley table filled from the spanning tree: since y b = g (x b), row y
+    is row x gathered through left[g].  That is |gens| n products and n row
+    gathers."""
+    elems, parent, via, left = _spanning_tree(gens, compose, identity, cap)
     n = len(elems)
     if n > table_cap:
         raise SizeBound(f"order {n} exceeds dense-table cap {table_cap}")
     table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        table[i] = [index[compose(a, b)] for b in elems]
-    return table
+    table[0] = np.arange(n)
+    for y in range(1, n):
+        table[y] = left[via[y], table[parent[y]]]
+    return elems, table
 
 
 def group_from_permutations(gens, degree=None, table_cap=TABLE_CAP):
@@ -379,8 +369,8 @@ def group_from_permutations(gens, degree=None, table_cap=TABLE_CAP):
     def compose(p, q):
         return tuple(p[q[i]] for i in range(degree))
 
-    elems, index = _closure_of_generators(norm, compose, ident, CLOSURE_CAP)
-    table = _table_from_elements(elems, index, compose, table_cap)
+    elems, table = _cayley_from_generators(norm, compose, ident, CLOSURE_CAP,
+                                           table_cap)
     labels = [_perm_label(p) for p in elems]
     G = FiniteGroup(table, labels=labels, source="permutation-generators")
     G.permutations = elems
@@ -402,29 +392,20 @@ def group_from_matrices_mod(gens, modulus):
         raise ValidationError("matrix", "generator sizes differ")
 
     def key(a):
-        return tuple(int(v) for v in a.ravel())
+        return tuple(a.ravel().tolist())
 
-    ident = key(np.eye(dim, dtype=np.int64))
-    gen_keys = [key(m) for m in mats]
+    def compose(g, x):              # generator matrix times an element's key
+        return key(g @ np.reshape(x, (dim, dim)) % modulus)
 
-    def unkey(k):
-        return np.array(k, dtype=np.int64).reshape(dim, dim)
-
-    def compose(ka, kb):
-        return key(unkey(ka) @ unkey(kb) % modulus)
-
-    elems, index = _closure_of_generators(gen_keys, compose, ident, CLOSURE_CAP)
-    table = _table_from_elements(elems, index, compose, TABLE_CAP)
+    elems, table = _cayley_from_generators(
+        mats, compose, key(np.eye(dim, dtype=np.int64)), CLOSURE_CAP, TABLE_CAP)
 
     def mat_label(k):
         rows = [" ".join(str(v) for v in k[i * dim:(i + 1) * dim]) for i in range(dim)]
         return "(" + "|".join(rows) + ")"
 
     labels = [mat_label(k) for k in elems]
-    G = FiniteGroup(table, labels=labels, source="matrix-generators-mod-m")
-    G.matrices = [unkey(k) for k in elems]
-    G.modulus = modulus
-    return G
+    return FiniteGroup(table, labels=labels, source="matrix-generators-mod-m")
 
 
 def semidirect_product(N, Q, action, labels=None):
@@ -473,25 +454,17 @@ def direct_product(A, B):
 
 def quotient_group(G, normal_elements):
     """Quotient by a normal subgroup; returns (Q, projection array)."""
-    elems = sorted(set(int(x) for x in normal_elements))
-    if not G.is_normal(elems):
+    elems = np.unique(np.fromiter(normal_elements, dtype=np.intp))
+    if G.closure(elems) != elems.tolist() or not G.is_normal(elems):
         raise ValidationError("normality", "subset is not a normal subgroup")
-    proj = np.full(G.order, -1, dtype=np.int32)
-    reps = []
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        c = len(reps)
-        reps.append(g)
-        for k in elems:
-            proj[G.mul(g, k)] = c
-    m = len(reps)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = proj[G.mul(a, b)]
+    C = G.cayley
+    # each coset gN is labelled by its least element
+    lead = _blockwise(G.order, len(elems),
+                      lambda blk: C[blk][:, elems].min(1))
+    reps = np.unique(lead)
+    proj = np.searchsorted(reps, lead).astype(np.int32)
     labels = [G.labels[r] + "N" for r in reps]
-    return FiniteGroup(table, labels=labels), proj
+    return FiniteGroup(proj[C[np.ix_(reps, reps)]], labels=labels), proj
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +477,15 @@ def conjugacy_and_center(G):
         return G._class_cache
     n = G.order
     C, inv = G.cayley, G.inverse
-    assigned = np.full(n, -1, dtype=np.int32)
-    raw = []
-    for x in range(n):
-        if assigned[x] >= 0:
-            continue
-        orbit = np.unique(C[C[np.arange(n), x], inv])
-        for y in orbit:
-            assigned[y] = len(raw)
-        raw.append(sorted(int(v) for v in orbit))
-    raw.sort(key=lambda cls: (G.identity not in cls, len(cls), cls[0]))
-    class_of = np.empty(n, dtype=np.int32)
-    for ci, cls in enumerate(raw):
-        for y in cls:
-            class_of[y] = ci
-    center = [int(z) for z in range(n) if np.array_equal(C[z], C[:, z])]
+    # the class of x is named by its least member, the min of g x g^-1
+    lead = _blockwise(n, n, lambda blk: C[C[:, blk], inv[:, None]].min(0))
+    reps, lead_at, sizes = np.unique(lead, return_inverse=True,
+                                     return_counts=True)
+    order = np.lexsort((reps, sizes, reps != G.identity))
+    class_of = np.argsort(order).astype(np.int32)[lead_at]
+    raw = [c.tolist() for c in np.split(np.argsort(class_of, kind="stable"),
+                                        np.cumsum(sizes[order])[:-1])]
+    center = np.flatnonzero(sizes[lead_at] == 1).tolist()
     data = ConjugacyData(group=G, classes=raw, class_of=class_of, center=center)
     G._class_cache = data
     return data
@@ -578,11 +545,7 @@ def _abelian_invariants_of_group(G):
                 d *= p ** exps[i]
         inv.append(d)
     inv = tuple(sorted(inv))
-    # sanity: orders multiply back
-    total = 1
-    for d in inv:
-        total *= d
-    assert total == n, (inv, n)
+    assert math.prod(inv) == n, (inv, n)      # sanity: orders multiply back
     return AbelianGroup(inv, 0)
 
 
@@ -633,14 +596,12 @@ def character_table(G, seed=DEFAULT_SEED, cap=CHARTABLE_CAP):
     n = G.order
 
     # class-sum structure constants a[i][j][t]: C_i C_j = sum_t a_ijt C_t
+    # a_ijt counts the x in class i with x^-1 z_t in class j (z_t the
+    # representative of class t)
     a = np.zeros((k, k, k), dtype=np.int64)
-    inv = G.inverse
     class_of = data.class_of
-    for i, cls in enumerate(data.classes):
-        for t, z in enumerate(reps):
-            js = class_of[[G.mul(inv[x], z) for x in cls]]
-            for j in np.atleast_1d(js):
-                a[i, j, t] += 1
+    j_of = class_of[G.cayley[G.inverse[:, None], reps]]
+    np.add.at(a, (class_of[:, None], j_of, np.arange(k)), 1)
 
     last_err = None
     for attempt in range(RETRY_BUDGET):
@@ -809,24 +770,27 @@ def dual_group(G, seed=DEFAULT_SEED):
 # isomorphism testing (small orders)
 
 
+def _class_sizes(G):
+    """Size of the conjugacy class of each element."""
+    data = conjugacy_and_center(G)
+    return np.array([len(c) for c in data.classes])[data.class_of]
+
+
 def _invariant_profile(G):
     data = conjugacy_and_center(G)
-    orders = G.element_orders()
-    per_elem = sorted((orders[x], len(data.classes[data.class_of[x]]))
-                      for x in range(G.order))
+    per_elem = sorted(zip(G.element_orders().tolist(),
+                          _class_sizes(G).tolist()))
     return (G.order, bool(G.is_abelian()), len(data.center),
             tuple(sorted(len(c) for c in data.classes)), tuple(per_elem))
 
 
 def _generating_sequence(G):
-    gens, current = [], {G.identity}
-    for x in range(G.order):
-        if x in current:
-            continue
-        gens.append(x)
-        current = set(G.closure(gens))
-        if len(current) == G.order:
-            break
+    """Greedy generators: each is the least element not yet generated."""
+    gens, reached = [], np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[G.closure(gens)] = True
     return gens
 
 
@@ -843,37 +807,32 @@ def is_isomorphic_small(A, B):
     if _invariant_profile(A) != _invariant_profile(B):
         return False, None
 
-    dataB = conjugacy_and_center(B)
-    ordA = A.element_orders()
-    ordB = B.element_orders()
-    sizeB = [len(dataB.classes[dataB.class_of[x]]) for x in range(B.order)]
-    dataA = conjugacy_and_center(A)
-    sizeA = [len(dataA.classes[dataA.class_of[x]]) for x in range(A.order)]
-
+    ordA, ordB = A.element_orders(), B.element_orders()
+    sizeA, sizeB = _class_sizes(A), _class_sizes(B)
     gens = _generating_sequence(A)
-    candidates = [[b for b in range(B.order)
-                   if ordB[b] == ordA[g] and sizeB[b] == sizeA[g]]
+    candidates = [np.flatnonzero((ordB == ordA[g]) & (sizeB == sizeA[g]))
                   for g in gens]
 
+    # A homomorphism is fixed by the generator images: fill it down a
+    # spanning tree of A's Cayley graph, one BFS level at a time.  Discovery
+    # order lists the levels one after another with parents nondecreasing,
+    # so a level ends where the parents leave the level before it.
+    elems, parent, via, _ = _spanning_tree(
+        gens, lambda g, x: int(A.cayley[g, x]), A.identity, A.order)
+    cuts = [1]
+    while cuts[-1] < A.order:
+        cuts.append(int(np.searchsorted(parent, cuts[-1])))
+
     def attempt(images):
-        phi = {A.identity: B.identity}
-        frontier = [A.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, h in zip(gens, images):
-                    y = A.mul(g, x)
-                    img = B.mul(h, phi[x])
-                    if y in phi:
-                        if phi[y] != img:
-                            return None
-                    else:
-                        phi[y] = img
-                        nxt.append(y)
-            frontier = nxt
-        if len(phi) != A.order or len(set(phi.values())) != A.order:
+        images = np.asarray(images, dtype=np.intp)
+        img = np.empty(A.order, dtype=np.int32)
+        img[0] = B.identity
+        for lo, hi in zip(cuts, cuts[1:]):
+            img[lo:hi] = B.cayley[images[via[lo:hi]], img[parent[lo:hi]]]
+        perm = np.empty_like(img)
+        perm[elems] = img
+        if len(np.unique(perm)) != A.order:
             return None
-        perm = np.array([phi[x] for x in range(A.order)], dtype=np.int32)
         if not np.array_equal(perm[A.cayley], B.cayley[perm[:, None], perm[None, :]]):
             return None
         return perm

@@ -58,7 +58,7 @@ def special_linear_group(n, p):
 
 
 def _elements_of_order(G, k):
-    return [g for g in range(G.order) if G.element_order(g) == k]
+    return np.flatnonzero(G.element_orders() == k).tolist()
 
 
 def pair_s3_split():
@@ -113,9 +113,8 @@ def pair_conjugation(G, subgroup_elements, name=None):
     """Crossed-product pair: a subgroup acting on its ambient group by
     conjugation; discrete-side action trivial."""
     R, embed = G.subgroup(subgroup_elements)
-    alpha = np.array(
-        [[G.conjugate(embed[r], g) for g in range(G.order)]
-         for r in range(R.order)], dtype=np.int32)
+    C = G.cayley
+    alpha = C[C[embed], G.inverse[embed][:, None]]     # r g r^-1
     return matched_pair_from_compact_action(
         R, G, alpha, name=name or f"conj({R.order} on {G.order})")
 
@@ -146,12 +145,10 @@ def subgroup_twist_recipe(base_pair, lambda_elements, name=None):
     K = direct_product(Lam, K0)          # index = lam * |K0| + k
     nl, nk0 = Lam.order, K0.order
     lam_idx, k_idx = np.divmod(np.arange(nl * nk0), nk0)
-    alpha = np.empty((R.order, nl * nk0), dtype=np.int32)
-    for r in range(R.order):
-        alpha[r] = lam_idx * nk0 + base_pair.alpha[r][k_idx]
+    alpha = lam_idx * nk0 + base_pair.alpha[:, k_idx]
     mp0 = matched_pair_from_compact_action(
         R, K, alpha, name=(name or base_pair.name) + "-ext")
-    chi = np.array([embed[l] for l in lam_idx], dtype=np.int32)
+    chi = np.asarray(embed, dtype=np.int32)[lam_idx]
     return deform_by_chi_G(mp0, chi, name=name or base_pair.name + "-twist")
 
 
@@ -174,13 +171,12 @@ def quotient_twist_recipe(core, compact, onto, name=None):
     R = direct_product(core, compact)    # index = c * |K| + h
     nc, nk = core.order, compact.order
     c_idx, h_idx = np.divmod(np.arange(nc * nk), nk)
-    beta = np.empty((nk, nc * nk), dtype=np.int32)
-    for g in range(nk):
-        beta[g] = c_idx * nk + compact.cayley[
-            compact.cayley[compact.inv(g), h_idx], g]
+    C = compact.cayley
+    beta = c_idx * nk + C[C[compact.inverse[:, None], h_idx],
+                          np.arange(nk)[:, None]]          # g^-1 h g
     mp0 = matched_pair_from_discrete_action(
         R, compact, beta, name=(name or "quotient") + "-base")
-    chi = np.array([onto[c] for c in c_idx], dtype=np.int32)
+    chi = np.asarray(onto, dtype=np.int32)[c_idx]
     return deform_by_chi_Gamma(mp0, chi, name=name or "quotient-twist")
 
 

@@ -130,33 +130,27 @@ def derive_actions(H, discrete_elements, compact_elements, name=None):
     g' r'; the tables record g' and r'.  Raises NotMatched when the counting
     or uniqueness fails.
     """
-    Rset = sorted(int(x) for x in discrete_elements)
-    Kset = sorted(int(x) for x in compact_elements)
-    R, _ = H.subgroup(Rset)
-    K, _ = H.subgroup(Kset)
-    if len(Rset) * len(Kset) != H.order:
-        raise NotMatched(f"|R| |K| = {len(Rset) * len(Kset)} != |H| = {H.order}")
-    inter = set(Rset) & set(Kset)
-    if inter != {H.identity}:
-        raise NotMatched(f"subgroups intersect in {sorted(inter)}")
-    factor = {}
-    for gi, g in enumerate(Kset):
-        for ri, r in enumerate(Rset):
-            h = H.mul(g, r)
-            if h in factor:
-                raise NotMatched(f"element {h} factors twice as K*R")
-            factor[h] = (gi, ri)
-    if len(factor) != H.order:
+    R, Rset = H.subgroup(discrete_elements)
+    K, Kset = H.subgroup(compact_elements)
+    nr = len(Rset)
+    if nr * len(Kset) != H.order:
+        raise NotMatched(f"|R| |K| = {nr * len(Kset)} != |H| = {H.order}")
+    inter = np.intersect1d(Rset, Kset).tolist()
+    if inter != [H.identity]:
+        raise NotMatched(f"subgroups intersect in {inter}")
+    gr = H.cayley[np.ix_(Kset, Rset)].ravel()    # g r at gi * nr + ri
+    _, first = np.unique(gr, return_index=True)
+    if len(first) < len(gr):
+        again = np.ones(len(gr), dtype=bool)
+        again[first] = False
+        raise NotMatched(f"element {gr[again.argmax()]} factors twice as K*R")
+    if len(first) != H.order:
         raise NotMatched("K*R does not exhaust the ambient group")
-    nr, nk = len(Rset), len(Kset)
-    alpha = np.empty((nr, nk), dtype=np.int32)
-    beta = np.empty((nk, nr), dtype=np.int32)
-    for ri, r in enumerate(Rset):
-        for gi, g in enumerate(Kset):
-            gp, rp = factor[H.mul(r, g)]
-            alpha[ri, gi] = gp
-            beta[gi, ri] = rp
-    return MatchedPair(R, K, alpha, beta, name=name)
+    factor = np.empty(H.order, dtype=np.int32)
+    factor[gr] = np.arange(len(gr))
+    # r g = g' r' with g' = alpha_r(g), r' = beta_g(r)
+    alpha, beta = np.divmod(factor[H.cayley[np.ix_(Rset, Kset)]], nr)
+    return MatchedPair(R, K, alpha, beta.T, name=name)
 
 
 def zappa_szep(mp, name=None):

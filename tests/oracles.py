@@ -401,3 +401,31 @@ def naive_fusion_formula(mp, space, chi_x, gamma_orbit, r_orbit, s_orbit):
                 if mp.beta[mp.alpha[s, g], r] == r and mp.beta[g, s] == s:
                     total += np.conj(chi_x[g]) / nk
     return total
+
+
+def naive_group_from_generators(gens, compose, identity, cap, table_cap):
+    """Elements generated by ``gens`` in the discovery order of a level-by-
+    level BFS from ``identity`` (each element of a level times every
+    generator in turn), and the table from one ``compose`` per ordered pair.
+    Raises ValueError, worded as the package's SizeBound, when the closure
+    passes ``cap`` elements or the order passes ``table_cap``."""
+    elems = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = compose(g, x)
+                if y not in index:
+                    if len(elems) >= cap:
+                        raise ValueError(f"closure exceeds cap {cap}")
+                    index[y] = len(elems)
+                    elems.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    if len(elems) > table_cap:
+        raise ValueError(f"order {len(elems)} exceeds dense-table cap "
+                         f"{table_cap}")
+    table = [[index[compose(a, b)] for b in elems] for a in elems]
+    return elems, table

@@ -194,6 +194,13 @@ def test_action_validation_rejects_bad_rows():
         # identity row must be trivial
         validate_ring_action(ring, RingAction(G2, np.array([[0, 2, 1],
                                                             [0, 1, 2]])))
+    # each row an automorphism, but P[1 + 2] = id is not swap after id
+    Z3 = cyclic_group(3)
+    with pytest.raises(ActionNotCompatible,
+                       match=r"not a homomorphism at \(1,2\)"):
+        validate_ring_action(ring, RingAction(Z3, np.array([[0, 1, 2],
+                                                            [0, 2, 1],
+                                                            [0, 1, 2]])))
 
 
 def test_action_must_preserve_dimensions():
