@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kacforge.config import DEFAULT_SEED
 from kacforge.crossed import (conj_action_builder, crossed_instance,
-                              crude_poly_bound, element_fusion_ring,
-                              length_l0, rd_inequality_sample, word_length)
+                              crude_poly_bound, graded_word_length,
+                              rd_inequality_sample)
 from kacforge.library import corpus_pairs, symmetric_group
 
 
@@ -41,12 +41,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     for name, inst in instances():
-        l_base = word_length(inst.base_ring, list(range(inst.base_ring.n)))
-        l_gamma = word_length(element_fusion_ring(inst.pair.discrete),
-                              list(range(1, inst.pair.discrete.order)))
-        l0 = length_l0(inst.ring, l_gamma, l_base)
         bound = crude_poly_bound(inst)
-        report = rd_inequality_sample(inst, l0, bound,
+        report = rd_inequality_sample(inst, graded_word_length(inst), bound,
                                       samples=args.samples, seed=args.seed)
         print(f"{name}: labels {inst.ring.n}, bound constant {bound[0]:.4f}")
         for line in report.lines():

@@ -159,8 +159,7 @@ def _cmd_deform(bundle, config, report, args):
 def _cmd_crossed(bundle, config, report, args):
     from .crossed import (check_fusion_ring, check_lemma_fourier,
                           crossed_instance, crude_poly_bound, DualElement,
-                          rd_inequality_sample, element_fusion_ring,
-                          length_l0, word_length)
+                          graded_word_length, rd_inequality_sample)
     from .groups import rng_from
     for name, mp in sorted(bundle.pairs.items()):
         inst = crossed_instance(mp, seed=config.seed)
@@ -183,11 +182,8 @@ def _cmd_crossed(bundle, config, report, args):
                         rep.norm_deviation, rep.parseval_deviation)
         report.add("crossed", f"{name} transform-decomposition "
                    f"({args.draws} draws)", "PASS", residual=worst)
-        lbase = word_length(inst.base_ring, list(range(inst.base_ring.n)))
-        lgam = word_length(element_fusion_ring(mp.discrete),
-                           list(range(1, mp.discrete.order)))
-        l0 = length_l0(inst.ring, lgam, lbase)
-        rd = rd_inequality_sample(inst, l0, crude_poly_bound(inst),
+        rd = rd_inequality_sample(inst, graded_word_length(inst),
+                                  crude_poly_bound(inst),
                                   samples=args.draws, seed=config.seed)
         report.add("crossed", f"{name} polynomial-bound sample",
                    "PASS" if rd.passed else "FAIL",
@@ -317,10 +313,7 @@ def main(argv=None):
     env_seed = os.environ.get("KACFORGE_SEED")
     if env_seed:
         config = config.with_(seed=int(env_seed, 0))
-    if args.output:
-        config = config.with_(output=args.output)
-    if not hasattr(args, "draws"):
-        args.draws = 5
+    config = config.with_(output=args.output)
     try:
         bundle = parse_inputs(args.inputs, config=config)
         report = run_pipeline(args.cmd, bundle, config=config, args=args)

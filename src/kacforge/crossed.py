@@ -16,8 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_SEED, RING_CAP
 from .errors import (ActionNotCompatible, IdentityViolated, NonIntegral,
-                     OrbitInfinite, SizeBound, TruncationOverflow,
-                     ValidationError)
+                     SizeBound, TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, direct_product,
                      dual_group, is_isomorphic_small, match_rows,
                      matrix_irreps, rng_from)
@@ -208,9 +207,6 @@ class RingAction:
     group: object                  # FiniteGroup
     perms: np.ndarray              # (|group|, ring.n) label permutations
 
-    def act(self, g, x):
-        return int(self.perms[g, x])
-
 
 def validate_ring_action(ring, action):
     G = action.group
@@ -245,7 +241,10 @@ def validate_ring_action(ring, action):
 
 class CrossedFusionRing(FusionRing):
     """Labels (group element, base label) with action-twisted fusion:
-    (r, x) * (s, y) = sum over z of base(act(s^-1, x) * y, z) (rs, z)."""
+    (r, x) * (s, y) = sum over z of base(act(s^-1, x) * y, z) (rs, z).
+
+    Label (g, x) has index g * base.n + x.
+    """
 
     def __init__(self, base, action, name=None):
         validate_ring_action(base, action)
@@ -254,10 +253,8 @@ class CrossedFusionRing(FusionRing):
         _check_ring_size(nr * nb, f"crossed ring over {base.name}")
         self.base = base
         self.action = action
-        self.pairs = [(g, x) for g in range(nr) for x in range(nb)]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
         P = np.asarray(action.perms, dtype=np.int64)
-        labels = [f"{G.labels[g]}.{base.labels[x]}" for g, x in self.pairs]
+        labels = [f"{g}.{x}" for g in G.labels for x in base.labels]
         dual = (G.inverse[:, None] * nb + P[:, base.dual]).ravel()
         mult = np.zeros((nr, nb, nr, nb, nr, nb), dtype=np.int32)
         r, s = np.indices((nr, nr))
@@ -363,12 +360,10 @@ def classical_dual(G, seed=DEFAULT_SEED):
 def fourier_values(a, dual):
     """F(a) as a complex vector on the group: sum over blocks of
     dim(x) * Tr(U^x(g) a_x)."""
-    G = dual.group
-    out = np.zeros(G.order, dtype=complex)
+    out = np.zeros(dual.group.order, dtype=complex)
     for x, mat in a.blocks.items():
         mx = dual.irreps[x]
-        for g in range(G.order):
-            out[g] += mx.dim * np.trace(mx.matrices[g] @ mat)
+        out += mx.dim * np.einsum("gij,ji->g", mx.matrices, mat)
     return out
 
 
@@ -379,19 +374,15 @@ def fourier_transform(a, dual):
 
 def inverse_fourier(f, dual):
     """Blocks a_x = mean over the group of F(g) U^x(g)^*."""
+    n = dual.group.order
     if hasattr(f, "vec"):
         e = dual.algebra.pair.discrete.identity
-        values = np.array([f.vec[dual.algebra.basis_index(e, g)]
-                           for g in range(dual.group.order)])
+        values = f.vec[e * n:(e + 1) * n]
     else:
         values = np.asarray(f, dtype=complex)
     blocks = {}
-    n = dual.group.order
     for x, mx in enumerate(dual.irreps):
-        acc = np.zeros((mx.dim, mx.dim), dtype=complex)
-        for g in range(n):
-            acc += values[g] * mx.matrices[g].conj().T
-        acc /= n
+        acc = np.einsum("g,gji->ij", values, mx.matrices.conj()) / n
         if np.abs(acc).max() > 1e-12:
             blocks[x] = acc
     return DualElement(dual.ring, blocks)
@@ -417,11 +408,11 @@ class CrossedInstance:
     action: RingAction
     ring: CrossedFusionRing
     dual: ClassicalDual
-    candidates: list               # aligned with ring.pairs
+    candidates: list               # aligned with ring labels
     catalog: object = None
 
     def candidate(self, gamma, x):
-        return self.candidates[self.ring.pair_index[(gamma, x)]]
+        return self.candidates[gamma * self.base_ring.n + x]
 
 
 def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
@@ -470,7 +461,7 @@ def graded_parts(inst, a):
     """Split a crossed dual element into classical dual elements per grade."""
     parts = {}
     for lab, mat in a.blocks.items():
-        g, x = inst.ring.pairs[lab]
+        g, x = divmod(lab, inst.base_ring.n)
         parts.setdefault(g, {})[x] = mat
     return {g: DualElement(inst.base_ring, blocks)
             for g, blocks in parts.items()}
@@ -548,80 +539,66 @@ class LengthFunction:
 def check_length(lf):
     """Unit value, dual symmetry, triangle law along fusion."""
     ring, v = lf.ring, lf.values
-    dev = abs(v[ring.unit])
-    for x in range(ring.n):
-        dev = max(dev, abs(v[x] - v[ring.dual[x]]))
-        if v[x] < -1e-9:
-            dev = max(dev, -v[x])
     x, y, z = np.nonzero(ring.mult > 0)
-    worst = (v[z] - (v[x] + v[y])).max(initial=-np.inf)
-    if worst > 1e-9:
-        dev = max(dev, worst)
-    return float(dev)
+    excess = v[z] - (v[x] + v[y])
+    return float(max(abs(v[ring.unit]), np.abs(v - v[ring.dual]).max(),
+                     np.where(v < -1e-9, -v, 0.0).max(),
+                     np.where(excess > 1e-9, excess, 0.0).max(initial=0.0)))
 
 
 def word_length(ring, generators):
     """Fusion-graph distance from the unit along a self-dual generator set."""
-    gens = sorted({int(g) for g in generators} |
-                  {int(ring.dual[g]) for g in generators})
-    INF = float("inf")
-    dist = np.full(ring.n, INF)
+    gens = np.asarray(generators, dtype=np.int64)
+    gens = np.union1d(gens, ring.dual[gens])
+    dist = np.full(ring.n, np.inf)
     dist[ring.unit] = 0.0
-    frontier = [ring.unit]
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for g in gens:
-                for z in ring.fuse(x, g, allow_truncation=True):
-                    if dist[z] == INF:
-                        dist[z] = dist[x] + 1
-                        next_frontier.append(z)
-        frontier = next_frontier
+    frontier, level = np.array([ring.unit]), 0
+    while len(frontier):
+        level += 1
+        # labels inside some product x * g, x on the frontier, g a generator
+        reached = (ring.mult[np.ix_(frontier, gens)] > 0).any((0, 1))
+        frontier = np.flatnonzero(reached & np.isinf(dist))
+        dist[frontier] = level
     if np.isinf(dist).any():
-        missing = [ring.labels[i] for i in np.nonzero(np.isinf(dist))[0]]
+        missing = [ring.labels[i] for i in np.flatnonzero(np.isinf(dist))]
         raise ValidationError("word-length",
                               f"generators do not reach {missing[:4]}")
     return LengthFunction(ring=ring, values=dist)
 
 
-def invariantize_length(lf, action, cap=100000):
-    """Replace values by the orbit maximum under the action."""
-    ring = lf.ring
-    out = np.array(lf.values, dtype=float)
-    for x in range(ring.n):
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            if len(orbit) > cap:
-                raise OrbitInfinite(f"orbit of {ring.labels[x]} exceeds {cap}")
-            nxt = []
-            for y in frontier:
-                for g in range(action.group.order):
-                    z = action.act(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        out[x] = max(lf.values[y] for y in orbit)
-    return LengthFunction(ring=ring, values=out)
+def invariantize_length(lf, action):
+    """Replace values by the orbit maximum under the action (the orbit of
+    label x is column x of the permutation table)."""
+    values = np.asarray(lf.values, dtype=float)
+    return LengthFunction(ring=lf.ring, values=values[action.perms].max(0))
 
 
-def length_l0(crossed, l_gamma, l_base, invariantize=False):
-    """Graded length on the crossed ring: group length plus base length."""
+def length_l0(crossed, l_gamma, l_base):
+    """Graded length on the crossed ring: group length plus base length.
+
+    The base length must be invariant under the action; pass it through
+    ``invariantize_length`` first when it is not.
+    """
     if isinstance(l_gamma, LengthFunction):
         l_gamma = l_gamma.values
-    if invariantize:
-        l_base = invariantize_length(l_base, crossed.action)
-    else:
-        for g in range(crossed.action.group.order):
-            moved = l_base.values[crossed.action.perms[g]]
-            if np.abs(moved - l_base.values).max() > 1e-9:
-                raise ValidationError(
-                    "length-invariance",
-                    f"base length moves under group element {g}")
-    values = np.array([l_gamma[g] + l_base.values[x]
-                       for g, x in crossed.pairs])
+    moved = np.abs(l_base.values[crossed.action.perms] - l_base.values)
+    bad = (moved > 1e-9).any(1)
+    if bad.any():
+        raise ValidationError("length-invariance",
+                              f"base length moves under group element "
+                              f"{np.argmax(bad)}")
+    values = (np.asarray(l_gamma)[:, None] + l_base.values).ravel()
     return LengthFunction(ring=crossed, values=values)
+
+
+def graded_word_length(inst):
+    """The graded length of a crossed instance: the discrete group's word
+    length on its non-identity elements plus the base ring's word length on
+    all of its labels."""
+    R, base = inst.pair.discrete, inst.base_ring
+    l_gamma = word_length(element_fusion_ring(R),
+                          np.flatnonzero(np.arange(R.order) != R.identity))
+    return length_l0(inst.ring, l_gamma, word_length(base, np.arange(base.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,6 @@ class TruncationOverflow(KacforgeError):
     """A product in a truncated ring needs labels beyond the cutoff."""
 
 
-class OrbitInfinite(KacforgeError):
-    """An orbit that must be finite for an invariant sup is not."""
-
-
 class IdentityViolated(KacforgeError):
     """A cross-checked identity between two computation routes fails."""
 

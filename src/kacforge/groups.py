@@ -267,10 +267,10 @@ class CharacterTable:
 class MatrixIrrep:
     label: str
     dim: int
-    matrices: list           # one unitary per element index
+    matrices: np.ndarray     # (order, dim, dim): one unitary per element
 
     def character(self):
-        return np.array([np.trace(m) for m in self.matrices])
+        return np.trace(self.matrices, axis1=1, axis2=2)
 
 
 @dataclass
@@ -687,8 +687,8 @@ def matrix_irreps(G, seed=DEFAULT_SEED, table=None):
         chi = table.char_on_elements(row)
         label = f"x{row}"
         if d == 1:
-            mats = [np.array([[chi[g]]]) for g in range(n)]
-            out.append(MatrixIrrep(label=label, dim=1, matrices=mats))
+            out.append(MatrixIrrep(label=label, dim=1,
+                                   matrices=chi.reshape(n, 1, 1)))
             continue
         proj = np.conj(chi)[C[:, inv]] * (d / n)     # sum_g conj(chi(g)) lam[g]
         vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
@@ -709,7 +709,8 @@ def matrix_irreps(G, seed=DEFAULT_SEED, table=None):
             if pick is None:
                 continue
             W = B @ vecs2[:, pick]
-            mats = [W.conj().T[:, C[g]] @ W for g in range(n)]   # W* lam[g] W
+            mats = np.array([W.conj().T[:, C[g]] @ W             # W* lam[g] W
+                             for g in range(n)])
             if _irrep_ok(G, mats, chi):
                 got = mats
                 break
@@ -731,10 +732,9 @@ def _eigen_groups(vals, tol):
     return groups
 
 
-def _irrep_ok(G, mats, chi):
+def _irrep_ok(G, M, chi):
     """Unitarity, the character and the homomorphism law, each checked as
     stacked products (Frobenius norms against TOL_MULT)."""
-    M = np.asarray(mats)
     eye = np.eye(M.shape[1])
     if (np.linalg.norm(M @ M.conj().transpose(0, 2, 1) - eye, axis=(1, 2))
             > TOL_MULT).any():

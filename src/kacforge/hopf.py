@@ -87,25 +87,19 @@ class KacAlgebra:
         return AlgebraElement(self, vec)
 
     def one(self):
-        vec = np.zeros(self.dim, dtype=complex)
-        e = self.pair.discrete.identity
-        for g in range(self.nk):
-            vec[self.basis_index(e, g)] = 1.0
-        return AlgebraElement(self, vec)
+        return self.discrete_unitary(self.pair.discrete.identity)
 
     def discrete_unitary(self, r):
         """The group unitary u_r = sum_g u_r d_g."""
         vec = np.zeros(self.dim, dtype=complex)
-        for g in range(self.nk):
-            vec[self.basis_index(r, g)] = 1.0
+        vec[r * self.nk:(r + 1) * self.nk] = 1.0
         return AlgebraElement(self, vec)
 
     def compact_function(self, values):
         """Embed a function on the compact group: sum_g f(g) u_e d_g."""
         vec = np.zeros(self.dim, dtype=complex)
         e = self.pair.discrete.identity
-        for g, v in enumerate(values):
-            vec[self.basis_index(e, g)] = v
+        vec[e * self.nk:(e + 1) * self.nk] = values
         return AlgebraElement(self, vec)
 
     # -- structure maps on vectors -----------------------------------------
@@ -161,8 +155,10 @@ class KacAlgebra:
     def left_mult_matrix(self, a):
         """Matrix of x -> a x in the standard basis."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in np.nonzero(a)[0]:
-            out[self.result[i], self.partner[i]] += a[i]
+        # basis i sends partner[i, s] to result[i, s]; these cells are
+        # distinct over all (i, s)
+        i = np.flatnonzero(a)
+        out[self.result[i], self.partner[i]] += a[i, None]
         return out
 
     def __repr__(self):
@@ -542,12 +538,11 @@ def compact_restriction_morphism(A, A0, embed):
     """
     if A.nr != A0.nr:
         raise NotAMorphism("discrete sides differ")
-    back = {int(g): g0 for g0, g in enumerate(embed)}
+    back = np.full(A.nk, -1)
+    back[embed] = np.arange(len(embed))
     M = np.zeros((A0.dim, A.dim))
-    for i in range(A.dim):
-        r, g = divmod(i, A.nk)
-        if g in back:
-            M[r * A0.nk + back[g], i] = 1.0
+    i = np.flatnonzero(back[A.g_of] >= 0)
+    M[A.gamma_of[i] * A0.nk + back[A.g_of[i]], i] = 1.0
     rho = Morphism(source=A, target=A0, matrix=M)
     validate_morphism(rho)
     return rho

@@ -239,14 +239,9 @@ def measure_fourier(mu, dual):
     if mu.group.order != dual.group.order:
         raise ValidationError("measure-group",
                               "measure and dual data disagree")
-    blocks = {}
-    for x, mx in enumerate(dual.irreps):
-        acc = np.zeros((mx.dim, mx.dim), dtype=complex)
-        for g, w in enumerate(mu.weights):
-            if w != 0:
-                acc += float(w) * mx.matrices[g]
-        blocks[x] = acc
-    return DualElement(dual.ring, blocks)
+    w = np.array([float(x) for x in mu.weights])
+    return DualElement(dual.ring, {x: np.einsum("g,gij->ij", w, mx.matrices)
+                                   for x, mx in enumerate(dual.irreps)})
 
 
 def c0_profile(a):

@@ -119,7 +119,7 @@ def candidate_corepresentation(A, orbit, mx, label=None):
     basis = (orbit[:, None] * A.nk + g)[..., None, None]
     coeffs = np.zeros((do * dx, do * dx, A.dim), dtype=complex)
     # the cells are distinct; adding into zeros turns -0.0 entries into 0.0
-    coeffs[rows, cols, basis] += np.asarray(mx.matrices)
+    coeffs[rows, cols, basis] += mx.matrices
     return Corepresentation(A, coeffs, label=label)
 
 

@@ -429,3 +429,44 @@ def naive_group_from_generators(gens, compose, identity, cap, table_cap):
                          f"{table_cap}")
     table = [[index[compose(a, b)] for b in elems] for a in elems]
     return elems, table
+
+
+def naive_word_length(mult, dual, unit, generators):
+    """Fusion-graph distance from ``unit``, one label at a time: label x is
+    joined to every z with mult[x][g][z] > 0 for a generator g or the dual
+    of one.  Labels the queue never reaches get None."""
+    n = len(dual)
+    gens = sorted({int(g) for g in generators} |
+                  {int(dual[g]) for g in generators})
+    dist = [None] * n
+    dist[unit] = 0
+    queue = [unit]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for g in gens:
+            for z in range(n):
+                if mult[x][g][z] > 0 and dist[z] is None:
+                    dist[z] = dist[x] + 1
+                    queue.append(z)
+    return dist
+
+
+def naive_orbit_max(values, perms):
+    """For each label, the largest value over its orbit, the orbit grown by
+    applying every permutation row until nothing new appears."""
+    out = []
+    for x in range(len(values)):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for row in perms:
+                    z = int(row[y])
+                    if z not in orbit:
+                        orbit.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        out.append(max(values[y] for y in orbit))
+    return out

@@ -271,6 +271,17 @@ def test_cli_validation_failure_exits_one(capsys):
     assert "associativity" in err
 
 
+def test_cli_crossed_accepts_identity_not_first(capsys):
+    # the order-2 table lists t before e; the grading length must take its
+    # generators from the identity's index, not from position 0
+    code = main(["crossed", str(DATA / "split_identity_last.pair")])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert code == 0
+    assert "split-identity-last polynomial-bound sample" in out
+    assert "result: PASS" in out
+
+
 def test_cli_unmatched_ambient_pair_is_one_error_line(tmp_path, capsys):
     (tmp_path / "s4.group").write_text((SAMPLES / "s4.group").read_text())
     pair = tmp_path / "bad.pair"
