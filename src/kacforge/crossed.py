@@ -104,6 +104,20 @@ class FusionRing:
         return f"FusionRing({self.name!r}, n={self.n})"
 
 
+def _exact_products(M):
+    """The (n, n, n) int64 tensor M as float64 when matrix products of it
+    are exact in float64, else M itself.
+
+    An entry of a product of two n-wide slices of M is a sum of n terms of
+    at most max(M)**2, so while n * max(M)**2 < 2**53 every partial sum is
+    an integer that float64 holds exactly, in any summation order: the
+    products then run in BLAS.  Past that bound they stay int64 (no BLAS).
+    """
+    if len(M) * int(M.max(initial=0)) ** 2 < 2 ** 53:
+        return M.astype(float)
+    return M
+
+
 def check_fusion_ring(ring):
     """Associativity, Frobenius symmetry and dimension multiplicativity.
 
@@ -117,11 +131,12 @@ def check_fusion_ring(ring):
     n, O = ring.n, ring.overflow
     M = ring.mult.astype(np.int64)
     support = M != 0
+    P = _exact_products(M)
     assoc_bad = skipped = 0
     for a in range(n):
         # (b, c, d) tensors of (a*b)*c and a*(b*c)
-        left = (M[a] @ M.reshape(n, n * n)).reshape(n, n, n)
-        right = (M.reshape(n * n, n) @ M[a]).reshape(n, n, n)
+        left = (P[a] @ P.reshape(n, n * n)).reshape(n, n, n)
+        right = (P.reshape(n * n, n) @ P[a]).reshape(n, n, n)
         skip = O[a][:, None] | O | (support[a] @ O) | (support @ O[a])
         assoc_bad += int((left != right).sum(axis=2)[~skip].sum())
         skipped += int(skip.sum())

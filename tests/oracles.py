@@ -470,3 +470,30 @@ def naive_orbit_max(values, perms):
             frontier = nxt
         out.append(max(values[y] for y in orbit))
     return out
+
+
+def naive_intertwiner_dim(u, w):
+    """Dimension of {T : (T x 1)u = w(T x 1)} for T of shape (w.dim, u.dim):
+    one equation per entry (i, k) of either side and algebra basis element
+    s, written out by loops, one unknown per entry T[a, b]; the dimension
+    is the number of unknowns minus the rank.  Basis elements on which both
+    inputs vanish give zero rows and are left out.  The entries are of unit
+    size, so the rank counts singular values above an absolute 1e-8 (a
+    relative cutoff would count round-off in a system that is all
+    round-off)."""
+    du, dw = u.dim, w.dim
+    rows = []
+    for s in range(u.algebra.dim):
+        if not (u.coeffs[:, :, s].any() or w.coeffs[:, :, s].any()):
+            continue
+        for i in range(dw):
+            for k in range(du):
+                row = np.zeros(dw * du, dtype=complex)
+                for b in range(du):        # sum_b T[i, b] u[b, k]
+                    row[i * du + b] += u.coeffs[b, k, s]
+                for a in range(dw):        # sum_a w[i, a] T[a, k]
+                    row[a * du + k] -= w.coeffs[i, a, s]
+                rows.append(row)
+    if not rows:
+        return dw * du
+    return dw * du - int(np.linalg.matrix_rank(np.array(rows), tol=1e-8))

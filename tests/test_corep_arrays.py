@@ -5,7 +5,10 @@ for bit; the tensor product must equal the entry-by-entry loop of
 ``tests/oracles.py`` bit for bit; the exact embedding counts of
 ``group_subalgebra_check`` must equal the per-pair product loop, also on
 pairs whose actions were corrupted; and the coaction check must see a
-broken corepresentation.
+broken corepresentation.  The intertwiner solver, its batched form and
+the character pairing must all give the dimension of the loop-built
+system's null space, and every solver basis matrix must be an orthonormal
+intertwiner.
 """
 
 import numpy as np
@@ -19,17 +22,21 @@ from kacforge.library import corpus_pairs
 from kacforge.matched import MatchedPair
 from kacforge.errors import ValidationError
 from kacforge.groups import matrix_irreps
-from kacforge.reps import (Corepresentation, build_candidates,
+from kacforge.reps import (Corepresentation, _mor_dims, build_candidates,
                            candidate_corepresentation, check_corepresentation,
-                           enumerate_irreps)
+                           enumerate_irreps, mor_dim_haar, mor_dim_solver,
+                           orbit_corepresentation)
 
-from .oracles import naive_corep_tensor, naive_embedding_violations
+from .oracles import (naive_corep_tensor, naive_embedding_violations,
+                      naive_intertwiner_dim)
 from .test_reps import SMALL, algebra_of, catalog_of
 from .test_structure_golden import _corrupted_s4_cyclic4
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 UP_TO_84 = [name for name, mp in CORPUS.items()
             if mp.discrete.order * mp.compact.order <= 84]
+UP_TO_42 = [name for name, mp in CORPUS.items()
+            if mp.discrete.order * mp.compact.order <= 42]
 
 
 def _sparse(rng, shape, density):
@@ -137,3 +144,35 @@ def test_candidate_builder_refuses_an_orbit_that_is_not_closed():
     assert candidate_corepresentation(A, big, mx).dim == len(big)
     with pytest.raises(ValidationError, match="orbit"):
         candidate_corepresentation(A, big[:1], mx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(UP_TO_42), data=st.data())
+def test_intertwiner_routes_equal_loop_rank(name, data):
+    A = algebra_of(name)
+    catalog = catalog_of(name)
+    cands, orbits = catalog.candidates, catalog.orbit_space.orbits
+    u = cands[data.draw(st.integers(0, len(cands) - 1), label="candidate")]
+    if data.draw(st.booleans(), label="orbit tensor"):
+        r, s = data.draw(st.tuples(*[st.integers(0, len(orbits) - 1)] * 2),
+                         label="orbits")
+        w = orbit_corepresentation(A, orbits[r]).tensor(
+            orbit_corepresentation(A, orbits[s]))
+    else:
+        w = cands[data.draw(st.integers(0, len(cands) - 1), label="target")]
+    want = naive_intertwiner_dim(u, w)
+
+    dim, basis = mor_dim_solver(u, w)
+    batch = [c for c in cands if c.dim == u.dim]
+    batched = _mor_dims(batch, w)
+    assert dim == want
+    assert batched[next(i for i, c in enumerate(batch) if c is u)] == want
+    assert batched == [mor_dim_solver(c, w)[0] for c in batch]
+    assert mor_dim_haar(u, w) == want
+
+    V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
+    assert np.abs(V.conj() @ V.T - np.eye(dim)).max(initial=0.0) < 1e-9
+    for T in basis:
+        left = np.einsum("ib,bkn->ikn", T, u.coeffs)       # (T x 1)u
+        right = np.einsum("ian,ak->ikn", w.coeffs, T)      # w(T x 1)
+        assert np.abs(left - right).max() < 1e-9

@@ -5,12 +5,15 @@ the ring size cap.
 ``naive_fusion_laws`` in ``tests/oracles.py``, on the golden rings and on
 rings with one corrupted multiplicity.  Truncation is decided from exact
 integer dimensions, and every ring builder refuses more than ``RING_CAP``
-labels before it allocates anything of that size.
+labels before it allocates anything of that size.  The float64 products
+used under the exactness bound give the same counts as the int64 ones, and
+a ring past the bound is counted exactly.
 """
 
 import numpy as np
 import pytest
 
+from kacforge import crossed
 from kacforge.config import RING_CAP
 from kacforge.crossed import (CrossedFusionRing, FusionRing, RingAction,
                               check_fusion_ring, element_fusion_ring,
@@ -104,3 +107,33 @@ def test_ring_builders_refuse_more_than_the_cap():
     with pytest.raises(SizeBound):
         CrossedFusionRing(base, RingAction(G, np.tile(np.arange(16),
                                                       (17, 1))))
+
+
+@pytest.mark.parametrize("name", list(golden_rings()) + ["free-o-3-60"])
+def test_float_products_count_like_int_products(name, monkeypatch):
+    ring = (free_orthogonal_ring(3, 60) if name == "free-o-3-60"
+            else golden_rings()[name]())
+    assert crossed._exact_products(ring.mult.astype(np.int64)).dtype == float
+    got = check_fusion_ring(ring)
+    monkeypatch.setattr(crossed, "_exact_products", lambda M: M)
+    assert got == check_fusion_ring(ring)
+
+
+def test_ring_past_the_float_bound_is_counted_exactly():
+    # 2 * 2 = 0 + 1 + K*2 with K = 2**27, so 3 * K**2 >= 2**53; one grouping
+    # of 2*2*2 misses the other by 1 in an entry of about K**2, which
+    # float64 products round away
+    K = 2 ** 27
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0] = mult[:, 0] = np.eye(3, dtype=np.int64)
+    mult[1, 1, 0] = mult[2, 2, 0] = mult[2, 1, 2] = mult[2, 2, 1] = 1
+    mult[2, 2, 2] = K
+    ring = FusionRing(["1", "a", "b"], 0, [0, 1, 2], [1, 1, 1], mult)
+    assert crossed._exact_products(mult).dtype == np.int64
+    got = check_fusion_ring(ring)
+    assert got == oracle_of(ring)
+    F = mult.astype(float)
+    rounded = sum(int((np.einsum("bx,xcd->bcd", F[a], F)
+                       != np.einsum("bcy,yd->bcd", F, F[a])).sum())
+                  for a in range(3))
+    assert rounded < got["associativity"]
