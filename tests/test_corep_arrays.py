@@ -166,7 +166,6 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
     batch = [c for c in cands if c.dim == u.dim]
     batched = _mor_dims(batch, w)
     assert dim == want
-    assert batched[next(i for i, c in enumerate(batch) if c is u)] == want
     assert batched == [mor_dim_solver(c, w)[0] for c in batch]
     assert mor_dim_haar(u, w) == want
 
