@@ -109,11 +109,13 @@ def _exact_products(M):
     are exact in float64, else M itself.
 
     An entry of a product of two n-wide slices of M is a sum of n terms of
-    at most max(M)**2, so while n * max(M)**2 < 2**53 every partial sum is
-    an integer that float64 holds exactly, in any summation order: the
-    products then run in BLAS.  Past that bound they stay int64 (no BLAS).
+    absolute value at most max|M|**2, so while n * max|M|**2 < 2**53 every
+    partial sum is an integer that float64 holds exactly, in any summation
+    order: the products then run in BLAS.  Past that bound they stay int64
+    (no BLAS).  The bound takes |M| because a corrupted ring may hold
+    negative multiplicities.
     """
-    if len(M) * int(M.max(initial=0)) ** 2 < 2 ** 53:
+    if len(M) * int(np.abs(M).max(initial=0)) ** 2 < 2 ** 53:
         return M.astype(float)
     return M
 

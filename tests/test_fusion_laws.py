@@ -119,11 +119,12 @@ def test_float_products_count_like_int_products(name, monkeypatch):
     assert got == check_fusion_ring(ring)
 
 
-def test_ring_past_the_float_bound_is_counted_exactly():
-    # 2 * 2 = 0 + 1 + K*2 with K = 2**27, so 3 * K**2 >= 2**53; one grouping
-    # of 2*2*2 misses the other by 1 in an entry of about K**2, which
-    # float64 products round away
-    K = 2 ** 27
+@pytest.mark.parametrize("K", [2 ** 27, -2 ** 27])
+def test_ring_past_the_float_bound_is_counted_exactly(K):
+    # 2 * 2 = 0 + 1 + K*2 with |K| = 2**27, so 3 * K**2 >= 2**53; one
+    # grouping of 2*2*2 misses the other by 1 in an entry of about K**2,
+    # which float64 products round away.  A negative K is a corrupted ring
+    # whose largest entry is 1.
     mult = np.zeros((3, 3, 3), dtype=np.int64)
     mult[0] = mult[:, 0] = np.eye(3, dtype=np.int64)
     mult[1, 1, 0] = mult[2, 2, 0] = mult[2, 1, 2] = mult[2, 2, 1] = 1
