@@ -180,33 +180,6 @@ def mor_dim_haar(u, w):
     return best
 
 
-def _intertwiner_system(uc, wc):
-    """Matrix of the intertwiner equations (T x 1)u = w(T x 1), from the
-    coefficients of u (..., du, du, S) and w (..., dw, dw, S) on one list
-    of S basis elements; leading axes batch.  Row (i, k, s), column (a, b)
-    of T: [a = i] u[b, k] - [b = k] w[i, a] at basis element s."""
-    du, dw, S = uc.shape[-2], wc.shape[-2], uc.shape[-1]
-    batch = np.broadcast_shapes(uc.shape[:-3], wc.shape[:-3])
-    M = np.zeros(batch + (dw, du, S, dw, du), dtype=complex)
-    ii, kk = np.arange(dw), np.arange(du)
-    M[..., ii, :, :, ii, :] += np.moveaxis(uc, -3, -1)      # [.., k, s, b]
-    M[..., :, kk, :, :, kk] -= np.swapaxes(wc, -1, -2)      # [.., i, s, a]
-    return M.reshape(batch + (dw * du * S, dw * du))
-
-
-def _r_factor(M):
-    """A square matrix with the singular values and null space of M (rows
-    >= columns): M itself when square, else the R of M = QR, computed
-    without Q (R-SVD, T. F. Chan, ACM TOMS 8, 1982)."""
-    if M.shape[-2] > M.shape[-1]:
-        return np.linalg.qr(M, mode="r")
-    return M
-
-
-def _cutoff(svals):
-    return TOL_EQ * np.maximum(svals.max(axis=-1, initial=0.0), 1.0)
-
-
 def mor_dim_solver(u, w):
     """Exact nullspace of the intertwiner equations; returns (dim, basis).
 
@@ -217,40 +190,27 @@ def mor_dim_solver(u, w):
     support = np.union1d(u.support(), w.support())
     if not len(support):
         return 0, []
-    M = _intertwiner_system(u.coeffs[:, :, support], w.coeffs[:, :, support])
+    S = len(support)
+    Uc = u.coeffs[:, :, support]            # (du, du, S)
+    Wc = w.coeffs[:, :, support]            # (dw, dw, S)
+    # row (i, k, s) of (T x 1)u - w(T x 1), column (a, b) of T:
+    # [a = i] u[b, k] - [b = k] w[i, a] at support element s
+    M = np.zeros((dw, du, S, dw, du), dtype=complex)
+    ii, kk = np.arange(dw), np.arange(du)
+    M[ii, :, :, ii, :] += Uc.transpose(1, 2, 0)
+    M[:, kk, :, :, kk] -= Wc.transpose(0, 2, 1)
+    M = M.reshape(dw * du * S, dw * du)
     # M has dw*du*S rows and dw*du columns with S >= 1, so R and the
     # reduced vh are square: every null direction of M is a row of vh with
-    # a singular value at or below the cutoff, and none is lost.
-    svals, vh = np.linalg.svd(_r_factor(M))[1:]
-    null = svals <= _cutoff(svals)
-    basis = [row.conj().reshape(dw, du) for row in vh[null]]
+    # a singular value at or below the cutoff, and none is lost.  R of
+    # M = QR has M's singular values and null space, and the SVD of R never
+    # forms M's (dw*du*S)^2 left factor (R-SVD, T. F. Chan, ACM TOMS 8, 1982).
+    if S > 1:
+        M = np.linalg.qr(M, mode="r")
+    svals, vh = np.linalg.svd(M)[1:]
+    cutoff = TOL_EQ * max(float(svals.max(initial=0.0)), 1.0)
+    basis = [row.conj().reshape(dw, du) for row in vh[svals <= cutoff]]
     return len(basis), basis
-
-
-def _mor_dims(us, w):
-    """dim Mor(u, w) for each u of ``us``, all of one dimension, by one
-    batched factorisation.  Each system is built on its own support, as in
-    ``mor_dim_solver``, and padded with zero rows to the largest: zero rows
-    change neither the singular values nor the null space.  (Padding every
-    system to the union of the supports made the exhaustive audit of
-    double-s3-twist four times slower.)  The systems go in row blocks, so a
-    batch of system matrices holds at most about 2**18 entries, or one
-    system when one is larger."""
-    du, dw = us[0].dim, w.dim
-    supports = [np.union1d(u.support(), w.support()) for u in us]
-    S = max(len(sup) for sup in supports)
-    dims = []
-    for blk in _row_blocks(len(us), (dw * du) ** 2 * S):
-        part = list(zip(us[blk], supports[blk]))
-        uc = np.zeros((len(part), du, du, S), dtype=complex)
-        wc = np.zeros((len(part), dw, dw, S), dtype=complex)
-        for b, (u, sup) in enumerate(part):
-            uc[b, :, :, :len(sup)] = u.coeffs[:, :, sup]
-            wc[b, :, :, :len(sup)] = w.coeffs[:, :, sup]
-        svals = np.linalg.svd(_r_factor(_intertwiner_system(uc, wc)),
-                              compute_uv=False)
-        dims += (svals <= _cutoff(svals)[:, None]).sum(axis=1).tolist()
-    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -475,24 +435,14 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
         keep = rng.choice(len(triples), size=max_triples, replace=False)
         triples = [triples[t] for t in sorted(keep)]
 
-    def cand_of(gi, xi):
-        return catalog.candidates[gi * len(catalog.irreps) + xi]
-
-    # solver dimensions: one batched solve per target and candidate dim
-    batches, targets, solver_dim = {}, {}, {}
-    for gi, xi, ri, si in triples:
-        batches.setdefault((ri, si, cand_of(gi, xi).dim), []).append((gi, xi))
-    for (ri, si, _), batch in batches.items():
-        if (ri, si) not in targets:
-            targets[(ri, si)] = orbit_coreps[ri].tensor(orbit_coreps[si])
-        dims = _mor_dims([cand_of(gi, xi) for gi, xi in batch],
-                         targets[(ri, si)])
-        solver_dim.update(zip([(gi, xi, ri, si) for gi, xi in batch], dims))
-
     entries = []
+    tensor_cache = {}
     for gi, xi, ri, si in triples:
-        cand, target = cand_of(gi, xi), targets[(ri, si)]
-        solver = solver_dim[(gi, xi, ri, si)]
+        cand = catalog.candidates[gi * len(catalog.irreps) + xi]
+        if (ri, si) not in tensor_cache:
+            tensor_cache[(ri, si)] = orbit_coreps[ri].tensor(orbit_coreps[si])
+        target = tensor_cache[(ri, si)]
+        solver = mor_dim_solver(cand, target)[0]
         haar = mor_dim_haar(cand, target)
         formula = closed[xi, gi, ri, si]
         agree = abs(formula - solver) < 1e-6

@@ -5,10 +5,9 @@ for bit; the tensor product must equal the entry-by-entry loop of
 ``tests/oracles.py`` bit for bit; the exact embedding counts of
 ``group_subalgebra_check`` must equal the per-pair product loop, also on
 pairs whose actions were corrupted; and the coaction check must see a
-broken corepresentation.  The intertwiner solver, its batched form and
-the character pairing must all give the dimension of the loop-built
-system's null space, whatever row blocks the batch is split into, and
-every solver basis matrix must be an orthonormal intertwiner.
+broken corepresentation.  The intertwiner solver and the character
+pairing must both give the dimension of the loop-built system's null
+space, and every solver basis matrix must be an orthonormal intertwiner.
 """
 
 import numpy as np
@@ -22,7 +21,7 @@ from kacforge.library import corpus_pairs
 from kacforge.matched import MatchedPair
 from kacforge.errors import ValidationError
 from kacforge.groups import matrix_irreps
-from kacforge.reps import (Corepresentation, _mor_dims, build_candidates,
+from kacforge.reps import (Corepresentation, build_candidates,
                            candidate_corepresentation, check_corepresentation,
                            enumerate_irreps, mor_dim_haar, mor_dim_solver,
                            orbit_corepresentation)
@@ -163,10 +162,7 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
     want = naive_intertwiner_dim(u, w)
 
     dim, basis = mor_dim_solver(u, w)
-    batch = [c for c in cands if c.dim == u.dim]
-    batched = _mor_dims(batch, w)
     assert dim == want
-    assert batched == [mor_dim_solver(c, w)[0] for c in batch]
     assert mor_dim_haar(u, w) == want
 
     V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
@@ -175,18 +171,3 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
         left = np.einsum("ib,bkn->ikn", T, u.coeffs)       # (T x 1)u
         right = np.einsum("ian,ak->ikn", w.coeffs, T)      # w(T x 1)
         assert np.abs(left - right).max() < 1e-9
-
-
-@pytest.mark.parametrize("block", [1, 1 << 14, 1 << 18, 1 << 40])
-def test_batched_dims_do_not_depend_on_the_row_blocks(block, monkeypatch):
-    # against the largest orbit's square (dim 16): one system per block;
-    # two; the default bound (whole batch of 8 for dim-1 candidates, two
-    # blocks of 2 for dim 4); the whole batch at once
-    A = algebra_of("s4-cyclic4")
-    catalog = catalog_of("s4-cyclic4")
-    orb = orbit_corepresentation(A, max(catalog.orbit_space.orbits, key=len))
-    w = orb.tensor(orb)
-    monkeypatch.setattr(groups, "_BLOCK", block)
-    for d in sorted({c.dim for c in catalog.candidates}):
-        batch = [c for c in catalog.candidates if c.dim == d]
-        assert _mor_dims(batch, w) == [mor_dim_solver(c, w)[0] for c in batch]
