@@ -171,3 +171,16 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
         left = np.einsum("ib,bkn->ikn", T, u.coeffs)       # (T x 1)u
         right = np.einsum("ian,ak->ikn", w.coeffs, T)      # w(T x 1)
         assert np.abs(left - right).max() < 1e-9
+
+
+def test_coefficients_and_support_are_read_only():
+    # support() is computed once, so the coefficients must not change; the
+    # caller's own array stays writable
+    A = algebra_of("s3-split")
+    raw = enumerate_irreps(A).canonical[-1].coeffs.copy()
+    corep = Corepresentation(A, raw)
+    with pytest.raises(ValueError):
+        corep.coeffs[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        corep.support()[0] = 0
+    raw[0, 0, 0] += 1.0
