@@ -19,6 +19,10 @@ from .crossed import DualElement, unit_dual_element
 from .errors import DomainError, ValidationError
 from .groups import rng_from
 
+# int64 entries per row block of the separation grid, which keeps its
+# peak memory to a small multiple of this (2**18 raised exact-shadow RSS)
+_GRID_BLOCK = 2 ** 14
+
 
 def _fraction(x):
     if isinstance(x, Fraction):
@@ -61,24 +65,35 @@ def uniform_measure(G):
 
 
 def delta_measure(G, g):
-    w = [Fraction(0)] * G.order
-    w[g] = Fraction(1)
-    return FiniteMeasure(G, tuple(w))
+    return FiniteMeasure(G, tuple(int(h == g) for h in range(G.order)))
 
 
 def random_rational_measure(G, seed, zero_at=None, salt=()):
     """Seeded exact measure; optionally forced to vanish at given points."""
     rng = rng_from(seed, 31, *salt)
     counts = rng.integers(0, 61, size=G.order)          # counts 0..60
-    if zero_at is not None:
-        for g in zero_at:
-            counts[g] = 0
+    zero = set(zero_at or ())
+    if zero.issuperset(range(G.order)):
+        raise ValidationError("measure-support",
+                              "zero_at covers every element")
+    counts[list(zero)] = 0
     if counts.sum() == 0:
-        free = [g for g in range(G.order)
-                if zero_at is None or g not in set(zero_at)]
-        counts[free[0]] = 1
+        counts[min(set(range(G.order)) - zero)] = 1
     total = int(counts.sum())
     return FiniteMeasure(G, tuple(Fraction(int(c), total) for c in counts))
+
+
+def _numerator_arrays(*weight_lists):
+    """Each list of exact weights as integer numerators over its least
+    common denominator, and the product `den` of those denominators.  Each
+    list sums to 1, so no partial sum of products of one numerator per list
+    exceeds `den`: int64 if den < 2**63, else Python ints (object arrays)."""
+    dens = [int(np.lcm.reduce(np.array([w.denominator for w in ws], object)))
+            for ws in weight_lists]
+    den = int(np.prod(dens, dtype=object))
+    dtype = np.int64 if den < 2 ** 63 else object
+    return [np.array([w.numerator * (d // w.denominator) for w in ws], dtype)
+            for ws, d in zip(weight_lists, dens)], den
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +102,7 @@ def random_rational_measure(G, seed, zero_at=None, salt=()):
 
 def pushforward(mu, gamma, mp):
     """Weights permuted by the compact-side action of a discrete element."""
-    if mu.group.order != mp.compact.order:
-        raise ValidationError("measure-pair",
-                              "measure lives on the pair's compact side")
-    inv_row = mp.alpha[mp.discrete.inv(gamma)]
-    return FiniteMeasure(mu.group,
-                         tuple(mu.weights[int(inv_row[g])]
-                               for g in range(mu.group.order)))
+    return smooth({gamma: 1}, mu, mp)
 
 
 def smooth(coefficients, mu, mp):
@@ -102,12 +111,13 @@ def smooth(coefficients, mu, mp):
     if any(c < 0 for c in coeffs.values()) or sum(coeffs.values()) != 1:
         raise ValidationError("smooth-coefficients",
                               "need nonnegative rationals summing to 1")
-    out = [Fraction(0)] * mu.group.order
-    for gamma, c in coeffs.items():
-        moved = pushforward(mu, gamma, mp)
-        for g in range(mu.group.order):
-            out[g] += c * moved.weights[g]
-    return FiniteMeasure(mu.group, tuple(out))
+    if mu.group.order != mp.compact.order:
+        raise ValidationError("measure-pair",
+                              "measure lives on the pair's compact side")
+    (c, w), den = _numerator_arrays(list(coeffs.values()), mu.weights)
+    out = c[:, None] * w[mp.alpha[[mp.discrete.inv(g) for g in coeffs]]]
+    return FiniteMeasure(mu.group, tuple(Fraction(int(x), den)
+                                         for x in out.sum(axis=0)))
 
 
 def convolve(mu, nu):
@@ -115,16 +125,10 @@ def convolve(mu, nu):
     G = mu.group
     if nu.group is not G and nu.group.order != G.order:
         raise ValidationError("measure-group", "measures on different groups")
-    out = [Fraction(0)] * G.order
-    for a in range(G.order):
-        wa = mu.weights[a]
-        if wa == 0:
-            continue
-        for b in range(G.order):
-            wb = nu.weights[b]
-            if wb != 0:
-                out[int(G.cayley[a, b])] += wa * wb
-    return FiniteMeasure(G, tuple(out))
+    (a, b), den = _numerator_arrays(mu.weights, nu.weights)
+    out = np.zeros(G.order, a.dtype)
+    np.add.at(out, G.cayley, np.multiply.outer(a, b))
+    return FiniteMeasure(G, tuple(Fraction(int(x), den) for x in out))
 
 
 def tv_distance(mu, nu):
@@ -172,15 +176,36 @@ class SeparationReport:
         ]
 
 
-def _weight_grid(slots, denominator):
-    """All nonnegative integer vectors of the given length summing to the
-    denominator (exhaustive rational grid)."""
-    if slots == 1:
-        yield (denominator,)
-        return
-    for head in range(denominator + 1):
-        for rest in _weight_grid(slots - 1, denominator - head):
-            yield (head,) + rest
+def _separation_grid(G, denominators):
+    """Exhaustive grid of measures with weights in (1/D)Z as exact integer
+    counts, in row blocks of about _GRID_BLOCK int64 entries: identity-free
+    points, their least distance to delta_e, points checked against
+    2*(1 - mu(e)) and the largest deviation from it."""
+    from itertools import chain, combinations_with_replacement, islice
+    n, e = G.order, G.identity
+    points, checked, mins, devs = 0, 0, [], [Fraction(0)]
+    for D in denominators:
+        if D < 1:
+            raise DomainError(f"grid denominator must be >= 1, got {D}")
+        # a composition of D into n parts is a D-multiset of the n slots
+        multisets = combinations_with_replacement(range(n), D)
+        rows = max(1, _GRID_BLOCK // max(n, D))
+        while len(flat := np.fromiter(chain.from_iterable(
+                islice(multisets, rows)), np.int64)):
+            k = len(flat) // D
+            c = np.bincount(flat + n * np.arange(k).repeat(D),
+                            minlength=k * n).reshape(k, n)
+            if (c < 0).any() or (c.sum(axis=1) != D).any():
+                raise ValidationError("measure-mass",
+                                      f"grid row off the simplex at D={D}")
+            # D * tv, summed coordinate by coordinate (not the closed form)
+            dist = np.abs(c - D * (np.arange(n) == e)).sum(axis=1)
+            mixed = np.abs(dist - 2 * (D - c[:, e]))
+            devs.append(Fraction(int(mixed.max()), D))
+            free = dist[c[:, e] == 0]
+            points, checked = points + len(free), checked + k
+            mins += [Fraction(int(free.min()), D)] if len(free) else []
+    return points, min(mins, default=None), checked, max(devs)
 
 
 def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
@@ -191,24 +216,12 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
     Three routes: an exhaustive rational grid, a seeded random sample, and
     a symbolic derivation over nonnegative symbols.
     """
-    n = G.order
-    e = G.identity
+    n, e = G.order, G.identity
+    if n < 2:
+        raise DomainError("separation is vacuous below group order 2")
     delta_e = delta_measure(G, e)
-
-    grid_min = None
-    grid_points = 0
-    mixed_checked = 0
-    mixed_dev = Fraction(0)
-    for D in denominators:
-        for counts in _weight_grid(n, D):
-            w = tuple(Fraction(c, D) for c in counts)
-            mu = FiniteMeasure(G, w)
-            d = tv_distance(mu, delta_e)
-            mixed_checked += 1
-            mixed_dev = max(mixed_dev, abs(d - 2 * (1 - mu(e))))
-            if mu(e) == 0:
-                grid_points += 1
-                grid_min = d if grid_min is None else min(grid_min, d)
+    grid_points, grid_min, mixed_checked, mixed_dev = \
+        _separation_grid(G, denominators)
 
     sample_min = None
     for t in range(samples):
@@ -247,10 +260,8 @@ def measure_fourier(mu, dual):
 def c0_profile(a):
     """Per-block operator norms of a dual element, largest label first
     kept in label order (the finite decay profile)."""
-    out = {}
-    for x in sorted(a.blocks):
-        out[x] = float(np.linalg.norm(a.blocks[x], ord=2))
-    return out
+    return {x: float(np.linalg.norm(a.blocks[x], ord=2))
+            for x in sorted(a.blocks)}
 
 
 def uniform_is_unit_projection(dual):

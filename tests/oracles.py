@@ -497,3 +497,71 @@ def naive_intertwiner_dim(u, w):
     if not rows:
         return dw * du
     return dw * du - int(np.linalg.matrix_rank(np.array(rows), tol=1e-8))
+
+
+def _naive_weight_grid(slots, denominator):
+    """All nonnegative integer vectors of the given length summing to the
+    denominator (exhaustive rational grid)."""
+    if slots == 1:
+        yield (denominator,)
+        return
+    for head in range(denominator + 1):
+        for rest in _naive_weight_grid(slots - 1, denominator - head):
+            yield (head,) + rest
+
+
+def naive_separation_grid(G, denominators):
+    """The separation grid one validated exact measure at a time: every
+    weight vector of the recursive grid becomes a ``FiniteMeasure`` of
+    ``Fraction``s, measured by ``tv_distance`` against the identity point
+    mass.  Returns (identity-free points, their least distance, points
+    checked against 2*(1 - mu(e)), largest deviation)."""
+    from kacforge.measures import FiniteMeasure, tv_distance
+    n = G.order
+    e = G.identity
+    w = [Fraction(0)] * n
+    w[e] = Fraction(1)
+    delta_e = FiniteMeasure(G, tuple(w))
+
+    grid_min = None
+    grid_points = 0
+    mixed_checked = 0
+    mixed_dev = Fraction(0)
+    for D in denominators:
+        for counts in _naive_weight_grid(n, D):
+            w = tuple(Fraction(c, D) for c in counts)
+            mu = FiniteMeasure(G, w)
+            d = tv_distance(mu, delta_e)
+            mixed_checked += 1
+            mixed_dev = max(mixed_dev, abs(d - 2 * (1 - mu(e))))
+            if mu(e) == 0:
+                grid_points += 1
+                grid_min = d if grid_min is None else min(grid_min, d)
+    return grid_points, grid_min, mixed_checked, mixed_dev
+
+
+def naive_convolve(G, a, b):
+    """Convolution of two Fraction weight tuples: every product a[x] b[y]
+    added to the weight of x*y."""
+    out = [Fraction(0)] * G.order
+    for x in range(G.order):
+        for y in range(G.order):
+            out[G.mul(x, y)] += a[x] * b[y]
+    return tuple(out)
+
+
+def naive_pushforward(mp, weights, gamma):
+    """The weight of each compact element h carried to gamma . h."""
+    out = [None] * mp.compact.order
+    for h in range(mp.compact.order):
+        out[mp.act_compact(gamma, h)] = weights[h]
+    return tuple(out)
+
+
+def naive_smooth(mp, weights, coefficients):
+    """Sum over gamma of coefficient times the pushforward by gamma."""
+    out = [Fraction(0)] * mp.compact.order
+    for gamma, c in coefficients.items():
+        for h, x in enumerate(naive_pushforward(mp, weights, gamma)):
+            out[h] += c * x
+    return tuple(out)

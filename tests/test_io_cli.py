@@ -305,6 +305,17 @@ def test_cli_oversized_group_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_separation_on_trivial_group_is_one_error_line(tmp_path,
+                                                           capsys):
+    group = tmp_path / "trivial.group"
+    group.write_text("kind: perm\ndegree: 1\ngens:\n0\n")
+    code = main(["shadow", "separation", str(group)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_numeric_breach_error_exits_two(capsys, monkeypatch):
     from kacforge import cli
     from kacforge.errors import SeedDegenerate
