@@ -44,9 +44,12 @@ def _cmd_validate(bundle, config, report, args):
                    witness=f"discrete {mp.discrete.order}, "
                            f"compact {mp.compact.order}")
         space, _, _ = orbits_fixed_sets(mp)
-        bad = [f"{rel}@orbit{orbit[0]}:{witness}" for orbit in space.orbits
-               for rel, ok, witness in magic_relations_report(
-                   magic_unitary(mp, orbit)) if not ok]
+        bad = []
+        for orbit in space.orbits:
+            for rel, ok, witness in magic_relations_report(
+                    magic_unitary(mp, orbit)):
+                if not ok:
+                    bad.append(f"{rel}@orbit{orbit[0]}:{witness}")
         report.add("inputs", f"pair {name} partition-matrices",
                    "PASS" if not bad else "FAIL",
                    residual=float(len(bad)), witness="; ".join(bad))

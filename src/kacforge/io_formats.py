@@ -145,7 +145,13 @@ def load_group(path):
                                  line=ln, column=1)
         G = group_from_cayley(table, labels=labels)
     elif kind == "perm":
-        degree = _int_header(pf, "degree")
+        degree = pf.header("degree", required=True)
+        try:
+            degree = int(degree)
+        except ValueError:
+            _, ln = pf.headers["degree"]
+            raise ParseError(f"degree must be an integer, got {degree!r}",
+                             path=pf.path, line=ln, column=1)
         rows = pf.block("gens", required=True)
         gens = []
         for ln, toks in rows:
@@ -157,7 +163,13 @@ def load_group(path):
             gens.append(images)
         G = group_from_permutations(gens, degree=degree)
     elif kind == "matmod":
-        modulus = _int_header(pf, "modulus")
+        modulus = pf.header("modulus", required=True)
+        try:
+            modulus = int(modulus)
+        except ValueError:
+            _, ln = pf.headers["modulus"]
+            raise ParseError(f"modulus must be an integer, got {modulus!r}",
+                             path=pf.path, line=ln, column=1)
         rows = pf.block("gens", required=True)
         _rect(rows, pf.path, "gens")
         gens = []
@@ -176,16 +188,6 @@ def load_group(path):
                          path=pf.path, line=ln, column=1)
     G.name = name
     return G
-
-
-def _int_header(pf, key):
-    value = pf.header(key, required=True)
-    try:
-        return int(value)
-    except ValueError:
-        _, ln = pf.headers[key]
-        raise ParseError(f"{key} must be an integer, got {value!r}",
-                         path=pf.path, line=ln, column=1)
 
 
 def _resolve(path, ref):
@@ -264,7 +266,8 @@ def ring_from_spec(spec, base_dir="."):
     from .crossed import (element_fusion_ring, free_orthogonal_ring,
                           irrep_fusion_ring)
     kind, _, rest = spec.partition(":")
-    kind, rest = kind.strip(), rest.strip()
+    kind = kind.strip()
+    rest = rest.strip()
     if kind == "group":
         G = load_group(str(Path(base_dir) / rest))
         return irrep_fusion_ring(G)

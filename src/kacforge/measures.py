@@ -65,7 +65,9 @@ def uniform_measure(G):
 
 
 def delta_measure(G, g):
-    return FiniteMeasure(G, tuple(int(h == g) for h in range(G.order)))
+    w = [Fraction(0)] * G.order
+    w[g] = Fraction(1)
+    return FiniteMeasure(G, tuple(w))
 
 
 def random_rational_measure(G, seed, zero_at=None, salt=()):
@@ -87,12 +89,12 @@ def _numerator_arrays(*weight_lists):
     """Each list of exact weights as integer numerators over its least
     common denominator, and the product `den` of those denominators.  Each
     list sums to 1, so no partial sum of products of one numerator per list
-    exceeds `den`: int64 if den < 2**63, else Python ints (object arrays)."""
+    exceeds `den`, which int64 holds only below 2**63: the arrays hold
+    Python ints (dtype object), exact for every denominator."""
     dens = [int(np.lcm.reduce(np.array([w.denominator for w in ws], object)))
             for ws in weight_lists]
     den = int(np.prod(dens, dtype=object))
-    dtype = np.int64 if den < 2 ** 63 else object
-    return [np.array([w.numerator * (d // w.denominator) for w in ws], dtype)
+    return [np.array([w.numerator * (d // w.denominator) for w in ws], object)
             for ws, d in zip(weight_lists, dens)], den
 
 
@@ -195,10 +197,8 @@ def _separation_grid(G, denominators):
             k = len(flat) // D
             c = np.bincount(flat + n * np.arange(k).repeat(D),
                             minlength=k * n).reshape(k, n)
-            if (c < 0).any() or (c.sum(axis=1) != D).any():
-                raise ValidationError("measure-mass",
-                                      f"grid row off the simplex at D={D}")
-            # D * tv, summed coordinate by coordinate (not the closed form)
+            # each row counts a D-multiset, so it is >= 0 and sums to D;
+            # D * tv is summed coordinate by coordinate (not the closed form)
             dist = np.abs(c - D * (np.arange(n) == e)).sum(axis=1)
             mixed = np.abs(dist - 2 * (D - c[:, e]))
             devs.append(Fraction(int(mixed.max()), D))
@@ -216,7 +216,8 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
     Three routes: an exhaustive rational grid, a seeded random sample, and
     a symbolic derivation over nonnegative symbols.
     """
-    n, e = G.order, G.identity
+    n = G.order
+    e = G.identity
     if n < 2:
         raise DomainError("separation is vacuous below group order 2")
     delta_e = delta_measure(G, e)
@@ -260,8 +261,10 @@ def measure_fourier(mu, dual):
 def c0_profile(a):
     """Per-block operator norms of a dual element, largest label first
     kept in label order (the finite decay profile)."""
-    return {x: float(np.linalg.norm(a.blocks[x], ord=2))
-            for x in sorted(a.blocks)}
+    out = {}
+    for x in sorted(a.blocks):
+        out[x] = float(np.linalg.norm(a.blocks[x], ord=2))
+    return out
 
 
 def uniform_is_unit_projection(dual):

@@ -623,6 +623,11 @@ def branching_sets(rho, source_catalog, target_catalog):
     onto it (nonzero intertwiner space)."""
     validate_morphism(rho)
     pushed = [push_corepresentation(rho, x) for x in source_catalog.canonical]
-    return {yi: {xi for xi, px in enumerate(pushed)
-                 if mor_dim_solver(y, px)[0] > 0}
-            for yi, y in enumerate(target_catalog.canonical)}
+    out = {}
+    for yi, y in enumerate(target_catalog.canonical):
+        hits = set()
+        for xi, px in enumerate(pushed):
+            if mor_dim_solver(y, px)[0] > 0:
+                hits.add(xi)
+        out[yi] = hits
+    return out

@@ -6,8 +6,8 @@ grid of ``tests/oracles.py`` on small groups and denominator sets, also
 with blocks of a few rows, and its working memory must stay bounded by the
 block size.  ``convolve``, ``pushforward`` and ``smooth`` work on integer
 numerators over one common denominator; they must return the same
-``Fraction`` weights as the naive loops, for small and for huge
-denominators (the Python-int path).
+``Fraction`` weights as the naive loops, for small denominators and for
+huge ones whose products pass int64.
 """
 
 import tracemalloc
@@ -137,13 +137,3 @@ def test_pushforward_and_smooth_match_naive_loops(pair, seed, huge, data):
     assert smooth(coeffs, mu, mp).weights == \
         naive_smooth(mp, mu.weights, coeffs)
 
-
-def test_numerator_arrays_switch_to_python_ints_past_int64():
-    small = random_rational_measure(cyclic_group(4), seed=2).weights
-    (a, b), den = measures._numerator_arrays(small, small)
-    assert a.dtype == np.int64 and b.dtype == np.int64
-    assert sum(a) * sum(b) == den < 2 ** 63
-    huge = _huge_measure(cyclic_group(4), 2).weights
-    (a, b), den = measures._numerator_arrays(huge, huge)
-    assert a.dtype == object and b.dtype == object
-    assert sum(a) * sum(b) == den >= 2 ** 63
