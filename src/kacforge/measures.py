@@ -231,7 +231,7 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
         sample_min = d if sample_min is None else min(sample_min, d)
 
     rest = sympy.symbols(f"s0:{n - 1}", nonnegative=True)
-    total_rest = sympy.Add(*rest) if rest else sympy.Integer(0)
+    total_rest = sympy.Add(*rest)
     mass_e = 1 - total_rest
     tv_expr = sympy.Abs(mass_e - 1) + total_rest
     symbolic_ok = sympy.simplify(tv_expr - 2 * (1 - mass_e)) == 0
