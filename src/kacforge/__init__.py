@@ -1,9 +1,9 @@
 """kacforge: exact workbench for finite quantum-group constructions.
 
-Builds doubled groups and their function-algebra crossed products from
-matched factorizations, enumerates corepresentations honestly, audits
-closed-form fusion/distinctness claims against brute-force oracles, and
-provides crossed-product Fourier and random-walk diagnostics.
+Builds the function-algebra crossed products of matched factorizations,
+enumerates corepresentations honestly, audits closed-form
+fusion/distinctness claims against brute-force oracles, and provides
+crossed-product Fourier and random-walk diagnostics.
 """
 
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ import sys
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, TOL_AXIOM
-from .errors import (IdentityViolated, KacforgeError, NonIntegral,
-                     PeterWeylMismatch, SeedDegenerate, ValidationError)
+from .errors import (DomainError, IdentityViolated, KacforgeError,
+                     NonIntegral, PeterWeylMismatch, SeedDegenerate,
+                     ValidationError)
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
 from .matched import magic_relations_report, magic_unitary, orbits_fixed_sets
@@ -161,6 +162,9 @@ def _cmd_crossed(bundle, config, report, args):
                           crossed_instance, crude_poly_bound, DualElement,
                           graded_word_length, rd_inequality_sample)
     from .groups import rng_from
+    # a sampled check over no draws would report PASS having checked nothing
+    if args.draws < 1:
+        raise DomainError(f"--draws must be at least 1, got {args.draws}")
     for name, mp in sorted(bundle.pairs.items()):
         inst = crossed_instance(mp, seed=config.seed)
         devs = check_fusion_ring(inst.ring)
@@ -225,7 +229,12 @@ def _cmd_shadow(bundle, config, report, args):
     from .measures import (c0_profile, chebyshev_state, measure_fourier,
                            rel_T_obstruction, uniform_is_unit_projection)
     if args.target == "chebyshev":
-        state = chebyshev_state(args.N, Fraction(args.t), args.cutoff)
+        try:
+            t = Fraction(args.t)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"--t {args.t!r} is not a rational number") \
+                from None
+        state = chebyshev_state(args.N, t, args.cutoff)
         table = ", ".join(str(v) for v in state.values)
         report.add("shadow", f"chebyshev N={args.N} t={args.t} "
                    f"cutoff={args.cutoff}", "PASS", witness=table)
@@ -305,16 +314,26 @@ def _build_parser():
     return parser
 
 
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    config = DEFAULT_CONFIG
-    if args.seed is not None:
-        config = config.with_(seed=args.seed)
+def _seed(args):
+    """The run's seed: KACFORGE_SEED, else --seed, else the default; it must
+    be a nonnegative integer, as the seeded generators need."""
+    seed = DEFAULT_CONFIG.seed if args.seed is None else args.seed
     env_seed = os.environ.get("KACFORGE_SEED")
     if env_seed:
-        config = config.with_(seed=int(env_seed, 0))
-    config = config.with_(output=args.output)
+        try:
+            seed = int(env_seed, 0)
+        except ValueError:
+            raise DomainError(f"KACFORGE_SEED={env_seed!r} is not an "
+                              f"integer") from None
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
     try:
+        config = DEFAULT_CONFIG.with_(seed=_seed(args), output=args.output)
         bundle = parse_inputs(args.inputs, config=config)
         report = run_pipeline(args.cmd, bundle, config=config, args=args)
     except KacforgeError as exc:

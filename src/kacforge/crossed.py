@@ -17,12 +17,11 @@ import numpy as np
 from .config import DEFAULT_SEED, RING_CAP
 from .errors import (ActionNotCompatible, IdentityViolated, NonIntegral,
                      SizeBound, TruncationOverflow, ValidationError)
-from .groups import (character_table, conjugacy_and_center, direct_product,
-                     dual_group, is_isomorphic_small, match_rows,
+from .groups import (character_table, conjugacy_and_center, match_rows,
                      matrix_irreps, rng_from)
 from .hopf import build_algebra, plain_function_algebra
 from .library import pair_conjugation
-from .reps import build_candidates, enumerate_irreps, invariant_groups
+from .reps import build_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,6 @@ class CrossedInstance:
     ring: CrossedFusionRing
     dual: ClassicalDual
     candidates: list               # aligned with ring labels
-    catalog: object = None
 
     def candidate(self, gamma, x):
         return self.candidates[gamma * self.base_ring.n + x]
@@ -690,33 +688,3 @@ def crude_poly_bound(inst):
     """Constant polynomial that provably dominates: square root of the
     algebra dimension times the compact order."""
     return (float(np.sqrt(inst.algebra.dim * inst.algebra.nk)),)
-
-
-# ---------------------------------------------------------------------------
-# invariant groups of crossed instances
-
-
-@dataclass
-class CrossedInvariants:
-    invariants: object            # reps.InvariantGroups
-    product_intrinsic_iso: tuple  # vs dual(K)_ab x Gamma
-    product_spectrum_iso: tuple   # vs fixed-points x dual(Gamma)_ab
-
-
-def crossed_invariant_groups(inst, seed=DEFAULT_SEED):
-    """General invariant groups plus the split-product models that apply
-    when the grading is by a plain (conjugation-style) action."""
-    from .matched import orbits_fixed_sets
-    if inst.catalog is None:
-        inst.catalog = enumerate_irreps(inst.algebra, seed=seed)
-    inv = invariant_groups(inst.algebra, inst.catalog, seed=seed)
-    mp = inst.pair
-    dualK = dual_group(mp.compact, seed=seed).group
-    prod_int = direct_product(dualK, mp.discrete)
-    iso_int = is_isomorphic_small(inv.intrinsic, prod_int)
-    _, _, (fix_k_group, _) = orbits_fixed_sets(mp)
-    dualR = dual_group(mp.discrete, seed=seed).group
-    prod_sp = direct_product(fix_k_group, dualR)
-    iso_sp = is_isomorphic_small(inv.spectrum, prod_sp)
-    return CrossedInvariants(invariants=inv, product_intrinsic_iso=iso_int,
-                             product_spectrum_iso=iso_sp)

@@ -442,9 +442,7 @@ def semidirect_product(N, Q, action, labels=None):
     table = first.astype(np.int64) * nQ + second
     if labels is None:
         labels = [f"({N.labels[n]}|{Q.labels[q]})" for n, q in zip(n_idx, q_idx)]
-    G = FiniteGroup(table, labels=labels, source="cayley")
-    G.pair_shape = (nN, nQ)
-    return G
+    return FiniteGroup(table, labels=labels, source="cayley")
 
 
 def direct_product(A, B):

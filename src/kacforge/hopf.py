@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL_AXIOM, TOL_COEFF, TOL_EQ
 from .errors import AxiomViolation, NotAMorphism
-from .groups import _row_blocks, group_from_cayley
+from .groups import _row_blocks
 from .matched import MatchedPair, trivial_pair
 
 
@@ -80,11 +80,6 @@ class KacAlgebra:
 
     def from_vector(self, vec):
         return AlgebraElement(self, np.asarray(vec, dtype=complex).copy())
-
-    def basis_element(self, r, g):
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[self.basis_index(r, g)] = 1.0
-        return AlgebraElement(self, vec)
 
     def one(self):
         return self.discrete_unitary(self.pair.discrete.identity)
@@ -207,18 +202,10 @@ class AlgebraElement:
     def counit(self):
         return self.algebra.counit(self.vec)
 
-    def norm0(self):
-        """Invariant-state 2-norm."""
-        return float(np.sqrt(max(self.algebra.inner(self.vec, self.vec).real, 0.0)))
-
     def coeffs(self):
         nk = self.algebra.nk
         return {divmod(int(i), nk): complex(self.vec[i])
                 for i in np.nonzero(np.abs(self.vec) > TOL_COEFF)[0]}
-
-    def isclose(self, other, tol=TOL_COEFF):
-        self._same(other)
-        return bool(np.abs(self.vec - other.vec).max(initial=0.0) <= tol)
 
     def _same(self, other):
         if other.algebra is not self.algebra:
@@ -544,15 +531,6 @@ def compact_restriction_morphism(A, A0, embed):
     i = np.flatnonzero(back[A.g_of] >= 0)
     M[A.gamma_of[i] * A0.nk + back[A.g_of[i]], i] = 1.0
     rho = Morphism(source=A, target=A0, matrix=M)
-    validate_morphism(rho)
-    return rho
-
-
-def counit_morphism(A):
-    """The counit as a morphism onto the one-dimensional algebra."""
-    target = KacAlgebra(trivial_pair(group_from_cayley([[0]], labels=["e"])))
-    M = A.counit_vec.astype(float)[None, :]
-    rho = Morphism(source=A, target=target, matrix=M)
     validate_morphism(rho)
     return rho
 

@@ -153,37 +153,6 @@ def derive_actions(H, discrete_elements, compact_elements, name=None):
     return MatchedPair(R, K, alpha, beta.T, name=name)
 
 
-def zappa_szep(mp, name=None):
-    """The doubled group on pairs (r, g), where (r, g) stands for g r.
-
-    Law: (r,g)(s,h) = (beta_h(r) s, g alpha_r(h)).  Index of (r,g) is
-    r * |K| + g.  Construction revalidates the group axioms, which certifies
-    the pair relations a second time.
-    """
-    R, K = mp.discrete, mp.compact
-    nr, nk = R.order, K.order
-    r_idx, g_idx = np.divmod(np.arange(nr * nk, dtype=np.int64), nk)
-    A, B = mp.alpha, mp.beta
-    # first coordinate: beta_h(r) s ; second: g alpha_r(h)
-    bh_r = B[g_idx[None, :], r_idx[:, None]]          # [p, q] -> beta_{h_q}(r_p)
-    first = R.cayley[bh_r, r_idx[None, :]]
-    second = K.cayley[g_idx[:, None], A[r_idx[:, None], g_idx[None, :]]]
-    table = first.astype(np.int64) * nk + second
-    labels = [f"{K.labels[g]}*{R.labels[r]}" for r, g in zip(r_idx, g_idx)]
-    G = group_from_cayley(table, labels=labels)
-    G.pair_shape = (nr, nk)
-    return G
-
-
-def doubled_subgroup_embeddings(mp):
-    """Indices of the canonical copies of R ((r,e)) and K ((e,g)) inside
-    the doubled group."""
-    nk = mp.compact.order
-    r_part = [r * nk + mp.compact.identity for r in range(mp.discrete.order)]
-    k_part = [mp.discrete.identity * nk + g for g in range(nk)]
-    return r_part, k_part
-
-
 # ---------------------------------------------------------------------------
 # direct constructions
 
@@ -243,9 +212,6 @@ class OrbitSpace:
     pair: MatchedPair
     orbits: list          # sorted element lists, ordered by min element
     orbit_of: np.ndarray  # discrete index -> orbit index
-
-    def orbit_index_of(self, r):
-        return int(self.orbit_of[r])
 
 
 def orbits_fixed_sets(mp):

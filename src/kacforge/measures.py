@@ -1,8 +1,8 @@
 """Exact probability measures on finite groups and their transforms.
 
-Weights are nonnegative rationals summing to one; distances and
-convolutions stay in exact arithmetic.  The module also certifies the
-finite-scale separation bound (any measure vanishing at the identity sits
+Weights are nonnegative rationals summing to one; distances stay in
+exact arithmetic.  The module also certifies the finite-scale
+separation bound (any measure vanishing at the identity sits
 at full variation distance from the point mass there), computes block
 transforms of measures with their per-block norm profile, and evaluates
 Chebyshev-recursion states on the free orthogonal dimension ladder.
@@ -83,54 +83,6 @@ def random_rational_measure(G, seed, zero_at=None, salt=()):
         counts[min(set(range(G.order)) - zero)] = 1
     total = int(counts.sum())
     return FiniteMeasure(G, tuple(Fraction(int(c), total) for c in counts))
-
-
-def _numerator_arrays(*weight_lists):
-    """Each list of exact weights as integer numerators over its least
-    common denominator, and the product `den` of those denominators.  Each
-    list sums to 1, so no partial sum of products of one numerator per list
-    exceeds `den`, which int64 holds only below 2**63: the arrays hold
-    Python ints (dtype object), exact for every denominator."""
-    dens = [int(np.lcm.reduce(np.array([w.denominator for w in ws], object)))
-            for ws in weight_lists]
-    den = int(np.prod(dens, dtype=object))
-    return [np.array([w.numerator * (d // w.denominator) for w in ws], object)
-            for ws, d in zip(weight_lists, dens)], den
-
-
-# ---------------------------------------------------------------------------
-# the acting group moving measures
-
-
-def pushforward(mu, gamma, mp):
-    """Weights permuted by the compact-side action of a discrete element."""
-    return smooth({gamma: 1}, mu, mp)
-
-
-def smooth(coefficients, mu, mp):
-    """Convex combination of pushforwards (an exact smoothing average)."""
-    coeffs = {g: _fraction(c) for g, c in dict(coefficients).items()}
-    if any(c < 0 for c in coeffs.values()) or sum(coeffs.values()) != 1:
-        raise ValidationError("smooth-coefficients",
-                              "need nonnegative rationals summing to 1")
-    if mu.group.order != mp.compact.order:
-        raise ValidationError("measure-pair",
-                              "measure lives on the pair's compact side")
-    (c, w), den = _numerator_arrays(list(coeffs.values()), mu.weights)
-    out = c[:, None] * w[mp.alpha[[mp.discrete.inv(g) for g in coeffs]]]
-    return FiniteMeasure(mu.group, tuple(Fraction(int(x), den)
-                                         for x in out.sum(axis=0)))
-
-
-def convolve(mu, nu):
-    """Exact convolution: mass of g collects all factorizations a·b = g."""
-    G = mu.group
-    if nu.group is not G and nu.group.order != G.order:
-        raise ValidationError("measure-group", "measures on different groups")
-    (a, b), den = _numerator_arrays(mu.weights, nu.weights)
-    out = np.zeros(G.order, a.dtype)
-    np.add.at(out, G.cayley, np.multiply.outer(a, b))
-    return FiniteMeasure(G, tuple(Fraction(int(x), den) for x in out))
 
 
 def tv_distance(mu, nu):

@@ -21,7 +21,6 @@ from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
 from .groups import (FiniteGroup, MatrixIrrep, _eigen_groups, _row_blocks,
                      character_table, dual_group, is_isomorphic_small,
                      match_rows, matrix_irreps, rng_from, semidirect_product)
-from .hopf import validate_morphism
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -321,19 +320,6 @@ def fusion_formula_table(mp, space, chars):
     return out.transpose(3, 0, 1, 2)
 
 
-def fusion_paper_formula(A, gamma_orbit, x_index, r_orbit, s_orbit):
-    """Integer value of the closed-form fusion multiplicity."""
-    mp = A.pair
-    space, _, _ = orbits_fixed_sets(mp)
-    chi_x = character_table(mp.compact).char_on_elements(x_index)
-    val = fusion_formula_table(mp, space, chi_x[None])[
-        0, gamma_orbit, r_orbit, s_orbit]
-    best = int(round(val.real))
-    if abs(val - best) > TOL_INT:
-        raise NonIntegral(f"fusion formula value {val} not near an integer")
-    return best
-
-
 @dataclass
 class FusionAuditEntry:
     gamma_orbit: int
@@ -595,39 +581,3 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
         intrinsic_model=intrinsic_model, intrinsic_iso=intrinsic_iso,
         spectrum=spectrum, spectrum_vectors=pass_vectors,
         spectrum_model=spectrum_model, spectrum_iso=spectrum_iso)
-
-
-def spectrum_support_points(A, inv):
-    """Compact support points of the algebra characters (they must form
-    the fixed-point subgroup of the compact action)."""
-    pts = set()
-    for phi in inv.spectrum_vectors:
-        nz = np.nonzero(np.abs(phi) > 1e-9)[0]
-        pts.update(int(A.g_of[i]) for i in nz)
-    return sorted(pts)
-
-
-# ---------------------------------------------------------------------------
-# branching along a restriction morphism
-
-
-def push_corepresentation(rho, corep):
-    """Apply a validated morphism entrywise."""
-    pushed = np.einsum("mn,ijn->ijm", rho.matrix, corep.coeffs)
-    return Corepresentation(rho.target, pushed, label=f"push[{corep.label}]",
-                            unitary=corep.unitary)
-
-
-def branching_sets(rho, source_catalog, target_catalog):
-    """For each target irreducible y: which source irreducibles x restrict
-    onto it (nonzero intertwiner space)."""
-    validate_morphism(rho)
-    pushed = [push_corepresentation(rho, x) for x in source_catalog.canonical]
-    out = {}
-    for yi, y in enumerate(target_catalog.canonical):
-        hits = set()
-        for xi, px in enumerate(pushed):
-            if mor_dim_solver(y, px)[0] > 0:
-                hits.add(xi)
-        out[yi] = hits
-    return out

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacforge.crossed import (ClassicalDual, CrossedInvariants, DualElement,
-                              LengthFunction, RingAction, action_from_pair,
+from kacforge.crossed import (ClassicalDual, DualElement, LengthFunction,
+                              RingAction, action_from_pair,
                               check_fusion_ring, check_length,
                               check_lemma_fourier, classical_dual,
                               conj_action_builder, crossed_fourier,
-                              crossed_instance, crossed_invariant_groups,
-                              crossed_ring, crude_poly_bound,
+                              crossed_instance, crossed_ring, crude_poly_bound,
                               element_fusion_ring, fourier_transform,
                               fourier_values, free_orthogonal_ring,
                               graded_parts, inverse_fourier,
@@ -499,26 +498,3 @@ def test_rd_deterministic():
     r2 = rd_inequality_sample(inst, l0, (4.0,), samples=6, seed=11)
     assert [s.ratio for s in r1.samples] == [s.ratio for s in r2.samples]
 
-
-# ---------------------------------------------------------------------------
-# invariant groups of crossed instances
-
-
-def test_crossed_invariants_twisted():
-    ci = crossed_invariant_groups(twisted_instance())
-    inv = ci.invariants
-    assert inv.intrinsic.order == 6
-    assert inv.spectrum.order == 2
-    assert inv.intrinsic_iso[0] and inv.spectrum_iso[0]
-    # the intrinsic group is nonabelian: the split-product model fails
-    assert ci.product_intrinsic_iso[0] is False
-    assert ci.product_spectrum_iso[0] is True
-
-
-def test_crossed_invariants_conjugation():
-    ci = crossed_invariant_groups(conj_instance())
-    inv = ci.invariants
-    assert inv.intrinsic.order == 6
-    assert inv.spectrum.order == 9
-    assert ci.product_intrinsic_iso[0] is True
-    assert ci.product_spectrum_iso[0] is True

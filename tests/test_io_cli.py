@@ -353,6 +353,37 @@ def test_cli_seed_flag_and_env_precedence(capsys, monkeypatch):
     assert "seed 0x2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, env", [([], "abc"), ([], "-1"),
+                                       (["--seed", "-1"], None)],
+                         ids=["env-abc", "env-negative", "flag-negative"])
+def test_cli_bad_seed_is_one_error_line(flag, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("KACFORGE_SEED", env)
+    code = main(flag + ["validate", str(SAMPLES / "s3.group")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t", ["abc", "1/0"])
+def test_cli_chebyshev_bad_t_is_one_error_line(t, capsys):
+    code = main(["shadow", "chebyshev", "--t", t])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_cli_crossed_refuses_fewer_than_one_draw(draws, capsys):
+    code = main(["crossed", str(SAMPLES / "conj_s3.pair"), "--draws", draws])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --draws must be at least 1, got {draws}\n"
+
+
 def test_cli_shadow_separation_and_transform(capsys):
     code = main(["shadow", "separation", str(SAMPLES / "s3.group")])
     out = capsys.readouterr().out

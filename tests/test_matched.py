@@ -15,9 +15,8 @@ from kacforge.library import (corpus_pairs, cyclic_group, dihedral_group,
                               pair_z6_abelian, symmetric_group)
 from kacforge.matched import (MatchedPair, b_sets, burnside_orbit_counts,
                               deform_by_chi_G, derive_actions,
-                              doubled_subgroup_embeddings, magic_relations_report,
-                              magic_unitary, orbits_fixed_sets, trivial_pair,
-                              zappa_szep)
+                              magic_relations_report, magic_unitary,
+                              orbits_fixed_sets, trivial_pair)
 
 CORPUS = corpus_pairs()
 BY_NAME = {mp.name: mp for mp in CORPUS}
@@ -61,25 +60,6 @@ def test_derive_actions_intersection():
     half = Z4.closure([2])
     with pytest.raises(NotMatched, match="intersect"):
         derive_actions(Z4, half, half)
-
-
-def test_doubled_group_rebuilds_ambient():
-    for name, ambient in [("s3-split", symmetric_group(3)),
-                          ("s4-cyclic4", symmetric_group(4)),
-                          ("z6-abelian", cyclic_group(6))]:
-        G = zappa_szep(BY_NAME[name])
-        ok, _ = is_isomorphic_small(G, ambient)
-        assert ok, name
-
-
-def test_doubled_group_round_trip_reproduces_actions():
-    for name in ["s3-split", "s3-split-dual", "s4-cyclic4", "conj-s3-rot"]:
-        mp = BY_NAME[name]
-        H = zappa_szep(mp)
-        r_part, k_part = doubled_subgroup_embeddings(mp)
-        mp2 = derive_actions(H, r_part, k_part)
-        assert np.array_equal(mp2.alpha, mp.alpha), name
-        assert np.array_equal(mp2.beta, mp.beta), name
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +151,7 @@ def test_magic_relations_catch_corruption():
                          validate=False)
     # orbit data from the honest pair, sets from the corrupted one
     space, _, _ = orbits_fixed_sets(mp)
-    orb = space.orbits[space.orbit_index_of(r1)]
+    orb = space.orbits[space.orbit_of[r1]]
     report = magic_relations_report(magic_unitary(broken, orb))
     assert not all(ok for _, ok, _ in report)
 
