@@ -2,9 +2,10 @@
 
 Subcommands: validate, build, irreps, fusion, invariants, deform, crossed,
 audit, shadow.  Exit code 0 on PASS (audit findings included), 1 on a
-parse/validation failure or other input fault, 2 on a tolerance breach;
-every package error reaches the user as a single ``error:`` line.  The
-environment variable KACFORGE_SEED overrides the configured seed.
+parse/validation failure or other input fault (a bad argument included), 2
+on a tolerance breach; every package error reaches the user as a single
+``error:`` line.  The environment variable KACFORGE_SEED overrides the
+configured seed.
 """
 
 import argparse
@@ -290,11 +291,23 @@ def run_pipeline(cmd, inputs, config=DEFAULT_CONFIG, args=None):
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise, to be reported like any other input fault."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def integer(text):
+    """An integer written as a Python literal: decimal, 0x.., 0o.. or 0b..."""
+    return int(text, 0)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kacforge",
         description="Exact finite quantum-group workbench")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    parser.add_argument("--seed", type=integer, default=None,
                         help="RNG seed (overridden by KACFORGE_SEED)")
     parser.add_argument("--output", choices=("text", "structured"),
                         default="text")
@@ -331,8 +344,8 @@ def _seed(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = DEFAULT_CONFIG.with_(seed=_seed(args), output=args.output)
         bundle = parse_inputs(args.inputs, config=config)
         report = run_pipeline(args.cmd, bundle, config=config, args=args)

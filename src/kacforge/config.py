@@ -13,20 +13,21 @@ TOL_EQ = 1e-8
 TOL_INT = 1e-6
 #: structural identities of a built algebra (products, coproducts, antipode...)
 TOL_AXIOM = 1e-9
-#: coefficientwise equality of algebra elements
-TOL_COEFF = 1e-10
 #: Frobenius defect allowed in matrix-representation multiplicativity
 TOL_MULT = 1e-7
 
 #: default RNG seed for every randomized step
 DEFAULT_SEED = 0xC0FFEE
 
-#: closure enumeration cap for matrix-generator groups
+#: closure enumeration cap for generated groups (permutations and matrices)
 CLOSURE_CAP = 20_000
 #: dense multiplication-table cap (memory guard, ~order^2 ints)
 TABLE_CAP = 4096
 #: order cap for character-table computation
 CHARTABLE_CAP = 2000
+#: order cap for explicit matrix irreps (the isotypic projections are
+#: order x order)
+IRREP_CAP = 512
 #: order cap for the isomorphism search
 ISO_CAP = 512
 #: retry budget for seeded spectral steps
@@ -34,6 +35,8 @@ RETRY_BUDGET = 8
 #: label cap for fusion rings (the int32 multiplicity tensor is n^3 entries,
 #: 64 MB at the cap)
 RING_CAP = 256
+#: fusion-audit triples checked; above it a seeded sample of this size
+AUDIT_TRIPLES = 2000
 
 
 @dataclass(frozen=True)

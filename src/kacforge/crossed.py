@@ -384,18 +384,14 @@ def fourier_values(a, dual):
 
 
 def fourier_transform(a, dual):
-    """F(a) as an element of the function algebra of the group."""
+    """F(a) as a coefficient vector of the function algebra of the group."""
     return dual.algebra.compact_function(fourier_values(a, dual))
 
 
-def inverse_fourier(f, dual):
-    """Blocks a_x = mean over the group of F(g) U^x(g)^*."""
+def inverse_fourier(values, dual):
+    """Blocks a_x = mean over the group of F(g) U^x(g)^*, from values F(g)."""
     n = dual.group.order
-    if hasattr(f, "vec"):
-        e = dual.algebra.pair.discrete.identity
-        values = f.vec[e * n:(e + 1) * n]
-    else:
-        values = np.asarray(f, dtype=complex)
+    values = np.asarray(values, dtype=complex)
     blocks = {}
     for x, mx in enumerate(dual.irreps):
         acc = np.einsum("g,gji->ij", values, mx.matrices.conj()) / n
@@ -469,7 +465,7 @@ def crossed_fourier(inst, a):
     for lab, mat in a.blocks.items():
         cand = inst.candidates[lab]
         vec += inst.ring.dims[lab] * np.einsum("ji,ijn->n", mat, cand.coeffs)
-    return A.from_vector(vec)
+    return vec
 
 
 def graded_parts(inst, a):
@@ -510,13 +506,13 @@ def check_lemma_fourier(inst, a, tol=1e-9):
     two-norm of the transform (Parseval).
     """
     A = inst.algebra
-    via_coreps = crossed_fourier(inst, a).vec
+    via_coreps = crossed_fourier(inst, a)
     parts = graded_parts(inst, a)
     assembled = np.zeros(A.dim, dtype=complex)
     for g, part in parts.items():
         f_vals = fourier_values(part, inst.dual)
-        fn = A.compact_function(f_vals).vec
-        assembled += A.mul_vec(A.discrete_unitary(g).vec, fn)
+        fn = A.compact_function(f_vals)
+        assembled += A.mul_vec(A.discrete_unitary(g), fn)
     dev1 = float(np.abs(via_coreps - assembled).max(initial=0.0))
 
     total_sq = sobolev0_norm(a) ** 2
@@ -674,7 +670,7 @@ def rd_inequality_sample(inst, l0, poly_coeffs, samples=20,
             blocks[lab] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         a = DualElement(ring, blocks)
         f = crossed_fourier(inst, a)
-        op = float(np.linalg.norm(A.left_mult_matrix(f.vec), ord=2))
+        op = float(np.linalg.norm(A.left_mult_matrix(f), ord=2))
         bound = float(sum(c * band ** i for i, c in enumerate(poly_coeffs)))
         denom = bound * sobolev0_norm(a)
         ratio = op / denom if denom > 0 else float("inf")

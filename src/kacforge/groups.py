@@ -8,12 +8,13 @@ seed and retry deterministically.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, ISO_CAP,
-                     RETRY_BUDGET, TABLE_CAP, TOL_EQ, TOL_INT, TOL_MULT)
+from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, IRREP_CAP,
+                     ISO_CAP, RETRY_BUDGET, TABLE_CAP, TOL_EQ, TOL_INT,
+                     TOL_MULT)
 from .errors import (ExtractionFailed, NotAnAction, SeedDegenerate, SizeBound,
                      ValidationError)
 
@@ -338,15 +339,16 @@ def _spanning_tree(gens, compose, identity, cap):
     return elems, np.array(parent), np.array(via), left
 
 
-def _cayley_from_generators(gens, compose, identity, cap, table_cap):
+def _cayley_from_generators(gens, compose, identity):
     """Elements generated by ``gens`` in BFS discovery order, with their
     Cayley table filled from the spanning tree: since y b = g (x b), row y
     is row x gathered through left[g].  That is |gens| n products and n row
     gathers."""
-    elems, parent, via, left = _spanning_tree(gens, compose, identity, cap)
+    elems, parent, via, left = _spanning_tree(gens, compose, identity,
+                                              CLOSURE_CAP)
     n = len(elems)
-    if n > table_cap:
-        raise SizeBound(f"order {n} exceeds dense-table cap {table_cap}")
+    if n > TABLE_CAP:
+        raise SizeBound(f"order {n} exceeds dense-table cap {TABLE_CAP}")
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n)
     for y in range(1, n):
@@ -354,7 +356,7 @@ def _cayley_from_generators(gens, compose, identity, cap, table_cap):
     return elems, table
 
 
-def group_from_permutations(gens, degree=None, table_cap=TABLE_CAP):
+def group_from_permutations(gens, degree=None):
     """Group generated by permutations given as image tuples."""
     gens = [tuple(int(v) for v in g) for g in gens]
     if degree is None:
@@ -369,8 +371,7 @@ def group_from_permutations(gens, degree=None, table_cap=TABLE_CAP):
     def compose(p, q):
         return tuple(p[q[i]] for i in range(degree))
 
-    elems, table = _cayley_from_generators(norm, compose, ident, CLOSURE_CAP,
-                                           table_cap)
+    elems, table = _cayley_from_generators(norm, compose, ident)
     labels = [_perm_label(p) for p in elems]
     G = FiniteGroup(table, labels=labels, source="permutation-generators")
     G.permutations = elems
@@ -383,13 +384,20 @@ def group_from_matrices_mod(gens, modulus):
         raise ValidationError("modulus", "modulus must be >= 2")
     mats = []
     for g in gens:
-        a = np.array(g, dtype=np.int64) % modulus
+        a = np.array(g, dtype=np.int64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("matrix", "generators must be square")
         mats.append(a)
+    if not mats:
+        raise ValidationError("matrix", "no generators given")
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValidationError("matrix", "generator sizes differ")
+    # a product entry sums dim terms of at most (m - 1)^2, all in int64
+    if dim * (modulus - 1) ** 2 >= 2 ** 63:
+        raise ValidationError("modulus", f"{dim}x{dim} products mod {modulus} "
+                              "overflow int64")
+    mats = [a % modulus for a in mats]
 
     def key(a):
         return tuple(a.ravel().tolist())
@@ -398,7 +406,7 @@ def group_from_matrices_mod(gens, modulus):
         return key(g @ np.reshape(x, (dim, dim)) % modulus)
 
     elems, table = _cayley_from_generators(
-        mats, compose, key(np.eye(dim, dtype=np.int64)), CLOSURE_CAP, TABLE_CAP)
+        mats, compose, key(np.eye(dim, dtype=np.int64)))
 
     def mat_label(k):
         rows = [" ".join(str(v) for v in k[i * dim:(i + 1) * dim]) for i in range(dim)]
@@ -408,7 +416,7 @@ def group_from_matrices_mod(gens, modulus):
     return FiniteGroup(table, labels=labels, source="matrix-generators-mod-m")
 
 
-def semidirect_product(N, Q, action, labels=None):
+def semidirect_product(N, Q, action):
     """Split extension from a homomorphism Q -> Aut(N).
 
     ``action[q][n]`` is the image of n under the automorphism attached to q.
@@ -440,8 +448,7 @@ def semidirect_product(N, Q, action, labels=None):
     first = CN[n_idx[:, None], act[q_idx[:, None], n_idx[None, :]]]
     second = CQ[q_idx[:, None], q_idx[None, :]]
     table = first.astype(np.int64) * nQ + second
-    if labels is None:
-        labels = [f"({N.labels[n]}|{Q.labels[q]})" for n, q in zip(n_idx, q_idx)]
+    labels = [f"({N.labels[n]}|{Q.labels[q]})" for n, q in zip(n_idx, q_idx)]
     return FiniteGroup(table, labels=labels, source="cayley")
 
 
@@ -584,9 +591,9 @@ def abelian_invariants(obj):
 # character table (class-sum eigenvector method)
 
 
-def character_table(G, seed=DEFAULT_SEED, cap=CHARTABLE_CAP):
-    if G.order > cap:
-        raise SizeBound(f"order {G.order} exceeds character-table cap {cap}")
+def character_table(G, seed=DEFAULT_SEED):
+    if G.order > CHARTABLE_CAP:
+        raise SizeBound(f"order {G.order} exceeds character-table cap {CHARTABLE_CAP}")
     data = conjugacy_and_center(G)
     k = len(data.classes)
     reps = [cls[0] for cls in data.classes]
@@ -662,7 +669,7 @@ def _char_sort_key(row):
 # explicit unitary irreps
 
 
-def matrix_irreps(G, seed=DEFAULT_SEED, table=None):
+def matrix_irreps(G, seed=DEFAULT_SEED):
     """One explicit unitary matrix representation per irreducible character.
 
     Extraction: project the left regular representation onto an isotypic
@@ -670,10 +677,9 @@ def matrix_irreps(G, seed=DEFAULT_SEED, table=None):
     element.  Raises ExtractionFailed when no clean copy appears within the
     retry budget.
     """
-    if G.order > 512:
-        raise SizeBound(f"order {G.order} exceeds matrix-irrep cap 512")
-    if table is None:
-        table = character_table(G, seed=seed)
+    if G.order > IRREP_CAP:
+        raise SizeBound(f"order {G.order} exceeds matrix-irrep cap {IRREP_CAP}")
+    table = character_table(G, seed=seed)
     n = G.order
     C, inv = G.cayley, G.inverse
     # left regular lam[g] sends basis b to C[g, b]; right regular

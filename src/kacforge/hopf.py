@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import TOL_AXIOM, TOL_COEFF, TOL_EQ
+from .config import TOL_AXIOM, TOL_EQ
 from .errors import AxiomViolation, NotAMorphism
 from .groups import _row_blocks
 from .matched import MatchedPair, trivial_pair
@@ -62,6 +62,7 @@ class KacAlgebra:
         self.delta_left = (r_idx[:, None] * nk + np.arange(nk)).astype(np.int32)
         self.delta_right = (B[:, r_idx].T * nk + b).astype(np.int32)
 
+        self.unit_vec = (self.gamma_of == R.identity).astype(complex)
         self.counit_vec = (self.g_of == K.identity).astype(np.int64)
         self.haar_fraction = [Fraction(1, nk) if r == R.identity else Fraction(0)
                               for r in self.gamma_of]
@@ -69,33 +70,24 @@ class KacAlgebra:
 
     # -- naming -------------------------------------------------------------
 
-    def basis_index(self, r, g):
-        return int(r) * self.nk + int(g)
-
     def basis_label(self, i):
         r, g = divmod(int(i), self.nk)
         return f"u[{self.pair.discrete.labels[r]}]d[{self.pair.compact.labels[g]}]"
 
     # -- elements -----------------------------------------------------------
 
-    def from_vector(self, vec):
-        return AlgebraElement(self, np.asarray(vec, dtype=complex).copy())
-
-    def one(self):
-        return self.discrete_unitary(self.pair.discrete.identity)
-
     def discrete_unitary(self, r):
         """The group unitary u_r = sum_g u_r d_g."""
         vec = np.zeros(self.dim, dtype=complex)
         vec[r * self.nk:(r + 1) * self.nk] = 1.0
-        return AlgebraElement(self, vec)
+        return vec
 
     def compact_function(self, values):
         """Embed a function on the compact group: sum_g f(g) u_e d_g."""
         vec = np.zeros(self.dim, dtype=complex)
         e = self.pair.discrete.identity
         vec[e * self.nk:(e + 1) * self.nk] = values
-        return AlgebraElement(self, vec)
+        return vec
 
     # -- structure maps on vectors -----------------------------------------
 
@@ -158,63 +150,6 @@ class KacAlgebra:
 
     def __repr__(self):
         return f"KacAlgebra({self.pair.name!r}, dim={self.dim})"
-
-
-class AlgebraElement:
-    """A coefficient vector over the standard basis of a KacAlgebra."""
-
-    __array_priority__ = 100  # keep numpy from hijacking scalar products
-
-    def __init__(self, algebra, vec):
-        self.algebra = algebra
-        self.vec = np.asarray(vec, dtype=complex)
-
-    def __add__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, self.vec + other.vec)
-
-    def __sub__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, self.vec - other.vec)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.vec)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._same(other)
-            return AlgebraElement(self.algebra,
-                                  self.algebra.mul_vec(self.vec, other.vec))
-        return AlgebraElement(self.algebra, self.vec * other)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, scalar * self.vec)
-
-    def star(self):
-        return AlgebraElement(self.algebra, self.algebra.star_vec(self.vec))
-
-    def antipode(self):
-        return AlgebraElement(self.algebra, self.algebra.antipode_vec(self.vec))
-
-    def haar(self):
-        return self.algebra.haar(self.vec)
-
-    def counit(self):
-        return self.algebra.counit(self.vec)
-
-    def coeffs(self):
-        nk = self.algebra.nk
-        return {divmod(int(i), nk): complex(self.vec[i])
-                for i in np.nonzero(np.abs(self.vec) > TOL_COEFF)[0]}
-
-    def _same(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-
-    def __repr__(self):
-        terms = [f"{c:.4g}*{self.algebra.basis_label(self.algebra.basis_index(r, g))}"
-                 for (r, g), c in sorted(self.coeffs().items())]
-        return " + ".join(terms) if terms else "0"
 
 
 def build_algebra(mp):
@@ -309,8 +244,7 @@ def check_axioms(A):
     S = A.antipode_index
     ST = A.star_index
     eps = A.counit_vec
-    one = A.one().vec
-    unit = np.nonzero(one.real > 0.5)[0]
+    unit = np.flatnonzero(A.unit_vec.real > 0.5)
 
     # associativity of the product: triples with (ij)k != 0 are enumerated;
     # of the triples with i(jk) != 0 (counted through `lands`) those not
@@ -462,7 +396,7 @@ def check_axioms(A):
         dev = max(dev, 1.0 / nk)
     checks.append(AxiomCheck("haar-positivity", dev))
 
-    checks.append(AxiomCheck("haar-unital", float(abs(A.haar(one) - 1.0))))
+    checks.append(AxiomCheck("haar-unital", float(abs(A.haar(A.unit_vec) - 1.0))))
     return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
 
 
@@ -478,9 +412,6 @@ class Morphism:
     target: KacAlgebra
     matrix: np.ndarray       # (target.dim, source.dim)
 
-    def apply(self, vec):
-        return self.matrix @ vec
-
 
 def validate_morphism(rho):
     """Certify unital *-homomorphism property plus coproduct intertwining."""
@@ -488,7 +419,7 @@ def validate_morphism(rho):
     M = rho.matrix
     if M.shape != (B.dim, A.dim):
         raise NotAMorphism(f"matrix shape {M.shape} != ({B.dim},{A.dim})")
-    if np.abs(M @ A.one().vec - B.one().vec).max() > TOL_EQ:
+    if np.abs(M @ A.unit_vec - B.unit_vec).max() > TOL_EQ:
         raise NotAMorphism("unit is not preserved")
     if np.abs(B.counit_vec @ M - A.counit_vec).max() > TOL_EQ:
         raise NotAMorphism("counit is not preserved")
@@ -544,7 +475,7 @@ def coset_space_dimension(A, rho):
     T = np.zeros((n, m, n), dtype=complex)
     T[A.delta_left, :, np.arange(n)[:, None]] = \
         rho.matrix[:, A.delta_right].transpose(1, 2, 0)
-    T[np.arange(n), :, np.arange(n)] -= B.one().vec
+    T[np.arange(n), :, np.arange(n)] -= B.unit_vec
     svals = np.linalg.svd(T.reshape(n * m, n), compute_uv=False)
     scale = svals.max(initial=1.0)
     return int(np.sum(svals <= TOL_AXIOM * max(scale, 1.0)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import ParseError, ValidationError
-from .groups import (FiniteGroup, group_from_cayley, group_from_matrices_mod,
+from .groups import (group_from_cayley, group_from_matrices_mod,
                      group_from_permutations)
 from .matched import (MatchedPair, deform_by_chi_G, deform_by_chi_Gamma,
                       derive_actions)
@@ -94,12 +94,23 @@ def parse_line_file(path):
 
 
 def _int_token(tok, path, ln):
+    """An integer token; it must fit the int64 arrays it is read into."""
     text, col = tok
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParseError(f"expected an integer, got {text!r}",
                          path=path, line=ln, column=col)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ParseError(f"integer {text} is outside the int64 range",
+                         path=path, line=ln, column=col)
+    return value
+
+
+def _int_header(pf, key):
+    """A required integer header, read like a block token."""
+    text = pf.header(key, required=True)
+    return _int_token((text, 1), pf.path, pf.headers[key][1])
 
 
 def _fraction_token(tok, path, ln):
@@ -145,13 +156,7 @@ def load_group(path):
                                  line=ln, column=1)
         G = group_from_cayley(table, labels=labels)
     elif kind == "perm":
-        degree = pf.header("degree", required=True)
-        try:
-            degree = int(degree)
-        except ValueError:
-            _, ln = pf.headers["degree"]
-            raise ParseError(f"degree must be an integer, got {degree!r}",
-                             path=pf.path, line=ln, column=1)
+        degree = _int_header(pf, "degree")
         rows = pf.block("gens", required=True)
         gens = []
         for ln, toks in rows:
@@ -163,13 +168,7 @@ def load_group(path):
             gens.append(images)
         G = group_from_permutations(gens, degree=degree)
     elif kind == "matmod":
-        modulus = pf.header("modulus", required=True)
-        try:
-            modulus = int(modulus)
-        except ValueError:
-            _, ln = pf.headers["modulus"]
-            raise ParseError(f"modulus must be an integer, got {modulus!r}",
-                             path=pf.path, line=ln, column=1)
+        modulus = _int_header(pf, "modulus")
         rows = pf.block("gens", required=True)
         _rect(rows, pf.path, "gens")
         gens = []

@@ -3,11 +3,11 @@ scripts, and the CLI."""
 
 import numpy as np
 
-from .groups import (FiniteGroup, direct_product, group_from_cayley,
+from .groups import (direct_product, group_from_cayley,
                      group_from_matrices_mod, group_from_permutations)
-from .matched import (MatchedPair, deform_by_chi_G, deform_by_chi_Gamma,
-                      derive_actions, matched_pair_from_compact_action,
-                      matched_pair_from_discrete_action, trivial_pair)
+from .matched import (deform_by_chi_G, deform_by_chi_Gamma, derive_actions,
+                      matched_pair_from_compact_action,
+                      matched_pair_from_discrete_action)
 
 
 def cyclic_group(n):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotCrossedHom, NotMatched, ValidationError
-from .groups import FiniteGroup, group_from_cayley
+from .groups import group_from_cayley
 
 # index convention throughout: r, s, t name discrete elements; g, h, k compact
 
@@ -49,12 +49,12 @@ class MatchedPair:
         CR, CK = R.cayley, K.cayley
         nr, nk = R.order, K.order
 
-        for r in range(nr):
-            if len(np.unique(A[r])) != nk:
-                raise ValidationError("alpha-bijection", f"row r={r}")
-        for g in range(nk):
-            if len(np.unique(B[g])) != nr:
-                raise ValidationError("beta-bijection", f"row g={g}")
+        bad = np.flatnonzero((np.sort(A, 1) != np.arange(nk)).any(1))
+        if len(bad):
+            raise ValidationError("alpha-bijection", f"row r={bad[0]}")
+        bad = np.flatnonzero((np.sort(B, 1) != np.arange(nr)).any(1))
+        if len(bad):
+            raise ValidationError("beta-bijection", f"row g={bad[0]}")
         if not np.array_equal(A[R.identity], np.arange(nk)):
             raise ValidationError("alpha-identity", "identity of R must act trivially")
         if not np.array_equal(B[K.identity], np.arange(nr)):
@@ -171,12 +171,12 @@ def matched_pair_from_discrete_action(R, K, beta, name=None):
     return MatchedPair(R, K, alpha, beta, name=name)
 
 
-def trivial_pair(K, name=None):
+def trivial_pair(K):
     """Discrete side trivial: plain function algebra of K downstream."""
     R = group_from_cayley([[0]], labels=["e"])
     return matched_pair_from_compact_action(
         R, K, np.arange(K.order, dtype=np.int32)[None, :],
-        name=name or f"plain({K.order})")
+        name=f"plain({K.order})")
 
 
 def beta_kernel_elements(mp):
@@ -185,7 +185,7 @@ def beta_kernel_elements(mp):
         (mp.beta == np.arange(mp.discrete.order)).all(1)).tolist()
 
 
-def compact_subpair(mp, subset_elements, name=None):
+def compact_subpair(mp, subset_elements):
     """Restrict the pair to a compact subgroup that the discrete action
     preserves.  Returns the restricted pair and the embedding index list."""
     sub, embed = mp.compact.subgroup(subset_elements)
@@ -199,7 +199,7 @@ def compact_subpair(mp, subset_elements, name=None):
             f"discrete action does not preserve the subgroup: "
             f"alpha[{r}] moves element {embed[i]} outside")
     restricted = MatchedPair(mp.discrete, sub, alpha0, mp.beta[embed],
-                             name=name or f"{mp.name}|sub{sub.order}")
+                             name=f"{mp.name}|sub{sub.order}")
     return restricted, embed
 
 
@@ -320,12 +320,20 @@ def b_sets(mp):
 # crossed-homomorphism deformations
 
 
+def _chi_table(chi, size, values):
+    """chi as an int32 table of ``size`` indices into range(values)."""
+    chi = np.asarray(chi)
+    if chi.shape != (size,):
+        raise NotCrossedHom(f"chi has shape {chi.shape}, expected ({size},)")
+    if ((chi < 0) | (chi >= values)).any():
+        raise NotCrossedHom(f"chi takes values outside 0..{values - 1}")
+    return chi.astype(np.int32)
+
+
 def _check_chi_compact_to_discrete(mp0, chi):
     """chi : K -> R with chi(gh) = chi(g) chi(alpha_{chi(g)^-1}(h))."""
     R, K, A = mp0.discrete, mp0.compact, mp0.alpha
-    chi = np.ascontiguousarray(chi, dtype=np.int32)
-    if chi.shape != (K.order,):
-        raise NotCrossedHom(f"chi has shape {chi.shape}, expected ({K.order},)")
+    chi = _chi_table(chi, K.order, R.order)
     if chi[K.identity] != R.identity:
         raise NotCrossedHom("chi must send the unit to the unit")
     # [g, h]: chi(gh) against chi(g) chi(alpha_{chi(g)^-1}(h))
@@ -359,9 +367,7 @@ def deform_by_chi_G(mp0, chi, name=None):
 def _check_chi_discrete_to_compact(mp0, chi):
     """chi : R -> K with chi(rs) = chi(beta_{chi(s)^-1}(r)) chi(s)."""
     R, K, B = mp0.discrete, mp0.compact, mp0.beta
-    chi = np.ascontiguousarray(chi, dtype=np.int32)
-    if chi.shape != (R.order,):
-        raise NotCrossedHom(f"chi has shape {chi.shape}, expected ({R.order},)")
+    chi = _chi_table(chi, R.order, K.order)
     if chi[R.identity] != K.identity:
         raise NotCrossedHom("chi must send the unit to the unit")
     # [r, s]: chi(rs) against chi(beta_{chi(s)^-1}(r)) chi(s)

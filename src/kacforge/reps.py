@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (DEFAULT_SEED, RETRY_BUDGET, TOL_EQ, TOL_INT,
-                     TOL_MULT)
+from .config import (AUDIT_TRIPLES, DEFAULT_SEED, RETRY_BUDGET, TOL_EQ,
+                     TOL_INT, TOL_MULT)
 from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
 from .groups import (FiniteGroup, MatrixIrrep, _eigen_groups, _row_blocks,
@@ -53,7 +53,7 @@ class Corepresentation:
             self._support.flags.writeable = False
         return self._support
 
-    def tensor(self, other, label=None):
+    def tensor(self, other):
         A = self.algebra
         if other.algebra is not A:
             raise ValidationError("corep-tensor", "different algebras")
@@ -62,7 +62,7 @@ class Corepresentation:
                         other.coeffs[None, :, None, :])    # [i, k, j, l]
         out = out.reshape(d1 * d2, d1 * d2, A.dim)
         return Corepresentation(
-            A, out, label=label or f"{self.label}(x){other.label}",
+            A, out, label=f"{self.label}(x){other.label}",
             unitary=self.unitary and other.unitary)
 
     def __repr__(self):
@@ -95,8 +95,7 @@ def check_corepresentation(c):
         rhs[:, :, left[tt, aa] - blk.start, right[tt, aa]] -= cS[:, :, tt]
         dev = max(dev, float(np.abs(rhs).max(initial=0.0)))
     if c.unitary:
-        one = A.one().vec
-        want = np.eye(d)[:, :, None] * one
+        want = np.eye(d)[:, :, None] * A.unit_vec
         cs = A.star_vec(c.coeffs)                   # entrywise star
         row = A.mul_vec(c.coeffs[:, None], cs[None, :]).sum(2)     # c c*
         col = A.mul_vec(cs[:, :, None], c.coeffs[:, None]).sum(0)  # c* c
@@ -138,11 +137,11 @@ def orbit_corepresentation(A, orbit, label=None):
                                       label=label or f"orb{orbit[0]}")
 
 
-def lifted_irrep_corepresentation(A, mx, label=None):
+def lifted_irrep_corepresentation(A, mx):
     """A matrix irrep of the compact group, embedded via point indicators
     (the candidate on the fixed orbit {e})."""
     return candidate_corepresentation(A, [A.pair.discrete.identity], mx,
-                                      label=label or f"lift[{mx.label}]")
+                                      label=f"lift[{mx.label}]")
 
 
 def build_candidates(A, seed=DEFAULT_SEED):
@@ -393,7 +392,7 @@ class FusionAuditReport:
         return out
 
 
-def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
+def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     """Three-way fusion audit plus candidate-distinctness and flip search.
 
     Solver and character values must agree (oracle consistency); the
@@ -416,9 +415,9 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED, max_triples=2000):
                for gi in range(n_orb) for xi in range(len(catalog.irreps))
                for ri in range(n_orb) for si in range(n_orb)]
     triples_total = len(triples)
-    if len(triples) > max_triples:
+    if len(triples) > AUDIT_TRIPLES:
         rng = rng_from(seed, 5)
-        keep = rng.choice(len(triples), size=max_triples, replace=False)
+        keep = rng.choice(len(triples), size=AUDIT_TRIPLES, replace=False)
         triples = [triples[t] for t in sorted(keep)]
 
     entries = []
@@ -558,7 +557,7 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
                 continue
             if np.abs(phi[A.star_index] - np.conj(phi)).max() > TOL_MULT:
                 continue
-            if abs(np.dot(phi, A.one().vec) - 1.0) > TOL_MULT:
+            if abs(np.dot(phi, A.unit_vec) - 1.0) > TOL_MULT:
                 continue
             passers.append((g, mi))
             pass_vectors.append(phi)

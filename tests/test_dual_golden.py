@@ -171,7 +171,7 @@ def crossed_digests(mp):
         a = _random_element(ring, rng_from(SEED, 5, t), full=(t == 0))
         parts = graded_parts(inst, a)
         crossed.append([[(g, _blocks(parts[g])) for g in sorted(parts)],
-                        _r9(crossed_fourier(inst, a).vec)])
+                        _r9(crossed_fourier(inst, a))])
     out["crossed-fourier"] = _sha(crossed)
 
     A = inst.algebra

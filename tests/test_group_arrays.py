@@ -103,7 +103,7 @@ def test_permutation_groups_match_naive_construction(degree, n_gens, caps,
     def compose(p, q):
         return tuple(p[i] for i in q)
     got = _built_or_error(lambda: groups.group_from_permutations(
-        gens, degree=degree, table_cap=caps[1]), caps)
+        gens, degree=degree), caps)
     want = _expected(gens, compose, tuple(range(degree)), caps)
     if isinstance(want, str):
         assert got == want

@@ -155,11 +155,12 @@ def _error_digests():
     mats = [[[1, 1], [0, 1]], [[0, 2], [1, 0]]]
     caps = []
     for cap in (5, 23, 24):
-        caps.append(_outcome(group_from_permutations, gens, table_cap=cap))
         with mock.patch.object(groups, "TABLE_CAP", cap):
+            caps.append(_outcome(group_from_permutations, gens))
             caps.append(_outcome(group_from_matrices_mod, mats, 3))
         with mock.patch.object(groups, "CLOSURE_CAP", cap):
-            caps.append(_outcome(group_from_permutations, gens, table_cap=cap))
+            with mock.patch.object(groups, "TABLE_CAP", cap):
+                caps.append(_outcome(group_from_permutations, gens))
             caps.append(_outcome(group_from_matrices_mod, mats, 3))
     out["caps"] = _sha([c if isinstance(c, tuple) else c.order for c in caps])
     return out

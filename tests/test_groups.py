@@ -1,9 +1,12 @@
 """Finite-group layer: constructors, invariants, character data."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacforge import groups
 from kacforge.errors import (ExtractionFailed, NotAnAction, SizeBound,
                              ValidationError)
 from kacforge.groups import (AbelianGroup, Presentation, abelian_invariants,
@@ -77,8 +80,8 @@ def test_matrix_constructor_rejects_bad_modulus():
 
 
 def test_table_cap_guard():
-    with pytest.raises(SizeBound):
-        group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)], table_cap=10)
+    with pytest.raises(SizeBound), mock.patch.object(groups, "TABLE_CAP", 10):
+        group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +232,9 @@ def test_character_table_z12_is_all_linear():
 
 
 def test_character_table_size_cap():
-    with pytest.raises(SizeBound):
-        character_table(S3, cap=5)
+    with pytest.raises(SizeBound), \
+            mock.patch.object(groups, "CHARTABLE_CAP", 5):
+        character_table(S3)
 
 
 @settings(deadline=None, max_examples=len(POOL))
@@ -254,7 +258,7 @@ def test_character_table_orthogonality(G):
 @pytest.mark.parametrize("G", [S3, S4, Q8], ids=["S3", "S4", "Q8"])
 def test_matrix_irreps_are_unitary_multiplicative(G):
     t = table_of(G)
-    reps = matrix_irreps(G, table=t)
+    reps = matrix_irreps(G)
     assert [r.dim for r in reps] == t.dims
     for row, rep in enumerate(reps):
         eye = np.eye(rep.dim)
@@ -384,10 +388,9 @@ def test_cayley_rejects_swapped_intercalate_above_sampling_size():
 def test_matrix_irreps_memory_stays_quadratic():
     import tracemalloc
     G = symmetric_group(5)
-    table = character_table(G)
     tracemalloc.start()
     try:
-        irreps = matrix_irreps(G, table=table)
+        irreps = matrix_irreps(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,7 +402,7 @@ def test_irrep_check_rejects_perturbed_and_non_unitary_matrices():
     from kacforge.groups import _irrep_ok
     table = character_table(S4)
     row = table.dims.index(3)
-    mats = np.array(matrix_irreps(S4, table=table)[row].matrices)
+    mats = np.array(matrix_irreps(S4)[row].matrices)
     chi = table.char_on_elements(row)
     assert _irrep_ok(S4, mats, chi)
     bumped = mats.copy()
@@ -409,3 +412,12 @@ def test_irrep_check_rejects_perturbed_and_non_unitary_matrices():
     scaled = mats.copy()
     scaled[g] *= 1.01                     # a non-unitary rescaling
     assert not _irrep_ok(S4, scaled, chi)
+
+
+def test_matrix_modulus_bound_follows_int64_products():
+    # 2 (m - 1)^2 < 2^63 exactly up to m = 2^31: the order-3 generator is
+    # exact there and refused one step past it
+    m = 2 ** 31
+    assert group_from_matrices_mod([[[m - 1, m - 1], [1, 0]]], m).order == 3
+    with pytest.raises(ValidationError, match="modulus"):
+        group_from_matrices_mod([[[m, m], [1, 0]]], m + 1)

@@ -416,12 +416,10 @@ def test_cli_partial_ring_law_check_says_so(capsys):
 
 
 def test_audit_witnesses_say_when_the_audit_was_sampled(monkeypatch):
-    import functools
-    from kacforge import cli, reps
+    from kacforge import reps
     path = [str(SAMPLES / "s4_s3_z4.pair")]
     full = {e.name: e.witness for e in run_pipeline("audit", path).entries()}
-    monkeypatch.setattr(cli, "audit_fusion",
-                        functools.partial(reps.audit_fusion, max_triples=10))
+    monkeypatch.setattr(reps, "AUDIT_TRIPLES", 10)
     part = {e.name: e.witness for e in run_pipeline("audit", path).entries()}
     name = next(n for n in full if n.endswith("solver-vs-haar"))
     total = int(full[name].split()[0])
@@ -443,3 +441,89 @@ def test_cli_measure_listing_an_element_twice_is_one_error_line(tmp_path,
     assert code == 1 and out == ""
     assert err == (f"error: {dup}:5:3: element 0 already has a weight on "
                    f"line 3\n")
+
+
+# ---------------------------------------------------------------------------
+# integers past int64 and argument errors: one error line, exit 1
+
+BIG = "99999999999999999999"
+_TABLES_PAIR = ("kind: tables\ndiscrete: z2.group\ncompact: z4.group\n"
+                "alpha:\n0 1 2 3\n0 3 2 1\nbeta:\n0 1\n0 1\n0 1\n0 1\n")
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("g.group", f"kind: cayley\ntable:\n0 1\n1 {BIG}\n", "4:3"),
+    ("p.pair", _TABLES_PAIR.replace("0 3 2 1", f"0 3 2 {BIG}"), "6:7"),
+    ("p.pair", _TABLES_PAIR.replace("beta:\n0 1", f"beta:\n0 {BIG}"), "8:3"),
+    ("g.group", f"kind: matmod\nmodulus: 3\ngens:\n1 1 0 {BIG}\n", "4:7"),
+    ("g.group", f"kind: matmod\nmodulus: {BIG}\ngens:\n1 1 0 1\n", "2:1"),
+    ("g.group", f"kind: perm\ndegree: {BIG}\ngens:\n0\n", "2:1"),
+], ids=["cayley", "alpha", "beta", "matmod-entry", "modulus", "degree"])
+def test_cli_integer_past_int64_is_one_error_line(name, text, where, tmp_path,
+                                                  capsys):
+    for group in ("z2.group", "z4.group"):
+        (tmp_path / group).write_text((SAMPLES / group).read_text())
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: {path}:{where}: integer {BIG} is outside the "
+                   f"int64 range\n")
+
+
+def test_cli_matmod_modulus_past_int64_products_is_refused(tmp_path, capsys):
+    # [[m-1, m-1], [1, 0]] has order 3 mod any m, but its int64 products
+    # overflow for m = 2^40 + 15
+    m = 2 ** 40 + 15
+    path = tmp_path / "big.group"
+    path.write_text(f"kind: matmod\nmodulus: {m}\ngens:\n{m - 1} {m - 1} 1 0\n")
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: [modulus] ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "abc", "validate"],
+    ["crossed", "--draws", "x"],
+    ["shadow", "chebyshev", "--N", "x"],
+    ["shadow", "nowhere"],
+    ["validate", "--bogus"],
+    [],
+], ids=["seed", "draws", "N", "target", "unknown-flag", "no-command"])
+def test_cli_argument_error_is_one_error_line(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["shadow", "--help"]],
+                         ids=["top", "subcommand"])
+def test_cli_help_still_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kacforge")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("p.pair", _TABLES_PAIR.replace("0 3 2 1", "0 3 2 -7"),
+     "[alpha-bijection] row r=1"),
+    ("d.pair", "kind: deform\nbase: p.pair\nside: compact\nchi:\n0 1 0 -7\n",
+     "chi takes values outside 0..1"),
+    ("g.group", "kind: matmod\nmodulus: 3\ngens:\n", "[matrix] no generators"),
+], ids=["alpha-row", "chi", "matmod-gens"])
+def test_cli_out_of_range_rows_are_one_error_line(name, text, message,
+                                                   tmp_path, capsys):
+    for group in ("z2.group", "z4.group"):
+        (tmp_path / group).write_text((SAMPLES / group).read_text())
+    (tmp_path / "p.pair").write_text(_TABLES_PAIR)
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1

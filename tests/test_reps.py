@@ -4,12 +4,14 @@ theory, honest enumeration with the dimension-count certificate, fusion
 audits, and both invariant groups with their structured models."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacforge import reps
 from kacforge.errors import NonIntegral, ValidationError
 from kacforge.groups import character_table, is_isomorphic_small
 from kacforge.hopf import (build_algebra, compact_restriction_morphism,
@@ -74,7 +76,7 @@ def test_unit_candidate_is_the_unit():
     # orbit of the discrete identity is a singleton; trivial compact irrep
     unit = cands[0]
     assert unit.dim == 1
-    assert np.abs(unit.coeffs[0, 0] - A.one().vec).max() < 1e-12
+    assert np.abs(unit.coeffs[0, 0] - A.unit_vec).max() < 1e-12
 
 
 def test_orbit_corep_matches_hand_expansion():
@@ -90,7 +92,7 @@ def test_orbit_corep_matches_hand_expansion():
             expect = np.zeros(A.dim, dtype=complex)
             for g in range(A.nk):
                 if mp.beta[g, r] == s:
-                    expect[A.basis_index(r, g)] += 1.0
+                    expect[r * A.nk + g] += 1.0
             assert np.abs(V.coeffs[rpos, spos] - expect).max() < 1e-12
 
 
@@ -399,7 +401,8 @@ def test_branching_restriction_dimension_count():
 def test_sampled_audit_says_it_was_sampled():
     A = algebra_of("s4-cyclic4")
     full = audit_fusion(A, catalog_of("s4-cyclic4"))
-    part = audit_fusion(A, catalog_of("s4-cyclic4"), max_triples=10)
+    with mock.patch.object(reps, "AUDIT_TRIPLES", 10):
+        part = audit_fusion(A, catalog_of("s4-cyclic4"))
     assert full.triples_total == part.triples_total == len(full.entries) > 10
     assert len(part.entries) == 10
     assert full.lines()[0] == (f"fusion audit for {full.pair_name}: "
