@@ -160,8 +160,9 @@ def _cmd_deform(bundle, config, report, args):
 
 def _cmd_crossed(bundle, config, report, args):
     from .crossed import (check_fusion_ring, check_lemma_fourier,
-                          crossed_instance, crude_poly_bound, DualElement,
-                          graded_word_length, rd_inequality_sample)
+                          crossed_instance, crude_poly_bound,
+                          graded_word_length, random_dual_element,
+                          rd_inequality_sample)
     from .groups import rng_from
     # a sampled check over no draws would report PASS having checked nothing
     if args.draws < 1:
@@ -175,14 +176,9 @@ def _cmd_crossed(bundle, config, report, args):
                    "PASS" if bad == 0 else "FAIL", residual=bad)
         worst = 0.0
         for t in range(args.draws):
-            rng = rng_from(config.seed, 41, t)
-            blocks = {}
-            for lab in range(inst.ring.n):
-                d = int(round(inst.ring.dims[lab]))
-                blocks[lab] = (rng.normal(size=(d, d)) +
-                               1j * rng.normal(size=(d, d)))
-            rep = check_lemma_fourier(inst, DualElement(inst.ring, blocks),
-                                      tol=TOL_AXIOM)
+            a = random_dual_element(inst.ring, range(inst.ring.n),
+                                    rng_from(config.seed, 41, t))
+            rep = check_lemma_fourier(inst, a, tol=TOL_AXIOM)
             worst = max(worst, rep.decomposition_deviation,
                         rep.norm_deviation, rep.parseval_deviation)
         report.add("crossed", f"{name} transform-decomposition "

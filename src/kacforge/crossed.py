@@ -358,6 +358,16 @@ def unit_dual_element(ring):
     return DualElement(ring, {ring.unit: np.array([[1.0 + 0.0j]])})
 
 
+def random_dual_element(ring, labels, rng):
+    """Complex Gaussian blocks on ``labels``, drawn from ``rng`` in label
+    order, real part before imaginary part."""
+    blocks = {}
+    for lab in labels:
+        d = int(round(ring.dims[lab]))
+        blocks[lab] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return DualElement(ring, blocks)
+
+
 @dataclass
 class ClassicalDual:
     """Matrix-irrep data of a finite group, with its function algebra."""
@@ -490,12 +500,6 @@ class LemmaFourierReport:
         return max(self.decomposition_deviation, self.norm_deviation,
                    self.parseval_deviation) <= self.tol
 
-    def lines(self):
-        s = "PASS" if self.passed else "FAIL"
-        return [f"{s} graded-decomposition: {self.decomposition_deviation:.3e}",
-                f"{s} norm-additivity: {self.norm_deviation:.3e}",
-                f"{s} parseval: {self.parseval_deviation:.3e}"]
-
 
 def check_lemma_fourier(inst, a, tol=1e-9):
     """Two routes to the crossed transform and its norm must coincide.
@@ -625,7 +629,6 @@ class RDSample:
 @dataclass
 class RDReport:
     samples: list
-    bound_coeffs: tuple
     max_ratio: float
 
     @property
@@ -664,11 +667,7 @@ def rd_inequality_sample(inst, l0, poly_coeffs, samples=20,
     for t in range(samples):
         rng = rng_from(seed, 7, t)
         band = sorted(bands)[int(rng.integers(len(bands)))]
-        blocks = {}
-        for lab in bands[band]:
-            d = int(round(ring.dims[lab]))
-            blocks[lab] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        a = DualElement(ring, blocks)
+        a = random_dual_element(ring, bands[band], rng)
         f = crossed_fourier(inst, a)
         op = float(np.linalg.norm(A.left_mult_matrix(f), ord=2))
         bound = float(sum(c * band ** i for i, c in enumerate(poly_coeffs)))
@@ -676,8 +675,7 @@ def rd_inequality_sample(inst, l0, poly_coeffs, samples=20,
         ratio = op / denom if denom > 0 else float("inf")
         max_ratio = max(max_ratio, ratio)
         out.append(RDSample(band=band, ratio=ratio))
-    return RDReport(samples=out, bound_coeffs=tuple(poly_coeffs),
-                    max_ratio=max_ratio)
+    return RDReport(samples=out, max_ratio=max_ratio)
 
 
 def crude_poly_bound(inst):

@@ -62,14 +62,16 @@ class FiniteGroup:
     """
 
     def __init__(self, cayley, labels=None, source="cayley"):
-        table = np.ascontiguousarray(cayley, dtype=np.int32)
+        table = np.asarray(cayley)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValidationError("square-table", f"table shape {table.shape}")
         n = table.shape[0]
         if n == 0:
             raise ValidationError("nonempty", "empty table")
+        # checked before the cast, which would wrap entries of 2^31 or more
         if table.min() < 0 or table.max() >= n:
             raise ValidationError("index-range", "table entries out of range")
+        table = np.ascontiguousarray(table, dtype=np.int32)
         self.order = n
         self.cayley = table
         self.cayley.flags.writeable = False
@@ -250,7 +252,6 @@ class ConjugacyData:
 class CharacterTable:
     group: FiniteGroup
     classes: ConjugacyData
-    class_reps: list
     class_sizes: list
     chars: np.ndarray        # (n_irreps, n_classes) complex
     dims: list
@@ -655,7 +656,7 @@ def character_table(G, seed=DEFAULT_SEED):
                                       _char_sort_key(chars[r])))
         chars = chars[order]
         dims_out = [int(round(dims[r].real)) for r in order]
-        return CharacterTable(group=G, classes=data, class_reps=reps,
+        return CharacterTable(group=G, classes=data,
                               class_sizes=[int(s) for s in sizes],
                               chars=chars, dims=dims_out)
     raise SeedDegenerate(f"character table failed after {RETRY_BUDGET} attempts: {last_err}")

@@ -157,6 +157,9 @@ def load_group(path):
         G = group_from_cayley(table, labels=labels)
     elif kind == "perm":
         degree = _int_header(pf, "degree")
+        if degree < 1:
+            raise ParseError(f"degree {degree} is not positive", path=pf.path,
+                             line=pf.headers["degree"][1], column=1)
         rows = pf.block("gens", required=True)
         gens = []
         for ln, toks in rows:

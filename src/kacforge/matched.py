@@ -26,6 +26,13 @@ class MatchedPair:
     def __init__(self, discrete, compact, alpha, beta, name=None, validate=True):
         self.discrete = discrete
         self.compact = compact
+        for what, table in (("alpha", alpha), ("beta", beta)):
+            # checked before the cast, which would wrap entries of 2^31 or more
+            table = np.asarray(table)
+            if table.size and (table.min() < -2 ** 31
+                               or table.max() >= 2 ** 31):
+                raise ValidationError(f"{what}-range",
+                                      "entries outside the int32 range")
         self.alpha = np.ascontiguousarray(alpha, dtype=np.int32)
         self.beta = np.ascontiguousarray(beta, dtype=np.int32)
         self.name = name or f"pair({discrete.order}x{compact.order})"

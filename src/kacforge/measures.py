@@ -98,7 +98,6 @@ def tv_distance(mu, nu):
 
 @dataclass
 class SeparationReport:
-    group_order: int
     grid_denominators: tuple
     grid_points: int
     grid_min_distance: Fraction
@@ -189,7 +188,7 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
     symbolic_ok = sympy.simplify(tv_expr - 2 * (1 - mass_e)) == 0
 
     return SeparationReport(
-        group_order=n, grid_denominators=tuple(denominators),
+        grid_denominators=tuple(denominators),
         grid_points=grid_points, grid_min_distance=grid_min,
         sample_points=samples, sample_min_distance=sample_min,
         mixed_formula_checked=mixed_checked, mixed_formula_max_dev=mixed_dev,
@@ -241,9 +240,6 @@ class ChebyshevState:
     def c0_profile(self, eps):
         """Labels whose value has dropped below the threshold."""
         return [k for k, v in enumerate(self.values) if abs(v) < eps]
-
-    def lines(self):
-        return [f"k={k}: {v}" for k, v in enumerate(self.values)]
 
 
 def chebyshev_values(x, cutoff):

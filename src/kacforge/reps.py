@@ -18,9 +18,9 @@ from .config import (AUDIT_TRIPLES, DEFAULT_SEED, RETRY_BUDGET, TOL_EQ,
                      TOL_INT, TOL_MULT)
 from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
-from .groups import (FiniteGroup, MatrixIrrep, _eigen_groups, _row_blocks,
-                     character_table, dual_group, is_isomorphic_small,
-                     match_rows, matrix_irreps, rng_from, semidirect_product)
+from .groups import (FiniteGroup, _eigen_groups, _row_blocks, dual_group,
+                     is_isomorphic_small, match_rows, matrix_irreps, rng_from,
+                     semidirect_product)
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -129,21 +129,6 @@ def candidate_corepresentation(A, orbit, mx, label=None):
     return Corepresentation(A, coeffs, label=label)
 
 
-def orbit_corepresentation(A, orbit, label=None):
-    """Matrix over one orbit of the discrete action; entry (r, s) sums the
-    basis elements u_r d_g over the fiber {g : the action sends r to s}."""
-    trivial = MatrixIrrep("1", 1, np.ones((A.nk, 1, 1)))
-    return candidate_corepresentation(A, orbit, trivial,
-                                      label=label or f"orb{orbit[0]}")
-
-
-def lifted_irrep_corepresentation(A, mx):
-    """A matrix irrep of the compact group, embedded via point indicators
-    (the candidate on the fixed orbit {e})."""
-    return candidate_corepresentation(A, [A.pair.discrete.identity], mx,
-                                      label=f"lift[{mx.label}]")
-
-
 def build_candidates(A, seed=DEFAULT_SEED):
     """All (orbit, compact-irrep) tensor candidates in deterministic order.
 
@@ -155,11 +140,8 @@ def build_candidates(A, seed=DEFAULT_SEED):
     candidates = []
     for oi, orbit in enumerate(space.orbits):
         for mx in irreps:
-            cand = candidate_corepresentation(
-                A, orbit, mx, label=f"o{oi}*{mx.label}")
-            cand.orbit_index = oi
-            cand.irrep_label = mx.label
-            candidates.append(cand)
+            candidates.append(candidate_corepresentation(
+                A, orbit, mx, label=f"o{oi}*{mx.label}"))
     return candidates, space, irreps
 
 
@@ -343,12 +325,11 @@ class DistinctnessEntry:
 @dataclass
 class FlipEntry:
     candidate: str
-    partner: object    # (x_label, orbit_index) or None
+    partner: object    # (x_label, orbit number) or None
 
 
 @dataclass
 class FusionAuditReport:
-    pair_name: str
     entries: list
     distinctness: list
     flips: list
@@ -371,26 +352,6 @@ class FusionAuditReport:
         return [e for e in self.entries + self.distinctness
                 if e.status == "AUDIT-DISAGREE"]
 
-    def lines(self):
-        out = [f"fusion audit for {self.pair_name}: "
-               f"{self.coverage(f'{len(self.entries)} triples')}, "
-               f"{len(self.disagreements())} disagreements"]
-        for e in self.entries:
-            if e.status == "AUDIT-DISAGREE":
-                out.append(
-                    f"AUDIT-DISAGREE triple (o{e.gamma_orbit}*{e.x_label}"
-                    f" | o{e.r_orbit} x o{e.s_orbit}): solver={e.solver}"
-                    f" haar={e.haar} formula={e.formula:.6g}")
-        for d in self.distinctness:
-            if d.status == "AUDIT-DISAGREE":
-                out.append(f"AUDIT-DISAGREE distinctness ({d.left} ~ {d.right})"
-                           f": intertwiner space has dim {d.mor_dim}")
-        for f in self.flips:
-            if f.partner is not None:
-                out.append(f"flip {f.candidate} ~ lift[{f.partner[0]}]"
-                           f"(x)orb#{f.partner[1]}")
-        return out
-
 
 def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     """Three-way fusion audit plus candidate-distinctness and flip search.
@@ -403,16 +364,17 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
         catalog = enumerate_irreps(A, seed=seed)
     mp = A.pair
     space = catalog.orbit_space
-    table = character_table(mp.compact, seed=seed)
-    closed = fusion_formula_table(mp, space,
-                                  table.chars[:, table.classes.class_of])
-    n_orb = len(space.orbits)
-    orbit_coreps = [orbit_corepresentation(A, orb, label=f"orb#{oi}")
-                    for oi, orb in enumerate(space.orbits)]
-    lifted = [lifted_irrep_corepresentation(A, mx) for mx in catalog.irreps]
+    closed = fusion_formula_table(
+        mp, space, np.array([mx.character() for mx in catalog.irreps]))
+    n_orb, nx = len(space.orbits), len(catalog.irreps)
+    # candidates are orbit-major with x0 trivial: those on x0 are the orbit
+    # matrices, those on the orbit {e} the lifted compact irreps
+    orbit_coreps = catalog.candidates[::nx]
+    e_orbit = space.orbit_of[mp.discrete.identity]
+    lifted = catalog.candidates[e_orbit * nx:(e_orbit + 1) * nx]
 
     triples = [(gi, xi, ri, si)
-               for gi in range(n_orb) for xi in range(len(catalog.irreps))
+               for gi in range(n_orb) for xi in range(nx)
                for ri in range(n_orb) for si in range(n_orb)]
     triples_total = len(triples)
     if len(triples) > AUDIT_TRIPLES:
@@ -423,7 +385,7 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     entries = []
     tensor_cache = {}
     for gi, xi, ri, si in triples:
-        cand = catalog.candidates[gi * len(catalog.irreps) + xi]
+        cand = catalog.candidates[gi * nx + xi]
         if (ri, si) not in tensor_cache:
             tensor_cache[(ri, si)] = orbit_coreps[ri].tensor(orbit_coreps[si])
         target = tensor_cache[(ri, si)]
@@ -449,26 +411,25 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
                     left=cands[i].label, right=cands[j].label, mor_dim=d,
                     status="AUDIT-DISAGREE", intertwiner=witness))
 
-    # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit')
+    # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), each
+    # swapped character built once and tried in (x', orbit') order
+    swapped = [(lx.dim * oc.dim, A.mul_vec(lx.character(), oc.character()),
+                (mx.label, oi))
+               for lx, mx in zip(lifted, catalog.irreps)
+               for oi, oc in enumerate(orbit_coreps)]
     flips = []
     for cand in cands:
         found = None
         chi_c = cand.character()
-        for xi, lx in enumerate(lifted):
-            for oi, oc in enumerate(orbit_coreps):
-                if lx.dim * oc.dim != cand.dim:
-                    continue
-                chi_sw = A.mul_vec(lx.character(), oc.character())
-                if np.abs(chi_sw - chi_c).max() < 1e-8:
-                    found = (catalog.irreps[xi].label, oi)
-                    break
-            if found:
+        for dim, chi_sw, partner in swapped:
+            if dim == cand.dim and np.abs(chi_sw - chi_c).max() < 1e-8:
+                found = partner
                 break
         flips.append(FlipEntry(candidate=cand.label, partner=found))
 
-    return FusionAuditReport(pair_name=mp.name, entries=entries,
-                             distinctness=distinctness, flips=flips,
-                             triples_total=triples_total, seed=seed)
+    return FusionAuditReport(entries=entries, distinctness=distinctness,
+                             flips=flips, triples_total=triples_total,
+                             seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +439,6 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
 @dataclass
 class InvariantGroups:
     intrinsic: FiniteGroup
-    intrinsic_vectors: list
     intrinsic_model: FiniteGroup
     intrinsic_iso: tuple
     spectrum: FiniteGroup
@@ -522,15 +482,12 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
 
     # --- group of 1-dim corepresentations under tensor
     ones = [c for c in catalog.canonical if c.dim == 1]
-    vecs = [c.coeffs[0, 0].copy() for c in ones]
-    for v in vecs:       # group-likeness: the coproduct doubles the vector
-        got = np.zeros((A.dim, A.dim), dtype=complex)
-        got[A.delta_left, A.delta_right] = v[:, None]   # coproduct terms are distinct
-        dev = float(np.abs(got - np.outer(v, v)).max(initial=0.0))
+    for c in ones:       # group-like (the coproduct doubles it) and unitary
+        dev = check_corepresentation(c)
         if dev > TOL_MULT:
             raise ValidationError("intrinsic-grouplike",
                                   f"deviation {dev:.3e}")
-    V = np.array(vecs)
+    V = np.array([c.coeffs[0, 0] for c in ones])
     cayley = _closure_table(V, lambda i: A.mul_vec(V[i], V),
                             "intrinsic-closure", "product")
     intrinsic = FiniteGroup(cayley, labels=[c.label for c in ones])
@@ -576,7 +533,7 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
     spectrum_iso = is_isomorphic_small(spectrum, spectrum_model)
 
     return InvariantGroups(
-        intrinsic=intrinsic, intrinsic_vectors=vecs,
-        intrinsic_model=intrinsic_model, intrinsic_iso=intrinsic_iso,
-        spectrum=spectrum, spectrum_vectors=pass_vectors,
-        spectrum_model=spectrum_model, spectrum_iso=spectrum_iso)
+        intrinsic=intrinsic, intrinsic_model=intrinsic_model,
+        intrinsic_iso=intrinsic_iso, spectrum=spectrum,
+        spectrum_vectors=pass_vectors, spectrum_model=spectrum_model,
+        spectrum_iso=spectrum_iso)

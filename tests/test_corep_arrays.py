@@ -23,12 +23,11 @@ from kacforge.errors import ValidationError
 from kacforge.groups import matrix_irreps
 from kacforge.reps import (Corepresentation, build_candidates,
                            candidate_corepresentation, check_corepresentation,
-                           enumerate_irreps, mor_dim_haar, mor_dim_solver,
-                           orbit_corepresentation)
+                           enumerate_irreps, mor_dim_haar, mor_dim_solver)
 
 from .oracles import (naive_corep_tensor, naive_embedding_violations,
                       naive_intertwiner_dim)
-from .test_reps import SMALL, algebra_of, catalog_of
+from .test_reps import SMALL, algebra_of, catalog_of, orbit_matrix
 from .test_structure_golden import _corrupted_s4_cyclic4
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
@@ -155,8 +154,7 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
     if data.draw(st.booleans(), label="orbit tensor"):
         r, s = data.draw(st.tuples(*[st.integers(0, len(orbits) - 1)] * 2),
                          label="orbits")
-        w = orbit_corepresentation(A, orbits[r]).tensor(
-            orbit_corepresentation(A, orbits[s]))
+        w = orbit_matrix(A, orbits[r]).tensor(orbit_matrix(A, orbits[s]))
     else:
         w = cands[data.draw(st.integers(0, len(cands) - 1), label="target")]
     want = naive_intertwiner_dim(u, w)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacforge import crossed
 from kacforge.crossed import (ClassicalDual, DualElement, LengthFunction,
                               RingAction, action_from_pair,
                               check_fusion_ring, check_length,
@@ -60,12 +61,9 @@ def both_instances():
 
 
 def random_dual_element(ring, seed, labels=None):
-    rng = rng_from(seed, 21)
-    blocks = {}
-    for lab in (labels if labels is not None else range(ring.n)):
-        d = int(round(ring.dims[lab]))
-        blocks[lab] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return DualElement(ring, blocks)
+    return crossed.random_dual_element(
+        ring, labels if labels is not None else range(ring.n),
+        rng_from(seed, 21))
 
 
 # ---------------------------------------------------------------------------

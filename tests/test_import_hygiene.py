@@ -1,4 +1,5 @@
-"""Import hygiene: every name a package module imports is used in it."""
+"""Import hygiene: every name a package module imports is used in it, and
+every attribute it stores is read somewhere in the repository."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,90 @@ def test_scanner_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# write-only attributes: state that the package stores and nothing reads
+
+ROOT = SRC.parent.parent
+READERS = ("src", "scripts", "perfbench", "tests")
+# read from outside the scanned trees: numpy's flag, exception payload for
+# handlers, and the bundle's config that the benchmark hands on
+WRITE_ONLY_ALLOWED = {"flags.writeable", "AxiomViolation.axiom",
+                      "InputBundle.config"}
+
+
+class _Stores(ast.NodeVisitor):
+    """Attributes stored in a module, as ``owner.name`` -> first line: class
+    fields and ``self.name`` under their class, any other store under the
+    name of what it is stored on."""
+
+    def __init__(self):
+        self.cls, self.found = None, {}
+
+    def visit_ClassDef(self, node):
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and \
+                    isinstance(stmt.target, ast.Name):
+                self.found.setdefault(f"{node.name}.{stmt.target.id}",
+                                      stmt.lineno)
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "self" and self.cls:
+                owner = self.cls
+            elif isinstance(owner, ast.Name):
+                owner = owner.id
+            elif isinstance(owner, ast.Attribute):
+                owner = owner.attr
+            else:
+                owner = ast.unparse(owner)
+            self.found.setdefault(f"{owner}.{node.attr}", node.lineno)
+        self.generic_visit(node)
+
+
+def read_attributes(source):
+    """Attribute names that ``source`` loads (an augmented store reads too)."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return read | {node.target.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.AugAssign)
+                   and isinstance(node.target, ast.Attribute)}
+
+
+def write_only_attributes(source, read):
+    """Stores of ``source`` whose name is not in ``read``, as
+    ``line N: owner.name``, in line order."""
+    stores = _Stores()
+    stores.visit(ast.parse(source))
+    return [f"line {line}: {name}" for name, line in
+            sorted(stores.found.items(), key=lambda kv: kv[1])
+            if name.rsplit(".", 1)[1] not in read
+            and name not in WRITE_ONLY_ALLOWED]
+
+
+def test_scanner_finds_a_write_only_attribute():
+    source = ("@dataclass\nclass R:\n    kept: int\n    dropped: int\n"
+              "class S:\n    def __init__(self):\n        self.a = 1\n"
+              "        self.b = 2\n        self.n = 0\n"
+              "    def f(self):\n        self.n += 1\n        return self.a\n"
+              "def g(c):\n    c.tag = 1\n    c.flags.writeable = False\n"
+              "    return c.kept\n")
+    assert write_only_attributes(source, read_attributes(source)) == [
+        "line 4: R.dropped", "line 8: S.b", "line 14: c.tag"]
+
+
+def test_every_stored_attribute_is_read():
+    read = set()
+    for tree in READERS:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            read |= read_attributes(path.read_text())
+    found = {path.name: write_only_attributes(path.read_text(), read)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: rows for name, rows in found.items() if rows} == {}

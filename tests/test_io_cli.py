@@ -472,6 +472,13 @@ def test_cli_integer_past_int64_is_one_error_line(name, text, where, tmp_path,
                    f"int64 range\n")
 
 
+def test_cli_perm_degree_one_is_the_trivial_group(tmp_path, capsys):
+    path = tmp_path / "g.group"
+    path.write_text("kind: perm\ndegree: 1\ngens:\n")
+    assert main(["validate", str(path)]) == 0
+    assert "order 1" in capsys.readouterr().out
+
+
 def test_cli_matmod_modulus_past_int64_products_is_refused(tmp_path, capsys):
     # [[m-1, m-1], [1, 0]] has order 3 mod any m, but its int64 products
     # overflow for m = 2^40 + 15
@@ -514,7 +521,18 @@ def test_cli_help_still_exits_zero(argv, capsys):
     ("d.pair", "kind: deform\nbase: p.pair\nside: compact\nchi:\n0 1 0 -7\n",
      "chi takes values outside 0..1"),
     ("g.group", "kind: matmod\nmodulus: 3\ngens:\n", "[matrix] no generators"),
-], ids=["alpha-row", "chi", "matmod-gens"])
+    # 2^32 + 1 and 2^32 would wrap to valid indices in an int32 cast
+    ("g.group", "kind: cayley\ntable:\n0 4294967297\n1 0\n",
+     "[index-range] table entries out of range"),
+    ("p.pair", _TABLES_PAIR.replace("alpha:\n0 1 2 3",
+                                    "alpha:\n4294967296 1 2 3"),
+     "[alpha-range] entries outside the int32 range"),
+    ("g.group", "kind: perm\ndegree: -3\ngens:\n",
+     "g.group:2:1: degree -3 is not positive"),
+    ("g.group", "kind: perm\ndegree: 0\ngens:\n",
+     "g.group:2:1: degree 0 is not positive"),
+], ids=["alpha-row", "chi", "matmod-gens", "cayley-int32", "alpha-int32",
+        "degree-negative", "degree-zero"])
 def test_cli_out_of_range_rows_are_one_error_line(name, text, message,
                                                    tmp_path, capsys):
     for group in ("z2.group", "z4.group"):

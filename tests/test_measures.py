@@ -241,8 +241,8 @@ def test_chebyshev_approaches_one_near_top():
         assert abs(v - 1) < 1e-4
 
 
-def test_chebyshev_profile_and_lines():
+def test_chebyshev_profile_and_values():
     st_ = chebyshev_state(3, 2, 10)
     prof = st_.c0_profile(Fraction(1, 20))
     assert prof == [5, 6, 7, 8, 9, 10]
-    assert st_.lines()[2] == "k=2: 3/8"
+    assert st_.values[2] == Fraction(3, 8)

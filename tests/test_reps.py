@@ -4,6 +4,8 @@ theory, honest enumeration with the dimension-count certificate, fusion
 audits, and both invariant groups with their structured models."""
 
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,19 +15,19 @@ from hypothesis import strategies as st
 
 from kacforge import reps
 from kacforge.errors import NonIntegral, ValidationError
-from kacforge.groups import character_table, is_isomorphic_small
+from kacforge.groups import MatrixIrrep, character_table, is_isomorphic_small
 from kacforge.hopf import (build_algebra, compact_restriction_morphism,
                            plain_function_algebra)
+from kacforge.io_formats import load_pair
 from kacforge.library import corpus_pairs, cyclic_group, symmetric_group
 from kacforge.matched import (beta_kernel_elements, compact_subpair,
                               orbits_fixed_sets)
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
-                           check_corepresentation, decompose,
-                           enumerate_irreps, fusion_formula_table,
-                           invariant_groups,
-                           lifted_irrep_corepresentation, mor_dim_haar,
-                           mor_dim_solver, orbit_corepresentation)
+                           candidate_corepresentation, check_corepresentation,
+                           decompose, enumerate_irreps, fusion_formula_table,
+                           invariant_groups, mor_dim_haar, mor_dim_solver)
 
+DATA = Path(__file__).resolve().parent / "data"
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 SMALL = ["z6-abelian", "s3-split", "s3-split-dual", "conj-s3-rot",
          "s4-cyclic4"]
@@ -47,6 +49,18 @@ def catalog_of(name):
     return _state[key]
 
 
+def orbit_matrix(A, orbit):
+    """The orbit matrix, built on an exact all-ones trivial irrep: entry
+    (r, s) sums the basis elements u_r d_g over the fiber {g : r -> s}."""
+    trivial = MatrixIrrep("1", 1, np.ones((A.nk, 1, 1)))
+    return candidate_corepresentation(A, orbit, trivial)
+
+
+def lifted_irrep(A, mx):
+    """A compact irrep on the fixed orbit {e}, via point indicators."""
+    return candidate_corepresentation(A, [A.pair.discrete.identity], mx)
+
+
 # ---------------------------------------------------------------------------
 # candidate builders and their invariants
 
@@ -63,10 +77,10 @@ def test_candidate_closed_form_equals_actual_tensor():
     A = algebra_of("s3-split-dual")
     cands, space, irreps = build_candidates(A)
     for oi, orbit in enumerate(space.orbits):
-        V = orbit_corepresentation(A, orbit)
+        V = orbit_matrix(A, orbit)
         for xi, mx in enumerate(irreps):
             direct = cands[oi * len(irreps) + xi]
-            via_tensor = V.tensor(lifted_irrep_corepresentation(A, mx))
+            via_tensor = V.tensor(lifted_irrep(A, mx))
             assert np.abs(direct.coeffs - via_tensor.coeffs).max() < 1e-9
 
 
@@ -86,7 +100,7 @@ def test_orbit_corep_matches_hand_expansion():
     cands, space, irreps = build_candidates(A)
     orbit = space.orbits[1]
     assert len(orbit) == 2
-    V = orbit_corepresentation(A, orbit)
+    V = orbit_matrix(A, orbit)
     for rpos, r in enumerate(orbit):
         for spos, s in enumerate(orbit):
             expect = np.zeros(A.dim, dtype=complex)
@@ -172,7 +186,7 @@ def test_solver_matches_classical_clebsch_gordan():
     A = plain_function_algebra(G)
     from kacforge.groups import matrix_irreps
     irreps = matrix_irreps(G)
-    lifted = [lifted_irrep_corepresentation(A, mx) for mx in irreps]
+    lifted = [lifted_irrep(A, mx) for mx in irreps]
     table = character_table(G)
     chars = [table.char_on_elements(k) for k in range(len(irreps))]
     for x in range(3):
@@ -311,6 +325,36 @@ def test_audit_finds_flip_partners():
         assert all(f.partner is not None for f in report.flips)
 
 
+def test_audit_equals_side_built_route_when_identity_is_listed_second():
+    # the discrete identity is element 1, so {e} is orbit 1, not orbit 0
+    mp = load_pair(str(DATA / "split_identity_last.pair"))
+    A = build_algebra(mp)
+    cat = enumerate_irreps(A)
+    space, nx = cat.orbit_space, len(cat.irreps)
+    assert space.orbit_of[mp.discrete.identity] == 1
+    report = audit_fusion(A, cat)
+    orbit_coreps = [orbit_matrix(A, orbit) for orbit in space.orbits]
+    lifted = [lifted_irrep(A, mx) for mx in cat.irreps]
+    labels = [mx.label for mx in cat.irreps]
+    assert len(report.entries) == report.triples_total
+    for e in report.entries:
+        cand = cat.candidates[e.gamma_orbit * nx + labels.index(e.x_label)]
+        target = orbit_coreps[e.r_orbit].tensor(orbit_coreps[e.s_orbit])
+        assert e.solver == mor_dim_solver(cand, target)[0]
+        assert e.haar == mor_dim_haar(cand, target)
+
+    def partner(cand):
+        for lx, mx in zip(lifted, cat.irreps):
+            for oi, oc in enumerate(orbit_coreps):
+                chi = A.mul_vec(lx.character(), oc.character())
+                if (lx.dim * oc.dim == cand.dim
+                        and np.abs(chi - cand.character()).max() < 1e-8):
+                    return mx.label, oi
+        return None
+    assert [(f.candidate, f.partner) for f in report.flips] == [
+        (c.label, partner(c)) for c in cat.candidates]
+
+
 # ---------------------------------------------------------------------------
 # invariant groups
 
@@ -352,6 +396,20 @@ def test_conjugation_pair_invariants_split_as_products():
     from kacforge.groups import direct_product
     ok9, _ = is_isomorphic_small(inv.spectrum, direct_product(z3, z3))
     assert ok9
+
+
+def test_intrinsic_group_refuses_a_corrupted_one_dim_irrep():
+    A = algebra_of("s3-split")
+    cat = catalog_of("s3-split")
+    k, c = next((k, c) for k, c in enumerate(cat.canonical)
+                if c.dim == 1 and k > 0)
+    coeffs = c.coeffs.copy()
+    coeffs[0, 0, c.support()[0]] *= 2.0
+    canonical = list(cat.canonical)
+    canonical[k] = Corepresentation(A, coeffs, label=c.label)
+    with pytest.raises(ValidationError, match="intrinsic-grouplike"):
+        invariant_groups(A, replace(cat, canonical=canonical))
+    invariant_groups(A, cat)        # the catalog itself is untouched
 
 
 def test_spectrum_supports_lie_in_fixed_points():
@@ -405,9 +463,6 @@ def test_sampled_audit_says_it_was_sampled():
         part = audit_fusion(A, catalog_of("s4-cyclic4"))
     assert full.triples_total == part.triples_total == len(full.entries) > 10
     assert len(part.entries) == 10
-    assert full.lines()[0] == (f"fusion audit for {full.pair_name}: "
-                               f"{full.triples_total} triples, "
-                               f"{len(full.disagreements())} disagreements")
-    assert part.lines()[0].startswith(
-        f"fusion audit for {part.pair_name}: checked 10 of "
-        f"{part.triples_total} triples (sampled, seed 0xc0ffee), ")
+    assert full.coverage("complete") == "complete"
+    assert part.coverage("complete") == (
+        f"checked 10 of {part.triples_total} triples (sampled, seed 0xc0ffee)")
