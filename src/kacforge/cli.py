@@ -276,12 +276,12 @@ _DISPATCH = {
 
 
 def run_pipeline(cmd, inputs, config=DEFAULT_CONFIG, args=None):
-    """Execute one subcommand over parsed inputs and return its report."""
+    """Execute one subcommand over parsed inputs and return its report;
+    ``args`` defaults to the command line ``kacforge <cmd>``."""
     if isinstance(inputs, (list, tuple)):
         inputs = parse_inputs(inputs, config=config)
     if args is None:
-        args = argparse.Namespace(draws=5, target=None, N=3, t="2",
-                                  cutoff=10)
+        args = _build_parser().parse_args([cmd])
     report = Report(command=cmd, seed=config.seed)
     _DISPATCH[cmd](inputs, config, report, args)
     return report

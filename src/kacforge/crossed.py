@@ -18,7 +18,7 @@ from .config import DEFAULT_SEED, RING_CAP
 from .errors import (ActionNotCompatible, IdentityViolated, NonIntegral,
                      SizeBound, TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
-                     matrix_irreps, rng_from)
+                     matrix_irreps, permuted_rows, rng_from)
 from .hopf import build_algebra, plain_function_algebra
 from .library import pair_conjugation
 from .reps import build_candidates
@@ -305,12 +305,11 @@ def action_from_pair(mp, seed=DEFAULT_SEED):
     ring = irrep_fusion_ring(K, seed=seed)
     table = character_table(K, seed=seed)
     chars = table.chars[:, table.classes.class_of]
-    moved = chars[:, mp.alpha[R.inverse]].transpose(1, 0, 2)   # [r, x, g]
-    perms = match_rows(chars, moved.reshape(-1, K.order), 1e-6)
+    perms = permuted_rows(chars, mp.alpha[R.inverse], 1e-6)
     if (perms < 0).any():
-        x = np.argmax(perms < 0) % len(chars)
+        x = np.argwhere(perms < 0)[0, 1]
         raise ActionNotCompatible(f"twisted character of label {x} unmatched")
-    return RingAction(group=R, perms=perms.reshape(R.order, -1)), ring
+    return RingAction(group=R, perms=perms), ring
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +337,6 @@ class DualElement:
     def block(self, x):
         d = int(round(self.ring.dims[x]))
         return self.blocks.get(int(x), np.zeros((d, d), dtype=complex))
-
-    def support(self):
-        return sorted(self.blocks)
-
-    def __add__(self, other):
-        out = {x: self.block(x) for x in self.blocks}
-        for x, m in other.blocks.items():
-            out[x] = out.get(x, 0) + m
-        return DualElement(self.ring, out)
-
-    def scale(self, c):
-        return DualElement(self.ring, {x: c * m
-                                       for x, m in self.blocks.items()})
 
 
 def unit_dual_element(ring):

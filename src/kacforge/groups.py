@@ -49,6 +49,26 @@ def match_rows(table, queries, tol):
     return out
 
 
+def closure_table(vectors, row_products, tol, name, what):
+    """Cayley table of a finite set of vectors closed under a product: row i
+    matches ``row_products(i)``, the products of vector i with every vector,
+    within ``tol``.  A product that leaves the set raises ``name``."""
+    table = np.stack([match_rows(vectors, row_products(i), tol)
+                      for i in range(len(vectors))])
+    if (table < 0).any():
+        i, j = np.argwhere(table < 0)[0]
+        raise ValidationError(name, f"{what} {i}*{j} left the set")
+    return table
+
+
+def permuted_rows(rows, points, tol):
+    """Index table [q, n]: the row of ``rows`` that row n composed with the
+    point map q (row q of ``points``) matches within ``tol``, or -1."""
+    moved = rows[:, points].transpose(1, 0, 2)          # [q, n, point]
+    return match_rows(rows, moved.reshape(-1, rows.shape[1]),
+                      tol).reshape(len(points), len(rows))
+
+
 # ---------------------------------------------------------------------------
 # core type
 
@@ -516,75 +536,39 @@ def _smith_invariants(rows, n_cols):
     return factors, free
 
 
-def _abelian_invariants_of_group(G):
+def _schreier_presentation(G):
+    """Abelianized presentation of an abelian group on its greedy generators.
+
+    With v[x] the exponent vector of the word that reaches x down the BFS
+    spanning tree of the Cayley graph, the Schreier relators are
+    v[x] + e_g - v[g x], one per element x and generator g (Sims,
+    *Computation with Finitely Presented Groups*, 1994, ch. 8); tree edges
+    give zero rows, which are dropped with the repeated ones.
+    """
     if not G.is_abelian():
         raise ValidationError("abelian", "group is not abelian")
-    n = G.order
-    if n == 1:
-        return AbelianGroup((), 0)
-    orders = G.element_orders()
-    exponent = G.exponent()
-    factors_by_prime = {}
-    for p in _prime_factors(n):
-        # m[j-1] = #{cyclic p-power factors with exponent >= j}, recovered
-        # from counting elements of order dividing p^j
-        m, prev, j = [], 0, 1
-        while p ** (j - 1) < exponent:
-            c = sum(1 for o in orders if (p ** j) % o == 0)
-            s = _int_log(c, p)
-            if s == prev:
-                break
-            m.append(s - prev)
-            prev = s
-            j += 1
-        e_list = []
-        for j in range(1, len(m) + 1):
-            cnt = m[j - 1] - (m[j] if j < len(m) else 0)
-            e_list += [j] * cnt
-        factors_by_prime[p] = sorted(e_list, reverse=True)
-    width = max(len(v) for v in factors_by_prime.values())
-    inv = []
-    for i in range(width):
-        d = 1
-        for p, exps in factors_by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        inv.append(d)
-    inv = tuple(sorted(inv))
-    assert math.prod(inv) == n, (inv, n)      # sanity: orders multiply back
-    return AbelianGroup(inv, 0)
-
-
-def _prime_factors(n):
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _int_log(c, p):
-    k = 0
-    while c > 1:
-        if c % p:
-            raise ValidationError("abelian", "element-order counts not a p-power")
-        c //= p
-        k += 1
-    return k
+    if G.order == 1:
+        return Presentation(0, ())
+    gens = _generating_sequence(G)
+    elems, parent, via, left = _spanning_tree(
+        gens, lambda g, x: int(G.cayley[g, x]), G.identity, G.order)
+    k = len(gens)
+    v = np.zeros((len(elems), k), dtype=np.int64)
+    for y in range(1, len(elems)):
+        v[y] = v[parent[y]]
+        v[y, via[y]] += 1
+    rel = np.unique((v[:, None] + np.eye(k, dtype=np.int64)
+                     - v[left.T]).reshape(-1, k), axis=0)
+    return Presentation(k, tuple(map(tuple, rel[rel.any(1)].tolist())))
 
 
 def abelian_invariants(obj):
-    """Invariant factors of an abelianized presentation or an abelian group."""
-    if isinstance(obj, Presentation):
-        factors, free = _smith_invariants(obj.relators, obj.n_generators)
-        return AbelianGroup(factors, free)
+    """Invariant factors of an abelianized presentation or an abelian group,
+    both by the Smith form; a group goes through its Schreier presentation."""
     if isinstance(obj, FiniteGroup):
-        return _abelian_invariants_of_group(obj)
+        obj = _schreier_presentation(obj)
+    if isinstance(obj, Presentation):
+        return AbelianGroup(*_smith_invariants(obj.relators, obj.n_generators))
     raise TypeError(f"unsupported input {type(obj)!r}")
 
 
@@ -758,15 +742,12 @@ def dual_group(G, seed=DEFAULT_SEED):
     """Characters of G (pulled back from the abelianization) as a group."""
     comm = G.commutator_subgroup_elements()
     Q, proj = quotient_group(G, comm)
-    ab = _abelian_invariants_of_group(Q)
+    ab = abelian_invariants(Q)
     tq = character_table(Q, seed=seed)
     chars = tq.chars[:, tq.classes.class_of]     # rows -> functions on Q
     pulled = chars[:, proj]                      # functions on G
-    # pointwise products close on the rows; match to build the dual table
-    table = np.stack([match_rows(pulled, pulled[i] * pulled, 1e-6)
-                      for i in range(len(pulled))])
-    if (table < 0).any():
-        raise ValidationError("dual-closure", "character product not in list")
+    table = closure_table(pulled, lambda i: pulled[i] * pulled, 1e-6,
+                          "dual-closure", "character product")
     dual = FiniteGroup(table, labels=[f"w{i}" for i in range(len(pulled))])
     return DualGroup(abelian=ab, characters=pulled, group=dual)
 

@@ -64,9 +64,9 @@ class KacAlgebra:
 
         self.unit_vec = (self.gamma_of == R.identity).astype(complex)
         self.counit_vec = (self.g_of == K.identity).astype(np.int64)
-        self.haar_fraction = [Fraction(1, nk) if r == R.identity else Fraction(0)
-                              for r in self.gamma_of]
-        self.haar_vec = np.array([float(x) for x in self.haar_fraction])
+        # the invariant state times |K|: 1 on each u_e d_g, else 0
+        self.haar_k = (self.gamma_of == R.identity).astype(np.int64)
+        self.haar_vec = self.haar_k / nk
 
     # -- naming -------------------------------------------------------------
 
@@ -367,7 +367,7 @@ def check_axioms(A):
 
     # invariant state: two-sided invariance (exact: the state times |K| is
     # integer valued)
-    hk = np.array([int(x * nk) for x in A.haar_fraction] + [0], dtype=np.int64)
+    hk = np.append(A.haar_k, 0)
     target = _key((rows[:, None], unit[None, :]), n)
     target_w = np.broadcast_to(hk[:n, None], (n, len(unit)))
     inst = np.broadcast_to(rows[:, None], dl.shape)
@@ -564,5 +564,6 @@ def structure_dump(A):
                          zip(A.delta_left[i].tolist(), A.delta_right[i].tolist()))
         lines.append(f"delta {i} {pairs}")
     lines.append("counit " + " ".join(str(int(v)) for v in A.counit_vec))
-    lines.append("haar " + " ".join(str(f) for f in A.haar_fraction))
+    lines.append("haar " + " ".join(str(Fraction(int(h), A.nk))
+                                    for h in A.haar_k))
     return "\n".join(lines) + "\n"

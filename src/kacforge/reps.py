@@ -18,9 +18,9 @@ from .config import (AUDIT_TRIPLES, DEFAULT_SEED, RETRY_BUDGET, TOL_EQ,
                      TOL_INT, TOL_MULT)
 from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
-from .groups import (FiniteGroup, _eigen_groups, _row_blocks, dual_group,
-                     is_isomorphic_small, match_rows, matrix_irreps, rng_from,
-                     semidirect_product)
+from .groups import (FiniteGroup, _eigen_groups, _row_blocks, closure_table,
+                     dual_group, is_isomorphic_small, matrix_irreps,
+                     permuted_rows, rng_from, semidirect_product)
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -28,7 +28,7 @@ class Corepresentation:
     """A matrix over the algebra, stored as a (dim, dim, n) coefficient
     tensor with n the algebra dimension."""
 
-    def __init__(self, algebra, coeffs, label=None, unitary=True):
+    def __init__(self, algebra, coeffs, label=None):
         self.algebra = algebra
         # read-only, so the support computed once below stays true
         self.coeffs = np.ascontiguousarray(coeffs, dtype=complex).view()
@@ -38,7 +38,6 @@ class Corepresentation:
             raise ValidationError("corep-shape", f"{self.coeffs.shape}")
         self.dim = self.coeffs.shape[0]
         self.label = label if label is not None else f"w{self.dim}"
-        self.unitary = unitary
         self._support = None
 
     def character(self):
@@ -61,16 +60,14 @@ class Corepresentation:
         out = A.mul_vec(self.coeffs[:, None, :, None],
                         other.coeffs[None, :, None, :])    # [i, k, j, l]
         out = out.reshape(d1 * d2, d1 * d2, A.dim)
-        return Corepresentation(
-            A, out, label=f"{self.label}(x){other.label}",
-            unitary=self.unitary and other.unitary)
+        return Corepresentation(A, out, label=f"{self.label}(x){other.label}")
 
     def __repr__(self):
         return f"Corepresentation({self.label!r}, dim={self.dim})"
 
 
 def check_corepresentation(c):
-    """Max deviation over the coaction identity and (if flagged) unitarity.
+    """Max deviation over the coaction identity and unitarity.
 
     The coaction identity Delta(c_ij) = sum_k c_ik x c_kj is compared on
     the support of the corepresentation, in row blocks of its left leg: the
@@ -94,14 +91,12 @@ def check_corepresentation(c):
         tt, aa = t[mine], a[mine]
         rhs[:, :, left[tt, aa] - blk.start, right[tt, aa]] -= cS[:, :, tt]
         dev = max(dev, float(np.abs(rhs).max(initial=0.0)))
-    if c.unitary:
-        want = np.eye(d)[:, :, None] * A.unit_vec
-        cs = A.star_vec(c.coeffs)                   # entrywise star
-        row = A.mul_vec(c.coeffs[:, None], cs[None, :]).sum(2)     # c c*
-        col = A.mul_vec(cs[:, :, None], c.coeffs[:, None]).sum(0)  # c* c
-        dev = max(dev, float(np.abs(row - want).max()),
-                  float(np.abs(col - want).max()))
-    return dev
+    want = np.eye(d)[:, :, None] * A.unit_vec
+    cs = A.star_vec(c.coeffs)                       # entrywise star
+    row = A.mul_vec(c.coeffs[:, None], cs[None, :]).sum(2)     # c c*
+    col = A.mul_vec(cs[:, :, None], c.coeffs[:, None]).sum(0)  # c* c
+    return max(dev, float(np.abs(row - want).max()),
+               float(np.abs(col - want).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +146,6 @@ def build_candidates(A, seed=DEFAULT_SEED):
 
 def mor_dim_haar(u, w):
     """Invariant-state pairing of characters, rounded to an integer."""
-    if not (u.unitary and w.unitary):
-        raise ValidationError("mor-haar", "both inputs must be unitary")
     val = complex(np.vdot(u.character(), w.character())) / u.algebra.nk
     best = int(round(val.real))
     if abs(val - best) > TOL_INT:
@@ -227,9 +220,8 @@ def _split_once(corep, basis, seed, depth, attempt):
     for gi, idxs in enumerate(groups):
         W = vecs[:, idxs]
         sub = np.einsum("ia,ijn,jb->abn", W.conj(), corep.coeffs, W)
-        parts.append(Corepresentation(
-            corep.algebra, sub, label=f"{corep.label}#p{gi}",
-            unitary=corep.unitary))
+        parts.append(Corepresentation(corep.algebra, sub,
+                                      label=f"{corep.label}#p{gi}"))
     return parts
 
 
@@ -447,29 +439,6 @@ class InvariantGroups:
     spectrum_iso: tuple
 
 
-def _closure_table(vectors, row_products, name, what):
-    """Cayley table of a finite set of vectors closed under a product: row i
-    matches ``row_products(i)``, the products of vector i with every vector."""
-    table = np.stack([match_rows(vectors, row_products(i), TOL_MULT)
-                      for i in range(len(vectors))])
-    if (table < 0).any():
-        i, j = np.argwhere(table < 0)[0]
-        raise ValidationError(name, f"{what} {i}*{j} left the set")
-    return table
-
-
-def _twisted_action(dual, points, name):
-    """Action table [q, n] of a fixed subgroup on a dual group: row q of
-    ``points`` is the point map of q, and character n composed with it is
-    the dual character act[q, n]."""
-    chars = dual.characters
-    moved = chars[:, points].transpose(1, 0, 2)         # [q, n, element]
-    act = match_rows(chars, moved.reshape(-1, chars.shape[1]), 1e-6)
-    if (act < 0).any():
-        raise ValidationError(name, "twisted character escaped the dual")
-    return act.reshape(len(points), len(chars))
-
-
 def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
     """Both canonical finite groups attached to the algebra, with the
     independently built structured models and isomorphism tests."""
@@ -488,14 +457,16 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
             raise ValidationError("intrinsic-grouplike",
                                   f"deviation {dev:.3e}")
     V = np.array([c.coeffs[0, 0] for c in ones])
-    cayley = _closure_table(V, lambda i: A.mul_vec(V[i], V),
-                            "intrinsic-closure", "product")
+    cayley = closure_table(V, lambda i: A.mul_vec(V[i], V), TOL_MULT,
+                           "intrinsic-closure", "product")
     intrinsic = FiniteGroup(cayley, labels=[c.label for c in ones])
 
     # structured model: compact-side dual extended by the fixed discrete part
     dualK = dual_group(K, seed=seed)
-    act = _twisted_action(dualK, mp.alpha[R.inverse[fix_r_el]],
-                          "intrinsic-model")
+    act = permuted_rows(dualK.characters, mp.alpha[R.inverse[fix_r_el]], 1e-6)
+    if (act < 0).any():
+        raise ValidationError("intrinsic-model",
+                              "twisted character escaped the dual")
     intrinsic_model = semidirect_product(dualK.group, fix_r_group, act)
     intrinsic_iso = is_isomorphic_small(intrinsic, intrinsic_model)
 
@@ -520,15 +491,18 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
             pass_vectors.append(phi)
     P = np.array(pass_vectors)
     right = P[:, A.delta_right]                  # [j, basis, coproduct term]
-    conv_cayley = _closure_table(
-        P, lambda i: (P[i][A.delta_left] * right).sum(2),
+    conv_cayley = closure_table(
+        P, lambda i: (P[i][A.delta_left] * right).sum(2), TOL_MULT,
         "spectrum-closure", "convolution")
     spectrum = FiniteGroup(conv_cayley,
                            labels=[f"({K.labels[g]},m{mi})"
                                    for g, mi in passers])
 
     # structured model: discrete-side dual extended by the fixed compact part
-    actS = _twisted_action(dualR, mp.beta[fix_k_el], "spectrum-model")
+    actS = permuted_rows(dualR.characters, mp.beta[fix_k_el], 1e-6)
+    if (actS < 0).any():
+        raise ValidationError("spectrum-model",
+                              "twisted character escaped the dual")
     spectrum_model = semidirect_product(dualR.group, fix_k_group, actS)
     spectrum_iso = is_isomorphic_small(spectrum, spectrum_model)
 

@@ -121,7 +121,7 @@ def test_coaction_check_sees_a_broken_entry():
     i = cand.support()[0]
     j = next(t for t in range(A.dim) if t not in set(cand.support()))
     coeffs[:, :, [i, j]] = coeffs[:, :, [j, i]]     # move one basis element
-    broken = Corepresentation(A, coeffs, unitary=False)
+    broken = Corepresentation(A, coeffs)
     assert check_corepresentation(cand) < 1e-7
     assert check_corepresentation(broken) > 0.5
 

@@ -1,5 +1,6 @@
 """Finite-group layer: constructors, invariants, character data."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from kacforge import groups
 from kacforge.errors import (ExtractionFailed, NotAnAction, SizeBound,
                              ValidationError)
-from kacforge.groups import (AbelianGroup, Presentation, abelian_invariants,
-                             character_table, conjugacy_and_center,
+from kacforge.groups import (AbelianGroup, FiniteGroup, Presentation,
+                             abelian_invariants, character_table,
+                             closure_table, conjugacy_and_center,
                              direct_product, dual_group, group_from_cayley,
                              group_from_matrices_mod, group_from_permutations,
                              is_isomorphic_small, matrix_irreps,
-                             quotient_group, semidirect_product)
+                             permuted_rows, quotient_group,
+                             semidirect_product)
 from kacforge.library import (cyclic_group, dihedral_group, quaternion_group,
                               special_linear_group, symmetric_group)
 
@@ -112,6 +115,7 @@ def test_presentation_rejects_ragged_relator():
     (lambda: direct_product(cyclic_group(2), cyclic_group(6)), (2, 6)),
     (lambda: direct_product(cyclic_group(8), cyclic_group(2)), (2, 8)),
     (lambda: direct_product(cyclic_group(4), cyclic_group(6)), (2, 12)),
+    (lambda: cyclic_group(1), ()),
 ])
 def test_abelian_invariants_of_groups(build, expected):
     assert abelian_invariants(build()).invariant_factors == expected
@@ -125,6 +129,32 @@ def test_abelian_invariants_rejects_nonabelian():
 def test_group_vs_presentation_agree_for_z12():
     assert abelian_invariants(Z12) == abelian_invariants(
         Presentation(2, ((4, 0), (0, 6), (2, -3))))
+
+
+@st.composite
+def cyclic_orders(draw, cap=512):
+    """One to four cyclic orders whose product is at most ``cap``."""
+    orders = []
+    for _ in range(draw(st.integers(1, 4))):
+        orders.append(draw(st.integers(1, cap // math.prod(orders))))
+    return orders
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=cyclic_orders(), seed=st.integers(0, 2 ** 32 - 1))
+def test_group_invariants_equal_minors_of_the_diagonal_presentation(orders,
+                                                                    seed):
+    G = cyclic_group(orders[0])
+    for n in orders[1:]:
+        G = direct_product(G, cyclic_group(n))
+    # relabel, so the identity and the generators move off their indices
+    p = np.random.default_rng(seed).permutation(G.order)
+    inv = np.argsort(p)
+    H = FiniteGroup(p[G.cayley[inv][:, inv]])
+    diagonal = [[n if i == j else 0 for j in range(len(orders))]
+                for i, n in enumerate(orders)]
+    assert abelian_invariants(H) == AbelianGroup(
+        *snf_invariants_via_minors(diagonal, len(orders)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +335,28 @@ def test_dual_group_z6():
 def test_dual_group_q8_is_klein():
     d = dual_group(Q8)
     assert d.abelian == AbelianGroup((2, 2), 0)
+
+
+def test_closure_table_refuses_a_set_its_product_leaves():
+    w = np.exp(2j * np.pi / 3)
+    chars = np.array([[1, 1, 1], [1, w, w * w], [1, w * w, w]])
+    table = closure_table(chars, lambda i: chars[i] * chars, 1e-6,
+                          "dual-closure", "character product")
+    assert table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    with pytest.raises(ValidationError,
+                       match=r"dual-closure.*product 1\*1 left the set"):
+        closure_table(chars[:2], lambda i: chars[i] * chars[:2], 1e-6,
+                      "dual-closure", "character product")
+
+
+def test_permuted_rows_marks_an_unmatched_row():
+    w = np.exp(2j * np.pi / 3)
+    chars = np.array([[1, 1, 1], [1, w, w * w], [1, w * w, w]])
+    # inversion swaps the two faithful characters; [0, 1, 1] is no
+    # automorphism, and only the trivial character survives it
+    points = np.array([[0, 1, 2], [0, 2, 1], [0, 1, 1]])
+    assert permuted_rows(chars, points, 1e-6).tolist() == [
+        [0, 1, 2], [0, 2, 1], [0, -1, -1]]
 
 
 # ---------------------------------------------------------------------------

@@ -121,3 +121,45 @@ def test_every_stored_attribute_is_read():
     found = {path.name: write_only_attributes(path.read_text(), read)
              for path in sorted(SRC.glob("*.py"))}
     assert {name: rows for name, rows in found.items() if rows} == {}
+
+
+# ---------------------------------------------------------------------------
+# dead private helpers: a top-level ``_`` name that nothing in src/ reads
+
+
+def unreferenced_private_definitions(sources):
+    """Top-level ``_``-private functions and classes of ``sources`` (module
+    name -> source) that no other top-level statement of any of them reads,
+    as ``module: line N: name``; a helper that only calls itself counts as
+    unread."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defined.append((module, stmt.lineno, stmt.name))
+                names.discard(stmt.name)
+            read |= names
+    return [f"{module}: line {line}: {name}"
+            for module, line, name in defined if name not in read]
+
+
+def test_scanner_finds_an_unreferenced_private_helper():
+    sources = {
+        "a": ("def _used():\n    return 1\n"
+              "def _dead(n):\n    return _dead(n - 1) if n else 0\n"
+              "class _Kept:\n    pass\n"),
+        "b": ("from a import _used\nimport a\n"
+              "def f():\n    return _used() + a._Kept()\n"),
+    }
+    assert unreferenced_private_definitions(sources) == ["a: line 3: _dead"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

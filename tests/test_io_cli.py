@@ -237,6 +237,13 @@ def test_pipeline_crossed_runs_conjugation_sample():
     assert any("polynomial-bound" in e.name for e in rep.entries())
 
 
+def test_pipeline_defaults_are_the_command_line_defaults(capsys):
+    path = str(SAMPLES / "conj_s3.pair")
+    assert main(["crossed", path]) == 0
+    assert run_pipeline("crossed", [path]).render("text") == \
+        capsys.readouterr().out
+
+
 def test_pipeline_flags_breaches_with_exit_two():
     # a deliberately corrupted pair (constructed unvalidated, bypassing the
     # loaders) must surface as FAIL entries and exit code 2

@@ -115,7 +115,6 @@ def test_tensor_character_multiplies():
     cands, _, _ = build_candidates(A)
     u, w = cands[1], cands[2]
     t = u.tensor(w)
-    assert t.unitary
     prod = A.mul_vec(u.character(), w.character())
     assert np.abs(t.character() - prod).max() < 1e-9
     assert check_corepresentation(t) < 1e-7
@@ -156,17 +155,9 @@ def test_schur_for_irreducibles():
         assert np.abs(T - np.eye(c.dim)).max() < 1e-8
 
 
-def test_haar_route_requires_unitary_flag():
-    cands, _, _ = build_candidates(algebra_of("s3-split"))
-    fake = Corepresentation(cands[0].algebra, cands[0].coeffs, unitary=False)
-    with pytest.raises(ValidationError):
-        mor_dim_haar(fake, cands[0])
-
-
 def test_haar_route_rejects_non_integral_pairing():
     cands, _, _ = build_candidates(algebra_of("s3-split"))
-    scaled = Corepresentation(cands[1].algebra, 1.3 * cands[1].coeffs,
-                              unitary=True)
+    scaled = Corepresentation(cands[1].algebra, 1.3 * cands[1].coeffs)
     with pytest.raises(NonIntegral):
         mor_dim_haar(scaled, scaled)
 
@@ -443,8 +434,7 @@ def test_branching_restriction_dimension_count():
     # every source irrep pushes to a rep whose decomposition fills its dim
     for x in cat.canonical:
         pushed = Corepresentation(
-            A0, np.einsum("mn,ijn->ijm", rho.matrix, x.coeffs),
-            unitary=x.unitary)
+            A0, np.einsum("mn,ijn->ijm", rho.matrix, x.coeffs))
         total = 0
         for yi, y in enumerate(cat0.canonical):
             mult = mor_dim_solver(y, pushed)[0]
