@@ -460,7 +460,7 @@ def crossed_fourier(inst, a):
     vec = np.zeros(A.dim, dtype=complex)
     for lab, mat in a.blocks.items():
         cand = inst.candidates[lab]
-        vec += inst.ring.dims[lab] * np.einsum("ji,ijn->n", mat, cand.coeffs)
+        vec += inst.ring.dims[lab] * np.einsum("ji,ijn->n", mat, cand.dense())
     return vec
 
 

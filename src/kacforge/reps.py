@@ -25,42 +25,65 @@ from .matched import b_sets, orbits_fixed_sets
 
 
 class Corepresentation:
-    """A matrix over the algebra, stored as a (dim, dim, n) coefficient
-    tensor with n the algebra dimension."""
+    """A (dim x dim) matrix over the algebra, stored on its support: the
+    sorted basis elements some entry uses, and a (dim, dim, len(support))
+    array of the coefficients there.  Both are read-only copies."""
 
-    def __init__(self, algebra, coeffs, label=None):
+    def __init__(self, algebra, values, support, label=None):
         self.algebra = algebra
-        # read-only, so the support computed once below stays true
-        self.coeffs = np.ascontiguousarray(coeffs, dtype=complex).view()
-        self.coeffs.flags.writeable = False
-        if self.coeffs.ndim != 3 or self.coeffs.shape[0] != self.coeffs.shape[1] \
-                or self.coeffs.shape[2] != algebra.dim:
-            raise ValidationError("corep-shape", f"{self.coeffs.shape}")
-        self.dim = self.coeffs.shape[0]
+        values = np.asarray(values, dtype=complex)
+        support = np.asarray(support, dtype=np.int64)
+        if values.ndim != 3 or values.shape[0] != values.shape[1] \
+                or values.shape[2:] != support.shape:
+            raise ValidationError("corep-shape", f"{values.shape}")
+        if ((support < 0) | (support >= algebra.dim)).any() \
+                or (np.diff(support) <= 0).any():
+            raise ValidationError("corep-support", "not sorted basis indices")
+        keep = np.abs(values).sum(axis=(0, 1)) > 1e-14
+        self.values = np.ascontiguousarray(values[:, :, keep])
+        self._support = support[keep]
+        self.values.flags.writeable = self._support.flags.writeable = False
+        self.dim = values.shape[0]
         self.label = label if label is not None else f"w{self.dim}"
-        self._support = None
-
-    def character(self):
-        return np.einsum("iin->n", self.coeffs)
 
     def support(self):
-        """Basis elements some entry uses (read-only); computed once, as
-        the coefficients are read-only."""
-        if self._support is None:
-            flat = np.abs(self.coeffs).sum(axis=(0, 1))
-            self._support = np.nonzero(flat > 1e-14)[0]
-            self._support.flags.writeable = False
+        """The sorted basis elements some entry uses (read-only)."""
         return self._support
+
+    def dense(self, onto=None):
+        """The coefficients on ``onto``, a sorted superset of the support
+        (default: every basis element), zero off the support."""
+        if onto is None:
+            onto = np.arange(self.algebra.dim)
+        out = np.zeros((self.dim, self.dim, len(onto)), dtype=complex)
+        out[:, :, np.searchsorted(onto, self._support)] = self.values
+        return out
+
+    def character(self):
+        out = np.zeros(self.algebra.dim, dtype=complex)
+        out[self._support] = np.einsum("iin->n", self.values)
+        return out
 
     def tensor(self, other):
         A = self.algebra
         if other.algebra is not A:
             raise ValidationError("corep-tensor", "different algebras")
         d1, d2 = self.dim, other.dim
-        out = A.mul_vec(self.coeffs[:, None, :, None],
-                        other.coeffs[None, :, None, :])    # [i, k, j, l]
-        out = out.reshape(d1 * d2, d1 * d2, A.dim)
-        return Corepresentation(A, out, label=f"{self.label}(x){other.label}")
+        # the nonzero basis products p q = t, p-major and s-minor as in
+        # A.mul_vec, so each entry sums the same terms in the same order
+        Su, Sw = self._support, other._support
+        q = A.partner[Su]
+        hit = np.isin(q, Sw)
+        p_at, q_at = np.nonzero(hit)[0], np.searchsorted(Sw, q[hit])
+        support, t_at = np.unique(A.result[Su][hit], return_inverse=True)
+        out = np.zeros((d1, d2, d1, d2, len(support)), dtype=complex)  # i k j l t
+        for blk in _row_blocks(d1, d2 * d1 * d2 * len(p_at)):
+            np.add.at(out[blk], (..., t_at),
+                      self.values[blk, None, :, None, p_at]
+                      * other.values[None, :, None, :, q_at])
+        return Corepresentation(
+            A, out.reshape(d1 * d2, d1 * d2, len(support)), support,
+            label=f"{self.label}(x){other.label}")
 
     def __repr__(self):
         return f"Corepresentation({self.label!r}, dim={self.dim})"
@@ -77,7 +100,7 @@ def check_corepresentation(c):
     A = c.algebra
     d = c.dim
     S = c.support()
-    cS = c.coeffs[:, :, S]
+    cS = c.values
     pos = np.full(A.dim, -1)
     pos[S] = np.arange(len(S))
     left, right = pos[A.delta_left[S]], pos[A.delta_right[S]]   # (|S|, nk)
@@ -92,9 +115,10 @@ def check_corepresentation(c):
         rhs[:, :, left[tt, aa] - blk.start, right[tt, aa]] -= cS[:, :, tt]
         dev = max(dev, float(np.abs(rhs).max(initial=0.0)))
     want = np.eye(d)[:, :, None] * A.unit_vec
-    cs = A.star_vec(c.coeffs)                       # entrywise star
-    row = A.mul_vec(c.coeffs[:, None], cs[None, :]).sum(2)     # c c*
-    col = A.mul_vec(cs[:, :, None], c.coeffs[:, None]).sum(0)  # c* c
+    full = c.dense()
+    cs = A.star_vec(full)                           # entrywise star
+    row = A.mul_vec(full[:, None], cs[None, :]).sum(2)         # c c*
+    col = A.mul_vec(cs[:, :, None], full[:, None]).sum(0)      # c* c
     return max(dev, float(np.abs(row - want).max()),
                float(np.abs(col - want).max()))
 
@@ -117,11 +141,13 @@ def candidate_corepresentation(A, orbit, mx, label=None):
     i = np.arange(dx)[:, None]
     rows = np.arange(do)[:, None, None, None] * dx + i
     cols = (pos[s] * dx)[..., None, None] + i.T
-    basis = (orbit[:, None] * A.nk + g)[..., None, None]
-    coeffs = np.zeros((do * dx, do * dx, A.dim), dtype=complex)
+    basis = orbit[:, None] * A.nk + g                       # (do, nk)
+    support = np.sort(basis, axis=None)
+    values = np.zeros((do * dx, do * dx, len(support)), dtype=complex)
     # the cells are distinct; adding into zeros turns -0.0 entries into 0.0
-    coeffs[rows, cols, basis] += mx.matrices
-    return Corepresentation(A, coeffs, label=label)
+    values[rows, cols, np.searchsorted(support, basis)[..., None, None]] \
+        += mx.matrices
+    return Corepresentation(A, values, support, label=label)
 
 
 def build_candidates(A, seed=DEFAULT_SEED):
@@ -164,8 +190,7 @@ def mor_dim_solver(u, w):
     if not len(support):
         return 0, []
     S = len(support)
-    Uc = u.coeffs[:, :, support]            # (du, du, S)
-    Wc = w.coeffs[:, :, support]            # (dw, dw, S)
+    Uc, Wc = u.dense(support), w.dense(support)    # (du, du, S), (dw, dw, S)
     # row (i, k, s) of (T x 1)u - w(T x 1), column (a, b) of T:
     # [a = i] u[b, k] - [b = k] w[i, a] at support element s
     M = np.zeros((dw, du, S, dw, du), dtype=complex)
@@ -203,7 +228,7 @@ class IrrepCatalog:
         return [c.dim for c in self.canonical]
 
     def coefficient_span_rank(self):
-        rows = np.concatenate([c.coeffs.reshape(-1, self.algebra.dim)
+        rows = np.concatenate([c.dense().reshape(-1, self.algebra.dim)
                                for c in self.canonical])
         return int(np.linalg.matrix_rank(rows, tol=1e-8))
 
@@ -219,8 +244,8 @@ def _split_once(corep, basis, seed, depth, attempt):
     parts = []
     for gi, idxs in enumerate(groups):
         W = vecs[:, idxs]
-        sub = np.einsum("ia,ijn,jb->abn", W.conj(), corep.coeffs, W)
-        parts.append(Corepresentation(corep.algebra, sub,
+        sub = np.einsum("ia,ijn,jb->abn", W.conj(), corep.values, W)
+        parts.append(Corepresentation(corep.algebra, sub, corep.support(),
                                       label=f"{corep.label}#p{gi}"))
     return parts
 
@@ -456,7 +481,7 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
         if dev > TOL_MULT:
             raise ValidationError("intrinsic-grouplike",
                                   f"deviation {dev:.3e}")
-    V = np.array([c.coeffs[0, 0] for c in ones])
+    V = np.array([c.dense()[0, 0] for c in ones])
     cayley = closure_table(V, lambda i: A.mul_vec(V[i], V), TOL_MULT,
                            "intrinsic-closure", "product")
     intrinsic = FiniteGroup(cayley, labels=[c.label for c in ones])

@@ -299,13 +299,14 @@ def naive_corep_tensor(u, w):
     u_ij w_kl."""
     A = u.algebra
     d1, d2 = u.dim, w.dim
+    uc, wc = u.dense(), w.dense()
     out = np.zeros((d1 * d2, d1 * d2, A.dim), dtype=complex)
     for i in range(d1):
         for j in range(d1):
             for k in range(d2):
                 for ell in range(d2):
                     out[i * d2 + k, j * d2 + ell] = A.mul_vec(
-                        u.coeffs[i, j], w.coeffs[k, ell])
+                        uc[i, j], wc[k, ell])
     return out
 
 
@@ -482,17 +483,18 @@ def naive_intertwiner_dim(u, w):
     relative cutoff would count round-off in a system that is all
     round-off)."""
     du, dw = u.dim, w.dim
+    uc, wc = u.dense(), w.dense()
     rows = []
     for s in range(u.algebra.dim):
-        if not (u.coeffs[:, :, s].any() or w.coeffs[:, :, s].any()):
+        if not (uc[:, :, s].any() or wc[:, :, s].any()):
             continue
         for i in range(dw):
             for k in range(du):
                 row = np.zeros(dw * du, dtype=complex)
                 for b in range(du):        # sum_b T[i, b] u[b, k]
-                    row[i * du + b] += u.coeffs[b, k, s]
+                    row[i * du + b] += uc[b, k, s]
                 for a in range(dw):        # sum_a w[i, a] T[a, k]
-                    row[a * du + k] -= w.coeffs[i, a, s]
+                    row[a * du + k] -= wc[i, a, s]
                 rows.append(row)
     if not rows:
         return dw * du

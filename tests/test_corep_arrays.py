@@ -8,6 +8,9 @@ pairs whose actions were corrupted; and the coaction check must see a
 broken corepresentation.  The intertwiner solver and the character
 pairing must both give the dimension of the loop-built system's null
 space, and every solver basis matrix must be an orthonormal intertwiner.
+Every candidate, catalog irrep and orbit tensor is stored on its sorted,
+pruned support, and that storage agrees with the loop oracles, which read
+the dense tensors.
 """
 
 import numpy as np
@@ -15,15 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacforge import groups
+from kacforge import groups, reps
 from kacforge.hopf import build_algebra, group_subalgebra_check
-from kacforge.library import corpus_pairs
-from kacforge.matched import MatchedPair
+from kacforge.library import corpus_pairs, symmetric_group
+from kacforge.matched import MatchedPair, derive_actions
 from kacforge.errors import ValidationError
 from kacforge.groups import matrix_irreps
 from kacforge.reps import (Corepresentation, build_candidates,
                            candidate_corepresentation, check_corepresentation,
-                           enumerate_irreps, mor_dim_haar, mor_dim_solver)
+                           decompose, enumerate_irreps, mor_dim_haar,
+                           mor_dim_solver)
 
 from .oracles import (naive_corep_tensor, naive_embedding_violations,
                       naive_intertwiner_dim)
@@ -76,7 +80,7 @@ def test_tensor_equals_entrywise_loop(name):
     irreps = catalog_of(name).canonical
     for u in irreps:
         for w in irreps:
-            got = u.tensor(w).coeffs
+            got = u.tensor(w).dense()
             assert np.array_equal(got.view(np.float64),
                                   naive_corep_tensor(u, w).view(np.float64))
 
@@ -117,11 +121,11 @@ def test_coaction_check_sees_a_broken_entry():
     A = algebra_of("s4-cyclic4")
     cands, _, _ = build_candidates(A)
     cand = max(cands, key=lambda c: c.dim)
-    coeffs = cand.coeffs.copy()
+    coeffs = cand.dense()
     i = cand.support()[0]
     j = next(t for t in range(A.dim) if t not in set(cand.support()))
     coeffs[:, :, [i, j]] = coeffs[:, :, [j, i]]     # move one basis element
-    broken = Corepresentation(A, coeffs)
+    broken = Corepresentation(A, coeffs, np.arange(A.dim))
     assert check_corepresentation(cand) < 1e-7
     assert check_corepresentation(broken) > 0.5
 
@@ -129,10 +133,11 @@ def test_coaction_check_sees_a_broken_entry():
 def test_coaction_check_sees_a_wrong_value():
     A = algebra_of("conj-s3-rot")
     corep = enumerate_irreps(A).canonical[-1]
-    coeffs = corep.coeffs.copy()
+    coeffs = corep.dense()
     t = corep.support()[1]
     coeffs[0, 0, t] += 1.0
-    assert check_corepresentation(Corepresentation(A, coeffs)) > 0.5
+    assert check_corepresentation(
+        Corepresentation(A, coeffs, np.arange(A.dim))) > 0.5
 
 
 def test_candidate_builder_refuses_an_orbit_that_is_not_closed():
@@ -166,19 +171,97 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
     V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
     assert np.abs(V.conj() @ V.T - np.eye(dim)).max(initial=0.0) < 1e-9
     for T in basis:
-        left = np.einsum("ib,bkn->ikn", T, u.coeffs)       # (T x 1)u
-        right = np.einsum("ian,ak->ikn", w.coeffs, T)      # w(T x 1)
+        left = np.einsum("ib,bkn->ikn", T, u.dense())      # (T x 1)u
+        right = np.einsum("ian,ak->ikn", w.dense(), T)     # w(T x 1)
         assert np.abs(left - right).max() < 1e-9
 
 
 def test_coefficients_and_support_are_read_only():
-    # support() is computed once, so the coefficients must not change; the
-    # caller's own array stays writable
+    # the support is pruned once, at construction, so neither the stored
+    # values nor the support may change; the caller's own arrays are copied
+    # and stay writable
     A = algebra_of("s3-split")
-    raw = enumerate_irreps(A).canonical[-1].coeffs.copy()
-    corep = Corepresentation(A, raw)
+    raw = enumerate_irreps(A).canonical[-1].dense()
+    where = np.arange(A.dim)
+    corep = Corepresentation(A, raw, where)
+    kept = corep.dense()
     with pytest.raises(ValueError):
-        corep.coeffs[0, 0, 0] = 1.0
+        corep.values[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         corep.support()[0] = 0
-    raw[0, 0, 0] += 1.0
+    raw += 1.0
+    where[:] = 0
+    assert np.array_equal(corep.dense(), kept)
+
+
+def test_constructor_refuses_a_support_out_of_order():
+    A = algebra_of("s3-split")
+    ones = np.ones((1, 1, 2))
+    for where in ([1, 0], [2, 2], [-1, 0], [0, A.dim]):
+        with pytest.raises(ValidationError, match="corep-support"):
+            Corepresentation(A, ones, where)
+    with pytest.raises(ValidationError, match="corep-shape"):
+        Corepresentation(A, ones, [0, 1, 2])
+
+
+# ---------------------------------------------------------------------------
+# storage on the support
+
+def _pair(name):
+    if name in CORPUS:
+        return CORPUS[name]
+    S = symmetric_group(5)      # S5 = (stabilizer of 4) * <5-cycle>
+    stab = [i for i, p in enumerate(S.permutations) if p[4] == 4]
+    cycle = S.permutations.index((1, 2, 3, 4, 0))
+    return derive_actions(S, stab, S.closure([cycle]), name=name)
+
+
+def _stored_on_support(c):
+    S = c.support()
+    return (c.values.shape == (c.dim, c.dim, len(S))
+            and np.array_equal(S, np.unique(S))
+            and np.abs(c.values).sum(axis=(0, 1)).min(initial=1.0) > 1e-14)
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5"])
+def test_catalog_and_orbit_tensors_are_stored_on_their_support(name):
+    A = build_algebra(_pair(name))
+    catalog = enumerate_irreps(A)
+    nx, nk = len(catalog.irreps), A.nk
+    for k, cand in enumerate(catalog.candidates):
+        orbit = catalog.orbit_space.orbits[k // nx]
+        assert _stored_on_support(cand)
+        assert set(cand.support()) <= {r * nk + g for r in orbit
+                                       for g in range(nk)}
+    assert all(_stored_on_support(c) for c in catalog.canonical)
+    orbit_coreps = catalog.candidates[::nx]      # as the audit builds them
+    for u in orbit_coreps:
+        for w in orbit_coreps:
+            assert _stored_on_support(u.tensor(w))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(UP_TO_42), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_support_storage_equals_dense_oracles(name, seed, data):
+    """tensor(), the pieces of a split (whose support can shrink) and the
+    solver on the union of two supports agree with the loop oracles, which
+    read the dense tensors."""
+    A = algebra_of(name)
+    cands = build_candidates(A, seed=seed)[0]
+    pick = st.integers(0, len(cands) - 1)
+    u, w = cands[data.draw(pick, label="u")], cands[data.draw(pick, label="w")]
+    t = u.tensor(w)
+    assert np.array_equal(t.dense().view(np.float64),
+                          naive_corep_tensor(u, w).view(np.float64))
+    for p in decompose(u, seed=seed):
+        assert set(p.support()) <= set(u.support())
+        assert naive_intertwiner_dim(p, p) == 1
+        assert mor_dim_solver(p, u)[0] == naive_intertwiner_dim(p, u) >= 1
+    nd, basis = mor_dim_solver(t, t)
+    assert nd == naive_intertwiner_dim(t, t)
+    parts = reps._split_once(t, basis, seed, 0, 0) if nd > 1 else None
+    for p in parts or []:
+        assert set(p.support()) <= set(t.support())
+        assert mor_dim_solver(p, t)[0] == naive_intertwiner_dim(p, t) >= 1
+        assert mor_dim_solver(p, w)[0] == naive_intertwiner_dim(p, w)

@@ -269,9 +269,8 @@ def test_crossed_dual_matches_star_conjugate():
         A = inst.algebra
         for i in range(inst.ring.n):
             c = inst.candidates[i]
-            bar = np.stack([[A.star_vec(c.coeffs[a, b])
-                             for b in range(c.dim)] for a in range(c.dim)])
-            cbar = Corepresentation(A, bar, label="bar")
+            bar = A.star_vec(c.dense())
+            cbar = Corepresentation(A, bar, np.arange(A.dim), label="bar")
             hits = [t for t in range(inst.ring.n)
                     if mor_dim_haar(inst.candidates[t], cbar) == 1]
             assert hits == [int(inst.ring.dual[i])]
@@ -388,7 +387,7 @@ def test_lemma_fourier_raises_on_tampered_candidate():
     broken.candidates = list(base.candidates)
     victim = base.candidates[4]
     broken.candidates[4] = Corepresentation(
-        base.algebra, 1.5 * victim.coeffs, label="bad")
+        base.algebra, 1.5 * victim.values, victim.support(), label="bad")
     a = random_dual_element(base.ring, seed=9, labels=[4])
     with pytest.raises(IdentityViolated):
         check_lemma_fourier(broken, a)

@@ -81,7 +81,7 @@ def test_candidate_closed_form_equals_actual_tensor():
         for xi, mx in enumerate(irreps):
             direct = cands[oi * len(irreps) + xi]
             via_tensor = V.tensor(lifted_irrep(A, mx))
-            assert np.abs(direct.coeffs - via_tensor.coeffs).max() < 1e-9
+            assert np.abs(direct.dense() - via_tensor.dense()).max() < 1e-9
 
 
 def test_unit_candidate_is_the_unit():
@@ -90,7 +90,7 @@ def test_unit_candidate_is_the_unit():
     # orbit of the discrete identity is a singleton; trivial compact irrep
     unit = cands[0]
     assert unit.dim == 1
-    assert np.abs(unit.coeffs[0, 0] - A.unit_vec).max() < 1e-12
+    assert np.abs(unit.dense()[0, 0] - A.unit_vec).max() < 1e-12
 
 
 def test_orbit_corep_matches_hand_expansion():
@@ -107,7 +107,7 @@ def test_orbit_corep_matches_hand_expansion():
             for g in range(A.nk):
                 if mp.beta[g, r] == s:
                     expect[r * A.nk + g] += 1.0
-            assert np.abs(V.coeffs[rpos, spos] - expect).max() < 1e-12
+            assert np.abs(V.dense()[rpos, spos] - expect).max() < 1e-12
 
 
 def test_tensor_character_multiplies():
@@ -157,7 +157,8 @@ def test_schur_for_irreducibles():
 
 def test_haar_route_rejects_non_integral_pairing():
     cands, _, _ = build_candidates(algebra_of("s3-split"))
-    scaled = Corepresentation(cands[1].algebra, 1.3 * cands[1].coeffs)
+    scaled = Corepresentation(cands[1].algebra, 1.3 * cands[1].values,
+                              cands[1].support())
     with pytest.raises(NonIntegral):
         mor_dim_haar(scaled, scaled)
 
@@ -394,10 +395,10 @@ def test_intrinsic_group_refuses_a_corrupted_one_dim_irrep():
     cat = catalog_of("s3-split")
     k, c = next((k, c) for k, c in enumerate(cat.canonical)
                 if c.dim == 1 and k > 0)
-    coeffs = c.coeffs.copy()
-    coeffs[0, 0, c.support()[0]] *= 2.0
+    values = c.values.copy()
+    values[0, 0, 0] *= 2.0
     canonical = list(cat.canonical)
-    canonical[k] = Corepresentation(A, coeffs, label=c.label)
+    canonical[k] = Corepresentation(A, values, c.support(), label=c.label)
     with pytest.raises(ValidationError, match="intrinsic-grouplike"):
         invariant_groups(A, replace(cat, canonical=canonical))
     invariant_groups(A, cat)        # the catalog itself is untouched
@@ -434,7 +435,8 @@ def test_branching_restriction_dimension_count():
     # every source irrep pushes to a rep whose decomposition fills its dim
     for x in cat.canonical:
         pushed = Corepresentation(
-            A0, np.einsum("mn,ijn->ijm", rho.matrix, x.coeffs))
+            A0, np.einsum("mn,ijn->ijm", rho.matrix, x.dense()),
+            np.arange(A0.dim))
         total = 0
         for yi, y in enumerate(cat0.canonical):
             mult = mor_dim_solver(y, pushed)[0]
