@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, TOL_AXIOM
+from .config import DEFAULT_CONFIG
 from .errors import (DomainError, IdentityViolated, KacforgeError,
                      NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
@@ -94,21 +94,21 @@ def _cmd_irreps(bundle, config, report, args):
 
 
 def _cmd_fusion(bundle, config, report, args):
-    from .reps import mor_dim_haar, mor_dim_solver
+    from .groups import rounded_pairings
+    from .reps import mor_dim_solver
     for name, mp in sorted(bundle.pairs.items()):
         A, catalog = _algebra_and_catalog(mp, config.seed)
         irreps = catalog.canonical
+        chars = [z.character() for z in irreps]
         worst = 0
         lines = []
-        for i, u in enumerate(irreps):
-            for j, w in enumerate(irreps):
+        for u in irreps:
+            for w in irreps:
                 tens = u.tensor(w)
-                row = []
-                for t, z in enumerate(irreps):
-                    mh = mor_dim_haar(z, tens)
+                row = rounded_pairings(chars, [tens.character()], A.nk)[:, 0]
+                for z, mh in zip(irreps, row):
                     ms, _ = mor_dim_solver(z, tens)
                     worst = max(worst, abs(mh - ms))
-                    row.append(mh)
                 lines.append(f"{u.label}*{w.label} -> " + " ".join(
                     f"{z.label}:{m}" for z, m in zip(irreps, row) if m))
         status = "PASS" if worst == 0 else "FAIL"
@@ -178,7 +178,7 @@ def _cmd_crossed(bundle, config, report, args):
         for t in range(args.draws):
             a = random_dual_element(inst.ring, range(inst.ring.n),
                                     rng_from(config.seed, 41, t))
-            rep = check_lemma_fourier(inst, a, tol=TOL_AXIOM)
+            rep = check_lemma_fourier(inst, a)
             worst = max(worst, rep.decomposition_deviation,
                         rep.norm_deviation, rep.parseval_deviation)
         report.add("crossed", f"{name} transform-decomposition "

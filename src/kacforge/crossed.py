@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEED, RING_CAP
-from .errors import (ActionNotCompatible, IdentityViolated, NonIntegral,
-                     SizeBound, TruncationOverflow, ValidationError)
+from .config import DEFAULT_SEED, RING_CAP, TOL_AXIOM
+from .errors import (ActionNotCompatible, IdentityViolated, SizeBound,
+                     TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
-                     matrix_irreps, permuted_rows, rng_from)
+                     matrix_irreps, permuted_rows, rng_from, rounded_pairings)
 from .hopf import build_algebra, plain_function_algebra
 from .library import pair_conjugation
 from .reps import build_candidates
@@ -166,16 +166,9 @@ def irrep_fusion_ring(G, seed=DEFAULT_SEED):
     if (dual < 0).any():
         raise ValidationError("ring-dual",
                               f"conjugate of row {np.argmax(dual < 0)} unclear")
-    mult = np.zeros((k, k, k), dtype=np.int32)
-    for x in range(k):
-        # (y, z) inner products <chi_x chi_y, chi_z>, one block per x
-        vals = (chars[x] * chars) @ np.conj(chars).T / G.order
-        mult[x] = np.rint(vals.real)
-        bad = np.argwhere(np.abs(vals - mult[x]) > 1e-6)
-        if len(bad):
-            y, z = bad[0]
-            val = complex(np.mean(chars[x] * chars[y] * np.conj(chars[z])))
-            raise NonIntegral(f"multiplicity ({x},{y},{z}) = {val}")
+    # block x holds the inner products <chi_z, chi_x chi_y> at [y, z]
+    mult = np.stack([rounded_pairings(chars, chars[x] * chars, G.order).T
+                     for x in range(k)]).astype(np.int32)
     return FusionRing(labels=[f"x{i}" for i in range(k)], unit=unit,
                       dual=dual, dims=dims, mult=mult,
                       name=f"irr({G.order})")
@@ -460,7 +453,8 @@ def crossed_fourier(inst, a):
     vec = np.zeros(A.dim, dtype=complex)
     for lab, mat in a.blocks.items():
         cand = inst.candidates[lab]
-        vec += inst.ring.dims[lab] * np.einsum("ji,ijn->n", mat, cand.dense())
+        vec[cand.support()] += inst.ring.dims[lab] * np.einsum(
+            "ji,ijn->n", mat, cand.values)
     return vec
 
 
@@ -487,7 +481,7 @@ class LemmaFourierReport:
                    self.parseval_deviation) <= self.tol
 
 
-def check_lemma_fourier(inst, a, tol=1e-9):
+def check_lemma_fourier(inst, a):
     """Two routes to the crossed transform and its norm must coincide.
 
     Route one goes through corepresentation coefficients; route two
@@ -514,7 +508,7 @@ def check_lemma_fourier(inst, a, tol=1e-9):
 
     report = LemmaFourierReport(decomposition_deviation=dev1,
                                 norm_deviation=dev2,
-                                parseval_deviation=dev3, tol=tol)
+                                parseval_deviation=dev3, tol=TOL_AXIOM)
     if not report.passed:
         worst = max(a.blocks,
                     key=lambda lab: float(np.abs(a.blocks[lab]).max()))

@@ -15,8 +15,8 @@ import numpy as np
 from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, IRREP_CAP,
                      ISO_CAP, RETRY_BUDGET, TABLE_CAP, TOL_EQ, TOL_INT,
                      TOL_MULT)
-from .errors import (ExtractionFailed, NotAnAction, SeedDegenerate, SizeBound,
-                     ValidationError)
+from .errors import (ExtractionFailed, NonIntegral, NotAnAction,
+                     SeedDegenerate, SizeBound, ValidationError)
 
 
 def rng_from(seed, *salt):
@@ -47,6 +47,20 @@ def match_rows(table, queries, tol):
         close = np.abs(queries[blk, None] - table).max(2, initial=0.0) <= tol
         out[blk] = np.where(close.sum(1) == 1, close.argmax(1), -1)
     return out
+
+
+def rounded_pairings(left, right, n):
+    """Integer matrix of vdot(left[i], right[j]) / n, the Haar pairings of
+    two stacks of characters; every entry must lie within TOL_INT of an
+    integer, else NonIntegral names the first one that does not."""
+    vals = np.conj(left) @ np.asarray(right).T / n
+    out = np.rint(vals.real)
+    bad = np.argwhere(np.abs(vals - out) > TOL_INT)
+    if len(bad):
+        i, j = bad[0]
+        raise NonIntegral(f"character pairing ({i},{j}) = {vals[i, j]} "
+                          f"is not near an integer")
+    return out.astype(np.int64)
 
 
 def closure_table(vectors, row_products, tol, name, what):

@@ -112,10 +112,6 @@ class MatchedPair:
                               np.tile(np.arange(self.discrete.order),
                                       (self.compact.order, 1)))
 
-    def act_compact(self, r, g):
-        """alpha_r(g)."""
-        return int(self.alpha[r, g])
-
     def stabilizer_in_compact(self, r):
         """{g : beta_g(r) = r}."""
         return np.flatnonzero(self.beta[:, r] == r).tolist()

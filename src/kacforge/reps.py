@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (AUDIT_TRIPLES, DEFAULT_SEED, RETRY_BUDGET, TOL_EQ,
-                     TOL_INT, TOL_MULT)
-from .errors import (NonIntegral, PeterWeylMismatch, SeedDegenerate,
-                     ValidationError)
+from .config import AUDIT_TRIPLES, DEFAULT_SEED, RETRY_BUDGET, TOL_EQ, TOL_MULT
+from .errors import PeterWeylMismatch, SeedDegenerate, ValidationError
 from .groups import (FiniteGroup, _eigen_groups, _row_blocks, closure_table,
                      dual_group, is_isomorphic_small, matrix_irreps,
-                     permuted_rows, rng_from, semidirect_product)
+                     permuted_rows, rng_from, rounded_pairings,
+                     semidirect_product)
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -172,11 +171,8 @@ def build_candidates(A, seed=DEFAULT_SEED):
 
 def mor_dim_haar(u, w):
     """Invariant-state pairing of characters, rounded to an integer."""
-    val = complex(np.vdot(u.character(), w.character())) / u.algebra.nk
-    best = int(round(val.real))
-    if abs(val - best) > TOL_INT:
-        raise NonIntegral(f"character pairing {val} is not near an integer")
-    return best
+    return int(rounded_pairings([u.character()], [w.character()],
+                                u.algebra.nk)[0, 0])
 
 
 def mor_dim_solver(u, w):
@@ -236,10 +232,13 @@ class IrrepCatalog:
 def _split_once(corep, basis, seed, depth, attempt):
     rng = rng_from(seed, 4, corep.dim, depth, attempt)
     Y = sum(c * B for c, B in zip(rng.normal(size=len(basis)), basis))
-    M = Y + Y.conj().T
-    vals, vecs = np.linalg.eigh(M)
-    groups = _eigen_groups(vals, 1e-6)
-    if len(groups) < 2:
+    # a skew End element cancels from Y + Y*; i(Y - Y*) keeps it
+    for M in (Y + Y.conj().T, 1j * (Y - Y.conj().T)):
+        vals, vecs = np.linalg.eigh(M)
+        groups = _eigen_groups(vals, 1e-6)
+        if len(groups) > 1:
+            break
+    else:
         return None
     parts = []
     for gi, idxs in enumerate(groups):
@@ -269,28 +268,26 @@ def decompose(corep, seed=DEFAULT_SEED, depth=0):
 def enumerate_irreps(A, seed=DEFAULT_SEED):
     """Decompose all candidates, deduplicate, certify the dimension count."""
     candidates, space, irreps = build_candidates(A, seed=seed)
-    canonical = []
-    pieces_of = {}
-    for ci, cand in enumerate(candidates):
-        pieces = decompose(cand, seed=seed)
+    canonical, known, pieces_of = [], np.zeros((0, A.dim), dtype=complex), []
+    for cand in candidates:
         ids = []
-        for p in pieces:
-            match = None
-            for ki, known in enumerate(canonical):
-                if p.dim == known.dim and mor_dim_haar(p, known) >= 1:
-                    match = ki
-                    break
-            if match is None:
+        for p in decompose(cand, seed=seed):
+            chi = p.character()
+            same = np.flatnonzero(
+                (rounded_pairings([chi], known, A.nk)[0] >= 1)
+                & (np.array([k.dim for k in canonical]) == p.dim))
+            if not len(same):
                 canonical.append(p)
-                match = len(canonical) - 1
-            ids.append(match)
-        pieces_of[ci] = ids
+                known = np.vstack([known, chi])
+                same = [len(canonical) - 1]
+            ids.append(int(same[0]))
+        pieces_of.append(ids)
     order = sorted(range(len(canonical)),
                    key=lambda k: (canonical[k].dim, k))
     relabel = {old: new for new, old in enumerate(order)}
     canonical = [canonical[old] for old in order]
     equivalence_map = {ci: sorted(relabel[k] for k in ids)
-                       for ci, ids in pieces_of.items()}
+                       for ci, ids in enumerate(pieces_of)}
     total = sum(c.dim ** 2 for c in canonical)
     if total != A.dim:
         raise PeterWeylMismatch(
@@ -384,65 +381,60 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     closed = fusion_formula_table(
         mp, space, np.array([mx.character() for mx in catalog.irreps]))
     n_orb, nx = len(space.orbits), len(catalog.irreps)
+    cands = catalog.candidates
+    chars = np.array([c.character() for c in cands])
     # candidates are orbit-major with x0 trivial: those on x0 are the orbit
     # matrices, those on the orbit {e} the lifted compact irreps
-    orbit_coreps = catalog.candidates[::nx]
     e_orbit = space.orbit_of[mp.discrete.identity]
-    lifted = catalog.candidates[e_orbit * nx:(e_orbit + 1) * nx]
 
-    triples = [(gi, xi, ri, si)
-               for gi in range(n_orb) for xi in range(nx)
-               for ri in range(n_orb) for si in range(n_orb)]
-    triples_total = len(triples)
-    if len(triples) > AUDIT_TRIPLES:
-        rng = rng_from(seed, 5)
-        keep = rng.choice(len(triples), size=AUDIT_TRIPLES, replace=False)
-        triples = [triples[t] for t in sorted(keep)]
+    # triple t is (gamma, x, r, s) in row-major order of this shape
+    shape = (n_orb, nx, n_orb, n_orb)
+    triples_total = nx * n_orb ** 3
+    picks = range(triples_total)
+    if triples_total > AUDIT_TRIPLES:
+        picks = np.sort(rng_from(seed, 5).choice(
+            triples_total, size=AUDIT_TRIPLES, replace=False))
 
     entries = []
-    tensor_cache = {}
-    for gi, xi, ri, si in triples:
-        cand = catalog.candidates[gi * nx + xi]
+    tensor_cache = {}      # (r, s) -> orbit tensor and its Haar pairings
+    for t in picks:
+        gi, xi, ri, si = (int(v) for v in np.unravel_index(t, shape))
         if (ri, si) not in tensor_cache:
-            tensor_cache[(ri, si)] = orbit_coreps[ri].tensor(orbit_coreps[si])
-        target = tensor_cache[(ri, si)]
-        solver = mor_dim_solver(cand, target)[0]
-        haar = mor_dim_haar(cand, target)
+            target = cands[ri * nx].tensor(cands[si * nx])
+            tensor_cache[(ri, si)] = target, rounded_pairings(
+                chars, [target.character()], A.nk)[:, 0].tolist()
+        target, haar = tensor_cache[(ri, si)]
+        ci = gi * nx + xi
+        solver = mor_dim_solver(cands[ci], target)[0]
         formula = closed[xi, gi, ri, si]
         agree = abs(formula - solver) < 1e-6
         entries.append(FusionAuditEntry(
             gamma_orbit=gi, x_label=catalog.irreps[xi].label, r_orbit=ri,
-            s_orbit=si, solver=solver, haar=haar, formula=float(formula.real),
+            s_orbit=si, solver=solver, haar=haar[ci],
+            formula=float(formula.real),
             status="AUDIT-AGREE" if agree else "AUDIT-DISAGREE"))
 
-    # distinctness of candidates with different construction labels
+    # distinctness of candidates with different construction labels: the
+    # pairs i < j of the Gram matrix with an intertwiner, row-major
     distinctness = []
-    cands = catalog.candidates
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            d = mor_dim_haar(cands[i], cands[j])
-            if d > 0:
-                dim_t, basis = mor_dim_solver(cands[i], cands[j])
-                witness = basis[0] if basis else None
-                distinctness.append(DistinctnessEntry(
-                    left=cands[i].label, right=cands[j].label, mor_dim=d,
-                    status="AUDIT-DISAGREE", intertwiner=witness))
+    gram = rounded_pairings(chars, chars, A.nk)
+    for i, j in np.argwhere(np.triu(gram, 1) > 0).tolist():
+        basis = mor_dim_solver(cands[i], cands[j])[1]
+        distinctness.append(DistinctnessEntry(
+            left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
+            status="AUDIT-DISAGREE", intertwiner=basis[0] if basis else None))
 
-    # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), each
-    # swapped character built once and tried in (x', orbit') order
-    swapped = [(lx.dim * oc.dim, A.mul_vec(lx.character(), oc.character()),
-                (mx.label, oi))
-               for lx, mx in zip(lifted, catalog.irreps)
-               for oi, oc in enumerate(orbit_coreps)]
+    # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), the
+    # first match in (x', orbit') order.  Equal characters have equal
+    # dimensions, their counits.
+    swapped = A.mul_vec(chars[e_orbit * nx:(e_orbit + 1) * nx, None],
+                        chars[None, ::nx]).reshape(-1, A.dim)
+    partners = [(mx.label, oi) for mx in catalog.irreps for oi in range(n_orb)]
     flips = []
-    for cand in cands:
-        found = None
-        chi_c = cand.character()
-        for dim, chi_sw, partner in swapped:
-            if dim == cand.dim and np.abs(chi_sw - chi_c).max() < 1e-8:
-                found = partner
-                break
-        flips.append(FlipEntry(candidate=cand.label, partner=found))
+    for cand, chi in zip(cands, chars):
+        hit = np.flatnonzero(np.abs(swapped - chi).max(1) < 1e-8)
+        flips.append(FlipEntry(candidate=cand.label,
+                               partner=partners[hit[0]] if len(hit) else None))
 
     return FusionAuditReport(entries=entries, distinctness=distinctness,
                              flips=flips, triples_total=triples_total,
@@ -481,7 +473,7 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
         if dev > TOL_MULT:
             raise ValidationError("intrinsic-grouplike",
                                   f"deviation {dev:.3e}")
-    V = np.array([c.dense()[0, 0] for c in ones])
+    V = np.array([c.character() for c in ones])    # d = 1: the coefficients
     cayley = closure_table(V, lambda i: A.mul_vec(V[i], V), TOL_MULT,
                            "intrinsic-closure", "product")
     intrinsic = FiniteGroup(cayley, labels=[c.label for c in ones])
@@ -497,16 +489,19 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
 
     # --- algebra characters under convolution
     dualR = dual_group(R, seed=seed)
-    rows = np.arange(A.dim)[:, None]
     passers = []
     pass_vectors = []
     for g in range(K.order):
+        # phi vanishes exactly off `on`: every pair in it must be a product
         point = (A.g_of == g).astype(complex)
+        on = np.flatnonzero(point)
+        if not (A.partner[on][:, on // A.nk] == on).all():
+            continue
         for mi in range(dualR.group.order):
             phi = dualR.characters[mi][A.gamma_of] * point
-            defect = np.outer(phi, phi)       # phi(e_i) phi(e_j) - phi(e_i e_j)
-            defect[rows, A.partner] -= phi[A.result]
-            if np.abs(defect).max() > TOL_MULT:
+            # phi(e_i) phi(e_j) = phi(e_i e_j) on the basis products
+            if np.abs(phi[:, None] * phi[A.partner]
+                      - phi[A.result]).max() > TOL_MULT:
                 continue
             if np.abs(phi[A.star_index] - np.conj(phi)).max() > TOL_MULT:
                 continue

@@ -81,20 +81,11 @@ def brute_is_homomorphism(A, B, phi):
                for x in range(A.order) for y in range(A.order))
 
 
-def schur_inner(G, f1, f2):
-    """Mean over the group of f1 * conj(f2), as a complex number."""
-    f1 = np.asarray(f1)
-    f2 = np.asarray(f2)
-    return complex(np.mean(f1 * np.conj(f2)))
-
-
 def brute_character_inner(G, chi1, chi2):
-    """<chi1, chi2> with chi given on elements."""
-    return schur_inner(G, chi1, chi2)
-
-
-def uniform_measure_weights(n):
-    return [Fraction(1, n)] * n
+    """<chi1, chi2> with chi given on elements: the mean over the group of
+    chi1 * conj(chi2), summed element by element."""
+    return sum(complex(chi1[g]) * complex(chi2[g]).conjugate()
+               for g in range(G.order)) / G.order
 
 
 def covariant_rep_partial_maps(mp):
@@ -119,7 +110,7 @@ def covariant_rep_partial_maps(mp):
     return rep
 
 
-def compose_partial_maps(mi, mj):
+def _compose_partial_maps(mi, mj):
     """Composition mi after mj of partial maps given as -1-padded arrays."""
     out = np.where(mj >= 0, mi[np.clip(mj, 0, None)], -1)
     return np.where(mj >= 0, out, -1)
@@ -158,7 +149,7 @@ def naive_law_violations(mp):
             return None
         return row_of[tuple(m)]
 
-    prod = [[lookup(compose_partial_maps(rep[i], rep[j])) for j in range(n)]
+    prod = [[lookup(_compose_partial_maps(rep[i], rep[j])) for j in range(n)]
             for i in range(n)]
 
     def mul(i, j):
@@ -549,21 +540,4 @@ def naive_convolve(G, a, b):
     for x in range(G.order):
         for y in range(G.order):
             out[G.mul(x, y)] += a[x] * b[y]
-    return tuple(out)
-
-
-def naive_pushforward(mp, weights, gamma):
-    """The weight of each compact element h carried to gamma . h."""
-    out = [None] * mp.compact.order
-    for h in range(mp.compact.order):
-        out[mp.act_compact(gamma, h)] = weights[h]
-    return tuple(out)
-
-
-def naive_smooth(mp, weights, coefficients):
-    """Sum over gamma of coefficient times the pushforward by gamma."""
-    out = [Fraction(0)] * mp.compact.order
-    for gamma, c in coefficients.items():
-        for h, x in enumerate(naive_pushforward(mp, weights, gamma)):
-            out[h] += c * x
     return tuple(out)

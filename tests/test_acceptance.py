@@ -214,7 +214,7 @@ def test_criterion_10_transform_suite():
     for inst in instances:
         for t in range(10):
             a = random_dual_element(inst.ring, seed=500 + t)
-            rep = check_lemma_fourier(inst, a, tol=1e-9)
+            rep = check_lemma_fourier(inst, a)
             worst_lemma = max(worst_lemma, rep.decomposition_deviation,
                               rep.norm_deviation)
     dual = classical_dual(S3)

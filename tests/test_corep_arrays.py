@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacforge import groups, reps
+from kacforge import groups
 from kacforge.hopf import build_algebra, group_subalgebra_check
 from kacforge.library import corpus_pairs, symmetric_group
 from kacforge.matched import MatchedPair, derive_actions
@@ -258,10 +258,25 @@ def test_support_storage_equals_dense_oracles(name, seed, data):
         assert set(p.support()) <= set(u.support())
         assert naive_intertwiner_dim(p, p) == 1
         assert mor_dim_solver(p, u)[0] == naive_intertwiner_dim(p, u) >= 1
-    nd, basis = mor_dim_solver(t, t)
-    assert nd == naive_intertwiner_dim(t, t)
-    parts = reps._split_once(t, basis, seed, 0, 0) if nd > 1 else None
-    for p in parts or []:
+    assert mor_dim_solver(t, t)[0] == naive_intertwiner_dim(t, t)
+    for p in decompose(t, seed=seed):
         assert set(p.support()) <= set(t.support())
         assert mor_dim_solver(p, t)[0] == naive_intertwiner_dim(p, t) >= 1
         assert mor_dim_solver(p, w)[0] == naive_intertwiner_dim(p, w)
+
+
+def test_decompose_splits_tensors_whose_end_basis_is_skew():
+    """On s4-cyclic4 an End basis of the o1 tensors holds a real
+    antisymmetric element, which cancels from Y + Y* on every draw; the
+    split falls back to i(Y - Y*) of the same draw."""
+    A = algebra_of("s4-cyclic4")
+    o1 = [c for c in build_candidates(A)[0] if c.label.startswith("o1*")]
+    assert [c.label for c in o1] == ["o1*x0", "o1*x1", "o1*x2", "o1*x3"]
+    for u in o1[:2]:
+        for w in o1[:2]:
+            t = u.tensor(w)
+            parts = decompose(t)
+            assert sum(p.dim for p in parts) == t.dim
+            for p in parts:
+                assert mor_dim_solver(p, p)[0] == 1
+                assert mor_dim_solver(p, t)[0] >= 1

@@ -27,9 +27,12 @@ from kacforge.crossed import (ClassicalDual, DualElement, LengthFunction,
                               word_length)
 from kacforge.errors import (ActionNotCompatible, IdentityViolated,
                              TruncationOverflow, ValidationError)
-from kacforge.groups import rng_from
-from kacforge.library import (corpus_pairs, cyclic_group, symmetric_group)
+from kacforge.groups import character_table, rng_from
+from kacforge.library import (corpus_pairs, cyclic_group, quaternion_group,
+                              special_linear_group, symmetric_group)
 from kacforge.reps import Corepresentation, mor_dim_haar, mor_dim_solver
+
+from .oracles import brute_character_inner
 
 _state = {}
 
@@ -88,6 +91,33 @@ def test_irrep_ring_checks_clean():
         assert rep["associativity"] == 0.0
         assert rep["frobenius"] == 0.0
         assert rep["dimension-homomorphism"] == 0.0
+
+
+BRUTE_GROUPS = {"S3": symmetric_group(3), "S4": symmetric_group(4),
+                "Q8": quaternion_group(),
+                "SL(2,3)": special_linear_group(2, 3)}
+
+
+def ring_and_characters(name):
+    """The irrep ring of a named group and its characters on elements, in
+    the ring's label order."""
+    if name not in _state:
+        G = BRUTE_GROUPS[name]
+        table = character_table(G)
+        _state[name] = irrep_fusion_ring(G), [
+            table.char_on_elements(i) for i in range(table.n_irreps)]
+    return _state[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BRUTE_GROUPS)), data=st.data())
+def test_irrep_ring_multiplicities_equal_brute_means(name, data):
+    ring, chars = ring_and_characters(name)
+    x, y, z = (data.draw(st.integers(0, ring.n - 1), label=label)
+               for label in "xyz")
+    mean = brute_character_inner(BRUTE_GROUPS[name], chars[x] * chars[y],
+                                 chars[z])
+    assert abs(mean - ring.mult[x, y, z]) < 1e-9
 
 
 def test_element_ring_is_group_law():
@@ -364,7 +394,7 @@ def test_lemma_fourier_ten_draws_two_instances():
     for inst in both_instances():
         for t in range(10):
             a = random_dual_element(inst.ring, seed=1000 + t)
-            rep = check_lemma_fourier(inst, a, tol=1e-9)
+            rep = check_lemma_fourier(inst, a)
             assert rep.passed
             assert rep.decomposition_deviation < 1e-9
             assert rep.norm_deviation < 1e-9

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacforge import groups
-from kacforge.errors import (ExtractionFailed, NotAnAction, SizeBound,
-                             ValidationError)
+from kacforge.errors import (ExtractionFailed, NonIntegral, NotAnAction,
+                             SizeBound, ValidationError)
 from kacforge.groups import (AbelianGroup, FiniteGroup, Presentation,
                              abelian_invariants, character_table,
                              closure_table, conjugacy_and_center,
@@ -17,7 +17,7 @@ from kacforge.groups import (AbelianGroup, FiniteGroup, Presentation,
                              group_from_matrices_mod, group_from_permutations,
                              is_isomorphic_small, matrix_irreps,
                              permuted_rows, quotient_group,
-                             semidirect_product)
+                             rounded_pairings, semidirect_product)
 from kacforge.library import (cyclic_group, dihedral_group, quaternion_group,
                               special_linear_group, symmetric_group)
 
@@ -473,3 +473,12 @@ def test_matrix_modulus_bound_follows_int64_products():
     assert group_from_matrices_mod([[[m - 1, m - 1], [1, 0]]], m).order == 3
     with pytest.raises(ValidationError, match="modulus"):
         group_from_matrices_mod([[[m, m], [1, 0]]], m + 1)
+
+
+def test_rounded_pairings_names_the_first_non_integral_entry():
+    left = np.eye(2)
+    assert rounded_pairings(left, [[2.0, 4.0]], 2).tolist() == [[1], [2]]
+    with pytest.raises(NonIntegral, match=r"\(1,0\) = 0\.5 "):
+        rounded_pairings(left, [[2.0, 1.0]], 2)
+    with pytest.raises(NonIntegral, match=r"\(0,0\) = 1j"):
+        rounded_pairings(left, [[2j, 0.0]], 2)

@@ -163,3 +163,34 @@ def test_scanner_finds_an_unreferenced_private_helper():
 def test_every_private_helper_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+# ---------------------------------------------------------------------------
+# dead oracles: a public function of tests/oracles.py that no test reads
+
+
+def unread_functions(source, readers):
+    """Public top-level functions of ``source`` that no source in
+    ``readers`` mentions, as a name or an attribute."""
+    read = set()
+    for text in readers:
+        read |= {getattr(node, "id", None) or node.attr
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+    return [stmt.name for stmt in ast.parse(source).body
+            if isinstance(stmt, ast.FunctionDef)
+            and not stmt.name.startswith("_") and stmt.name not in read]
+
+
+def test_scanner_finds_an_unread_oracle():
+    oracles = ("def used():\n    pass\ndef via_module():\n    pass\n"
+               "def _helper():\n    pass\ndef dead():\n    pass\n")
+    readers = ["from .oracles import used\nused()\n",
+               "from . import oracles\noracles.via_module()\n"]
+    assert unread_functions(oracles, readers) == ["dead"]
+
+
+def test_every_oracle_is_read_by_a_test():
+    tests = ROOT / "tests"
+    readers = [path.read_text() for path in sorted(tests.glob("test_*.py"))]
+    assert unread_functions((tests / "oracles.py").read_text(), readers) == []

@@ -317,6 +317,28 @@ def test_audit_finds_flip_partners():
         assert all(f.partner is not None for f in report.flips)
 
 
+@pytest.mark.parametrize("name", ["sign-on-z7", "double-s3-twist"])
+def test_audit_computes_each_character_once(name, monkeypatch):
+    """One character per candidate and one per orbit tensor built; the
+    solver is stubbed out, as it reads no character."""
+    A, cat = algebra_of(name), catalog_of(name)
+    calls = Counter()
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls[method.__name__] += 1
+            return method(self, *args)
+        return wrapper
+
+    for method in (Corepresentation.character, Corepresentation.tensor):
+        monkeypatch.setattr(Corepresentation, method.__name__,
+                            counted(method))
+    monkeypatch.setattr(reps, "mor_dim_solver", lambda u, w: (0, []))
+    audit_fusion(A, cat)
+    assert calls["tensor"] <= len(cat.orbit_space.orbits) ** 2
+    assert calls["character"] <= len(cat.candidates) + calls["tensor"]
+
+
 def test_audit_equals_side_built_route_when_identity_is_listed_second():
     # the discrete identity is element 1, so {e} is orbit 1, not orbit 0
     mp = load_pair(str(DATA / "split_identity_last.pair"))
