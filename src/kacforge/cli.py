@@ -95,7 +95,7 @@ def _cmd_irreps(bundle, config, report, args):
 
 def _cmd_fusion(bundle, config, report, args):
     from .groups import rounded_pairings
-    from .reps import mor_dim_solver
+    from .reps import mor_dims
     for name, mp in sorted(bundle.pairs.items()):
         A, catalog = _algebra_and_catalog(mp, config.seed)
         irreps = catalog.canonical
@@ -106,8 +106,7 @@ def _cmd_fusion(bundle, config, report, args):
             for w in irreps:
                 tens = u.tensor(w)
                 row = rounded_pairings(chars, [tens.character()], A.nk)[:, 0]
-                for z, mh in zip(irreps, row):
-                    ms, _ = mor_dim_solver(z, tens)
+                for mh, (ms, _) in zip(row, mor_dims(irreps, tens)):
                     worst = max(worst, abs(mh - ms))
                 lines.append(f"{u.label}*{w.label} -> " + " ".join(
                     f"{z.label}:{m}" for z, m in zip(irreps, row) if m))

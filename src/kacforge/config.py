@@ -15,6 +15,12 @@ TOL_INT = 1e-6
 TOL_AXIOM = 1e-9
 #: Frobenius defect allowed in matrix-representation multiplicativity
 TOL_MULT = 1e-7
+#: max-abs distance within which two rows of values (characters, dual
+#: labels, twisted characters) are the same row
+TOL_MATCH = 1e-6
+#: gap between sorted eigenvalues at or below which a seeded split keeps
+#: them in one eigenspace
+TOL_EIGEN = 1e-6
 
 #: default RNG seed for every randomized step
 DEFAULT_SEED = 0xC0FFEE
@@ -35,6 +41,9 @@ RETRY_BUDGET = 8
 #: label cap for fusion rings (the int32 multiplicity tensor is n^3 entries,
 #: 64 MB at the cap)
 RING_CAP = 256
+#: cells of the largest dense block of an intertwiner system (equations x
+#: unknowns of one connected component; 256 MB of complex entries at the cap)
+INTERTWINER_CAP = 1 << 24
 #: fusion-audit triples checked; above it a seeded sample of this size
 AUDIT_TRIPLES = 2000
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEED, RING_CAP, TOL_AXIOM
+from .config import DEFAULT_SEED, RING_CAP, TOL_AXIOM, TOL_MATCH
 from .errors import (ActionNotCompatible, IdentityViolated, SizeBound,
                      TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
@@ -162,7 +162,7 @@ def irrep_fusion_ring(G, seed=DEFAULT_SEED):
     chars = table.chars[:, table.classes.class_of]
     dims = [int(round(table.dims[i].real)) for i in range(k)]
     unit = 0                       # trivial character is pinned to row 0
-    dual = match_rows(chars, np.conj(chars), 1e-6)
+    dual = match_rows(chars, np.conj(chars), TOL_MATCH)
     if (dual < 0).any():
         raise ValidationError("ring-dual",
                               f"conjugate of row {np.argmax(dual < 0)} unclear")
@@ -298,7 +298,7 @@ def action_from_pair(mp, seed=DEFAULT_SEED):
     ring = irrep_fusion_ring(K, seed=seed)
     table = character_table(K, seed=seed)
     chars = table.chars[:, table.classes.class_of]
-    perms = permuted_rows(chars, mp.alpha[R.inverse], 1e-6)
+    perms = permuted_rows(chars, mp.alpha[R.inverse], TOL_MATCH)
     if (perms < 0).any():
         x = np.argwhere(perms < 0)[0, 1]
         raise ActionNotCompatible(f"twisted character of label {x} unmatched")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, IRREP_CAP,
                      ISO_CAP, RETRY_BUDGET, TABLE_CAP, TOL_EQ, TOL_INT,
-                     TOL_MULT)
+                     TOL_MATCH, TOL_MULT)
 from .errors import (ExtractionFailed, NonIntegral, NotAnAction,
                      SeedDegenerate, SizeBound, ValidationError)
 
@@ -47,6 +47,26 @@ def match_rows(table, queries, tol):
         close = np.abs(queries[blk, None] - table).max(2, initial=0.0) <= tol
         out[blk] = np.where(close.sum(1) == 1, close.argmax(1), -1)
     return out
+
+
+def _components(n, a, b):
+    """Connected components of the graph on ``range(n)`` with the edges
+    (a[e], b[e]): each vertex is labelled with the least vertex of its
+    component.  Each round hooks the larger root of every edge under the
+    smaller one and then points every vertex at its root, until every edge
+    joins equal labels (Shiloach & Vishkin, J. Algorithms 3, 1982)."""
+    label = np.arange(n)
+    a, b = np.ravel(a), np.ravel(b)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
 def rounded_pairings(left, right, n):
@@ -760,7 +780,7 @@ def dual_group(G, seed=DEFAULT_SEED):
     tq = character_table(Q, seed=seed)
     chars = tq.chars[:, tq.classes.class_of]     # rows -> functions on Q
     pulled = chars[:, proj]                      # functions on G
-    table = closure_table(pulled, lambda i: pulled[i] * pulled, 1e-6,
+    table = closure_table(pulled, lambda i: pulled[i] * pulled, TOL_MATCH,
                           "dual-closure", "character product")
     dual = FiniteGroup(table, labels=[f"w{i}" for i in range(len(pulled))])
     return DualGroup(abelian=ab, characters=pulled, group=dual)

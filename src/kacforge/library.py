@@ -24,6 +24,16 @@ def symmetric_group(n):
     return group_from_permutations(gens, degree=n)
 
 
+def stabilizer_and_cycle(n):
+    """S_n with two subgroups that factor it exactly: the stabilizer of the
+    last point and the cyclic group of the n-cycle (0 1 ... n-1), each as a
+    list of elements of S_n."""
+    S = symmetric_group(n)
+    stab = [i for i, p in enumerate(S.permutations) if p[n - 1] == n - 1]
+    cycle = S.permutations.index(tuple(range(1, n)) + (0,))
+    return S, stab, S.closure([cycle])
+
+
 def dihedral_group(n):
     """Symmetries of the n-gon, order 2n, as permutations of the vertices."""
     rot = tuple((i + 1) % n for i in range(n))
@@ -80,11 +90,7 @@ def pair_s3_split_dual():
 def pair_s4():
     """S4 = (point stabilizer of the last letter) * <4-cycle>; both actions
     genuinely nontrivial."""
-    S4 = symmetric_group(4)
-    perms = S4.permutations
-    stab = [i for i, p in enumerate(perms) if p[3] == 3]
-    four = next(i for i, p in enumerate(perms) if p == (1, 2, 3, 0))
-    return derive_actions(S4, stab, S4.closure([four]), name="s4-cyclic4")
+    return derive_actions(*stabilizer_and_cycle(4), name="s4-cyclic4")
 
 
 def pair_z6_abelian():

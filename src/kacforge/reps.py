@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AUDIT_TRIPLES, DEFAULT_SEED, RETRY_BUDGET, TOL_EQ, TOL_MULT
-from .errors import PeterWeylMismatch, SeedDegenerate, ValidationError
-from .groups import (FiniteGroup, _eigen_groups, _row_blocks, closure_table,
-                     dual_group, is_isomorphic_small, matrix_irreps,
-                     permuted_rows, rng_from, rounded_pairings,
-                     semidirect_product)
+from .config import (AUDIT_TRIPLES, DEFAULT_SEED, INTERTWINER_CAP,
+                     RETRY_BUDGET, TOL_EIGEN, TOL_EQ, TOL_INT,
+                     TOL_MATCH, TOL_MULT)
+from .errors import (PeterWeylMismatch, SeedDegenerate, SizeBound,
+                     ValidationError)
+from .groups import (FiniteGroup, _components, _eigen_groups, _row_blocks,
+                     closure_table, dual_group, is_isomorphic_small,
+                     matrix_irreps, permuted_rows, rng_from,
+                     rounded_pairings, semidirect_product)
 from .matched import b_sets, orbits_fixed_sets
 
 
@@ -54,6 +57,8 @@ class Corepresentation:
         (default: every basis element), zero off the support."""
         if onto is None:
             onto = np.arange(self.algebra.dim)
+        if not np.isin(self._support, onto).all():
+            raise ValidationError("corep-support", "leaves the given basis")
         out = np.zeros((self.dim, self.dim, len(onto)), dtype=complex)
         out[:, :, np.searchsorted(onto, self._support)] = self.values
         return out
@@ -176,35 +181,158 @@ def mor_dim_haar(u, w):
 
 
 def mor_dim_solver(u, w):
-    """Exact nullspace of the intertwiner equations; returns (dim, basis).
+    """Exact nullspace of the intertwiner equations; returns (dim, basis)."""
+    return mor_dims([u], w)[0]
 
-    Solves for T (w.dim x u.dim) with (T x 1)u = w(T x 1) over the
-    algebra's coefficient space.
+
+def _line_classes(n, member, line, n_lines):
+    """Members 0..n-1 that share a line fall into one class, named by its
+    least member.  Returns the class of every member and of every line
+    (-1 for a line without members)."""
+    first = np.full(n_lines, n)
+    np.minimum.at(first, line, member)
+    cls = _components(n, member, first[line])
+    return cls, np.append(cls, -1)[first]
+
+
+def mor_dims(us, w):
+    """Intertwiner spaces from each u of ``us`` to ``w``: one (dim, basis)
+    per u, the basis an orthonormal list of (w.dim, u.dim) arrays.
+
+    T solves (T x 1)u = w(T x 1) over the algebra's coefficient space: row
+    (i, k, s) of the system reads sum_b T[i, b] u[b, k, s] - sum_a w[i, a, s]
+    T[a, k] = 0, s in the union of the supports.  A row names only the
+    unknowns of its nonzero terms, so the unknowns fall into the connected
+    components of the system's nonzero pattern and the null space is the
+    direct sum of theirs (the connected-component case of the
+    block-triangular form, Pothen & Fan, ACM TOMS 16, 1990).  The
+    components come from the patterns of the support slices, without
+    forming the system:
+
+    * the b that share a column (k, s) of u's slices form a class, whose
+      unknowns T[i, b] meet in row (i, k, s) for every i; likewise the a
+      that share a row (i, s) of w's slices, and T[a, k] for every k;
+    * a row (i, k, s) with terms on both sides joins the class of column
+      (k, s) in row i of T to the class of row (i, s) in column k.
+
+    Each component is one dense block, its rows in the order of the whole
+    system, and the blocks of one shape over all of ``us`` are solved in
+    stacked calls.  A block with more rows than columns is reduced to R of
+    its QR, which has the block's singular values and null space, so the
+    SVD never forms the left factor (R-SVD, T. F. Chan, ACM TOMS 8, 1982).
+    A singular value counts as zero at TOL_EQ times the largest one over
+    that u's blocks (at least 1), the cutoff of its whole system.  A block
+    over INTERTWINER_CAP cells raises SizeBound before any block is built.
     """
-    du, dw = u.dim, w.dim
-    support = np.union1d(u.support(), w.support())
-    if not len(support):
-        return 0, []
-    S = len(support)
-    Uc, Wc = u.dense(support), w.dense(support)    # (du, du, S), (dw, dw, S)
-    # row (i, k, s) of (T x 1)u - w(T x 1), column (a, b) of T:
-    # [a = i] u[b, k] - [b = k] w[i, a] at support element s
-    M = np.zeros((dw, du, S, dw, du), dtype=complex)
-    ii, kk = np.arange(dw), np.arange(du)
-    M[ii, :, :, ii, :] += Uc.transpose(1, 2, 0)
-    M[:, kk, :, :, kk] -= Wc.transpose(0, 2, 1)
-    M = M.reshape(dw * du * S, dw * du)
-    # M has dw*du*S rows and dw*du columns with S >= 1, so R and the
-    # reduced vh are square: every null direction of M is a row of vh with
-    # a singular value at or below the cutoff, and none is lost.  R of
-    # M = QR has M's singular values and null space, and the SVD of R never
-    # forms M's (dw*du*S)^2 left factor (R-SVD, T. F. Chan, ACM TOMS 8, 1982).
-    if S > 1:
-        M = np.linalg.qr(M, mode="r")
-    svals, vh = np.linalg.svd(M)[1:]
-    cutoff = TOL_EQ * max(float(svals.max(initial=0.0)), 1.0)
-    basis = [row.conj().reshape(dw, du) for row in vh[svals <= cutoff]]
-    return len(basis), basis
+    if not us:
+        return []
+    n, dw, Sw = len(us), w.dim, w.support()
+    S = np.unique(np.concatenate([Sw] + [u.support() for u in us]))
+    nS = len(S)
+    # the k of every u stacked: K = koff[q] + k; unknown T_q[a, b] is
+    # uid(q, a, b) = dw * koff[q] + a * du[q] + b
+    du = np.array([u.dim for u in us])
+    koff = np.cumsum(du) - du
+    nK = int(du.sum())
+    qK = np.repeat(np.arange(n), du)
+    # coefficients with a zero slice appended, flattened: entry (b, k) of
+    # u_q at support position p, or len(support) off it, is at
+    # uoff[q] + (b * du[q] + k) * width[q] + p
+    width = np.array([len(u.support()) + 1 for u in us])
+    uoff = np.cumsum(du * du * width) - du * du * width
+    uflat = np.concatenate([np.concatenate(
+        [u.values, np.zeros((u.dim, u.dim, 1))], 2).ravel() for u in us])
+    wflat = np.concatenate([w.values, np.zeros((dw, dw, 1))], 2).ravel()
+    pos = np.repeat(width[:, None] - 1, nS, axis=1)     # S[s] in u_q's support
+    pw = np.full(nS, len(Sw))
+    pw[np.searchsorted(S, Sw)] = np.arange(len(Sw))
+    # line classes: the b of column (K, s) and the a of w's row (i, s)
+    b, k, s = [], [], []
+    for qq, u in enumerate(us):
+        at = np.searchsorted(S, u.support())
+        pos[qq, at] = np.arange(len(at))
+        bb, kk, ss = np.nonzero(u.values)
+        b.append(koff[qq] + bb)
+        k.append(koff[qq] + kk)
+        s.append(at[ss])
+    b, k, s = (np.concatenate(x) for x in (b, k, s))
+    cu, ck = _line_classes(nK, b, k * nS + s, nK * nS)
+    ck = ck.reshape(nK, nS)
+    i, a, s = np.nonzero(w.values)
+    cw, ci = _line_classes(dw, a, i * nS + np.searchsorted(S, Sw)[s],
+                           dw * nS)
+    ci = ci.reshape(dw, nS)
+
+    def uid(q, a, b):
+        return dw * koff[q] + a * du[q] + b
+
+    qu = np.repeat(np.arange(n), dw * du)
+    a, b = np.divmod(np.arange(dw * nK) - dw * koff[qu], du[qu])
+    # the rows with a term, in the order (i, k, s) for each u, reach
+    # T[i, class of (k, s)] and T[class of (i, s), k]
+    i, K, s = np.nonzero((ci[:, None] >= 0) | (ck[None] >= 0))
+    q = qK[K]
+    k = K - koff[q]
+    rk, ri = ck[K, s], ci[i, s]
+    both = (rk >= 0) & (ri >= 0)
+    unk = np.arange(dw * nK)
+    comp = _components(
+        dw * nK,
+        np.concatenate([unk, unk, uid(q, i, rk - koff[q])[both]]),
+        np.concatenate([uid(qu, a, cu[koff[qu] + b] - koff[qu]),
+                        uid(qu, cw[a], b), uid(q, ri, k)[both]]))
+    row_comp = comp[np.where(rk >= 0, uid(q, i, rk - koff[q]),
+                             uid(q, ri, k))]
+    # blocks are named by their least unknown; rows (i, k, offset of
+    # u[., k, s] in uflat, of w[i, ., s] in wflat) and columns (a, b, their
+    # offsets, index of T[a, b]) are gathered block by block
+    order = np.argsort(row_comp, kind="stable")
+    rows = np.stack([i, k, uoff[q] + k * width[q] + pos[q, s],
+                     i * dw * (len(Sw) + 1) + pw[s]])[:, order]
+    order = np.argsort(comp, kind="stable")
+    cols = np.stack([a, b, b * du[qu] * width[qu], a * (len(Sw) + 1),
+                     unk - dw * koff[qu]])[:, order]
+    keys, col_at, wide = np.unique(comp[order], return_index=True,
+                                   return_counts=True)
+    high = np.bincount(np.searchsorted(keys, row_comp), minlength=len(keys))
+    row_at = np.cumsum(high) - high
+    cells = np.maximum(high, wide) * wide
+    if cells.max() > INTERTWINER_CAP:
+        g = int(cells.argmax())
+        raise SizeBound(f"intertwiner block of {high[g]} equations in "
+                        f"{wide[g]} unknowns is over the cap of "
+                        f"{INTERTWINER_CAP} cells")
+    solved = []
+    for nr, nc in np.unique(np.stack([high, wide], 1), axis=0).tolist():
+        same = np.flatnonzero((high == nr) & (wide == nc))
+        for blk in _row_blocks(len(same), max(nr, nc) * nc):
+            g = same[blk]
+            r = rows[:, row_at[g, None] + np.arange(nr)]     # [field, g, nr]
+            c = cols[:, col_at[g, None] + np.arange(nc)]     # [field, g, nc]
+            B = np.zeros((len(g), max(nr, nc), nc), dtype=complex)
+            # [a = i] u[b, k, s] - [b = k] w[i, a, s]
+            x, y, z = np.nonzero(c[0][:, None] == r[0][:, :, None])
+            B[x, y, z] = uflat[r[2][x, y] + c[2][x, z]]
+            x, y, z = np.nonzero(c[1][:, None] == r[1][:, :, None])
+            B[x, y, z] -= wflat[r[3][x, y] + c[3][x, z]]
+            if nr > nc:
+                B = np.linalg.qr(B, mode="r")
+            solved.append((g, *np.linalg.svd(B)[1:]))
+    owner = qu[keys]
+    top = np.zeros(n)
+    for g, svals, _ in solved:
+        np.maximum.at(top, owner[g], svals.max(1))
+    cutoff = TOL_EQ * np.maximum(top, 1.0)
+    null = []
+    for g, svals, vh in solved:
+        x, j = np.nonzero(svals <= cutoff[owner[g], None])
+        null.extend(zip(g[x].tolist(), j.tolist(), vh[x, j].conj()))
+    out = [[] for _ in us]
+    for g, _, v in sorted(null, key=lambda t: t[:2]):
+        T = np.zeros(dw * du[owner[g]], dtype=complex)
+        T[cols[4, col_at[g]:col_at[g] + wide[g]]] = v
+        out[owner[g]].append(T.reshape(dw, du[owner[g]]))
+    return [(len(basis), basis) for basis in out]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +352,21 @@ class IrrepCatalog:
         return [c.dim for c in self.canonical]
 
     def coefficient_span_rank(self):
-        rows = np.concatenate([c.dense().reshape(-1, self.algebra.dim)
-                               for c in self.canonical])
-        return int(np.linalg.matrix_rank(rows, tol=1e-8))
+        """Rank of the coefficient rows of all canonical irreps together, at
+        the absolute tolerance TOL_EQ.  Each irrep lives on (its orbit) x K,
+        so the rows are block-diagonal by orbit and the rank is the sum of
+        the blocks' ranks."""
+        orbit = self.orbit_space.orbit_of[self.algebra.gamma_of]  # per basis
+        by_orbit = {}
+        for c in self.canonical:
+            by_orbit.setdefault(int(orbit[c.support()[0]]), []).append(c)
+        rank = 0
+        for o, coreps in by_orbit.items():
+            on = np.flatnonzero(orbit == o)
+            rows = np.concatenate([c.dense(on).reshape(-1, len(on))
+                                   for c in coreps])
+            rank += int(np.linalg.matrix_rank(rows, tol=TOL_EQ))
+        return rank
 
 
 def _split_once(corep, basis, seed, depth, attempt):
@@ -235,7 +375,7 @@ def _split_once(corep, basis, seed, depth, attempt):
     # a skew End element cancels from Y + Y*; i(Y - Y*) keeps it
     for M in (Y + Y.conj().T, 1j * (Y - Y.conj().T)):
         vals, vecs = np.linalg.eigh(M)
-        groups = _eigen_groups(vals, 1e-6)
+        groups = _eigen_groups(vals, TOL_EIGEN)
         if len(groups) > 1:
             break
     else:
@@ -387,42 +527,51 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     # matrices, those on the orbit {e} the lifted compact irreps
     e_orbit = space.orbit_of[mp.discrete.identity]
 
-    # triple t is (gamma, x, r, s) in row-major order of this shape
+    # triple t is (gamma, x, r, s) in row-major order of this shape; each
+    # orbit tensor (r, s) is built once and solved against its candidates
     shape = (n_orb, nx, n_orb, n_orb)
     triples_total = nx * n_orb ** 3
-    picks = range(triples_total)
+    picks = np.arange(triples_total)
     if triples_total > AUDIT_TRIPLES:
         picks = np.sort(rng_from(seed, 5).choice(
             triples_total, size=AUDIT_TRIPLES, replace=False))
-
+    gi, xi, ri, si = np.unravel_index(picks, shape)
+    ci = gi * nx + xi
+    target_of = ri * n_orb + si
+    solver = np.zeros(len(picks), dtype=np.int64)
+    haar = np.zeros(len(picks), dtype=np.int64)
+    for t in np.unique(target_of).tolist():
+        at = np.flatnonzero(target_of == t)
+        target = cands[t // n_orb * nx].tensor(cands[t % n_orb * nx])
+        haar[at] = rounded_pairings(chars, [target.character()],
+                                    A.nk)[ci[at], 0]
+        solver[at] = [d for d, _ in mor_dims([cands[c] for c in ci[at]],
+                                             target)]
     entries = []
-    tensor_cache = {}      # (r, s) -> orbit tensor and its Haar pairings
-    for t in picks:
-        gi, xi, ri, si = (int(v) for v in np.unravel_index(t, shape))
-        if (ri, si) not in tensor_cache:
-            target = cands[ri * nx].tensor(cands[si * nx])
-            tensor_cache[(ri, si)] = target, rounded_pairings(
-                chars, [target.character()], A.nk)[:, 0].tolist()
-        target, haar = tensor_cache[(ri, si)]
-        ci = gi * nx + xi
-        solver = mor_dim_solver(cands[ci], target)[0]
-        formula = closed[xi, gi, ri, si]
-        agree = abs(formula - solver) < 1e-6
+    for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
+                                si.tolist(), solver.tolist(), haar.tolist()):
+        formula = closed[x, g, r, s]
+        agree = abs(formula - d) < TOL_INT
         entries.append(FusionAuditEntry(
-            gamma_orbit=gi, x_label=catalog.irreps[xi].label, r_orbit=ri,
-            s_orbit=si, solver=solver, haar=haar[ci],
-            formula=float(formula.real),
+            gamma_orbit=g, x_label=catalog.irreps[x].label, r_orbit=r,
+            s_orbit=s, solver=d, haar=h, formula=float(formula.real),
             status="AUDIT-AGREE" if agree else "AUDIT-DISAGREE"))
 
     # distinctness of candidates with different construction labels: the
-    # pairs i < j of the Gram matrix with an intertwiner, row-major
-    distinctness = []
+    # pairs i < j of the Gram matrix with an intertwiner, row-major, solved
+    # in one call per right candidate
     gram = rounded_pairings(chars, chars, A.nk)
-    for i, j in np.argwhere(np.triu(gram, 1) > 0).tolist():
-        basis = mor_dim_solver(cands[i], cands[j])[1]
-        distinctness.append(DistinctnessEntry(
-            left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
-            status="AUDIT-DISAGREE", intertwiner=basis[0] if basis else None))
+    pairs = np.argwhere(np.triu(gram, 1) > 0).tolist()
+    witness = {}
+    for j in sorted({j for _, j in pairs}):
+        left = [i for i, jj in pairs if jj == j]
+        for i, (_, basis) in zip(left, mor_dims([cands[i] for i in left],
+                                                cands[j])):
+            witness[i, j] = basis[0] if basis else None
+    distinctness = [DistinctnessEntry(
+        left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
+        status="AUDIT-DISAGREE", intertwiner=witness[i, j])
+        for i, j in pairs]
 
     # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), the
     # first match in (x', orbit') order.  Equal characters have equal
@@ -432,7 +581,7 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     partners = [(mx.label, oi) for mx in catalog.irreps for oi in range(n_orb)]
     flips = []
     for cand, chi in zip(cands, chars):
-        hit = np.flatnonzero(np.abs(swapped - chi).max(1) < 1e-8)
+        hit = np.flatnonzero(np.abs(swapped - chi).max(1) < TOL_EQ)
         flips.append(FlipEntry(candidate=cand.label,
                                partner=partners[hit[0]] if len(hit) else None))
 
@@ -480,7 +629,8 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
 
     # structured model: compact-side dual extended by the fixed discrete part
     dualK = dual_group(K, seed=seed)
-    act = permuted_rows(dualK.characters, mp.alpha[R.inverse[fix_r_el]], 1e-6)
+    act = permuted_rows(dualK.characters, mp.alpha[R.inverse[fix_r_el]],
+                        TOL_MATCH)
     if (act < 0).any():
         raise ValidationError("intrinsic-model",
                               "twisted character escaped the dual")
@@ -519,7 +669,7 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
                                    for g, mi in passers])
 
     # structured model: discrete-side dual extended by the fixed compact part
-    actS = permuted_rows(dualR.characters, mp.beta[fix_k_el], 1e-6)
+    actS = permuted_rows(dualR.characters, mp.beta[fix_k_el], TOL_MATCH)
     if (actS < 0).any():
         raise ValidationError("spectrum-model",
                               "twisted character escaped the dual")

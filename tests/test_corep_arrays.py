@@ -7,20 +7,25 @@ for bit; the tensor product must equal the entry-by-entry loop of
 pairs whose actions were corrupted; and the coaction check must see a
 broken corepresentation.  The intertwiner solver and the character
 pairing must both give the dimension of the loop-built system's null
-space, and every solver basis matrix must be an orthonormal intertwiner.
+space, and every solver basis matrix must be an orthonormal intertwiner;
+a batched solve must give each entry what its own call gives.  The
+coefficient span rank summed over orbit blocks must equal the rank of the
+whole stacked matrix.
 Every candidate, catalog irrep and orbit tensor is stored on its sorted,
 pruned support, and that storage agrees with the loop oracles, which read
 the dense tensors.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacforge import groups
+from kacforge import groups, reps
 from kacforge.hopf import build_algebra, group_subalgebra_check
-from kacforge.library import corpus_pairs, symmetric_group
+from kacforge.library import corpus_pairs, stabilizer_and_cycle
 from kacforge.matched import MatchedPair, derive_actions
 from kacforge.errors import ValidationError
 from kacforge.groups import matrix_irreps
@@ -176,6 +181,69 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
         assert np.abs(left - right).max() < 1e-9
 
 
+def _tampered(c, rng):
+    """``c`` with random values on its nonzero entries: no longer a
+    corepresentation, with the same pattern."""
+    noise = rng.normal(size=c.values.shape) + 1j * rng.normal(
+        size=c.values.shape)
+    return Corepresentation(c.algebra, np.where(c.values != 0, noise, 0),
+                            c.support(), label=f"{c.label}~")
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(UP_TO_42), data=st.data())
+def test_batched_solves_equal_loop_rank_and_single_calls(name, data):
+    """One mor_dims call over a list of mixed dimensions, a tampered entry
+    among them, gives every entry the loop-built null-space dimension and
+    the same basis as its own call, an orthonormal intertwiner basis."""
+    A = algebra_of(name)
+    catalog = catalog_of(name)
+    pool = catalog.candidates + catalog.canonical
+    pick = st.integers(0, len(pool) - 1)
+    us = [pool[i] for i in data.draw(st.lists(pick, min_size=1, max_size=5),
+                                     label="sources")]
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
+    us.insert(data.draw(st.integers(0, len(us)), label="at"),
+              _tampered(pool[data.draw(pick, label="tampered")], rng))
+    w = pool[data.draw(pick, label="target")]
+    got = reps.mor_dims(us, w)
+    assert len(got) == len(us)
+    for u, (dim, basis) in zip(us, got):
+        alone = mor_dim_solver(u, w)
+        assert dim == naive_intertwiner_dim(u, w) == alone[0]
+        assert all(np.array_equal(T, S) for T, S in zip(basis, alone[1]))
+        V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
+        assert np.abs(V.conj() @ V.T - np.eye(dim)).max(initial=0.0) < 1e-9
+        for T in basis:
+            left = np.einsum("ib,bkn->ikn", T, u.dense())
+            right = np.einsum("ian,ak->ikn", w.dense(), T)
+            assert np.abs(left - right).max() < 1e-9
+
+
+def _dense_span_rank(catalog):
+    rows = np.concatenate([c.dense().reshape(-1, catalog.algebra.dim)
+                           for c in catalog.canonical])
+    return int(np.linalg.matrix_rank(rows, tol=1e-8))
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5"])
+def test_span_rank_by_orbit_blocks_equals_dense_rank(name):
+    cat = enumerate_irreps(build_algebra(_pair(name)))
+    assert cat.coefficient_span_rank() == _dense_span_rank(cat) \
+        == cat.algebra.dim
+
+
+def test_span_rank_counts_a_duplicated_irrep_once():
+    cat = catalog_of("conj-s3-rot")
+    widest = max(cat.canonical, key=lambda c: c.dim)
+    twice = dataclasses.replace(cat, canonical=cat.canonical + [widest])
+    assert twice.coefficient_span_rank() == _dense_span_rank(twice) \
+        == cat.algebra.dim
+    short = dataclasses.replace(cat, canonical=cat.canonical[1:] + [widest])
+    assert short.coefficient_span_rank() == _dense_span_rank(short) \
+        == cat.algebra.dim - cat.canonical[0].dim ** 2
+
+
 def test_coefficients_and_support_are_read_only():
     # the support is pruned once, at construction, so neither the stored
     # values nor the support may change; the caller's own arrays are copied
@@ -204,16 +272,22 @@ def test_constructor_refuses_a_support_out_of_order():
         Corepresentation(A, ones, [0, 1, 2])
 
 
+def test_dense_refuses_a_basis_without_the_support():
+    corep = Corepresentation(algebra_of("s3-split"), np.ones((1, 1, 2)),
+                             [1, 3])
+    assert corep.dense([1, 2, 3]).ravel().tolist() == [1, 0, 1]
+    for onto in ([1, 2], [2, 3, 4], [0, 1, 2]):
+        with pytest.raises(ValidationError, match="corep-support"):
+            corep.dense(onto)
+
+
 # ---------------------------------------------------------------------------
 # storage on the support
 
 def _pair(name):
     if name in CORPUS:
         return CORPUS[name]
-    S = symmetric_group(5)      # S5 = (stabilizer of 4) * <5-cycle>
-    stab = [i for i, p in enumerate(S.permutations) if p[4] == 4]
-    cycle = S.permutations.index((1, 2, 3, 4, 0))
-    return derive_actions(S, stab, S.closure([cycle]), name=name)
+    return derive_actions(*stabilizer_and_cycle(5), name=name)
 
 
 def _stored_on_support(c):

@@ -482,3 +482,26 @@ def test_rounded_pairings_names_the_first_non_integral_entry():
         rounded_pairings(left, [[2.0, 1.0]], 2)
     with pytest.raises(NonIntegral, match=r"\(0,0\) = 1j"):
         rounded_pairings(left, [[2j, 0.0]], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_components_label_each_vertex_with_the_least_reachable(n, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=3 * n))
+    a = np.array([e[0] for e in edges], dtype=np.int64)
+    b = np.array([e[1] for e in edges], dtype=np.int64)
+    neighbours = {v: set() for v in range(n)}
+    for x, y in edges:
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    want = []
+    for v in range(n):          # breadth-first search from every vertex
+        seen, todo = {v}, [v]
+        while todo:
+            nxt = [y for x in todo for y in neighbours[x] if y not in seen]
+            seen.update(nxt)
+            todo = nxt
+        want.append(min(seen))
+    assert groups._components(n, a, b).tolist() == want

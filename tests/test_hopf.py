@@ -54,6 +54,18 @@ def test_product_table_matches_operator_model(name):
         assert np.array_equal(composed, expected), f"row {i} of {name}"
 
 
+@pytest.mark.parametrize("name", SMALL)
+def test_mul_index_reads_the_tables_and_keeps_zero(name):
+    A = algebra_of(name)
+    n = A.dim
+    want = np.full((n + 1, n + 1), n)      # index n is the zero element
+    for i in range(n):
+        want[i, A.partner[i]] = A.result[i]
+    ij = np.arange(n + 1)
+    assert np.array_equal(A.mul_index(ij[:, None], ij[None, :]), want)
+    assert A.mul_index(n, n) == n and A.mul_index(0, n) == n
+
+
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_star_table_matches_operator_adjoint(name):
     A = algebra_of(name)
@@ -106,6 +118,95 @@ def test_axiom_report_agrees_with_naive_checker(name):
     assert [c.name for c in report.checks] == list(naive)
     assert {c.name for c in report.checks if c.deviation > report.tol} == \
         {law for law, count in naive.items() if count > 0}
+
+
+def _corrupted_table(name, table, seed):
+    """The algebra of a corpus pair with two seeded entries of its
+    ``partner`` table (kept in their block) or ``result`` table (anywhere)
+    rewritten."""
+    A = build_algebra(CORPUS[name])
+    rng = np.random.default_rng(seed)
+    arr = getattr(A, table).copy()
+    for _ in range(2):
+        i, s = rng.integers(A.dim), rng.integers(A.nr)
+        if table == "partner":
+            arr[i, s] = arr[i, s] // A.nk * A.nk + rng.integers(A.nk)
+        else:
+            arr[i, s] = rng.integers(A.dim)
+    setattr(A, table, arr)
+    return A
+
+
+# The failing checks of each corruption, as the dense-table implementation
+# of check_axioms reported them (names, deviations and witnesses).
+CORRUPTED_TABLES = {
+    ("s3-split", "partner", 1): [
+        ("product-associativity", 14.0,
+         ("u[e]d[(132)]", "u[e]d[(123)]", "u[(12)]d[(132)]")),
+        ("unit-element", 1.0, None),
+        ("star-antihomomorphism", 4.0, None),
+        ("coproduct-multiplicative", 12.0, ("u[e]d[e]", "u[(12)]d[e]"))],
+    ("conj-s3-rot", "partner", 2): [
+        ("product-associativity", 32.0,
+         ("u[e]d[(132)]", "u[e]d[(13)]", "u[(123)]d[(23)]")),
+        ("unit-element", 1.0, None),
+        ("star-antihomomorphism", 8.0, None),
+        ("coproduct-multiplicative", 29.0, ("u[e]d[e]", "u[(123)]d[e]"))],
+    ("s4-cyclic4", "partner", 3): [
+        ("product-associativity", 78.0,
+         ("u[(12)]d[(1234)]", "u[e]d[(1234)]", "u[(12)]d[(1432)]")),
+        ("star-antihomomorphism", 6.0, None),
+        ("coproduct-multiplicative", 22.0, ("u[(12)]d[e]", "u[(12)]d[e]")),
+        ("antipode-laws", 3.0, "u[(12)]d[e]"),
+        ("haar-trace", 4.0, None),
+        ("haar-positivity", 0.25, None)],
+    ("double-s3-twist", "partner", 4): [
+        ("product-associativity", 560.0,
+         ("u[(e|(12))]d[e]", "u[((23)|(12))]d[e]", "u[((132)|(13))]d[e]")),
+        ("star-antihomomorphism", 8.0, None),
+        ("counit-multiplicative", 1.0, None),
+        ("coproduct-multiplicative", 43.0,
+         ("u[((13)|e)]d[e]", "u[((132)|(13))]d[e]"))],
+    ("s3-split-dual", "result", 5): [
+        ("product-associativity", 15.0,
+         ("u[e]d[e]", "u[(132)]d[e]", "u[(123)]d[e]")),
+        ("star-antihomomorphism", 3.0, None),
+        ("counit-multiplicative", 1.0, None),
+        ("coproduct-multiplicative", 6.0,
+         ("u[(123)]d[(12)]", "u[(123)]d[(12)]")),
+        ("antipode-laws", 2.0, "u[(123)]d[e]"),
+        ("haar-trace", 2.0, None),
+        ("haar-positivity", 0.5, None)],
+    ("conj-s3-rot", "result", 6): [
+        ("product-associativity", 18.0,
+         ("u[e]d[(12)]", "u[(123)]d[(123)]", "u[(123)]d[(123)]")),
+        ("star-antihomomorphism", 3.0, None),
+        ("coproduct-multiplicative", 12.0,
+         ("u[(123)]d[e]", "u[(123)]d[e]")),
+        ("antipode-laws", 2.0, "u[(123)]d[e]"),
+        ("haar-trace", 2.0, None),
+        ("haar-positivity", 1 / 6, None)],
+    ("sign-on-z7", "result", 7): [
+        ("product-associativity", 64.0,
+         ("u[e]d[e]", "u[(132)]d[c4]", "u[(13)]d[c3]")),
+        ("star-antihomomorphism", 4.0, None),
+        ("counit-multiplicative", 1.0, None),
+        ("coproduct-multiplicative", 7.0, ("u[(132)]d[e]", "u[(13)]d[e]"))],
+    ("dihedral7-twist", "result", 8): [
+        ("product-associativity", 64.0,
+         ("u[e]d[(e|c2)]", "u[(23)]d[(e|c4)]", "u[(12)]d[(e|c3)]")),
+        ("star-antihomomorphism", 4.0, None),
+        ("coproduct-multiplicative", 42.0,
+         ("u[(123)]d[(e|e)]", "u[(12)]d[(e|e)]"))],
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTED_TABLES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_streamed_axiom_checks_keep_counts_and_witnesses(case):
+    report = check_axioms(_corrupted_table(*case))
+    assert [(c.name, c.deviation, c.witness) for c in report.checks
+            if c.deviation > 0] == CORRUPTED_TABLES[case]
 
 
 @pytest.mark.parametrize("name", SMALL)

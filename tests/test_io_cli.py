@@ -438,6 +438,21 @@ def test_audit_witnesses_say_when_the_audit_was_sampled(monkeypatch):
     assert part[fusion].startswith(note + ", ")
 
 
+def test_cli_intertwiner_block_over_the_cap_is_one_error_line(capsys,
+                                                              monkeypatch):
+    from kacforge import reps
+    path = str(SAMPLES / "s4_s3_z4.pair")
+    assert main(["irreps", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(reps, "INTERTWINER_CAP", 8)
+    code = main(["irreps", path])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: intertwiner block of ")
+    assert err.endswith(" is over the cap of 8 cells\n")
+    assert err.count("\n") == 1
+
+
 def test_cli_measure_listing_an_element_twice_is_one_error_line(tmp_path,
                                                                  capsys):
     (tmp_path / "s3.group").write_text((SAMPLES / "s3.group").read_text())

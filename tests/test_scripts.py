@@ -2,6 +2,7 @@
 ``main(argv)`` runs on a small input, exits 0 and prints its rows."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -43,3 +44,12 @@ def test_rd_scan_two_instances_pass_the_bound(capsys):
     passes = [line for line in lines if "PASS polynomial bound" in line]
     assert len(passes) == 2
     assert all("over 2 samples" in line for line in passes)
+
+
+def test_block_memory_runs_a_job_under_the_address_limit(capsys):
+    code, lines = run_script("block_memory", ["c7-s4-audit"], capsys)
+    assert code == 0
+    row = json.loads(lines[-1])
+    assert row["job"] == "c7-s4-audit" and row["status"] == "ok"
+    assert row["sum_of_squares"] == row["dim"] == 168
+    assert row["triples"] == 40 and row["solver_equals_haar"]

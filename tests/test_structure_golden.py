@@ -20,18 +20,11 @@ import pytest
 
 from kacforge.hopf import (build_algebra, check_axioms, group_subalgebra_check,
                            structure_dump)
-from kacforge.library import corpus_pairs, pair_conjugation, symmetric_group
+from kacforge.library import (corpus_pairs, pair_conjugation,
+                              stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import MatchedPair, derive_actions
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "structure_digests.json"
-
-
-def _stabilizer_times_cycle(n, name):
-    """S_n = (stabilizer of the last point) * <n-cycle>."""
-    S = symmetric_group(n)
-    stab = [i for i, p in enumerate(S.permutations) if p[n - 1] == n - 1]
-    cycle = S.permutations.index(tuple(list(range(1, n)) + [0]))
-    return derive_actions(S, stab, S.closure([cycle]), name=name)
 
 
 def _conj_s4_s3():
@@ -53,7 +46,8 @@ def _corrupted_s4_cyclic4(mp):
 
 def golden_pairs():
     pairs = {mp.name: mp for mp in corpus_pairs()}
-    for mp in (_stabilizer_times_cycle(5, "s5-cyclic5"), _conj_s4_s3(),
+    for mp in (derive_actions(*stabilizer_and_cycle(5), name="s5-cyclic5"),
+               _conj_s4_s3(),
                _corrupted_s4_cyclic4(pairs["s4-cyclic4"])):
         pairs[mp.name] = mp
     return pairs
