@@ -99,17 +99,16 @@ def _cmd_fusion(bundle, config, report, args):
     for name, mp in sorted(bundle.pairs.items()):
         A, catalog = _algebra_and_catalog(mp, config.seed)
         irreps = catalog.canonical
-        chars = [z.character() for z in irreps]
-        worst = 0
-        lines = []
-        for u in irreps:
-            for w in irreps:
-                tens = u.tensor(w)
-                row = rounded_pairings(chars, [tens.character()], A.nk)[:, 0]
-                for mh, (ms, _) in zip(row, mor_dims(irreps, tens)):
-                    worst = max(worst, abs(mh - ms))
-                lines.append(f"{u.label}*{w.label} -> " + " ".join(
-                    f"{z.label}:{m}" for z, m in zip(irreps, row) if m))
+        pairs = [(u, w) for u in irreps for w in irreps]
+        tensors = [u.tensor(w) for u, w in pairs]
+        table = rounded_pairings([z.character() for z in irreps],
+                                 [t.character() for t in tensors], A.nk).T
+        solved = mor_dims([(z, t) for t in tensors for z in irreps])
+        worst = max(abs(h - d) for h, (d, _) in zip(table.ravel().tolist(),
+                                                     solved))
+        lines = [f"{u.label}*{w.label} -> " + " ".join(
+                     f"{z.label}:{m}" for z, m in zip(irreps, row) if m)
+                 for (u, w), row in zip(pairs, table)]
         status = "PASS" if worst == 0 else "FAIL"
         report.add("fusion", f"{name} route-agreement", status,
                    residual=float(worst))

@@ -330,30 +330,39 @@ def check_axioms(A):
     owner = np.empty((n, nk), dtype=np.int64)
     owner[dl, dr % nk] = rows[:, None]
     # Each row compares its sorted key arrays, as coassociativity does, and
-    # only a row that differs lists its changed keys.
+    # only a row that differs lists its changed keys.  A `partner` entry
+    # outside its block names no product in that block: it counts as one
+    # violation, and a term that reads it is a zero product (key -1), as
+    # for mul_index.
+    stray = np.argwhere(A.partner // nk != np.arange(nr))
     bad_pairs = [np.zeros(0, dtype=np.int64)]
     for blk in _row_blocks(n, 8 * nk * nr):
         i = rows[blk, None, None]
         j1, k1 = dl[blk], dr[blk][:, :, None]
         j2 = A.partner[j1]                                   # (b, nk, nr)
         block = rblock[j2]
-        k2 = A.partner[k1, block]
-        j = owner[j2, k2 - block * nk]
-        got = _key((i, j, A.result[j1], A.result[k1, block]), n)
+        k2 = A.partner[k1, block] - block * nk
+        lost = (k2 < 0) | (k2 >= nk)
+        j = owner[j2, np.where(lost, 0, k2)]
+        got = np.where(lost.ravel(), -1,
+                       _key((i, j, A.result[j1], A.result[k1, block]), n))
         m = A.result[blk]                                    # (b, nr)
         want = _key((i, A.partner[blk][:, :, None], dl[m], dr[m]), n)
         got, want = got.reshape(len(m), -1), want.reshape(len(m), -1)
         differ = (np.sort(got, 1) != np.sort(want, 1)).any(1)
         if differ.any():
             diff, _ = _changed(got[differ].ravel(), want[differ].ravel())
-            bad_pairs.append(np.unique(diff // (n * n)))
+            bad_pairs.append(np.unique(diff[diff >= 0] // (n * n)))
     bad_pairs = np.concatenate(bad_pairs)
     witness = None
     if len(bad_pairs):
         i, j = divmod(int(bad_pairs[0]), n)
         witness = (A.basis_label(i), A.basis_label(j))
-    checks.append(AxiomCheck("coproduct-multiplicative", float(len(bad_pairs)),
-                             witness))
+    elif len(stray):
+        i, s = stray[0]
+        witness = (A.basis_label(i), A.basis_label(A.partner[i, s]))
+    checks.append(AxiomCheck("coproduct-multiplicative",
+                             float(len(bad_pairs) + len(stray)), witness))
 
     # coproduct commutes with star
     lhs = _key((ST[dl], ST[dr]), n).reshape(n, nk)

@@ -19,8 +19,8 @@ from .config import (AUDIT_TRIPLES, DEFAULT_SEED, INTERTWINER_CAP,
                      TOL_MATCH, TOL_MULT)
 from .errors import (PeterWeylMismatch, SeedDegenerate, SizeBound,
                      ValidationError)
-from .groups import (FiniteGroup, _components, _eigen_groups, _row_blocks,
-                     closure_table, dual_group, is_isomorphic_small,
+from .groups import (_BLOCK, FiniteGroup, _components, _eigen_groups,
+                     _row_blocks, closure_table, dual_group, is_isomorphic_small,
                      matrix_irreps, permuted_rows, rng_from,
                      rounded_pairings, semidirect_product)
 from .matched import b_sets, orbits_fixed_sets
@@ -182,120 +182,164 @@ def mor_dim_haar(u, w):
 
 def mor_dim_solver(u, w):
     """Exact nullspace of the intertwiner equations; returns (dim, basis)."""
-    return mor_dims([u], w)[0]
+    return mor_dims([(u, w)])[0]
 
 
-def _line_classes(n, member, line, n_lines):
-    """Members 0..n-1 that share a line fall into one class, named by its
-    least member.  Returns the class of every member and of every line
-    (-1 for a line without members)."""
-    first = np.full(n_lines, n)
-    np.minimum.at(first, line, member)
-    cls = _components(n, member, first[line])
-    return cls, np.append(cls, -1)[first]
+#: nonzero terms per solver run, at about 200 bytes of index arrays each
+#: (under 1 MB a run): a pair (u, w) has w.dim * nnz(u) + u.dim * nnz(w)
+#: of them, and a pair over this budget is solved alone
+_RUN_TERMS = _BLOCK // 64
 
 
-def mor_dims(us, w):
-    """Intertwiner spaces from each u of ``us`` to ``w``: one (dim, basis)
-    per u, the basis an orthonormal list of (w.dim, u.dim) arrays.
+def _runs(items, size, budget):
+    """Consecutive runs of ``items`` whose sizes sum to at most ``budget``,
+    an item over it alone."""
+    run, total = [], 0
+    for item in items:
+        s = size(item)
+        if run and total + s > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += s
+    if run:
+        yield run
+
+
+def _ragged(counts):
+    """The owner q and the index j < counts[q] of each of sum(counts)
+    items, in owner-major order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _distinct(x):
+    """The distinct values of ``x``, sorted."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def mor_dims(pairs):
+    """Intertwiner spaces of pairs of corepresentations: for each (u, w) of
+    ``pairs`` one (dim, basis), the basis an orthonormal list of
+    (w.dim, u.dim) arrays.
 
     T solves (T x 1)u = w(T x 1) over the algebra's coefficient space: row
     (i, k, s) of the system reads sum_b T[i, b] u[b, k, s] - sum_a w[i, a, s]
-    T[a, k] = 0, s in the union of the supports.  A row names only the
-    unknowns of its nonzero terms, so the unknowns fall into the connected
+    T[a, k] = 0.  Its nonzero terms come from the nonzero coefficients:
+    u[b, k, s] is the coefficient of T[i, b] in row (i, k, s) for every i,
+    and -w[i, a, s] that of T[a, k] for every k, w.dim * nnz(u) + u.dim *
+    nnz(w) terms in all.  The system has no other rows.  A row names only
+    the unknowns of its terms, so rows and unknowns fall into the connected
     components of the system's nonzero pattern and the null space is the
     direct sum of theirs (the connected-component case of the
-    block-triangular form, Pothen & Fan, ACM TOMS 16, 1990).  The
-    components come from the patterns of the support slices, without
-    forming the system:
+    block-triangular form, Pothen & Fan, ACM TOMS 16, 1990).
 
-    * the b that share a column (k, s) of u's slices form a class, whose
-      unknowns T[i, b] meet in row (i, k, s) for every i; likewise the a
-      that share a row (i, s) of w's slices, and T[a, k] for every k;
-    * a row (i, k, s) with terms on both sides joins the class of column
-      (k, s) in row i of T to the class of row (i, s) in column k.
-
-    Each component is one dense block, its rows in the order of the whole
-    system, and the blocks of one shape over all of ``us`` are solved in
-    stacked calls.  A block with more rows than columns is reduced to R of
-    its QR, which has the block's singular values and null space, so the
-    SVD never forms the left factor (R-SVD, T. F. Chan, ACM TOMS 8, 1982).
-    A singular value counts as zero at TOL_EQ times the largest one over
-    that u's blocks (at least 1), the cutoff of its whole system.  A block
-    over INTERTWINER_CAP cells raises SizeBound before any block is built.
+    Each distinct corepresentation of ``pairs`` (by identity) is scanned
+    for its nonzero coefficients once.  The pairs are then solved in runs:
+    consecutive pairs with at most _RUN_TERMS terms together, or one pair
+    alone.  Each component of a run is one dense block, its rows in the
+    order (i, k, s) of its system and its unknowns in the order of T, and
+    the blocks of one shape are solved in stacked calls.  A block with more
+    rows than columns is reduced to R of its QR, which has the block's
+    singular values and null space, so the SVD never forms the left factor
+    (R-SVD, T. F. Chan, ACM TOMS 8, 1982).  A singular value counts as zero
+    at TOL_EQ times the largest one over that pair's blocks (at least 1),
+    the cutoff of its whole system.  A block over INTERTWINER_CAP cells
+    raises SizeBound before any block of its run is built.
     """
-    if not us:
+    pairs = list(pairs)
+    if not pairs:
         return []
-    n, dw, Sw = len(us), w.dim, w.support()
-    S = np.unique(np.concatenate([Sw] + [u.support() for u in us]))
-    nS = len(S)
-    # the k of every u stacked: K = koff[q] + k; unknown T_q[a, b] is
-    # uid(q, a, b) = dw * koff[q] + a * du[q] + b
-    du = np.array([u.dim for u in us])
-    koff = np.cumsum(du) - du
-    nK = int(du.sum())
-    qK = np.repeat(np.arange(n), du)
-    # coefficients with a zero slice appended, flattened: entry (b, k) of
-    # u_q at support position p, or len(support) off it, is at
-    # uoff[q] + (b * du[q] + k) * width[q] + p
-    width = np.array([len(u.support()) + 1 for u in us])
-    uoff = np.cumsum(du * du * width) - du * du * width
-    uflat = np.concatenate([np.concatenate(
-        [u.values, np.zeros((u.dim, u.dim, 1))], 2).ravel() for u in us])
-    wflat = np.concatenate([w.values, np.zeros((dw, dw, 1))], 2).ravel()
-    pos = np.repeat(width[:, None] - 1, nS, axis=1)     # S[s] in u_q's support
-    pw = np.full(nS, len(Sw))
-    pw[np.searchsorted(S, Sw)] = np.arange(len(Sw))
-    # line classes: the b of column (K, s) and the a of w's row (i, s)
-    b, k, s = [], [], []
-    for qq, u in enumerate(us):
-        at = np.searchsorted(S, u.support())
-        pos[qq, at] = np.arange(len(at))
-        bb, kk, ss = np.nonzero(u.values)
-        b.append(koff[qq] + bb)
-        k.append(koff[qq] + kk)
-        s.append(at[ss])
-    b, k, s = (np.concatenate(x) for x in (b, k, s))
-    cu, ck = _line_classes(nK, b, k * nS + s, nK * nS)
-    ck = ck.reshape(nK, nS)
-    i, a, s = np.nonzero(w.values)
-    cw, ci = _line_classes(dw, a, i * nS + np.searchsorted(S, Sw)[s],
-                           dw * nS)
-    ci = ci.reshape(dw, nS)
+    index = {}
+    for c in (c for pair in pairs for c in pair):
+        index.setdefault(id(c), (len(index), c))
+    coreps = [c for _, c in index.values()]
+    ui = np.array([index[id(u)][0] for u, _ in pairs])
+    wi = np.array([index[id(w)][0] for _, w in pairs])
+    # the nonzero coefficients (x, y) at basis element t, of value v, of
+    # every distinct corep one after another
+    scans = [np.nonzero(c.values) for c in coreps]
+    coefs = (np.concatenate([at[0] for at in scans]),
+             np.concatenate([at[1] for at in scans]),
+             np.concatenate([c.support()[at[2]]
+                             for c, at in zip(coreps, scans)]),
+             np.concatenate([c.values[at] for c, at in zip(coreps, scans)]))
+    nnz = np.array([len(at[0]) for at in scans])
+    start = np.cumsum(nnz) - nnz
+    d = np.array([c.dim for c in coreps])
+    du, dw = d[ui], d[wi]
+    terms = (dw * nnz[ui] + du * nnz[wi]).tolist()
+    out = []
+    for run in _runs(range(len(pairs)), terms.__getitem__, _RUN_TERMS):
+        q = np.array(run)
+        out.extend(_solve_run(coreps[0].algebra.dim, du[q], dw[q],
+                              start[ui[q]], nnz[ui[q]], start[wi[q]],
+                              nnz[wi[q]], coefs))
+    return out
 
-    def uid(q, a, b):
-        return dw * koff[q] + a * du[q] + b
 
-    qu = np.repeat(np.arange(n), dw * du)
-    a, b = np.divmod(np.arange(dw * nK) - dw * koff[qu], du[qu])
-    # the rows with a term, in the order (i, k, s) for each u, reach
-    # T[i, class of (k, s)] and T[class of (i, s), k]
-    i, K, s = np.nonzero((ci[:, None] >= 0) | (ck[None] >= 0))
-    q = qK[K]
-    k = K - koff[q]
-    rk, ri = ck[K, s], ci[i, s]
-    both = (rk >= 0) & (ri >= 0)
-    unk = np.arange(dw * nK)
-    comp = _components(
-        dw * nK,
-        np.concatenate([unk, unk, uid(q, i, rk - koff[q])[both]]),
-        np.concatenate([uid(qu, a, cu[koff[qu] + b] - koff[qu]),
-                        uid(qu, cw[a], b), uid(q, ri, k)[both]]))
-    row_comp = comp[np.where(rk >= 0, uid(q, i, rk - koff[q]),
-                             uid(q, ri, k))]
-    # blocks are named by their least unknown; rows (i, k, offset of
-    # u[., k, s] in uflat, of w[i, ., s] in wflat) and columns (a, b, their
-    # offsets, index of T[a, b]) are gathered block by block
-    order = np.argsort(row_comp, kind="stable")
-    rows = np.stack([i, k, uoff[q] + k * width[q] + pos[q, s],
-                     i * dw * (len(Sw) + 1) + pw[s]])[:, order]
-    order = np.argsort(comp, kind="stable")
-    cols = np.stack([a, b, b * du[qu] * width[qu], a * (len(Sw) + 1),
-                     unk - dw * koff[qu]])[:, order]
-    keys, col_at, wide = np.unique(comp[order], return_index=True,
-                                   return_counts=True)
-    high = np.bincount(np.searchsorted(keys, row_comp), minlength=len(keys))
+def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
+    """(dim, basis) of each pair of a run, given its dimensions and the
+    ranges of its u's and w's nonzero coefficients in ``coefs``."""
+    x, y, t, v = coefs
+    size = dw * du
+    uoff = np.cumsum(size) - size
+    rowoff = np.cumsum(size * N) - size * N
+    # the terms: unknown T_q[a, b] is column uoff[q] + a * du[q] + b, and
+    # row (i, k, s) has the key rowoff[q] + (i * du[q] + k) * N + s
+    q, j = _ragged(dw * u_nnz)
+    e = u_at[q] + j // dw[q]
+    i = j % dw[q]
+    u_key = rowoff[q] + (i * du[q] + y[e]) * N + t[e]
+    u_col = uoff[q] + i * du[q] + x[e]
+    u_val = v[e]
+    q, j = _ragged(du * w_nnz)
+    e = w_at[q] + j // du[q]
+    k = j % du[q]
+    w_key = rowoff[q] + (x[e] * du[q] + k) * N + t[e]
+    w_col = uoff[q] + y[e] * du[q] + k
+    w_val = v[e]
+    key = _distinct(np.concatenate([u_key, w_key]))
+    u_row, w_row = np.searchsorted(key, u_key), np.searchsorted(key, w_key)
+    # components over the unknowns (vertices 0..U-1) and the rows (U on),
+    # each named by its least unknown
+    U, R = int(size.sum()), len(key)
+    comp = _components(U + R, np.concatenate([u_col, w_col]),
+                       U + np.concatenate([u_row, w_row]))
+    # blocks in the order of their names; a block's columns in the order of
+    # the unknowns and its rows in the order of the keys
+    order = np.argsort(comp[:U] * U + np.arange(U))
+    col_at = np.flatnonzero(np.diff(comp[:U][order], prepend=-1))
+    keys = comp[:U][order][col_at]
+    wide = np.diff(col_at, append=U)
+    col_pos = np.empty(U, dtype=np.int64)
+    col_pos[order] = np.arange(U) - np.repeat(col_at, wide)
+    block = np.searchsorted(keys, comp[U:])
+    high = np.bincount(block, minlength=len(keys))
     row_at = np.cumsum(high) - high
+    row_pos = np.empty(R, dtype=np.int64)
+    row_pos[np.argsort(comp[U:] * R + np.arange(R))] = \
+        np.arange(R) - np.repeat(row_at, high)
+
+    def by_block(row, col, val):
+        """The cells and values of the terms of blocks g, and the place of
+        each one's block in g."""
+        by = np.argsort(block[row])
+        first = np.searchsorted(block[row][by], np.arange(len(keys)))
+        count = np.diff(first, append=len(by))
+        row, col, val = row_pos[row][by], col_pos[col][by], val[by]
+
+        def of(g):
+            p, j = _ragged(count[g])
+            j += first[g][p]
+            return p, row[j], col[j], val[j]
+        return of
+
+    u_terms = by_block(u_row, u_col, u_val)
+    w_terms = by_block(w_row, w_col, w_val)
     cells = np.maximum(high, wide) * wide
     if cells.max() > INTERTWINER_CAP:
         g = int(cells.argmax())
@@ -307,32 +351,45 @@ def mor_dims(us, w):
         same = np.flatnonzero((high == nr) & (wide == nc))
         for blk in _row_blocks(len(same), max(nr, nc) * nc):
             g = same[blk]
-            r = rows[:, row_at[g, None] + np.arange(nr)]     # [field, g, nr]
-            c = cols[:, col_at[g, None] + np.arange(nc)]     # [field, g, nc]
             B = np.zeros((len(g), max(nr, nc), nc), dtype=complex)
-            # [a = i] u[b, k, s] - [b = k] w[i, a, s]
-            x, y, z = np.nonzero(c[0][:, None] == r[0][:, :, None])
-            B[x, y, z] = uflat[r[2][x, y] + c[2][x, z]]
-            x, y, z = np.nonzero(c[1][:, None] == r[1][:, :, None])
-            B[x, y, z] -= wflat[r[3][x, y] + c[3][x, z]]
+            # a cell has at most one term of u and one of w
+            p, r, c, val = u_terms(g)
+            B[p, r, c] = val
+            p, r, c, val = w_terms(g)
+            B[p, r, c] -= val
             if nr > nc:
                 B = np.linalg.qr(B, mode="r")
             solved.append((g, *np.linalg.svd(B)[1:]))
-    owner = qu[keys]
-    top = np.zeros(n)
+    owner = np.searchsorted(uoff, keys, side="right") - 1
+    top = np.zeros(len(size))
     for g, svals, _ in solved:
         np.maximum.at(top, owner[g], svals.max(1))
     cutoff = TOL_EQ * np.maximum(top, 1.0)
+    # the null vectors, ordered by block and singular value, are written
+    # one after another, pair by pair, into one array of T's
     null = []
     for g, svals, vh in solved:
-        x, j = np.nonzero(svals <= cutoff[owner[g], None])
-        null.extend(zip(g[x].tolist(), j.tolist(), vh[x, j].conj()))
-    out = [[] for _ in us]
-    for g, _, v in sorted(null, key=lambda t: t[:2]):
-        T = np.zeros(dw * du[owner[g]], dtype=complex)
-        T[cols[4, col_at[g]:col_at[g] + wide[g]]] = v
-        out[owner[g]].append(T.reshape(dw, du[owner[g]]))
-    return [(len(basis), basis) for basis in out]
+        p, j = np.nonzero(svals <= cutoff[owner[g], None])
+        null.append((g[p], j, vh[p, j].conj()))
+    g = np.concatenate([blocks for blocks, _, _ in null])
+    rank = np.empty(len(g), dtype=np.int64)
+    rank[np.lexsort((np.concatenate([j for _, j, _ in null]), g))] = \
+        np.arange(len(g))
+    at = np.zeros(len(g) + 1, dtype=np.int64)
+    at[rank + 1] = size[owner[g]]
+    at = np.cumsum(at)
+    T = np.zeros(at[-1], dtype=complex)
+    lo = 0
+    for blocks, _, vec in null:
+        cols = order[col_at[blocks, None] + np.arange(vec.shape[1])]
+        T[at[rank[lo:lo + len(blocks)], None] + cols
+          - uoff[owner[blocks], None]] = vec
+        lo += len(blocks)
+    nd = np.bincount(owner[g], minlength=len(size))
+    first = np.cumsum(nd * size) - nd * size
+    return [(c, list(T[s:s + c * h * w].reshape(c, h, w)))
+            for c, s, h, w in zip(nd.tolist(), first.tolist(), dw.tolist(),
+                                  du.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -389,39 +446,71 @@ def _split_once(corep, basis, seed, depth, attempt):
     return parts
 
 
+def _irreducible_pieces(coreps, seed, depth=0):
+    """The irreducible pieces of each of ``coreps``, split breadth-first:
+    one End solve over the whole of each level of the splitting trees.  A
+    piece's splits draw from (seed, its dim, its depth), and the pieces of
+    each corep are listed depth-first, children in split order."""
+    leaves = []                        # (path from the corep, piece)
+    level = [((r,), c) for r, c in enumerate(coreps)]
+    while level:
+        below = []
+        for (path, c), (nd, basis) in zip(level, mor_dims(
+                [(c, c) for _, c in level])):
+            if nd == 1:
+                leaves.append((path, c))
+                continue
+            for attempt in range(RETRY_BUDGET):
+                parts = _split_once(c, basis, seed, depth, attempt)
+                if parts is not None:
+                    break
+            else:
+                raise SeedDegenerate(f"could not split {c.label} (End dim "
+                                     f"{nd}) after {RETRY_BUDGET} draws")
+            below.extend((path + (gi,), p) for gi, p in enumerate(parts))
+        level = below
+        depth += 1
+    out = [[] for _ in coreps]
+    for path, c in sorted(leaves, key=lambda leaf: leaf[0]):
+        out[path[0]].append(c)
+    return out
+
+
 def decompose(corep, seed=DEFAULT_SEED, depth=0):
     """Split into irreducible unitary pieces via the endomorphism algebra."""
-    nd, basis = mor_dim_solver(corep, corep)
-    if nd == 1:
-        return [corep]
-    for attempt in range(RETRY_BUDGET):
-        parts = _split_once(corep, basis, seed, depth, attempt)
-        if parts is not None:
-            out = []
-            for p in parts:
-                out.extend(decompose(p, seed=seed, depth=depth + 1))
-            return out
-    raise SeedDegenerate(
-        f"could not split {corep.label} (End dim {nd}) after {RETRY_BUDGET} draws")
+    return _irreducible_pieces([corep], seed, depth)[0]
 
 
 def enumerate_irreps(A, seed=DEFAULT_SEED):
-    """Decompose all candidates, deduplicate, certify the dimension count."""
+    """Decompose all candidates, deduplicate, certify the dimension count.
+
+    A piece is a new irrep unless an earlier one of its dimension pairs
+    with it.  Pieces live on the orbit block of their candidate and pair
+    only within it, so each orbit's pieces take one Haar pairing call."""
     candidates, space, irreps = build_candidates(A, seed=seed)
-    canonical, known, pieces_of = [], np.zeros((0, A.dim), dtype=complex), []
-    for cand in candidates:
-        ids = []
-        for p in decompose(cand, seed=seed):
-            chi = p.character()
-            same = np.flatnonzero(
-                (rounded_pairings([chi], known, A.nk)[0] >= 1)
-                & (np.array([k.dim for k in canonical]) == p.dim))
-            if not len(same):
-                canonical.append(p)
-                known = np.vstack([known, chi])
-                same = [len(canonical) - 1]
-            ids.append(int(same[0]))
-        pieces_of.append(ids)
+    pieces_of = _irreducible_pieces(candidates, seed)
+    pieces = [p for ps in pieces_of for p in ps]
+    dims = np.array([p.dim for p in pieces])
+    orbit = space.orbit_of[A.gamma_of]                  # per basis element
+    on_orbit = np.array([orbit[p.support()[0]] for p in pieces])
+    same = np.zeros((len(pieces), len(pieces)), dtype=bool)
+    for o in np.unique(on_orbit).tolist():
+        at, on = np.flatnonzero(on_orbit == o), np.flatnonzero(orbit == o)
+        chars = np.array([pieces[n].character()[on] for n in at])
+        same[np.ix_(at, at)] = ((rounded_pairings(chars, chars, A.nk) >= 1)
+                                & (dims[at, None] == dims[at]))
+    # each piece is the first irrep found before it that it pairs with, or
+    # a new one; first[k] is the piece that found irrep k
+    first, ident = [], []
+    for n in range(len(pieces)):
+        hit = np.flatnonzero(same[n, first])
+        if not len(hit):
+            first.append(n)
+            hit = [len(first) - 1]
+        ident.append(int(hit[0]))
+    canonical = [pieces[n] for n in first]
+    at = np.cumsum([0] + [len(ps) for ps in pieces_of])
+    pieces_of = [ident[lo:hi] for lo, hi in zip(at[:-1], at[1:])]
     order = sorted(range(len(canonical)),
                    key=lambda k: (canonical[k].dim, k))
     relabel = {old: new for new, old in enumerate(order)}
@@ -527,8 +616,10 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     # matrices, those on the orbit {e} the lifted compact irreps
     e_orbit = space.orbit_of[mp.discrete.identity]
 
-    # triple t is (gamma, x, r, s) in row-major order of this shape; each
-    # orbit tensor (r, s) is built once and solved against its candidates
+    # triple t is (gamma, x, r, s) in row-major order of this shape.  The
+    # orbit tensors (r, s) are built one at a time into runs, each closed
+    # once it holds about 1 MB of coefficients; a run's triples take one
+    # Haar pairing and one solver call.
     shape = (n_orb, nx, n_orb, n_orb)
     triples_total = nx * n_orb ** 3
     picks = np.arange(triples_total)
@@ -540,13 +631,26 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     target_of = ri * n_orb + si
     solver = np.zeros(len(picks), dtype=np.int64)
     haar = np.zeros(len(picks), dtype=np.int64)
+
+    def check(ts, tensors):
+        at = np.flatnonzero(np.isin(target_of, ts))
+        col = np.searchsorted(ts, target_of[at])
+        haar[at] = rounded_pairings(chars, [x.character() for x in tensors],
+                                    A.nk)[ci[at], col]
+        solver[at] = [d for d, _ in mor_dims(
+            [(cands[c], tensors[j]) for c, j in zip(ci[at].tolist(),
+                                                    col.tolist())])]
+
+    ts, tensors, cells = [], [], 0
     for t in np.unique(target_of).tolist():
-        at = np.flatnonzero(target_of == t)
-        target = cands[t // n_orb * nx].tensor(cands[t % n_orb * nx])
-        haar[at] = rounded_pairings(chars, [target.character()],
-                                    A.nk)[ci[at], 0]
-        solver[at] = [d for d, _ in mor_dims([cands[c] for c in ci[at]],
-                                             target)]
+        ts.append(t)
+        tensors.append(cands[t // n_orb * nx].tensor(cands[t % n_orb * nx]))
+        cells += tensors[-1].values.size
+        if cells >= _BLOCK // 4:                # 1 MB of complex values
+            check(ts, tensors)
+            ts, tensors, cells = [], [], 0
+    if ts:
+        check(ts, tensors)
     entries = []
     for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
                                 si.tolist(), solver.tolist(), haar.tolist()):
@@ -559,19 +663,15 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
 
     # distinctness of candidates with different construction labels: the
     # pairs i < j of the Gram matrix with an intertwiner, row-major, solved
-    # in one call per right candidate
+    # in one call
     gram = rounded_pairings(chars, chars, A.nk)
     pairs = np.argwhere(np.triu(gram, 1) > 0).tolist()
-    witness = {}
-    for j in sorted({j for _, j in pairs}):
-        left = [i for i, jj in pairs if jj == j]
-        for i, (_, basis) in zip(left, mor_dims([cands[i] for i in left],
-                                                cands[j])):
-            witness[i, j] = basis[0] if basis else None
+    witness = [basis[0] if basis else None for _, basis in mor_dims(
+        [(cands[i], cands[j]) for i, j in pairs])]
     distinctness = [DistinctnessEntry(
         left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
-        status="AUDIT-DISAGREE", intertwiner=witness[i, j])
-        for i, j in pairs]
+        status="AUDIT-DISAGREE", intertwiner=w)
+        for (i, j), w in zip(pairs, witness)]
 
     # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), the
     # first match in (x', orbit') order.  Equal characters have equal

@@ -3,9 +3,12 @@
 ``check_axioms`` walks its widest checks in row blocks, and
 ``coefficient_span_rank`` takes one rank per orbit block, so neither may
 allocate a temporary that grows with the square of the algebra.  The
-Python-level peak (tracemalloc) is bounded on the dim-720 pair
-S6 = (stabilizer of a point) * <6-cycle> and on the corpus pair
-double-s3-twist.
+intertwiner solver takes its systems in runs of bounded size, and the
+fusion audit builds its orbit tensors in runs of about 1 MB, so batching
+the solves keeps the peaks of ``enumerate_irreps`` and ``audit_fusion``
+bounded too.  The Python-level peak (tracemalloc) is bounded on the
+dim-720 pair S6 = (stabilizer of a point) * <6-cycle> and on the corpus
+pairs double-s3-twist and sign-on-z7.
 """
 
 import tracemalloc
@@ -15,7 +18,7 @@ import pytest
 from kacforge.hopf import build_algebra, check_axioms
 from kacforge.library import corpus_pairs, stabilizer_and_cycle
 from kacforge.matched import derive_actions
-from kacforge.reps import enumerate_irreps
+from kacforge.reps import audit_fusion, enumerate_irreps
 
 MB = 1 << 20
 _state = {}
@@ -54,3 +57,19 @@ def test_span_rank_stays_under_two_mb():
     rank, peak = peak_bytes(catalog.coefficient_span_rank)
     assert rank == A.dim == 720
     assert peak < 2 * MB
+
+
+@pytest.mark.parametrize("name", ["double-s3-twist", "sign-on-z7"])
+def test_batched_audit_stays_under_four_mb(name):
+    A = algebra_of(name)
+    catalog = enumerate_irreps(A)
+    report, peak = peak_bytes(lambda: audit_fusion(A, catalog))
+    assert report.oracle_consistent
+    assert peak < 4 * MB
+
+
+def test_level_batched_enumeration_stays_under_six_mb():
+    A = algebra_of("s6-cyclic6")
+    catalog, peak = peak_bytes(lambda: enumerate_irreps(A))
+    assert sum(d * d for d in catalog.dims()) == A.dim
+    assert peak < 6 * MB

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacforge import groups, reps
+from kacforge.config import DEFAULT_SEED, RETRY_BUDGET
 from kacforge.hopf import build_algebra, group_subalgebra_check
 from kacforge.library import corpus_pairs, stabilizer_and_cycle
 from kacforge.matched import MatchedPair, derive_actions
@@ -193,25 +194,33 @@ def _tampered(c, rng):
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(UP_TO_42), data=st.data())
 def test_batched_solves_equal_loop_rank_and_single_calls(name, data):
-    """One mor_dims call over a list of mixed dimensions, a tampered entry
-    among them, gives every entry the loop-built null-space dimension and
-    the same basis as its own call, an orthonormal intertwiner basis."""
+    """One mor_dims call over pairs of mixed dimensions and distinct
+    targets, a tampered source among them, gives every pair the loop-built
+    null-space dimension and bit for bit the basis of its own call, an
+    orthonormal intertwiner basis; so does a budget so low that every pair
+    is solved in a run of its own."""
     A = algebra_of(name)
     catalog = catalog_of(name)
     pool = catalog.candidates + catalog.canonical
     pick = st.integers(0, len(pool) - 1)
-    us = [pool[i] for i in data.draw(st.lists(pick, min_size=1, max_size=5),
-                                     label="sources")]
+    pairs = [(pool[i], pool[j]) for i, j in data.draw(
+        st.lists(st.tuples(pick, pick), min_size=1, max_size=5,
+                 unique_by=lambda ij: ij[1]), label="pairs")]
     rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
-    us.insert(data.draw(st.integers(0, len(us)), label="at"),
-              _tampered(pool[data.draw(pick, label="tampered")], rng))
-    w = pool[data.draw(pick, label="target")]
-    got = reps.mor_dims(us, w)
-    assert len(got) == len(us)
-    for u, (dim, basis) in zip(us, got):
+    tampered = _tampered(pool[data.draw(pick, label="tampered")], rng)
+    pairs.insert(data.draw(st.integers(0, len(pairs)), label="at"),
+                 (tampered, pool[data.draw(pick, label="its target")]))
+    got = reps.mor_dims(pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reps, "_RUN_TERMS", 1)
+        apart = reps.mor_dims(pairs)
+    assert len(got) == len(apart) == len(pairs)
+    for (u, w), (dim, basis), split in zip(pairs, got, apart):
         alone = mor_dim_solver(u, w)
-        assert dim == naive_intertwiner_dim(u, w) == alone[0]
-        assert all(np.array_equal(T, S) for T, S in zip(basis, alone[1]))
+        assert dim == naive_intertwiner_dim(u, w) == alone[0] == split[0]
+        assert len(basis) == dim
+        assert all(np.array_equal(T, S) and np.array_equal(T, R)
+                   for T, S, R in zip(basis, alone[1], split[1]))
         V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
         assert np.abs(V.conj() @ V.T - np.eye(dim)).max(initial=0.0) < 1e-9
         for T in basis:
@@ -354,3 +363,93 @@ def test_decompose_splits_tensors_whose_end_basis_is_skew():
             for p in parts:
                 assert mor_dim_solver(p, p)[0] == 1
                 assert mor_dim_solver(p, t)[0] >= 1
+
+
+# ---------------------------------------------------------------------------
+# breadth-first splitting against candidate-by-candidate recursion
+
+
+def _split_recursively(c, seed, depth=0):
+    """Irreducible pieces of ``c`` by one End solve per node, depth-first."""
+    nd, basis = mor_dim_solver(c, c)
+    if nd == 1:
+        return [c]
+    for attempt in range(RETRY_BUDGET):
+        parts = reps._split_once(c, basis, seed, depth, attempt)
+        if parts is not None:
+            return [q for p in parts
+                    for q in _split_recursively(p, seed, depth + 1)]
+    raise AssertionError(f"{c.label} did not split")
+
+
+def _recursive_catalog(A, seed):
+    """(canonical, equivalence map) as a walk over the candidates builds
+    them: each candidate split recursively, each piece compared with the
+    irreps found before it by one Haar pairing each."""
+    canonical, pieces_of = [], []
+    for cand in build_candidates(A, seed=seed)[0]:
+        ids = []
+        for p in _split_recursively(cand, seed):
+            same = [k for k, c in enumerate(canonical)
+                    if c.dim == p.dim and mor_dim_haar(p, c) >= 1]
+            if not same:
+                canonical.append(p)
+                same = [len(canonical) - 1]
+            ids.append(same[0])
+        pieces_of.append(ids)
+    order = sorted(range(len(canonical)), key=lambda k: (canonical[k].dim, k))
+    relabel = {old: new for new, old in enumerate(order)}
+    return ([canonical[k] for k in order],
+            {ci: sorted(relabel[k] for k in ids)
+             for ci, ids in enumerate(pieces_of)})
+
+
+def _same_corep(p, q):
+    return (p.label == q.label and p.dim == q.dim
+            and p.values.tobytes() == q.values.tobytes()
+            and p.support().tobytes() == q.support().tobytes())
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5"])
+def test_breadth_first_catalog_equals_recursive_route(name):
+    A = build_algebra(_pair(name))
+    catalog = enumerate_irreps(A)
+    canonical, equivalence_map = _recursive_catalog(A, DEFAULT_SEED)
+    assert [c.label for c in catalog.canonical] == \
+        [c.label for c in canonical]
+    assert all(map(_same_corep, catalog.canonical, canonical))
+    assert catalog.equivalence_map == equivalence_map
+
+
+def test_breadth_first_pieces_of_tensors_equal_recursive_splits():
+    """Orbit tensors of double-s3-twist split over several levels, split
+    all at once and each by its own recursion."""
+    cands = catalog_of("double-s3-twist").candidates
+    tensors = [u.tensor(w) for u in cands[::6][:3] for w in cands[::6][:3]]
+    got = reps._irreducible_pieces(tensors, DEFAULT_SEED)
+    assert max(len(ps) for ps in got) > 2
+    for t, pieces in zip(tensors, got):
+        want = _split_recursively(t, DEFAULT_SEED)
+        assert len(pieces) == len(want)
+        assert all(map(_same_corep, pieces, want))
+        assert all(map(_same_corep, decompose(t), want))
+
+
+@pytest.mark.parametrize("step, most", [("enumerate", 78 // 4),
+                                        ("audit", 336 // 4)])
+def test_solver_calls_are_batched(step, most, monkeypatch):
+    """Enumeration makes one solver call per level of the splitting trees
+    and the audit one per run of orbit tensors, a quarter or less of the
+    calls of one per End solve and one per tensor (78 and 336 on
+    double-s3-twist)."""
+    A = algebra_of("double-s3-twist")
+    catalog = catalog_of("double-s3-twist")
+    calls = []
+    real = reps.mor_dims
+    monkeypatch.setattr(reps, "mor_dims",
+                        lambda pairs: calls.append(1) or real(pairs))
+    if step == "enumerate":
+        assert enumerate_irreps(A).dims() == catalog.dims()
+    else:
+        assert reps.audit_fusion(A, catalog).oracle_consistent
+    assert 0 < len(calls) <= most

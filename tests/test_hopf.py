@@ -209,6 +209,25 @@ def test_streamed_axiom_checks_keep_counts_and_witnesses(case):
             if c.deviation > 0] == CORRUPTED_TABLES[case]
 
 
+def test_partner_entries_outside_their_block_fail_without_raising():
+    """Two ``partner`` entries of s4-cyclic4 set to any basis index, most
+    of them outside their block, on forty seeds: the report never raises
+    and always has a FAIL line."""
+    stray = 0
+    for seed in range(40):
+        A = build_algebra(CORPUS["s4-cyclic4"])
+        rng = np.random.default_rng(seed)
+        partner = A.partner.copy()
+        for _ in range(2):
+            partner[rng.integers(A.dim), rng.integers(A.nr)] = \
+                rng.integers(A.dim)
+        A.partner = partner
+        stray += bool((partner // A.nk != np.arange(A.nr)).any())
+        report = check_axioms(A)
+        assert any(line.startswith("FAIL") for line in report.lines())
+    assert stray >= 30
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_classical_pieces_embed(name):
     report = group_subalgebra_check(algebra_of(name))

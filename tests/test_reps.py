@@ -333,7 +333,8 @@ def test_audit_computes_each_character_once(name, monkeypatch):
     for method in (Corepresentation.character, Corepresentation.tensor):
         monkeypatch.setattr(Corepresentation, method.__name__,
                             counted(method))
-    monkeypatch.setattr(reps, "mor_dims", lambda us, w: [(0, [])] * len(us))
+    monkeypatch.setattr(reps, "mor_dims",
+                        lambda pairs: [(0, [])] * len(pairs))
     audit_fusion(A, cat)
     assert calls["tensor"] <= len(cat.orbit_space.orbits) ** 2
     assert calls["character"] <= len(cat.candidates) + calls["tensor"]
