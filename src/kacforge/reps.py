@@ -191,17 +191,16 @@ def mor_dim_solver(u, w):
 _RUN_TERMS = _BLOCK // 64
 
 
-def _runs(items, size, budget):
-    """Consecutive runs of ``items`` whose sizes sum to at most ``budget``,
-    an item over it alone."""
+def _runs(sizes, budget):
+    """Runs of consecutive indices into ``sizes`` whose sizes sum to at
+    most ``budget``, an index whose size is over it alone."""
     run, total = [], 0
-    for item in items:
-        s = size(item)
-        if run and total + s > budget:
+    for i, size in enumerate(sizes):
+        if run and total + size > budget:
             yield run
             run, total = [], 0
-        run.append(item)
-        total += s
+        run.append(i)
+        total += size
     if run:
         yield run
 
@@ -271,9 +270,8 @@ def mor_dims(pairs):
     start = np.cumsum(nnz) - nnz
     d = np.array([c.dim for c in coreps])
     du, dw = d[ui], d[wi]
-    terms = (dw * nnz[ui] + du * nnz[wi]).tolist()
     out = []
-    for run in _runs(range(len(pairs)), terms.__getitem__, _RUN_TERMS):
+    for run in _runs((dw * nnz[ui] + du * nnz[wi]).tolist(), _RUN_TERMS):
         q = np.array(run)
         out.extend(_solve_run(coreps[0].algebra.dim, du[q], dw[q],
                               start[ui[q]], nnz[ui[q]], start[wi[q]],
@@ -446,13 +444,14 @@ def _split_once(corep, basis, seed, depth, attempt):
     return parts
 
 
-def _irreducible_pieces(coreps, seed, depth=0):
+def _irreducible_pieces(coreps, seed):
     """The irreducible pieces of each of ``coreps``, split breadth-first:
     one End solve over the whole of each level of the splitting trees.  A
     piece's splits draw from (seed, its dim, its depth), and the pieces of
     each corep are listed depth-first, children in split order."""
     leaves = []                        # (path from the corep, piece)
     level = [((r,), c) for r, c in enumerate(coreps)]
+    depth = 0
     while level:
         below = []
         for (path, c), (nd, basis) in zip(level, mor_dims(
@@ -476,9 +475,9 @@ def _irreducible_pieces(coreps, seed, depth=0):
     return out
 
 
-def decompose(corep, seed=DEFAULT_SEED, depth=0):
+def decompose(corep, seed=DEFAULT_SEED):
     """Split into irreducible unitary pieces via the endomorphism algebra."""
-    return _irreducible_pieces([corep], seed, depth)[0]
+    return _irreducible_pieces([corep], seed)[0]
 
 
 def enumerate_irreps(A, seed=DEFAULT_SEED):
