@@ -213,7 +213,8 @@ def _ragged(counts):
 
 
 def _distinct(x):
-    """The distinct values of ``x``, sorted."""
+    """The distinct values of ``x``, sorted: np.unique by one sort, which is
+    several times faster on int64 keys than np.unique's hashing."""
     x = np.sort(x)
     keep = np.ones(len(x), dtype=bool)
     keep[1:] = x[1:] != x[:-1]
@@ -258,15 +259,7 @@ def mor_dims(pairs):
     coreps = [c for _, c in index.values()]
     ui = np.array([index[id(u)][0] for u, _ in pairs])
     wi = np.array([index[id(w)][0] for _, w in pairs])
-    # the nonzero coefficients (x, y) at basis element t, of value v, of
-    # every distinct corep one after another
-    scans = [np.nonzero(c.values) for c in coreps]
-    coefs = (np.concatenate([at[0] for at in scans]),
-             np.concatenate([at[1] for at in scans]),
-             np.concatenate([c.support()[at[2]]
-                             for c, at in zip(coreps, scans)]),
-             np.concatenate([c.values[at] for c, at in zip(coreps, scans)]))
-    nnz = np.array([len(at[0]) for at in scans])
+    coefs, nnz = _nonzero_coefficients(coreps)
     start = np.cumsum(nnz) - nnz
     d = np.array([c.dim for c in coreps])
     du, dw = d[ui], d[wi]
@@ -279,6 +272,20 @@ def mor_dims(pairs):
     return out
 
 
+def _nonzero_coefficients(coreps):
+    """The nonzero coefficients (x, y) at basis element t, of value v, of
+    every corep one after another, as arrays (x, y, t, v), and how many
+    each corep has.  The per-corep scans are freed on return, before the
+    solver's runs allocate."""
+    scans = [np.nonzero(c.values) for c in coreps]
+    return ((np.concatenate([at[0] for at in scans]),
+             np.concatenate([at[1] for at in scans]),
+             np.concatenate([c.support()[at[2]]
+                             for c, at in zip(coreps, scans)]),
+             np.concatenate([c.values[at] for c, at in zip(coreps, scans)])),
+            np.array([len(at[0]) for at in scans]))
+
+
 def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     """(dim, basis) of each pair of a run, given its dimensions and the
     ranges of its u's and w's nonzero coefficients in ``coefs``."""
@@ -286,27 +293,27 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     size = dw * du
     uoff = np.cumsum(size) - size
     rowoff = np.cumsum(size * N) - size * N
-    # the terms: unknown T_q[a, b] is column uoff[q] + a * du[q] + b, and
-    # row (i, k, s) has the key rowoff[q] + (i * du[q] + k) * N + s
-    q, j = _ragged(dw * u_nnz)
-    e = u_at[q] + j // dw[q]
-    i = j % dw[q]
-    u_key = rowoff[q] + (i * du[q] + y[e]) * N + t[e]
-    u_col = uoff[q] + i * du[q] + x[e]
-    u_val = v[e]
-    q, j = _ragged(du * w_nnz)
-    e = w_at[q] + j // du[q]
-    k = j % du[q]
-    w_key = rowoff[q] + (x[e] * du[q] + k) * N + t[e]
-    w_col = uoff[q] + y[e] * du[q] + k
-    w_val = v[e]
-    key = _distinct(np.concatenate([u_key, w_key]))
-    u_row, w_row = np.searchsorted(key, u_key), np.searchsorted(key, w_key)
+    # the terms: u[b, k, s] enters row (i, k, s) at the unknown T[i, b]
+    # for every i, and w[i, a, s] row (i, k, s) at T[a, k] for every k.
+    # Unknown T_q[a, b] is column uoff[q] + a * du[q] + b, and row (i, k, s)
+    # has the key rowoff[q] + (i * du[q] + k) * N + s.
+
+    def terms(at, nnz, times, of_u):
+        q, j = _ragged(times * nnz)
+        e = at[q] + j // times[q]
+        z = j % times[q]
+        i, k, a, b = (z, y[e], z, x[e]) if of_u else (x[e], z, y[e], z)
+        return (rowoff[q] + (i * du[q] + k) * N + t[e],
+                uoff[q] + a * du[q] + b, v[e])
+
+    sides = [terms(u_at, u_nnz, dw, True), terms(w_at, w_nnz, du, False)]
+    key = _distinct(np.concatenate([side[0] for side in sides]))
+    sides = [(np.searchsorted(key, k), col, val) for k, col, val in sides]
     # components over the unknowns (vertices 0..U-1) and the rows (U on),
     # each named by its least unknown
     U, R = int(size.sum()), len(key)
-    comp = _components(U + R, np.concatenate([u_col, w_col]),
-                       U + np.concatenate([u_row, w_row]))
+    comp = _components(U + R, np.concatenate([side[1] for side in sides]),
+                       U + np.concatenate([side[0] for side in sides]))
     # blocks in the order of their names; a block's columns in the order of
     # the unknowns and its rows in the order of the keys
     order = np.argsort(comp[:U] * U + np.arange(U))
@@ -326,9 +333,9 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
         """The cells and values of the terms of blocks g, and the place of
         each one's block in g."""
         by = np.argsort(block[row])
-        first = np.searchsorted(block[row][by], np.arange(len(keys)))
+        first = np.searchsorted(block[row[by]], np.arange(len(keys)))
         count = np.diff(first, append=len(by))
-        row, col, val = row_pos[row][by], col_pos[col][by], val[by]
+        row, col, val = row_pos[row[by]], col_pos[col[by]], val[by]
 
         def of(g):
             p, j = _ragged(count[g])
@@ -336,8 +343,9 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
             return p, row[j], col[j], val[j]
         return of
 
-    u_terms = by_block(u_row, u_col, u_val)
-    w_terms = by_block(w_row, w_col, w_val)
+    # popped, so that each side's unsorted terms are freed once sorted
+    u_terms = by_block(*sides.pop(0))
+    w_terms = by_block(*sides.pop(0))
     cells = np.maximum(high, wide) * wide
     if cells.max() > INTERTWINER_CAP:
         g = int(cells.argmax())
