@@ -54,8 +54,9 @@ def _components(n, a, b):
     (a[e], b[e]): each vertex is labelled with the least vertex of its
     component.  Each round hooks the larger root of every edge under the
     smaller one and then points every vertex at its root, until every edge
-    joins equal labels (Shiloach & Vishkin, J. Algorithms 3, 1982)."""
-    label = np.arange(n)
+    joins equal labels (Shiloach & Vishkin, J. Algorithms 3, 1982).
+    Labels are int32 when n allows, which halves the per-edge arrays."""
+    label = np.arange(n, dtype=np.int32 if n < 2 ** 31 else np.int64)
     a, b = np.ravel(a), np.ravel(b)
     while True:
         la, lb = label[a], label[b]

@@ -299,59 +299,66 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     # has the key rowoff[q] + (i * du[q] + k) * N + s.
 
     def terms(at, nnz, times, of_u):
+        """Row keys, columns and coefficient indices of one side's terms,
+        the last two in int32: a run's unknowns and rows and a call's
+        coefficients stay far below 2**31."""
         q, j = _ragged(times * nnz)
         e = at[q] + j // times[q]
         z = j % times[q]
         i, k, a, b = (z, y[e], z, x[e]) if of_u else (x[e], z, y[e], z)
         return (rowoff[q] + (i * du[q] + k) * N + t[e],
-                uoff[q] + a * du[q] + b, v[e])
+                (uoff[q] + a * du[q] + b).astype(np.int32),
+                e.astype(np.int32))
 
     sides = [terms(u_at, u_nnz, dw, True), terms(w_at, w_nnz, du, False)]
     key = _distinct(np.concatenate([side[0] for side in sides]))
-    sides = [(np.searchsorted(key, k), col, val) for k, col, val in sides]
+    sides = [(np.searchsorted(key, k).astype(np.int32), col, e)
+             for k, col, e in sides]
     # components over the unknowns (vertices 0..U-1) and the rows (U on),
     # each named by its least unknown
     U, R = int(size.sum()), len(key)
     comp = _components(U + R, np.concatenate([side[1] for side in sides]),
-                       U + np.concatenate([side[0] for side in sides]))
+                       U + np.concatenate([side[0] for side in sides])
+                       ).astype(np.int64)
     # blocks in the order of their names; a block's columns in the order of
     # the unknowns and its rows in the order of the keys
     order = np.argsort(comp[:U] * U + np.arange(U))
     col_at = np.flatnonzero(np.diff(comp[:U][order], prepend=-1))
     keys = comp[:U][order][col_at]
     wide = np.diff(col_at, append=U)
-    col_pos = np.empty(U, dtype=np.int64)
-    col_pos[order] = np.arange(U) - np.repeat(col_at, wide)
     block = np.searchsorted(keys, comp[U:])
     high = np.bincount(block, minlength=len(keys))
-    row_at = np.cumsum(high) - high
-    row_pos = np.empty(R, dtype=np.int64)
-    row_pos[np.argsort(comp[U:] * R + np.arange(R))] = \
-        np.arange(R) - np.repeat(row_at, high)
-
-    def by_block(row, col, val):
-        """The cells and values of the terms of blocks g, and the place of
-        each one's block in g."""
-        by = np.argsort(block[row])
-        first = np.searchsorted(block[row[by]], np.arange(len(keys)))
-        count = np.diff(first, append=len(by))
-        row, col, val = row_pos[row[by]], col_pos[col[by]], val[by]
-
-        def of(g):
-            p, j = _ragged(count[g])
-            j += first[g][p]
-            return p, row[j], col[j], val[j]
-        return of
-
-    # popped, so that each side's unsorted terms are freed once sorted
-    u_terms = by_block(*sides.pop(0))
-    w_terms = by_block(*sides.pop(0))
     cells = np.maximum(high, wide) * wide
     if cells.max() > INTERTWINER_CAP:
         g = int(cells.argmax())
         raise SizeBound(f"intertwiner block of {high[g]} equations in "
                         f"{wide[g]} unknowns is over the cap of "
                         f"{INTERTWINER_CAP} cells")
+    # places within a block are below the cap, so they fit in int32
+    col_pos = np.empty(U, dtype=np.int32)
+    col_pos[order] = np.arange(U) - np.repeat(col_at, wide)
+    row_at = np.cumsum(high) - high
+    row_pos = np.empty(R, dtype=np.int32)
+    row_pos[np.argsort(comp[U:] * R + np.arange(R))] = \
+        np.arange(R) - np.repeat(row_at, high)
+
+    def by_block(row, col, e):
+        """The cells and values of the terms of blocks g, and the place of
+        each one's block in g."""
+        by = np.argsort(block[row])
+        first = np.searchsorted(block[row[by]], np.arange(len(keys)))
+        count = np.diff(first, append=len(by))
+        row, col, e = row_pos[row[by]], col_pos[col[by]], e[by]
+
+        def of(g):
+            p, j = _ragged(count[g])
+            j += first[g][p]
+            return p, row[j], col[j], v[e[j]]
+        return of
+
+    # popped, so that each side's unsorted terms are freed once sorted
+    u_terms = by_block(*sides.pop(0))
+    w_terms = by_block(*sides.pop(0))
     solved = []
     for nr, nc in np.unique(np.stack([high, wide], 1), axis=0).tolist():
         same = np.flatnonzero((high == nr) & (wide == nc))

@@ -8,9 +8,11 @@ pairs whose actions were corrupted; and the coaction check must see a
 broken corepresentation.  The intertwiner solver and the character
 pairing must both give the dimension of the loop-built system's null
 space, and every solver basis matrix must be an orthonormal intertwiner;
-a batched solve must give each entry what its own call gives.  The
-coefficient span rank summed over orbit blocks must equal the rank of the
-whole stacked matrix.
+a batched solve must give each entry what its own call gives, in runs of
+any size.  Splitting breadth-first, one End batch per level, must give the
+pieces and the catalog of candidate-by-candidate recursion, bit for bit.
+The coefficient span rank summed over orbit blocks must equal the rank of
+the whole stacked matrix.
 Every candidate, catalog irrep and orbit tensor is stored on its sorted,
 pruned support, and that storage agrees with the loop oracles, which read
 the dense tensors.
