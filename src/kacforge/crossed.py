@@ -454,7 +454,7 @@ def crossed_fourier(inst, a):
     for lab, mat in a.blocks.items():
         cand = inst.candidates[lab]
         vec[cand.support()] += inst.ring.dims[lab] * np.einsum(
-            "ji,ijn->n", mat, cand.values)
+            "ji,ijn->n", mat, cand.dense(cand.support()))
     return vec
 
 

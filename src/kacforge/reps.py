@@ -27,25 +27,37 @@ from .matched import b_sets, orbits_fixed_sets
 
 
 class Corepresentation:
-    """A (dim x dim) matrix over the algebra, stored on its support: the
-    sorted basis elements some entry uses, and a (dim, dim, len(support))
-    array of the coefficients there.  Both are read-only copies."""
+    """A (dim x dim) matrix over the algebra, stored as its nonzero
+    coefficients: entry n is ``value[n]`` at basis element ``basis[n]`` in
+    row ``row[n]`` and column ``col[n]`` (int32), in (basis, row, col)
+    order.  The entries are taken in any order; those of value 0, and those
+    on a basis element of total magnitude at most 1e-14, are dropped."""
 
-    def __init__(self, algebra, values, support, label=None):
-        self.algebra = algebra
-        values = np.asarray(values, dtype=complex)
-        support = np.asarray(support, dtype=np.int64)
-        if values.ndim != 3 or values.shape[0] != values.shape[1] \
-                or values.shape[2:] != support.shape:
-            raise ValidationError("corep-shape", f"{values.shape}")
-        if ((support < 0) | (support >= algebra.dim)).any() \
-                or (np.diff(support) <= 0).any():
-            raise ValidationError("corep-support", "not sorted basis indices")
-        keep = np.abs(values).sum(axis=(0, 1)) > 1e-14
-        self.values = np.ascontiguousarray(values[:, :, keep])
-        self._support = support[keep]
-        self.values.flags.writeable = self._support.flags.writeable = False
-        self.dim = values.shape[0]
+    def __init__(self, algebra, dim, entries, label=None):
+        self.algebra, self.dim = algebra, int(dim)
+        row, col, basis = (np.asarray(a, dtype=np.int64).ravel()
+                           for a in entries[:3])
+        value = np.asarray(entries[3], dtype=complex).ravel()
+        if not len(row) == len(col) == len(basis) == len(value) \
+                or ((row < 0) | (row >= dim) | (col < 0) | (col >= dim)).any():
+            raise ValidationError("corep-shape", "entries outside the matrix")
+        if ((basis < 0) | (basis >= algebra.dim)).any():
+            raise ValidationError("corep-support", "not basis indices")
+        key = (basis * dim + row) * dim + col
+        order = np.argsort(key, kind="stable")
+        if (key[order[1:]] == key[order[:-1]]).any():
+            raise ValidationError("corep-shape", "an entry given twice")
+        order = order[value[order] != 0]
+        # each basis element sums its magnitudes in (row, col) order
+        big = np.bincount(basis[order], np.abs(value[order]),
+                          minlength=algebra.dim) > 1e-14
+        order = order[big[basis[order]]]
+        self.row, self.col = row[order].astype(np.int32), \
+            col[order].astype(np.int32)
+        self.basis, self.value = basis[order], value[order]
+        self._support = np.flatnonzero(big)
+        for a in (self.row, self.col, self.basis, self.value, self._support):
+            a.flags.writeable = False
         self.label = label if label is not None else f"w{self.dim}"
 
     def support(self):
@@ -55,39 +67,41 @@ class Corepresentation:
     def dense(self, onto=None):
         """The coefficients on ``onto``, a sorted superset of the support
         (default: every basis element), zero off the support."""
-        if onto is None:
-            onto = np.arange(self.algebra.dim)
-        if not np.isin(self._support, onto).all():
+        onto = np.arange(self.algebra.dim) if onto is None else onto
+        at = np.searchsorted(onto, self.basis)
+        if onto is not self._support and (    # the support needs no check
+                np.take(onto, at, mode="clip") != self.basis).any():
             raise ValidationError("corep-support", "leaves the given basis")
         out = np.zeros((self.dim, self.dim, len(onto)), dtype=complex)
-        out[:, :, np.searchsorted(onto, self._support)] = self.values
+        out[self.row, self.col, at] = self.value
         return out
 
     def character(self):
         out = np.zeros(self.algebra.dim, dtype=complex)
-        out[self._support] = np.einsum("iin->n", self.values)
+        on = self.row == self.col
+        np.add.at(out, self.basis[on], self.value[on])
         return out
 
     def tensor(self, other):
         A = self.algebra
         if other.algebra is not A:
             raise ValidationError("corep-tensor", "different algebras")
-        d1, d2 = self.dim, other.dim
-        # the nonzero basis products p q = t, p-major and s-minor as in
-        # A.mul_vec, so each entry sums the same terms in the same order
-        Su, Sw = self._support, other._support
-        q = A.partner[Su]
-        hit = np.isin(q, Sw)
-        p_at, q_at = np.nonzero(hit)[0], np.searchsorted(Sw, q[hit])
-        support, t_at = np.unique(A.result[Su][hit], return_inverse=True)
-        out = np.zeros((d1, d2, d1, d2, len(support)), dtype=complex)  # i k j l t
-        for blk in _row_blocks(d1, d2 * d1 * d2 * len(p_at)):
-            np.add.at(out[blk], (..., t_at),
-                      self.values[blk, None, :, None, p_at]
-                      * other.values[None, :, None, :, q_at])
-        return Corepresentation(
-            A, out.reshape(d1 * d2, d1 * d2, len(support)), support,
-            label=f"{self.label}(x){other.label}")
+        d2, D = other.dim, self.dim * other.dim
+        # entry e (on p) times entry f (on partner[p, s]), listed by (e, s,
+        # f): each cell adds its terms p-major, s-minor, as A.mul_vec does
+        q = A.partner[self.basis].ravel()
+        lo = np.searchsorted(other.basis, q)
+        es, j = _ragged(np.searchsorted(other.basis, q, side="right") - lo)
+        e, f = es // A.nr, lo[es] + j
+        cell, at = np.unique(
+            (A.result[self.basis].ravel()[es].astype(np.int64) * D
+             + self.row[e] * d2 + other.row[f]) * D
+            + self.col[e] * d2 + other.col[f], return_inverse=True)
+        value = np.zeros(len(cell), dtype=complex)
+        np.add.at(value, at, self.value[e] * other.value[f])
+        entries = (cell // D % D, cell % D, cell // (D * D), value)
+        return Corepresentation(A, D, entries,
+                                label=f"{self.label}(x){other.label}")
 
     def __repr__(self):
         return f"Corepresentation({self.label!r}, dim={self.dim})"
@@ -101,10 +115,8 @@ def check_corepresentation(c):
     coproduct terms of distinct basis elements are distinct pairs, so the
     left-hand side at the term (delta_left, delta_right)[t, a] is c_ij[t].
     """
-    A = c.algebra
-    d = c.dim
-    S = c.support()
-    cS = c.values
+    A, d, S = c.algebra, c.dim, c.support()
+    cS = c.dense(S)
     pos = np.full(A.dim, -1)
     pos[S] = np.arange(len(S))
     left, right = pos[A.delta_left[S]], pos[A.delta_right[S]]   # (|S|, nk)
@@ -145,13 +157,10 @@ def candidate_corepresentation(A, orbit, mx, label=None):
     i = np.arange(dx)[:, None]
     rows = np.arange(do)[:, None, None, None] * dx + i
     cols = (pos[s] * dx)[..., None, None] + i.T
-    basis = orbit[:, None] * A.nk + g                       # (do, nk)
-    support = np.sort(basis, axis=None)
-    values = np.zeros((do * dx, do * dx, len(support)), dtype=complex)
-    # the cells are distinct; adding into zeros turns -0.0 entries into 0.0
-    values[rows, cols, np.searchsorted(support, basis)[..., None, None]] \
-        += mx.matrices
-    return Corepresentation(A, values, support, label=label)
+    basis = (orbit[:, None] * A.nk + g)[..., None, None]   # (do, nk, 1, 1)
+    # the cells are distinct; adding to 0.0 turns -0.0 parts into 0.0
+    entries = np.broadcast_arrays(rows, cols, basis, 0.0 + mx.matrices)
+    return Corepresentation(A, do * dx, entries, label=label)
 
 
 def build_candidates(A, seed=DEFAULT_SEED):
@@ -237,8 +246,8 @@ def mor_dims(pairs):
     direct sum of theirs (the connected-component case of the
     block-triangular form, Pothen & Fan, ACM TOMS 16, 1990).
 
-    Each distinct corepresentation of ``pairs`` (by identity) is scanned
-    for its nonzero coefficients once.  The pairs are then solved in runs:
+    The entries of the distinct corepresentations of ``pairs`` (by
+    identity) are concatenated once.  The pairs are then solved in runs:
     consecutive pairs with at most _RUN_TERMS terms together, or one pair
     alone.  Each component of a run is one dense block, its rows in the
     order (i, k, s) of its system and its unknowns in the order of T, and
@@ -259,7 +268,9 @@ def mor_dims(pairs):
     coreps = [c for _, c in index.values()]
     ui = np.array([index[id(u)][0] for u, _ in pairs])
     wi = np.array([index[id(w)][0] for _, w in pairs])
-    coefs, nnz = _nonzero_coefficients(coreps)
+    coefs = [np.concatenate([getattr(c, name) for c in coreps])
+             for name in ("row", "col", "basis", "value")]
+    nnz = np.array([len(c.value) for c in coreps])
     start = np.cumsum(nnz) - nnz
     d = np.array([c.dim for c in coreps])
     du, dw = d[ui], d[wi]
@@ -272,23 +283,9 @@ def mor_dims(pairs):
     return out
 
 
-def _nonzero_coefficients(coreps):
-    """The nonzero coefficients (x, y) at basis element t, of value v, of
-    every corep one after another, as arrays (x, y, t, v), and how many
-    each corep has.  The per-corep scans are freed on return, before the
-    solver's runs allocate."""
-    scans = [np.nonzero(c.values) for c in coreps]
-    return ((np.concatenate([at[0] for at in scans]),
-             np.concatenate([at[1] for at in scans]),
-             np.concatenate([c.support()[at[2]]
-                             for c, at in zip(coreps, scans)]),
-             np.concatenate([c.values[at] for c, at in zip(coreps, scans)])),
-            np.array([len(at[0]) for at in scans]))
-
-
 def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     """(dim, basis) of each pair of a run, given its dimensions and the
-    ranges of its u's and w's nonzero coefficients in ``coefs``."""
+    ranges of its u's and w's entries in ``coefs``."""
     x, y, t, v = coefs
     size = dw * du
     uoff = np.cumsum(size) - size
@@ -450,11 +447,15 @@ def _split_once(corep, basis, seed, depth, attempt):
             break
     else:
         return None
+    S = corep.support()
+    dense = corep.dense(S)
     parts = []
     for gi, idxs in enumerate(groups):
         W = vecs[:, idxs]
-        sub = np.einsum("ia,ijn,jb->abn", W.conj(), corep.values, W)
-        parts.append(Corepresentation(corep.algebra, sub, corep.support(),
+        sub = np.einsum("ia,ijn,jb->abn", W.conj(), dense, W)
+        a, b, n = np.indices(sub.shape).reshape(3, -1)
+        parts.append(Corepresentation(corep.algebra, len(idxs),
+                                      (a, b, S[n], sub.ravel()),
                                       label=f"{corep.label}#p{gi}"))
     return parts
 
@@ -632,8 +633,8 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
 
     # triple t is (gamma, x, r, s) in row-major order of this shape.  The
     # orbit tensors (r, s) are built one at a time into runs, each closed
-    # once it holds about 1 MB of coefficients; a run's triples take one
-    # Haar pairing and one solver call.
+    # once it holds about 1 MB of entries (32 bytes each); a run's triples
+    # take one Haar pairing and one solver call.
     shape = (n_orb, nx, n_orb, n_orb)
     triples_total = nx * n_orb ** 3
     picks = np.arange(triples_total)
@@ -655,14 +656,13 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
             [(cands[c], tensors[j]) for c, j in zip(ci[at].tolist(),
                                                     col.tolist())])]
 
-    ts, tensors, cells = [], [], 0
+    ts, tensors = [], []
     for t in np.unique(target_of).tolist():
         ts.append(t)
         tensors.append(cands[t // n_orb * nx].tensor(cands[t % n_orb * nx]))
-        cells += tensors[-1].values.size
-        if cells >= _BLOCK // 4:                # 1 MB of complex values
+        if sum(len(x.value) for x in tensors) >= _BLOCK // 8:
             check(ts, tensors)
-            ts, tensors, cells = [], [], 0
+            ts, tensors = [], []
     if ts:
         check(ts, tensors)
     entries = []

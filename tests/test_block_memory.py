@@ -6,19 +6,25 @@ allocate a temporary that grows with the square of the algebra.  The
 intertwiner solver takes its systems in runs of bounded size, and the
 fusion audit builds its orbit tensors in runs of about 1 MB, so batching
 the solves keeps the peaks of ``enumerate_irreps`` and ``audit_fusion``
-bounded too.  The Python-level peak (tracemalloc) is bounded on the
-dim-720 pair S6 = (stabilizer of a point) * <6-cycle> and on the corpus
-pairs double-s3-twist and sign-on-z7.
+bounded too.  A corepresentation is stored as its nonzero entries, so a
+tensor product allocates with its entries, not with the cells of its
+dense coefficient tensor.  The Python-level peak (tracemalloc) is bounded
+on the dim-720 pair S6 = (stabilizer of a point) * <6-cycle>, on the corpus
+pairs double-s3-twist and sign-on-z7, and on GL(3,2) factored both ways,
+as S4 * C7 and as C7 * S4.
 """
 
 import tracemalloc
 
 import pytest
 
+from kacforge import groups
 from kacforge.hopf import build_algebra, check_axioms
 from kacforge.library import corpus_pairs, stabilizer_and_cycle
 from kacforge.matched import derive_actions
-from kacforge.reps import audit_fusion, enumerate_irreps
+from kacforge.reps import audit_fusion, build_candidates, enumerate_irreps
+
+from .test_scripts import load_script
 
 MB = 1 << 20
 _state = {}
@@ -28,6 +34,10 @@ def algebra_of(name):
     if name not in _state:
         if name == "s6-cyclic6":
             mp = derive_actions(*stabilizer_and_cycle(6), name=name)
+        elif name in ("s4-c7", "c7-s4"):
+            G, stab, seven = load_script("block_memory").gl32(groups)
+            sides = (stab, seven) if name == "s4-c7" else (seven, stab)
+            mp = derive_actions(G, *sides, name=name)
         else:
             mp = next(p for p in corpus_pairs() if p.name == name)
         _state[name] = build_algebra(mp)
@@ -73,3 +83,27 @@ def test_level_batched_enumeration_stays_under_six_mb():
     catalog, peak = peak_bytes(lambda: enumerate_irreps(A))
     assert sum(d * d for d in catalog.dims()) == A.dim
     assert peak < 6 * MB
+
+
+def test_each_orbit_tensor_stays_under_one_mb():
+    """The S4 * C7 orbit tensors, one at a time as the audit builds them:
+    the densest has 49 rows and columns on 154 basis elements."""
+    A = algebra_of("s4-c7")
+    cands, space, irreps = build_candidates(A)
+    orbit_coreps = cands[::len(irreps)]
+    assert len(orbit_coreps) == len(space.orbits) == 6
+    for u in orbit_coreps:
+        for w in orbit_coreps:
+            t, peak = peak_bytes(lambda: u.tensor(w))
+            assert t.dim == u.dim * w.dim
+            assert peak < MB
+
+
+def test_irrep_pair_tensors_held_together_stay_under_eight_mb():
+    """Every tensor of two canonical irreps of C7 * S4 at once, as
+    ``kacforge fusion`` holds them."""
+    irreps = enumerate_irreps(algebra_of("c7-s4")).canonical
+    tensors, peak = peak_bytes(
+        lambda: [u.tensor(w) for u in irreps for w in irreps])
+    assert len(tensors) == 81
+    assert peak < 8 * MB

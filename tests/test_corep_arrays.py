@@ -13,9 +13,9 @@ any size.  Splitting breadth-first, one End batch per level, must give the
 pieces and the catalog of candidate-by-candidate recursion, bit for bit.
 The coefficient span rank summed over orbit blocks must equal the rank of
 the whole stacked matrix.
-Every candidate, catalog irrep and orbit tensor is stored on its sorted,
-pruned support, and that storage agrees with the loop oracles, which read
-the dense tensors.
+Every candidate, catalog irrep and orbit tensor is stored as its nonzero
+entries in (basis, row, col) order on its pruned support, and that storage
+agrees with the loop oracles, which read the dense tensors.
 """
 
 import dataclasses
@@ -39,7 +39,8 @@ from kacforge.reps import (Corepresentation, build_candidates,
 
 from .oracles import (naive_corep_tensor, naive_embedding_violations,
                       naive_intertwiner_dim)
-from .test_reps import SMALL, algebra_of, catalog_of, orbit_matrix
+from .test_reps import (SMALL, algebra_of, catalog_of, corep_from_dense,
+                        orbit_matrix)
 from .test_structure_golden import _corrupted_s4_cyclic4
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
@@ -133,7 +134,7 @@ def test_coaction_check_sees_a_broken_entry():
     i = cand.support()[0]
     j = next(t for t in range(A.dim) if t not in set(cand.support()))
     coeffs[:, :, [i, j]] = coeffs[:, :, [j, i]]     # move one basis element
-    broken = Corepresentation(A, coeffs, np.arange(A.dim))
+    broken = corep_from_dense(A, coeffs, np.arange(A.dim))
     assert check_corepresentation(cand) < 1e-7
     assert check_corepresentation(broken) > 0.5
 
@@ -145,7 +146,7 @@ def test_coaction_check_sees_a_wrong_value():
     t = corep.support()[1]
     coeffs[0, 0, t] += 1.0
     assert check_corepresentation(
-        Corepresentation(A, coeffs, np.arange(A.dim))) > 0.5
+        corep_from_dense(A, coeffs, np.arange(A.dim))) > 0.5
 
 
 def test_candidate_builder_refuses_an_orbit_that_is_not_closed():
@@ -185,12 +186,12 @@ def test_intertwiner_routes_equal_loop_rank(name, data):
 
 
 def _tampered(c, rng):
-    """``c`` with random values on its nonzero entries: no longer a
+    """``c`` with random values on its entries: no longer a
     corepresentation, with the same pattern."""
-    noise = rng.normal(size=c.values.shape) + 1j * rng.normal(
-        size=c.values.shape)
-    return Corepresentation(c.algebra, np.where(c.values != 0, noise, 0),
-                            c.support(), label=f"{c.label}~")
+    noise = rng.normal(size=len(c.value)) + 1j * rng.normal(
+        size=len(c.value))
+    return Corepresentation(c.algebra, c.dim, (c.row, c.col, c.basis, noise),
+                            label=f"{c.label}~")
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,36 +257,40 @@ def test_span_rank_counts_a_duplicated_irrep_once():
 
 
 def test_coefficients_and_support_are_read_only():
-    # the support is pruned once, at construction, so neither the stored
-    # values nor the support may change; the caller's own arrays are copied
+    # the entries are sorted and pruned once, at construction, so neither
+    # they nor the support may change; the caller's own arrays are copied
     # and stay writable
     A = algebra_of("s3-split")
-    raw = enumerate_irreps(A).canonical[-1].dense()
-    where = np.arange(A.dim)
-    corep = Corepresentation(A, raw, where)
+    c = enumerate_irreps(A).canonical[-1]
+    given = [np.array(a[::-1]) for a in (c.row, c.col, c.basis, c.value)]
+    corep = Corepresentation(A, c.dim, given)
     kept = corep.dense()
-    with pytest.raises(ValueError):
-        corep.values[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        corep.support()[0] = 0
-    raw += 1.0
-    where[:] = 0
+    assert np.array_equal(kept, c.dense())
+    for stored in (corep.row, corep.col, corep.basis, corep.value,
+                   corep.support()):
+        with pytest.raises(ValueError):
+            stored[0] = 0
+    for a in given:
+        a += 1
     assert np.array_equal(corep.dense(), kept)
 
 
-def test_constructor_refuses_a_support_out_of_order():
+def test_constructor_refuses_entries_off_the_matrix_or_basis():
     A = algebra_of("s3-split")
-    ones = np.ones((1, 1, 2))
-    for where in ([1, 0], [2, 2], [-1, 0], [0, A.dim]):
+    for basis in ([-1, 0], [0, A.dim]):
         with pytest.raises(ValidationError, match="corep-support"):
-            Corepresentation(A, ones, where)
-    with pytest.raises(ValidationError, match="corep-shape"):
-        Corepresentation(A, ones, [0, 1, 2])
+            Corepresentation(A, 1, ([0, 0], [0, 0], basis, [1, 1]))
+    for entries in (([0], [0, 0], [0, 1], [1, 1]),      # ragged
+                    ([0, 1], [0, 0], [0, 1], [1, 1]),   # row 1 of a 1 x 1
+                    ([0, 0], [0, -1], [0, 1], [1, 1]),
+                    ([0, 0], [0, 0], [2, 2], [1, 1])):  # one cell twice
+        with pytest.raises(ValidationError, match="corep-shape"):
+            Corepresentation(A, 1, entries)
 
 
 def test_dense_refuses_a_basis_without_the_support():
-    corep = Corepresentation(algebra_of("s3-split"), np.ones((1, 1, 2)),
-                             [1, 3])
+    corep = Corepresentation(algebra_of("s3-split"), 1,
+                             ([0, 0], [0, 0], [1, 3], [1, 1]))
     assert corep.dense([1, 2, 3]).ravel().tolist() == [1, 0, 1]
     for onto in ([1, 2], [2, 3, 4], [0, 1, 2]):
         with pytest.raises(ValidationError, match="corep-support"):
@@ -302,10 +307,15 @@ def _pair(name):
 
 
 def _stored_on_support(c):
-    S = c.support()
-    return (c.values.shape == (c.dim, c.dim, len(S))
-            and np.array_equal(S, np.unique(S))
-            and np.abs(c.values).sum(axis=(0, 1)).min(initial=1.0) > 1e-14)
+    """Nonzero int32-indexed entries in strictly increasing (basis, row,
+    col) order, on a support of basis elements each of magnitude above
+    1e-14."""
+    key = (c.basis * c.dim + c.row) * c.dim + c.col
+    return (c.row.dtype == c.col.dtype == np.int32
+            and (np.diff(key) > 0).all() and (c.value != 0).all()
+            and np.array_equal(c.support(), np.unique(c.basis))
+            and (np.bincount(c.basis, np.abs(c.value))[c.support()]
+                 > 1e-14).all())
 
 
 @pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5"])
@@ -408,8 +418,8 @@ def _recursive_catalog(A, seed):
 
 def _same_corep(p, q):
     return (p.label == q.label and p.dim == q.dim
-            and p.values.tobytes() == q.values.tobytes()
-            and p.support().tobytes() == q.support().tobytes())
+            and all(getattr(p, a).tobytes() == getattr(q, a).tobytes()
+                    for a in ("row", "col", "basis", "value")))
 
 
 @pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5"])

@@ -33,6 +33,7 @@ from kacforge.library import (corpus_pairs, cyclic_group, quaternion_group,
 from kacforge.reps import Corepresentation, mor_dim_haar, mor_dim_solver
 
 from .oracles import brute_character_inner
+from .test_reps import corep_from_dense
 
 _state = {}
 
@@ -300,7 +301,7 @@ def test_crossed_dual_matches_star_conjugate():
         for i in range(inst.ring.n):
             c = inst.candidates[i]
             bar = A.star_vec(c.dense())
-            cbar = Corepresentation(A, bar, np.arange(A.dim), label="bar")
+            cbar = corep_from_dense(A, bar, np.arange(A.dim), label="bar")
             hits = [t for t in range(inst.ring.n)
                     if mor_dim_haar(inst.candidates[t], cbar) == 1]
             assert hits == [int(inst.ring.dual[i])]
@@ -417,7 +418,9 @@ def test_lemma_fourier_raises_on_tampered_candidate():
     broken.candidates = list(base.candidates)
     victim = base.candidates[4]
     broken.candidates[4] = Corepresentation(
-        base.algebra, 1.5 * victim.values, victim.support(), label="bad")
+        base.algebra, victim.dim,
+        (victim.row, victim.col, victim.basis, 1.5 * victim.value),
+        label="bad")
     a = random_dual_element(base.ring, seed=9, labels=[4])
     with pytest.raises(IdentityViolated):
         check_lemma_fourier(broken, a)

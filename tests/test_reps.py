@@ -56,6 +56,17 @@ def orbit_matrix(A, orbit):
     return candidate_corepresentation(A, orbit, trivial)
 
 
+def corep_from_dense(A, values, support, label=None):
+    """The corepresentation whose (dim, dim, len(support)) coefficients on
+    the basis elements ``support`` are ``values``: every cell is passed as
+    an entry, and the constructor drops the zeros."""
+    values = np.asarray(values)
+    a, b, n = np.indices(values.shape).reshape(3, -1)
+    return Corepresentation(A, len(values),
+                            (a, b, np.asarray(support)[n], values.ravel()),
+                            label=label)
+
+
 def lifted_irrep(A, mx):
     """A compact irrep on the fixed orbit {e}, via point indicators."""
     return candidate_corepresentation(A, [A.pair.discrete.identity], mx)
@@ -157,8 +168,9 @@ def test_schur_for_irreducibles():
 
 def test_haar_route_rejects_non_integral_pairing():
     cands, _, _ = build_candidates(algebra_of("s3-split"))
-    scaled = Corepresentation(cands[1].algebra, 1.3 * cands[1].values,
-                              cands[1].support())
+    c = cands[1]
+    scaled = Corepresentation(c.algebra, c.dim,
+                              (c.row, c.col, c.basis, 1.3 * c.value))
     with pytest.raises(NonIntegral):
         mor_dim_haar(scaled, scaled)
 
@@ -418,10 +430,11 @@ def test_intrinsic_group_refuses_a_corrupted_one_dim_irrep():
     cat = catalog_of("s3-split")
     k, c = next((k, c) for k, c in enumerate(cat.canonical)
                 if c.dim == 1 and k > 0)
-    values = c.values.copy()
-    values[0, 0, 0] *= 2.0
+    value = c.value.copy()
+    value[0] *= 2.0
     canonical = list(cat.canonical)
-    canonical[k] = Corepresentation(A, values, c.support(), label=c.label)
+    canonical[k] = Corepresentation(A, 1, (c.row, c.col, c.basis, value),
+                                    label=c.label)
     with pytest.raises(ValidationError, match="intrinsic-grouplike"):
         invariant_groups(A, replace(cat, canonical=canonical))
     invariant_groups(A, cat)        # the catalog itself is untouched
@@ -457,7 +470,7 @@ def test_branching_restriction_dimension_count():
     hit = set()
     # every source irrep pushes to a rep whose decomposition fills its dim
     for x in cat.canonical:
-        pushed = Corepresentation(
+        pushed = corep_from_dense(
             A0, np.einsum("mn,ijn->ijm", rho.matrix, x.dense()),
             np.arange(A0.dim))
         total = 0

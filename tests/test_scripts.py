@@ -5,15 +5,22 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, argv, capsys):
+def load_script(name):
+    """The module of ``scripts/<name>.py``."""
     spec = importlib.util.spec_from_file_location(
         f"script_{name}", SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    code = module.main(argv)
+    return module
+
+
+def run_script(name, argv, capsys):
+    code = load_script(name).main(argv)
     return code, capsys.readouterr().out.splitlines()
 
 
@@ -47,9 +54,24 @@ def test_rd_scan_two_instances_pass_the_bound(capsys):
 
 
 def test_block_memory_runs_a_job_under_the_address_limit(capsys):
-    code, lines = run_script("block_memory", ["c7-s4-audit"], capsys)
+    code, lines = run_script("block_memory", ["c7-s4-audit", "s4-c7-audit"],
+                             capsys)
+    assert code == 0
+    rows = [json.loads(line) for line in lines]
+    assert [row["job"] for row in rows] == ["c7-s4-audit", "s4-c7-audit"]
+    for row, triples, disagree in zip(rows, (40, 1512), (7, 63)):
+        assert row["status"] == "ok"
+        assert row["sum_of_squares"] == row["dim"] == 168
+        assert row["triples"] == triples
+        assert row["disagreements"] == disagree
+        assert row["solver_equals_haar"]
+
+
+@pytest.mark.slow
+def test_block_memory_enumerates_the_dim_720_pair(capsys):
+    code, lines = run_script("block_memory", ["swapped-s6"], capsys)
     assert code == 0
     row = json.loads(lines[-1])
-    assert row["job"] == "c7-s4-audit" and row["status"] == "ok"
-    assert row["sum_of_squares"] == row["dim"] == 168
-    assert row["triples"] == 40 and row["solver_equals_haar"]
+    assert row["job"] == "swapped-s6" and row["status"] == "ok"
+    assert row["sum_of_squares"] == row["dim"] == 720
+    assert len(row["irrep_dims"]) == 12
