@@ -15,7 +15,8 @@ Usage:
 ``--src`` is the ``src`` directory whose ``kacforge`` the children import
 (default: this checkout's), so the same script times two revisions.  One
 JSON line per job: its status (``ok``, ``out-of-memory`` or ``failed``),
-wall seconds, the child's peak RSS in MB and what the job found.
+wall seconds, the child's peak RSS in MB and what the job found; an audit
+counts its triple disagreements and its distinctness findings apart.
 """
 
 import argparse
@@ -68,7 +69,9 @@ def run_job(job):
     if job != "swapped-s6":
         audit = reps.audit_fusion(A, cat)
         out.update(triples=len(audit.entries),
-                   disagreements=len(audit.disagreements()),
+                   triple_disagreements=sum(e.status == "AUDIT-DISAGREE"
+                                            for e in audit.entries),
+                   distinctness_findings=len(audit.distinctness),
                    solver_equals_haar=audit.oracle_consistent)
     return out
 

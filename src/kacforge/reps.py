@@ -89,10 +89,8 @@ class Corepresentation:
         d2, D = other.dim, self.dim * other.dim
         # entry e (on p) times entry f (on partner[p, s]), listed by (e, s,
         # f): each cell adds its terms p-major, s-minor, as A.mul_vec does
-        q = A.partner[self.basis].ravel()
-        lo = np.searchsorted(other.basis, q)
-        es, j = _ragged(np.searchsorted(other.basis, q, side="right") - lo)
-        e, f = es // A.nr, lo[es] + j
+        es, f = _join(A.partner[self.basis].ravel(), other.basis)
+        e = es // A.nr
         cell, at = np.unique(
             (A.result[self.basis].ravel()[es].astype(np.int64) * D
              + self.row[e] * d2 + other.row[f]) * D
@@ -110,33 +108,43 @@ class Corepresentation:
 def check_corepresentation(c):
     """Max deviation over the coaction identity and unitarity.
 
-    The coaction identity Delta(c_ij) = sum_k c_ik x c_kj is compared on
-    the support of the corepresentation, in row blocks of its left leg: the
-    coproduct terms of distinct basis elements are distinct pairs, so the
-    left-hand side at the term (delta_left, delta_right)[t, a] is c_ij[t].
+    Delta(c_ij) = sum_k c_ik x c_kj is compared on the cells (i, j, leg
+    pair), c c* = c* c = 1 on the cells (i, j, basis element), with c* the
+    entries (col, row, star_index[basis], conj(value)).  Pairs of entries
+    meeting on k add their nonzero products; entry (i, j, t) takes c_ij[t]
+    off each coproduct term of t, and 1 comes off each (i, i, unit).  Cells
+    of two rows never meet, so the rows go in runs of at most _BLOCK products.
     """
-    A, d, S = c.algebra, c.dim, c.support()
-    cS = c.dense(S)
-    pos = np.full(A.dim, -1)
-    pos[S] = np.arange(len(S))
-    left, right = pos[A.delta_left[S]], pos[A.delta_right[S]]   # (|S|, nk)
-    inside = (left >= 0) & (right >= 0)
-    # a term with a leg off the support has no right-hand side to meet
-    dev = float(np.abs(cS[:, :, ~inside.all(1)]).max(initial=0.0))
-    t, a = np.nonzero(inside)
-    for blk in _row_blocks(len(S), d * d * len(S)):
-        rhs = np.einsum("ikp,kjq->ijpq", cS[:, :, blk], cS)
-        mine = (left[t, a] >= blk.start) & (left[t, a] < blk.stop)
-        tt, aa = t[mine], a[mine]
-        rhs[:, :, left[tt, aa] - blk.start, right[tt, aa]] -= cS[:, :, tt]
-        dev = max(dev, float(np.abs(rhs).max(initial=0.0)))
-    want = np.eye(d)[:, :, None] * A.unit_vec
-    full = c.dense()
-    cs = A.star_vec(full)                           # entrywise star
-    row = A.mul_vec(full[:, None], cs[None, :]).sum(2)         # c c*
-    col = A.mul_vec(cs[:, :, None], full[:, None]).sum(0)      # c* c
-    return max(dev, float(np.abs(row - want).max()),
-               float(np.abs(col - want).max()))
+    A, d, N = c.algebra, c.dim, c.algebra.dim
+    by_row, by_col = (np.argsort(a, kind="stable") for a in (c.row, c.col))
+    mine = [a[by_row] for a in (c.row, c.col, c.basis, c.value)]
+    star = [a[by_col] for a in (c.col, c.row, A.star_index[c.basis],
+                                np.conj(c.value))]
+    unit, dev = np.flatnonzero(A.unit_vec)[None], 0.0
+    for left, right in ((mine, mine), (mine, star), (star, mine)):
+        at = np.searchsorted(left[0], np.arange(d + 1))
+        per_row = np.bincount(right[0], minlength=d)
+        for run in _runs(np.bincount(left[0], per_row[left[1]],
+                                     minlength=d).tolist(), _BLOCK):
+            i, k, t, v = (a[at[run[0]]:at[run[-1] + 1]] for a in left)
+            n, m = _join(k, right[0])
+            if left is right:                 # the leg pair (p, q) is pN + q
+                x = t[n] * N + right[2][m]
+                want = (i, k, v, A.delta_left[t] * np.int64(N)
+                        + A.delta_right[t])
+            else:
+                x = A.mul_index(t[n], right[2][m])
+                n, m, x = n[x < N], m[x < N], x[x < N]
+                want = (run, run, np.ones(len(run)), unit.repeat(len(run), 0))
+            wi, wj, wv = (np.repeat(a, want[3].shape[1]) for a in want[:3])
+            cell, where = np.unique(np.concatenate([
+                (i[n].astype(np.int64) * d + right[1][m]) * (N * N) + x,
+                (wi.astype(np.int64) * d + wj) * (N * N) + want[3].ravel()]),
+                return_inverse=True)
+            total = np.zeros(len(cell), dtype=complex)
+            np.add.at(total, where, np.concatenate([v[n] * right[3][m], -wv]))
+            dev = max(dev, float(np.abs(total).max(initial=0.0)))
+    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +227,13 @@ def _ragged(counts):
     items, in owner-major order."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _join(want, have):
+    """The pairs (n, m) with have[m] == want[n], n-major; ``have`` sorted."""
+    lo = np.searchsorted(have, want)
+    n, j = _ragged(np.searchsorted(have, want, side="right") - lo)
+    return n, lo[n] + j
 
 
 def _distinct(x):

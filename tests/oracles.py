@@ -301,6 +301,30 @@ def naive_corep_tensor(u, w):
     return out
 
 
+def naive_corep_deviation(c):
+    """Max deviation of a corepresentation from the coaction identity and
+    from unitarity, one matrix entry (i, j) at a time on the dense
+    coefficient vectors: Delta(c_ij) as an (n, n) array from the coproduct
+    tables against sum_k outer(c_ik, c_kj), and sum_k c_ik c_jk* and
+    sum_k c_ki* c_kj against [i = j] times the unit."""
+    A = c.algebra
+    d, n = c.dim, A.dim
+    cc = c.dense()
+    cs = [[A.star_vec(cc[i, j]) for j in range(d)] for i in range(d)]
+    dev = 0.0
+    for i in range(d):
+        for j in range(d):
+            delta = np.zeros((n, n), dtype=complex)
+            np.add.at(delta, (A.delta_left, A.delta_right), cc[i, j, :, None])
+            outer = sum(np.outer(cc[i, k], cc[k, j]) for k in range(d))
+            one = A.unit_vec if i == j else np.zeros(n)
+            row = sum(A.mul_vec(cc[i, k], cs[j][k]) for k in range(d))
+            col = sum(A.mul_vec(cs[k][i], cc[k, j]) for k in range(d))
+            dev = max(dev, np.abs(outer - delta).max(),
+                      np.abs(row - one).max(), np.abs(col - one).max())
+    return float(dev)
+
+
 def naive_embedding_violations(A, tol=1e-9):
     """Violation counts of the classical embeddings, one algebra product
     per group pair: (r, s) with u_r u_s != u_rs, r with u_r* != u_r^-1,

@@ -8,10 +8,12 @@ fusion audit builds its orbit tensors in runs of about 1 MB, so batching
 the solves keeps the peaks of ``enumerate_irreps`` and ``audit_fusion``
 bounded too.  A corepresentation is stored as its nonzero entries, so a
 tensor product allocates with its entries, not with the cells of its
-dense coefficient tensor.  The Python-level peak (tracemalloc) is bounded
-on the dim-720 pair S6 = (stabilizer of a point) * <6-cycle>, on the corpus
-pairs double-s3-twist and sign-on-z7, and on GL(3,2) factored both ways,
-as S4 * C7 and as C7 * S4.
+dense coefficient tensor, and the coaction and unitarity check joins the
+entries in runs of rows, never forming that tensor.  The Python-level peak
+(tracemalloc) is bounded on the dim-720 pair S6 = (stabilizer of a point) *
+<6-cycle> and on it with its sides swapped, on the corpus pairs
+double-s3-twist and sign-on-z7, and on GL(3,2) factored both ways, as
+S4 * C7 and as C7 * S4.
 """
 
 import tracemalloc
@@ -22,7 +24,8 @@ from kacforge import groups
 from kacforge.hopf import build_algebra, check_axioms
 from kacforge.library import corpus_pairs, stabilizer_and_cycle
 from kacforge.matched import derive_actions
-from kacforge.reps import audit_fusion, build_candidates, enumerate_irreps
+from kacforge.reps import (audit_fusion, build_candidates,
+                           check_corepresentation, enumerate_irreps)
 
 from .test_scripts import load_script
 
@@ -34,6 +37,9 @@ def algebra_of(name):
     if name not in _state:
         if name == "s6-cyclic6":
             mp = derive_actions(*stabilizer_and_cycle(6), name=name)
+        elif name == "swapped-s6":
+            S, stab, cycle = stabilizer_and_cycle(6)
+            mp = derive_actions(S, cycle, stab, name=name)
         elif name in ("s4-c7", "c7-s4"):
             G, stab, seven = load_script("block_memory").gl32(groups)
             sides = (stab, seven) if name == "s4-c7" else (seven, stab)
@@ -107,3 +113,37 @@ def test_irrep_pair_tensors_held_together_stay_under_eight_mb():
         lambda: [u.tensor(w) for u in irreps for w in irreps])
     assert len(tensors) == 81
     assert peak < 8 * MB
+
+
+def _densest(coreps):
+    return max(coreps, key=lambda c: len(c.value))
+
+
+def _check_peak(c):
+    dev, peak = peak_bytes(lambda: check_corepresentation(c))
+    assert dev < 1e-7
+    return peak
+
+
+def test_checking_the_densest_orbit_tensor_stays_under_one_mb():
+    """The S4 * C7 orbit tensor of dim 49 with 343 entries."""
+    cands, _, irreps = build_candidates(algebra_of("s4-c7"))
+    orbit_coreps = cands[::len(irreps)]
+    t = _densest([u.tensor(w) for u in orbit_coreps for w in orbit_coreps])
+    assert (t.dim, len(t.value)) == (49, 343)
+    assert _check_peak(t) < MB
+
+
+def test_checking_the_densest_c7_s4_candidate_stays_under_16_mb():
+    c = _densest(build_candidates(algebra_of("c7-s4"))[0])
+    assert (c.dim, len(c.value)) == (18, 1296)
+    assert _check_peak(c) < 16 * MB
+
+
+@pytest.mark.slow
+def test_checking_the_densest_swapped_s6_candidate_stays_under_64_mb():
+    """Dim 30 with 21,600 entries: a row alone makes 720 * 720 coaction
+    products, so only the runs of rows keep the join bounded."""
+    c = _densest(build_candidates(algebra_of("swapped-s6"))[0])
+    assert (c.dim, len(c.value)) == (30, 21600)
+    assert _check_peak(c) < 64 * MB

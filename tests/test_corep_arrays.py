@@ -4,8 +4,9 @@ The broadcasting product must equal stacked one-dimensional products bit
 for bit; the tensor product must equal the entry-by-entry loop of
 ``tests/oracles.py`` bit for bit; the exact embedding counts of
 ``group_subalgebra_check`` must equal the per-pair product loop, also on
-pairs whose actions were corrupted; and the coaction check must see a
-broken corepresentation.  The intertwiner solver and the character
+pairs whose actions were corrupted; and the coaction and unitarity
+check, which joins the entries, must equal the dense loop of the oracles
+and see a broken corepresentation.  The intertwiner solver and the character
 pairing must both give the dimension of the loop-built system's null
 space, and every solver basis matrix must be an orthonormal intertwiner;
 a batched solve must give each entry what its own call gives, in runs of
@@ -37,8 +38,8 @@ from kacforge.reps import (Corepresentation, build_candidates,
                            decompose, enumerate_irreps, mor_dim_haar,
                            mor_dim_solver)
 
-from .oracles import (naive_corep_tensor, naive_embedding_violations,
-                      naive_intertwiner_dim)
+from .oracles import (naive_corep_deviation, naive_corep_tensor,
+                      naive_embedding_violations, naive_intertwiner_dim)
 from .test_reps import (SMALL, algebra_of, catalog_of, corep_from_dense,
                         orbit_matrix)
 from .test_structure_golden import _corrupted_s4_cyclic4
@@ -147,6 +148,62 @@ def test_coaction_check_sees_a_wrong_value():
     coeffs[0, 0, t] += 1.0
     assert check_corepresentation(
         corep_from_dense(A, coeffs, np.arange(A.dim))) > 0.5
+
+
+def _changed(c, e, how, shift):
+    """``c`` with its entry e raised by 1, turned by the phase i, or moved
+    ``shift`` basis elements on."""
+    A = c.algebra
+    coeffs = c.dense()
+    i, j, t = c.row[e], c.col[e], c.basis[e]
+    if how == "value":
+        coeffs[i, j, t] += 1.0
+    elif how == "phase":
+        coeffs[i, j, t] *= 1j
+    else:
+        coeffs[i, j, (t + shift) % A.dim] += coeffs[i, j, t]
+        coeffs[i, j, t] = 0.0
+    return corep_from_dense(A, coeffs, np.arange(A.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(list(CORPUS)), data=st.data())
+def test_entry_check_equals_dense_loop(name, data):
+    """The check on the entries equals the oracle's (i, j) loop over the
+    dense coefficients to 1e-12, on candidates, canonical irreps and irrep
+    tensors, honest or with one entry changed; and the same bit for bit
+    with every row in a run of its own.  An honest corepresentation passes;
+    one with an entry raised by 1, or with an entry of magnitude over 0.9
+    turned or moved, deviates by more than 0.5."""
+    A = algebra_of(name)
+    catalog = catalog_of(name)
+    irrep = st.integers(0, len(catalog.canonical) - 1)
+    kind = data.draw(st.sampled_from(["candidate", "irrep", "tensor"]),
+                     label="kind")
+    if kind == "candidate":
+        c = catalog.candidates[data.draw(
+            st.integers(0, len(catalog.candidates) - 1), label="candidate")]
+    elif kind == "irrep":
+        c = catalog.canonical[data.draw(irrep, label="irrep")]
+    else:
+        c = catalog.canonical[data.draw(irrep, label="left")].tensor(
+            catalog.canonical[data.draw(irrep, label="right")])
+    how = data.draw(st.sampled_from([None, "value", "phase", "move"]),
+                    label="change")
+    if how is not None:
+        e = data.draw(st.integers(0, len(c.value) - 1), label="entry")
+        big = abs(c.value[e]) > 0.9
+        c = _changed(c, e, how, data.draw(st.integers(1, A.dim - 1),
+                                          label="shift"))
+    got = check_corepresentation(c)
+    assert abs(got - naive_corep_deviation(c)) < 1e-12
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reps, "_BLOCK", 1)
+        assert check_corepresentation(c) == got
+    if how is None:
+        assert got < 1e-7
+    elif how == "value" or big:
+        assert got > 0.5
 
 
 def test_candidate_builder_refuses_an_orbit_that_is_not_closed():

@@ -1,5 +1,7 @@
-"""Import hygiene: every name a package module imports is used in it, and
-every attribute it stores is read somewhere in the repository."""
+"""Import hygiene: every name a package module imports is used in it,
+every attribute it stores is read somewhere in the repository, and no
+package code asks a corepresentation for its coefficients on every basis
+element."""
 
 import ast
 from pathlib import Path
@@ -194,3 +196,29 @@ def test_every_oracle_is_read_by_a_test():
     tests = ROOT / "tests"
     readers = [path.read_text() for path in sorted(tests.glob("test_*.py"))]
     assert unread_functions((tests / "oracles.py").read_text(), readers) == []
+
+
+# ---------------------------------------------------------------------------
+# no full coefficient arrays: a corepresentation's (d, d, dim) dense form
+
+
+def full_dense_calls(source):
+    """Calls ``x.dense()`` with no argument in ``source``, as ``line N``:
+    each forms the coefficients on every basis element of the algebra."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dense"
+            and not node.args and not node.keywords]
+
+
+def test_scanner_finds_a_full_dense_call():
+    source = ("def f(c, on):\n    a = c.dense(on)\n    b = c.dense()\n"
+              "    return c.dense(onto=on), dense(), b\n")
+    assert full_dense_calls(source) == ["line 3"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_full_dense_coefficients(path):
+    assert full_dense_calls(path.read_text()) == []

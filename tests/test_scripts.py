@@ -59,11 +59,12 @@ def test_block_memory_runs_a_job_under_the_address_limit(capsys):
     assert code == 0
     rows = [json.loads(line) for line in lines]
     assert [row["job"] for row in rows] == ["c7-s4-audit", "s4-c7-audit"]
-    for row, triples, disagree in zip(rows, (40, 1512), (7, 63)):
+    for row, triples, findings in zip(rows, (40, 1512), (7, 63)):
         assert row["status"] == "ok"
         assert row["sum_of_squares"] == row["dim"] == 168
         assert row["triples"] == triples
-        assert row["disagreements"] == disagree
+        assert row["triple_disagreements"] == 0
+        assert row["distinctness_findings"] == findings
         assert row["solver_equals_haar"]
 
 
