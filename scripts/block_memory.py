@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Scale jobs of the intertwiner solver, each in a child process whose
-address space is capped at ``LIMIT_KB`` (``ulimit -v 4000000``).
+"""Scale jobs of the intertwiner solver and the axiom check, each in a
+child process whose address space is capped at ``LIMIT_KB``
+(``ulimit -v 4000000``).
 
 Jobs:
-    swapped-s6   enumerate_irreps on S6 = <6-cycle> * (stabilizer of a
-                 point), dim 720: the s6-cyclic6 pair with its sides swapped
-    s4-c7-audit  enumerate_irreps and the exhaustive fusion audit on
-                 GL(3,2) = S4 * C7, dim 168
-    c7-s4-audit  the same two steps on GL(3,2) = C7 * S4
+    swapped-s6    enumerate_irreps on S6 = <6-cycle> * (stabilizer of a
+                  point), dim 720: the s6-cyclic6 pair with its sides swapped
+    s4-c7-audit   enumerate_irreps and the exhaustive fusion audit on
+                  GL(3,2) = S4 * C7, dim 168
+    c7-s4-audit   the same two steps on GL(3,2) = C7 * S4
+    a6-c7-axioms  check_axioms on A7 = A6 * <(0 1 ... 6)>, dim 2,520
 
 Usage:
     python3 scripts/block_memory.py [--src DIR] [JOB ...]
@@ -16,7 +18,8 @@ Usage:
 (default: this checkout's), so the same script times two revisions.  One
 JSON line per job: its status (``ok``, ``out-of-memory`` or ``failed``),
 wall seconds, the child's peak RSS in MB and what the job found; an audit
-counts its triple disagreements and its distinctness findings apart.
+counts its triple disagreements and its distinctness findings apart, and
+the axiom job gives its verdict and the seconds ``check_axioms`` took.
 """
 
 import argparse
@@ -28,7 +31,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-JOBS = ("swapped-s6", "s4-c7-audit", "c7-s4-audit")
+JOBS = ("swapped-s6", "s4-c7-audit", "c7-s4-audit", "a6-c7-axioms")
 LIMIT_KB = 4_000_000
 
 
@@ -52,9 +55,25 @@ def gl32(groups):
     return G, stab, G.closure([seven])
 
 
+def a7(groups):
+    """A7 generated by (0 1 2) and the 7-cycle (0 1 ... 6), with the
+    stabilizer of the last point (an A6) and the group of the 7-cycle,
+    which factor it exactly."""
+    cycle = (1, 2, 3, 4, 5, 6, 0)
+    G = groups.group_from_permutations([(1, 2, 0, 3, 4, 5, 6), cycle])
+    stab = [i for i, p in enumerate(G.permutations) if p[6] == 6]
+    return G, stab, G.closure([G.permutations.index(cycle)])
+
+
 def run_job(job):
     """The job's result; runs inside the child."""
     from kacforge import groups, hopf, library, matched, reps
+    if job == "a6-c7-axioms":
+        A = hopf.build_algebra(matched.derive_actions(*a7(groups), name=job))
+        t0 = time.perf_counter()
+        report = hopf.check_axioms(A)
+        return {"dim": A.dim, "verdict": "PASS" if report.passed else "FAIL",
+                "check_axioms_s": round(time.perf_counter() - t0, 3)}
     if job == "swapped-s6":
         S, stab, cycle = library.stabilizer_and_cycle(6)
         mp = matched.derive_actions(S, cycle, stab, name=job)

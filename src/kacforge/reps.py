@@ -746,11 +746,16 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
 
     # --- group of 1-dim corepresentations under tensor
     ones = [c for c in catalog.canonical if c.dim == 1]
-    for c in ones:       # group-like (the coproduct doubles it) and unitary
-        dev = check_corepresentation(c)
-        if dev > TOL_MULT:
-            raise ValidationError("intrinsic-grouplike",
-                                  f"deviation {dev:.3e}")
+    # group-like (the coproduct doubles it) and unitary, checked at once on
+    # their block-diagonal direct sum: no cell pairs two rows, so its
+    # deviation is the worst of theirs
+    at = np.concatenate([np.full(len(c.basis), i) for i, c in enumerate(ones)])
+    dev = check_corepresentation(Corepresentation(
+        A, len(ones), (at, at, np.concatenate([c.basis for c in ones]),
+                       np.concatenate([c.value for c in ones]))))
+    if dev > TOL_MULT:
+        raise ValidationError("intrinsic-grouplike",
+                              f"worst deviation {dev:.3e}")
     V = np.array([c.character() for c in ones])    # d = 1: the coefficients
     cayley = closure_table(V, lambda i: A.mul_vec(V[i], V), TOL_MULT,
                            "intrinsic-closure", "product")

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacforge import hopf
 from kacforge.errors import AxiomViolation, NotAMorphism
 from kacforge.groups import group_from_cayley
 from kacforge.hopf import (Morphism, build_algebra, check_axioms,
                            compact_restriction_morphism, coset_space_dimension,
                            group_subalgebra_check, plain_function_algebra,
                            structure_dump, validate_morphism)
-from kacforge.library import corpus_pairs, symmetric_group
+from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
+                              stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import (MatchedPair, beta_kernel_elements,
-                              compact_subpair)
+                              compact_subpair, derive_actions)
 
 from .oracles import (covariant_rep_partial_maps, naive_law_violations,
                       transpose_partial_map)
@@ -32,6 +34,26 @@ def algebra_of(name):
     if name not in _algebras:
         _algebras[name] = build_algebra(CORPUS[name])
     return _algebras[name]
+
+
+_ladder = {}
+
+
+def pair_of(name):
+    """A corpus pair, or one of the ladder pairs s5-cyclic5 (S5 as the
+    stabilizer of a point times the 5-cycle), s6-cyclic6 (the same for S6)
+    and conj-s4-s3 (S3 acting on S4 by conjugation)."""
+    if name in CORPUS:
+        return CORPUS[name]
+    if name not in _ladder:
+        if name == "conj-s4-s3":
+            S4 = symmetric_group(4)
+            stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
+            _ladder[name] = pair_conjugation(S4, stab, name=name)
+        else:
+            _ladder[name] = derive_actions(
+                *stabilizer_and_cycle(int(name[1])), name=name)
+    return _ladder[name]
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +142,25 @@ def test_axiom_report_agrees_with_naive_checker(name):
         {law for law, count in naive.items() if count > 0}
 
 
-def _corrupted_table(name, table, seed):
-    """The algebra of a corpus pair with two seeded entries of its
-    ``partner`` table (kept in their block) or ``result`` table (anywhere)
-    rewritten."""
-    A = build_algebra(CORPUS[name])
+def _corrupted_table(name, table, seed, changes=2):
+    """The algebra of ``name`` (see `pair_of`) with ``changes`` seeded
+    entries rewritten: of ``partner`` inside their block (``partner``) or
+    in another block (``stray``), or of ``result`` to any basis index
+    (``result``)."""
+    A = build_algebra(pair_of(name))
+    attr = "result" if table == "result" else "partner"
+    arr = getattr(A, attr).copy()
     rng = np.random.default_rng(seed)
-    arr = getattr(A, table).copy()
-    for _ in range(2):
+    for _ in range(changes):
         i, s = rng.integers(A.dim), rng.integers(A.nr)
         if table == "partner":
-            arr[i, s] = arr[i, s] // A.nk * A.nk + rng.integers(A.nk)
+            arr[i, s] = s * A.nk + rng.integers(A.nk)
+        elif table == "stray":
+            arr[i, s] = ((s + 1 + rng.integers(A.nr - 1)) % A.nr * A.nk
+                         + rng.integers(A.nk))
         else:
             arr[i, s] = rng.integers(A.dim)
-    setattr(A, table, arr)
+    setattr(A, attr, arr)
     return A
 
 
@@ -226,6 +253,70 @@ def test_partner_entries_outside_their_block_fail_without_raising():
         report = check_axioms(A)
         assert any(line.startswith("FAIL") for line in report.lines())
     assert stray >= 30
+
+
+# ---------------------------------------------------------------------------
+# associativity by Light's test over a generating set
+
+LIGHT_PAIRS = list(CORPUS) + ["s5-cyclic5", "conj-s4-s3"]
+
+# One corruption (name, table, seed, changes) of each route, with whether
+# Light's test certified it and the full count's deviation
+LIGHT_ROUTES = {
+    ("s5-cyclic5", "partner", 0, 0): (True, 0.0),       # honest: certified
+    ("s4-cyclic4", "result", 0, 1): (False, 18.0),      # a violation
+    ("conj-s3-rot", "stray", 0, 1): (False, 18.0),      # a stray entry
+    ("z6-abelian", "result", 50, 1): (False, 0.0),      # G stops generating
+}
+
+
+@pytest.mark.parametrize("case", list(LIGHT_ROUTES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_each_associativity_route(case):
+    A = _corrupted_table(*case)
+    certified, deviation = LIGHT_ROUTES[case]
+    assert hopf._light_associative(A) == certified
+    assert hopf._associativity_count(A)[0] == deviation
+
+
+def test_light_test_counts_the_triples_it_does_not_enumerate():
+    """A magma on the dim-4 basis of C2 x C2 in which G = {u_c1 d_e,
+    u_c1 d_c1} generates and every triple (x, a, y) with a in G and
+    (xa)y != 0 associates, while some x(ay) != 0 has (xa)y = 0: only the
+    count of the triples with x(ay) != 0 refuses it."""
+    C2 = cyclic_group(2)
+    trivial = np.tile(np.arange(2), (2, 1))
+    A = build_algebra(MatchedPair(C2, C2, trivial, trivial, name="c2-c2"))
+    A.partner = np.array([[0, 2]] * 4, dtype=np.int32)
+    A.result = np.array([[0, 0], [0, 0], [0, 0], [0, 1]], dtype=np.int32)
+    assert not hopf._light_associative(A)
+    got = check_axioms(A).checks[0]
+    assert (got.deviation, got.witness) == hopf._associativity_count(A)
+    assert got.deviation == 12.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(LIGHT_PAIRS),
+       table=st.sampled_from(["partner", "stray", "result"]),
+       changes=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_light_test_reports_associativity_as_the_full_count(name, table,
+                                                            changes, seed):
+    """On seeded corruptions the report's associativity check, decided by
+    Light's test when it applies and passes, equals the full count."""
+    A = _corrupted_table(name, table, seed, changes)
+    got = check_axioms(A).checks[0]
+    assert got.name == "product-associativity"
+    assert (got.deviation, got.witness) == hopf._associativity_count(A)
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5", "s6-cyclic6"])
+def test_honest_pairs_never_fall_back_to_the_full_count(name, monkeypatch):
+    A = build_algebra(pair_of(name))
+
+    def refuse(_):
+        raise AssertionError("full associativity count")
+    monkeypatch.setattr(hopf, "_associativity_count", refuse)
+    assert check_axioms(A).passed
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -426,17 +426,25 @@ def test_conjugation_pair_invariants_split_as_products():
 
 
 def test_intrinsic_group_refuses_a_corrupted_one_dim_irrep():
+    """The 1-dim irreps are checked together on their direct sum: one
+    corrupted irrep among them still raises, and the error gives the worst
+    deviation of the corrupted ones."""
     A = algebra_of("s3-split")
     cat = catalog_of("s3-split")
-    k, c = next((k, c) for k, c in enumerate(cat.canonical)
-                if c.dim == 1 and k > 0)
-    value = c.value.copy()
-    value[0] *= 2.0
     canonical = list(cat.canonical)
-    canonical[k] = Corepresentation(A, 1, (c.row, c.col, c.basis, value),
-                                    label=c.label)
-    with pytest.raises(ValidationError, match="intrinsic-grouplike"):
-        invariant_groups(A, replace(cat, canonical=canonical))
+    ones = [k for k, c in enumerate(canonical) if c.dim == 1]
+    worst = 0.0
+    for k, scale in ((ones[1], 2.0), (ones[-1], 3.0)):
+        c = canonical[k]
+        value = c.value.copy()
+        value[0] *= scale
+        canonical[k] = Corepresentation(A, 1, (c.row, c.col, c.basis, value),
+                                        label=c.label)
+        worst = max(worst, check_corepresentation(canonical[k]))
+        with pytest.raises(ValidationError,
+                           match="intrinsic-grouplike") as err:
+            invariant_groups(A, replace(cat, canonical=canonical))
+        assert str(err.value).endswith(f"worst deviation {worst:.3e}")
     invariant_groups(A, cat)        # the catalog itself is untouched
 
 

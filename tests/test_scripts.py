@@ -76,3 +76,13 @@ def test_block_memory_enumerates_the_dim_720_pair(capsys):
     assert row["job"] == "swapped-s6" and row["status"] == "ok"
     assert row["sum_of_squares"] == row["dim"] == 720
     assert len(row["irrep_dims"]) == 12
+
+
+@pytest.mark.slow
+def test_block_memory_certifies_the_a6_c7_pair(capsys):
+    code, lines = run_script("block_memory", ["a6-c7-axioms"], capsys)
+    assert code == 0
+    row = json.loads(lines[-1])
+    assert row["job"] == "a6-c7-axioms" and row["status"] == "ok"
+    assert row["dim"] == 2520 and row["verdict"] == "PASS"
+    assert row["check_axioms_s"] > 0 and row["peak_rss_mb"] > 0
