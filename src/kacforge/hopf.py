@@ -257,7 +257,30 @@ def _associativity_count(A):
                 witness = (A.basis_label(i), A.basis_label(blk.start + j),
                            A.basis_label(k))
                 break
+        else:
+            j, k = _enumerated_violation(A, i)
+            witness = (A.basis_label(i), A.basis_label(j), A.basis_label(k))
     return float(bad.sum()), witness
+
+
+def _enumerated_violation(A, i):
+    """(j, k) of a triple (i, j, k) that the count of row i counts, read from
+    the `partner`/`result` enumeration as the count reads it: an enumerated
+    (ij)k that differs from i(jk), else a (j, k) listed a different number
+    of times with i(jk) != 0 (through `result` and `partner[i]`) than with
+    both products nonzero.  A `partner` entry outside its block makes
+    `mul_index` read another product, so the walk over it may find none."""
+    n = A.dim
+    j = np.repeat(A.partner[i], A.nr)
+    k = A.partner[A.result[i]].ravel()
+    right = A.mul_index(i, A.mul_index(j, k))
+    diff = np.flatnonzero(A.result[A.result[i]].ravel() != right)
+    if len(diff):
+        return j[diff[0]], k[diff[0]]
+    times = np.bincount(A.partner[i], minlength=n)[A.result]     # (n, nr)
+    keys, _ = _changed(_key((np.arange(n)[:, None], A.partner), n).ravel(),
+                       _key((j, k), n)[right < n], times.ravel())
+    return divmod(int(keys[0]), n)
 
 
 def _light_associative(A):

@@ -202,10 +202,11 @@ def mor_dim_solver(u, w):
     return mor_dims([(u, w)])[0]
 
 
-#: nonzero terms per solver run, at about 200 bytes of index arrays each
-#: (under 1 MB a run): a pair (u, w) has w.dim * nnz(u) + u.dim * nnz(w)
-#: of them, and a pair over this budget is solved alone
-_RUN_TERMS = _BLOCK // 64
+#: nonzero terms per solver run: a full run peaks at about 70 bytes a term,
+#: 1.1 MB (tracemalloc, S6 End systems and the double-s3-twist audit).  A
+#: pair (u, w) has w.dim * nnz(u) + u.dim * nnz(w) of them, and a pair over
+#: this budget is solved alone
+_RUN_TERMS = _BLOCK // 16
 
 
 def _runs(sizes, budget):
@@ -261,26 +262,43 @@ def mor_dims(pairs):
     direct sum of theirs (the connected-component case of the
     block-triangular form, Pothen & Fan, ACM TOMS 16, 1990).
 
+    When the supports of u and w are disjoint, the rows split into T U_s = 0
+    (s in supp u) and W_s T = 0 (s in supp w): the null space is null(N_w)
+    x leftnull(M_u), of dimension a * b, where M_u = [U_s] side by side and
+    N_w = [W_s] stacked (the system matrix is a Kronecker sum, Horn &
+    Johnson, Topics in Matrix Analysis, 1991, s. 4.4).  The left null space
+    is that of the one-sided system (u, Z), Z the dim-1 corepresentation
+    with no entries, solved once per distinct source; null(N_w) is that of
+    (Z, w), solved only for the targets of pairs with a > 0.  Each
+    one-sided system takes its own cutoff (below).  The pair's basis is the
+    outer products q p, q-major, of q in the basis of (Z, w) and p in that
+    of (u, Z).  Every other pair is solved as one system.
+
     The entries of the distinct corepresentations of ``pairs`` (by
-    identity) are concatenated once.  The pairs are then solved in runs:
-    consecutive pairs with at most _RUN_TERMS terms together, or one pair
-    alone.  Each component of a run is one dense block, its rows in the
-    order (i, k, s) of its system and its unknowns in the order of T, and
-    the blocks of one shape are solved in stacked calls.  A block with more
-    rows than columns is reduced to R of its QR, which has the block's
-    singular values and null space, so the SVD never forms the left factor
-    (R-SVD, T. F. Chan, ACM TOMS 8, 1982).  A singular value counts as zero
-    at TOL_EQ times the largest one over that pair's blocks (at least 1),
-    the cutoff of its whole system.  A block over INTERTWINER_CAP cells
-    raises SizeBound before any block of its run is built.
+    identity) are concatenated once.  The systems are then solved in runs:
+    consecutive ones with at most _RUN_TERMS terms together, or one alone.
+    Each component of a run is one dense block, its rows in the order
+    (i, k, s) of its system and its unknowns in the order of T.  A block of
+    one column has the column's norm as its singular value and [1] as its
+    null vector, which is what the SVD of its 1 x 1 R gives.  The wider
+    blocks of one shape are solved in stacked calls; a block with more rows
+    than columns is reduced to R of its QR, which has the block's singular
+    values and null space, so the SVD never forms the left factor (R-SVD,
+    T. F. Chan, ACM TOMS 8, 1982).  A singular value counts as zero at
+    TOL_EQ times the largest one over that system's blocks (at least 1).
+    A block over INTERTWINER_CAP cells raises SizeBound before any block
+    of its run is built.
     """
     pairs = list(pairs)
     if not pairs:
         return []
+    A = pairs[0][0].algebra
     index = {}
     for c in (c for pair in pairs for c in pair):
         index.setdefault(id(c), (len(index), c))
     coreps = [c for _, c in index.values()]
+    coreps.append(Corepresentation(A, 1, ([], [], [], []), label="zero"))
+    z = len(coreps) - 1
     ui = np.array([index[id(u)][0] for u, _ in pairs])
     wi = np.array([index[id(w)][0] for _, w in pairs])
     coefs = [np.concatenate([getattr(c, name) for c in coreps])
@@ -288,13 +306,38 @@ def mor_dims(pairs):
     nnz = np.array([len(c.value) for c in coreps])
     start = np.cumsum(nnz) - nnz
     d = np.array([c.dim for c in coreps])
-    du, dw = d[ui], d[wi]
-    out = []
-    for run in _runs((dw * nnz[ui] + du * nnz[wi]).tolist(), _RUN_TERMS):
-        q = np.array(run)
-        out.extend(_solve_run(coreps[0].algebra.dim, du[q], dw[q],
-                              start[ui[q]], nnz[ui[q]], start[wi[q]],
-                              nnz[wi[q]], coefs))
+
+    def solve(us, ws):
+        """(dim, basis) of the systems (coreps[us[n]], coreps[ws[n]])."""
+        du, dw = d[us], d[ws]
+        out = []
+        for run in _runs((dw * nnz[us] + du * nnz[ws]).tolist(), _RUN_TERMS):
+            q = np.array(run)
+            out.extend(_solve_run(A.dim, du[q], dw[q], start[us[q]],
+                                  nnz[us[q]], start[ws[q]], nnz[ws[q]],
+                                  coefs))
+        return out
+
+    # whether the supports meet, in row blocks of pairs: a (pairs x dim)
+    # array would outgrow the audit's memory bound
+    covers = np.zeros((len(coreps), A.dim), dtype=bool)
+    for n, c in enumerate(coreps):
+        covers[n, c.support()] = True
+    apart = np.concatenate([~(covers[ui[blk]] & covers[wi[blk]]).any(1)
+                            for blk in _row_blocks(len(pairs), A.dim)])
+    out = [None] * len(pairs)
+    near = np.flatnonzero(~apart)
+    for p, res in zip(near.tolist(), solve(ui[near], wi[near])):
+        out[p] = res
+    src = np.unique(ui[apart])
+    left = dict(zip(src.tolist(), solve(src, np.full(len(src), z))))
+    tgt = np.unique(wi[apart & np.isin(ui, [u for u, (a, _) in left.items()
+                                            if a])])
+    right = dict(zip(tgt.tolist(), solve(np.full(len(tgt), z), tgt)))
+    for p in np.flatnonzero(apart).tolist():
+        a, P = left[ui[p]]
+        b, Q = right.get(wi[p], (0, []))
+        out[p] = (a * b, [q @ r for q in Q for r in P])
     return out
 
 
@@ -327,38 +370,56 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     sides = [(np.searchsorted(key, k).astype(np.int32), col, e)
              for k, col, e in sides]
     # components over the unknowns (vertices 0..U-1) and the rows (U on),
-    # each named by its least unknown
+    # each named by its least unknown: block n has wide[n] unknowns and
+    # high[n] rows
     U, R = int(size.sum()), len(key)
     comp = _components(U + R, np.concatenate([side[1] for side in sides]),
                        U + np.concatenate([side[0] for side in sides])
                        ).astype(np.int64)
-    # blocks in the order of their names; a block's columns in the order of
-    # the unknowns and its rows in the order of the keys
-    order = np.argsort(comp[:U] * U + np.arange(U))
-    col_at = np.flatnonzero(np.diff(comp[:U][order], prepend=-1))
-    keys = comp[:U][order][col_at]
-    wide = np.diff(col_at, append=U)
-    block = np.searchsorted(keys, comp[U:])
-    high = np.bincount(block, minlength=len(keys))
+    wide = np.bincount(comp[:U], minlength=U)
+    high = np.bincount(comp[U:], minlength=U)
     cells = np.maximum(high, wide) * wide
     if cells.max() > INTERTWINER_CAP:
         g = int(cells.argmax())
         raise SizeBound(f"intertwiner block of {high[g]} equations in "
                         f"{wide[g]} unknowns is over the cap of "
                         f"{INTERTWINER_CAP} cells")
+    # one column: its singular value is its norm, over the cells u - w (a
+    # row of it has at most one term of each side)
+    cell = np.zeros(R, dtype=complex)
+    for (row, _, e), sign in zip(sides, (1, -1)):
+        one = wide[comp[U + row]] == 1
+        cell[row[one]] += sign * v[e[one]]
+    # its null vector is complex, so that its conjugate is 1 - 0j as the
+    # SVD's is, bit for bit
+    names = np.flatnonzero(wide == 1)
+    solved = [(names, np.sqrt(np.bincount(comp[U:], np.abs(cell) ** 2,
+                                          minlength=U)[names])[:, None],
+               np.ones((len(names), 1, 1), dtype=complex), names[:, None])]
+    # wider blocks in the order of their names; a block's columns in the
+    # order of the unknowns and its rows in the order of the keys
+    keys = np.flatnonzero(wide > 1)
+    block = np.full(U, -1)
+    block[keys] = np.arange(len(keys))
+    order = np.flatnonzero(block[comp[:U]] >= 0)
+    order = order[np.argsort(comp[order], kind="stable")]
+    col_at = np.cumsum(wide[keys]) - wide[keys]
+    rows = np.flatnonzero(block[comp[U:]] >= 0)
+    rows = rows[np.argsort(comp[U + rows], kind="stable")]
+    row_at = np.cumsum(high[keys]) - high[keys]
     # places within a block are below the cap, so they fit in int32
     col_pos = np.empty(U, dtype=np.int32)
-    col_pos[order] = np.arange(U) - np.repeat(col_at, wide)
-    row_at = np.cumsum(high) - high
+    col_pos[order] = np.arange(len(order)) - np.repeat(col_at, wide[keys])
     row_pos = np.empty(R, dtype=np.int32)
-    row_pos[np.argsort(comp[U:] * R + np.arange(R))] = \
-        np.arange(R) - np.repeat(row_at, high)
+    row_pos[rows] = np.arange(len(rows)) - np.repeat(row_at, high[keys])
 
     def by_block(row, col, e):
         """The cells and values of the terms of blocks g, and the place of
         each one's block in g."""
-        by = np.argsort(block[row])
-        first = np.searchsorted(block[row[by]], np.arange(len(keys)))
+        at = block[comp[U + row]]
+        by = np.flatnonzero(at >= 0)
+        by = by[np.argsort(at[by])]
+        first = np.searchsorted(at[by], np.arange(len(keys)))
         count = np.diff(first, append=len(by))
         row, col, e = row_pos[row[by]], col_pos[col[by]], e[by]
 
@@ -371,7 +432,7 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     # popped, so that each side's unsorted terms are freed once sorted
     u_terms = by_block(*sides.pop(0))
     w_terms = by_block(*sides.pop(0))
-    solved = []
+    high, wide = high[keys], wide[keys]
     for nr, nc in np.unique(np.stack([high, wide], 1), axis=0).tolist():
         same = np.flatnonzero((high == nr) & (wide == nc))
         for blk in _row_blocks(len(same), max(nr, nc) * nc):
@@ -384,33 +445,34 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
             B[p, r, c] -= val
             if nr > nc:
                 B = np.linalg.qr(B, mode="r")
-            solved.append((g, *np.linalg.svd(B)[1:]))
-    owner = np.searchsorted(uoff, keys, side="right") - 1
+            solved.append((keys[g], *np.linalg.svd(B)[1:],
+                           order[col_at[g, None] + np.arange(nc)]))
     top = np.zeros(len(size))
-    for g, svals, _ in solved:
-        np.maximum.at(top, owner[g], svals.max(1))
+    for g, svals, _, _ in solved:
+        np.maximum.at(top, np.searchsorted(uoff, g, side="right") - 1,
+                      svals.max(1))
     cutoff = TOL_EQ * np.maximum(top, 1.0)
     # the null vectors, ordered by block and singular value, are written
     # one after another, pair by pair, into one array of T's
     null = []
-    for g, svals, vh in solved:
-        p, j = np.nonzero(svals <= cutoff[owner[g], None])
-        null.append((g[p], j, vh[p, j].conj()))
-    g = np.concatenate([blocks for blocks, _, _ in null])
+    for g, svals, vh, cols in solved:
+        owner = np.searchsorted(uoff, g, side="right") - 1
+        p, j = np.nonzero(svals <= cutoff[owner, None])
+        null.append((g[p], j, vh[p, j].conj(), cols[p] - uoff[owner[p], None]))
+    g = np.concatenate([blocks for blocks, _, _, _ in null])
+    owner = np.searchsorted(uoff, g, side="right") - 1
     rank = np.empty(len(g), dtype=np.int64)
-    rank[np.lexsort((np.concatenate([j for _, j, _ in null]), g))] = \
+    rank[np.lexsort((np.concatenate([j for _, j, _, _ in null]), g))] = \
         np.arange(len(g))
     at = np.zeros(len(g) + 1, dtype=np.int64)
-    at[rank + 1] = size[owner[g]]
+    at[rank + 1] = size[owner]
     at = np.cumsum(at)
     T = np.zeros(at[-1], dtype=complex)
     lo = 0
-    for blocks, _, vec in null:
-        cols = order[col_at[blocks, None] + np.arange(vec.shape[1])]
-        T[at[rank[lo:lo + len(blocks)], None] + cols
-          - uoff[owner[blocks], None]] = vec
+    for blocks, _, vec, cols in null:
+        T[at[rank[lo:lo + len(blocks)], None] + cols] = vec
         lo += len(blocks)
-    nd = np.bincount(owner[g], minlength=len(size))
+    nd = np.bincount(owner, minlength=len(size))
     first = np.cumsum(nd * size) - nd * size
     return [(c, list(T[s:s + c * h * w].reshape(c, h, w)))
             for c, s, h, w in zip(nd.tolist(), first.tolist(), dw.tolist(),
@@ -671,13 +733,14 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
             [(cands[c], tensors[j]) for c, j in zip(ci[at].tolist(),
                                                     col.tolist())])]
 
-    ts, tensors = [], []
+    ts, tensors, held = [], [], 0
     for t in np.unique(target_of).tolist():
         ts.append(t)
         tensors.append(cands[t // n_orb * nx].tensor(cands[t % n_orb * nx]))
-        if sum(len(x.value) for x in tensors) >= _BLOCK // 8:
+        held += len(tensors[-1].value)
+        if held >= _BLOCK // 8:
             check(ts, tensors)
-            ts, tensors = [], []
+            ts, tensors, held = [], [], 0
     if ts:
         check(ts, tensors)
     entries = []

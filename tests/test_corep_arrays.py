@@ -10,8 +10,12 @@ and see a broken corepresentation.  The intertwiner solver and the character
 pairing must both give the dimension of the loop-built system's null
 space, and every solver basis matrix must be an orthonormal intertwiner;
 a batched solve must give each entry what its own call gives, in runs of
-any size.  Splitting breadth-first, one End batch per level, must give the
-pieces and the catalog of candidate-by-candidate recursion, bit for bit.
+any size.  Pairs with disjoint supports, solved as two one-sided systems,
+must match the loop too, also with a dropped row or column that makes
+their space nonzero; one-column blocks close without LAPACK, round-off
+cells giving the null vector exactly 1.  Splitting breadth-first, one End
+batch per level, must give the pieces and the catalog of
+candidate-by-candidate recursion, bit for bit.
 The coefficient span rank summed over orbit blocks must equal the rank of
 the whole stacked matrix.
 Every candidate, catalog irrep and orbit tensor is stored as its nonzero
@@ -522,3 +526,103 @@ def test_solver_calls_are_batched(step, most, monkeypatch):
     else:
         assert reps.audit_fusion(A, catalog).oracle_consistent
     assert 0 < len(calls) <= most
+
+
+def _dropped(c, axis, at):
+    """``c`` without the entries of its row (axis 0) or column (axis 1)
+    ``at``: that row's unknowns leave every equation of the source side, or
+    that column's every equation of the target side."""
+    keep = (c.row, c.col)[axis] != at
+    return Corepresentation(c.algebra, c.dim, (c.row[keep], c.col[keep],
+                                               c.basis[keep], c.value[keep]),
+                            label=f"{c.label}-{'rc'[axis]}{at}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(UP_TO_84), data=st.data())
+def test_disjoint_supports_equal_loop_rank(name, data):
+    """Pairs whose supports share no basis element are solved as two
+    one-sided systems; a source with a row's entries dropped and a target
+    with a column's entries dropped have a dimension a * b above 0."""
+    catalog = catalog_of(name)
+    pool = catalog.candidates + catalog.canonical
+    apart = [(u, w) for u in pool for w in pool
+             if not np.intersect1d(u.support(), w.support()).size]
+    u, w = data.draw(st.sampled_from(apart), label="pair")
+    drop_row, drop_col = data.draw(st.booleans(), label="drop a row"), \
+        data.draw(st.booleans(), label="drop a column")
+    if drop_row:
+        u = _dropped(u, 0, data.draw(st.integers(0, u.dim - 1), label="row"))
+    if drop_col:
+        w = _dropped(w, 1, data.draw(st.integers(0, w.dim - 1), label="col"))
+    dim, basis = mor_dim_solver(u, w)
+    assert dim == naive_intertwiner_dim(u, w) == len(basis)
+    assert dim >= (drop_row and drop_col)
+    V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
+    assert np.abs(V.conj() @ V.T - np.eye(dim)).max(initial=0.0) < 1e-9
+    for T in basis:
+        left = np.einsum("ib,bkn->ikn", T, u.dense())
+        right = np.einsum("ian,ak->ikn", w.dense(), T)
+        assert np.abs(left - right).max() < 1e-9
+
+
+def _one_by_one(A, values):
+    """A dim-1 'corepresentation' with ``values`` on the first basis
+    elements."""
+    n = len(values)
+    return Corepresentation(A, 1, (np.zeros(n), np.zeros(n), np.arange(n),
+                                   values))
+
+
+def test_one_column_blocks_close_without_lapack(monkeypatch):
+    """A single unknown whose cells u - w are round-off (1e-17 to 1e-16) has
+    the null vector exactly 1; one whose single cell differs by 1e-7 has
+    none.  Neither reaches the SVD."""
+    A = algebra_of("s3-split")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-column block reached LAPACK")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    u = _one_by_one(A, [0.1 + 0.2, 0.7 + 0.1, 3 * (1 / 3) - 1e-17j])
+    w = _one_by_one(A, [0.3, 0.8, 1.0])
+    cells = u.value - w.value
+    assert 0 < np.abs(cells).max() < 1e-15
+    dim, basis = mor_dim_solver(u, w)
+    assert dim == 1 and basis[0].dtype == complex
+    assert np.array_equal(basis[0], [[1.0]])
+    u = _one_by_one(A, [1.0, 0.5 + 1e-7])
+    w = _one_by_one(A, [1.0, 0.5])
+    assert mor_dim_solver(u, w) == (0, [])
+
+
+def test_audit_sends_no_one_column_block_to_lapack(monkeypatch):
+    """On the double-s3-twist audit no block of width 1 reaches QR or the
+    SVD, and each solver call solves at most one one-sided system per
+    distinct corepresentation of its pairs."""
+    A = algebra_of("double-s3-twist")
+    catalog = catalog_of("double-s3-twist")
+    widths, calls = [], []
+    for name in ("qr", "svd"):
+        real = getattr(np.linalg, name)
+
+        def spy(B, *args, real=real, **kwargs):
+            widths.append(B.shape[-1])
+            return real(B, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    solve_run, mor_dims = reps._solve_run, reps.mor_dims
+
+    def counted_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
+        calls[-1][1] += int(((du == 1) & (u_nnz == 0)).sum()
+                            + ((dw == 1) & (w_nnz == 0)).sum())
+        return solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs)
+
+    def counted(pairs):
+        calls.append([len({id(c) for pair in pairs for c in pair}), 0])
+        return mor_dims(pairs)
+    monkeypatch.setattr(reps, "_solve_run", counted_run)
+    monkeypatch.setattr(reps, "mor_dims", counted)
+    assert reps.audit_fusion(A, catalog).oracle_consistent
+    assert widths and min(widths) > 1
+    assert sum(one_sided for _, one_sided in calls) > 0
+    assert all(one_sided <= distinct for distinct, one_sided in calls)

@@ -279,6 +279,63 @@ def test_each_associativity_route(case):
     assert hopf._associativity_count(A)[0] == deviation
 
 
+def _enumerated_products(A, i, j, k):
+    """((ij)k, i(jk)) as the `partner`/`result` enumeration lists them: the
+    sets of products it gives (several where a row of `partner` repeats an
+    entry, none for a zero product)."""
+    def times(x, y):
+        return {int(A.result[x, s]) for s in np.flatnonzero(A.partner[x] == y)}
+    return ({p for ij in times(i, j) for p in times(ij, k)},
+            {p for jk in times(j, k) for p in times(i, jk)})
+
+
+def _index(A, label):
+    return next(x for x in range(A.dim) if A.basis_label(x) == label)
+
+
+def test_a_stray_entry_fails_associativity_with_a_witness():
+    """One ``partner`` entry of conj-s3-rot moved out of its block: the
+    walk over `mul_index` finds no failing triple, so the witness comes
+    from the enumeration that the count reads, an enumerated (ij)k that
+    differs from i(jk) as `mul_index` gives it."""
+    A = _corrupted_table("conj-s3-rot", "stray", 0, 1)
+    got = check_axioms(A).checks[0]
+    assert (got.name, got.deviation) == ("product-associativity", 18.0)
+    assert got.witness == ("u[e]d[(23)]", "u[(132)]d[(13)]", "u[e]d[(12)]")
+    i, j, k = (_index(A, label) for label in got.witness)
+    rows = np.arange(A.dim)
+    assert (A.mul_index(A.mul_index(i, rows[:, None]), rows)
+            == A.mul_index(i, A.mul_index(rows[:, None], rows))).all()
+    left, _ = _enumerated_products(A, i, j, k)
+    assert left and int(A.mul_index(i, A.mul_index(j, k))) not in left
+
+
+def test_a_miscounted_product_fails_associativity_with_a_witness():
+    """A magma on the dim-4 basis of C2 x C2 whose first row of `partner`
+    repeats an entry: every enumerated (ij)k equals i(jk), and the witness
+    is a triple with i(jk) != 0 that the enumeration never lists as (ij)k."""
+    C2 = cyclic_group(2)
+    trivial = np.tile(np.arange(2), (2, 1))
+    A = build_algebra(MatchedPair(C2, C2, trivial, trivial, name="c2-c2"))
+    A.partner = np.array([[0, 0], [2, 0], [1, 1], [2, 3]], dtype=np.int32)
+    A.result = np.array([[0, 0], [0, 0], [1, 2], [2, 2]], dtype=np.int32)
+    got = check_axioms(A).checks[0]
+    assert got.deviation == 28.0
+    assert got.witness == ("u[e]d[e]", "u[e]d[c1]", "u[e]d[e]")
+    assert _enumerated_products(A, 0, 1, 0) == (set(), {0})
+
+
+@pytest.mark.parametrize("name", ["conj-s3-rot", "s4-cyclic4",
+                                  "double-s3-twist"])
+def test_failing_associativity_always_names_a_witness(name):
+    """Stray and rewritten entries on thirty seeds each."""
+    for table in ("stray", "result"):
+        for seed in range(30):
+            A = _corrupted_table(name, table, seed, 1 + seed % 3)
+            deviation, witness = hopf._associativity_count(A)
+            assert (deviation == 0) == (witness is None)
+
+
 def test_light_test_counts_the_triples_it_does_not_enumerate():
     """A magma on the dim-4 basis of C2 x C2 in which G = {u_c1 d_e,
     u_c1 d_c1} generates and every triple (x, a, y) with a in G and
