@@ -24,8 +24,10 @@ class KacAlgebra:
 
     Every table is an index array derived from the two actions:
 
-    * ``partner``, ``result`` (dim, nr): basis i times basis partner[i, s]
-      is basis result[i, s]; i times any other basis element is 0.
+    * ``offset``, ``result`` (dim, nr): basis i meets one basis element of
+      each discrete block s, the one at offset[i, s] in that block (the
+      read-only ``partner`` gives its full index); their product is basis
+      result[i, s], and i times any other basis element is 0.
     * ``delta_left``, ``delta_right`` (dim, nk): the coproduct of basis i is
       the sum over a of delta_left[i, a] x delta_right[i, a].
     * ``star_index``, ``antipode_index`` (dim,): star and antipode of basis i.
@@ -43,9 +45,9 @@ class KacAlgebra:
         r_idx, g_idx = self.gamma_of, self.g_of
 
         # (u_r d_g)(u_s d_h) = [h = alpha_{s^-1}(g)] u_{rs} d_h: row i = (r, g)
-        # meets one partner per s, in ascending order of partner
+        # meets the one h of each block s
         h = A[R.inverse][:, g_idx].T
-        self.partner = (np.arange(nr) * nk + h).astype(np.int32)
+        self.offset = h.astype(np.int32)
         self.result = (R.cayley[r_idx] * nk + h).astype(np.int32)
 
         # (u_r d_g)* = u_{r^-1} d_{alpha_r(g)}
@@ -67,6 +69,12 @@ class KacAlgebra:
         # the invariant state times |K|: 1 on each u_e d_g, else 0
         self.haar_k = (self.gamma_of == R.identity).astype(np.int64)
         self.haar_vec = self.haar_k / nk
+
+    @property
+    def partner(self):
+        """(dim, nr) full basis indices of the factors in `offset`, in
+        ascending order along each row."""
+        return np.arange(self.nr, dtype=np.int32) * self.nk + self.offset
 
     # -- naming -------------------------------------------------------------
 
@@ -95,10 +103,11 @@ class KacAlgebra:
         """Index of the product of basis elements i and j, or dim when the
         product is 0; either operand may itself be dim (the zero element).
         A zero operand is clamped into the table and its lookup discarded:
-        no partner is dim, and a clamped i fails ``ii == i``."""
+        j = dim reads offset nk in the last block, which no offset holds,
+        and a clamped i fails ``ii == i``."""
         ii = np.minimum(i, self.dim - 1)
         s = np.minimum(np.asarray(j) // self.nk, self.nr - 1)
-        hit = (self.partner[ii, s] == j) & (ii == i)
+        hit = (self.offset[ii, s] == j - s * self.nk) & (ii == i)
         return np.where(hit, self.result[ii, s], self.dim)
 
     def mul_vec(self, a, b):
@@ -112,8 +121,9 @@ class KacAlgebra:
         ia = np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1))))
         a, b, flat = (x.reshape(-1, self.dim) for x in (a, b, out))
         terms = self.result[ia].ravel()
+        cols = self.partner[ia]
         for blk in _row_blocks(len(flat), len(ia) * self.nr):
-            contrib = a[blk, ia, None] * b[blk][:, self.partner[ia]]
+            contrib = a[blk, ia, None] * b[blk][:, cols]
             rows = np.arange(len(contrib))[:, None] * self.dim
             np.add.at(flat[blk].reshape(-1), (rows + terms).ravel(),
                       contrib.reshape(-1))
@@ -235,16 +245,17 @@ def _associativity_count(A):
     are violations too: n * nr^2 lookups."""
     n, nr = A.dim, A.nr
     rows = np.arange(n)
+    partner = A.partner
     lands = np.bincount(A.result.ravel(), minlength=n)
     bad = np.zeros(n, dtype=np.int64)
     for blk in _row_blocks(n, 8 * nr * nr):
         m = A.result[blk]
-        k = A.partner[m]                                     # (b, nr, nr)
+        k = partner[m]                                       # (b, nr, nr)
         left = A.result[m]
         right = A.mul_index(rows[blk, None, None],
-                            A.mul_index(A.partner[blk][:, :, None], k))
+                            A.mul_index(partner[blk][:, :, None], k))
         bad[blk] = ((left != right).sum((1, 2)) - (right < n).sum((1, 2))
-                    + lands[A.partner[blk]].sum(1))
+                    + lands[partner[blk]].sum(1))
     witness = None
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -257,30 +268,7 @@ def _associativity_count(A):
                 witness = (A.basis_label(i), A.basis_label(blk.start + j),
                            A.basis_label(k))
                 break
-        else:
-            j, k = _enumerated_violation(A, i)
-            witness = (A.basis_label(i), A.basis_label(j), A.basis_label(k))
     return float(bad.sum()), witness
-
-
-def _enumerated_violation(A, i):
-    """(j, k) of a triple (i, j, k) that the count of row i counts, read from
-    the `partner`/`result` enumeration as the count reads it: an enumerated
-    (ij)k that differs from i(jk), else a (j, k) listed a different number
-    of times with i(jk) != 0 (through `result` and `partner[i]`) than with
-    both products nonzero.  A `partner` entry outside its block makes
-    `mul_index` read another product, so the walk over it may find none."""
-    n = A.dim
-    j = np.repeat(A.partner[i], A.nr)
-    k = A.partner[A.result[i]].ravel()
-    right = A.mul_index(i, A.mul_index(j, k))
-    diff = np.flatnonzero(A.result[A.result[i]].ravel() != right)
-    if len(diff):
-        return j[diff[0]], k[diff[0]]
-    times = np.bincount(A.partner[i], minlength=n)[A.result]     # (n, nr)
-    keys, _ = _changed(_key((np.arange(n)[:, None], A.partner), n).ravel(),
-                       _key((j, k), n)[right < n], times.ravel())
-    return divmod(int(keys[0]), n)
 
 
 def _light_associative(A):
@@ -291,15 +279,13 @@ def _light_associative(A):
     a with (xa)y = x(ay) for all x, y are closed under products (Clifford &
     Preston, The Algebraic Theory of Semigroups I, 1.2), so checking every
     a of a generating set G certifies every triple.  G is the u_s d_h, s a
-    generator of the discrete group and h in K.  With no `partner` entry
-    outside its block, xa != 0 for a in block s only at a = partner[x, s],
-    so the triples with (xa)y != 0 are (x, partner[x, s], partner[xa, t]):
-    n * |gens| * nr lookups against the full count's n * nr^2, and closing
-    G under right multiplication by G costs n * |gens|.
+    generator of the discrete group and h in K.  For a in block s, xa != 0
+    only at a = partner[x, s], so the triples with (xa)y != 0 are
+    (x, partner[x, s], partner[xa, t]): n * |gens| * nr lookups against the
+    full count's n * nr^2, and closing G under right multiplication by G
+    costs n * |gens|.
     """
     n, nk, nr = A.dim, A.nk, A.nr
-    if (A.partner // nk != np.arange(nr)).any():
-        return False
     gens = np.array(_generating_sequence(A.pair.discrete), dtype=np.int64)
     if len(gens) * (nr + 1) >= nr * nr:       # not cheaper than the count
         return False
@@ -314,16 +300,17 @@ def _light_associative(A):
     if not reached.all():
         return False
     rows = np.arange(n)
+    partner = A.partner
     for blk in _row_blocks(n, 8 * len(gens) * nr):
         xa = A.result[blk][:, gens]                          # (b, |gens|)
-        y = A.partner[xa]                                    # (b, |gens|, nr)
+        y = partner[xa]                                      # (b, |gens|, nr)
         right = A.mul_index(rows[blk, None, None],
-                            A.mul_index(A.partner[blk][:, gens, None], y))
+                            A.mul_index(partner[blk][:, gens, None], y))
         if (A.result[xa] != right).any():
             return False
     # every enumerated triple has x(ay) != 0; no other triple may: the x
     # with xz != 0 are counted per z by `meets`
-    meets = np.bincount(A.partner.ravel(), minlength=n)
+    meets = np.bincount(partner.ravel(), minlength=n)
     return int(meets[A.result[G]].sum()) == n * len(gens) * nr
 
 
@@ -339,6 +326,7 @@ def check_axioms(A):
     checks = []
     n, nk, nr = A.dim, A.nk, A.nr
     rows = np.arange(n)
+    partner = A.partner
     dl, dr = A.delta_left, A.delta_right
     S = A.antipode_index
     ST = A.star_index
@@ -364,10 +352,10 @@ def check_axioms(A):
     # ij != 0 are enumerated, the rest violate iff (j* i*) != 0
     dev = float((ST[ST] != rows).sum())
     checks.append(AxiomCheck("star-involution", dev))
-    rev = A.mul_index(ST[A.partner], ST[:, None])
+    rev = A.mul_index(ST[partner], ST[:, None])
     stars_to = np.bincount(ST, minlength=n)
     bad = ((rev != ST[A.result]).sum() - (rev < n).sum()
-           + (stars_to[:, None] * stars_to[A.partner]).sum())
+           + (stars_to[:, None] * stars_to[partner]).sum())
     checks.append(AxiomCheck("star-antihomomorphism", float(bad)))
 
     # coassociativity (multisets of index triples)
@@ -391,7 +379,7 @@ def check_axioms(A):
     hit = eps[A.result] != 0
     ones = np.flatnonzero(eps)
     diff, _ = _changed(_key((np.broadcast_to(rows[:, None], hit.shape)[hit],
-                             A.partner[hit]), n),
+                             partner[hit]), n),
                        _key((ones[:, None], ones[None, :]), n))
     bad = len(np.unique(diff // n))
     checks.append(AxiomCheck("counit-multiplicative", float(bad)))
@@ -402,30 +390,28 @@ def check_axioms(A):
     # Every coproduct term with left leg j2 has its right leg in the block
     # `rblock[j2]`, and j2 with that right leg names its element (`owner`).
     # So each (i, a, s) gives exactly one nonzero term, of one pair (i, j);
-    # all other pairs must have a zero product.
-    rblock = np.empty(n, dtype=np.int64)
+    # all other pairs must have a zero product.  In tables edited after the
+    # build, j2 may be no term's left leg, or its leg pair may name no
+    # element: owner is then -1, and the term is a zero product (key -1),
+    # as for mul_index.
+    rblock = np.zeros(n, dtype=np.int64)
     rblock[dl] = dr // nk
-    owner = np.empty((n, nk), dtype=np.int64)
+    owner = np.full((n, nk), -1, dtype=np.int64)
     owner[dl, dr % nk] = rows[:, None]
     # Each row compares its sorted key arrays, as coassociativity does, and
-    # only a row that differs lists its changed keys.  A `partner` entry
-    # outside its block names no product in that block: it counts as one
-    # violation, and a term that reads it is a zero product (key -1), as
-    # for mul_index.
-    stray = np.argwhere(A.partner // nk != np.arange(nr))
+    # only a row that differs lists its changed keys.
     bad_pairs = [np.zeros(0, dtype=np.int64)]
     for blk in _row_blocks(n, 8 * nk * nr):
         i = rows[blk, None, None]
         j1, k1 = dl[blk], dr[blk][:, :, None]
-        j2 = A.partner[j1]                                   # (b, nk, nr)
+        j2 = partner[j1]                                     # (b, nk, nr)
         block = rblock[j2]
-        k2 = A.partner[k1, block] - block * nk
-        lost = (k2 < 0) | (k2 >= nk)
-        j = owner[j2, np.where(lost, 0, k2)]
-        got = np.where(lost.ravel(), -1,
-                       _key((i, j, A.result[j1], A.result[k1, block]), n))
+        j = owner[j2, A.offset[k1, block]]
+        got = np.where(j.ravel() < 0, -1,
+                       _key((i, np.maximum(j, 0), A.result[j1],
+                             A.result[k1, block]), n))
         m = A.result[blk]                                    # (b, nr)
-        want = _key((i, A.partner[blk][:, :, None], dl[m], dr[m]), n)
+        want = _key((i, partner[blk][:, :, None], dl[m], dr[m]), n)
         got, want = got.reshape(len(m), -1), want.reshape(len(m), -1)
         differ = (np.sort(got, 1) != np.sort(want, 1)).any(1)
         if differ.any():
@@ -436,11 +422,8 @@ def check_axioms(A):
     if len(bad_pairs):
         i, j = divmod(int(bad_pairs[0]), n)
         witness = (A.basis_label(i), A.basis_label(j))
-    elif len(stray):
-        i, s = stray[0]
-        witness = (A.basis_label(i), A.basis_label(A.partner[i, s]))
     checks.append(AxiomCheck("coproduct-multiplicative",
-                             float(len(bad_pairs) + len(stray)), witness))
+                             float(len(bad_pairs)), witness))
 
     # coproduct commutes with star
     lhs = _key((ST[dl], ST[dr]), n).reshape(n, nk)
@@ -477,7 +460,7 @@ def check_axioms(A):
     # invariant state is tracial over all basis pairs: pairs with h(ij) != 0
     # are enumerated, the rest violate iff h(ji) != 0
     h_ij = hk[A.result]
-    h_ji = hk[A.mul_index(A.partner, rows[:, None])]
+    h_ji = hk[A.mul_index(partner, rows[:, None])]
     seen = h_ij != 0
     bad = ((seen & (h_ij != h_ji)).sum() + seen.sum()
            - (seen & (h_ji != 0)).sum())
@@ -485,7 +468,7 @@ def check_axioms(A):
 
     # ... and positive definite: the basis Gram matrix h(e_i* e_j) is 1/|K|
     # times the identity; only the nonzero products are enumerated
-    cols = A.partner[ST]
+    cols = partner[ST]
     diag = cols == rows[:, None]
     dev = float(np.abs(A.haar_vec[A.result[ST]]
                        - np.where(diag, 1.0 / nk, 0.0)).max(initial=0.0))
@@ -612,7 +595,7 @@ def group_subalgebra_check(A):
     # meets d_h only for h = h_of[i], landing on result[i, e]; for each
     # (r, h) the products of those landings with the terms of u_r^* must
     # leave exactly one nonzero term, and that one d_{alpha_r(h)}
-    h_of = A.partner[:, e] - e * nk
+    h_of = A.offset[:, e]
     prod = A.mul_index(A.result[:, e, None],
                        A.star_index.reshape(nr, nk)[A.gamma_of])    # (n, nk)
     target = e * nk + A.pair.alpha[A.gamma_of, h_of]
@@ -651,8 +634,9 @@ def structure_dump(A):
     lines = [f"# algebra {A.pair.name} dim {A.dim}"]
     for i in range(A.dim):
         lines.append(f"basis {i} {A.basis_label(i)}")
+    partner = A.partner
     for i in range(A.dim):
-        terms = [f"{j}:{m}" for j, m in zip(A.partner[i].tolist(), A.result[i].tolist())]
+        terms = [f"{j}:{m}" for j, m in zip(partner[i].tolist(), A.result[i].tolist())]
         lines.append(f"mul {i} " + " ".join(terms))
     lines.append("star " + " ".join(str(int(v)) for v in A.star_index))
     lines.append("antipode " + " ".join(str(int(v)) for v in A.antipode_index))

@@ -838,16 +838,17 @@ def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
     dualR = dual_group(R, seed=seed)
     passers = []
     pass_vectors = []
+    partner = A.partner
     for g in range(K.order):
         # phi vanishes exactly off `on`: every pair in it must be a product
         point = (A.g_of == g).astype(complex)
         on = np.flatnonzero(point)
-        if not (A.partner[on][:, on // A.nk] == on).all():
+        if not (partner[on][:, on // A.nk] == on).all():
             continue
         for mi in range(dualR.group.order):
             phi = dualR.characters[mi][A.gamma_of] * point
             # phi(e_i) phi(e_j) = phi(e_i e_j) on the basis products
-            if np.abs(phi[:, None] * phi[A.partner]
+            if np.abs(phi[:, None] * phi[partner]
                       - phi[A.result]).max() > TOL_MULT:
                 continue
             if np.abs(phi[A.star_index] - np.conj(phi)).max() > TOL_MULT:
