@@ -557,18 +557,49 @@ def conjugacy_and_center(G):
 
 
 def _smith_invariants(rows, n_cols):
-    """Invariant factors (>1) and free rank of Z^n_cols / <rows>, exact."""
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form
+    """Invariant factors (>1) and free rank of Z^n_cols / <rows>, exact.
 
-    if not rows:
-        return (), n_cols
-    m = smith_normal_form(Matrix(list(rows)), domain=ZZ)
-    diag = [abs(int(m[i, i])) for i in range(min(m.rows, m.cols))]
-    nonzero = [d for d in diag if d != 0]
-    free = n_cols - len(nonzero)
-    factors = tuple(d for d in nonzero if d > 1)
-    return factors, free
+    Integer Smith reduction on Python-int rows (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4.4): the nonzero
+    entry of least absolute value becomes the pivot p, and floor-division row
+    and column operations clear its column and row.  A remainder, smaller
+    than |p|, becomes the next pivot; when p does not divide an entry of
+    another row, that row is added to the pivot row first.  Once p divides
+    everything left it is a diagonal entry and is peeled off, so the peeled
+    entries form a divisibility chain.
+    """
+    a = [list(map(int, row)) for row in rows if any(row)]
+    diag = []
+    while a:
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(a)
+                      for j, v in enumerate(row) if v)
+        while True:
+            a[0], a[i] = a[i], a[0]
+            for row in a:
+                row[0], row[j] = row[j], row[0]
+            p = a[0][0]
+            for row in a[1:]:
+                if q := row[0] // p:
+                    row[:] = [x - q * y for x, y in zip(row, a[0])]
+            for c in range(1, len(a[0])):
+                if q := a[0][c] // p:
+                    for row in a:
+                        row[c] -= q * row[0]
+            rest = [(abs(a[k][0]), k, 0) for k in range(1, len(a)) if a[k][0]]
+            rest += [(abs(a[0][k]), 0, k) for k in range(1, len(a[0]))
+                     if a[0][k]]
+            if rest:
+                _, i, j = min(rest)
+                continue
+            bad = next((row for row in a[1:] if any(x % p for x in row)),
+                       None)
+            if bad is None:
+                break
+            a[0] = [x + y for x, y in zip(a[0], bad)]
+            i = j = 0
+        diag.append(abs(p))
+        a = [row[1:] for row in a[1:] if any(row[1:])]
+    return tuple(d for d in diag if d > 1), n_cols - len(diag)
 
 
 def _schreier_presentation(G):

@@ -3,7 +3,8 @@
 Weights are nonnegative rationals summing to one; distances stay in
 exact arithmetic.  The module also certifies the finite-scale
 separation bound (any measure vanishing at the identity sits
-at full variation distance from the point mass there), computes block
+at full variation distance from the point mass there; the mixed-mass
+identity is derived over integer linear forms), computes block
 transforms of measures with their per-block norm profile, and evaluates
 Chebyshev-recursion states on the free orthogonal dimension ladder.
 """
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .config import DEFAULT_SEED
 from .crossed import DualElement, unit_dual_element
@@ -159,13 +159,39 @@ def _separation_grid(G, denominators):
     return points, min(mins, default=None), checked, max(devs)
 
 
+def _orthant_abs(form):
+    """|form| on the nonnegative orthant, for a linear form given as its
+    integer coefficients on (1, s_1, ..., s_m) with every s_i >= 0: the form
+    itself when no coefficient is negative, its negation when none is
+    positive, and None when its sign is not fixed there."""
+    if min(form) >= 0:
+        return form
+    if max(form) <= 0:
+        return [-c for c in form]
+    return None
+
+
+def _tv_identity_holds(mu, e, rhs):
+    """Whether sum_x |mu(x) - delta_e(x)| equals the linear form ``rhs`` at
+    every point of the nonnegative orthant, for masses ``mu`` given as linear
+    forms; False, never assumed, when the sign of some term is not fixed."""
+    total = [0] * len(rhs)
+    for x, form in enumerate(mu):
+        term = _orthant_abs([form[0] - (x == e), *form[1:]])
+        if term is None:
+            return False
+        total = [t + c for t, c in zip(total, term)]
+    return total == list(rhs)
+
+
 def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
                       seed=DEFAULT_SEED):
     """Certify that identity-free measures sit at exact distance 2 from the
     identity point mass, and that mixed measures obey 2*(1 - mass at e).
 
     Three routes: an exhaustive rational grid, a seeded random sample, and
-    a symbolic derivation over nonnegative symbols.
+    a derivation over integer linear forms in nonnegative masses, which
+    proves the mixed-mass identity for every measure.
     """
     n = G.order
     e = G.identity
@@ -181,18 +207,21 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
         d = tv_distance(mu, delta_e)
         sample_min = d if sample_min is None else min(sample_min, d)
 
-    rest = sympy.symbols(f"s0:{n - 1}", nonnegative=True)
-    total_rest = sympy.Add(*rest)
-    mass_e = 1 - total_rest
-    tv_expr = sympy.Abs(mass_e - 1) + total_rest
-    symbolic_ok = sympy.simplify(tv_expr - 2 * (1 - mass_e)) == 0
+    # the generic measure, identity first, as linear forms in
+    # (1, s_1, ..., s_{n-1}): mu(e) = 1 - sum s_i and mu(x_i) = s_i; the
+    # right-hand side is the form 2*(1 - mu(e))
+    mass_e = (1,) + (-1,) * (n - 1)
+    forms = [mass_e] + [tuple(int(k == i) for k in range(n))
+                        for i in range(1, n)]
+    rhs = tuple(2 * (int(k == 0) - c) for k, c in enumerate(mass_e))
+    symbolic_ok = _tv_identity_holds(forms, 0, rhs)
 
     return SeparationReport(
         grid_denominators=tuple(denominators),
         grid_points=grid_points, grid_min_distance=grid_min,
         sample_points=samples, sample_min_distance=sample_min,
         mixed_formula_checked=mixed_checked, mixed_formula_max_dev=mixed_dev,
-        symbolic_formula="2*(1 - mu(e))", symbolic_ok=bool(symbolic_ok))
+        symbolic_formula="2*(1 - mu(e))", symbolic_ok=symbolic_ok)
 
 
 # ---------------------------------------------------------------------------

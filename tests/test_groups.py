@@ -132,6 +132,62 @@ def test_group_vs_presentation_agree_for_z12():
 
 
 @st.composite
+def relator_matrices(draw, max_rows=5, max_cols=4, bound=9):
+    """Up to ``max_rows`` rows of ``1..max_cols`` entries in -bound..bound,
+    possibly none, with zero rows and repeated rows mixed in."""
+    n_cols = draw(st.integers(1, max_cols))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.tuples(*[entry] * n_cols), max_size=max_rows))
+    if rows and len(rows) < max_rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(
+            st.integers(0, len(rows) - 1))])
+    if len(rows) < max_rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * n_cols)
+    return rows, n_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(relator_matrices())
+def test_smith_invariants_equal_the_minors_oracle(matrix):
+    rows, n_cols = matrix
+    assert groups._smith_invariants(rows, n_cols) == \
+        snf_invariants_via_minors(rows, n_cols)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_smith_invariants_equal_sympy_on_larger_matrices(seed):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(6, 13)), int(rng.integers(3, 7))
+    a = rng.integers(-50, 51, size=(m, n)) * (rng.random((m, n)) < 0.6)
+    rows = [tuple(r) for r in a.tolist()]
+    snf = smith_normal_form(Matrix(rows), domain=ZZ)
+    diag = [abs(int(snf[i, i])) for i in range(min(m, n))]
+    expected = tuple(d for d in diag if d > 1), n - sum(d != 0 for d in diag)
+    assert groups._smith_invariants(rows, n) == expected
+
+
+@pytest.mark.parametrize("rows,n_cols,expected", [
+    ((), 3, ((), 3)),                              # no relator: free of rank 3
+    (((0, 0, 0), (0, 0, 0)), 3, ((), 3)),          # zero rows only
+    (((2, 0, 0),), 3, ((2,), 2)),                  # torsion plus free rank
+    (((4, 6, 0),), 3, ((2,), 2)),
+    (((6,), (-4,), (10,)), 1, ((2,), 0)),          # one column: the gcd
+    (((0,),), 1, ((), 1)),
+    (((-1,),), 1, ((), 0)),
+    (((-3, 0), (0, -5)), 2, ((15,), 0)),           # negative pivots
+    (((-6, -4),), 2, ((2,), 1)),
+    (((-4, 0), (0, 6)), 2, ((2, 12), 0)),          # pivot divides nothing
+    (((2, 0), (0, 3)), 2, ((6,), 0)),
+])
+def test_smith_invariants_edge_cases(rows, n_cols, expected):
+    assert groups._smith_invariants(rows, n_cols) == expected
+    assert groups._smith_invariants(rows, n_cols) == \
+        snf_invariants_via_minors(rows, n_cols)
+
+
+@st.composite
 def cyclic_orders(draw, cap=512):
     """One to four cyclic orders whose product is at most ``cap``."""
     orders = []

@@ -1,9 +1,13 @@
 """Import hygiene: every name a package module imports is used in it,
-every attribute it stores is read somewhere in the repository, and no
-package code asks a corepresentation for its coefficients on every basis
-element."""
+every attribute it stores is read somewhere in the repository, no package
+code asks a corepresentation for its coefficients on every basis element,
+and no package code imports sympy, statically or on a command's path."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,3 +226,62 @@ def test_scanner_finds_a_full_dense_call():
                          ids=lambda p: p.name)
 def test_no_full_dense_coefficients(path):
     assert full_dense_calls(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# no sympy: the package's exact arithmetic is Python ints and Fractions
+
+
+def sympy_imports(source):
+    """Import statements of ``source`` that bring in sympy or a submodule
+    of it, at any depth, as ``line N``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "sympy" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_scanner_finds_a_sympy_import():
+    source = ("import os, sympy\nfrom .sympy import x\n"
+              "def f():\n    from sympy.matrices import Matrix\n"
+              "    import sympyx\n    return Matrix\n")
+    assert sympy_imports(source) == ["line 1", "line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_sympy_import(path):
+    assert sympy_imports(path.read_text()) == []
+
+
+_COMMANDS = [["audit", "sample_inputs/s4_s3_z4.pair"],
+             ["invariants", "sample_inputs/s4_s3_z4.pair"],
+             ["shadow", "separation", "sample_inputs/s4.group"]]
+
+_CHILD = """
+import contextlib, io, json, sys
+from kacforge import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([code, "sympy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_never_load_sympy():
+    # a fresh interpreter: the test session itself may have imported sympy;
+    # invariants reaches the Smith form, separation the linear-form route
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(_COMMANDS)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert json.loads(proc.stdout) == [[0, False]] * len(_COMMANDS)

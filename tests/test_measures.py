@@ -6,6 +6,7 @@ before being pinned; the transform identities are checked against
 independently computed block products.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacforge import measures
 from kacforge.crossed import classical_dual, unit_dual_element
 from kacforge.errors import DomainError, ValidationError
 from kacforge.library import corpus_pairs, cyclic_group, symmetric_group
@@ -138,6 +140,60 @@ def test_separation_excluded_case():
     G = s3()
     assert tv_distance(delta_measure(G, G.identity),
                        delta_measure(G, G.identity)) == 0
+
+
+def test_separation_report_text_s3():
+    # identity-free grid: compositions of D = 1..4 into the 5 other slots,
+    # 5 + 15 + 35 + 70 = 125; mixed grid: into all 6, 6 + 21 + 56 + 126 = 209
+    assert rel_T_obstruction(symmetric_group(3)).lines() == [
+        "PASS separation: grid min 2 over 125 identity-free measures "
+        "(denominators [1, 2, 3, 4])",
+        "PASS seeded sample min 2 over 25 draws",
+        "PASS mixed-mass formula 2*(1 - mu(e)): max deviation 0 over 209 "
+        "points, symbolic derivation holds",
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_linear_form_derivation_agrees_with_a_symbolic_one(n):
+    import sympy
+    rest = sympy.symbols(f"s0:{n - 1}", nonnegative=True)
+    mass_e = 1 - sympy.Add(*rest)
+    tv_expr = sympy.Abs(mass_e - 1) + sympy.Add(*rest)
+    expected = sympy.simplify(tv_expr - 2 * (1 - mass_e)) == 0
+    rep = rel_T_obstruction(cyclic_group(n), denominators=(1,), samples=1)
+    assert expected
+    assert rep.symbolic_ok == expected
+
+
+def test_orthant_abs_needs_a_fixed_sign():
+    assert measures._orthant_abs([0, 1, 2]) == [0, 1, 2]
+    assert measures._orthant_abs([-1, 0, -3]) == [1, 0, 3]
+    assert measures._orthant_abs([0, 0]) == [0, 0]
+    # 1 - s_1 changes sign at s_1 = 1, s_1 - s_2 on the diagonal
+    assert measures._orthant_abs([1, -1]) is None
+    assert measures._orthant_abs([0, 1, -1]) is None
+
+
+def test_linear_form_derivation_can_fail():
+    # forms in (1, s_1, s_2), identity first: mu(e) = 1 - s_1 - s_2
+    mass_e, rhs = [1, -1, -1], [0, 2, 2]
+    assert measures._tv_identity_holds([mass_e, [0, 1, 0], [0, 0, 1]], 0,
+                                       rhs)
+    # a wrong right-hand side, 2*(1 - mu(e)) with one coefficient off
+    assert not measures._tv_identity_holds(
+        [mass_e, [0, 1, 0], [0, 0, 1]], 0, [0, 2, 1])
+    # a sign premise that does not hold: mu(x_1) = s_1 - s_2 may be
+    # negative, so |mu(x_1)| is no linear form on the orthant; dropping the
+    # absolute values would give 2*s_1 on the left and pass
+    unsigned = [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+    assert not measures._tv_identity_holds(unsigned, 0, [0, 2, 0])
+    rep = rel_T_obstruction(s3(), denominators=(1,), samples=1)
+    failed = replace(rep, symbolic_ok=measures._tv_identity_holds(
+        unsigned, 0, [0, 2, 0]))
+    assert not failed.passed
+    assert failed.lines()[2].endswith("symbolic derivation fails")
+    assert failed.lines()[2].startswith("FAIL mixed-mass formula")
 
 
 # ---------------------------------------------------------------------------
