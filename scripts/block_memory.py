@@ -10,6 +10,9 @@ Jobs:
                   GL(3,2) = S4 * C7, dim 168
     c7-s4-audit   the same two steps on GL(3,2) = C7 * S4
     a6-c7-axioms  check_axioms on A7 = A6 * <(0 1 ... 6)>, dim 2,520
+    conj-s4-s4-fusion
+                  the ``kacforge fusion`` pipeline on S4 acting on itself by
+                  conjugation, dim 576 (about 50 s)
 
 Usage:
     python3 scripts/block_memory.py [--src DIR] [JOB ...]
@@ -19,10 +22,13 @@ Usage:
 JSON line per job: its status (``ok``, ``out-of-memory`` or ``failed``),
 wall seconds, the child's peak RSS in MB and what the job found; an audit
 counts its triple disagreements and its distinctness findings apart, and
-the axiom job gives its verdict and the seconds ``check_axioms`` took.
+the axiom job gives its verdict and the seconds ``check_axioms`` took;
+the fusion job gives its route-agreement verdict and the sha256 of its
+text and structured reports.
 """
 
 import argparse
+import hashlib
 import json
 import resource
 import subprocess
@@ -31,7 +37,8 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-JOBS = ("swapped-s6", "s4-c7-audit", "c7-s4-audit", "a6-c7-axioms")
+JOBS = ("swapped-s6", "s4-c7-audit", "c7-s4-audit", "a6-c7-axioms",
+        "conj-s4-s4-fusion")
 LIMIT_KB = 4_000_000
 
 
@@ -67,7 +74,16 @@ def a7(groups):
 
 def run_job(job):
     """The job's result; runs inside the child."""
-    from kacforge import groups, hopf, library, matched, reps
+    from kacforge import cli, groups, hopf, io_formats, library, matched, reps
+    if job == "conj-s4-s4-fusion":
+        S4 = library.symmetric_group(4)
+        bundle = io_formats.InputBundle()
+        bundle.pairs[job] = library.pair_conjugation(S4, range(24), name=job)
+        report = cli.run_pipeline("fusion", bundle)
+        return {"verdict": report.entries()[0].status,
+                **{f"{out}_sha256": hashlib.sha256(
+                    report.render(out).encode()).hexdigest()
+                   for out in ("text", "structured")}}
     if job == "a6-c7-axioms":
         A = hopf.build_algebra(matched.derive_actions(*a7(groups), name=job))
         t0 = time.perf_counter()

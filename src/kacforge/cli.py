@@ -13,6 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG
 from .errors import (DomainError, IdentityViolated, KacforgeError,
                      NonIntegral, PeterWeylMismatch, SeedDegenerate,
@@ -20,7 +22,8 @@ from .errors import (DomainError, IdentityViolated, KacforgeError,
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
 from .matched import magic_relations_report, magic_unitary, orbits_fixed_sets
-from .reps import audit_fusion, enumerate_irreps, invariant_groups
+from .reps import (audit_fusion, enumerate_irreps, invariant_groups,
+                   tensor_mor_dims)
 
 _PAIR_COMMANDS = ("validate", "build", "irreps", "fusion", "invariants",
                   "deform", "crossed", "audit")
@@ -94,26 +97,20 @@ def _cmd_irreps(bundle, config, report, args):
 
 
 def _cmd_fusion(bundle, config, report, args):
-    from .groups import rounded_pairings
-    from .reps import mor_dims
     for name, mp in sorted(bundle.pairs.items()):
-        A, catalog = _algebra_and_catalog(mp, config.seed)
+        _, catalog = _algebra_and_catalog(mp, config.seed)
         irreps = catalog.canonical
         pairs = [(u, w) for u in irreps for w in irreps]
-        tensors = [u.tensor(w) for u, w in pairs]
-        table = rounded_pairings([z.character() for z in irreps],
-                                 [t.character() for t in tensors], A.nk).T
-        solved = mor_dims([(z, t) for t in tensors for z in irreps])
-        worst = max(abs(h - d) for h, (d, _) in zip(table.ravel().tolist(),
-                                                     solved))
-        lines = [f"{u.label}*{w.label} -> " + " ".join(
-                     f"{z.label}:{m}" for z, m in zip(irreps, row) if m)
-                 for (u, w), row in zip(pairs, table)]
-        status = "PASS" if worst == 0 else "FAIL"
-        report.add("fusion", f"{name} route-agreement", status,
-                   residual=float(worst))
-        for line in lines:
-            report.add("fusion", f"{name} {line}", "PASS")
+        # every triple (z, u, w), u-major and z-minor: a row per pair
+        ui, wi, zi = np.indices((len(irreps),) * 3).reshape(3, -1)
+        haar, solver = tensor_mor_dims(
+            irreps, [z.character() for z in irreps], irreps, (zi, ui, wi))
+        worst = int(np.abs(haar - solver).max())
+        report.add("fusion", f"{name} route-agreement",
+                   "PASS" if worst == 0 else "FAIL", residual=float(worst))
+        for (u, w), row in zip(pairs, haar.reshape(len(pairs), -1)):
+            report.add("fusion", f"{name} {u.label}*{w.label} -> " + " ".join(
+                f"{z.label}:{m}" for z, m in zip(irreps, row) if m), "PASS")
     for name, ring in sorted(bundle.rings.items()):
         from .crossed import check_fusion_ring
         devs = check_fusion_ring(ring)

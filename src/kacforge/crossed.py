@@ -425,9 +425,7 @@ def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
     action, base = action_from_pair(mp, seed=seed)
     ring = crossed_ring(base, action, name=name)
     A = build_algebra(mp)
-    cands, space, irreps = build_candidates(A, seed=seed)
-    if [orb for orb in space.orbits] != [[r] for r in range(mp.discrete.order)]:
-        raise ActionNotCompatible("orbit structure is not singleton-graded")
+    cands, _, irreps = build_candidates(A, seed=seed)
     dual = ClassicalDual(group=mp.compact, ring=base,
                          irreps=irreps, algebra=plain_function_algebra(mp.compact))
     return CrossedInstance(pair=mp, algebra=A, base_ring=base, action=action,

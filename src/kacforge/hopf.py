@@ -287,8 +287,6 @@ def _light_associative(A):
     """
     n, nk, nr = A.dim, A.nk, A.nr
     gens = np.array(_generating_sequence(A.pair.discrete), dtype=np.int64)
-    if len(gens) * (nr + 1) >= nr * nr:       # not cheaper than the count
-        return False
     G = (gens[:, None] * nk + np.arange(nk)).ravel()
     reached = np.zeros(n, dtype=bool)
     reached[G] = True

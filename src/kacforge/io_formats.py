@@ -340,28 +340,30 @@ class InputBundle:
 
 
 def parse_inputs(paths, config=DEFAULT_CONFIG):
-    """Route files by extension; everything is validated at load."""
+    """Route files by extension; everything is validated at load.  Two
+    objects of one kind may not share a name."""
     bundle = InputBundle(config=config)
+    kinds = {".group": (bundle.groups, load_group),
+             ".pair": (bundle.pairs, load_pair),
+             ".ring": (bundle.rings, load_ring),
+             ".measure": (bundle.measures, lambda p: load_measure(p)[0])}
+    origin = {}
     for p in paths:
-        suffix = Path(p).suffix
-        stem = Path(p).stem
-        if suffix == ".group":
-            g = load_group(p)
-            bundle.groups[g.name or stem] = g
-        elif suffix == ".pair":
-            mp = load_pair(p)
-            bundle.pairs[mp.name or stem] = mp
-        elif suffix == ".ring":
-            ring = load_ring(p)
-            bundle.rings[ring.name or stem] = ring
-        elif suffix == ".measure":
-            measure, G = load_measure(p)
-            bundle.measures[stem] = measure
-        else:
+        suffix, stem = Path(p).suffix, Path(p).stem
+        if suffix not in kinds:
             raise ParseError(
                 f"unknown input extension {suffix!r} "
                 "(expected .group|.pair|.ring|.measure)",
                 path=str(p), line=0, column=0)
+        kind, load = kinds[suffix]
+        obj = load(p)
+        name = stem if suffix == ".measure" else obj.name or stem
+        if (suffix, name) in origin:
+            raise ValidationError(
+                "duplicate-name", f"{suffix[1:]} {name!r} of {p} is already "
+                f"loaded from {origin[suffix, name]}")
+        origin[suffix, name] = p
+        kind[name] = obj
     return bundle
 
 

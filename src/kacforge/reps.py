@@ -619,7 +619,39 @@ def enumerate_irreps(A, seed=DEFAULT_SEED):
 
 
 # ---------------------------------------------------------------------------
-# fusion: closed-form evaluation and the three-way audit
+# fusion: tensor counts, closed-form evaluation and the three-way audit
+
+
+def tensor_mor_dims(sources, chars, factors, triples):
+    """Haar and solver dimensions, two int64 arrays, of Mor(sources[i],
+    factors[l] (x) factors[r]) for the index arrays (i, l, r) = ``triples``;
+    ``chars`` are the sources' characters.  Each tensor is built once, in
+    (l, r) order, into runs closed at _BLOCK // 8 entries (about 1 MB); a
+    run's triples, in their given order, take one pairing and one mor_dims
+    call."""
+    si, li, ri = triples
+    target = li * len(factors) + ri
+    order = np.argsort(target, kind="stable")     # sliced once per run
+    count = np.bincount(target)
+    end = np.cumsum(count)
+    haar, solver = np.zeros((2, len(target)), dtype=np.int64)
+    ts, tensors, held = [], [], 0
+    for t in np.flatnonzero(count).tolist():
+        ts.append(t)
+        tensors.append(factors[t // len(factors)].tensor(
+            factors[t % len(factors)]))
+        held += len(tensors[-1].value)
+        if held >= _BLOCK // 8 or t == len(count) - 1:
+            at = np.sort(order[end[ts[0]] - count[ts[0]]:end[t]])
+            col = np.searchsorted(ts, target[at])
+            haar[at] = rounded_pairings(
+                chars, [x.character() for x in tensors],
+                sources[0].algebra.nk)[si[at], col]
+            solver[at] = [d for d, _ in mor_dims(
+                [(sources[i], tensors[j]) for i, j in zip(si[at].tolist(),
+                                                          col.tolist())])]
+            ts, tensors, held = [], [], 0
+    return haar, solver
 
 
 def fusion_formula_table(mp, space, chars):
@@ -652,7 +684,8 @@ class FusionAuditEntry:
 class DistinctnessEntry:
     left: str
     right: str
-    mor_dim: int
+    mor_dim: int       # by the Haar pairing
+    solver: int
     status: str
     intertwiner: object = None
 
@@ -673,7 +706,9 @@ class FusionAuditReport:
 
     @property
     def oracle_consistent(self):
-        return all(e.solver == e.haar for e in self.entries)
+        """Whether both routes agree on every triple and candidate pair."""
+        return all(e.solver == e.haar for e in self.entries) and all(
+            d.solver == d.mor_dim for d in self.distinctness)
 
     def coverage(self, complete):
         """``complete`` when every triple was checked, else what share of
@@ -708,10 +743,8 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     # matrices, those on the orbit {e} the lifted compact irreps
     e_orbit = space.orbit_of[mp.discrete.identity]
 
-    # triple t is (gamma, x, r, s) in row-major order of this shape.  The
-    # orbit tensors (r, s) are built one at a time into runs, each closed
-    # once it holds about 1 MB of entries (32 bytes each); a run's triples
-    # take one Haar pairing and one solver call.
+    # triple t is (gamma, x, r, s) in row-major order of this shape; the
+    # candidate (gamma, x) against the tensor of the orbit matrices r, s
     shape = (n_orb, nx, n_orb, n_orb)
     triples_total = nx * n_orb ** 3
     picks = np.arange(triples_total)
@@ -719,30 +752,8 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
         picks = np.sort(rng_from(seed, 5).choice(
             triples_total, size=AUDIT_TRIPLES, replace=False))
     gi, xi, ri, si = np.unravel_index(picks, shape)
-    ci = gi * nx + xi
-    target_of = ri * n_orb + si
-    solver = np.zeros(len(picks), dtype=np.int64)
-    haar = np.zeros(len(picks), dtype=np.int64)
-
-    def check(ts, tensors):
-        at = np.flatnonzero(np.isin(target_of, ts))
-        col = np.searchsorted(ts, target_of[at])
-        haar[at] = rounded_pairings(chars, [x.character() for x in tensors],
-                                    A.nk)[ci[at], col]
-        solver[at] = [d for d, _ in mor_dims(
-            [(cands[c], tensors[j]) for c, j in zip(ci[at].tolist(),
-                                                    col.tolist())])]
-
-    ts, tensors, held = [], [], 0
-    for t in np.unique(target_of).tolist():
-        ts.append(t)
-        tensors.append(cands[t // n_orb * nx].tensor(cands[t % n_orb * nx]))
-        held += len(tensors[-1].value)
-        if held >= _BLOCK // 8:
-            check(ts, tensors)
-            ts, tensors, held = [], [], 0
-    if ts:
-        check(ts, tensors)
+    haar, solver = tensor_mor_dims(cands, chars, cands[::nx],
+                                   (gi * nx + xi, ri, si))
     entries = []
     for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
                                 si.tolist(), solver.tolist(), haar.tolist()):
@@ -758,12 +769,12 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     # in one call
     gram = rounded_pairings(chars, chars, A.nk)
     pairs = np.argwhere(np.triu(gram, 1) > 0).tolist()
-    witness = [basis[0] if basis else None for _, basis in mor_dims(
-        [(cands[i], cands[j]) for i, j in pairs])]
+    solved = mor_dims([(cands[i], cands[j]) for i, j in pairs])
     distinctness = [DistinctnessEntry(
         left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
-        status="AUDIT-DISAGREE", intertwiner=w)
-        for (i, j), w in zip(pairs, witness)]
+        solver=d, status="AUDIT-DISAGREE",
+        intertwiner=basis[0] if basis else None)
+        for (i, j), (d, basis) in zip(pairs, solved)]
 
     # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), the
     # first match in (x', orbit') order.  Equal characters have equal

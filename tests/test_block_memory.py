@@ -4,16 +4,16 @@
 ``coefficient_span_rank`` takes one rank per orbit block, so neither may
 allocate a temporary that grows with the square of the algebra.  The
 intertwiner solver takes its systems in runs of bounded size, and the
-fusion audit builds its orbit tensors in runs of about 1 MB, so batching
-the solves keeps the peaks of ``enumerate_irreps`` and ``audit_fusion``
-bounded too.  A corepresentation is stored as its nonzero entries, so a
-tensor product allocates with its entries, not with the cells of its
-dense coefficient tensor, and the coaction and unitarity check joins the
-entries in runs of rows, never forming that tensor.  The Python-level peak
-(tracemalloc) is bounded on the dim-720 pair S6 = (stabilizer of a point) *
-<6-cycle> and on it with its sides swapped, on the corpus pairs
-double-s3-twist and sign-on-z7, and on GL(3,2) factored both ways, as
-S4 * C7 and as C7 * S4.
+fusion audit and ``kacforge fusion`` build their tensors in runs of about
+1 MB, so batching the solves keeps the peaks of ``enumerate_irreps``,
+``audit_fusion`` and the fusion command bounded too.  A corepresentation
+is stored as its nonzero entries, so a tensor product allocates with its
+entries, not with the cells of its dense coefficient tensor, and the
+coaction and unitarity check joins the entries in runs of rows, never
+forming that tensor.  The Python-level peak (tracemalloc) is bounded on
+the dim-720 pair S6 = (stabilizer of a point) * <6-cycle> and on it with
+its sides swapped, on the corpus pairs double-s3-twist and sign-on-z7, and
+on GL(3,2) factored both ways, as S4 * C7 and as C7 * S4.
 """
 
 import tracemalloc
@@ -22,7 +22,8 @@ import pytest
 
 from kacforge import groups
 from kacforge.hopf import build_algebra, check_axioms
-from kacforge.library import corpus_pairs, stabilizer_and_cycle
+from kacforge.library import (corpus_pairs, pair_conjugation,
+                              stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import derive_actions
 from kacforge.reps import (audit_fusion, build_candidates,
                            check_corepresentation, enumerate_irreps)
@@ -106,13 +107,47 @@ def test_each_orbit_tensor_stays_under_one_mb():
 
 
 def test_irrep_pair_tensors_held_together_stay_under_eight_mb():
-    """Every tensor of two canonical irreps of C7 * S4 at once, as
-    ``kacforge fusion`` holds them."""
+    """Every tensor of two canonical irreps of C7 * S4 held at once."""
     irreps = enumerate_irreps(algebra_of("c7-s4")).canonical
     tensors, peak = peak_bytes(
         lambda: [u.tensor(w) for u in irreps for w in irreps])
     assert len(tensors) == 81
     assert peak < 8 * MB
+
+
+def test_fusion_sends_its_tensors_to_the_solver_in_bounded_runs(monkeypatch):
+    """``kacforge fusion`` on conj-s4-s3 (S3 acting on S4 by conjugation):
+    each tensor of two canonical irreps reaches the solver once, 497,664
+    entries in all, and no solver call takes tensor targets of more than
+    _BLOCK // 8 entries plus the one tensor that closed its run."""
+    from kacforge import cli, reps
+    from kacforge.io_formats import InputBundle
+    S4 = symmetric_group(4)
+    stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
+    bundle = InputBundle()
+    bundle.pairs["conj-s4-s3"] = pair_conjugation(S4, stab)
+    tensor, solve = reps.Corepresentation.tensor, reps.mor_dims
+    made, runs = {}, []
+
+    def tensor_spy(u, w):
+        t = tensor(u, w)
+        made[id(t)] = t
+        return t
+
+    def solve_spy(pairs):
+        pairs = list(pairs)
+        sizes = [len(t.value) for t in
+                 {id(w): w for _, w in pairs if id(w) in made}.values()]
+        if sizes:
+            runs.append((sum(sizes), max(sizes)))
+        return solve(pairs)
+
+    monkeypatch.setattr(reps.Corepresentation, "tensor", tensor_spy)
+    monkeypatch.setattr(reps, "mor_dims", solve_spy)
+    report = cli.run_pipeline("fusion", bundle)
+    assert report.entries()[0].status == "PASS"      # route-agreement
+    assert sum(total for total, _ in runs) == 497_664
+    assert all(total - largest < groups._BLOCK // 8 for total, largest in runs)
 
 
 def _densest(coreps):

@@ -453,6 +453,23 @@ def test_cli_intertwiner_block_over_the_cap_is_one_error_line(capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("copied", [False, True])
+def test_cli_two_inputs_of_one_name_are_one_error_line(copied, tmp_path,
+                                                       capsys):
+    """The same pair file twice, or a copy whose header repeats its name."""
+    first = second = SAMPLES / "s3_split.pair"
+    if copied:
+        for group in ("z2.group", "z3.group"):
+            (tmp_path / group).write_text((SAMPLES / group).read_text())
+        second = tmp_path / "other.pair"
+        second.write_text(first.read_text())
+    code = main(["build", str(first), str(second)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: [duplicate-name] pair 'split-sample' of {second} "
+                   f"is already loaded from {first}\n")
+
+
 def test_cli_measure_listing_an_element_twice_is_one_error_line(tmp_path,
                                                                  capsys):
     (tmp_path / "s3.group").write_text((SAMPLES / "s3.group").read_text())

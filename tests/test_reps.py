@@ -25,9 +25,11 @@ from kacforge.matched import (beta_kernel_elements, compact_subpair,
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
                            candidate_corepresentation, check_corepresentation,
                            decompose, enumerate_irreps, fusion_formula_table,
-                           invariant_groups, mor_dim_haar, mor_dim_solver)
+                           invariant_groups, mor_dim_haar, mor_dim_solver,
+                           tensor_mor_dims)
 
 DATA = Path(__file__).resolve().parent / "data"
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 SMALL = ["z6-abelian", "s3-split", "s3-split-dual", "conj-s3-rot",
          "s4-cyclic4"]
@@ -316,6 +318,53 @@ def test_audit_flags_collapsed_candidates():
     assert {bad[0].left, bad[0].right} == {"o1*x0", "o1*x1"}
     T = bad[0].intertwiner / bad[0].intertwiner[0, 0]
     assert np.abs(T - np.diag([1.0, -1.0])).max() < 1e-9
+
+
+@pytest.mark.parametrize("fname", ["s3_split_dual", "z2_on_z4"])
+def test_tensor_counts_equal_the_per_pair_routes(fname):
+    """Each (z, u, w) of the canonical irreps, and each (candidate, orbit
+    matrix, orbit matrix), listed in a shuffled order."""
+    A = build_algebra(load_pair(str(SAMPLES / f"{fname}.pair")))
+    cat = enumerate_irreps(A)
+    nx = len(cat.irreps)
+    for sources, factors in ((cat.canonical, cat.canonical),
+                             (cat.candidates, cat.candidates[::nx])):
+        shape = (len(sources), len(factors), len(factors))
+        triples = np.unravel_index(
+            np.random.default_rng(7).permutation(np.prod(shape)), shape)
+        haar, solver = tensor_mor_dims(
+            sources, [c.character() for c in sources], factors, triples)
+        for (i, l, r), h, d in zip(zip(*(t.tolist() for t in triples)),
+                                   haar.tolist(), solver.tolist()):
+            target = factors[l].tensor(factors[r])
+            assert h == mor_dim_haar(sources[i], target)
+            assert d == mor_dim_solver(sources[i], target)[0]
+
+
+def test_audit_counts_a_solver_mismatch_on_a_candidate_pair(monkeypatch):
+    """A solver dimension off by one on the collapsed candidate pair alone:
+    every triple still agrees, but the routes are no longer consistent and
+    ``kacforge audit`` reports solver-vs-haar as FAIL."""
+    from kacforge import cli
+    A = build_algebra(load_pair(str(SAMPLES / "s3_split_dual.pair")))
+    cat = enumerate_irreps(A)
+    cands, real = {id(c) for c in cat.candidates}, reps.mor_dims
+
+    def lying(pairs):
+        pairs = list(pairs)
+        return [(d + (u is not w and id(w) in cands), basis)
+                for (u, w), (d, basis) in zip(pairs, real(pairs))]
+
+    monkeypatch.setattr(reps, "mor_dims", lying)
+    report = audit_fusion(A, cat)
+    assert all(e.solver == e.haar for e in report.entries)
+    assert [(d.mor_dim, d.solver) for d in report.distinctness] == [(1, 2)]
+    assert not report.oracle_consistent
+    monkeypatch.setattr(cli, "_algebra_and_catalog", lambda mp, seed: (A, cat))
+    rep = cli.run_pipeline("audit", [str(SAMPLES / "s3_split_dual.pair")])
+    assert {e.name: e.status for e in rep.entries()}[
+        "dual-sample solver-vs-haar"] == "FAIL"
+    assert rep.exit_code() == 2
 
 
 def test_audit_no_disagreements_on_distinct_catalog():
