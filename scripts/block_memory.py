@@ -12,7 +12,7 @@ Jobs:
     a6-c7-axioms  check_axioms on A7 = A6 * <(0 1 ... 6)>, dim 2,520
     conj-s4-s4-fusion
                   the ``kacforge fusion`` pipeline on S4 acting on itself by
-                  conjugation, dim 576 (about 50 s)
+                  conjugation, dim 576 (46-50 s on 2 vCPUs)
 
 Usage:
     python3 scripts/block_memory.py [--src DIR] [JOB ...]

@@ -196,26 +196,24 @@ def _resolve(path, ref):
     return str((Path(path).parent / ref).resolve())
 
 
-def _element_list(pf, key):
-    rows = pf.block(key)
-    if not rows:
-        return None
-    out = []
-    for ln, toks in rows:
-        out.extend(_int_token(t, pf.path, ln) for t in toks)
-    return out
+def _element_token(tok, path, ln, order):
+    """An integer token naming an element 0..order-1 of a group."""
+    idx = _int_token(tok, path, ln)
+    if not 0 <= idx < order:
+        raise ParseError(f"element {idx} out of range 0..{order - 1}",
+                         path=path, line=ln, column=tok[1])
+    return idx
 
 
 def _subgroup_elements(pf, G, role):
     """Explicit `<role>:` element block, or `<role>-gens:` closure."""
-    explicit = _element_list(pf, role)
-    if explicit is not None:
-        return explicit
-    gens = _element_list(pf, f"{role}-gens")
-    if gens is None:
-        raise ParseError(f"need a '{role}:' or '{role}-gens:' block",
-                         path=pf.path, line=1, column=1)
-    return G.closure(gens)
+    for key in (role, f"{role}-gens"):
+        out = [_element_token(t, pf.path, ln, G.order)
+               for ln, toks in pf.block(key) for t in toks]
+        if out:
+            return out if key == role else G.closure(out)
+    raise ParseError(f"need a '{role}:' or '{role}-gens:' block",
+                     path=pf.path, line=1, column=1)
 
 
 def load_pair(path, depth=0):
@@ -298,8 +296,7 @@ def load_ring(path):
     pf = parse_line_file(path)
     spec = pf.header("spec", required=True)
     ring = ring_from_spec(spec, base_dir=Path(pf.path).parent)
-    if pf.header("name"):
-        ring.name = pf.header("name")
+    ring.name = pf.header("name", default=Path(path).stem)
     return ring
 
 
@@ -313,10 +310,7 @@ def load_measure(path):
         if len(toks) != 2:
             raise ParseError("weight rows are 'element weight'",
                              path=pf.path, line=ln, column=toks[0][1])
-        idx = _int_token(toks[0], pf.path, ln)
-        if not (0 <= idx < G.order):
-            raise ParseError(f"element {idx} out of range 0..{G.order - 1}",
-                             path=pf.path, line=ln, column=toks[0][1])
+        idx = _element_token(toks[0], pf.path, ln, G.order)
         if idx in first_line:
             raise ParseError(f"element {idx} already has a weight on line "
                              f"{first_line[idx]}",

@@ -199,7 +199,7 @@ def mor_dim_haar(u, w):
 
 def mor_dim_solver(u, w):
     """Exact nullspace of the intertwiner equations; returns (dim, basis)."""
-    return mor_dims([(u, w)])[0]
+    return mor_dims([u, w], [0], [1])[0]
 
 
 #: nonzero terms per solver run: a full run peaks at about 70 bytes a term,
@@ -246,10 +246,11 @@ def _distinct(x):
     return x[keep]
 
 
-def mor_dims(pairs):
-    """Intertwiner spaces of pairs of corepresentations: for each (u, w) of
-    ``pairs`` one (dim, basis), the basis an orthonormal list of
-    (w.dim, u.dim) arrays.
+def mor_dims(coreps, ui, wi):
+    """Intertwiner spaces of pairs of corepresentations: for each n one
+    (dim, basis) of the pair (u, w) = (coreps[ui[n]], coreps[wi[n]]), the
+    basis an orthonormal list of (w.dim, u.dim) arrays.  Each
+    corepresentation is listed once in ``coreps``; some may be unused.
 
     T solves (T x 1)u = w(T x 1) over the algebra's coefficient space: row
     (i, k, s) of the system reads sum_b T[i, b] u[b, k, s] - sum_a w[i, a, s]
@@ -268,39 +269,33 @@ def mor_dims(pairs):
     N_w = [W_s] stacked (the system matrix is a Kronecker sum, Horn &
     Johnson, Topics in Matrix Analysis, 1991, s. 4.4).  The left null space
     is that of the one-sided system (u, Z), Z the dim-1 corepresentation
-    with no entries, solved once per distinct source; null(N_w) is that of
+    with no entries, solved once per listed source; null(N_w) is that of
     (Z, w), solved only for the targets of pairs with a > 0.  Each
     one-sided system takes its own cutoff (below).  The pair's basis is the
     outer products q p, q-major, of q in the basis of (Z, w) and p in that
     of (u, Z).  Every other pair is solved as one system.
 
-    The entries of the distinct corepresentations of ``pairs`` (by
-    identity) are concatenated once.  The systems are then solved in runs:
-    consecutive ones with at most _RUN_TERMS terms together, or one alone.
-    Each component of a run is one dense block, its rows in the order
-    (i, k, s) of its system and its unknowns in the order of T.  A block of
-    one column has the column's norm as its singular value and [1] as its
-    null vector, which is what the SVD of its 1 x 1 R gives.  The wider
-    blocks of one shape are solved in stacked calls; a block with more rows
-    than columns is reduced to R of its QR, which has the block's singular
-    values and null space, so the SVD never forms the left factor (R-SVD,
-    T. F. Chan, ACM TOMS 8, 1982).  A singular value counts as zero at
-    TOL_EQ times the largest one over that system's blocks (at least 1).
-    A block over INTERTWINER_CAP cells raises SizeBound before any block
-    of its run is built.
+    The entries of ``coreps`` are concatenated once.  The systems are then
+    solved in runs: consecutive ones with at most _RUN_TERMS terms
+    together, or one alone.  Each component of a run is one dense block,
+    its rows in the order (i, k, s) of its system and its unknowns in the
+    order of T.  A block of one column has the column's norm as its
+    singular value and [1] as its null vector, which is what the SVD of its
+    1 x 1 R gives.  The wider blocks of one shape are solved in stacked
+    calls; a block with more rows than columns is reduced to R of its QR,
+    which has the block's singular values and null space, so the SVD never
+    forms the left factor (R-SVD, T. F. Chan, ACM TOMS 8, 1982).  A
+    singular value counts as zero at TOL_EQ times the largest one over that
+    system's blocks (at least 1).  A block over INTERTWINER_CAP cells
+    raises SizeBound before any block of its run is built.
     """
-    pairs = list(pairs)
-    if not pairs:
+    ui, wi = np.asarray(ui), np.asarray(wi)
+    if not len(ui):
         return []
-    A = pairs[0][0].algebra
-    index = {}
-    for c in (c for pair in pairs for c in pair):
-        index.setdefault(id(c), (len(index), c))
-    coreps = [c for _, c in index.values()]
-    coreps.append(Corepresentation(A, 1, ([], [], [], []), label="zero"))
+    A = coreps[0].algebra
+    coreps = list(coreps) + [Corepresentation(A, 1, ([], [], [], []),
+                                              label="zero")]
     z = len(coreps) - 1
-    ui = np.array([index[id(u)][0] for u, _ in pairs])
-    wi = np.array([index[id(w)][0] for _, w in pairs])
     coefs = [np.concatenate([getattr(c, name) for c in coreps])
              for name in ("row", "col", "basis", "value")]
     nnz = np.array([len(c.value) for c in coreps])
@@ -324,8 +319,8 @@ def mor_dims(pairs):
     for n, c in enumerate(coreps):
         covers[n, c.support()] = True
     apart = np.concatenate([~(covers[ui[blk]] & covers[wi[blk]]).any(1)
-                            for blk in _row_blocks(len(pairs), A.dim)])
-    out = [None] * len(pairs)
+                            for blk in _row_blocks(len(ui), A.dim)])
+    out = [None] * len(ui)
     near = np.flatnonzero(~apart)
     for p, res in zip(near.tolist(), solve(ui[near], wi[near])):
         out[p] = res
@@ -547,8 +542,9 @@ def _irreducible_pieces(coreps, seed):
     depth = 0
     while level:
         below = []
+        r = np.arange(len(level))
         for (path, c), (nd, basis) in zip(level, mor_dims(
-                [(c, c) for _, c in level])):
+                [c for _, c in level], r, r)):
             if nd == 1:
                 leaves.append((path, c))
                 continue
@@ -648,8 +644,7 @@ def tensor_mor_dims(sources, chars, factors, triples):
                 chars, [x.character() for x in tensors],
                 sources[0].algebra.nk)[si[at], col]
             solver[at] = [d for d, _ in mor_dims(
-                [(sources[i], tensors[j]) for i, j in zip(si[at].tolist(),
-                                                          col.tolist())])]
+                list(sources) + tensors, si[at], len(sources) + col)]
             ts, tensors, held = [], [], 0
     return haar, solver
 
@@ -768,13 +763,13 @@ def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
     # pairs i < j of the Gram matrix with an intertwiner, row-major, solved
     # in one call
     gram = rounded_pairings(chars, chars, A.nk)
-    pairs = np.argwhere(np.triu(gram, 1) > 0).tolist()
-    solved = mor_dims([(cands[i], cands[j]) for i, j in pairs])
+    pairs = np.argwhere(np.triu(gram, 1) > 0)
     distinctness = [DistinctnessEntry(
         left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
         solver=d, status="AUDIT-DISAGREE",
         intertwiner=basis[0] if basis else None)
-        for (i, j), (d, basis) in zip(pairs, solved)]
+        for (i, j), (d, basis) in zip(pairs.tolist(),
+                                      mor_dims(cands, *pairs.T))]
 
     # flip search: candidate (orbit x) ~ (lifted x') tensor (orbit'), the
     # first match in (x', orbit') order.  Equal characters have equal

@@ -18,6 +18,7 @@ on GL(3,2) factored both ways, as S4 * C7 and as C7 * S4.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from kacforge import groups
@@ -115,17 +116,22 @@ def test_irrep_pair_tensors_held_together_stay_under_eight_mb():
     assert peak < 8 * MB
 
 
+def _conj_s4_s3():
+    """An input bundle of conj-s4-s3: S3 acting on S4 by conjugation."""
+    from kacforge.io_formats import InputBundle
+    S4 = symmetric_group(4)
+    stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
+    bundle = InputBundle()
+    bundle.pairs["conj-s4-s3"] = pair_conjugation(S4, stab)
+    return bundle
+
+
 def test_fusion_sends_its_tensors_to_the_solver_in_bounded_runs(monkeypatch):
     """``kacforge fusion`` on conj-s4-s3 (S3 acting on S4 by conjugation):
     each tensor of two canonical irreps reaches the solver once, 497,664
     entries in all, and no solver call takes tensor targets of more than
     _BLOCK // 8 entries plus the one tensor that closed its run."""
     from kacforge import cli, reps
-    from kacforge.io_formats import InputBundle
-    S4 = symmetric_group(4)
-    stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
-    bundle = InputBundle()
-    bundle.pairs["conj-s4-s3"] = pair_conjugation(S4, stab)
     tensor, solve = reps.Corepresentation.tensor, reps.mor_dims
     made, runs = {}, []
 
@@ -134,20 +140,36 @@ def test_fusion_sends_its_tensors_to_the_solver_in_bounded_runs(monkeypatch):
         made[id(t)] = t
         return t
 
-    def solve_spy(pairs):
-        pairs = list(pairs)
-        sizes = [len(t.value) for t in
-                 {id(w): w for _, w in pairs if id(w) in made}.values()]
+    def solve_spy(coreps, ui, wi):
+        sizes = [len(coreps[j].value) for j in set(np.asarray(wi).tolist())
+                 if id(coreps[j]) in made]
         if sizes:
             runs.append((sum(sizes), max(sizes)))
-        return solve(pairs)
+        return solve(coreps, ui, wi)
 
     monkeypatch.setattr(reps.Corepresentation, "tensor", tensor_spy)
     monkeypatch.setattr(reps, "mor_dims", solve_spy)
-    report = cli.run_pipeline("fusion", bundle)
+    report = cli.run_pipeline("fusion", _conj_s4_s3())
     assert report.entries()[0].status == "PASS"      # route-agreement
     assert sum(total for total, _ in runs) == 497_664
     assert all(total - largest < groups._BLOCK // 8 for total, largest in runs)
+
+
+def test_fusion_counts_one_left_factor_at_a_time(monkeypatch):
+    """``kacforge fusion`` on conj-s4-s3 (n = 30 canonical irreps) passes
+    each tensor count the n^2 triples (z, u, w) of one left factor u, never
+    all n^3 triples at once."""
+    from kacforge import cli
+    real, calls = cli.tensor_mor_dims, []
+
+    def spy(sources, chars, factors, triples):
+        calls.append((len(triples[0]), set(triples[1].tolist())))
+        return real(sources, chars, factors, triples)
+
+    monkeypatch.setattr(cli, "tensor_mor_dims", spy)
+    report = cli.run_pipeline("fusion", _conj_s4_s3())
+    assert report.entries()[0].status == "PASS"      # route-agreement
+    assert calls == [(30 * 30, {u}) for u in range(30)]
 
 
 def _densest(coreps):

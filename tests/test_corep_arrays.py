@@ -262,7 +262,8 @@ def test_batched_solves_equal_loop_rank_and_single_calls(name, data):
     targets, a tampered source among them, gives every pair the loop-built
     null-space dimension and bit for bit the basis of its own call, an
     orthonormal intertwiner basis; so does a budget so low that every pair
-    is solved in a run of its own."""
+    is solved in a run of its own, and so does the corepresentation list
+    permuted and padded with unused entries."""
     A = algebra_of(name)
     catalog = catalog_of(name)
     pool = catalog.candidates + catalog.canonical
@@ -274,17 +275,27 @@ def test_batched_solves_equal_loop_rank_and_single_calls(name, data):
     tampered = _tampered(pool[data.draw(pick, label="tampered")], rng)
     pairs.insert(data.draw(st.integers(0, len(pairs)), label="at"),
                  (tampered, pool[data.draw(pick, label="its target")]))
-    got = reps.mor_dims(pairs)
+    coreps = list({id(c): c for pair in pairs for c in pair}.values())
+    at = {id(c): n for n, c in enumerate(coreps)}
+    ui, wi = ([at[id(pair[k])] for pair in pairs] for k in (0, 1))
+    got = reps.mor_dims(coreps, ui, wi)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reps, "_RUN_TERMS", 1)
-        apart = reps.mor_dims(pairs)
-    assert len(got) == len(apart) == len(pairs)
-    for (u, w), (dim, basis), split in zip(pairs, got, apart):
+        apart = reps.mor_dims(coreps, ui, wi)
+    # the same pairs, the list permuted and padded with unused entries
+    padded = coreps + [_tampered(c, rng) for c in pool[:2]]
+    perm = rng.permutation(len(padded))
+    where = np.argsort(perm)
+    moved = reps.mor_dims([padded[k] for k in perm], where[ui], where[wi])
+    assert len(got) == len(apart) == len(moved) == len(pairs)
+    for (u, w), (dim, basis), split, other in zip(pairs, got, apart, moved):
         alone = mor_dim_solver(u, w)
-        assert dim == naive_intertwiner_dim(u, w) == alone[0] == split[0]
+        assert (dim == naive_intertwiner_dim(u, w) == alone[0] == split[0]
+                == other[0])
         assert len(basis) == dim
         assert all(np.array_equal(T, S) and np.array_equal(T, R)
-                   for T, S, R in zip(basis, alone[1], split[1]))
+                   and np.array_equal(T, Q)
+                   for T, S, R, Q in zip(basis, alone[1], split[1], other[1]))
         V = np.array([T.ravel() for T in basis]).reshape(dim, w.dim * u.dim)
         assert np.abs(V.conj() @ V.T - np.eye(dim)).max(initial=0.0) < 1e-9
         for T in basis:
@@ -519,8 +530,8 @@ def test_solver_calls_are_batched(step, most, monkeypatch):
     catalog = catalog_of("double-s3-twist")
     calls = []
     real = reps.mor_dims
-    monkeypatch.setattr(reps, "mor_dims",
-                        lambda pairs: calls.append(1) or real(pairs))
+    monkeypatch.setattr(reps, "mor_dims", lambda coreps, ui, wi:
+                        calls.append(1) or real(coreps, ui, wi))
     if step == "enumerate":
         assert enumerate_irreps(A).dims() == catalog.dims()
     else:
@@ -617,9 +628,9 @@ def test_audit_sends_no_one_column_block_to_lapack(monkeypatch):
                             + ((dw == 1) & (w_nnz == 0)).sum())
         return solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs)
 
-    def counted(pairs):
-        calls.append([len({id(c) for pair in pairs for c in pair}), 0])
-        return mor_dims(pairs)
+    def counted(coreps, ui, wi):
+        calls.append([len(np.union1d(ui, wi)), 0])
+        return mor_dims(coreps, ui, wi)
     monkeypatch.setattr(reps, "_solve_run", counted_run)
     monkeypatch.setattr(reps, "mor_dims", counted)
     assert reps.audit_fusion(A, catalog).oracle_consistent

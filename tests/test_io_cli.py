@@ -482,6 +482,39 @@ def test_cli_measure_listing_an_element_twice_is_one_error_line(tmp_path,
                    f"line 3\n")
 
 
+@pytest.mark.parametrize("element", ["9", "-1"])
+@pytest.mark.parametrize("block", ["discrete", "compact", "discrete-gens",
+                                   "compact-gens"])
+def test_cli_subgroup_element_out_of_range_is_one_error_line(block, element,
+                                                             tmp_path, capsys):
+    """Subgroup elements index the ambient S3, 0..5: a 9 used to raise an
+    IndexError, and a -1 generator wrapped to element 5."""
+    (tmp_path / "s3.group").write_text((SAMPLES / "s3.group").read_text())
+    other = "compact" if block.startswith("discrete") else "discrete"
+    pair = tmp_path / "bad.pair"
+    pair.write_text(f"kind: ambient\nambient: s3.group\n{block}:\n"
+                    f"0 {element}\n{other}-gens:\n1\n")
+    code = main(["validate", str(pair)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: {pair}:4:3: element {element} out of range 0..5\n"
+
+
+def test_cli_unnamed_rings_are_named_by_their_file_stems(tmp_path, capsys):
+    """Two rings of one construction without a ``name:`` header are two
+    inputs, not one name loaded twice."""
+    (tmp_path / "s3.group").write_text((SAMPLES / "s3.group").read_text())
+    paths = [tmp_path / "a.ring", tmp_path / "d.ring"]
+    for path in paths:
+        path.write_text("spec: group:s3.group\n")
+    assert load_ring(paths[0]).name == "a"
+    code = main(["validate", *map(str, paths)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert "PASS           ring a -- 3 labels" in out
+    assert "PASS           ring d -- 3 labels" in out
+
+
 # ---------------------------------------------------------------------------
 # integers past int64 and argument errors: one error line, exit 1
 

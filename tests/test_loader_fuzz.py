@@ -4,9 +4,9 @@ error, never anything else.
 Each example takes one file of ``sample_inputs/`` (next to copies of the
 files it references) and mutates it one of three ways: replace one token,
 truncate it after a line, or drop one block.  Replacement tokens are
-negative, zero, non-numeric or at least 2^63; a large in-range value is
-never used, as a ``degree:`` of 2^40 would ask for an identity
-permutation of that length.
+negative, zero, non-numeric, at least 2^63, or 64, past the order of
+every sample group; a large in-range value is never used, as a
+``degree:`` of 2^40 would ask for an identity permutation of that length.
 """
 
 import re
@@ -22,7 +22,7 @@ from kacforge.io_formats import parse_inputs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 FILES = sorted(p.name for p in SAMPLES.iterdir())
-REPLACEMENTS = ["-1", "-7", str(-2 ** 63 - 1), "0", "abc", "1/0",
+REPLACEMENTS = ["-1", "-7", str(-2 ** 63 - 1), "0", "64", "abc", "1/0",
                 str(2 ** 63), "99999999999999999999"]
 BLOCK_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*:\s*(#.*)?$")
 

@@ -350,10 +350,11 @@ def test_audit_counts_a_solver_mismatch_on_a_candidate_pair(monkeypatch):
     cat = enumerate_irreps(A)
     cands, real = {id(c) for c in cat.candidates}, reps.mor_dims
 
-    def lying(pairs):
-        pairs = list(pairs)
-        return [(d + (u is not w and id(w) in cands), basis)
-                for (u, w), (d, basis) in zip(pairs, real(pairs))]
+    def lying(coreps, ui, wi):
+        return [(d + (coreps[u] is not coreps[w] and id(coreps[w]) in cands),
+                 basis) for u, w, (d, basis) in zip(
+                     np.asarray(ui).tolist(), np.asarray(wi).tolist(),
+                     real(coreps, ui, wi))]
 
     monkeypatch.setattr(reps, "mor_dims", lying)
     report = audit_fusion(A, cat)
@@ -395,7 +396,7 @@ def test_audit_computes_each_character_once(name, monkeypatch):
         monkeypatch.setattr(Corepresentation, method.__name__,
                             counted(method))
     monkeypatch.setattr(reps, "mor_dims",
-                        lambda pairs: [(0, [])] * len(pairs))
+                        lambda coreps, ui, wi: [(0, [])] * len(ui))
     audit_fusion(A, cat)
     assert calls["tensor"] <= len(cat.orbit_space.orbits) ** 2
     assert calls["character"] <= len(cat.candidates) + calls["tensor"]
