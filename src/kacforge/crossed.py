@@ -10,6 +10,7 @@ sampling harness for polynomial operator-norm bounds along a length
 function.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,9 @@ def free_orthogonal_ring(N, cutoff):
     dims = [1, N]
     while len(dims) <= cutoff:
         dims.append(N * dims[-1] - dims[-2])
+    if dims[-1] > sys.float_info.max:          # the largest dimension
+        raise ValidationError("free-ring", f"the dimension of label {cutoff} "
+                              f"is past the float range")
     # j*k = sum of m from |j-k| to j+k in steps of 2, cut at the window
     j, k, m = np.ogrid[:cutoff + 1, :cutoff + 1, :cutoff + 1]
     mult = (abs(j - k) <= m) & (m <= j + k) & ((j + k) % 2 == m % 2)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT_SEED
+from .config import DEFAULT_SEED, RING_CAP
 from .crossed import DualElement, unit_dual_element
 from .errors import DomainError, ValidationError
 from .groups import rng_from
@@ -289,6 +289,9 @@ def chebyshev_state(N, t, cutoff):
         raise DomainError(f"evaluation point {t} outside (0, {N})")
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
+    if cutoff >= RING_CAP:                 # labels 0..cutoff of the ladder
+        raise DomainError(f"cutoff {cutoff} gives {cutoff + 1} labels, over "
+                          f"the ring cap {RING_CAP}")
     num = chebyshev_values(t, cutoff)
     den = chebyshev_values(N, cutoff)
     return ChebyshevState(N=int(N), t=t,

@@ -238,12 +238,14 @@ def _join(want, have):
 
 
 def _distinct(x):
-    """The distinct values of ``x``, sorted: np.unique by one sort, which is
+    """The rank of each of ``x`` among its distinct values (int32), and
+    their number: np.unique(x, return_inverse=True) by one sort, which is
     several times faster on int64 keys than np.unique's hashing."""
-    x = np.sort(x)
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
+    key = np.sort(x)
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    key = key[keep]
+    return np.searchsorted(key, x).astype(np.int32), len(key)
 
 
 def mor_dims(coreps, ui, wi):
@@ -336,6 +338,16 @@ def mor_dims(coreps, ui, wi):
     return out
 
 
+def _group(label, n):
+    """Items grouped by their labels, ints below n, the items labelled -1
+    left out: the stable order of the others (int32), where each label's
+    run starts in it and the count of each label."""
+    order = np.flatnonzero(label >= 0).astype(np.int32)
+    order = order[np.argsort(label[order], kind="stable")]
+    count = np.bincount(label[order], minlength=n)
+    return order, np.cumsum(count) - count, count
+
+
 def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
     """(dim, basis) of each pair of a run, given its dimensions and the
     ranges of its u's and w's entries in ``coefs``."""
@@ -360,17 +372,16 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
                 (uoff[q] + a * du[q] + b).astype(np.int32),
                 e.astype(np.int32))
 
-    sides = [terms(u_at, u_nnz, dw, True), terms(w_at, w_nnz, du, False)]
-    key = _distinct(np.concatenate([side[0] for side in sides]))
-    sides = [(np.searchsorted(key, k).astype(np.int32), col, e)
-             for k, col, e in sides]
+    # one list of terms, u's then w's: term n is u's when n < nu
+    row, col, e = (np.concatenate(side) for side in zip(
+        terms(u_at, u_nnz, dw, True), terms(w_at, w_nnz, du, False)))
+    nu = int((dw * u_nnz).sum())
+    row, R = _distinct(row)
+    U = int(size.sum())
     # components over the unknowns (vertices 0..U-1) and the rows (U on),
     # each named by its least unknown: block n has wide[n] unknowns and
     # high[n] rows
-    U, R = int(size.sum()), len(key)
-    comp = _components(U + R, np.concatenate([side[1] for side in sides]),
-                       U + np.concatenate([side[0] for side in sides])
-                       ).astype(np.int64)
+    comp = _components(U + R, col, U + row)
     wide = np.bincount(comp[:U], minlength=U)
     high = np.bincount(comp[U:], minlength=U)
     cells = np.maximum(high, wide) * wide
@@ -379,83 +390,66 @@ def _solve_run(N, du, dw, u_at, u_nnz, w_at, w_nnz, coefs):
         raise SizeBound(f"intertwiner block of {high[g]} equations in "
                         f"{wide[g]} unknowns is over the cap of "
                         f"{INTERTWINER_CAP} cells")
+    # the wider blocks' unknowns, in their order, and rows, in the order of
+    # their keys, grouped by block (a one-column block's are labelled -1);
+    # place[n] is vertex n's place among its block's unknowns or rows
+    label = np.where(wide[comp] > 1, comp, -1)
+    order, col_at, count = _group(label[:U], U)
+    place = np.empty(U + R, dtype=np.int32)
+    place[order] = np.arange(len(order)) - np.repeat(col_at, count)
+    rows, row_at, count = _group(label[U:], U)
+    place[U + rows] = np.arange(len(rows)) - np.repeat(row_at, count)
+    term_label = label[U + row]
     # one column: its singular value is its norm, over the cells u - w (a
     # row of it has at most one term of each side)
-    cell = np.zeros(R, dtype=complex)
-    for (row, _, e), sign in zip(sides, (1, -1)):
-        one = wide[comp[U + row]] == 1
-        cell[row[one]] += sign * v[e[one]]
+    norm = np.zeros(R, dtype=complex)
+    for part, sign in ((slice(nu), 1), (slice(nu, None), -1)):
+        on = term_label[part] < 0
+        norm[row[part][on]] += sign * v[e[part][on]]
+    norm = np.sqrt(np.bincount(comp[U:], np.abs(norm) ** 2, minlength=U))
     # its null vector is complex, so that its conjugate is 1 - 0j as the
     # SVD's is, bit for bit
     names = np.flatnonzero(wide == 1)
-    solved = [(names, np.sqrt(np.bincount(comp[U:], np.abs(cell) ** 2,
-                                          minlength=U)[names])[:, None],
+    solved = [(names, norm[names][:, None],
                np.ones((len(names), 1, 1), dtype=complex), names[:, None])]
-    # wider blocks in the order of their names; a block's columns in the
-    # order of the unknowns and its rows in the order of the keys
-    keys = np.flatnonzero(wide > 1)
-    block = np.full(U, -1)
-    block[keys] = np.arange(len(keys))
-    order = np.flatnonzero(block[comp[:U]] >= 0)
-    order = order[np.argsort(comp[order], kind="stable")]
-    col_at = np.cumsum(wide[keys]) - wide[keys]
-    rows = np.flatnonzero(block[comp[U:]] >= 0)
-    rows = rows[np.argsort(comp[U + rows], kind="stable")]
-    row_at = np.cumsum(high[keys]) - high[keys]
-    # places within a block are below the cap, so they fit in int32
-    col_pos = np.empty(U, dtype=np.int32)
-    col_pos[order] = np.arange(len(order)) - np.repeat(col_at, wide[keys])
-    row_pos = np.empty(R, dtype=np.int32)
-    row_pos[rows] = np.arange(len(rows)) - np.repeat(row_at, high[keys])
-
-    def by_block(row, col, e):
-        """The cells and values of the terms of blocks g, and the place of
-        each one's block in g."""
-        at = block[comp[U + row]]
-        by = np.flatnonzero(at >= 0)
-        by = by[np.argsort(at[by])]
-        first = np.searchsorted(at[by], np.arange(len(keys)))
-        count = np.diff(first, append=len(by))
-        row, col, e = row_pos[row[by]], col_pos[col[by]], e[by]
-
-        def of(g):
-            p, j = _ragged(count[g])
-            j += first[g][p]
-            return p, row[j], col[j], v[e[j]]
-        return of
-
-    # popped, so that each side's unsorted terms are freed once sorted
-    u_terms = by_block(*sides.pop(0))
-    w_terms = by_block(*sides.pop(0))
-    high, wide = high[keys], wide[keys]
-    for nr, nc in np.unique(np.stack([high, wide], 1), axis=0).tolist():
-        same = np.flatnonzero((high == nr) & (wide == nc))
+    # the wider blocks' terms by block: only the side, the row and column
+    # in the block and the coefficient of each are kept, the rest freed
+    # before any block is built
+    by, first, count = _group(term_label, U)
+    side, row, col, e = by < nu, place[U + row[by]], place[col[by]], e[by]
+    del comp, label, place, rows, term_label, by
+    names = np.flatnonzero(wide > 1)
+    for nr, nc in np.unique(np.stack([high[names], wide[names]], 1),
+                            axis=0).tolist():
+        same = names[(high[names] == nr) & (wide[names] == nc)]
         for blk in _row_blocks(len(same), max(nr, nc) * nc):
             g = same[blk]
+            p, j = _ragged(count[g])
+            j += first[g][p]
+            # a cell has at most one term of u and one of w: u's is
+            # written, then w's taken off
+            u = side[j]
             B = np.zeros((len(g), max(nr, nc), nc), dtype=complex)
-            # a cell has at most one term of u and one of w
-            p, r, c, val = u_terms(g)
-            B[p, r, c] = val
-            p, r, c, val = w_terms(g)
-            B[p, r, c] -= val
+            B[p[u], row[j[u]], col[j[u]]] = v[e[j[u]]]
+            B[p[~u], row[j[~u]], col[j[~u]]] -= v[e[j[~u]]]
             if nr > nc:
                 B = np.linalg.qr(B, mode="r")
-            solved.append((keys[g], *np.linalg.svd(B)[1:],
+            solved.append((g, *np.linalg.svd(B)[1:],
                            order[col_at[g, None] + np.arange(nc)]))
+    pair = np.repeat(np.arange(len(size)), size)     # of each unknown
     top = np.zeros(len(size))
     for g, svals, _, _ in solved:
-        np.maximum.at(top, np.searchsorted(uoff, g, side="right") - 1,
-                      svals.max(1))
+        np.maximum.at(top, pair[g], svals.max(1))
     cutoff = TOL_EQ * np.maximum(top, 1.0)
     # the null vectors, ordered by block and singular value, are written
     # one after another, pair by pair, into one array of T's
     null = []
     for g, svals, vh, cols in solved:
-        owner = np.searchsorted(uoff, g, side="right") - 1
+        owner = pair[g]
         p, j = np.nonzero(svals <= cutoff[owner, None])
         null.append((g[p], j, vh[p, j].conj(), cols[p] - uoff[owner[p], None]))
     g = np.concatenate([blocks for blocks, _, _, _ in null])
-    owner = np.searchsorted(uoff, g, side="right") - 1
+    owner = pair[g]
     rank = np.empty(len(g), dtype=np.int64)
     rank[np.lexsort((np.concatenate([j for _, j, _, _ in null]), g))] = \
         np.arange(len(g))
@@ -718,15 +712,13 @@ class FusionAuditReport:
                 if e.status == "AUDIT-DISAGREE"]
 
 
-def audit_fusion(A, catalog=None, seed=DEFAULT_SEED):
+def audit_fusion(A, catalog, seed=DEFAULT_SEED):
     """Three-way fusion audit plus candidate-distinctness and flip search.
 
     Solver and character values must agree (oracle consistency); the
     closed-form value is logged with an agree/disagree flag and never
     asserted.  Disagreement does not raise.
     """
-    if catalog is None:
-        catalog = enumerate_irreps(A, seed=seed)
     mp = A.pair
     space = catalog.orbit_space
     closed = fusion_formula_table(
@@ -803,11 +795,9 @@ class InvariantGroups:
     spectrum_iso: tuple
 
 
-def invariant_groups(A, catalog=None, seed=DEFAULT_SEED):
+def invariant_groups(A, catalog, seed=DEFAULT_SEED):
     """Both canonical finite groups attached to the algebra, with the
     independently built structured models and isomorphism tests."""
-    if catalog is None:
-        catalog = enumerate_irreps(A, seed=seed)
     mp = A.pair
     R, K = mp.discrete, mp.compact
     space, (fix_r_group, fix_r_el), (fix_k_group, fix_k_el) = \

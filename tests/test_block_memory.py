@@ -27,7 +27,8 @@ from kacforge.library import (corpus_pairs, pair_conjugation,
                               stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import derive_actions
 from kacforge.reps import (audit_fusion, build_candidates,
-                           check_corepresentation, enumerate_irreps)
+                           check_corepresentation, enumerate_irreps,
+                           mor_dims)
 
 from .test_scripts import load_script
 
@@ -204,3 +205,16 @@ def test_checking_the_densest_swapped_s6_candidate_stays_under_64_mb():
     c = _densest(build_candidates(algebra_of("swapped-s6"))[0])
     assert (c.dim, len(c.value)) == (30, 21600)
     assert _check_peak(c) < 64 * MB
+
+
+@pytest.mark.slow
+def test_lone_swapped_s6_end_systems_stay_under_160_mb():
+    """The level-0 End systems of the swapped-S6 candidates, most of them
+    over the run budget and solved alone (the densest, of dim 30 with
+    21,600 entries, has 1,296,000 terms): the blocks are built while only
+    each term's side, places and coefficient index are held."""
+    cands = build_candidates(algebra_of("swapped-s6"))[0]
+    r = np.arange(len(cands))
+    out, peak = peak_bytes(lambda: mor_dims(cands, r, r))
+    assert [d for d, _ in out] == [1] * 9 + [2] * 5
+    assert peak < 160 * MB

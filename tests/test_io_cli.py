@@ -343,6 +343,35 @@ def test_cli_shadow_chebyshev_table(capsys):
     assert "1, 2/3, 3/8" in out
 
 
+@pytest.mark.parametrize("cutoff", ["256", "6000"])
+def test_cli_chebyshev_cutoff_over_the_ring_cap_is_one_error_line(capsys,
+                                                                  cutoff):
+    """Labels 0..cutoff of the ladder: 257 are over the cap of 256, and at
+    6001 the values pass the integer-to-text digit limit."""
+    code = main(["shadow", "chebyshev", "--N", "3", "--t", "5/2",
+                 "--cutoff", cutoff])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "fusion"])
+def test_cli_free_ring_past_the_float_range_is_one_error_line(tmp_path,
+                                                              capsys,
+                                                              command):
+    """The N = 100 ladder passes the float range at label 155."""
+    ring = tmp_path / "big.ring"
+    ring.write_text("spec: free-orthogonal:N=100,cutoff=255\n")
+    code = main([command, str(ring)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [free-ring] ") and err.count("\n") == 1
+    ring.write_text("spec: free-orthogonal:N=100,cutoff=154\n")
+    assert main(["validate", str(ring)]) == 0
+
+
 def test_cli_structured_output_is_json(capsys):
     code = main(["--output", "structured", "shadow", "chebyshev",
                  "--N", "3", "--t", "2", "--cutoff", "2"])

@@ -43,6 +43,14 @@ def test_decay_profile_level_five(capsys):
     assert row[1] == "1/24"
 
 
+def test_decay_profile_rejects_a_cutoff_over_the_ring_cap(capsys):
+    code, lines = run_script("decay_profile", ["--t", "5/2", "--cutoff",
+                                               "6000"], capsys)
+    assert code == 0
+    assert lines == ["t = 5/2: rejected (cutoff 6000 gives 6001 labels, "
+                     "over the ring cap 256)"]
+
+
 def test_rd_scan_two_instances_pass_the_bound(capsys):
     code, lines = run_script("rd_scan", ["--samples", "2"], capsys)
     assert code == 0
