@@ -19,6 +19,7 @@ from .config import DEFAULT_CONFIG
 from .errors import (DomainError, IdentityViolated, KacforgeError,
                      NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
+from .groups import rounded_pairings
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
 from .matched import magic_relations_report, magic_unitary, orbits_fixed_sets
@@ -98,20 +99,21 @@ def _cmd_irreps(bundle, config, report, args):
 
 def _cmd_fusion(bundle, config, report, args):
     for name, mp in sorted(bundle.pairs.items()):
-        _, catalog = _algebra_and_catalog(mp, config.seed)
+        A, catalog = _algebra_and_catalog(mp, config.seed)
         irreps, n = catalog.canonical, len(catalog.canonical)
-        chars = [z.character() for z in irreps]
+        chars = np.array([z.character() for z in irreps])
         # one left factor u at a time, so no array has n^3 entries: its
         # triples (z, u, w), w-major and z-minor, a row per pair
         wi, zi = np.indices((n, n)).reshape(2, -1)
         worst, lines = 0, []
         for k, u in enumerate(irreps):
-            haar, solver = tensor_mor_dims(irreps, chars, irreps,
-                                           (zi, np.full(n * n, k), wi))
-            worst = max(worst, int(np.abs(haar - solver).max()))
+            haar = rounded_pairings(chars, A.mul_vec(chars[k], chars), A.nk).T
+            solver = tensor_mor_dims(irreps, irreps,
+                                     (zi, np.full(n * n, k), wi))
+            worst = max(worst, int(np.abs(haar.ravel() - solver).max()))
             lines.extend(f"{name} {u.label}*{w.label} -> " + " ".join(
                 f"{z.label}:{m}" for z, m in zip(irreps, row) if m)
-                for w, row in zip(irreps, haar.reshape(n, n)))
+                for w, row in zip(irreps, haar))
         report.add("fusion", f"{name} route-agreement",
                    "PASS" if worst == 0 else "FAIL", residual=float(worst))
         for line in lines:

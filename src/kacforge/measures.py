@@ -9,6 +9,8 @@ transforms of measures with their per-block norm profile, and evaluates
 Chebyshev-recursion states on the free orthogonal dimension ladder.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -292,6 +294,16 @@ def chebyshev_state(N, t, cutoff):
     if cutoff >= RING_CAP:                 # labels 0..cutoff of the ladder
         raise DomainError(f"cutoff {cutoff} gives {cutoff + 1} labels, over "
                           f"the ring cap {RING_CAP}")
+    # P_k(p/q) is an integer of size at most (2 max(|p|, q))^k over q^k, and
+    # 0 < P_k(N) <= N^k: so no ratio's numerator or denominator has more
+    # digits than those two bounds at k = cutoff, which must fit in text
+    digits = cutoff * (math.log10(2 * max(t.numerator, t.denominator))
+                       + math.log10(N)) + 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise DomainError(f"cutoff {cutoff} at N={N}, t={t} gives values of "
+                          f"up to {int(digits)} digits, over the "
+                          f"{limit}-digit limit of integer text")
     num = chebyshev_values(t, cutoff)
     den = chebyshev_values(N, cutoff)
     return ChebyshevState(N=int(N), t=t,

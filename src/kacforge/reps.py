@@ -4,10 +4,10 @@ Candidates come in two families: orbit matrices built from the discrete
 action (entries are sums of basis elements over a fiber of the action) and
 lifted matrix irreps of the compact group.  Their tensor products are the
 natural candidate list; whether candidates are irreducible or pairwise
-distinct is always computed, never assumed.  Two independent routes give
-intertwiner-space dimensions (invariant-state character pairing vs. an
-exact nullspace solve) and every enumeration is certified against the
-squared-dimension count of the algebra.
+distinct is always computed, never assumed.  Intertwiner dimensions come
+by two routes: the invariant-state pairing of characters (a tensor's is
+the product of its factors'), and an exact nullspace solve on the built
+tensor.  Each enumeration is certified by the squared-dimension count.
 """
 
 from dataclasses import dataclass
@@ -612,35 +612,29 @@ def enumerate_irreps(A, seed=DEFAULT_SEED):
 # fusion: tensor counts, closed-form evaluation and the three-way audit
 
 
-def tensor_mor_dims(sources, chars, factors, triples):
-    """Haar and solver dimensions, two int64 arrays, of Mor(sources[i],
-    factors[l] (x) factors[r]) for the index arrays (i, l, r) = ``triples``;
-    ``chars`` are the sources' characters.  Each tensor is built once, in
-    (l, r) order, into runs closed at _BLOCK // 8 entries (about 1 MB); a
-    run's triples, in their given order, take one pairing and one mor_dims
+def tensor_mor_dims(sources, factors, triples):
+    """Solver dimensions, an int64 array, of Mor(sources[i], factors[l] (x)
+    factors[r]) for the index arrays (i, l, r) = ``triples``.  Each tensor
+    is built once, in (l, r) order, into runs closed at _BLOCK // 8 entries
+    (about 1 MB); a run's triples, in their given order, take one mor_dims
     call."""
     si, li, ri = triples
-    target = li * len(factors) + ri
-    order = np.argsort(target, kind="stable")     # sliced once per run
-    count = np.bincount(target)
-    end = np.cumsum(count)
-    haar, solver = np.zeros((2, len(target)), dtype=np.int64)
+    n = len(factors)
+    target = li * n + ri
+    order, first, count = _group(target, n * n)
+    solver = np.zeros(len(target), dtype=np.int64)
     ts, tensors, held = [], [], 0
     for t in np.flatnonzero(count).tolist():
         ts.append(t)
-        tensors.append(factors[t // len(factors)].tensor(
-            factors[t % len(factors)]))
+        tensors.append(factors[t // n].tensor(factors[t % n]))
         held += len(tensors[-1].value)
-        if held >= _BLOCK // 8 or t == len(count) - 1:
-            at = np.sort(order[end[ts[0]] - count[ts[0]]:end[t]])
+        if held >= _BLOCK // 8 or first[t] + count[t] == len(order):
+            at = np.sort(order[first[ts[0]]:first[t] + count[t]])
             col = np.searchsorted(ts, target[at])
-            haar[at] = rounded_pairings(
-                chars, [x.character() for x in tensors],
-                sources[0].algebra.nk)[si[at], col]
             solver[at] = [d for d, _ in mor_dims(
                 list(sources) + tensors, si[at], len(sources) + col)]
             ts, tensors, held = [], [], 0
-    return haar, solver
+    return solver
 
 
 def fusion_formula_table(mp, space, chars):
@@ -739,8 +733,12 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
         picks = np.sort(rng_from(seed, 5).choice(
             triples_total, size=AUDIT_TRIPLES, replace=False))
     gi, xi, ri, si = np.unravel_index(picks, shape)
-    haar, solver = tensor_mor_dims(cands, chars, cands[::nx],
-                                   (gi * nx + xi, ri, si))
+    # Haar from character products, [candidate, r, s]: one product call per
+    # left orbit matrix, whose support is its own orbit's block
+    orbit_chars = chars[::nx]
+    haar = np.stack([rounded_pairings(chars, A.mul_vec(c, orbit_chars), A.nk)
+                     for c in orbit_chars], axis=1)[gi * nx + xi, ri, si]
+    solver = tensor_mor_dims(cands, cands[::nx], (gi * nx + xi, ri, si))
     entries = []
     for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
                                 si.tolist(), solver.tolist(), haar.tolist()):

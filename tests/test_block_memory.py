@@ -163,9 +163,9 @@ def test_fusion_counts_one_left_factor_at_a_time(monkeypatch):
     from kacforge import cli
     real, calls = cli.tensor_mor_dims, []
 
-    def spy(sources, chars, factors, triples):
+    def spy(sources, factors, triples):
         calls.append((len(triples[0]), set(triples[1].tolist())))
-        return real(sources, chars, factors, triples)
+        return real(sources, factors, triples)
 
     monkeypatch.setattr(cli, "tensor_mor_dims", spy)
     report = cli.run_pipeline("fusion", _conj_s4_s3())

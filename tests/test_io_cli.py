@@ -356,6 +356,21 @@ def test_cli_chebyshev_cutoff_over_the_ring_cap_is_one_error_line(capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_chebyshev_values_past_the_digit_limit_are_one_error_line(
+        capsys):
+    """At N = 10^20 the values of level 255 pass the integer-to-text digit
+    limit; level 200 stays under it and prints."""
+    code = main(["shadow", "chebyshev", "--N", "100000000000000000000",
+                 "--t", "1", "--cutoff", "255"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digit limit" in err
+    assert main(["shadow", "chebyshev", "--N", "100000000000000000000",
+                 "--t", "1", "--cutoff", "200"]) == 0
+
+
 @pytest.mark.parametrize("command", ["validate", "fusion"])
 def test_cli_free_ring_past_the_float_range_is_one_error_line(tmp_path,
                                                               capsys,

@@ -6,6 +6,7 @@ before being pinned; the transform identities are checked against
 independently computed block products.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -289,6 +290,40 @@ def test_chebyshev_strictly_decreasing_on_safe_band(N, t):
     st_ = chebyshev_state(N, t, 12)
     for k in range(1, 12):
         assert st_.values[k + 1] < st_.values[k]
+
+
+def test_chebyshev_values_past_the_digit_limit_are_refused_unbuilt(
+        monkeypatch):
+    """P_255 at N = 10^20 has over 5,000 digits, past the default limit of
+    4,300 on integer text; the refusal comes before any value is built."""
+    def unbuilt(x, cutoff):
+        raise AssertionError("a value was built")
+
+    monkeypatch.setattr(measures, "chebyshev_values", unbuilt)
+    with pytest.raises(DomainError, match="digit limit"):
+        chebyshev_state(10 ** 20, 1, 255)
+
+
+@given(st.integers(min_value=2, max_value=10 ** 12),
+       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9),
+       st.integers(min_value=0, max_value=255))
+@settings(max_examples=60, deadline=None)
+def test_chebyshev_state_is_refused_or_fits_in_text(N, share, cutoff):
+    """Under the lowest digit limit Python allows, every state is either
+    refused or prints every numerator and denominator."""
+    t = share * N
+    if not 0 < t < N:
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        values = chebyshev_state(N, t, cutoff).values
+    except DomainError:
+        return
+    else:
+        assert all(str(v) for v in values)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_chebyshev_approaches_one_near_top():

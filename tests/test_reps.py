@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from kacforge import reps
 from kacforge.errors import NonIntegral, ValidationError
-from kacforge.groups import MatrixIrrep, character_table, is_isomorphic_small
+from kacforge.groups import (MatrixIrrep, character_table, is_isomorphic_small,
+                             rounded_pairings)
 from kacforge.hopf import (build_algebra, compact_restriction_morphism,
                            plain_function_algebra)
 from kacforge.io_formats import load_pair
@@ -323,7 +324,10 @@ def test_audit_flags_collapsed_candidates():
 @pytest.mark.parametrize("fname", ["s3_split_dual", "z2_on_z4"])
 def test_tensor_counts_equal_the_per_pair_routes(fname):
     """Each (z, u, w) of the canonical irreps, and each (candidate, orbit
-    matrix, orbit matrix), listed in a shuffled order."""
+    matrix, orbit matrix), listed in a shuffled order: the tensor count is
+    the solver's on the built tensor, and the tensor's character is the
+    product of the factors' characters, so the Haar pairing with it is the
+    pairing with the product."""
     A = build_algebra(load_pair(str(SAMPLES / f"{fname}.pair")))
     cat = enumerate_irreps(A)
     nx = len(cat.irreps)
@@ -332,13 +336,65 @@ def test_tensor_counts_equal_the_per_pair_routes(fname):
         shape = (len(sources), len(factors), len(factors))
         triples = np.unravel_index(
             np.random.default_rng(7).permutation(np.prod(shape)), shape)
-        haar, solver = tensor_mor_dims(
-            sources, [c.character() for c in sources], factors, triples)
-        for (i, l, r), h, d in zip(zip(*(t.tolist() for t in triples)),
-                                   haar.tolist(), solver.tolist()):
+        solver = tensor_mor_dims(sources, factors, triples)
+        for (i, l, r), d in zip(zip(*(t.tolist() for t in triples)),
+                                solver.tolist()):
             target = factors[l].tensor(factors[r])
-            assert h == mor_dim_haar(sources[i], target)
+            product = A.mul_vec(factors[l].character(),
+                                factors[r].character())
+            assert np.abs(target.character() - product).max() < 1e-9
+            assert mor_dim_haar(sources[i], target) == rounded_pairings(
+                [sources[i].character()], [product], A.nk)[0, 0]
             assert d == mor_dim_solver(sources[i], target)[0]
+
+
+def _swapped_tensor(monkeypatch):
+    """Make Corepresentation.tensor build w (x) u for u (x) w."""
+    real = Corepresentation.tensor
+    monkeypatch.setattr(Corepresentation, "tensor",
+                        lambda self, other: real(other, self))
+
+
+@pytest.mark.parametrize("name", ["double-s3-twist", "sign-on-z7"])
+def test_audit_catches_a_tensor_with_swapped_factors(name, monkeypatch):
+    """The Haar route reads no tensor, so a fault in the tensor builder
+    moves the solver alone and the two routes part."""
+    A, cat = algebra_of(name), catalog_of(name)
+    assert audit_fusion(A, cat).oracle_consistent
+    _swapped_tensor(monkeypatch)
+    assert not audit_fusion(A, cat).oracle_consistent
+
+
+def test_fusion_catches_a_tensor_with_swapped_factors(monkeypatch):
+    from kacforge import cli
+    _swapped_tensor(monkeypatch)
+    report = cli.run_pipeline("fusion", [str(SAMPLES / "s4_s3_z4.pair")])
+    agreement = report.entries()[0]
+    assert agreement.name.endswith("route-agreement")
+    assert agreement.status == "FAIL"
+
+
+def test_fusion_routes_read_no_tensor_character(monkeypatch):
+    """The audit and ``kacforge fusion`` take Haar numbers from products of
+    the factors' characters; only the solver reads the built tensors."""
+    from kacforge import cli
+    real, read, built = Corepresentation.character, [], []
+    real_tensor = Corepresentation.tensor
+
+    def spy(self):
+        read.append(self.label)
+        return real(self)
+
+    def tensor_spy(self, other):
+        built.append(1)
+        return real_tensor(self, other)
+
+    monkeypatch.setattr(Corepresentation, "character", spy)
+    monkeypatch.setattr(Corepresentation, "tensor", tensor_spy)
+    audit_fusion(algebra_of("s3-split"), catalog_of("s3-split"))
+    cli.run_pipeline("fusion", [str(SAMPLES / "s3_split_dual.pair")])
+    assert read and built
+    assert not [label for label in read if "(x)" in label]
 
 
 def test_audit_counts_a_solver_mismatch_on_a_candidate_pair(monkeypatch):

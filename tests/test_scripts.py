@@ -51,6 +51,16 @@ def test_decay_profile_rejects_a_cutoff_over_the_ring_cap(capsys):
                      "over the ring cap 256)"]
 
 
+def test_decay_profile_rejects_values_past_the_digit_limit(capsys):
+    code, lines = run_script("decay_profile", [
+        "--N", "100000000000000000000", "--t", "1", "--cutoff", "255"],
+        capsys)
+    assert code == 0
+    assert len(lines) == 1
+    assert lines[0].startswith("t = 1: rejected (cutoff 255 at N=")
+    assert "digit limit" in lines[0]
+
+
 def test_rd_scan_two_instances_pass_the_bound(capsys):
     code, lines = run_script("rd_scan", ["--samples", "2"], capsys)
     assert code == 0
