@@ -22,7 +22,7 @@ from .errors import (DomainError, IdentityViolated, KacforgeError,
 from .groups import rounded_pairings
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
-from .matched import magic_relations_report, magic_unitary, orbits_fixed_sets
+from .matched import magic_relations_report, magic_unitary, orbit_space
 from .reps import (audit_fusion, enumerate_irreps, invariant_groups,
                    tensor_mor_dims)
 
@@ -49,9 +49,8 @@ def _cmd_validate(bundle, config, report, args):
         report.add("inputs", f"pair {name}", "PASS",
                    witness=f"discrete {mp.discrete.order}, "
                            f"compact {mp.compact.order}")
-        space, _, _ = orbits_fixed_sets(mp)
         bad = []
-        for orbit in space.orbits:
+        for orbit in orbit_space(mp).orbits:
             for rel, ok, witness in magic_relations_report(
                     magic_unitary(mp, orbit)):
                 if not ok:

@@ -482,23 +482,24 @@ def semidirect_product(N, Q, action):
     act = np.ascontiguousarray(action, dtype=np.int32)
     if act.shape != (Q.order, N.order):
         raise NotAnAction(f"action table shape {act.shape} != ({Q.order},{N.order})")
-    for q in range(Q.order):
-        if len(np.unique(act[q])) != N.order:
-            raise NotAnAction(f"action of q={q} is not a bijection")
-    if not np.array_equal(act[Q.identity], np.arange(N.order)):
+    nN, nQ = N.order, Q.order
+    bad = (np.sort(act, 1) != np.arange(nN)).any(1)
+    if bad.any():
+        raise NotAnAction(f"action of q={bad.argmax()} is not a bijection")
+    if not np.array_equal(act[Q.identity], np.arange(nN)):
         raise NotAnAction("identity of Q does not act trivially")
     CN, CQ = N.cayley, Q.cayley
-    for q in range(Q.order):
-        if not np.array_equal(act[q][CN], CN[np.ix_(act[q], act[q])]):
-            raise NotAnAction(f"action of q={q} is not an automorphism")
-    for p in range(Q.order):
-        comp = act[p][act]          # comp[q] = act_p . act_q
-        if not np.array_equal(act[CQ[p]], comp):
-            q = next(qq for qq in range(Q.order)
-                     if not np.array_equal(act[CQ[p, qq]], comp[qq]))
-            raise NotAnAction(f"act_(pq) != act_p act_q at p={p}, q={q}")
-
-    nN, nQ = N.order, Q.order
+    # act_q(nm) = act_q(n) act_q(m) and act_pq = act_p act_q, over row
+    # blocks of q and of p
+    bad = _blockwise(nQ, nN * nN, lambda b: (
+        act[b][:, CN] != CN[act[b][:, :, None], act[b][:, None]]).any((1, 2)))
+    if bad.any():
+        raise NotAnAction(f"action of q={bad.argmax()} is not an automorphism")
+    bad = _blockwise(nQ, nQ * nN, lambda b: (
+        act[CQ[b]] != act[b][:, act]).any(2))
+    if bad.any():
+        p, q = np.argwhere(bad)[0]
+        raise NotAnAction(f"act_(pq) != act_p act_q at p={p}, q={q}")
     n_idx, q_idx = np.divmod(np.arange(nN * nQ, dtype=np.int32), nQ)
     # (n,q)(n',q'): first factor n * act_q(n'), second q q'
     first = CN[n_idx[:, None], act[q_idx[:, None], n_idx[None, :]]]

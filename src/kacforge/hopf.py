@@ -474,7 +474,9 @@ def check_axioms(A):
         dev = max(dev, 1.0 / nk)
     checks.append(AxiomCheck("haar-positivity", dev))
 
-    checks.append(AxiomCheck("haar-unital", float(abs(A.haar(A.unit_vec) - 1.0))))
+    # ... and unital, counted exactly: |K| h(1) is an integer sum
+    checks.append(AxiomCheck("haar-unital",
+                             abs(int(A.haar_k[unit].sum()) - nk) / nk))
     return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
 
 

@@ -4,9 +4,11 @@ A matched pair couples a "discrete" group (call it R here) and a "compact"
 group (call it K) through two action tables
     act_on_compact[r, k]   (left action of R on the set of K)
     act_on_discrete[k, r]  (right action of K on the set of R)
-subject to the twisted compatibility laws validated on construction.  Exact
-factorizations of an ambient group give one canonical example; recipes that
-twist one side by a crossed homomorphism give more.
+subject to the twisted compatibility laws validated on construction, each
+law over whole tables in row blocks.  Exact factorizations of an ambient
+group give one canonical example; recipes that twist one side by a crossed
+homomorphism give more.  ``orbit_space`` gives the K-orbits on R alone;
+``orbits_fixed_sets`` adds both fixed subgroups, for the invariant groups.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotCrossedHom, NotMatched, ValidationError
-from .groups import group_from_cayley
+from .groups import _row_blocks, group_from_cayley
 
 # index convention throughout: r, s, t name discrete elements; g, h, k compact
 
@@ -70,32 +72,30 @@ class MatchedPair:
             raise ValidationError("alpha-unit", "actions must fix the unit of K")
         if not np.array_equal(B[:, R.identity], np.full(nk, R.identity)):
             raise ValidationError("beta-unit", "actions must fix the unit of R")
-        for r in range(nr):
-            if not np.array_equal(A[CR[r]], A[r][A]):
-                s = next(ss for ss in range(nr)
-                         if not np.array_equal(A[CR[r, ss]], A[r][A[ss]]))
-                raise ValidationError("alpha-action", f"(r,s)=({r},{s})")
-        for g in range(nk):
-            lhs = B[CK[g]]                      # [h, r] -> beta_{gh}(r)
-            rhs = B[np.arange(nk)[:, None], B[g][None, :]]
-            if not np.array_equal(lhs, rhs):
-                h = next(hh for hh in range(nk)
-                         if not np.array_equal(lhs[hh], rhs[hh]))
-                raise ValidationError("beta-action", f"(g,h)=({g},{h})")
-        for r in range(nr):
-            lhs = A[r][CK]                      # [g, h] -> alpha_r(gh)
-            rhs = CK[A[r][:, None], A[B[:, r], :]]
-            if not np.array_equal(lhs, rhs):
-                g, h = np.argwhere(lhs != rhs)[0]
-                raise ValidationError("product-compat-compact",
-                                      f"(r,g,h)=({r},{g},{h})")
-        for g in range(nk):
-            lhs = B[g][CR]                      # [r, s] -> beta_g(rs)
-            rhs = CR[B[A[:, g]].T, B[g][None, :]]
-            if not np.array_equal(lhs, rhs):
-                r, s = np.argwhere(lhs != rhs)[0]
-                raise ValidationError("product-compat-discrete",
-                                      f"(g,r,s)=({g},{r},{s})")
+        laws = (
+            # alpha_{rs} = alpha_r alpha_s
+            ("alpha-action", "r,s", nr, nr * nk,
+             lambda b: (A[CR[b]] != A[b][:, A]).any(2)),
+            # beta_{gh} = beta_h beta_g
+            ("beta-action", "g,h", nk, nk * nr,
+             lambda b: (B[CK[b]] != B[np.arange(nk)[:, None],
+                                      B[b][:, None]]).any(2)),
+            # alpha_r(gh) = alpha_r(g) alpha_{beta_g(r)}(h)
+            ("product-compat-compact", "r,g,h", nr, nk * nk,
+             lambda b: A[b][:, CK] != CK[A[b][:, :, None], A[B[:, b].T]]),
+            # beta_g(rs) = beta_{alpha_s(g)}(r) beta_g(s)
+            ("product-compat-discrete", "g,r,s", nk, nr * nr,
+             lambda b: B[b][:, CR] != CR[B[A[:, b].T].transpose(0, 2, 1),
+                                          B[b][:, None]]),
+        )
+        for law, names, n, per_row, bad_in in laws:
+            for blk in _row_blocks(n, per_row):
+                bad = bad_in(blk)
+                if bad.any():
+                    at = np.argwhere(bad)[0]
+                    at[0] += blk.start
+                    raise ValidationError(
+                        law, f"({names})=({','.join(map(str, at))})")
         return True
 
     # -- conveniences -------------------------------------------------------
@@ -217,21 +217,26 @@ class OrbitSpace:
     orbit_of: np.ndarray  # discrete index -> orbit index
 
 
-def orbits_fixed_sets(mp):
-    """Orbits of the compact action on the discrete side, plus both fixed
-    subgroups (as (FiniteGroup, parent element list)).
+def orbit_space(mp):
+    """Orbits of the compact action on the discrete side.
 
     beta is a right action, so column r of beta is the whole orbit of r and
     its minimum names the orbit; orbits are ordered by that minimum."""
-    A, B = mp.alpha, mp.beta
-    _, orbit_of = np.unique(B.min(0), return_inverse=True)
+    _, orbit_of = np.unique(mp.beta.min(0), return_inverse=True)
     orbits = [np.flatnonzero(orbit_of == oi).tolist()
               for oi in range(orbit_of.max() + 1)]
-    space = OrbitSpace(pair=mp, orbits=orbits,
-                       orbit_of=orbit_of.astype(np.int32))
+    return OrbitSpace(pair=mp, orbits=orbits,
+                      orbit_of=orbit_of.astype(np.int32))
+
+
+def orbits_fixed_sets(mp):
+    """The orbit space plus both fixed subgroups (as (FiniteGroup, parent
+    element list)), the points that the other side's action fixes."""
+    A, B = mp.alpha, mp.beta
     fixed_r = np.flatnonzero((B == np.arange(B.shape[1])).all(0))
     fixed_k = np.flatnonzero((A == np.arange(A.shape[1])).all(0))
-    return space, mp.discrete.subgroup(fixed_r), mp.compact.subgroup(fixed_k)
+    return (orbit_space(mp), mp.discrete.subgroup(fixed_r),
+            mp.compact.subgroup(fixed_k))
 
 
 def burnside_orbit_counts(mp, space):

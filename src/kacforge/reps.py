@@ -23,7 +23,7 @@ from .groups import (_BLOCK, FiniteGroup, _components, _eigen_groups,
                      _row_blocks, closure_table, dual_group, is_isomorphic_small,
                      matrix_irreps, permuted_rows, rng_from,
                      rounded_pairings, semidirect_product)
-from .matched import b_sets, orbits_fixed_sets
+from .matched import b_sets, orbit_space, orbits_fixed_sets
 
 
 class Corepresentation:
@@ -177,7 +177,7 @@ def build_candidates(A, seed=DEFAULT_SEED):
     Returns (candidates, orbit_space, irreps); candidate k has label
     "o<i>*<x>" recording its construction.
     """
-    space, _, _ = orbits_fixed_sets(A.pair)
+    space = orbit_space(A.pair)
     irreps = matrix_irreps(A.pair.compact, seed=seed)
     candidates = []
     for oi, orbit in enumerate(space.orbits):
@@ -793,12 +793,27 @@ class InvariantGroups:
     spectrum_iso: tuple
 
 
+def _invariant_group(vectors, row_products, labels, name, what, dual, fixed,
+                     points):
+    """(group, model, iso): ``vectors`` closed under ``row_products``, the
+    semidirect product of ``dual`` by ``fixed`` acting on the dual's
+    characters through the point maps ``points``, and their isomorphism."""
+    group = FiniteGroup(closure_table(vectors, row_products, TOL_MULT,
+                                      f"{name}-closure", what), labels=labels)
+    act = permuted_rows(dual.characters, points, TOL_MATCH)
+    if (act < 0).any():
+        raise ValidationError(f"{name}-model",
+                              "twisted character escaped the dual")
+    model = semidirect_product(dual.group, fixed, act)
+    return group, model, is_isomorphic_small(group, model)
+
+
 def invariant_groups(A, catalog, seed=DEFAULT_SEED):
     """Both canonical finite groups attached to the algebra, with the
     independently built structured models and isomorphism tests."""
     mp = A.pair
     R, K = mp.discrete, mp.compact
-    space, (fix_r_group, fix_r_el), (fix_k_group, fix_k_el) = \
+    _, (fix_r_group, fix_r_el), (fix_k_group, fix_k_el) = \
         orbits_fixed_sets(mp)
 
     # --- group of 1-dim corepresentations under tensor
@@ -814,24 +829,14 @@ def invariant_groups(A, catalog, seed=DEFAULT_SEED):
         raise ValidationError("intrinsic-grouplike",
                               f"worst deviation {dev:.3e}")
     V = np.array([c.character() for c in ones])    # d = 1: the coefficients
-    cayley = closure_table(V, lambda i: A.mul_vec(V[i], V), TOL_MULT,
-                           "intrinsic-closure", "product")
-    intrinsic = FiniteGroup(cayley, labels=[c.label for c in ones])
-
-    # structured model: compact-side dual extended by the fixed discrete part
-    dualK = dual_group(K, seed=seed)
-    act = permuted_rows(dualK.characters, mp.alpha[R.inverse[fix_r_el]],
-                        TOL_MATCH)
-    if (act < 0).any():
-        raise ValidationError("intrinsic-model",
-                              "twisted character escaped the dual")
-    intrinsic_model = semidirect_product(dualK.group, fix_r_group, act)
-    intrinsic_iso = is_isomorphic_small(intrinsic, intrinsic_model)
+    intrinsic, intrinsic_model, intrinsic_iso = _invariant_group(
+        V, lambda i: A.mul_vec(V[i], V), [c.label for c in ones],
+        "intrinsic", "product", dual_group(K, seed=seed), fix_r_group,
+        mp.alpha[R.inverse[fix_r_el]])
 
     # --- algebra characters under convolution
     dualR = dual_group(R, seed=seed)
-    passers = []
-    pass_vectors = []
+    labels, vectors = [], []
     partner = A.partner
     for g in range(K.order):
         # phi vanishes exactly off `on`: every pair in it must be a product
@@ -849,27 +854,16 @@ def invariant_groups(A, catalog, seed=DEFAULT_SEED):
                 continue
             if abs(np.dot(phi, A.unit_vec) - 1.0) > TOL_MULT:
                 continue
-            passers.append((g, mi))
-            pass_vectors.append(phi)
-    P = np.array(pass_vectors)
+            labels.append(f"({K.labels[g]},m{mi})")
+            vectors.append(phi)
+    P = np.array(vectors)
     right = P[:, A.delta_right]                  # [j, basis, coproduct term]
-    conv_cayley = closure_table(
-        P, lambda i: (P[i][A.delta_left] * right).sum(2), TOL_MULT,
-        "spectrum-closure", "convolution")
-    spectrum = FiniteGroup(conv_cayley,
-                           labels=[f"({K.labels[g]},m{mi})"
-                                   for g, mi in passers])
-
-    # structured model: discrete-side dual extended by the fixed compact part
-    actS = permuted_rows(dualR.characters, mp.beta[fix_k_el], TOL_MATCH)
-    if (actS < 0).any():
-        raise ValidationError("spectrum-model",
-                              "twisted character escaped the dual")
-    spectrum_model = semidirect_product(dualR.group, fix_k_group, actS)
-    spectrum_iso = is_isomorphic_small(spectrum, spectrum_model)
+    spectrum, spectrum_model, spectrum_iso = _invariant_group(
+        P, lambda i: (P[i][A.delta_left] * right).sum(2), labels,
+        "spectrum", "convolution", dualR, fix_k_group, mp.beta[fix_k_el])
 
     return InvariantGroups(
         intrinsic=intrinsic, intrinsic_model=intrinsic_model,
         intrinsic_iso=intrinsic_iso, spectrum=spectrum,
-        spectrum_vectors=pass_vectors, spectrum_model=spectrum_model,
+        spectrum_vectors=vectors, spectrum_model=spectrum_model,
         spectrum_iso=spectrum_iso)

@@ -1,6 +1,9 @@
 """Finite-group layer: constructors, invariants, character data."""
 
+import hashlib
+import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -34,6 +37,14 @@ POOL = [
     dihedral_group(4), dihedral_group(7), Q8,
     direct_product(cyclic_group(2), cyclic_group(6)),
 ]
+
+# the seeded sweep as the earlier per-element checks reported it
+SEMIDIRECT_SWEEP_KINDS = {"ok": 38, "not a bijection": 43,
+                          "identity of Q does not act trivially": 18,
+                          "not an automorphism": 55,
+                          "act_(pq) != act_p act_q": 46}
+SEMIDIRECT_SWEEP_SHA256 = \
+    "1c12df1e4ae51a949299120bd23a0e8885cdfb05efb447044a54570f795f85a0"
 
 _table_cache = {}
 
@@ -289,6 +300,63 @@ def test_semidirect_rejects_non_action():
     # q of order 2 acting by a 4-cycle: not a homomorphism into Aut
     with pytest.raises(NotAnAction):
         semidirect_product(Z4, Z2, [[0, 1, 2, 3], [1, 2, 3, 0]])
+
+
+@pytest.mark.parametrize("row", [[0, 2, 5], [0, 2, -1]])
+def test_semidirect_refuses_an_action_entry_out_of_range(row):
+    with pytest.raises(NotAnAction, match=r"^action of q=1 is not a bijection$"):
+        semidirect_product(cyclic_group(3), cyclic_group(2), [[0, 1, 2], row])
+
+
+def _automorphisms(N):
+    """Every automorphism of a small group, as index rows, by brute force."""
+    others = [a for a in range(N.order) if a != N.identity]
+    out = []
+    for images in itertools.permutations(others):
+        f = np.arange(N.order)
+        f[others] = images
+        if np.array_equal(f[N.cayley], N.cayley[f[:, None], f[None, :]]):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("block", [groups._BLOCK, 1])
+def test_semidirect_messages_on_a_seeded_sweep(block):
+    """200 seeded action tables, mostly rows drawn from Aut(N), some random
+    permutations and some non-bijective rows: each table's NotAnAction text
+    (or "ok") is pinned, so the law checked first and its witness hold,
+    also when every row block is one row."""
+    normals = [cyclic_group(3), cyclic_group(4), cyclic_group(5),
+               direct_product(cyclic_group(2), cyclic_group(2)), S3]
+    auts = [_automorphisms(N) for N in normals]
+    quotients = [cyclic_group(2), cyclic_group(3), cyclic_group(4), S3]
+    rng = np.random.default_rng(0x5EED)
+    messages = []
+    for _ in range(200):
+        ni = rng.integers(len(normals))
+        N, Q = normals[ni], quotients[rng.integers(len(quotients))]
+        rows = []
+        for q in range(Q.order):
+            if q == Q.identity and rng.random() < 0.85:
+                rows.append(np.arange(N.order))
+                continue
+            u = rng.random()
+            if u < 0.7:
+                rows.append(auts[ni][rng.integers(len(auts[ni]))])
+            elif u < 0.9:
+                rows.append(rng.permutation(N.order))
+            else:
+                rows.append(rng.integers(N.order, size=N.order))
+        try:
+            with mock.patch.object(groups, "_BLOCK", block):
+                semidirect_product(N, Q, rows)
+            messages.append("ok")
+        except NotAnAction as err:
+            messages.append(str(err))
+    kinds = Counter(m.split(" at ")[0].split(" is ")[-1] for m in messages)
+    assert kinds == SEMIDIRECT_SWEEP_KINDS
+    assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == \
+        SEMIDIRECT_SWEEP_SHA256
 
 
 # ---------------------------------------------------------------------------

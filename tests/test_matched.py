@@ -1,22 +1,28 @@
 """Matched-pair layer: factorizations, orbits, indicator matrices, twists."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacforge import groups
 from kacforge.errors import NotCrossedHom, NotMatched, ValidationError
 from kacforge.groups import is_isomorphic_small, dual_group, AbelianGroup
 from kacforge.library import (corpus_pairs, cyclic_group, dihedral_group,
-                              pair_conj_s3_rotations, pair_dihedral7_twist,
-                              pair_double_s3_twist, pair_s3_split,
+                              pair_conj_s3_rotations, pair_conjugation,
+                              pair_dihedral7_twist, pair_double_s3_twist,
+                              pair_s3_split,
                               pair_s3_split_dual, pair_s4, pair_sign_on_z7,
-                              pair_z6_abelian, symmetric_group)
+                              pair_z6_abelian, stabilizer_and_cycle,
+                              symmetric_group)
 from kacforge.matched import (MatchedPair, b_sets, burnside_orbit_counts,
                               deform_by_chi_G, derive_actions,
                               magic_relations_report, magic_unitary,
-                              orbits_fixed_sets, trivial_pair)
+                              orbit_space, orbits_fixed_sets, trivial_pair)
 
 CORPUS = corpus_pairs()
 BY_NAME = {mp.name: mp for mp in CORPUS}
@@ -86,6 +92,58 @@ def test_validation_catches_unit_moving():
         MatchedPair(mp.discrete, mp.compact, bad, mp.beta)
 
 
+def _relabelled(table, identity, rng):
+    """``table`` with one transposition of two non-identity points applied
+    to its columns and its values: still an action, fixing the unit."""
+    n = table.shape[1]
+    if n < 3:
+        return table
+    a, b = rng.choice(np.setdiff1d(np.arange(n), [identity]), 2,
+                      replace=False)
+    sigma = np.arange(n)
+    sigma[[a, b]] = [b, a]
+    return sigma[table[:, sigma]]
+
+
+@pytest.mark.parametrize("block", [groups._BLOCK, 1])
+def test_validation_messages_on_a_seeded_sweep(block):
+    """Per corpus pair, 40 swaps of two rows of alpha or beta and 4 relabelled
+    tables: each one's ValidationError text (or "ok") is pinned, so the law
+    checked first and its witness, the first violation in row-major
+    order, hold, also when every row block is one row."""
+    rng = np.random.default_rng(0x5EED)
+    messages = []
+    for mp in CORPUS:
+        R, K = mp.discrete, mp.compact
+        trials = []
+        for n in range(40):
+            tables = [np.array(mp.alpha), np.array(mp.beta)]
+            t = tables[n % 2]
+            if len(t) > 1:
+                i, j = rng.choice(len(t), 2, replace=False)
+                t[[i, j]] = t[[j, i]]
+            trials.append(tables)
+        for n in range(4):
+            tables = [mp.alpha, mp.beta]
+            tables[n % 2] = _relabelled(tables[n % 2], (K, R)[n % 2].identity,
+                                        rng)
+            trials.append(tables)
+        for alpha, beta in trials:
+            try:
+                with mock.patch.object(groups, "_BLOCK", block):
+                    MatchedPair(R, K, alpha, beta)
+                messages.append("ok")
+            except ValidationError as err:
+                messages.append(str(err))
+    kinds = Counter(m.split("]")[0].lstrip("[") for m in messages)
+    assert kinds == {"ok": 177, "alpha-identity": 41, "alpha-action": 49,
+                     "beta-identity": 38, "beta-action": 30,
+                     "product-compat-compact": 15,
+                     "product-compat-discrete": 2}
+    assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == \
+        "2094086a1ee06db6e32cc51b49d5e58db3adc98a666dee790848369e6fc43836"
+
+
 # ---------------------------------------------------------------------------
 # orbits and fixed subgroups
 
@@ -118,10 +176,27 @@ def test_orbits_double_s3_twist():
     assert all(c == 1 for c in burnside_orbit_counts(mp, space))
 
 
+def _larger_pairs():
+    S4 = symmetric_group(4)
+    stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
+    return [derive_actions(*stabilizer_and_cycle(5), name="s5-cyclic5"),
+            pair_conjugation(S4, stab, name="conj-s4-s3")]
+
+
+@pytest.mark.parametrize("mp", CORPUS + _larger_pairs(),
+                         ids=lambda mp: mp.name)
+def test_orbit_space_is_the_orbit_part_of_orbits_fixed_sets(mp):
+    space, whole = orbit_space(mp), orbits_fixed_sets(mp)[0]
+    assert space.pair is whole.pair is mp
+    assert space.orbits == whole.orbits
+    assert space.orbit_of.dtype == whole.orbit_of.dtype == np.int32
+    assert np.array_equal(space.orbit_of, whole.orbit_of)
+
+
 @settings(deadline=None, max_examples=len(CORPUS))
 @given(st.sampled_from(CORPUS))
 def test_burnside_counts_are_one(mp):
-    space, _, _ = orbits_fixed_sets(mp)
+    space = orbit_space(mp)
     assert all(c == 1 for c in burnside_orbit_counts(mp, space))
 
 
@@ -132,7 +207,7 @@ def test_burnside_counts_are_one(mp):
 @settings(deadline=None, max_examples=len(CORPUS))
 @given(st.sampled_from(CORPUS))
 def test_magic_relations_every_orbit(mp):
-    space, _, _ = orbits_fixed_sets(mp)
+    space = orbit_space(mp)
     for orb in space.orbits:
         report = magic_relations_report(magic_unitary(mp, orb))
         assert all(ok for _, ok, _ in report), (mp.name, orb, report)
@@ -150,7 +225,7 @@ def test_magic_relations_catch_corruption():
     broken = MatchedPair(mp.discrete, mp.compact, mp.alpha, bad,
                          validate=False)
     # orbit data from the honest pair, sets from the corrupted one
-    space, _, _ = orbits_fixed_sets(mp)
+    space = orbit_space(mp)
     orb = space.orbits[space.orbit_of[r1]]
     report = magic_relations_report(magic_unitary(broken, orb))
     assert not all(ok for _, ok, _ in report)

@@ -15,7 +15,7 @@ from kacforge import groups
 from kacforge.groups import character_table, match_rows
 from kacforge.library import corpus_pairs
 from kacforge.matched import (MatchedPair, magic_relations_report,
-                              magic_unitary, orbits_fixed_sets)
+                              magic_unitary, orbit_space)
 from kacforge.reps import fusion_formula_table
 
 from .oracles import naive_fusion_formula, naive_magic_relations
@@ -43,7 +43,7 @@ def seeded_corruption(mp, seed):
 def test_relations_and_closed_form_match_naive_loops(name, seed):
     mp = CORPUS[name]
     bad = seeded_corruption(mp, seed)
-    space, _, _ = orbits_fixed_sets(mp)        # orbits of the honest pair
+    space = orbit_space(mp)  # orbits of the honest pair
     for orb in space.orbits:
         assert (magic_relations_report(magic_unitary(bad, orb))
                 == naive_magic_relations(bad, orb))
@@ -60,7 +60,7 @@ def test_relations_and_closed_form_match_naive_loops(name, seed):
 
 def test_honest_pairs_pass_every_relation_like_the_loops():
     for mp in CORPUS.values():
-        space, _, _ = orbits_fixed_sets(mp)
+        space = orbit_space(mp)
         for orb in space.orbits:
             report = magic_relations_report(magic_unitary(mp, orb))
             assert report == naive_magic_relations(mp, orb)

@@ -13,16 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacforge import reps
+from kacforge import groups, reps
+from kacforge.cli import run_pipeline
 from kacforge.errors import NonIntegral, ValidationError
-from kacforge.groups import (MatrixIrrep, character_table, is_isomorphic_small,
-                             rounded_pairings)
+from kacforge.groups import (FiniteGroup, MatrixIrrep, character_table,
+                             is_isomorphic_small, rounded_pairings)
 from kacforge.hopf import (build_algebra, compact_restriction_morphism,
                            plain_function_algebra)
-from kacforge.io_formats import load_pair
+from kacforge.io_formats import load_pair, parse_inputs
 from kacforge.library import corpus_pairs, cyclic_group, symmetric_group
 from kacforge.matched import (beta_kernel_elements, compact_subpair,
-                              orbits_fixed_sets)
+                              orbit_space, orbits_fixed_sets)
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
                            candidate_corepresentation, check_corepresentation,
                            decompose, enumerate_irreps, fusion_formula_table,
@@ -275,7 +276,7 @@ def test_decompose_splits_reducible_tensor():
 def fusion_formula_of(name):
     """Closed-form fusion values [x, gamma, r, s] of a corpus pair."""
     mp = CORPUS[name]
-    space, _, _ = orbits_fixed_sets(mp)
+    space = orbit_space(mp)
     table = character_table(mp.compact)
     return fusion_formula_table(mp, space,
                                 table.chars[:, table.classes.class_of])
@@ -552,6 +553,58 @@ def test_intrinsic_group_refuses_a_corrupted_one_dim_irrep():
             invariant_groups(A, replace(cat, canonical=canonical))
         assert str(err.value).endswith(f"worst deviation {worst:.3e}")
     invariant_groups(A, cat)        # the catalog itself is untouched
+
+
+def _failing(real, fails):
+    """``real`` with every result entry set to -1 on the calls that
+    ``fails`` picks out from their arguments."""
+    def call(*args):
+        out = real(*args)
+        if fails(*args):
+            out[...] = -1
+        return out
+    return call
+
+
+def _same(table, vectors):
+    return table.shape == vectors.shape and np.allclose(table, vectors)
+
+
+@pytest.mark.parametrize("code", ["intrinsic-closure", "intrinsic-model",
+                                  "spectrum-closure", "spectrum-model"])
+def test_invariant_groups_name_the_stage_that_fails(code):
+    """A product that leaves the set fails its group's closure, and a
+    twisted character outside the dual fails its model: on conj-s3-rot
+    (|R| = 6, |K| = 3) each of the four stages is made to fail alone."""
+    A, cat = algebra_of("conj-s3-rot"), catalog_of("conj-s3-rot")
+    inv = invariant_groups(A, cat)
+    ones = np.array([c.character() for c in cat.canonical if c.dim == 1])
+    spectrum = np.array(inv.spectrum_vectors)
+    nr = A.pair.discrete.order
+    assert A.pair.compact.order != nr and not _same(ones, spectrum)
+    if code.endswith("closure"):
+        vectors = ones if code.startswith("intrinsic") else spectrum
+        patch = mock.patch.object(groups, "match_rows", _failing(
+            groups.match_rows, lambda table, *_: _same(table, vectors)))
+    else:
+        on_r = code.startswith("spectrum")
+        patch = mock.patch.object(reps, "permuted_rows", _failing(
+            reps.permuted_rows, lambda rows, *_: (rows.shape[1] == nr) == on_r))
+    with patch, pytest.raises(ValidationError, match=rf"^\[{code}\] "):
+        invariant_groups(A, cat)
+
+
+def test_candidates_and_validate_build_no_subgroup():
+    """Only the orbit space is read by the candidate builder and by
+    ``kacforge validate``; neither builds a fixed subgroup."""
+    A = algebra_of("conj-s3-rot")
+    bundle = parse_inputs([str(SAMPLES / "s4_s3_z4.pair")])
+    spy = mock.patch.object(FiniteGroup, "subgroup", autospec=True,
+                            side_effect=FiniteGroup.subgroup)
+    with spy as subgroup:
+        enumerate_irreps(A)
+        run_pipeline("validate", bundle)
+    assert subgroup.call_count == 0
 
 
 def test_spectrum_supports_lie_in_fixed_points():
