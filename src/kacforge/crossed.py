@@ -288,10 +288,6 @@ class CrossedFusionRing(FusionRing):
             G.order * nb, G.order * nb)
 
 
-def crossed_ring(base, action, name=None):
-    return CrossedFusionRing(base, action, name=name)
-
-
 def action_from_pair(mp, seed=DEFAULT_SEED):
     """The discrete side of a crossed pair permuting compact irrep labels
     (matched through characters composed with the action)."""
@@ -427,7 +423,7 @@ def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
     irrep) exactly like the crossed ring labels.
     """
     action, base = action_from_pair(mp, seed=seed)
-    ring = crossed_ring(base, action, name=name)
+    ring = CrossedFusionRing(base, action, name=name)
     A = build_algebra(mp)
     cands, _, irreps = build_candidates(A, seed=seed)
     dual = ClassicalDual(group=mp.compact, ring=base,

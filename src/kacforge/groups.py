@@ -7,7 +7,6 @@ seed and retry deterministically.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,10 +262,6 @@ class AbelianGroup:
 
     invariant_factors: tuple
     free_rank: int = 0
-
-    @property
-    def order(self):
-        return None if self.free_rank else math.prod(self.invariant_factors)
 
     def __str__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors]

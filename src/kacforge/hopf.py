@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import TOL_AXIOM, TOL_EQ
+from .config import TOL_AXIOM
 from .errors import AxiomViolation, NotAMorphism
 from .groups import _generating_sequence, _row_blocks
 from .matched import MatchedPair, trivial_pair
@@ -486,45 +486,54 @@ def check_axioms(A):
 
 @dataclass
 class Morphism:
-    """A linear map between algebras given columnwise on basis elements."""
+    """Basis map: source basis i goes to target basis image[i], or to 0."""
 
     source: KacAlgebra
     target: KacAlgebra
-    matrix: np.ndarray       # (target.dim, source.dim)
+    image: np.ndarray        # (source.dim,) ints; target.dim stands for 0
 
 
 def validate_morphism(rho):
-    """Certify unital *-homomorphism property plus coproduct intertwining."""
+    """Certify unital *-homomorphism property plus coproduct intertwining,
+    each law an exact comparison of basis indices (B.dim is the zero)."""
     A, B = rho.source, rho.target
-    M = rho.matrix
-    if M.shape != (B.dim, A.dim):
-        raise NotAMorphism(f"matrix shape {M.shape} != ({B.dim},{A.dim})")
-    if np.abs(M @ A.unit_vec - B.unit_vec).max() > TOL_EQ:
+    f = np.asarray(rho.image)
+    if (f.shape != (A.dim,) or f.dtype.kind not in "iu"
+            or not ((0 <= f) & (f <= B.dim)).all()):
+        raise NotAMorphism(
+            f"image of shape {f.shape} is not {A.dim} indices in 0..{B.dim}")
+    hits = f[A.unit_vec.real > 0.5]
+    if not np.array_equal(np.sort(hits[hits < B.dim]),
+                          np.flatnonzero(B.unit_vec.real > 0.5)):
         raise NotAMorphism("unit is not preserved")
-    if np.abs(B.counit_vec @ M - A.counit_vec).max() > TOL_EQ:
+    if (np.append(B.counit_vec, 0)[f] != A.counit_vec).any():
         raise NotAMorphism("counit is not preserved")
-    # star of basis i is basis star_index[i]; image columns are M[:, i]
-    bad = np.abs(M[:, A.star_index] - B.star_vec(M.T).T).max(0) > TOL_EQ
+    bad = f[A.star_index] != np.append(B.star_index, B.dim)[f]
     if bad.any():
         raise NotAMorphism(
             f"star fails at basis {A.basis_label(np.argmax(bad))}")
-    basis_images = np.vstack([M.T, np.zeros(B.dim)])   # row dim: the zero
-    for i in range(A.dim):
-        lhs = basis_images[A.mul_index(i, np.arange(A.dim))]
-        rhs = B.mul_vec(M[:, i], M.T)
-        bad = np.abs(lhs - rhs).max(1, initial=0.0) > TOL_EQ
+    # f(ij) against f(i) f(j); f0[A.dim] is the zero
+    f0, cols = np.append(f, B.dim), np.arange(A.dim)
+    for blk in _row_blocks(A.dim, A.dim):
+        bad = (f0[A.mul_index(cols[blk, None], cols)]
+               != B.mul_index(f[blk, None], f))
         if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise NotAMorphism(
-                f"multiplicativity fails at ({A.basis_label(i)}, "
-                f"{A.basis_label(np.argmax(bad))})")
-    # coproduct intertwining on every basis element (the coproduct terms of
-    # distinct basis elements of B are distinct pairs)
-    for i in range(A.dim):
-        lhs = M[:, A.delta_left[i]] @ M[:, A.delta_right[i]].T
-        rhs = np.zeros((B.dim, B.dim), dtype=complex)
-        rhs[B.delta_left, B.delta_right] = M[:, i, None]
-        if np.abs(lhs - rhs).max() > TOL_EQ:
-            raise NotAMorphism(f"coproduct fails at basis {A.basis_label(i)}")
+                f"multiplicativity fails at ({A.basis_label(blk.start + i)}, "
+                f"{A.basis_label(j)})")
+    # per row i, the (i, f(left leg), f(right leg)) keys of the nonzero
+    # terms of (f x f) Delta(i) against those of Delta(f(i))
+    n, live = max(A.dim, B.dim), np.flatnonzero(f < B.dim)
+    left, right = f[A.delta_left], f[A.delta_right]
+    term = (left < B.dim) & (right < B.dim)
+    to = f[live]
+    diff, _ = _changed(
+        _key((np.nonzero(term)[0], left[term], right[term]), n),
+        _key((live[:, None], B.delta_left[to], B.delta_right[to]), n))
+    if len(diff):
+        raise NotAMorphism(
+            f"coproduct fails at basis {A.basis_label(diff[0] // (n * n))}")
     return True
 
 
@@ -538,27 +547,33 @@ def compact_restriction_morphism(A, A0, embed):
         raise NotAMorphism("discrete sides differ")
     back = np.full(A.nk, -1)
     back[embed] = np.arange(len(embed))
-    M = np.zeros((A0.dim, A.dim))
-    i = np.flatnonzero(back[A.g_of] >= 0)
-    M[A.gamma_of[i] * A0.nk + back[A.g_of[i]], i] = 1.0
-    rho = Morphism(source=A, target=A0, matrix=M)
+    g0 = back[A.g_of]
+    rho = Morphism(A, A0, np.where(g0 >= 0, A.gamma_of * A0.nk + g0, A0.dim))
     validate_morphism(rho)
     return rho
 
 
 def coset_space_dimension(A, rho):
-    """Dimension of {a : (id x rho) of the coproduct of a equals a x unit}."""
+    """Dimension of {a : (id x rho) of the coproduct of a equals a x unit}.
+
+    Column u_r d_g of this system, (id x rho) Delta(e_i) - e_i x 1, has
+    rows only at (u_r d_a, q), so it is one real (|K| m, |K|) block per r,
+    m = target.dim, of |K|^2 m cells.  The blocks share one SVD cutoff."""
     validate_morphism(rho)
-    B = rho.target
-    n, m = A.dim, B.dim
-    # column i holds (id x rho) Delta(e_i) - e_i x 1 as an (n, m) block matrix
-    T = np.zeros((n, m, n), dtype=complex)
-    T[A.delta_left, :, np.arange(n)[:, None]] = \
-        rho.matrix[:, A.delta_right].transpose(1, 2, 0)
-    T[np.arange(n), :, np.arange(n)] -= B.unit_vec
-    svals = np.linalg.svd(T.reshape(n * m, n), compute_uv=False)
-    scale = svals.max(initial=1.0)
-    return int(np.sum(svals <= TOL_AXIOM * max(scale, 1.0)))
+    nk, m, ks = A.nk, rho.target.dim, np.arange(A.nk)
+    unit = np.flatnonzero(rho.target.unit_vec.real > 0.5)
+    svals = []
+    for blk in _row_blocks(A.nr, nk * nk * (m + 1)):
+        i = np.arange(blk.start * nk, blk.stop * nk).reshape(-1, nk)  # (r, g)
+        # T[r, a, q, g]; row q = m takes the terms that rho sends to 0
+        T = np.zeros((len(i), nk, m + 1, nk))
+        T[np.arange(len(i))[:, None, None], ks, rho.image[A.delta_right[i]],
+          ks[:, None]] = 1.0
+        T[:, ks[:, None], unit, ks[:, None]] -= 1.0
+        svals.append(np.linalg.svd(T[:, :, :m].reshape(len(i), -1, nk),
+                                   compute_uv=False).ravel())
+    svals = np.concatenate(svals)
+    return int(np.sum(svals <= TOL_AXIOM * max(svals.max(), 1.0)))
 
 
 # ---------------------------------------------------------------------------

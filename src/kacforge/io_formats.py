@@ -164,7 +164,8 @@ def load_group(path):
         gens = []
         for ln, toks in rows:
             images = [_int_token(t, pf.path, ln) for t in toks]
-            if sorted(images) != list(range(degree)):
+            # the length first: a huge degree must not build its range
+            if len(images) != degree or sorted(images) != list(range(degree)):
                 raise ParseError(
                     f"row is not a permutation of 0..{degree - 1}",
                     path=pf.path, line=ln, column=toks[0][1])

@@ -131,7 +131,7 @@ def derive_actions(H, discrete_elements, compact_elements, name=None):
     ``discrete_elements`` and ``compact_elements`` are subgroup element lists
     inside H.  For r in R and g in K the product r g factors uniquely as
     g' r'; the tables record g' and r'.  Raises NotMatched when the counting
-    or uniqueness fails.
+    or the intersection fails.
     """
     R, Rset = H.subgroup(discrete_elements)
     K, Kset = H.subgroup(compact_elements)
@@ -141,14 +141,9 @@ def derive_actions(H, discrete_elements, compact_elements, name=None):
     inter = np.intersect1d(Rset, Kset).tolist()
     if inter != [H.identity]:
         raise NotMatched(f"subgroups intersect in {inter}")
+    # so (g, r) -> g r is a bijection onto H: g r = g' r' puts g'^-1 g =
+    # r' r^-1 in K ∩ R = {e}
     gr = H.cayley[np.ix_(Kset, Rset)].ravel()    # g r at gi * nr + ri
-    _, first = np.unique(gr, return_index=True)
-    if len(first) < len(gr):
-        again = np.ones(len(gr), dtype=bool)
-        again[first] = False
-        raise NotMatched(f"element {gr[again.argmax()]} factors twice as K*R")
-    if len(first) != H.order:
-        raise NotMatched("K*R does not exhaust the ambient group")
     factor = np.empty(H.order, dtype=np.int32)
     factor[gr] = np.arange(len(gr))
     # r g = g' r' with g' = alpha_r(g), r' = beta_g(r)

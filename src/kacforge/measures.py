@@ -33,8 +33,6 @@ def _fraction(x):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12)
     raise ValidationError("measure-weight", f"cannot read weight {x!r}")
 
 

@@ -565,3 +565,40 @@ def naive_convolve(G, a, b):
         for y in range(G.order):
             out[G.mul(x, y)] += a[x] * b[y]
     return tuple(out)
+
+
+def dense_validate_morphism(A, B, M):
+    """The dense validator of a linear map given by its (B.dim, A.dim)
+    matrix M, checked column by column at ``TOL_EQ``: True, or
+    ``NotAMorphism`` naming the first law that fails and where."""
+    from kacforge.config import TOL_EQ
+    from kacforge.errors import NotAMorphism
+    if M.shape != (B.dim, A.dim):
+        raise NotAMorphism(f"matrix shape {M.shape} != ({B.dim},{A.dim})")
+    if np.abs(M @ A.unit_vec - B.unit_vec).max() > TOL_EQ:
+        raise NotAMorphism("unit is not preserved")
+    if np.abs(B.counit_vec @ M - A.counit_vec).max() > TOL_EQ:
+        raise NotAMorphism("counit is not preserved")
+    # star of basis i is basis star_index[i]; image columns are M[:, i]
+    bad = np.abs(M[:, A.star_index] - B.star_vec(M.T).T).max(0) > TOL_EQ
+    if bad.any():
+        raise NotAMorphism(
+            f"star fails at basis {A.basis_label(np.argmax(bad))}")
+    basis_images = np.vstack([M.T, np.zeros(B.dim)])   # row dim: the zero
+    for i in range(A.dim):
+        lhs = basis_images[A.mul_index(i, np.arange(A.dim))]
+        rhs = B.mul_vec(M[:, i], M.T)
+        bad = np.abs(lhs - rhs).max(1, initial=0.0) > TOL_EQ
+        if bad.any():
+            raise NotAMorphism(
+                f"multiplicativity fails at ({A.basis_label(i)}, "
+                f"{A.basis_label(np.argmax(bad))})")
+    # coproduct intertwining on every basis element (the coproduct terms of
+    # distinct basis elements of B are distinct pairs)
+    for i in range(A.dim):
+        lhs = M[:, A.delta_left[i]] @ M[:, A.delta_right[i]].T
+        rhs = np.zeros((B.dim, B.dim), dtype=complex)
+        rhs[B.delta_left, B.delta_right] = M[:, i, None]
+        if np.abs(lhs - rhs).max() > TOL_EQ:
+            raise NotAMorphism(f"coproduct fails at basis {A.basis_label(i)}")
+    return True

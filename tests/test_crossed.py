@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacforge import crossed
-from kacforge.crossed import (ClassicalDual, DualElement, LengthFunction,
-                              RingAction, action_from_pair,
-                              check_fusion_ring, check_length,
-                              check_lemma_fourier, classical_dual,
-                              conj_action_builder, crossed_fourier,
-                              crossed_instance, crossed_ring, crude_poly_bound,
+from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
+                              FusionRing, LengthFunction, RingAction,
+                              action_from_pair, check_fusion_ring,
+                              check_length, check_lemma_fourier,
+                              classical_dual, conj_action_builder,
+                              crossed_fourier, crossed_instance,
+                              crude_poly_bound,
                               element_fusion_ring, fourier_transform,
                               fourier_values, free_orthogonal_ring,
                               graded_parts, inverse_fourier,
@@ -133,6 +134,43 @@ def test_element_ring_is_group_law():
     assert rep["associativity"] == 0.0 and rep["frobenius"] == 0.0
 
 
+def _z3_ring(**change):
+    """The element ring of Z3 (labels 0, 1, 2, dual 0, 2, 1), with some of
+    its constructor arguments replaced."""
+    x, y = np.indices((3, 3))
+    mult = np.zeros((3, 3, 3), dtype=np.int32)
+    mult[x, y, (x + y) % 3] = 1
+    args = dict(labels=["0", "1", "2"], unit=0, dual=[0, 2, 1],
+                dims=[1, 1, 1], mult=mult)
+    return FusionRing(**{**args, **change})
+
+
+def _bent(mult, x, y, row):
+    out = mult.copy()
+    out[x, y] = row
+    return out
+
+
+def test_fusion_ring_construction_names_each_broken_invariant():
+    mult = _z3_ring().mult
+    cases = [
+        (dict(mult=mult[:, :, :2]), "ring-mult",
+         r"multiplicity tensor has shape \(3, 3, 2\)"),
+        (dict(unit=3), "ring-unit", "unit label out of range"),
+        (dict(dual=[0, 1, 1]), "ring-dual", "not an involution base"),
+        (dict(dual=[1, 2, 0]), "ring-dual", "dual is not an involution$"),
+        (dict(dims=[1, 1, 0]), "ring-dim", "dimensions must be positive"),
+        (dict(mult=_bent(mult, 1, 0, [1, 0, 0])), "ring-unit-law",
+         r"unit fusion fails at \(1,0\)"),
+        (dict(dual=[0, 1, 2]), "ring-dual-law",
+         r"dual pairing fails at \(1,1\)"),
+    ]
+    for change, invariant, message in cases:
+        with pytest.raises(ValidationError, match=message) as exc:
+            _z3_ring(**change)
+        assert exc.value.invariant == invariant
+
+
 def test_nonconjugate_dual_labels():
     ring = irrep_fusion_ring(cyclic_group(5))
     # four nontrivial characters pair off under conjugation
@@ -228,6 +266,39 @@ def test_action_validation_rejects_bad_rows():
         validate_ring_action(ring, RingAction(Z3, np.array([[0, 1, 2],
                                                             [0, 2, 1],
                                                             [0, 1, 2]])))
+
+
+def test_action_validation_names_shape_dual_and_fusion_faults():
+    G2 = cyclic_group(2)
+    # the elements of Z5 (dual: negation) under the swap of 1 and 4 alone,
+    # which commutes with negation and keeps dimensions but not the law
+    z5 = element_fusion_ring(cyclic_group(5))
+    z4 = element_fusion_ring(cyclic_group(4))
+    cases = [
+        (z5, np.arange(5)[None], r"permutation table shape \(1, 5\)"),
+        (z4, [[0, 1, 2, 3], [0, 2, 1, 3]], "row 1 breaks the dual"),
+        (z5, [[0, 1, 2, 3, 4], [0, 4, 2, 3, 1]],
+         r"row 1 breaks fusion at \(1,1,2\)"),
+    ]
+    for ring, perms, message in cases:
+        with pytest.raises(ActionNotCompatible, match=message):
+            validate_ring_action(ring, RingAction(G2, np.array(perms)))
+
+
+def test_crossed_overflow_is_the_base_overflow_moved_by_the_action():
+    """(r, x) * (s, y) leaves the window exactly when act(s^-1, x) * y does
+    in the base, whose overflow is decided from exact integer dimensions.
+    Past 2**53 the float dimensions that the crossed ring stores would
+    decide it wrongly: at N=3, cutoff 40 they mark 3,588 cells, not the
+    3,280 of labels summing past the cutoff."""
+    C2 = cyclic_group(2)
+    for N, cutoff, cells in ((3, 8, 144), (3, 40, 3280)):
+        base = free_orthogonal_ring(N, cutoff)
+        ring = CrossedFusionRing(base, RingAction(
+            C2, np.tile(np.arange(base.n), (2, 1))))
+        assert ring.n == 2 * (cutoff + 1)
+        assert ring.overflow.sum() == cells
+        assert np.array_equal(ring.overflow, np.tile(base.overflow, (2, 2)))
 
 
 def test_action_from_pair_names_an_unmatched_label():

@@ -114,15 +114,19 @@ def _transforms(dual, salt):
 
 def _restrictions(mp):
     """Restriction morphism matrices onto each distinct cyclic subgroup of
-    the compact side."""
+    the compact side, rebuilt from their basis maps."""
     A = build_algebra(mp)
     K = mp.compact
     subsets = sorted({tuple(K.closure([g])) for g in range(K.order)})
 
     def restrict(subset):
         sub_mp, embed = compact_subpair(mp, list(subset))
-        rho = compact_restriction_morphism(A, build_algebra(sub_mp), embed)
-        return np.argwhere(rho.matrix).tolist(), _r9(rho.matrix[rho.matrix != 0])
+        A0 = build_algebra(sub_mp)
+        image = compact_restriction_morphism(A, A0, embed).image
+        M = np.zeros((A0.dim + 1, A.dim))
+        M[image, np.arange(A.dim)] = 1.0
+        M = M[:-1]                      # the 0/1 matrix of the basis map
+        return np.argwhere(M).tolist(), _r9(M[M != 0])
     return [(subset, _outcome(restrict, subset)) for subset in subsets]
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from kacforge.crossed import (action_from_pair, check_fusion_ring,
-                              crossed_ring, element_fusion_ring,
+from kacforge.crossed import (CrossedFusionRing, action_from_pair,
+                              check_fusion_ring, element_fusion_ring,
                               free_orthogonal_ring, irrep_fusion_ring)
 from kacforge.errors import TruncationOverflow
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
@@ -35,7 +35,7 @@ CHECKED_MAX = 24
 
 def _crossed(mp):
     action, base = action_from_pair(mp)
-    return crossed_ring(base, action, name=mp.name)
+    return CrossedFusionRing(base, action, name=mp.name)
 
 
 def _conj_s4_z4():

@@ -507,6 +507,24 @@ def test_iso_rejects_d4_vs_q8():
     assert not ok
 
 
+def test_iso_rejects_different_orders():
+    assert is_isomorphic_small(cyclic_group(4), cyclic_group(6)) == (False,
+                                                                     None)
+
+
+def test_iso_search_rejects_a_same_profile_pair():
+    """Z2 x Q8 and Z4 x| Z4 (y x y^-1 = x^-1): order 16, centers of order 4,
+    ten classes, three involutions (all central) and twelve elements of
+    order 4, so only the search tells them apart; every subgroup of the
+    first is normal, and <y> is not normal in the second."""
+    A = direct_product(cyclic_group(2), Q8)
+    B = semidirect_product(cyclic_group(4), cyclic_group(4),
+                           [[0, 1, 2, 3], [0, 3, 2, 1]] * 2)
+    assert groups._invariant_profile(A) == groups._invariant_profile(B)
+    assert is_isomorphic_small(A, B) == (False, None)
+    assert is_isomorphic_small(B, A) == (False, None)
+
+
 def test_iso_size_cap():
     with pytest.raises(SizeBound):
         is_isomorphic_small(cyclic_group(600), cyclic_group(600))

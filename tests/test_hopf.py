@@ -2,13 +2,15 @@
 independently built operator model, exhaustive axiom certification, embedded
 classical pieces, and quotient-space dimensions."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacforge import hopf
-from kacforge.errors import AxiomViolation, NotAMorphism
+from kacforge.errors import AxiomViolation, NotAMorphism, NotMatched
 from kacforge.groups import group_from_cayley
 from kacforge.hopf import (Morphism, build_algebra, check_axioms,
                            compact_restriction_morphism, coset_space_dimension,
@@ -19,8 +21,8 @@ from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
 from kacforge.matched import (MatchedPair, beta_kernel_elements,
                               compact_subpair, derive_actions)
 
-from .oracles import (covariant_rep_partial_maps, naive_law_violations,
-                      transpose_partial_map)
+from .oracles import (covariant_rep_partial_maps, dense_validate_morphism,
+                      naive_law_violations, transpose_partial_map)
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 SMALL = ["z6-abelian", "s3-split", "s3-split-dual", "conj-s3-rot", "s4-cyclic4"]
@@ -466,15 +468,109 @@ def test_structure_dump_is_deterministic():
 # morphisms and quotient-space dimensions
 
 
+def _basis_matrix(A, B, image):
+    """The (B.dim, A.dim) 0/1 matrix of a basis map."""
+    M = np.zeros((B.dim + 1, A.dim))
+    M[image, np.arange(A.dim)] = 1.0
+    return M[:-1]
+
+
+def _verdict(validate, *args):
+    try:
+        return validate(*args) and "ok"
+    except NotAMorphism as exc:
+        return str(exc)
+
+
+def _verdicts(A, B, image):
+    """What ``validate_morphism`` and the dense oracle say of a basis map."""
+    image = np.asarray(image)
+    dense = _basis_matrix(A, B, image)
+    return (_verdict(validate_morphism, Morphism(A, B, image)),
+            _verdict(dense_validate_morphism, A, B, dense))
+
+
 def test_morphism_validation_rejects_bad_maps():
     A = algebra_of("z6-abelian")
+    with pytest.raises(NotAMorphism, match="unit is not preserved"):
+        validate_morphism(Morphism(A, A, np.full(A.dim, A.dim)))
     with pytest.raises(NotAMorphism):
-        validate_morphism(Morphism(A, A, np.zeros((A.dim, A.dim))))
-    with pytest.raises(NotAMorphism):
-        validate_morphism(Morphism(A, A, 2.0 * np.eye(A.dim)))
-    perm = np.roll(np.eye(A.dim), 1, axis=0)
-    with pytest.raises(NotAMorphism):
-        validate_morphism(Morphism(A, A, perm))
+        validate_morphism(Morphism(A, A, (np.arange(A.dim) + 1) % A.dim))
+
+
+def _crafted(law):
+    """A basis map of s3-split (u_r d_g at r * 3 + g, e at 0 on both sides)
+    into itself that breaks ``law`` first, or the map of C(Z4) that swaps
+    d_1 and d_2, a *-automorphism that breaks only the coproduct."""
+    A = algebra_of("s3-split")
+    image = np.arange(A.dim)
+    if law == "unit":
+        image[:] = A.dim
+    elif law == "counit":
+        image[A.nk] = A.dim                 # u_r d_e, counit 1, to 0
+    elif law == "star":
+        image[A.nk + 1] = A.dim             # u_r d_g to 0, not its star
+    elif law == "multiplicativity":
+        image[[1, 2]] = [2, 1]              # swap two of the d_g
+    elif law == "coproduct":
+        A = plain_function_algebra(cyclic_group(4))
+        image = np.array([0, 2, 1, 3])
+    return A, image
+
+
+@pytest.mark.parametrize("law, message", [
+    ("identity", "ok"),
+    ("unit", "unit is not preserved"),
+    ("counit", "counit is not preserved"),
+    ("star", "star fails at basis u[(12)]d[(123)]"),
+    ("multiplicativity",
+     "multiplicativity fails at (u[e]d[(123)], u[(12)]d[(123)])"),
+    ("coproduct", "coproduct fails at basis u[e]d[e]"),
+])
+def test_each_morphism_law_catches_a_crafted_map(law, message):
+    A, image = _crafted(law)
+    assert _verdicts(A, A, image) == (message, message)
+
+
+@pytest.mark.parametrize("image", [np.arange(5), np.full(6, 7),
+                                   np.full(6, -1), np.arange(6.0)])
+def test_morphism_refuses_an_image_that_is_not_a_basis_map(image):
+    A = algebra_of("s3-split")
+    with pytest.raises(NotAMorphism, match=r"is not 6 indices in 0\.\.6"):
+        validate_morphism(Morphism(A, A, image))
+
+
+def test_restriction_refuses_different_discrete_sides():
+    A = algebra_of("s3-split")
+    K = CORPUS["s3-split"].compact
+    with pytest.raises(NotAMorphism, match="discrete sides differ"):
+        compact_restriction_morphism(A, plain_function_algebra(K),
+                                     list(range(K.order)))
+
+
+def test_morphism_verdicts_match_the_dense_oracle_on_a_seeded_sweep():
+    """Every corpus restriction onto a cyclic compact subgroup, and 30
+    seeded one-entry corruptions of each: 527 basis maps, every law hit."""
+    rng = np.random.default_rng(7)
+    kinds = collections.Counter()
+    for mp in corpus_pairs():
+        A, K = algebra_of(mp.name), mp.compact
+        for subset in sorted({tuple(K.closure([g])) for g in range(K.order)}):
+            try:
+                sub_mp, embed = compact_subpair(mp, list(subset))
+            except NotMatched:              # the action moves the subgroup
+                continue
+            B = build_algebra(sub_mp)
+            image = compact_restriction_morphism(A, B, embed).image
+            for t in range(31):
+                bent = image.copy()
+                if t:
+                    bent[rng.integers(A.dim)] = rng.integers(B.dim + 1)
+                new, dense = _verdicts(A, B, bent)
+                assert new == dense, (mp.name, subset, t)
+                kinds[new.split()[0]] += 1
+    assert kinds == {"ok": 96, "unit": 109, "counit": 191, "star": 114,
+                     "multiplicativity": 14, "coproduct": 3}
 
 
 def _restriction_dimension(name, subset):
@@ -508,7 +604,7 @@ def test_quotient_by_counit_is_everything():
     # the counit as a morphism onto the one-dimensional algebra
     A = algebra_of("s3-split-dual")
     point = plain_function_algebra(group_from_cayley([[0]], labels=["e"]))
-    rho = Morphism(A, point, A.counit_vec.astype(float)[None, :])
+    rho = Morphism(A, point, np.where(A.counit_vec != 0, 0, point.dim))
     assert coset_space_dimension(A, rho) == A.dim
 
 

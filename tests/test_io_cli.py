@@ -2,6 +2,10 @@
 
 import glob
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -661,3 +665,55 @@ def test_cli_out_of_range_rows_are_one_error_line(name, text, message,
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_cli_huge_perm_degree_is_one_error_line(tmp_path):
+    """The row is measured against the degree before 0..degree-1 is built.
+    The CLI runs in a child under a 2 GB address-space limit, so a range of
+    10^11 entries fails there with MemoryError, not in this process."""
+    path = tmp_path / "huge.group"
+    path.write_text("kind: perm\ndegree: 100000000000\ngens:\n1 0\n")
+    src = os.pathsep.join(filter(None, [str(SAMPLES.parent / "src"),
+                                        os.environ.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from kacforge.cli import main; "
+         "sys.exit(main())", "validate", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        preexec_fn=cap, timeout=120)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (f"error: {path}:4:1: row is not a permutation of "
+                          f"0..99999999999\n")
+
+
+# ---------------------------------------------------------------------------
+# deformations on the discrete side
+
+
+def test_discrete_side_deformation_file_loads():
+    mp = load_pair(str(DATA / "dual_sample_untwisted.pair"))
+    base = bundle().pairs["dual-sample"]
+    assert mp.name == "dual-sample-untwisted"
+    for table in ("alpha", "beta"):
+        assert np.array_equal(getattr(mp, table), getattr(base, table))
+    assert np.array_equal(mp.discrete.cayley, base.discrete.cayley)
+
+
+def test_discrete_side_deformation_twists_the_discrete_law(tmp_path):
+    # Z2 inverting Z4 on the discrete side; the parity cocycle twists the
+    # law to r * s = (-1)^s r + s, the Klein four group
+    for group in ("z2.group", "z4.group"):
+        (tmp_path / group).write_text((SAMPLES / group).read_text())
+    (tmp_path / "base.pair").write_text(
+        "kind: tables\ndiscrete: z4.group\ncompact: z2.group\n"
+        "alpha:\n0 1\n0 1\n0 1\n0 1\nbeta:\n0 1 2 3\n0 3 2 1\n")
+    (tmp_path / "d.pair").write_text(
+        "kind: deform\nbase: base.pair\nside: discrete\nchi:\n0 1 0 1\n")
+    base = load_pair(str(tmp_path / "base.pair"))
+    mp = load_pair(str(tmp_path / "d.pair"))
+    orders = [sorted(p.discrete.element_orders().tolist())
+              for p in (base, mp)]
+    assert orders == [[1, 2, 4, 4], [1, 2, 2, 2]]

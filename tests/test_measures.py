@@ -66,6 +66,13 @@ def test_measure_validation():
     assert m.support() == [0, 1, 2]
 
 
+def test_measure_refuses_a_float_weight():
+    # a float is not read as the nearest fraction: weights are exact
+    with pytest.raises(ValidationError, match=r"\[measure-weight\] cannot "
+                       r"read weight 0\.5"):
+        FiniteMeasure(cyclic_group(2), (0.5, "1/2"))
+
+
 def test_uniform_and_delta():
     G = s3()
     u = uniform_measure(G)

@@ -633,12 +633,14 @@ def test_branching_restriction_dimension_count():
     sub_mp, embed = compact_subpair(mp, kernel)
     A0 = build_algebra(sub_mp)
     rho = compact_restriction_morphism(A, A0, embed)
+    M = np.zeros((A0.dim + 1, A.dim))       # the 0/1 matrix of rho.image
+    M[rho.image, np.arange(A.dim)] = 1.0
     cat0 = enumerate_irreps(A0)
     hit = set()
     # every source irrep pushes to a rep whose decomposition fills its dim
     for x in cat.canonical:
         pushed = corep_from_dense(
-            A0, np.einsum("mn,ijn->ijm", rho.matrix, x.dense()),
+            A0, np.einsum("mn,ijn->ijm", M[:-1], x.dense()),
             np.arange(A0.dim))
         total = 0
         for yi, y in enumerate(cat0.canonical):

@@ -3,6 +3,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +106,26 @@ def test_block_memory_certifies_the_a6_c7_pair(capsys):
     assert row["job"] == "a6-c7-axioms" and row["status"] == "ok"
     assert row["dim"] == 2520 and row["verdict"] == "PASS"
     assert row["check_axioms_s"] > 0 and row["peak_rss_mb"] > 0
+
+
+def test_line_coverage_lists_the_statements_a_selection_skips():
+    """In a child process, as the script runs pytest in its own: one test
+    builds valid measures, so the weight-type refusal stays unexecuted and
+    the Fraction pass-through does not."""
+    root = SCRIPTS.parent
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_coverage.py"), "--", "-q",
+         "-p", "no:cacheprovider", "tests/test_measures.py", "-k",
+         "test_measure_validation"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["pytest_status"] == 0
+    source = (root / "src" / "kacforge" / "measures.py").read_text()
+    lines = source.splitlines()
+    refusal = 1 + lines.index(
+        '    raise ValidationError("measure-weight", '
+        'f"cannot read weight {x!r}")')
+    passthrough = 1 + lines.index("        return x")
+    missed = out["unexecuted"]["measures.py"]
+    assert refusal in missed and passthrough not in missed
