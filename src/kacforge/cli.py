@@ -16,13 +16,18 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT_CONFIG
+from .crossed import (check_fusion_ring, check_lemma_fourier, classical_dual,
+                      crossed_instance, crude_poly_bound, graded_word_length,
+                      random_dual_element, rd_inequality_sample)
 from .errors import (DomainError, IdentityViolated, KacforgeError,
                      NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
-from .groups import rounded_pairings
+from .groups import rng_from, rounded_pairings
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
 from .matched import magic_relations_report, magic_unitary, orbit_space
+from .measures import (c0_profile, chebyshev_state, measure_fourier,
+                       rel_T_obstruction, uniform_is_unit_projection)
 from .reps import (audit_fusion, enumerate_irreps, invariant_groups,
                    tensor_mor_dims)
 
@@ -118,7 +123,6 @@ def _cmd_fusion(bundle, config, report, args):
         for line in lines:
             report.add("fusion", line, "PASS")
     for name, ring in sorted(bundle.rings.items()):
-        from .crossed import check_fusion_ring
         devs = check_fusion_ring(ring)
         bad = max(devs["associativity"], devs["frobenius"],
                   devs["dimension-homomorphism"])
@@ -160,11 +164,6 @@ def _cmd_deform(bundle, config, report, args):
 
 
 def _cmd_crossed(bundle, config, report, args):
-    from .crossed import (check_fusion_ring, check_lemma_fourier,
-                          crossed_instance, crude_poly_bound,
-                          graded_word_length, random_dual_element,
-                          rd_inequality_sample)
-    from .groups import rng_from
     # a sampled check over no draws would report PASS having checked nothing
     if args.draws < 1:
         raise DomainError(f"--draws must be at least 1, got {args.draws}")
@@ -223,9 +222,6 @@ def _cmd_audit(bundle, config, report, args):
 
 
 def _cmd_shadow(bundle, config, report, args):
-    from .crossed import classical_dual
-    from .measures import (c0_profile, chebyshev_state, measure_fourier,
-                           rel_T_obstruction, uniform_is_unit_projection)
     if args.target == "chebyshev":
         try:
             t = Fraction(args.t)

@@ -466,13 +466,10 @@ def check_axioms(A):
 
     # ... and positive definite: the basis Gram matrix h(e_i* e_j) is 1/|K|
     # times the identity; only the nonzero products are enumerated
-    cols = partner[ST]
-    diag = cols == rows[:, None]
-    dev = float(np.abs(A.haar_vec[A.result[ST]]
-                       - np.where(diag, 1.0 / nk, 0.0)).max(initial=0.0))
-    if not diag.any(1).all():
-        dev = max(dev, 1.0 / nk)
-    checks.append(AxiomCheck("haar-positivity", dev))
+    diag = partner[ST] == rows[:, None]
+    dev = max(np.abs(hk[A.result[ST]] - diag).max(initial=0),
+              not diag.any(1).all())
+    checks.append(AxiomCheck("haar-positivity", int(dev) / nk))
 
     # ... and unital, counted exactly: |K| h(1) is an integer sum
     checks.append(AxiomCheck("haar-unital",

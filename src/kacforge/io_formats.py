@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG
+from .crossed import (element_fusion_ring, free_orthogonal_ring,
+                      irrep_fusion_ring)
 from .errors import ParseError, ValidationError
 from .groups import (group_from_cayley, group_from_matrices_mod,
                      group_from_permutations)
@@ -264,8 +266,6 @@ def load_pair(path, depth=0):
 def ring_from_spec(spec, base_dir="."):
     """Built-in ring constructions:
     `group:<file>`, `dual-group:<file>`, `free-orthogonal:N=..,cutoff=..`."""
-    from .crossed import (element_fusion_ring, free_orthogonal_ring,
-                          irrep_fusion_ring)
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     rest = rest.strip()

@@ -133,65 +133,38 @@ def pair_conj_s3_rotations():
 
 
 # ---------------------------------------------------------------------------
-# deformation recipes
-
-
-def subgroup_twist_recipe(base_pair, lambda_elements, name=None):
-    """Enlarge the compact side by a chosen subgroup of the discrete side,
-    then twist by the projection onto that subgroup.
-
-    Input: a pair with trivial discrete-side action (so the compact action is
-    by automorphisms) and a subgroup of the discrete group.  Output: the
-    twisted pair; its compact group carries the product-then-twist law.
-    """
-    if not base_pair.beta_trivial:
-        raise ValueError("recipe needs a trivial discrete-side action")
-    R, K0 = base_pair.discrete, base_pair.compact
-    Lam, embed = R.subgroup(lambda_elements)
-    K = direct_product(Lam, K0)          # index = lam * |K0| + k
-    nl, nk0 = Lam.order, K0.order
-    lam_idx, k_idx = np.divmod(np.arange(nl * nk0), nk0)
-    alpha = lam_idx * nk0 + base_pair.alpha[:, k_idx]
-    mp0 = matched_pair_from_compact_action(
-        R, K, alpha, name=(name or base_pair.name) + "-ext")
-    chi = np.asarray(embed, dtype=np.int32)[lam_idx]
-    return deform_by_chi_G(mp0, chi, name=name or base_pair.name + "-twist")
+# deformed pairs
 
 
 def pair_dihedral7_twist():
-    """Twist of the parity action on Z/7 along a reflection subgroup; the
-    twisted compact group is dihedral of order 14."""
+    """The parity action on Z/7 with its compact side enlarged to Lam x Z/7,
+    Lam a reflection subgroup of S3, then twisted by the projection onto Lam;
+    the twisted compact group is dihedral of order 14."""
     base = pair_sign_on_z7()
-    S3 = base.discrete
-    lam = S3.closure([_elements_of_order(S3, 2)[0]])
-    return subgroup_twist_recipe(base, lam, name="dihedral7-twist")
-
-
-def quotient_twist_recipe(core, compact, onto, name=None):
-    """Double the discrete side by the compact group (conjugation on the new
-    coordinate), then twist by the projection-composed-with-``onto`` map.
-
-    ``onto`` maps core indices to compact indices and must be a
-    homomorphism; the identity works when core == compact.
-    """
-    R = direct_product(core, compact)    # index = c * |K| + h
-    nc, nk = core.order, compact.order
-    c_idx, h_idx = np.divmod(np.arange(nc * nk), nk)
-    C = compact.cayley
-    beta = c_idx * nk + C[C[compact.inverse[:, None], h_idx],
-                          np.arange(nk)[:, None]]          # g^-1 h g
-    mp0 = matched_pair_from_discrete_action(
-        R, compact, beta, name=(name or "quotient") + "-base")
-    chi = np.asarray(onto, dtype=np.int32)[c_idx]
-    return deform_by_chi_Gamma(mp0, chi, name=name or "quotient-twist")
+    R, nk0 = base.discrete, base.compact.order
+    Lam, embed = R.subgroup(R.closure([_elements_of_order(R, 2)[0]]))
+    K = direct_product(Lam, base.compact)    # index = lam * 7 + k
+    lam_idx, k_idx = np.divmod(np.arange(K.order), nk0)
+    alpha = lam_idx * nk0 + base.alpha[:, k_idx]
+    mp0 = matched_pair_from_compact_action(R, K, alpha,
+                                           name="dihedral7-twist-ext")
+    chi = np.asarray(embed, dtype=np.int32)[lam_idx]
+    return deform_by_chi_G(mp0, chi, name="dihedral7-twist")
 
 
 def pair_double_s3_twist():
-    """Core and compact both S3, twisted by the identity projection; the
-    twisted discrete group has order 36 over a compact S3."""
+    """A compact S3 conjugating the second coordinate of a discrete S3 x S3,
+    twisted by the projection onto the first coordinate; the twisted
+    discrete group has order 36 over a compact S3."""
     S3 = symmetric_group(3)
-    return quotient_twist_recipe(S3, S3, list(range(6)),
-                                 name="double-s3-twist")
+    R = direct_product(S3, S3)               # index = c * 6 + h
+    c_idx, h_idx = np.divmod(np.arange(36), 6)
+    C = S3.cayley                            # beta_g(c, h) = (c, g^-1 h g)
+    beta = c_idx * 6 + C[C[S3.inverse[:, None], h_idx], np.arange(6)[:, None]]
+    mp0 = matched_pair_from_discrete_action(R, S3, beta,
+                                            name="double-s3-twist-base")
+    return deform_by_chi_Gamma(mp0, c_idx.astype(np.int32),
+                               name="double-s3-twist")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import numpy as np
 from .config import (AUDIT_TRIPLES, DEFAULT_SEED, INTERTWINER_CAP,
                      RETRY_BUDGET, TOL_EIGEN, TOL_EQ, TOL_INT,
                      TOL_MATCH, TOL_MULT)
-from .errors import (PeterWeylMismatch, SeedDegenerate, SizeBound,
-                     ValidationError)
+from .errors import (IdentityViolated, PeterWeylMismatch, SeedDegenerate,
+                     SizeBound, ValidationError)
 from .groups import (_BLOCK, FiniteGroup, _components, _eigen_groups,
                      _row_blocks, closure_table, dual_group, is_isomorphic_small,
                      matrix_irreps, permuted_rows, rng_from,
@@ -566,39 +566,39 @@ def decompose(corep, seed=DEFAULT_SEED):
 def enumerate_irreps(A, seed=DEFAULT_SEED):
     """Decompose all candidates, deduplicate, certify the dimension count.
 
-    A piece is a new irrep unless an earlier one of its dimension pairs
-    with it.  Pieces live on the orbit block of their candidate and pair
-    only within it, so each orbit's pieces take one Haar pairing call."""
+    Pieces live on the orbit block of their candidate and pair only within
+    it, so each orbit's pieces take one Haar pairing call.  A piece is the
+    irrep of the first piece of its orbit that it pairs with at equal
+    dimension; those first pieces, stably sorted by dimension, are the
+    catalog.  A pairing that is not an equivalence is refused."""
     candidates, space, irreps = build_candidates(A, seed=seed)
     pieces_of = _irreducible_pieces(candidates, seed)
     pieces = [p for ps in pieces_of for p in ps]
     dims = np.array([p.dim for p in pieces])
     orbit = space.orbit_of[A.gamma_of]                  # per basis element
-    on_orbit = np.array([orbit[p.support()[0]] for p in pieces])
-    same = np.zeros((len(pieces), len(pieces)), dtype=bool)
+    on_orbit = orbit[[p.support()[0] for p in pieces]]
+    found = np.empty(len(pieces), dtype=np.intp)
     for o in np.unique(on_orbit).tolist():
         at, on = np.flatnonzero(on_orbit == o), np.flatnonzero(orbit == o)
         chars = np.array([pieces[n].character()[on] for n in at])
-        same[np.ix_(at, at)] = ((rounded_pairings(chars, chars, A.nk) >= 1)
-                                & (dims[at, None] == dims[at]))
-    # each piece is the first irrep found before it that it pairs with, or
-    # a new one; first[k] is the piece that found irrep k
-    first, ident = [], []
-    for n in range(len(pieces)):
-        hit = np.flatnonzero(same[n, first])
-        if not len(hit):
-            first.append(n)
-            hit = [len(first) - 1]
-        ident.append(int(hit[0]))
+        same = ((rounded_pairings(chars, chars, A.nk) >= 1)
+                & (dims[at, None] == dims[at]))
+        found[at] = at[same.argmax(1)]
+    bad = np.flatnonzero(found[found] != found)
+    if len(bad):
+        n = found[bad[0]]
+        raise IdentityViolated(
+            f"piece {pieces[bad[0]].label} pairs first with {pieces[n].label}"
+            f", which pairs first with {pieces[found[n]].label}: the Haar "
+            f"pairing is not an equivalence")
+    first = np.flatnonzero(found == np.arange(len(pieces)))
+    first = first[np.argsort(dims[first], kind="stable")]
+    ident = np.empty_like(found)
+    ident[first] = np.arange(len(first))
     canonical = [pieces[n] for n in first]
-    at = np.cumsum([0] + [len(ps) for ps in pieces_of])
-    pieces_of = [ident[lo:hi] for lo, hi in zip(at[:-1], at[1:])]
-    order = sorted(range(len(canonical)),
-                   key=lambda k: (canonical[k].dim, k))
-    relabel = {old: new for new, old in enumerate(order)}
-    canonical = [canonical[old] for old in order]
-    equivalence_map = {ci: sorted(relabel[k] for k in ids)
-                       for ci, ids in enumerate(pieces_of)}
+    at = np.cumsum([len(ps) for ps in pieces_of])[:-1]
+    equivalence_map = {ci: sorted(ids.tolist()) for ci, ids
+                       in enumerate(np.split(ident[found], at))}
     total = sum(c.dim ** 2 for c in canonical)
     if total != A.dim:
         raise PeterWeylMismatch(

@@ -602,3 +602,40 @@ def dense_validate_morphism(A, B, M):
         if np.abs(lhs - rhs).max() > TOL_EQ:
             raise NotAMorphism(f"coproduct fails at basis {A.basis_label(i)}")
     return True
+
+
+def first_irrep_identification(A, pieces_of, space):
+    """The irrep catalog of the irreducible pieces of each candidate, by a
+    pieces x pieces table of which pieces pair and a loop in which each
+    piece is the first irrep found before it that it pairs with, or a new
+    one.  Returns (canonical, equivalence_map)."""
+    from kacforge.groups import rounded_pairings
+    pieces = [p for ps in pieces_of for p in ps]
+    dims = np.array([p.dim for p in pieces])
+    orbit = space.orbit_of[A.gamma_of]                  # per basis element
+    on_orbit = np.array([orbit[p.support()[0]] for p in pieces])
+    same = np.zeros((len(pieces), len(pieces)), dtype=bool)
+    for o in np.unique(on_orbit).tolist():
+        at, on = np.flatnonzero(on_orbit == o), np.flatnonzero(orbit == o)
+        chars = np.array([pieces[n].character()[on] for n in at])
+        same[np.ix_(at, at)] = ((rounded_pairings(chars, chars, A.nk) >= 1)
+                                & (dims[at, None] == dims[at]))
+    # each piece is the first irrep found before it that it pairs with, or
+    # a new one; first[k] is the piece that found irrep k
+    first, ident = [], []
+    for n in range(len(pieces)):
+        hit = np.flatnonzero(same[n, first])
+        if not len(hit):
+            first.append(n)
+            hit = [len(first) - 1]
+        ident.append(int(hit[0]))
+    canonical = [pieces[n] for n in first]
+    at = np.cumsum([0] + [len(ps) for ps in pieces_of])
+    pieces_of = [ident[lo:hi] for lo, hi in zip(at[:-1], at[1:])]
+    order = sorted(range(len(canonical)),
+                   key=lambda k: (canonical[k].dim, k))
+    relabel = {old: new for new, old in enumerate(order)}
+    canonical = [canonical[old] for old in order]
+    equivalence_map = {ci: sorted(relabel[k] for k in ids)
+                       for ci, ids in enumerate(pieces_of)}
+    return canonical, equivalence_map

@@ -6,6 +6,8 @@ reproduced them; the Fourier inverse normalization was fixed by Schur
 orthogonality round-trips before the tolerance went into the tests.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -602,3 +604,33 @@ def test_rd_deterministic():
     r2 = rd_inequality_sample(inst, l0, (4.0,), samples=6, seed=11)
     assert [s.ratio for s in r1.samples] == [s.ratio for s in r2.samples]
 
+
+
+def test_irrep_ring_refuses_a_table_not_closed_under_conjugation(
+        monkeypatch):
+    """A character table of Z3 whose third row repeats the second has no
+    conjugate of the second row: its dual label is refused."""
+    def doubled(G, seed):
+        table = character_table(G, seed=seed)
+        return dataclasses.replace(table, chars=table.chars[[0, 1, 1]])
+    monkeypatch.setattr(crossed, "character_table", doubled)
+    with pytest.raises(ValidationError,
+                       match=r"^\[ring-dual\] conjugate of row 1 unclear$"):
+        irrep_fusion_ring(cyclic_group(3))
+
+
+def test_conjugation_builder_refuses_an_action_that_moves_a_label(
+        monkeypatch):
+    """Conjugation fixes every character, so a label action that swaps the
+    two one-dimensional irreps of S3 is refused."""
+    def swapped(mp, seed, name, real=crossed.crossed_instance):
+        inst = real(mp, seed=seed, name=name)
+        perms = inst.action.perms[:, [1, 0, 2]]
+        return dataclasses.replace(
+            inst, action=dataclasses.replace(inst.action, perms=perms))
+    monkeypatch.setattr(crossed, "crossed_instance", swapped)
+    S3 = symmetric_group(3)
+    rot = [g for g in range(6) if S3.element_order(g) in (1, 3)]
+    with pytest.raises(ActionNotCompatible,
+                       match=r"^conjugation moved an irrep label$"):
+        conj_action_builder(S3, rot)

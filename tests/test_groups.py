@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacforge import groups
+from kacforge.config import RETRY_BUDGET
 from kacforge.errors import (ExtractionFailed, NonIntegral, NotAnAction,
-                             SizeBound, ValidationError)
+                             SeedDegenerate, SizeBound, ValidationError)
 from kacforge.groups import (AbelianGroup, FiniteGroup, Presentation,
                              abelian_invariants, character_table,
                              closure_table, conjugacy_and_center,
@@ -606,6 +607,10 @@ def test_irrep_check_rejects_perturbed_and_non_unitary_matrices():
     scaled = mats.copy()
     scaled[g] *= 1.01                     # a non-unitary rescaling
     assert not _irrep_ok(S4, scaled, chi)
+    V = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+    moved = mats.copy()
+    moved[g] = V @ mats[g] @ V.T          # unitary, same trace, no law
+    assert not _irrep_ok(S4, moved, chi)
 
 
 def test_matrix_modulus_bound_follows_int64_products():
@@ -647,3 +652,141 @@ def test_components_label_each_vertex_with_the_least_reachable(n, data):
             todo = nxt
         want.append(min(seen))
     assert groups._components(n, a, b).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# refusals of the constructors, and the seeded retries of the spectral steps
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: group_from_cayley(np.zeros((0, 0), dtype=int)),
+     ValidationError, r"\[nonempty\] empty table"),
+    (lambda: group_from_cayley([[0, 1], [1, 0]], labels=["a"]),
+     ValidationError, r"\[labels\] label count != order"),
+    (lambda: group_from_permutations([(0, 0, 1)]),
+     ValidationError, r"\[permutation\] \(0, 0, 1\) is not a permutation"),
+    (lambda: group_from_matrices_mod([[[1, 0, 1]]], modulus=3),
+     ValidationError, r"\[matrix\] generators must be square"),
+    (lambda: group_from_matrices_mod([np.eye(2), np.eye(3)], modulus=3),
+     ValidationError, r"\[matrix\] generator sizes differ"),
+    (lambda: semidirect_product(cyclic_group(3), cyclic_group(2),
+                                np.zeros((3, 3))),
+     NotAnAction, r"action table shape \(3, 3\) != \(2,3\)"),
+    (lambda: abelian_invariants("Z6"),
+     TypeError, "unsupported input <class 'str'>"),
+], ids=["empty", "labels", "permutation", "matrix-shape", "matrix-sizes",
+        "action-shape", "invariants-input"])
+def test_constructor_refusals_name_the_fault(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+def _patched(real, corrupt, times):
+    """``real`` (a numpy eigensolver) with ``corrupt`` applied to its
+    (vals, vecs) on the first ``times`` calls, and the list of its calls."""
+    calls = []
+
+    def solve(M):
+        vals, vecs = real(M)
+        calls.append(M.shape)
+        if len(calls) <= times:
+            vals, vecs = corrupt(vals.copy(), vecs.copy())
+        return vals, vecs
+    return solve, calls
+
+
+def _with(vecs, index, value):
+    vecs[index] = value
+    return vecs
+
+
+# S3 has three classes; the identity class is row 0 of the eigenvectors
+_S3_TABLE_FAULTS = {
+    "eigenvalue gap": lambda vals, vecs: (0 * vals, vecs),
+    "eigenvector vanishes on the identity class":
+        lambda vals, vecs: (vals, _with(vecs, (0, 0), 0)),
+    "non-integral dimension":
+        lambda vals, vecs: (vals, vecs @ np.array([[1, 1, 0], [-1, 1, 0],
+                                                   [0, 0, 1.4]]) / 1.4),
+    "row orthogonality residual":
+        lambda vals, vecs: (vals, vecs[:, [0, 0, 2]]),
+    # an infinite entry makes one dimension 0 and its Gram row NaN, which
+    # no tolerance comparison flags: only the dimension count is left
+    "squared dimensions do not sum to the order":
+        lambda vals, vecs: (vals, _with(vecs, (1, 0), np.inf)),
+}
+
+
+@pytest.mark.parametrize("reason", list(_S3_TABLE_FAULTS))
+def test_character_table_retries_each_failed_draw(reason):
+    """A draw that fails one of the five checks is redrawn, and the next
+    draw gives the table; a fault on every draw raises SeedDegenerate with
+    the last reason."""
+    assert conjugacy_and_center(S3).class_of[S3.identity] == 0
+    want = character_table(S3)
+    eig, calls = _patched(np.linalg.eig, _S3_TABLE_FAULTS[reason], 1)
+    with mock.patch.object(np.linalg, "eig", eig), \
+            np.errstate(invalid="ignore", divide="ignore"):
+        got = character_table(S3)
+    assert len(calls) == 2
+    assert got.dims == want.dims
+    assert np.abs(got.chars - want.chars).max() < 1e-9
+    eig, _ = _patched(np.linalg.eig, _S3_TABLE_FAULTS[reason], RETRY_BUDGET)
+    with mock.patch.object(np.linalg, "eig", eig), \
+            np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(SeedDegenerate, match=f"after {RETRY_BUDGET} "
+                                                f"attempts: {reason}"):
+        character_table(S3)
+
+
+def _s3_block_of_trivial_and_sign(vals, vecs):
+    """An orthonormal basis whose first two vectors span the trivial and
+    the sign line of S3's regular representation, marked as a 4-dim
+    isotypic block: a lam-invariant space, but not the block of x2."""
+    sign = np.array([(-1) ** sum(p[i] > p[j] for i in range(3)
+                                 for j in range(i + 1, 3))
+                     for p in S3.permutations])
+    rng = np.random.default_rng(0)
+    start = np.column_stack([np.ones(6), sign, rng.normal(size=(6, 4))])
+    return np.array([1.0] * 4 + [0.0] * 2), np.linalg.qr(start)[0]
+
+
+def test_matrix_irreps_refuses_an_isotypic_block_of_the_wrong_rank():
+    eigh, _ = _patched(np.linalg.eigh, lambda vals, vecs: (0 * vals, vecs),
+                       1)
+    with mock.patch.object(np.linalg, "eigh", eigh), \
+            pytest.raises(ExtractionFailed,
+                          match=r"^isotypic rank 0 != 4 for x2$"):
+        matrix_irreps(S3)
+
+
+def test_matrix_irreps_redraws_a_commutant_without_a_clean_eigenspace():
+    """The first commutant draw of x2 is made to have no 2-dim eigenspace;
+    the second draw cuts a copy with the same character."""
+    want = matrix_irreps(S3)
+
+    def split(vals, vecs):
+        return (vals, vecs) if vals.shape != (4,) else \
+            (np.arange(4.0), vecs)
+    eigh, calls = _patched(np.linalg.eigh, split, 2)
+    with mock.patch.object(np.linalg, "eigh", eigh):
+        got = matrix_irreps(S3)
+    assert calls == [(6, 6), (4, 4), (4, 4)]
+    for a, b in zip(got, want):
+        assert np.abs(a.character() - b.character()).max() < 1e-9
+
+
+def test_matrix_irreps_gives_up_when_no_draw_has_the_character():
+    """Every draw cuts the trivial-plus-sign space out of a wrong block: a
+    unitary representation whose character is not x2's, so each draw is
+    refused and the budget runs out."""
+    def corrupt(vals, vecs):
+        if vals.shape == (6,):
+            return _s3_block_of_trivial_and_sign(vals, vecs)
+        return np.array([0.0, 0.0, 1.0, 2.0]), np.eye(4)
+    eigh, calls = _patched(np.linalg.eigh, corrupt, 99)
+    with mock.patch.object(np.linalg, "eigh", eigh), \
+            pytest.raises(ExtractionFailed,
+                          match=r"^no clean copy of x2 after retries$"):
+        matrix_irreps(S3)
+    assert len(calls) == 1 + RETRY_BUDGET

@@ -618,7 +618,11 @@ def test_cli_matmod_modulus_past_int64_products_is_refused(tmp_path, capsys):
     ["shadow", "nowhere"],
     ["validate", "--bogus"],
     [],
-], ids=["seed", "draws", "N", "target", "unknown-flag", "no-command"])
+    ["deform"],
+    ["shadow", "separation"],
+    ["shadow", "transform"],
+], ids=["seed", "draws", "N", "target", "unknown-flag", "no-command",
+        "deform-no-pair", "separation-no-group", "transform-no-measure"])
 def test_cli_argument_error_is_one_error_line(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -651,12 +655,43 @@ def test_cli_help_still_exits_zero(argv, capsys):
      "g.group:2:1: degree -3 is not positive"),
     ("g.group", "kind: perm\ndegree: 0\ngens:\n",
      "g.group:2:1: degree 0 is not positive"),
+    # faults of table shape, group law, deformation base and file layout
+    ("g.group", "kind: cayley\ntable:\n0\ntable:\n0\n",
+     "g.group:4:1: duplicate block 'table:'"),
+    ("g.group", "kind: cayley\nlabels: a b c\ntable:\n0 1\n1 0\n",
+     "g.group:2:1: 3 labels for order 2"),
+    ("g.group", "kind: matmod\nmodulus: 3\ngens:\n1 0 1\n",
+     "g.group:4:1: 3 entries is not a square matrix"),
+    ("g.group", "kind: cayley\ntable:\n0 1\n1 1\n",
+     "[inverses] element without inverse"),
+    ("g.group", "kind: cayley\ntable:\n0 1 2\n1 0 2\n2 0 1\n",
+     "[latin-columns] some column is not a permutation"),
+    ("p.pair", _TABLES_PAIR.replace("alpha:\n0 1 2 3\n", "alpha:\n"),
+     "[alpha-shape] (1, 4) != (2,4)"),
+    ("p.pair", _TABLES_PAIR.replace("beta:\n0 1\n0 1", "beta:\n0 1\n1 0"),
+     "[beta-unit] actions must fix the unit of R"),
+    ("d.pair", "kind: deform\nbase: d.pair\nside: compact\nchi:\n0\n",
+     "deformation chain too deep (cycle?)"),
+    ("d.pair", "kind: deform\nbase: s3_split.pair\nside: both\nchi:\n0\n",
+     "d.pair:3:1: unknown deformation side 'both'"),
+    ("d.pair", "kind: deform\nbase: s3_split_dual.pair\nside: compact\n"
+     "chi:\n0 0\n", "base pair must have trivial discrete-side action"),
+    ("d.pair", "kind: deform\nbase: s3_split.pair\nside: discrete\n"
+     "chi:\n0 0\n", "base pair must have trivial compact-side action"),
+    ("d.pair", "kind: deform\nbase: s3_split_dual.pair\nside: discrete\n"
+     "chi:\n1 0 0\n", "chi must send the unit to the unit"),
+    ("d.pair", "kind: deform\nbase: s3_split_dual.pair\nside: discrete\n"
+     "chi:\n0 1 0\n", "twisted multiplicativity fails at (r,s)="),
 ], ids=["alpha-row", "chi", "matmod-gens", "cayley-int32", "alpha-int32",
-        "degree-negative", "degree-zero"])
+        "degree-negative", "degree-zero", "duplicate-block", "label-count",
+        "matmod-not-square", "no-inverse", "latin-columns", "alpha-shape",
+        "beta-unit", "deform-cycle", "deform-side", "compact-side-base",
+        "discrete-side-base", "discrete-side-unit", "discrete-side-law"])
 def test_cli_out_of_range_rows_are_one_error_line(name, text, message,
                                                    tmp_path, capsys):
-    for group in ("z2.group", "z4.group"):
-        (tmp_path / group).write_text((SAMPLES / group).read_text())
+    for sample in ("z2.group", "z3.group", "z4.group", "s3_split.pair",
+                   "s3_split_dual.pair"):
+        (tmp_path / sample).write_text((SAMPLES / sample).read_text())
     (tmp_path / "p.pair").write_text(_TABLES_PAIR)
     path = tmp_path / name
     path.write_text(text)
@@ -717,3 +752,40 @@ def test_discrete_side_deformation_twists_the_discrete_law(tmp_path):
     orders = [sorted(p.discrete.element_orders().tolist())
               for p in (base, mp)]
     assert orders == [[1, 2, 4, 4], [1, 2, 2, 2]]
+
+
+# ---------------------------------------------------------------------------
+# pipeline refusals
+
+
+def test_pipeline_refuses_an_unknown_shadow_target():
+    from kacforge.cli import _build_parser
+    args = _build_parser().parse_args(["shadow", "chebyshev"])
+    args.target = "spectrum"
+    with pytest.raises(ValidationError,
+                       match=r"^\[shadow-target\] unknown shadow target "
+                             r"'spectrum'$"):
+        run_pipeline("shadow", InputBundle(), args=args)
+
+
+def test_validate_names_each_broken_partition_relation():
+    """A pair whose compact-side table is no action (beta of c2 replaced
+    by beta of c1 on s4-cyclic4), kept unchecked, fails the partition
+    matrices of two orbits, and the report names each relation there."""
+    from kacforge.library import pair_s4
+    from kacforge.matched import MatchedPair
+    mp = pair_s4()
+    beta = mp.beta.copy()
+    beta[2] = beta[1]
+    b = InputBundle()
+    b.pairs["broken"] = MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
+                                    name="broken", validate=False)
+    report = run_pipeline("validate", b)
+    entry = report.entries()[-1]
+    assert report.exit_code() == 2
+    assert (entry.name, entry.status, entry.residual) == (
+        "pair broken partition-matrices", "FAIL", 6.0)
+    assert entry.witness == (
+        "row-partition@orbit1:3; column-partition@orbit1:3; "
+        "coproduct-splitting@orbit1:(3, 3, 3, 1); row-partition@orbit5:5; "
+        "column-partition@orbit5:5; coproduct-splitting@orbit5:(5, 5, 3, 1)")

@@ -344,3 +344,25 @@ def test_chebyshev_profile_and_values():
     prof = st_.c0_profile(Fraction(1, 20))
     assert prof == [5, 6, 7, 8, 9, 10]
     assert st_.values[2] == Fraction(3, 8)
+
+
+def test_measures_on_different_groups_are_refused():
+    mu, nu = uniform_measure(s3()), uniform_measure(cyclic_group(2))
+    with pytest.raises(ValidationError, match=r"^\[measure-group\] "
+                                              r"measures on different groups$"):
+        tv_distance(mu, nu)
+    with pytest.raises(ValidationError, match=r"^\[measure-group\] measure "
+                                              r"and dual data disagree$"):
+        measure_fourier(nu, dual_s3())
+
+
+def test_random_measure_with_all_counts_zero_weighs_the_first_free_element(
+        monkeypatch):
+    """A draw of all-zero counts would have no total: the least element
+    that is not forced to vanish then gets the whole weight."""
+    class Zeros:
+        def integers(self, low, high, size):
+            return np.zeros(size, dtype=np.int64)
+    monkeypatch.setattr(measures, "rng_from", lambda *args: Zeros())
+    mu = random_rational_measure(s3(), seed=1, zero_at=[0, 1])
+    assert mu.weights == (0, 0, 1, 0, 0, 0)

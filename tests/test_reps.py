@@ -14,21 +14,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacforge import groups, reps
-from kacforge.cli import run_pipeline
-from kacforge.errors import NonIntegral, ValidationError
+from kacforge.cli import main, run_pipeline
+from kacforge.errors import (IdentityViolated, NonIntegral, PeterWeylMismatch,
+                             SeedDegenerate, ValidationError)
 from kacforge.groups import (FiniteGroup, MatrixIrrep, character_table,
                              is_isomorphic_small, rounded_pairings)
 from kacforge.hopf import (build_algebra, compact_restriction_morphism,
                            plain_function_algebra)
 from kacforge.io_formats import load_pair, parse_inputs
-from kacforge.library import corpus_pairs, cyclic_group, symmetric_group
+from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
+                              stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import (beta_kernel_elements, compact_subpair,
-                              orbit_space, orbits_fixed_sets)
+                              derive_actions, orbit_space, orbits_fixed_sets)
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
                            candidate_corepresentation, check_corepresentation,
                            decompose, enumerate_irreps, fusion_formula_table,
                            invariant_groups, mor_dim_haar, mor_dim_solver,
                            tensor_mor_dims)
+
+from .oracles import first_irrep_identification
+from .test_groups import _patched
+from .test_scripts import load_script
 
 DATA = Path(__file__).resolve().parent / "data"
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -267,6 +273,106 @@ def test_decompose_splits_reducible_tensor():
     assert all(mor_dim_solver(p, p)[0] == 1 for p in pieces)
     for p in pieces:
         assert check_corepresentation(p) < 1e-7
+
+
+def _pair_named(name):
+    """A corpus pair, or a larger one: S5 and S6 as (point stabilizer) *
+    (n-cycle), S3 acting on S4 by conjugation, and GL(3,2) factored as
+    S4 * C7 and as C7 * S4."""
+    if name in CORPUS:
+        return CORPUS[name]
+    if name in ("s5-cyclic5", "s6-cyclic6"):
+        return derive_actions(*stabilizer_and_cycle(int(name[1])), name=name)
+    if name == "conj-s4-s3":
+        S4 = symmetric_group(4)
+        stab = [i for i, p in enumerate(S4.permutations) if p[3] == 3]
+        return pair_conjugation(S4, stab, name=name)
+    G, stab, seven = load_script("block_memory").gl32(groups)
+    sides = (stab, seven) if name == "s4-c7" else (seven, stab)
+    return derive_actions(G, *sides, name=name)
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + [
+    "s5-cyclic5", "conj-s4-s3", "s6-cyclic6", "s4-c7", "c7-s4"])
+def test_catalog_matches_the_pairing_table_loop(name, monkeypatch):
+    """From the same pieces, the first-match rule gives the catalog that the
+    loop over a pieces x pieces pairing table gave: the same pieces, in the
+    same order, and the same equivalence map."""
+    A = build_algebra(_pair_named(name))
+    seen = []
+
+    def pieces(coreps, seed, real=reps._irreducible_pieces):
+        seen.append(real(coreps, seed))
+        return seen[-1]
+    monkeypatch.setattr(reps, "_irreducible_pieces", pieces)
+    cat = enumerate_irreps(A)
+    canonical, equivalence_map = first_irrep_identification(
+        A, seen[0], cat.orbit_space)
+    assert [id(c) for c in cat.canonical] == [id(c) for c in canonical]
+    assert cat.equivalence_map == equivalence_map
+
+
+def _neighbours(a, b, nk):
+    """A pairing in which each piece of an orbit pairs with itself and
+    with the pieces listed next to it, and with no other."""
+    at = np.arange(len(a))
+    return (abs(at[:, None] - at) <= 1).astype(np.int64)
+
+
+def test_identification_refuses_a_pairing_that_is_not_transitive(
+        monkeypatch, capsys):
+    """With neighbouring pieces paired, o0*x2 pairs first with o0*x1, which
+    pairs first with o0*x0: no single irrep names o0*x2.  The catalog is
+    refused, and the command line reports a numeric breach (exit 2)."""
+    monkeypatch.setattr(reps, "rounded_pairings", _neighbours)
+    message = ("piece o0*x2 pairs first with o0*x1, which pairs first with "
+               "o0*x0: the Haar pairing is not an equivalence")
+    with pytest.raises(IdentityViolated) as err:
+        enumerate_irreps(algebra_of("z6-abelian"))
+    assert str(err.value) == message
+    code = main(["irreps", str(SAMPLES / "s3_split.pair")])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+
+def test_catalog_refuses_a_short_dimension_count(monkeypatch):
+    """If all pieces of an orbit paired, each orbit of z6-abelian would
+    hold one irrep, and two irreps of dimension 1 do not fill dimension 6."""
+    monkeypatch.setattr(reps, "rounded_pairings",
+                        lambda a, b, nk: np.ones((len(a), len(b)), int))
+    with pytest.raises(PeterWeylMismatch,
+                       match=r"^sum of squared dims 2 != algebra dim 6$"):
+        enumerate_irreps(algebra_of("z6-abelian"))
+
+
+def _degenerate_eigh(times):
+    """numpy's eigh with every eigenvalue 0 on its first ``times`` calls."""
+    return _patched(np.linalg.eigh, lambda vals, vecs: (0 * vals, vecs),
+                    times)[0]
+
+
+def test_split_redraws_an_endomorphism_with_one_eigenvalue():
+    """A draw whose two hermitian parts each have a single eigenvalue
+    splits nothing and is redrawn; with every draw so, the split gives up
+    with SeedDegenerate."""
+    A = algebra_of("s3-split-dual")
+    two = [c for c in build_candidates(A)[0] if c.dim == 2]
+    big = two[0].tensor(two[1])
+    want = sorted(p.dim for p in decompose(big))
+    with mock.patch.object(np.linalg, "eigh", _degenerate_eigh(2)):
+        assert sorted(p.dim for p in decompose(big)) == want == [1, 1, 2]
+    with mock.patch.object(np.linalg, "eigh", _degenerate_eigh(99)), \
+            pytest.raises(SeedDegenerate,
+                          match=r"^could not split o1\*x0\(x\)o1\*x1 \(End "
+                                r"dim 3\) after 8 draws$"):
+        decompose(big)
+
+
+def test_tensor_refuses_coreps_on_different_algebras():
+    u = build_candidates(algebra_of("s3-split"))[0][0]
+    w = build_candidates(algebra_of("s3-split-dual"))[0][0]
+    with pytest.raises(ValidationError,
+                       match=r"^\[corep-tensor\] different algebras$"):
+        u.tensor(w)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +698,53 @@ def test_invariant_groups_name_the_stage_that_fails(code):
             reps.permuted_rows, lambda rows, *_: (rows.shape[1] == nr) == on_r))
     with patch, pytest.raises(ValidationError, match=rf"^\[{code}\] "):
         invariant_groups(A, cat)
+
+
+def _broken_at_point(A, table, g, empty):
+    """Tables of ``A`` with the law ``table`` broken for every algebra
+    character at compact point g: products of its basis elements, or
+    their stars, land on the point ``empty`` (where no character lives),
+    or the unit's weight there is doubled."""
+    at = A.g_of == g
+    moved = A.gamma_of * A.nk + empty              # (r, empty) of each (r, h)
+    if table == "result":
+        return np.where(at[:, None], moved[A.result], A.result)
+    if table == "star_index":
+        return np.where(at, moved, A.star_index)
+    return np.where(at, 2, 1) * A.unit_vec
+
+
+@pytest.mark.parametrize("table", ["result", "star_index", "unit_vec"])
+def test_spectrum_search_skips_the_characters_that_break_a_law(table):
+    """On conj-s3-rot the algebra characters sit at compact points 0, 2
+    and 5.  Once the intrinsic group is built, the ``table`` law is broken
+    at point 2: the search then skips each character there, at the check
+    of that law, and offers the others to the spectrum group."""
+    A = build_algebra(CORPUS["conj-s3-rot"])
+    cat = catalog_of("conj-s3-rot")
+    offered = []
+
+    class Offered(Exception):
+        pass
+
+    def offer(vectors, products, labels, name, *rest, broken,
+              real=reps._invariant_group):
+        if name == "spectrum":
+            raise Offered(labels)
+        out = real(vectors, products, labels, name, *rest)
+        if broken:
+            setattr(A, table, _broken_at_point(A, table, 2, 1))
+        return out
+    for broken in (False, True):
+        with mock.patch.object(reps, "_invariant_group",
+                               lambda *a, b=broken: offer(*a, broken=b)), \
+                pytest.raises(Offered) as err:
+            invariant_groups(A, cat)
+        offered.append(err.value.args[0])
+    K = A.pair.compact.labels
+    points = [K.index(label[1:].split(",")[0]) for label in offered[0]]
+    assert points == [0, 0, 0, 2, 2, 2, 5, 5, 5]
+    assert offered[1] == offered[0][:3] + offered[0][6:]
 
 
 def test_candidates_and_validate_build_no_subgroup():
