@@ -10,6 +10,7 @@ Jobs:
                   GL(3,2) = S4 * C7, dim 168
     c7-s4-audit   the same two steps on GL(3,2) = C7 * S4
     a6-c7-axioms  check_axioms on A7 = A6 * <(0 1 ... 6)>, dim 2,520
+    c7-a6-axioms  the same on A7 with its sides swapped, <(0 1 ... 6)> * A6
     conj-s4-s4-fusion
                   the ``kacforge fusion`` pipeline on S4 acting on itself by
                   conjugation, dim 576 (46-50 s on 2 vCPUs)
@@ -22,7 +23,7 @@ Usage:
 JSON line per job: its status (``ok``, ``out-of-memory`` or ``failed``),
 wall seconds, the child's peak RSS in MB and what the job found; an audit
 counts its triple disagreements and its distinctness findings apart, and
-the axiom job gives its verdict and the seconds ``check_axioms`` took;
+an axiom job gives its verdict and the seconds ``check_axioms`` took;
 the fusion job gives its route-agreement verdict and the sha256 of its
 text and structured reports.
 """
@@ -38,7 +39,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 JOBS = ("swapped-s6", "s4-c7-audit", "c7-s4-audit", "a6-c7-axioms",
-        "conj-s4-s4-fusion")
+        "c7-a6-axioms", "conj-s4-s4-fusion")
 LIMIT_KB = 4_000_000
 
 
@@ -84,8 +85,10 @@ def run_job(job):
                 **{f"{out}_sha256": hashlib.sha256(
                     report.render(out).encode()).hexdigest()
                    for out in ("text", "structured")}}
-    if job == "a6-c7-axioms":
-        A = hopf.build_algebra(matched.derive_actions(*a7(groups), name=job))
+    if job.endswith("-axioms"):
+        G, stab, cycle = a7(groups)
+        sides = (stab, cycle) if job == "a6-c7-axioms" else (cycle, stab)
+        A = hopf.build_algebra(matched.derive_actions(G, *sides, name=job))
         t0 = time.perf_counter()
         report = hopf.check_axioms(A)
         return {"dim": A.dim, "verdict": "PASS" if report.passed else "FAIL",

@@ -28,8 +28,9 @@ class KacAlgebra:
       each discrete block s, the one at offset[i, s] in that block (the
       read-only ``partner`` gives its full index); their product is basis
       result[i, s], and i times any other basis element is 0.
-    * ``delta_left``, ``delta_right`` (dim, nk): the coproduct of basis i is
-      the sum over a of delta_left[i, a] x delta_right[i, a].
+    * ``delta_block`` (dim, nk): the coproduct of basis i = (r, g) is the
+      sum over a of u_r d_a x u_s d_{a^-1 g}, s = delta_block[i, a]; the
+      read-only ``delta_left`` and ``delta_right`` give the legs' indices.
     * ``star_index``, ``antipode_index`` (dim,): star and antipode of basis i.
     """
 
@@ -60,9 +61,7 @@ class KacAlgebra:
 
         # coproduct of u_r d_g: sum over g = a b of (u_r d_a) x (u_{beta_a(r)} d_b),
         # term a in column a
-        b = K.cayley[K.inverse][:, g_idx].T
-        self.delta_left = (r_idx[:, None] * nk + np.arange(nk)).astype(np.int32)
-        self.delta_right = (B[:, r_idx].T * nk + b).astype(np.int32)
+        self.delta_block = B[:, r_idx].T.astype(np.int32)
 
         self.unit_vec = (self.gamma_of == R.identity).astype(complex)
         self.counit_vec = (self.g_of == K.identity).astype(np.int64)
@@ -75,6 +74,18 @@ class KacAlgebra:
         """(dim, nr) full basis indices of the factors in `offset`, in
         ascending order along each row."""
         return np.arange(self.nr, dtype=np.int32) * self.nk + self.offset
+
+    @property
+    def delta_left(self):
+        """(dim, nk) left legs of the coproduct: u_r d_a in column a."""
+        return self.gamma_of[:, None] * self.nk + np.arange(self.nk, dtype=np.int32)
+
+    @property
+    def delta_right(self):
+        """(dim, nk) right legs of the coproduct: u_s d_{a^-1 g} in column a,
+        s = delta_block[i, a]."""
+        K = self.pair.compact
+        return self.delta_block * self.nk + K.cayley[K.inverse][:, self.g_of].T
 
     # -- naming -------------------------------------------------------------
 
@@ -219,14 +230,12 @@ def _key(cols, n):
     return np.ravel_multi_index(tuple(c.ravel() for c in cols), (n,) * len(cols))
 
 
-def _changed(got, want, got_w=None, want_w=None):
-    """Keys whose multiplicity (or total weight) differs between two key
-    arrays, with the difference."""
-    keys = np.concatenate([got, want])
-    w = np.concatenate([np.ones(len(got)) if got_w is None else np.ravel(got_w),
-                        -(np.ones(len(want)) if want_w is None else np.ravel(want_w))])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    net = np.bincount(inv, weights=w, minlength=len(uniq))
+def _changed(got, want):
+    """Keys whose multiplicity differs between two key arrays, with the
+    difference."""
+    uniq, inv = np.unique(np.concatenate([got, want]), return_inverse=True)
+    net = np.bincount(inv, np.repeat([1, -1], [len(got), len(want)]),
+                      minlength=len(uniq))
     return uniq[net != 0], net[net != 0]
 
 
@@ -325,7 +334,8 @@ def check_axioms(A):
     n, nk, nr = A.dim, A.nk, A.nr
     rows = np.arange(n)
     partner = A.partner
-    dl, dr = A.delta_left, A.delta_right
+    dl, dr, blocks = A.delta_left, A.delta_right, A.delta_block
+    R, K = A.pair.discrete, A.pair.compact
     S = A.antipode_index
     ST = A.star_index
     eps = A.counit_vec
@@ -356,21 +366,22 @@ def check_axioms(A):
            + (stars_to[:, None] * stars_to[partner]).sum())
     checks.append(AxiomCheck("star-antihomomorphism", float(bad)))
 
-    # coassociativity (multisets of index triples)
-    bad = np.zeros(n, dtype=bool)
+    # coassociativity: every leg offset is fixed, so term (a, b) of
+    # (Delta x id) Delta(i) can only meet term (b, b^-1 a) of
+    # (id x Delta) Delta(i), and their blocks must agree: the middle legs'
+    # when every row of i's discrete block has the blocks of i, the right
+    # legs' when blocks[i, b c] = blocks[dr[i, b], c]
+    per_r = blocks.reshape(nr, nk, nk)
+    bad = np.repeat((per_r != per_r[:, :1]).any((1, 2)), nk)
+    flat = blocks.ravel()
     for blk in _row_blocks(n, nk * nk):
-        j, k = dl[blk][:, :, None], dr[blk][:, :, None]
-        left = _key((dl[j[..., 0]], dr[j[..., 0]], k), n).reshape(len(k), -1)
-        right = _key((j, dl[k[..., 0]], dr[k[..., 0]]), n).reshape(len(k), -1)
-        bad[blk] = (np.sort(left, 1) != np.sort(right, 1)).any(1)
+        bad[blk] |= (flat[rows[blk, None, None] * nk + K.cayley]
+                     != blocks[dr[blk]]).any((1, 2))
     checks.append(_row_check(A, "coassociativity", bad))
 
-    # counit laws: exactly one leg survives the counit, and it is i itself
-    def _single(sel):
-        return ((sel >= 0).sum(1) == 1) & (sel.max(1) == rows)
-    bad = ~(_single(np.where(eps[dl] != 0, dr, -1))
-            & _single(np.where(eps[dr] != 0, dl, -1)))
-    checks.append(_row_check(A, "counit-laws", bad))
+    # counit laws: the term a = e of each row is the row itself
+    checks.append(_row_check(A, "counit-laws",
+                             blocks[:, K.identity] != A.gamma_of))
 
     # counit multiplicative: per row i, the j with eps(ij) = 1 against the
     # j with eps(i) eps(j) = 1
@@ -386,35 +397,30 @@ def check_axioms(A):
     # In Delta(i) Delta(j) the left legs j1 of Delta(i) and j2 of Delta(j)
     # multiply to nonzero only for j2 = partner[j1, s], s the block of j.
     # Every coproduct term with left leg j2 has its right leg in the block
-    # `rblock[j2]`, and j2 with that right leg names its element (`owner`).
-    # So each (i, a, s) gives exactly one nonzero term, of one pair (i, j);
-    # all other pairs must have a zero product.  In tables edited after the
-    # build, j2 may be no term's left leg, or its leg pair may name no
-    # element: owner is then -1, and the term is a zero product (key -1),
-    # as for mul_index.
+    # `rblock[j2]`, and j2 = u_r d_a with the right leg at offset c is a
+    # term of u_r d_{ac} (`owner`).  So each (i, a, s) gives exactly one
+    # nonzero term, of one pair (i, j); all other pairs must have a zero
+    # product.
     rblock = np.zeros(n, dtype=np.int64)
-    rblock[dl] = dr // nk
-    owner = np.full((n, nk), -1, dtype=np.int64)
-    owner[dl, dr % nk] = rows[:, None]
-    # Each row compares its sorted key arrays, as coassociativity does, and
-    # only a row that differs lists its changed keys.
+    rblock[dl] = blocks
+    owner = A.gamma_of[:, None] * nk + K.cayley[A.g_of]
+    # Each row compares its sorted key arrays, and only a row that differs
+    # lists its changed keys.
     bad_pairs = [np.zeros(0, dtype=np.int64)]
     for blk in _row_blocks(n, 8 * nk * nr):
         i = rows[blk, None, None]
         j1, k1 = dl[blk], dr[blk][:, :, None]
         j2 = partner[j1]                                     # (b, nk, nr)
         block = rblock[j2]
-        j = owner[j2, A.offset[k1, block]]
-        got = np.where(j.ravel() < 0, -1,
-                       _key((i, np.maximum(j, 0), A.result[j1],
-                             A.result[k1, block]), n))
+        got = _key((i, owner[j2, A.offset[k1, block]], A.result[j1],
+                    A.result[k1, block]), n)
         m = A.result[blk]                                    # (b, nr)
         want = _key((i, partner[blk][:, :, None], dl[m], dr[m]), n)
         got, want = got.reshape(len(m), -1), want.reshape(len(m), -1)
         differ = (np.sort(got, 1) != np.sort(want, 1)).any(1)
         if differ.any():
             diff, _ = _changed(got[differ].ravel(), want[differ].ravel())
-            bad_pairs.append(np.unique(diff[diff >= 0] // (n * n)))
+            bad_pairs.append(np.unique(diff // (n * n)))
     bad_pairs = np.concatenate(bad_pairs)
     witness = None
     if len(bad_pairs):
@@ -443,20 +449,16 @@ def check_axioms(A):
     checks.append(AxiomCheck("antipode-star-commute",
                              float((ST[S] != S[ST]).sum())))
 
-    # invariant state: two-sided invariance (exact: the state times |K| is
-    # integer valued)
-    hk = np.append(A.haar_k, 0)
-    target = _key((rows[:, None], unit[None, :]), n)
-    target_w = np.broadcast_to(hk[:n, None], (n, len(unit)))
-    inst = np.broadcast_to(rows[:, None], dl.shape)
-    bad = np.zeros(n, dtype=bool)
-    for legs, weights in ((dl, hk[dr]), (dr, hk[dl])):
-        diff, _ = _changed(_key((inst, legs), n), target, weights, target_w)
-        bad[diff // n] = True
-    checks.append(_row_check(A, "haar-invariance", bad))
+    # invariant state: two-sided invariance.  The state lives on the block
+    # u_e, so a row in it must keep every right leg there, any other row
+    # none
+    checks.append(_row_check(
+        A, "haar-invariance",
+        ((blocks == R.identity) != (A.gamma_of == R.identity)[:, None]).any(1)))
 
     # invariant state is tracial over all basis pairs: pairs with h(ij) != 0
     # are enumerated, the rest violate iff h(ji) != 0
+    hk = np.append(A.haar_k, 0)
     h_ij = hk[A.result]
     h_ji = hk[A.mul_index(partner, rows[:, None])]
     seen = h_ij != 0
@@ -559,12 +561,13 @@ def coset_space_dimension(A, rho):
     validate_morphism(rho)
     nk, m, ks = A.nk, rho.target.dim, np.arange(A.nk)
     unit = np.flatnonzero(rho.target.unit_vec.real > 0.5)
+    dr = A.delta_right
     svals = []
     for blk in _row_blocks(A.nr, nk * nk * (m + 1)):
         i = np.arange(blk.start * nk, blk.stop * nk).reshape(-1, nk)  # (r, g)
         # T[r, a, q, g]; row q = m takes the terms that rho sends to 0
         T = np.zeros((len(i), nk, m + 1, nk))
-        T[np.arange(len(i))[:, None, None], ks, rho.image[A.delta_right[i]],
+        T[np.arange(len(i))[:, None, None], ks, rho.image[dr[i]],
           ks[:, None]] = 1.0
         T[:, ks[:, None], unit, ks[:, None]] -= 1.0
         svals.append(np.linalg.svd(T[:, :, :m].reshape(len(i), -1, nk),
@@ -618,20 +621,13 @@ def group_subalgebra_check(A):
     checks.append(AxiomCheck("covariance-relation", float(bad)))
 
     # coproduct of a compact indicator stays inside the compact copy:
-    # Delta(d_g) = sum_a d_a x d_{a^-1 g}
-    got = _key((A.delta_left[e * nk + ks], A.delta_right[e * nk + ks]), n)
-    want = _key((e * nk + ks[None, :], e * nk + K.cayley[K.inverse][:, ks].T), n)
-    bad = (np.sort(got.reshape(nk, -1), 1)
-           != np.sort(want.reshape(nk, -1), 1)).any(1).sum()
+    # Delta(d_g) = sum_a d_a x d_{a^-1 g}, every right leg in the block e
+    bad = (A.delta_block[d] != e).any(1).sum()
     checks.append(AxiomCheck("compact-coproduct-form", float(bad)))
 
     # coproduct of a discrete unitary: sum_a (u_r d_a) x u_{beta_a(r)}
-    r = np.arange(R.order)[:, None, None]
-    got = _key((A.delta_left, A.delta_right), n)
-    want = _key((r * nk + ks[:, None],
-                 A.pair.beta[ks[:, None], r] * nk + ks[None, :]), n)
-    bad = (np.sort(got.reshape(R.order, -1), 1)
-           != np.sort(want.reshape(R.order, -1), 1)).any(1).sum()
+    bad = (A.delta_block.reshape(nr, nk, nk)
+           != A.pair.beta.T[:, None, :]).any((1, 2)).sum()
     checks.append(AxiomCheck("discrete-coproduct-form", float(bad)))
 
     return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
@@ -652,9 +648,9 @@ def structure_dump(A):
         lines.append(f"mul {i} " + " ".join(terms))
     lines.append("star " + " ".join(str(int(v)) for v in A.star_index))
     lines.append("antipode " + " ".join(str(int(v)) for v in A.antipode_index))
+    dl, dr = A.delta_left.tolist(), A.delta_right.tolist()
     for i in range(A.dim):
-        pairs = ";".join(f"{j},{k}" for j, k in
-                         zip(A.delta_left[i].tolist(), A.delta_right[i].tolist()))
+        pairs = ";".join(f"{j},{k}" for j, k in zip(dl[i], dr[i]))
         lines.append(f"delta {i} {pairs}")
     lines.append("counit " + " ".join(str(int(v)) for v in A.counit_vec))
     lines.append("haar " + " ".join(str(Fraction(int(h), A.nk))

@@ -386,23 +386,15 @@ class ReportEntry:
 class Report:
     command: str
     seed: int
-    sections: list = field(default_factory=list)   # (module, [entries])
-
-    def section(self, module):
-        for mod, entries in self.sections:
-            if mod == module:
-                return entries
-        entries = []
-        self.sections.append((module, entries))
-        return entries
+    sections: dict = field(default_factory=dict)   # module -> [entries]
 
     def add(self, module, name, status, residual=None, witness=""):
-        self.section(module).append(
+        self.sections.setdefault(module, []).append(
             ReportEntry(name=name, status=status, residual=residual,
                         witness=witness))
 
     def entries(self):
-        return [e for _, es in self.sections for e in es]
+        return [e for es in self.sections.values() for e in es]
 
     @property
     def failed(self):
@@ -413,7 +405,7 @@ class Report:
 
     def render_text(self):
         lines = [f"kacforge {self.command} (seed {self.seed:#x})"]
-        for module, entries in self.sections:
+        for module, entries in self.sections.items():
             lines.append(f"[{module}]")
             for e in entries:
                 bits = [f"  {e.status:<14} {e.name}"]
@@ -433,7 +425,7 @@ class Report:
             "sections": [
                 {"module": module,
                  "entries": [e.as_dict() for e in entries]}
-                for module, entries in self.sections
+                for module, entries in self.sections.items()
             ],
             "result": "FAIL" if self.failed else "PASS",
         }

@@ -121,6 +121,7 @@ def check_corepresentation(c):
     star = [a[by_col] for a in (c.col, c.row, A.star_index[c.basis],
                                 np.conj(c.value))]
     unit, dev = np.flatnonzero(A.unit_vec)[None], 0.0
+    legs = A.delta_left * np.int64(N) + A.delta_right
     for left, right in ((mine, mine), (mine, star), (star, mine)):
         at = np.searchsorted(left[0], np.arange(d + 1))
         per_row = np.bincount(right[0], minlength=d)
@@ -130,8 +131,7 @@ def check_corepresentation(c):
             n, m = _join(k, right[0])
             if left is right:                 # the leg pair (p, q) is pN + q
                 x = t[n] * N + right[2][m]
-                want = (i, k, v, A.delta_left[t] * np.int64(N)
-                        + A.delta_right[t])
+                want = (i, k, v, legs[t])
             else:
                 x = A.mul_index(t[n], right[2][m])
                 n, m, x = n[x < N], m[x < N], x[x < N]
@@ -856,10 +856,15 @@ def invariant_groups(A, catalog, seed=DEFAULT_SEED):
                 continue
             labels.append(f"({K.labels[g]},m{mi})")
             vectors.append(phi)
+    if not vectors:
+        raise ValidationError("spectrum-characters",
+                              "no algebra character passes the product, "
+                              "star and unit checks")
     P = np.array(vectors)
+    left = A.delta_left
     right = P[:, A.delta_right]                  # [j, basis, coproduct term]
     spectrum, spectrum_model, spectrum_iso = _invariant_group(
-        P, lambda i: (P[i][A.delta_left] * right).sum(2), labels,
+        P, lambda i: (P[i][left] * right).sum(2), labels,
         "spectrum", "convolution", dualR, fix_k_group, mp.beta[fix_k_el])
 
     return InvariantGroups(

@@ -747,6 +747,16 @@ def test_spectrum_search_skips_the_characters_that_break_a_law(table):
     assert offered[1] == offered[0][:3] + offered[0][6:]
 
 
+@pytest.mark.parametrize("name", ["s3-split", "s4-cyclic4"])
+def test_an_empty_spectrum_is_refused_at_its_stage(name):
+    """With the unit's weight at basis 0 set to 2 no algebra character
+    passes the unit check: the spectrum stage refuses the empty set."""
+    A = build_algebra(CORPUS[name])
+    A.unit_vec[0] = 2
+    with pytest.raises(ValidationError, match=r"^\[spectrum-characters\] "):
+        invariant_groups(A, catalog_of(name))
+
+
 def test_candidates_and_validate_build_no_subgroup():
     """Only the orbit space is read by the candidate builder and by
     ``kacforge validate``; neither builds a fixed subgroup."""

@@ -108,6 +108,16 @@ def test_block_memory_certifies_the_a6_c7_pair(capsys):
     assert row["check_axioms_s"] > 0 and row["peak_rss_mb"] > 0
 
 
+@pytest.mark.slow
+def test_block_memory_certifies_the_c7_a6_pair(capsys):
+    code, lines = run_script("block_memory", ["c7-a6-axioms"], capsys)
+    assert code == 0
+    row = json.loads(lines[-1])
+    assert row["job"] == "c7-a6-axioms" and row["status"] == "ok"
+    assert row["dim"] == 2520 and row["verdict"] == "PASS"
+    assert row["check_axioms_s"] > 0 and row["peak_rss_mb"] > 0
+
+
 def test_line_coverage_lists_the_statements_a_selection_skips():
     """In a child process, as the script runs pytest in its own: one test
     builds valid measures, so the weight-type refusal stays unexecuted and
