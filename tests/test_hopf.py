@@ -168,15 +168,17 @@ def _corrupted_table(name, table, seed, changes=2):
     """The algebra of ``name`` (see `pair_of`) with ``changes`` seeded
     entries of one table rewritten: of ``offset`` to any offset in its
     block (``partner``), of ``delta_block`` to any discrete block, or of
-    ``result`` to any basis index."""
+    ``result`` to any basis index. A right leg rewritten to any basis index
+    (``delta_right``) keeps only its discrete block: its offset is fixed by
+    the term."""
     A = build_algebra(pair_of(name))
-    attr = "offset" if table == "partner" else table
+    attr = {"partner": "offset", "delta_right": "delta_block"}.get(table, table)
     arr = getattr(A, attr).copy()
     rng = np.random.default_rng(seed)
     bound = {"partner": A.nk, "delta_block": A.nr}.get(table, A.dim)
     for _ in range(changes):
         i, s = rng.integers(A.dim), rng.integers(arr.shape[1])
-        arr[i, s] = rng.integers(bound)
+        arr[i, s] = rng.integers(bound) // (A.nk if table == "delta_right" else 1)
     setattr(A, attr, arr)
     return A
 
@@ -343,7 +345,8 @@ def test_moved_blocks_keep_the_coalgebra_verdicts(case):
     assert got == TAMPERED_BLOCKS[case]
 
 
-@pytest.mark.parametrize("table", ["partner", "result", "delta_block"])
+@pytest.mark.parametrize("table", ["partner", "result", "delta_right",
+                                   "delta_block"])
 def test_tampered_tables_fail_without_raising(table):
     """One to three entries of one table of each corpus pair rewritten, on
     ten seeds each: the report never raises, and it has a FAIL line exactly
