@@ -46,6 +46,10 @@ RING_CAP = 256
 INTERTWINER_CAP = 1 << 24
 #: fusion-audit triples checked; above it a seeded sample of this size
 AUDIT_TRIPLES = 2000
+#: points of the exhaustive separation grid, sum over its denominators D of
+#: C(order + D - 1, D), at about 0.6 us a point: order 97 at D = 1..4,
+#: 4.08 M points in 2.4 s, is the largest group under the cap
+SEPARATION_CAP = 1 << 22
 
 
 @dataclass(frozen=True)

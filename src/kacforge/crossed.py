@@ -647,7 +647,10 @@ def rd_inequality_sample(inst, l0, poly_coeffs, samples=20,
         band = sorted(bands)[int(rng.integers(len(bands)))]
         a = random_dual_element(ring, bands[band], rng)
         f = crossed_fourier(inst, a)
-        op = float(np.linalg.norm(A.left_mult_matrix(f), ord=2))
+        # L(f) is block-diagonal over the compact index: its norm is the
+        # largest block norm
+        op = float(np.linalg.norm(A.left_mult_blocks(f), ord=2,
+                                  axis=(1, 2)).max())
         bound = float(sum(c * band ** i for i, c in enumerate(poly_coeffs)))
         denom = bound * sobolev0_norm(a)
         ratio = op / denom if denom > 0 else float("inf")

@@ -138,6 +138,7 @@ class FiniteGroup:
         self._validate()
         self._class_cache = None
         self._orders = None
+        self._tables = {}            # seed -> CharacterTable
 
     # -- construction checks ------------------------------------------------
 
@@ -639,8 +640,16 @@ def abelian_invariants(obj):
 
 
 def character_table(G, seed=DEFAULT_SEED):
+    """The character table of G for a seed, computed once per seed and kept
+    on the group; its ``chars`` are read-only."""
     if G.order > CHARTABLE_CAP:
         raise SizeBound(f"order {G.order} exceeds character-table cap {CHARTABLE_CAP}")
+    if int(seed) not in G._tables:
+        G._tables[int(seed)] = _character_table(G, seed)
+    return G._tables[int(seed)]
+
+
+def _character_table(G, seed):
     data = conjugacy_and_center(G)
     k = len(data.classes)
     reps = [cls[0] for cls in data.classes]
@@ -701,6 +710,7 @@ def character_table(G, seed=DEFAULT_SEED):
                        key=lambda r: (r != trivial, round(dims[r].real),
                                       _char_sort_key(chars[r])))
         chars = chars[order]
+        chars.flags.writeable = False
         dims_out = [int(round(dims[r].real)) for r in order]
         return CharacterTable(group=G, classes=data,
                               class_sizes=[int(s) for s in sizes],

@@ -169,6 +169,18 @@ class KacAlgebra:
         out[self.result[i], self.partner[i]] += a[i, None]
         return out
 
+    def left_mult_blocks(self, a):
+        """The (nk, nr, nr) diagonal blocks of ``left_mult_matrix(a)``.
+
+        x -> a x keeps the compact index: its matrix has no entry outside
+        the cells (u_t d_h, u_s d_h), so block h holds, at [t, s], the entry
+        of row u_t d_h and column u_s d_h."""
+        out = np.zeros((self.nk, self.nr, self.nr), dtype=complex)
+        i = np.flatnonzero(a)
+        out[self.offset[i], self.gamma_of[self.result[i]],
+            np.arange(self.nr)] += a[i, None]
+        return out
+
     def __repr__(self):
         return f"KacAlgebra({self.pair.name!r}, dim={self.dim})"
 

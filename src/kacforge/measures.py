@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT_SEED, RING_CAP
+from .config import DEFAULT_SEED, RING_CAP, SEPARATION_CAP
 from .crossed import DualElement, unit_dual_element
-from .errors import DomainError, ValidationError
+from .errors import DomainError, SizeBound, ValidationError
 from .groups import rng_from
 
 # int64 entries per row block of the separation grid, which keeps its
@@ -70,8 +70,10 @@ def delta_measure(G, g):
     return FiniteMeasure(G, tuple(w))
 
 
-def random_rational_measure(G, seed, zero_at=None, salt=()):
-    """Seeded exact measure; optionally forced to vanish at given points."""
+def _random_counts(G, seed, zero_at=None, salt=()):
+    """The seeded integer counts behind ``random_rational_measure``: an
+    int64 row of G.order counts in 0..60, zero on ``zero_at``, with a
+    positive sum (the measure is counts / sum)."""
     rng = rng_from(seed, 31, *salt)
     counts = rng.integers(0, 61, size=G.order)          # counts 0..60
     zero = set(zero_at or ())
@@ -81,6 +83,12 @@ def random_rational_measure(G, seed, zero_at=None, salt=()):
     counts[list(zero)] = 0
     if counts.sum() == 0:
         counts[min(set(range(G.order)) - zero)] = 1
+    return counts
+
+
+def random_rational_measure(G, seed, zero_at=None, salt=()):
+    """Seeded exact measure; optionally forced to vanish at given points."""
+    counts = _random_counts(G, seed, zero_at, salt)
     total = int(counts.sum())
     return FiniteMeasure(G, tuple(Fraction(int(c), total) for c in counts))
 
@@ -133,13 +141,19 @@ def _separation_grid(G, denominators):
     """Exhaustive grid of measures with weights in (1/D)Z as exact integer
     counts, in row blocks of about _GRID_BLOCK int64 entries: identity-free
     points, their least distance to delta_e, points checked against
-    2*(1 - mu(e)) and the largest deviation from it."""
+    2*(1 - mu(e)) and the largest deviation from it.  A grid of more than
+    SEPARATION_CAP points is refused before any point is built."""
     from itertools import chain, combinations_with_replacement, islice
     n, e = G.order, G.identity
-    points, checked, mins, devs = 0, 0, [], [Fraction(0)]
     for D in denominators:
         if D < 1:
             raise DomainError(f"grid denominator must be >= 1, got {D}")
+    size = sum(math.comb(n + D - 1, D) for D in denominators)
+    if size > SEPARATION_CAP:
+        raise SizeBound(f"separation grid of order {n} has {size} points, "
+                        f"over the grid cap {SEPARATION_CAP}")
+    points, checked, mins, devs = 0, 0, [], [Fraction(0)]
+    for D in denominators:
         # a composition of D into n parts is a D-multiset of the n slots
         multisets = combinations_with_replacement(range(n), D)
         rows = max(1, _GRID_BLOCK // max(n, D))
@@ -184,6 +198,21 @@ def _tv_identity_holds(mu, e, rhs):
     return total == list(rhs)
 
 
+def _sample_distances(G, samples, seed):
+    """Exact distances to delta_e of the seeded identity-free measures of
+    ``random_rational_measure`` (salt (13, t) for draw t), read from their
+    integer counts c of total T as sum |c - T delta_e| / T, summed
+    coordinate by coordinate as on the grid."""
+    e = G.identity
+    point_e = np.arange(G.order) == e
+    out = []
+    for t in range(samples):
+        c = _random_counts(G, seed, zero_at=[e], salt=(13, t))
+        total = int(c.sum())
+        out.append(Fraction(int(np.abs(c - total * point_e).sum()), total))
+    return out
+
+
 def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
                       seed=DEFAULT_SEED):
     """Certify that identity-free measures sit at exact distance 2 from the
@@ -194,18 +223,12 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
     proves the mixed-mass identity for every measure.
     """
     n = G.order
-    e = G.identity
     if n < 2:
         raise DomainError("separation is vacuous below group order 2")
-    delta_e = delta_measure(G, e)
     grid_points, grid_min, mixed_checked, mixed_dev = \
         _separation_grid(G, denominators)
 
-    sample_min = None
-    for t in range(samples):
-        mu = random_rational_measure(G, seed=seed, zero_at=[e], salt=(13, t))
-        d = tv_distance(mu, delta_e)
-        sample_min = d if sample_min is None else min(sample_min, d)
+    sample_min = min(_sample_distances(G, samples, seed), default=None)
 
     # the generic measure, identity first, as linear forms in
     # (1, s_1, ..., s_{n-1}): mu(e) = 1 - sum s_i and mu(x_i) = s_i; the

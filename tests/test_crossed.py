@@ -23,7 +23,8 @@ from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
                               crude_poly_bound,
                               element_fusion_ring, fourier_transform,
                               fourier_values, free_orthogonal_ring,
-                              graded_parts, inverse_fourier,
+                              graded_parts, graded_word_length,
+                              inverse_fourier,
                               invariantize_length, irrep_fusion_ring,
                               length_l0, rd_inequality_sample, sobolev0_norm,
                               unit_dual_element, validate_ring_action,
@@ -31,8 +32,10 @@ from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
 from kacforge.errors import (ActionNotCompatible, IdentityViolated,
                              TruncationOverflow, ValidationError)
 from kacforge.groups import character_table, rng_from
-from kacforge.library import (corpus_pairs, cyclic_group, quaternion_group,
-                              special_linear_group, symmetric_group)
+from kacforge.hopf import KacAlgebra
+from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
+                              quaternion_group, special_linear_group,
+                              symmetric_group)
 from kacforge.reps import Corepresentation, mor_dim_haar, mor_dim_solver
 
 from .oracles import brute_character_inner
@@ -603,6 +606,24 @@ def test_rd_deterministic():
     r1 = rd_inequality_sample(inst, l0, (4.0,), samples=6, seed=11)
     r2 = rd_inequality_sample(inst, l0, (4.0,), samples=6, seed=11)
     assert [s.ratio for s in r1.samples] == [s.ratio for s in r2.samples]
+
+
+def test_rd_sample_builds_no_dense_left_multiplication(monkeypatch):
+    """The operator norms are read from the compact-index blocks: the dim x
+    dim matrix of left multiplication (dim 96 on S4 = <4-cycle> . C4 under
+    conjugation) is never built."""
+    S4 = symmetric_group(4)
+    four_cycle = S4.permutations.index((1, 2, 3, 0))
+    inst = crossed_instance(pair_conjugation(S4, S4.closure([four_cycle]),
+                                             name="conj-s4-z4"))
+
+    def dense(self, a):
+        raise AssertionError("dense left multiplication built")
+    monkeypatch.setattr(KacAlgebra, "left_mult_matrix", dense)
+    rep = rd_inequality_sample(inst, graded_word_length(inst),
+                               crude_poly_bound(inst), samples=5)
+    assert inst.algebra.dim == 96
+    assert rep.passed and len(rep.samples) == 5
 
 
 

@@ -392,6 +392,23 @@ def test_character_table_size_cap():
         character_table(S3)
 
 
+def test_character_table_is_kept_per_group_and_seed():
+    G = symmetric_group(3)
+    t = character_table(G)
+    assert character_table(G) is t
+    assert not t.chars.flags.writeable
+    with pytest.raises(ValueError):
+        t.chars[0, 0] = 2
+    other = character_table(G, seed=7)
+    assert other is not t and character_table(G, seed=7) is other
+    assert other.dims == t.dims
+    assert character_table(symmetric_group(3)) is not t
+    # the cap is read before the kept table
+    with pytest.raises(SizeBound), \
+            mock.patch.object(groups, "CHARTABLE_CAP", 5):
+        character_table(G)
+
+
 @settings(deadline=None, max_examples=len(POOL))
 @given(st.sampled_from(POOL))
 def test_character_table_orthogonality(G):
@@ -723,20 +740,23 @@ def test_character_table_retries_each_failed_draw(reason):
     draw gives the table; a fault on every draw raises SeedDegenerate with
     the last reason."""
     assert conjugacy_and_center(S3).class_of[S3.identity] == 0
-    want = character_table(S3)
+    # a group keeps its table, so each call gets a fresh S3
+    want = character_table(symmetric_group(3))
     eig, calls = _patched(np.linalg.eig, _S3_TABLE_FAULTS[reason], 1)
+    fresh = symmetric_group(3)
     with mock.patch.object(np.linalg, "eig", eig), \
             np.errstate(invalid="ignore", divide="ignore"):
-        got = character_table(S3)
+        got = character_table(fresh)
     assert len(calls) == 2
     assert got.dims == want.dims
     assert np.abs(got.chars - want.chars).max() < 1e-9
     eig, _ = _patched(np.linalg.eig, _S3_TABLE_FAULTS[reason], RETRY_BUDGET)
+    fresh = symmetric_group(3)
     with mock.patch.object(np.linalg, "eig", eig), \
             np.errstate(invalid="ignore", divide="ignore"), \
             pytest.raises(SeedDegenerate, match=f"after {RETRY_BUDGET} "
                                                 f"attempts: {reason}"):
-        character_table(S3)
+        character_table(fresh)
 
 
 def _s3_block_of_trivial_and_sign(vals, vecs):

@@ -519,6 +519,27 @@ def test_left_mult_matrix_agrees_with_product():
     assert np.abs(A.left_mult_matrix(a) @ b - A.mul_vec(a, b)).max() < 1e-9
 
 
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_left_mult_blocks_are_the_diagonal_blocks(name):
+    """L(a) has no entry off the compact-index blocks; those blocks are
+    `left_mult_blocks(a)`, and the largest of their norms is the norm of L(a)."""
+    A = algebra_of(name)
+    rng = np.random.default_rng(7)
+    for sparse in (False, True):
+        a = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
+        if sparse:
+            a[rng.random(A.dim) < 0.7] = 0
+        L = A.left_mult_matrix(a)
+        assert not L[A.g_of[:, None] != A.g_of[None, :]].any()
+        # block h at [t, s] is the entry of row u_t d_h, column u_s d_h
+        blocks = A.left_mult_blocks(a)
+        diag = np.einsum("thsh->hts", L.reshape(A.nr, A.nk, A.nr, A.nk))
+        assert np.array_equal(blocks, diag)
+        full = np.linalg.norm(L, 2)
+        block = np.linalg.norm(blocks, 2, axis=(1, 2)).max()
+        assert abs(block - full) <= 1e-12 * full
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_state_positive_and_tracial(seed):

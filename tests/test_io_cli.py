@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kacforge import measures
 from kacforge.cli import main, run_pipeline
 from kacforge.config import DEFAULT_CONFIG
 from kacforge.errors import ParseError, ValidationError
@@ -314,6 +315,17 @@ def test_cli_oversized_group_is_one_error_line(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_separation_over_the_grid_cap_is_one_error_line(capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(measures, "SEPARATION_CAP", 100)
+    code = main(["shadow", "separation", str(SAMPLES / "s4.group")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("error: separation grid of order 24 has 20474 points, "
+                   "over the grid cap 100\n")
 
 
 def test_cli_separation_on_trivial_group_is_one_error_line(tmp_path,

@@ -4,22 +4,27 @@ The separation grid counts compositions as int64 rows in bounded blocks;
 here its four grid figures must equal the recursive one-measure-at-a-time
 grid of ``tests/oracles.py`` on small groups and denominator sets, also
 with blocks of a few rows, and its working memory must stay bounded by the
-block size.
+block size, and a grid over ``SEPARATION_CAP`` points is refused before
+it is built.
 """
 
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacforge import measures
-from kacforge.errors import DomainError, ValidationError
+from kacforge.errors import DomainError, SizeBound, ValidationError
 from kacforge.groups import direct_product
+from kacforge.io_formats import parse_inputs
 from kacforge.library import cyclic_group, dihedral_group, symmetric_group
 from kacforge.measures import random_rational_measure, rel_T_obstruction
 
 from .oracles import naive_separation_grid
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 GROUPS = {f"z{n}": cyclic_group(n) for n in range(2, 9)}
 GROUPS.update(s3=symmetric_group(3), d4=dihedral_group(4),
@@ -71,6 +76,32 @@ def test_separation_refuses_the_trivial_group_and_bad_denominators():
         rel_T_obstruction(cyclic_group(1))
     with pytest.raises(DomainError):
         rel_T_obstruction(cyclic_group(3), denominators=(2, 0))
+
+
+def test_separation_grid_over_the_cap_is_refused_before_any_point():
+    # S4 at D = 1..4: 24 + 300 + 2600 + 17550 = 20474 points
+    def no_points(*args):
+        raise AssertionError("grid enumerated")
+    G = symmetric_group(4)
+    with mock.patch.object(measures, "SEPARATION_CAP", 20473), \
+            mock.patch("itertools.combinations_with_replacement", no_points), \
+            pytest.raises(SizeBound, match=r"^separation grid of order 24 has "
+                                           r"20474 points, over the grid cap "
+                                           r"20473$"):
+        rel_T_obstruction(G)
+    with mock.patch.object(measures, "SEPARATION_CAP", 20474):
+        assert rel_T_obstruction(G).mixed_formula_checked == 20474
+    # order 97 (4,082,924 points) is the largest under the shipped cap
+    with mock.patch("itertools.combinations_with_replacement", no_points), \
+            pytest.raises(SizeBound, match="4249574 points"):
+        rel_T_obstruction(cyclic_group(98))
+
+
+@pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.group")),
+                         ids=lambda p: p.name)
+def test_every_sample_group_fits_the_separation_cap(path):
+    (G,) = parse_inputs([str(path)]).groups.values()
+    assert rel_T_obstruction(G).passed
 
 
 def test_random_measure_refuses_to_vanish_everywhere():

@@ -9,6 +9,7 @@ independently computed block products.
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from kacforge import measures
 from kacforge.crossed import classical_dual, unit_dual_element
 from kacforge.errors import DomainError, ValidationError
+from kacforge.io_formats import parse_inputs
 from kacforge.library import corpus_pairs, cyclic_group, symmetric_group
 from kacforge.measures import (ChebyshevState, FiniteMeasure, c0_profile,
                                chebyshev_state, chebyshev_values,
@@ -27,6 +29,8 @@ from kacforge.measures import (ChebyshevState, FiniteMeasure, c0_profile,
                                uniform_measure)
 
 from .oracles import naive_convolve
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 _state = {}
 
@@ -142,6 +146,23 @@ def test_separation_report_cyclic():
                             samples=8)
     assert rep.passed
     assert rep.grid_min_distance == 2 and rep.mixed_formula_max_dev == 0
+
+
+@pytest.mark.parametrize("fname", ["s4.group", "sl2f3.group"])
+def test_sampled_distances_equal_those_of_the_seeded_measures(fname):
+    """Each seeded draw of the separation sample, read as integer counts,
+    is at exactly the distance of its `random_rational_measure`."""
+    (G,) = parse_inputs([str(SAMPLES / fname)]).groups.values()
+    e = G.identity
+    seed = 0xC0FFEE
+    got = measures._sample_distances(G, 25, seed)
+    want = [tv_distance(random_rational_measure(G, seed, zero_at=[e],
+                                                salt=(13, t)),
+                        delta_measure(G, e)) for t in range(25)]
+    assert got == want
+    assert all(isinstance(d, Fraction) for d in got)
+    rep = rel_T_obstruction(G, denominators=(1,), seed=seed)
+    assert rep.sample_min_distance == min(want)
 
 
 def test_separation_excluded_case():
