@@ -237,6 +237,94 @@ def naive_law_violations(mp):
     return out
 
 
+def multiset_coalgebra_laws(A):
+    """(deviation, witness) of five laws of ``check_axioms``, compared as
+    multisets of index tuples.  Each tuple is encoded as one int64 key, and
+    a row fails when its sorted keys differ from the expected ones; a zero
+    product is the index A.dim.  Only A's tables are read.
+
+    * unit-element: the largest coefficient error of 1 e_i and e_i 1;
+    * counit-multiplicative: rows i with some eps(ij) != eps(i) eps(j);
+    * coproduct-multiplicative: pairs (i, j) whose nonzero terms of
+      Delta(i) Delta(j) differ from those of Delta(ij), the first one
+      row-major as witness.  Each term (i, a) of Delta(i) meets, in block s,
+      one left leg; the right leg's block is read from the term's row in
+      the last row of its discrete block, and this fixes the one j it pairs
+      with;
+    * coproduct-star-compatible: rows with (* x *) Delta(i) != Delta(i*);
+    * antipode-laws: rows where m(S x id) Delta or m(id x S) Delta is not
+      eps(i) 1, the first one as witness.
+    """
+    n, nk, nr = A.dim, A.nk, A.nr
+    rows = np.arange(n)
+    partner, offset, result = A.partner, A.offset, A.result
+    dl, dr, blocks = A.delta_left, A.delta_right, A.delta_block
+    ST, S, eps = A.star_index, A.antipode_index, A.counit_vec
+    unit = np.flatnonzero(A.unit_vec.real > 0.5)
+    cayley = A.pair.compact.cayley
+
+    def key(*cols):
+        cols = np.broadcast_arrays(*cols)
+        return np.ravel_multi_index(tuple(c.ravel() for c in cols),
+                                    (n,) * len(cols))
+
+    def changed(got, want):
+        uniq, inv = np.unique(np.concatenate([got, want]),
+                              return_inverse=True)
+        net = np.bincount(inv, np.repeat([1, -1], [len(got), len(want)]),
+                          minlength=len(uniq))
+        return uniq[net != 0], net[net != 0]
+
+    def first_row(bad):
+        hits = np.flatnonzero(bad)
+        return float(len(hits)), (A.basis_label(hits[0]) if len(hits)
+                                  else None)
+
+    out = {}
+    dev = 0.0
+    for prod in (A.mul_index(unit[:, None], rows),
+                 A.mul_index(rows, unit[:, None])):
+        live = prod < n
+        _, net = changed(key(np.broadcast_to(rows, prod.shape)[live],
+                             prod[live]), key(rows, rows))
+        dev = max(dev, float(np.abs(net).max(initial=0.0)))
+    out["unit-element"] = (dev, None)
+
+    hit = eps[result] != 0
+    ones = np.flatnonzero(eps)
+    diff, _ = changed(key(np.broadcast_to(rows[:, None], hit.shape)[hit],
+                          partner[hit]), key(ones[:, None], ones[None, :]))
+    out["counit-multiplicative"] = (float(len(np.unique(diff // n))), None)
+
+    rblock = blocks[nk - 1::nk].ravel()       # [r * nk + a]
+    j1, k1 = dl[:, :, None], dr[:, :, None]
+    j2 = partner[dl]                                         # (n, nk, nr)
+    block = rblock[j2]
+    owner = j2 - j2 % nk + cayley[j2 % nk, offset[k1, block]]
+    got = key(rows[:, None, None], owner, result[dl], result[k1, block])
+    m = result
+    want = key(rows[:, None, None], partner[:, :, None], dl[m], dr[m])
+    diff, _ = changed(got, want)
+    bad = np.unique(diff // (n * n))
+    witness = None
+    if len(bad):
+        i, j = divmod(int(bad[0]), n)
+        witness = (A.basis_label(i), A.basis_label(j))
+    out["coproduct-multiplicative"] = (float(len(bad)), witness)
+
+    lhs = np.sort(key(ST[dl], ST[dr]).reshape(n, nk), 1)
+    rhs = np.sort(key(dl[ST], dr[ST]).reshape(n, nk), 1)
+    out["coproduct-star-compatible"] = (float((lhs != rhs).any(1).sum()),
+                                        None)
+
+    want = np.where(eps[:, None] != 0, unit, n)
+    bad = np.zeros(n, dtype=bool)
+    for prod in (A.mul_index(S[dl], dr), A.mul_index(dl, S[dr])):
+        bad |= (np.sort(prod, 1) != want).any(1)
+    out["antipode-laws"] = first_row(bad)
+    return out
+
+
 def naive_fusion_laws(mult, dual, dims, truncated):
     """Fusion-ring law counts in plain loops over nested Python lists.
 

@@ -22,7 +22,8 @@ from kacforge.matched import (MatchedPair, beta_kernel_elements,
                               compact_subpair, derive_actions)
 
 from .oracles import (covariant_rep_partial_maps, dense_validate_morphism,
-                      naive_law_violations, transpose_partial_map)
+                      multiset_coalgebra_laws, naive_law_violations,
+                      transpose_partial_map)
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 SMALL = ["z6-abelian", "s3-split", "s3-split-dual", "conj-s3-rot", "s4-cyclic4"]
@@ -244,6 +245,44 @@ CORRUPTED_TABLES = {
         ("star-antihomomorphism", 4.0, None),
         ("coproduct-multiplicative", 42.0,
          ("u[(123)]d[(e|e)]", "u[(12)]d[(e|e)]"))],
+    # the cases below were pinned from the multiset (sorted-key) laws
+    ("z6-abelian", "partner", 31, 2): [
+        ("product-associativity", 12.0,
+         ("u[e]d[e]", "u[e]d[e]", "u[c3]d[c4]")),
+        ("unit-element", 1.0, None),
+        ("star-antihomomorphism", 6.0, None),
+        ("counit-multiplicative", 2.0, None),
+        ("coproduct-multiplicative", 14.0, ("u[e]d[e]", "u[c3]d[e]")),
+        ("antipode-laws", 3.0, "u[c3]d[e]"),
+        ("haar-trace", 2.0, None),
+        ("haar-positivity", 1 / 3, None)],
+    ("z6-abelian", "result", 26, 3): [
+        ("product-associativity", 21.0,
+         ("u[e]d[e]", "u[e]d[c2]", "u[e]d[c2]")),
+        ("unit-element", 1.0, None),
+        ("star-antihomomorphism", 2.0, None),
+        ("counit-multiplicative", 2.0, None),
+        ("coproduct-multiplicative", 9.0, ("u[e]d[e]", "u[e]d[e]")),
+        ("antipode-laws", 1.0, "u[e]d[e]")],
+    ("s5-cyclic5", "partner", 23, 3): [
+        ("product-associativity", 554.0,
+         ("u[e]d[(15432)]", "u[e]d[(14253)]", "u[(123)]d[(13524)]")),
+        ("unit-element", 1.0, None),
+        ("star-antihomomorphism", 10.0, None),
+        ("coproduct-multiplicative", 54.0, ("u[e]d[e]", "u[(234)]d[e]")),
+        ("antipode-laws", 3.0, "u[(23)]d[e]"),
+        ("haar-trace", 4.0, None),
+        ("haar-positivity", 1 / 5, None)],
+    ("s5-cyclic5", "result", 23, 3): [
+        ("product-associativity", 396.0,
+         ("u[e]d[e]", "u[e]d[(15432)]", "u[(123)]d[(15432)]")),
+        ("unit-element", 1.0, None),
+        ("star-antihomomorphism", 5.0, None),
+        ("counit-multiplicative", 2.0, None),
+        ("coproduct-multiplicative", 27.0, ("u[e]d[e]", "u[(234)]d[e]")),
+        ("antipode-laws", 2.0, "u[(23)]d[e]"),
+        ("haar-trace", 2.0, None),
+        ("haar-positivity", 1 / 5, None)],
 }
 
 
@@ -345,6 +384,32 @@ def test_moved_blocks_keep_the_coalgebra_verdicts(case):
     assert got == TAMPERED_BLOCKS[case]
 
 
+MULTISET_LAWS = ["unit-element", "counit-multiplicative",
+                 "coproduct-multiplicative", "coproduct-star-compatible",
+                 "antipode-laws"]
+
+
+def test_block_laws_match_the_multiset_oracle_on_a_seeded_sweep():
+    """One to three entries of one table rewritten, on ten seeds of each
+    corpus pair and s5-cyclic5: 360 tampered algebras, on which each of the
+    five laws gives the sorted-key oracle's deviation and witness."""
+    failing = collections.Counter()
+    for name in list(CORPUS) + ["s5-cyclic5"]:
+        for table in ("partner", "result", "delta_right", "delta_block"):
+            for seed in range(10):
+                A = _corrupted_table(name, table, seed, 1 + seed % 3)
+                got = {c.name: (c.deviation, c.witness)
+                       for c in check_axioms(A).checks}
+                want = multiset_coalgebra_laws(A)
+                assert {law: got[law] for law in want} == want, \
+                    (name, table, seed)
+                failing.update(law for law in want if want[law][0] > 0)
+    assert failing == {"unit-element": 39, "counit-multiplicative": 77,
+                       "coproduct-multiplicative": 325,
+                       "coproduct-star-compatible": 140,
+                       "antipode-laws": 124}
+
+
 @pytest.mark.parametrize("table", ["partner", "result", "delta_right",
                                    "delta_block"])
 def test_tampered_tables_fail_without_raising(table):
@@ -395,20 +460,39 @@ def test_failing_associativity_always_names_a_witness(name):
             assert (deviation == 0) == (witness is None)
 
 
-def test_light_test_counts_the_triples_it_does_not_enumerate():
-    """A magma on the dim-4 basis of C2 x C2 in which G = {u_c1 d_e,
-    u_c1 d_c1} generates and every triple (x, a, y) with a in G and
-    (xa)y != 0 associates, while some x(ay) != 0 has (xa)y = 0: only the
-    count of the triples with x(ay) != 0 refuses it."""
+def _c2_magma():
+    """A magma on the dim-4 basis of C2 x C2: every basis element meets the
+    first element of each block, and most products are u_e d_e."""
     C2 = cyclic_group(2)
     trivial = np.tile(np.arange(2), (2, 1))
     A = build_algebra(MatchedPair(C2, C2, trivial, trivial, name="c2-c2"))
     A.offset = np.array([[0, 0]] * 4, dtype=np.int32)
     A.result = np.array([[0, 0], [0, 0], [0, 0], [0, 1]], dtype=np.int32)
+    return A
+
+
+def test_light_test_counts_the_triples_it_does_not_enumerate():
+    """In the magma of `_c2_magma`, G = {u_c1 d_e, u_c1 d_c1} generates and
+    every triple (x, a, y) with a in G and (xa)y != 0 associates, while
+    some x(ay) != 0 has (xa)y = 0: only the count of the triples with
+    x(ay) != 0 refuses it."""
+    A = _c2_magma()
     assert not hopf._light_associative(A)
     got = check_axioms(A).checks[0]
     assert (got.deviation, got.witness) == hopf._associativity_count(A)
     assert got.deviation == 12.0
+
+
+def test_block_laws_match_the_multiset_oracle_on_repeated_terms():
+    """In `_c2_magma` both units meet the same element of each block with
+    the same product, so 1 u_c1 d_e is 2 u_e d_e, and several terms of one
+    coproduct pair land on one product: the five laws still give the
+    sorted-key oracle's deviations and witnesses."""
+    A = _c2_magma()
+    got = {c.name: (c.deviation, c.witness) for c in check_axioms(A).checks}
+    want = multiset_coalgebra_laws(A)
+    assert {law: got[law] for law in want} == want
+    assert want["unit-element"] == (2.0, None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -630,8 +714,8 @@ def test_morphism_validation_rejects_bad_maps():
 
 def _crafted(law):
     """A basis map of s3-split (u_r d_g at r * 3 + g, e at 0 on both sides)
-    into itself that breaks ``law`` first, or the map of C(Z4) that swaps
-    d_1 and d_2, a *-automorphism that breaks only the coproduct."""
+    into itself that breaks ``law`` first, or a *-automorphism of C(Z4) or
+    C(Z5) that permutes the d_g and breaks only the coproduct."""
     A = algebra_of("s3-split")
     image = np.arange(A.dim)
     if law == "unit":
@@ -645,6 +729,11 @@ def _crafted(law):
     elif law == "coproduct":
         A = plain_function_algebra(cyclic_group(4))
         image = np.array([0, 2, 1, 3])
+    elif law == "coproduct-late":
+        # d_1 <-> d_2 and d_3 <-> d_4 on C(Z5) commute with inversion, so
+        # Delta(d_e) holds; Delta(d_1) fails
+        A = plain_function_algebra(cyclic_group(5))
+        image = np.array([0, 2, 1, 4, 3])
     return A, image
 
 
@@ -656,6 +745,7 @@ def _crafted(law):
     ("multiplicativity",
      "multiplicativity fails at (u[e]d[(123)], u[(12)]d[(123)])"),
     ("coproduct", "coproduct fails at basis u[e]d[e]"),
+    ("coproduct-late", "coproduct fails at basis u[e]d[c1]"),
 ])
 def test_each_morphism_law_catches_a_crafted_map(law, message):
     A, image = _crafted(law)
