@@ -235,20 +235,13 @@ class AxiomReport:
         return out
 
 
-def _key(cols, n):
-    """Encode index tuples (broadcastable arrays with entries in range(n)) as
-    int64 keys that sort like the tuples."""
-    cols = np.broadcast_arrays(*cols)
-    return np.ravel_multi_index(tuple(c.ravel() for c in cols), (n,) * len(cols))
-
-
-def _changed(got, want):
-    """Keys whose multiplicity differs between two key arrays, with the
-    difference."""
-    uniq, inv = np.unique(np.concatenate([got, want]), return_inverse=True)
-    net = np.bincount(inv, np.repeat([1, -1], [len(got), len(want)]),
-                      minlength=len(uniq))
-    return uniq[net != 0], net[net != 0]
+def _onto(cols, m):
+    """Rows of ``cols`` that hold every value of range(m); entries equal to
+    m are ignored.  A row of m entries is onto when each value appears
+    exactly once in it."""
+    seen = np.zeros((len(cols), m + 1), dtype=bool)
+    seen[np.arange(len(cols))[:, None], cols] = True
+    return seen[:, :m].all(1)
 
 
 def _row_check(A, name, bad):
@@ -333,6 +326,52 @@ def _light_associative(A):
     return int(meets[A.result[G]].sum()) == n * len(gens) * nr
 
 
+def _coproduct_multiplicative(A):
+    """The coproduct is multiplicative on all basis pairs.
+
+    Term a of Delta(i), i in the discrete block r, meets in block s only
+    the term b with left leg partner[u_r d_a, s] = u_s d_b; their left
+    product result[u_r d_a, s] depends on (r, a, s) alone.  The right leg
+    of term b lies in the block t = rblock[u_s d_b] (the right-leg blocks of
+    each discrete block's last row), and dr[i, a] meets there only offset
+    c = offset[dr[i, a], t], the right leg of term b of u_s d_{bc}.  So
+    term a lands on one pair (i, j), j = u_s d_{bc}, and a pair with
+    ij = 0 must get none.  The pair (i, partner[i, s]) must get every term,
+    and with m = result[i, s] the left products must be the left legs of
+    Delta(m), each once (`fair` when their offsets are onto and their block
+    is m's), and each right product the right leg of the same term of m.
+    The failing pairs are counted, the first one row-major the witness.
+    """
+    n, nk, nr = A.dim, A.nk, A.nr
+    dr, cayley = A.delta_right, A.pair.compact.cayley
+    rblock = A.delta_block[nk - 1::nk].ravel()
+    left = A.result.reshape(nr, nk, nr)                      # [r, a, s]
+    lblock, lterm = A.gamma_of[left], A.g_of[left]
+    fair = (_onto(lterm.transpose(0, 2, 1).reshape(-1, nk), nk)
+            .reshape(nr, nr) & (lblock == lblock[:, :1]).all(1))
+    meets = A.offset.reshape(nr, nk, nr)
+    tblock = rblock[A.partner].reshape(nr, nk, nr)
+    bad_pairs, witness = 0, None
+    for blk in _row_blocks(n, 8 * nk * nr):
+        at = np.arange(blk.stop - blk.start)
+        r, m, own = A.gamma_of[blk], A.result[blk], A.offset[blk]
+        k1 = dr[blk][:, :, None] * nr + tblock[r]            # [dr[i, a], t]
+        lands = cayley[meets[r], A.offset.ravel()[k1]]       # (b, nk, nr)
+        on = lands == own[:, None]
+        ok = (fair[r] & (lblock[r, 0] == A.gamma_of[m]) & on.all(1)
+              & (A.result.ravel()[k1] == dr[m[:, None], lterm[r]]).all(1))
+        bad = np.zeros((len(at), nr, nk), dtype=bool)       # [i, s, offset]
+        i, _, s = np.nonzero(~on)
+        bad[i, s, lands[~on]] = True
+        bad[at[:, None], np.arange(nr), own] = ~ok
+        bad = bad.reshape(len(at), n)
+        if witness is None and bad.any():
+            i, j = np.argwhere(bad)[0]
+            witness = (A.basis_label(blk.start + i), A.basis_label(j))
+        bad_pairs += int(bad.sum())
+    return AxiomCheck("coproduct-multiplicative", float(bad_pairs), witness)
+
+
 def check_axioms(A):
     """Certify every structural identity of the built algebra.
 
@@ -359,14 +398,18 @@ def check_axioms(A):
         checks.append(AxiomCheck("product-associativity",
                                  *_associativity_count(A)))
 
-    # unit element: largest coefficient error of 1 e_i and e_i 1
-    e_dev = 0.0
-    for prod in (A.mul_index(unit[:, None], rows), A.mul_index(rows, unit[:, None])):
-        live = prod < n
-        _, net = _changed(_key((np.broadcast_to(rows, prod.shape)[live], prod[live]), n),
-                          _key((rows, rows), n))
-        e_dev = max(e_dev, float(np.abs(net).max(initial=0.0)))
-    checks.append(AxiomCheck("unit-element", e_dev))
+    # unit element: largest coefficient error of 1 e_j and e_j 1.  e_j 1 is
+    # the one product of j with a unit, in the block e.  1 e_j sums the
+    # products of the units u with partner[u, s] = j, s the block of j; k
+    # of them with one product give it coefficient k
+    met, prod = partner[unit], A.result[unit]                # (nk, nr)
+    shared = ((met[:, None] == met) & (prod[:, None] == prod)).sum(1)
+    fixed = prod == met
+    hit = np.zeros(n, dtype=bool)
+    hit[met[fixed]] = True
+    e_dev = max((shared - fixed).max(), not hit.all(),
+                (A.result[:, R.identity] != rows).any())
+    checks.append(AxiomCheck("unit-element", float(e_dev)))
 
     # star: involutive antihomomorphism, over all basis pairs; pairs with
     # ij != 0 are enumerated, the rest violate iff (j* i*) != 0
@@ -395,64 +438,35 @@ def check_axioms(A):
     checks.append(_row_check(A, "counit-laws",
                              blocks[:, K.identity] != A.gamma_of))
 
-    # counit multiplicative: per row i, the j with eps(ij) = 1 against the
-    # j with eps(i) eps(j) = 1
-    hit = eps[A.result] != 0
-    ones = np.flatnonzero(eps)
-    diff, _ = _changed(_key((np.broadcast_to(rows[:, None], hit.shape)[hit],
-                             partner[hit]), n),
-                       _key((ones[:, None], ones[None, :]), n))
-    bad = len(np.unique(diff // n))
-    checks.append(AxiomCheck("counit-multiplicative", float(bad)))
+    # counit multiplicative: row i meets one j in each block s.  With
+    # eps(i) = 1 that j must be the block's u_s d_e and eps(ij) = 1; with
+    # eps(i) = 0, eps(ij) = 0
+    one = eps[:, None] != 0
+    bad = ((eps[A.result] != 0) != one) | (one & (A.offset != K.identity))
+    checks.append(AxiomCheck("counit-multiplicative",
+                             float(bad.any(1).sum())))
 
-    # coproduct is a *-homomorphism: multiplicativity on all basis pairs.
-    # In Delta(i) Delta(j) the left legs j1 of Delta(i) and j2 of Delta(j)
-    # multiply to nonzero only for j2 = partner[j1, s], s the block of j.
-    # Every coproduct term with left leg j2 has its right leg in the block
-    # `rblock[j2]`, and j2 = u_r d_a with the right leg at offset c is a
-    # term of u_r d_{ac} (`owner`).  So each (i, a, s) gives exactly one
-    # nonzero term, of one pair (i, j); all other pairs must have a zero
-    # product.
-    rblock = np.zeros(n, dtype=np.int64)
-    rblock[dl] = blocks
-    owner = A.gamma_of[:, None] * nk + K.cayley[A.g_of]
-    # Each row compares its sorted key arrays, and only a row that differs
-    # lists its changed keys.
-    bad_pairs = [np.zeros(0, dtype=np.int64)]
-    for blk in _row_blocks(n, 8 * nk * nr):
-        i = rows[blk, None, None]
-        j1, k1 = dl[blk], dr[blk][:, :, None]
-        j2 = partner[j1]                                     # (b, nk, nr)
-        block = rblock[j2]
-        got = _key((i, owner[j2, A.offset[k1, block]], A.result[j1],
-                    A.result[k1, block]), n)
-        m = A.result[blk]                                    # (b, nr)
-        want = _key((i, partner[blk][:, :, None], dl[m], dr[m]), n)
-        got, want = got.reshape(len(m), -1), want.reshape(len(m), -1)
-        differ = (np.sort(got, 1) != np.sort(want, 1)).any(1)
-        if differ.any():
-            diff, _ = _changed(got[differ].ravel(), want[differ].ravel())
-            bad_pairs.append(np.unique(diff // (n * n)))
-    bad_pairs = np.concatenate(bad_pairs)
-    witness = None
-    if len(bad_pairs):
-        i, j = divmod(int(bad_pairs[0]), n)
-        witness = (A.basis_label(i), A.basis_label(j))
-    checks.append(AxiomCheck("coproduct-multiplicative",
-                             float(len(bad_pairs)), witness))
+    checks.append(_coproduct_multiplicative(A))
 
-    # coproduct commutes with star
-    lhs = _key((ST[dl], ST[dr]), n).reshape(n, nk)
-    rhs = _key((dl[ST], dr[ST]), n).reshape(n, nk)
-    bad = (np.sort(lhs, 1) != np.sort(rhs, 1)).any(1)
+    # coproduct commutes with star: term a of Delta(i) goes to the term of
+    # Delta(i*) with left leg ST[dl[i, a]]; those legs must be the left legs
+    # of Delta(i*), each once, and the right legs must agree
+    left = ST[dl]
+    term = A.g_of[left]
+    bad = (~_onto(np.where(A.gamma_of[left] == A.gamma_of[ST][:, None],
+                           term, nk), nk)
+           | (ST[dr] != dr[ST[:, None], term]).any(1))
     checks.append(AxiomCheck("coproduct-star-compatible", float(bad.sum())))
 
-    # antipode laws: convolution inverse of the identity; the expected
-    # multiset is the unit's support when eps(i) = 1, else all-zero products
-    want = np.where(eps[:, None] != 0, unit, n)
+    # antipode laws: convolution inverse of the identity.  With eps(i) = 1
+    # the nk products of each law must be the units u_e d_h, each once
+    # (their offsets h in the block e onto), else all 0
     bad = np.zeros(n, dtype=bool)
     for prod in (A.mul_index(S[dl], dr), A.mul_index(dl, S[dr])):
-        bad |= (np.sort(prod, 1) != want).any(1)
+        h = prod - R.identity * nk
+        bad |= np.where(eps != 0,
+                        ~_onto(np.where((h >= 0) & (h < nk), h, nk), nk),
+                        (prod < n).any(1))
     checks.append(_row_check(A, "antipode-laws", bad))
 
     # antipode squared is the identity; star-compatibility
@@ -533,18 +547,23 @@ def validate_morphism(rho):
             raise NotAMorphism(
                 f"multiplicativity fails at ({A.basis_label(blk.start + i)}, "
                 f"{A.basis_label(j)})")
-    # per row i, the (i, f(left leg), f(right leg)) keys of the nonzero
-    # terms of (f x f) Delta(i) against those of Delta(f(i))
-    n, live = max(A.dim, B.dim), np.flatnonzero(f < B.dim)
+    # the nonzero terms of (f x f) Delta(i) against Delta(f(i)): with
+    # f(i) = t != 0, B.nk of them, their left legs those of Delta(t), each
+    # once, and each right leg that of the same term of t; with f(i) = 0,
+    # none
+    t = np.minimum(f, B.dim - 1)[:, None]
     left, right = f[A.delta_left], f[A.delta_right]
     term = (left < B.dim) & (right < B.dim)
-    to = f[live]
-    diff, _ = _changed(
-        _key((np.nonzero(term)[0], left[term], right[term]), n),
-        _key((live[:, None], B.delta_left[to], B.delta_right[to]), n))
-    if len(diff):
+    left = np.minimum(left, B.dim - 1)
+    at = B.g_of[left]
+    ok = (_onto(np.where(term & (B.gamma_of[left] == B.gamma_of[t]), at,
+                         B.nk), B.nk)
+          & (term.sum(1) == B.nk)
+          & (~term | (right == B.delta_right[t, at])).all(1))
+    bad = np.where(f < B.dim, ~ok, term.any(1))
+    if bad.any():
         raise NotAMorphism(
-            f"coproduct fails at basis {A.basis_label(diff[0] // (n * n))}")
+            f"coproduct fails at basis {A.basis_label(np.argmax(bad))}")
     return True
 
 
