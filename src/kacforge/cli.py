@@ -106,21 +106,12 @@ def _cmd_fusion(bundle, config, report, args):
         A, catalog = _algebra_and_catalog(mp, config.seed)
         irreps, n = catalog.canonical, len(catalog.canonical)
         chars = np.array([z.character() for z in irreps])
-        # each z lives on its orbit's block and pairs on its columns only
-        orbit = catalog.orbit_space.orbit_of[A.gamma_of]
-        on_orbit = orbit[[z.support()[0] for z in irreps]]
         # one left factor u at a time, so no array has n^3 entries: its
         # triples (z, u, w), w-major and z-minor, a row per pair
         wi, zi = np.indices((n, n)).reshape(2, -1)
         worst, lines = 0, []
         for k, u in enumerate(irreps):
-            prods = A.mul_vec(chars[k], chars)
-            haar = np.zeros((n, n), dtype=np.int64)
-            for o in np.unique(on_orbit).tolist():
-                at, on = np.flatnonzero(on_orbit == o), orbit == o
-                haar[at] = rounded_pairings(chars[at][:, on], prods[:, on],
-                                            A.nk)
-            haar = haar.T
+            haar = rounded_pairings(chars, A.mul_vec(chars[k], chars), A.nk).T
             solver = tensor_mor_dims(irreps, irreps,
                                      (zi, np.full(n * n, k), wi))
             worst = max(worst, int(np.abs(haar.ravel() - solver).max()))

@@ -235,13 +235,21 @@ class AxiomReport:
         return out
 
 
-def _onto(cols, m):
-    """Rows of ``cols`` that hold every value of range(m); entries equal to
-    m are ignored.  A row of m entries is onto when each value appears
-    exactly once in it."""
-    seen = np.zeros((len(cols), m + 1), dtype=bool)
-    seen[np.arange(len(cols))[:, None], cols] = True
-    return seen[:, :m].all(1)
+def _is_coproduct(B, dr, left, right, t):
+    """Columns i whose terms left[a, i] x right[a, i] without a zero leg
+    (index B.dim) are the terms of Delta(t[i]) in B, dr = B.delta_right,
+    each once: a term's left leg fixes its place.  None if t[i] = B.dim."""
+    live = (left < B.dim) & (right < B.dim)
+    to = np.minimum(t, B.dim - 1)
+    at = left - (to - B.g_of[to])
+    hit = live & (at >= 0) & (at < B.nk)
+    at = np.where(hit, at, B.nk)
+    seen = np.zeros((B.nk + 1, len(t)), dtype=bool)
+    seen[at, np.arange(len(t))] = True
+    ok = (seen[:B.nk].all(0) & (np.count_nonzero(live, 0) == B.nk)
+          & (~hit | (right == np.take(dr, to * B.nk + at, mode="clip")))
+          .all(0))
+    return np.where(t < B.dim, ok, ~live.any(0))
 
 
 def _row_check(A, name, bad):
@@ -327,48 +335,35 @@ def _light_associative(A):
 
 
 def _coproduct_multiplicative(A):
-    """The coproduct is multiplicative on all basis pairs.
-
-    Term a of Delta(i), i in the discrete block r, meets in block s only
-    the term b with left leg partner[u_r d_a, s] = u_s d_b; their left
-    product result[u_r d_a, s] depends on (r, a, s) alone.  The right leg
-    of term b lies in the block t = rblock[u_s d_b] (the right-leg blocks of
-    each discrete block's last row), and dr[i, a] meets there only offset
-    c = offset[dr[i, a], t], the right leg of term b of u_s d_{bc}.  So
-    term a lands on one pair (i, j), j = u_s d_{bc}, and a pair with
-    ij = 0 must get none.  The pair (i, partner[i, s]) must get every term,
-    and with m = result[i, s] the left products must be the left legs of
-    Delta(m), each once (`fair` when their offsets are onto and their block
-    is m's), and each right product the right leg of the same term of m.
-    The failing pairs are counted, the first one row-major the witness.
-    """
+    """Pairs (i, j) with Delta(i) Delta(j) != Delta(ij), counted, the first
+    row-major as witness.  Term a of Delta(i) meets in block s only term b
+    of left leg partner[dl[i, a], s] = u_s d_b, whose right leg lies in
+    block t (read off the last row of each discrete block), where dr[i, a]
+    meets only offset c: that of term b of j = u_s d_{bc}.  So each term
+    lands on one pair (i, j); the pair with ij = m must get the terms of
+    Delta(m), any other pair none."""
     n, nk, nr = A.dim, A.nk, A.nr
-    dr, cayley = A.delta_right, A.pair.compact.cayley
-    rblock = A.delta_block[nk - 1::nk].ravel()
-    left = A.result.reshape(nr, nk, nr)                      # [r, a, s]
-    lblock, lterm = A.gamma_of[left], A.g_of[left]
-    fair = (_onto(lterm.transpose(0, 2, 1).reshape(-1, nk), nk)
-            .reshape(nr, nr) & (lblock == lblock[:, :1]).all(1))
-    meets = A.offset.reshape(nr, nk, nr)
-    tblock = rblock[A.partner].reshape(nr, nk, nr)
+    dl, dr = A.delta_left, A.delta_right
+    t = A.delta_block[nk - 1::nk].ravel()[A.partner]
     bad_pairs, witness = 0, None
     for blk in _row_blocks(n, 8 * nk * nr):
         at = np.arange(blk.stop - blk.start)
-        r, m, own = A.gamma_of[blk], A.result[blk], A.offset[blk]
-        k1 = dr[blk][:, :, None] * nr + tblock[r]            # [dr[i, a], t]
-        lands = cayley[meets[r], A.offset.ravel()[k1]]       # (b, nk, nr)
-        on = lands == own[:, None]
-        ok = (fair[r] & (lblock[r, 0] == A.gamma_of[m]) & on.all(1)
-              & (A.result.ravel()[k1] == dr[m[:, None], lterm[r]]).all(1))
+        j1, k1, own = dl[blk].T, dr[blk].T, A.offset[blk]
+        k1 = k1[:, :, None] * nr + t[j1]                     # [a, i, s]
+        lands = np.take(A.pair.compact.cayley,
+                        A.offset[j1] * nk + np.take(A.offset, k1))
+        on = lands == own
+        left = np.where(on, A.result[j1], n).reshape(nk, -1)
+        ok = _is_coproduct(A, dr, left, np.take(A.result, k1).reshape(nk, -1),
+                           A.result[blk].ravel()).reshape(-1, nr)
         bad = np.zeros((len(at), nr, nk), dtype=bool)       # [i, s, offset]
-        i, _, s = np.nonzero(~on)
+        _, i, s = np.nonzero(~on)
         bad[i, s, lands[~on]] = True
         bad[at[:, None], np.arange(nr), own] = ~ok
-        bad = bad.reshape(len(at), n)
-        if witness is None and bad.any():
-            i, j = np.argwhere(bad)[0]
-            witness = (A.basis_label(blk.start + i), A.basis_label(j))
         bad_pairs += int(bad.sum())
+        if witness is None and bad.any():
+            i, j = np.argwhere(bad.reshape(len(at), n))[0]
+            witness = (A.basis_label(blk.start + i), A.basis_label(j))
     return AxiomCheck("coproduct-multiplicative", float(bad_pairs), witness)
 
 
@@ -398,16 +393,12 @@ def check_axioms(A):
         checks.append(AxiomCheck("product-associativity",
                                  *_associativity_count(A)))
 
-    # unit element: largest coefficient error of 1 e_j and e_j 1.  e_j 1 is
-    # the one product of j with a unit, in the block e.  1 e_j sums the
-    # products of the units u with partner[u, s] = j, s the block of j; k
-    # of them with one product give it coefficient k
+    # unit element: largest coefficient error of 1 e_j and e_j 1.  In 1 e_j,
+    # k units meeting j with one product give it coefficient k (a j that no
+    # unit fixes leaves another error: the n pairs (u, s) are not n e_j)
     met, prod = partner[unit], A.result[unit]                # (nk, nr)
     shared = ((met[:, None] == met) & (prod[:, None] == prod)).sum(1)
-    fixed = prod == met
-    hit = np.zeros(n, dtype=bool)
-    hit[met[fixed]] = True
-    e_dev = max((shared - fixed).max(), not hit.all(),
+    e_dev = max((shared - (prod == met)).max(),
                 (A.result[:, R.identity] != rows).any())
     checks.append(AxiomCheck("unit-element", float(e_dev)))
 
@@ -438,9 +429,8 @@ def check_axioms(A):
     checks.append(_row_check(A, "counit-laws",
                              blocks[:, K.identity] != A.gamma_of))
 
-    # counit multiplicative: row i meets one j in each block s.  With
-    # eps(i) = 1 that j must be the block's u_s d_e and eps(ij) = 1; with
-    # eps(i) = 0, eps(ij) = 0
+    # counit multiplicative: row i meets one j per block, with eps(j) = 1
+    # and eps(ij) = 1 when eps(i) = 1, and eps(ij) = 0 when eps(i) = 0
     one = eps[:, None] != 0
     bad = ((eps[A.result] != 0) != one) | (one & (A.offset != K.identity))
     checks.append(AxiomCheck("counit-multiplicative",
@@ -448,25 +438,18 @@ def check_axioms(A):
 
     checks.append(_coproduct_multiplicative(A))
 
-    # coproduct commutes with star: term a of Delta(i) goes to the term of
-    # Delta(i*) with left leg ST[dl[i, a]]; those legs must be the left legs
-    # of Delta(i*), each once, and the right legs must agree
-    left = ST[dl]
-    term = A.g_of[left]
-    bad = (~_onto(np.where(A.gamma_of[left] == A.gamma_of[ST][:, None],
-                           term, nk), nk)
-           | (ST[dr] != dr[ST[:, None], term]).any(1))
+    # coproduct commutes with star
+    bad = ~_is_coproduct(A, dr, ST[dl.T], ST[dr.T], ST)
     checks.append(AxiomCheck("coproduct-star-compatible", float(bad.sum())))
 
-    # antipode laws: convolution inverse of the identity.  With eps(i) = 1
-    # the nk products of each law must be the units u_e d_h, each once
-    # (their offsets h in the block e onto), else all 0
+    # antipode laws: convolution inverse of the identity; with eps(i) = 1
+    # the nk products are the units u_e d_h, each once, else all 0
     bad = np.zeros(n, dtype=bool)
-    for prod in (A.mul_index(S[dl], dr), A.mul_index(dl, S[dr])):
-        h = prod - R.identity * nk
-        bad |= np.where(eps != 0,
-                        ~_onto(np.where((h >= 0) & (h < nk), h, nk), nk),
-                        (prod < n).any(1))
+    for prod in (A.mul_index(S[dl.T], dr.T), A.mul_index(dl.T, S[dr.T])):
+        h = np.where((prod >= unit[0]) & (prod <= unit[-1]), prod - unit[0], nk)
+        seen = np.zeros((nk + 1, n), dtype=bool)
+        seen[h, rows] = True
+        bad |= np.where(eps != 0, ~seen[:nk].all(0), (prod < n).any(0))
     checks.append(_row_check(A, "antipode-laws", bad))
 
     # antipode squared is the identity; star-compatibility
@@ -547,20 +530,8 @@ def validate_morphism(rho):
             raise NotAMorphism(
                 f"multiplicativity fails at ({A.basis_label(blk.start + i)}, "
                 f"{A.basis_label(j)})")
-    # the nonzero terms of (f x f) Delta(i) against Delta(f(i)): with
-    # f(i) = t != 0, B.nk of them, their left legs those of Delta(t), each
-    # once, and each right leg that of the same term of t; with f(i) = 0,
-    # none
-    t = np.minimum(f, B.dim - 1)[:, None]
-    left, right = f[A.delta_left], f[A.delta_right]
-    term = (left < B.dim) & (right < B.dim)
-    left = np.minimum(left, B.dim - 1)
-    at = B.g_of[left]
-    ok = (_onto(np.where(term & (B.gamma_of[left] == B.gamma_of[t]), at,
-                         B.nk), B.nk)
-          & (term.sum(1) == B.nk)
-          & (~term | (right == B.delta_right[t, at])).all(1))
-    bad = np.where(f < B.dim, ~ok, term.any(1))
+    bad = ~_is_coproduct(B, B.delta_right, f[A.delta_left.T],
+                         f[A.delta_right.T], f)
     if bad.any():
         raise NotAMorphism(
             f"coproduct fails at basis {A.basis_label(np.argmax(bad))}")

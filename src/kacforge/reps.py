@@ -734,18 +734,16 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
             triples_total, size=AUDIT_TRIPLES, replace=False))
     gi, xi, ri, si = np.unravel_index(picks, shape)
     # Haar from character products, [candidate, r, s]: one product call per
-    # left orbit matrix.  The candidates of orbit gamma live on its block
-    # (`on[gamma]`), so they pair on its columns only, one call per orbit
-    orbit = space.orbit_of[A.gamma_of]                  # per basis element
-    on = [np.flatnonzero(orbit == g) for g in range(n_orb)]
+    # left orbit matrix.  The candidates of an orbit live on its block, so
+    # they pair on its columns only
+    blocks = [(slice(g * nx, g * nx + nx), space.orbit_of[A.gamma_of] == g)
+              for g in range(n_orb)]
     orbit_chars = chars[::nx]
     haar = np.empty((len(cands), n_orb, n_orb), dtype=np.int64)
     for r, c in enumerate(orbit_chars):
         prods = A.mul_vec(c, orbit_chars)
-        for g in range(n_orb):
-            at = slice(g * nx, (g + 1) * nx)
-            haar[at, r] = rounded_pairings(chars[at, on[g]], prods[:, on[g]],
-                                           A.nk)
+        for at, on in blocks:
+            haar[at, r] = rounded_pairings(chars[at][:, on], prods[:, on], A.nk)
     haar = haar[gi * nx + xi, ri, si]
     solver = tensor_mor_dims(cands, cands[::nx], (gi * nx + xi, ri, si))
     entries = []
@@ -762,10 +760,8 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
     # pairs i < j of the Gram matrix with an intertwiner, row-major, solved
     # in one call.  The Gram matrix is block-diagonal by orbit
     gram = np.zeros((len(cands), len(cands)), dtype=np.int64)
-    for g in range(n_orb):
-        at = slice(g * nx, (g + 1) * nx)
-        gram[at, at] = rounded_pairings(chars[at, on[g]], chars[at, on[g]],
-                                        A.nk)
+    for at, on in blocks:
+        gram[at, at] = rounded_pairings(chars[at][:, on], chars[at][:, on], A.nk)
     pairs = np.argwhere(np.triu(gram, 1) > 0)
     distinctness = [DistinctnessEntry(
         left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
