@@ -47,14 +47,6 @@ SEMIDIRECT_SWEEP_KINDS = {"ok": 38, "not a bijection": 43,
 SEMIDIRECT_SWEEP_SHA256 = \
     "1c12df1e4ae51a949299120bd23a0e8885cdfb05efb447044a54570f795f85a0"
 
-_table_cache = {}
-
-
-def table_of(G):
-    if id(G) not in _table_cache:
-        _table_cache[id(G)] = character_table(G)
-    return _table_cache[id(G)]
-
 
 # ---------------------------------------------------------------------------
 # constructors and validation
@@ -365,7 +357,7 @@ def test_semidirect_messages_on_a_seeded_sweep(block):
 
 
 def test_character_table_s3_frozen():
-    t = table_of(S3)
+    t = character_table(S3)
     assert t.dims == [1, 1, 2]
     # class order: identity, 3-cycles (size 2), transpositions (size 3)
     assert t.class_sizes == [1, 2, 3]
@@ -374,7 +366,7 @@ def test_character_table_s3_frozen():
 
 
 def test_character_table_q8():
-    t = table_of(Q8)
+    t = character_table(Q8)
     assert t.dims == [1, 1, 1, 1, 2]
     two = t.chars[4]
     assert sorted(np.round(two.real).astype(int)) == [-2, 0, 0, 0, 2]
@@ -382,7 +374,7 @@ def test_character_table_q8():
 
 
 def test_character_table_z12_is_all_linear():
-    t = table_of(Z12)
+    t = character_table(Z12)
     assert t.dims == [1] * 12
 
 
@@ -412,7 +404,7 @@ def test_character_table_is_kept_per_group_and_seed():
 @settings(deadline=None, max_examples=len(POOL))
 @given(st.sampled_from(POOL))
 def test_character_table_orthogonality(G):
-    t = table_of(G)
+    t = character_table(G)
     k = t.n_irreps
     sizes = np.array(t.class_sizes)
     gram = (t.chars * sizes) @ t.chars.conj().T / G.order
@@ -429,7 +421,7 @@ def test_character_table_orthogonality(G):
 
 @pytest.mark.parametrize("G", [S3, S4, Q8], ids=["S3", "S4", "Q8"])
 def test_matrix_irreps_are_unitary_multiplicative(G):
-    t = table_of(G)
+    t = character_table(G)
     reps = matrix_irreps(G)
     assert [r.dim for r in reps] == t.dims
     for row, rep in enumerate(reps):
