@@ -338,18 +338,18 @@ def _coproduct_multiplicative(A):
     """Pairs (i, j) with Delta(i) Delta(j) != Delta(ij), counted, the first
     row-major as witness.  Term a of Delta(i) meets in block s only term b
     of left leg partner[dl[i, a], s] = u_s d_b, whose right leg lies in
-    block t (read off the last row of each discrete block), where dr[i, a]
-    meets only offset c: that of term b of j = u_s d_{bc}.  So each term
-    lands on one pair (i, j); the pair with ij = m must get the terms of
-    Delta(m), any other pair none."""
+    block t (read off the last row of u_s's discrete block; coassociativity
+    asks all its rows to agree), where dr[i, a] meets only offset c, that of
+    term b of j = u_s d_{bc}.  So each term lands on one pair (i, j); the
+    pair with ij = m must get the terms of Delta(m), any other pair none."""
     n, nk, nr = A.dim, A.nk, A.nr
     dl, dr = A.delta_left, A.delta_right
     t = A.delta_block[nk - 1::nk].ravel()[A.partner]
     bad_pairs, witness = 0, None
     for blk in _row_blocks(n, 8 * nk * nr):
         at = np.arange(blk.stop - blk.start)
-        j1, k1, own = dl[blk].T, dr[blk].T, A.offset[blk]
-        k1 = k1[:, :, None] * nr + t[j1]                     # [a, i, s]
+        j1, own = dl[blk].T, A.offset[blk]
+        k1 = dr[blk].T[:, :, None] * nr + t[j1]    # [dr[i, a], t] at [a, i, s]
         lands = np.take(A.pair.compact.cayley,
                         A.offset[j1] * nk + np.take(A.offset, k1))
         on = lands == own
