@@ -348,8 +348,8 @@ def _coproduct_multiplicative(A):
     bad_pairs, witness = 0, None
     for blk in _row_blocks(n, 8 * nk * nr):
         at = np.arange(blk.stop - blk.start)
-        j1, own = dl[blk].T, A.offset[blk]
-        k1 = dr[blk].T[:, :, None] * nr + t[j1]    # [dr[i, a], t] at [a, i, s]
+        j1, k1, own = dl[blk].T, dr[blk].T, A.offset[blk]
+        k1 = k1[:, :, None] * nr + t[j1]           # [dr[i, a], t] at [a, i, s]
         lands = np.take(A.pair.compact.cayley,
                         A.offset[j1] * nk + np.take(A.offset, k1))
         on = lands == own
