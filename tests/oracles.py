@@ -248,9 +248,9 @@ def multiset_coalgebra_laws(A):
     * coproduct-multiplicative: pairs (i, j) whose nonzero terms of
       Delta(i) Delta(j) differ from those of Delta(ij), the first one
       row-major as witness.  Each term (i, a) of Delta(i) meets, in block s,
-      one left leg; the right leg's block is read from the term's row in
-      the last row of its discrete block, and this fixes the one j it pairs
-      with;
+      one left leg u_s d_b; the block of the right leg of term b is read
+      off the last row of u_s's discrete block, and this fixes the one j
+      the term pairs with;
     * coproduct-star-compatible: rows with (* x *) Delta(i) != Delta(i*);
     * antipode-laws: rows where m(S x id) Delta or m(id x S) Delta is not
       eps(i) 1, the first one as witness.
