@@ -734,17 +734,10 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
             triples_total, size=AUDIT_TRIPLES, replace=False))
     gi, xi, ri, si = np.unravel_index(picks, shape)
     # Haar from character products, [candidate, r, s]: one product call per
-    # left orbit matrix.  The candidates of an orbit live on its block, so
-    # they pair on its columns only
-    blocks = [(slice(g * nx, g * nx + nx), space.orbit_of[A.gamma_of] == g)
-              for g in range(n_orb)]
+    # left orbit matrix, whose support is its own orbit's block
     orbit_chars = chars[::nx]
-    haar = np.empty((len(cands), n_orb, n_orb), dtype=np.int64)
-    for r, c in enumerate(orbit_chars):
-        prods = A.mul_vec(c, orbit_chars)
-        for at, on in blocks:
-            haar[at, r] = rounded_pairings(chars[at][:, on], prods[:, on], A.nk)
-    haar = haar[gi * nx + xi, ri, si]
+    haar = np.stack([rounded_pairings(chars, A.mul_vec(c, orbit_chars), A.nk)
+                     for c in orbit_chars], axis=1)[gi * nx + xi, ri, si]
     solver = tensor_mor_dims(cands, cands[::nx], (gi * nx + xi, ri, si))
     entries = []
     for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
@@ -758,10 +751,8 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
 
     # distinctness of candidates with different construction labels: the
     # pairs i < j of the Gram matrix with an intertwiner, row-major, solved
-    # in one call.  The Gram matrix is block-diagonal by orbit
-    gram = np.zeros((len(cands), len(cands)), dtype=np.int64)
-    for at, on in blocks:
-        gram[at, at] = rounded_pairings(chars[at][:, on], chars[at][:, on], A.nk)
+    # in one call
+    gram = rounded_pairings(chars, chars, A.nk)
     pairs = np.argwhere(np.triu(gram, 1) > 0)
     distinctness = [DistinctnessEntry(
         left=cands[i].label, right=cands[j].label, mor_dim=int(gram[i, j]),
