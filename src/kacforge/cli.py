@@ -25,7 +25,7 @@ from .errors import (DomainError, IdentityViolated, KacforgeError,
 from .groups import rng_from, rounded_pairings
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
-from .matched import magic_relations_report, magic_unitary, orbit_space
+from .matched import magic_relations_report, orbit_space
 from .measures import (c0_profile, chebyshev_state, measure_fourier,
                        rel_T_obstruction, uniform_is_unit_projection)
 from .reps import (audit_fusion, enumerate_irreps, invariant_groups,
@@ -56,8 +56,7 @@ def _cmd_validate(bundle, config, report, args):
                            f"compact {mp.compact.order}")
         bad = []
         for orbit in orbit_space(mp).orbits:
-            for rel, ok, witness in magic_relations_report(
-                    magic_unitary(mp, orbit)):
+            for rel, ok, witness in magic_relations_report(mp, orbit):
                 if not ok:
                     bad.append(f"{rel}@orbit{orbit[0]}:{witness}")
         report.add("inputs", f"pair {name} partition-matrices",

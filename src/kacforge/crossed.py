@@ -517,21 +517,11 @@ def check_lemma_fourier(inst, a):
 
 
 # ---------------------------------------------------------------------------
-# length functions
+# length functions: a length is a float array over a ring's labels
 
 
-@dataclass
-class LengthFunction:
-    ring: FusionRing
-    values: np.ndarray
-
-    def __call__(self, x):
-        return float(self.values[x])
-
-
-def check_length(lf):
+def check_length(ring, v):
     """Unit value, dual symmetry, triangle law along fusion."""
-    ring, v = lf.ring, lf.values
     x, y, z = np.nonzero(ring.mult > 0)
     excess = v[z] - (v[x] + v[y])
     return float(max(abs(v[ring.unit]), np.abs(v - v[ring.dual]).max(),
@@ -556,14 +546,13 @@ def word_length(ring, generators):
         missing = [ring.labels[i] for i in np.flatnonzero(np.isinf(dist))]
         raise ValidationError("word-length",
                               f"generators do not reach {missing[:4]}")
-    return LengthFunction(ring=ring, values=dist)
+    return dist
 
 
-def invariantize_length(lf, action):
+def invariantize_length(values, action):
     """Replace values by the orbit maximum under the action (the orbit of
     label x is column x of the permutation table)."""
-    values = np.asarray(lf.values, dtype=float)
-    return LengthFunction(ring=lf.ring, values=values[action.perms].max(0))
+    return np.asarray(values, dtype=float)[action.perms].max(0)
 
 
 def length_l0(crossed, l_gamma, l_base):
@@ -572,16 +561,13 @@ def length_l0(crossed, l_gamma, l_base):
     The base length must be invariant under the action; pass it through
     ``invariantize_length`` first when it is not.
     """
-    if isinstance(l_gamma, LengthFunction):
-        l_gamma = l_gamma.values
-    moved = np.abs(l_base.values[crossed.action.perms] - l_base.values)
+    moved = np.abs(l_base[crossed.action.perms] - l_base)
     bad = (moved > 1e-9).any(1)
     if bad.any():
         raise ValidationError("length-invariance",
                               f"base length moves under group element "
                               f"{np.argmax(bad)}")
-    values = (np.asarray(l_gamma)[:, None] + l_base.values).ravel()
-    return LengthFunction(ring=crossed, values=values)
+    return (np.asarray(l_gamma)[:, None] + l_base).ravel()
 
 
 def graded_word_length(inst):
@@ -639,7 +625,7 @@ def rd_inequality_sample(inst, l0, poly_coeffs, samples=20,
     A = inst.algebra
     bands = {}
     for lab in range(ring.n):
-        bands.setdefault(int(np.floor(l0(lab))), []).append(lab)
+        bands.setdefault(int(np.floor(l0[lab])), []).append(lab)
     out = []
     max_ratio = 0.0
     for t in range(samples):

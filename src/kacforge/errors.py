@@ -33,19 +33,6 @@ class NotCrossedHom(KacforgeError):
     """A supplied map fails the twisted multiplicativity law required of it."""
 
 
-class AxiomViolation(KacforgeError):
-    """A structural identity of a built algebra fails beyond tolerance."""
-
-    def __init__(self, axiom, deviation, witness=None):
-        self.axiom = axiom
-        self.deviation = deviation
-        self.witness = witness
-        msg = f"axiom {axiom!r} violated (deviation {deviation})"
-        if witness is not None:
-            msg += f" at {witness!r}"
-        super().__init__(msg)
-
-
 class NotAMorphism(KacforgeError):
     """A supplied linear map is not a unital *-homomorphism respecting the coproduct."""
 

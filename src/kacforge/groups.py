@@ -112,7 +112,8 @@ class FiniteGroup:
 
     cayley[a, b] is the index of the product ab.  Construction checks the
     group axioms exactly: a two-sided identity, inverses, latin rows and
-    columns, and associativity by Light's test over a generating set.
+    columns, and associativity by Light's test over the greedy generating
+    set that it keeps as ``generators``.
     """
 
     def __init__(self, cayley, labels=None, source="cayley"):
@@ -167,7 +168,8 @@ class FiniteGroup:
         # Light's test: the a with (xa)y = x(ay) for all x, y are closed under
         # the product, so checking a generating set certifies every triple.
         # A group needs at most log2(n) + 1 generators, each checked in O(n^2).
-        for a in _generating_sequence(self):
+        self.generators = _generating_sequence(self)
+        for a in self.generators:
             bad = C[C[:, a]] != C[:, C[a]]
             if bad.any():
                 x, y = np.argwhere(bad)[0]
@@ -612,7 +614,7 @@ def _schreier_presentation(G):
         raise ValidationError("abelian", "group is not abelian")
     if G.order == 1:
         return Presentation(0, ())
-    gens = _generating_sequence(G)
+    gens = G.generators
     elems, parent, via, left = _spanning_tree(
         gens, lambda g, x: int(G.cayley[g, x]), G.identity, G.order)
     k = len(gens)
@@ -849,7 +851,7 @@ def _generating_sequence(G):
     while not reached.all():
         gens.append(int(np.argmin(reached)))
         reached[G.closure(gens)] = True
-    return gens
+    return tuple(gens)
 
 
 def is_isomorphic_small(A, B):
@@ -867,7 +869,7 @@ def is_isomorphic_small(A, B):
 
     ordA, ordB = A.element_orders(), B.element_orders()
     sizeA, sizeB = _class_sizes(A), _class_sizes(B)
-    gens = _generating_sequence(A)
+    gens = A.generators
     candidates = [np.flatnonzero((ordB == ordA[g]) & (sizeB == sizeA[g]))
                   for g in gens]
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .config import TOL_AXIOM
-from .errors import AxiomViolation, NotAMorphism
-from .groups import _generating_sequence, _row_blocks
+from .errors import NotAMorphism
+from .groups import _row_blocks
 from .matched import MatchedPair, trivial_pair
 
 
@@ -145,14 +145,6 @@ class KacAlgebra:
         np.add.at(out.T, self.star_index, np.conj(a).T)
         return out
 
-    def antipode_vec(self, a):
-        out = np.zeros(self.dim, dtype=complex)
-        np.add.at(out, self.antipode_index, a)
-        return out
-
-    def counit(self, a):
-        return complex(np.dot(self.counit_vec, a))
-
     def haar(self, a):
         return complex(np.dot(self.haar_vec, a))
 
@@ -218,11 +210,6 @@ class AxiomReport:
 
     def worst(self):
         return max(self.checks, key=lambda c: c.deviation)
-
-    def raise_if_failed(self):
-        for c in self.checks:
-            if c.deviation > self.tol:
-                raise AxiomViolation(c.name, c.deviation, c.witness)
 
     def lines(self):
         out = []
@@ -308,7 +295,7 @@ def _light_associative(A):
     costs n * |gens|.
     """
     n, nk, nr = A.dim, A.nk, A.nr
-    gens = np.array(_generating_sequence(A.pair.discrete), dtype=np.int64)
+    gens = np.array(A.pair.discrete.generators, dtype=np.int64)
     G = (gens[:, None] * nk + np.arange(nk)).ravel()
     reached = np.zeros(n, dtype=bool)
     reached[G] = True
@@ -373,8 +360,7 @@ def check_axioms(A):
     All underlying structure constants are 0/1, so each check is exact
     integer arithmetic on index arrays; deviations count violating
     instances, and a zero product counts as one more (absorbing) index.
-    The report never raises — use .raise_if_failed() for the exception
-    contract.
+    The report never raises.
     """
     checks = []
     n, nk, nr = A.dim, A.nk, A.nr

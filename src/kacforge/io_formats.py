@@ -279,7 +279,12 @@ def ring_from_spec(spec, base_dir="."):
         params = {}
         for part in rest.split(","):
             key, _, value = part.partition("=")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in ("N", "cutoff") or key in params:
+                raise ValidationError(
+                    "ring-spec", f"free-orthogonal takes N and cutoff once "
+                    f"each (got {key!r} in {rest!r})")
+            params[key] = value.strip()
         try:
             N = int(params["N"])
             cutoff = int(params["cutoff"])

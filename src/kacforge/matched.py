@@ -12,7 +12,6 @@ homomorphism give more.  ``orbit_space`` gives the K-orbits on R alone;
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -111,10 +110,6 @@ class MatchedPair:
         return np.array_equal(self.beta,
                               np.tile(np.arange(self.discrete.order),
                                       (self.compact.order, 1)))
-
-    def stabilizer_in_compact(self, r):
-        """{g : beta_g(r) = r}."""
-        return np.flatnonzero(self.beta[:, r] == r).tolist()
 
     def __repr__(self):
         return (f"MatchedPair({self.name!r}, discrete={self.discrete.order}, "
@@ -234,29 +229,8 @@ def orbits_fixed_sets(mp):
             mp.compact.subgroup(fixed_k))
 
 
-def burnside_orbit_counts(mp, space):
-    """Average number of fixed points per orbit; exactly 1 for every orbit."""
-    fixed = (mp.beta == np.arange(mp.discrete.order)).sum(0)
-    return [Fraction(int(fixed[orb].sum()), mp.compact.order)
-            for orb in space.orbits]
-
-
 # ---------------------------------------------------------------------------
 # indicator matrices
-
-
-@dataclass
-class MagicUnitary:
-    pair: MatchedPair
-    orbit: tuple
-    fiber: np.ndarray     # (nk, |orbit|): fiber[g, i] = beta_g(orbit[i])
-
-
-def magic_unitary(mp, orbit):
-    """Partition-of-unity matrix over one orbit: entry (r, s) collects the
-    compact elements moving r to s, {g : fiber[g, r] = s}."""
-    orbit = tuple(int(v) for v in orbit)
-    return MagicUnitary(pair=mp, orbit=orbit, fiber=mp.beta[:, list(orbit)])
 
 
 def _last(bad, orbit, n_points):
@@ -269,17 +243,20 @@ def _last(bad, orbit, n_points):
     return False, wit[0] if len(wit) == 1 else tuple(wit)
 
 
-def magic_relations_report(mu):
-    """Exact check of the five structural relations of an indicator matrix.
+def magic_relations_report(mp, orbit):
+    """Exact check of the five structural relations of the partition-of-unity
+    matrix over one orbit, whose entry (r, s) collects the compact elements
+    moving r to s, {g : beta_g(r) = s}.
 
     Returns a list of (relation-name, ok, witness) triples; every check is
-    integer array work on the fiber map, no floats involved.  Each witness
-    is the last violation in loop order, the loops running over its entries
-    left to right, except that column-orthogonality's (r1, r2, s) runs over
-    s first.
+    integer array work on the fiber map fiber[g, i] = beta_g(orbit[i]), no
+    floats involved.  Each witness is the last violation in loop order, the
+    loops running over its entries left to right, except that
+    column-orthogonality's (r1, r2, s) runs over s first.
     """
-    mp, orbit, fiber = mu.pair, mu.orbit, mu.fiber
+    orbit = [int(v) for v in orbit]
     o = np.array(orbit)
+    fiber = mp.beta[:, o]
     # member[g, i, j]: g lies in entry (orbit[i], orbit[j])
     member = (fiber[:, :, None] == o).astype(np.int64)
     ascending = o[:, None] < o

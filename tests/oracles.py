@@ -491,6 +491,15 @@ def naive_magic_relations(mp, orbit):
         ("coproduct-splitting", split))]
 
 
+def burnside_orbit_counts(mp, space):
+    """Per orbit, the fixed points of all compact elements on it, divided by
+    the compact order: exactly 1 for every orbit, by Burnside's lemma."""
+    nk = mp.compact.order
+    return [Fraction(sum(int(mp.beta[g, r]) == r
+                         for g in range(nk) for r in orb), nk)
+            for orb in space.orbits]
+
+
 def naive_fusion_formula(mp, space, chi_x, gamma_orbit, r_orbit, s_orbit):
     """Closed-form fusion value of one (x, gamma, r, s): over r, s in the two
     orbits with rs in orbit gamma, the conjugated character summed over

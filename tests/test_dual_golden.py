@@ -36,9 +36,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kacforge.crossed import (DualElement, LengthFunction, check_length,
-                              classical_dual, crossed_fourier,
-                              crossed_instance, crude_poly_bound,
+from kacforge.crossed import (DualElement, check_length, classical_dual,
+                              crossed_fourier, crossed_instance,
+                              crude_poly_bound,
                               element_fusion_ring, fourier_transform,
                               fourier_values, graded_parts, inverse_fourier,
                               invariantize_length, length_l0,
@@ -82,7 +82,7 @@ def _outcome(fn, *args):
 
 
 def _lengths(ring, gens):
-    return _outcome(lambda: _r9(word_length(ring, gens).values))
+    return _outcome(lambda: _r9(word_length(ring, gens)))
 
 
 def _random_element(ring, rng, full=False):
@@ -150,24 +150,26 @@ def crossed_digests(mp):
 
     nonid = [g for g in range(R.order) if g != R.identity]
     lbase = word_length(base, list(range(base.n)))
-    lgam = word_length(element_fusion_ring(R), nonid)
+    gam_ring = element_fusion_ring(R)
+    lgam = word_length(gam_ring, nonid)
     out["word-lengths"] = _sha([
-        _r9(lbase.values), _r9(lgam.values),
+        _r9(lbase), _r9(lgam),
         [_lengths(base, [x]) for x in range(base.n)],
         [_lengths(ring, [x]) for x in range(ring.n)]])
     l0 = length_l0(ring, lgam, lbase)
-    out["length-l0"] = _sha(_r9(l0.values))
+    out["length-l0"] = _sha(_r9(l0))
 
-    seeded = [LengthFunction(base, rng_from(SEED, 2, t).integers(
-        0, 5, size=base.n).astype(float)) for t in range(4)]
+    seeded = [rng_from(SEED, 2, t).integers(0, 5, size=base.n).astype(float)
+              for t in range(4)]
     out["invariantize"] = _sha([
-        _r9(invariantize_length(lf, inst.action).values) for lf in seeded])
+        _r9(invariantize_length(v, inst.action)) for v in seeded])
 
-    arbitrary = [LengthFunction(r, rng_from(SEED, 3, t, r.n).normal(size=r.n))
+    arbitrary = [(r, rng_from(SEED, 3, t, r.n).normal(size=r.n))
                  for t in range(3) for r in (base, ring)]
     out["check-length"] = _sha([
-        round(check_length(lf), 9)
-        for lf in [lbase, lgam, l0] + seeded + arbitrary])
+        round(check_length(r, v), 9)
+        for r, v in [(base, lbase), (gam_ring, lgam), (ring, l0)]
+        + [(base, v) for v in seeded] + arbitrary])
 
     out["fourier"] = _sha(_transforms(inst.dual, 4))
     crossed = []
@@ -200,7 +202,7 @@ def classical_digests(G):
                             _r9(np.asarray(mx.matrices)),
                             _r9(mx.character())) for mx in dual.irreps])}
     ring = dual.ring
-    out["word-lengths"] = _sha([_r9(word_length(ring, list(range(ring.n))).values),
+    out["word-lengths"] = _sha([_r9(word_length(ring, list(range(ring.n)))),
                                 [_lengths(ring, [x]) for x in range(ring.n)]])
     out["fourier"] = _sha(_transforms(dual, 8))
     measures = [uniform_measure(G), delta_measure(G, G.order - 1)] + [

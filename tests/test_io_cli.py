@@ -470,6 +470,19 @@ def test_cli_ring_over_the_cap_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("params", ["N=3,cutoff=4,extra",
+                                    "N=3,cutoff=4,N=5"],
+                         ids=["unknown-key", "repeated-key"])
+def test_cli_ring_spec_key_it_would_ignore_is_one_error_line(params, tmp_path,
+                                                             capsys):
+    ring = tmp_path / "o3.ring"
+    ring.write_text(f"spec: free-orthogonal:{params}\n")
+    code = main(["validate", str(ring)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: [ring-spec] ") and err.count("\n") == 1
+
+
 def test_cli_partial_ring_law_check_says_so(capsys):
     code = main(["fusion", str(SAMPLES / "free_o3.ring")])
     out = capsys.readouterr().out

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from kacforge import groups
 from kacforge.groups import character_table, match_rows
 from kacforge.library import corpus_pairs
-from kacforge.matched import (MatchedPair, magic_relations_report,
-                              magic_unitary, orbit_space)
+from kacforge.matched import MatchedPair, magic_relations_report, orbit_space
 from kacforge.reps import fusion_formula_table
 
 from .oracles import naive_fusion_formula, naive_magic_relations
@@ -45,7 +44,7 @@ def test_relations_and_closed_form_match_naive_loops(name, seed):
     bad = seeded_corruption(mp, seed)
     space = orbit_space(mp)  # orbits of the honest pair
     for orb in space.orbits:
-        assert (magic_relations_report(magic_unitary(bad, orb))
+        assert (magic_relations_report(bad, orb)
                 == naive_magic_relations(bad, orb))
     table = character_table(mp.compact)
     chars = table.chars[:, table.classes.class_of]
@@ -62,7 +61,7 @@ def test_honest_pairs_pass_every_relation_like_the_loops():
     for mp in CORPUS.values():
         space = orbit_space(mp)
         for orb in space.orbits:
-            report = magic_relations_report(magic_unitary(mp, orb))
+            report = magic_relations_report(mp, orb)
             assert report == naive_magic_relations(mp, orb)
             assert all(ok for _, ok, _ in report)
 

@@ -34,7 +34,7 @@ from kacforge.groups import character_table, dual_group
 from kacforge.hopf import build_algebra
 from kacforge.library import corpus_pairs
 from kacforge.matched import (MatchedPair, b_sets, magic_relations_report,
-                              magic_unitary, orbits_fixed_sets)
+                              orbits_fixed_sets)
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "pair_digests.json"
 
@@ -103,7 +103,7 @@ def digests_of(mp):
     for variant in ("honest", "swap", "collapse"):
         pair = mp if variant == "honest" else corrupted(mp, variant)
         out[f"magic-{variant}"] = _sha([
-            magic_relations_report(magic_unitary(pair, orb))
+            magic_relations_report(pair, orb)
             for orb in space.orbits])
     out["b-sets"] = _sha(_bset_members(mp))
     out["closed-form"] = _sha(_r9(_closed_form(mp, space)))
