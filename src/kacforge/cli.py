@@ -22,14 +22,14 @@ from .crossed import (check_fusion_ring, check_lemma_fourier, classical_dual,
 from .errors import (DomainError, IdentityViolated, KacforgeError,
                      NonIntegral, PeterWeylMismatch, SeedDegenerate,
                      ValidationError)
-from .groups import rng_from, rounded_pairings
+from .groups import rng_from
 from .hopf import build_algebra, check_axioms, group_subalgebra_check
 from .io_formats import Report, parse_inputs
 from .matched import magic_relations_report, orbit_space
 from .measures import (c0_profile, chebyshev_state, measure_fourier,
                        rel_T_obstruction, uniform_is_unit_projection)
-from .reps import (audit_fusion, enumerate_irreps, invariant_groups,
-                   tensor_mor_dims)
+from .reps import (audit_fusion, enumerate_irreps, fusion_counts,
+                   invariant_groups)
 
 _PAIR_COMMANDS = ("validate", "build", "irreps", "fusion", "invariants",
                   "deform", "crossed", "audit")
@@ -102,7 +102,7 @@ def _cmd_irreps(bundle, config, report, args):
 
 def _cmd_fusion(bundle, config, report, args):
     for name, mp in sorted(bundle.pairs.items()):
-        A, catalog = _algebra_and_catalog(mp, config.seed)
+        _, catalog = _algebra_and_catalog(mp, config.seed)
         irreps, n = catalog.canonical, len(catalog.canonical)
         chars = np.array([z.character() for z in irreps])
         # one left factor u at a time, so no array has n^3 entries: its
@@ -110,13 +110,13 @@ def _cmd_fusion(bundle, config, report, args):
         wi, zi = np.indices((n, n)).reshape(2, -1)
         worst, lines = 0, []
         for k, u in enumerate(irreps):
-            haar = rounded_pairings(chars, A.mul_vec(chars[k], chars), A.nk).T
-            solver = tensor_mor_dims(irreps, irreps,
-                                     (zi, np.full(n * n, k), wi))
-            worst = max(worst, int(np.abs(haar.ravel() - solver).max()))
+            haar, solver = fusion_counts(irreps, irreps,
+                                         (zi, np.full(n * n, k), wi),
+                                         (chars, chars))
+            worst = max(worst, int(np.abs(haar - solver).max()))
             lines.extend(f"{name} {u.label}*{w.label} -> " + " ".join(
                 f"{z.label}:{m}" for z, m in zip(irreps, row) if m)
-                for w, row in zip(irreps, haar))
+                for w, row in zip(irreps, haar.reshape(n, n)))
         report.add("fusion", f"{name} route-agreement",
                    "PASS" if worst == 0 else "FAIL", residual=float(worst))
         for line in lines:

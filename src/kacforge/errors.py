@@ -62,21 +62,13 @@ class DomainError(KacforgeError, ValueError):
 
 
 class ParseError(KacforgeError):
-    """Malformed input file; carries line/column context."""
+    """Malformed input file; carries its path and, unless the fault is the
+    whole file's, line/column context."""
 
     def __init__(self, message, path=None, line=None, column=None):
-        self.path = path
-        self.line = line
-        self.column = column
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-            if line is not None:
-                loc += f"{line}:"
-                if column is not None:
-                    loc += f"{column}:"
-            loc += " "
-        super().__init__(loc + message)
+        self.path, self.line, self.column = path, line, column
+        loc = "".join(f"{v}:" for v in (path, line, column) if v is not None)
+        super().__init__(f"{loc} {message}" if loc else message)
 
 
 class ValidationError(KacforgeError):

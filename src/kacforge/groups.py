@@ -332,7 +332,6 @@ class MatrixIrrep:
 class DualGroup:
     """Pontryagin-style dual data: characters of G pulled back from G/[G,G]."""
 
-    abelian: AbelianGroup
     characters: np.ndarray   # (m, |G|) complex, row 0 = trivial character
     group: FiniteGroup       # the characters under pointwise product
 
@@ -816,14 +815,13 @@ def dual_group(G, seed=DEFAULT_SEED):
     """Characters of G (pulled back from the abelianization) as a group."""
     comm = G.commutator_subgroup_elements()
     Q, proj = quotient_group(G, comm)
-    ab = abelian_invariants(Q)
     tq = character_table(Q, seed=seed)
     chars = tq.chars[:, tq.classes.class_of]     # rows -> functions on Q
     pulled = chars[:, proj]                      # functions on G
     table = closure_table(pulled, lambda i: pulled[i] * pulled, TOL_MATCH,
                           "dual-closure", "character product")
     dual = FiniteGroup(table, labels=[f"w{i}" for i in range(len(pulled))])
-    return DualGroup(abelian=ab, characters=pulled, group=dual)
+    return DualGroup(characters=pulled, group=dual)
 
 
 # ---------------------------------------------------------------------------

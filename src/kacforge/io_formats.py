@@ -47,6 +47,12 @@ class ParsedFile:
                              path=self.path, line=1, column=1)
         return default
 
+    def ref(self, key):
+        """The file that the required header ``key`` names, resolved
+        against this file's directory."""
+        return _resolve(Path(self.path).parent,
+                        self.header(key, required=True))
+
     def block(self, key, required=False):
         if key in self.blocks:
             return self.blocks[key]
@@ -61,8 +67,7 @@ def parse_line_file(path):
     try:
         raw = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path,
-                         line=0, column=0)
+        raise ParseError(f"cannot read file: {exc}", path=path)
     headers, blocks = {}, {}
     current = None
     for ln, raw_line in enumerate(raw.splitlines(), start=1):
@@ -195,8 +200,8 @@ def load_group(path):
     return G
 
 
-def _resolve(path, ref):
-    return str((Path(path).parent / ref).resolve())
+def _resolve(base_dir, ref):
+    return str((Path(base_dir) / ref).resolve())
 
 
 def _element_token(tok, path, ln, order):
@@ -227,13 +232,13 @@ def load_pair(path, depth=0):
     kind = pf.header("kind", required=True)
     name = pf.header("name", default=Path(path).stem)
     if kind == "ambient":
-        G = load_group(_resolve(pf.path, pf.header("ambient", required=True)))
+        G = load_group(pf.ref("ambient"))
         discrete = _subgroup_elements(pf, G, "discrete")
         compact = _subgroup_elements(pf, G, "compact")
         return derive_actions(G, discrete, compact, name=name)
     if kind == "tables":
-        R = load_group(_resolve(pf.path, pf.header("discrete", required=True)))
-        K = load_group(_resolve(pf.path, pf.header("compact", required=True)))
+        R = load_group(pf.ref("discrete"))
+        K = load_group(pf.ref("compact"))
         arows = pf.block("alpha", required=True)
         brows = pf.block("beta", required=True)
         _rect(arows, pf.path, "alpha")
@@ -242,8 +247,7 @@ def load_pair(path, depth=0):
         beta = np.array(_int_rows(brows, pf.path), dtype=np.int64)
         return MatchedPair(R, K, alpha, beta, name=name)
     if kind == "deform":
-        base = load_pair(_resolve(pf.path, pf.header("base", required=True)),
-                         depth=depth + 1)
+        base = load_pair(pf.ref("base"), depth=depth + 1)
         side = pf.header("side", required=True)
         rows = pf.block("chi", required=True)
         chi = []
@@ -267,14 +271,13 @@ def ring_from_spec(spec, base_dir="."):
     """Built-in ring constructions:
     `group:<file>`, `dual-group:<file>`, `free-orthogonal:N=..,cutoff=..`."""
     kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    rest = rest.strip()
-    if kind == "group":
-        G = load_group(str(Path(base_dir) / rest))
-        return irrep_fusion_ring(G)
-    if kind == "dual-group":
-        G = load_group(str(Path(base_dir) / rest))
-        return element_fusion_ring(G)
+    kind, rest = kind.strip(), rest.strip()
+    if kind in ("group", "dual-group"):
+        if not rest:
+            raise ValidationError("ring-spec", f"{kind} needs a group file")
+        G = load_group(_resolve(base_dir, rest))
+        return (irrep_fusion_ring if kind == "group"
+                else element_fusion_ring)(G)
     if kind == "free-orthogonal":
         params = {}
         for part in rest.split(","):
@@ -286,8 +289,7 @@ def ring_from_spec(spec, base_dir="."):
                     f"each (got {key!r} in {rest!r})")
             params[key] = value.strip()
         try:
-            N = int(params["N"])
-            cutoff = int(params["cutoff"])
+            N, cutoff = int(params["N"]), int(params["cutoff"])
         except (KeyError, ValueError):
             raise ValidationError(
                 "ring-spec", f"free-orthogonal needs N=..,cutoff=.. "
@@ -308,7 +310,7 @@ def load_ring(path):
 
 def load_measure(path):
     pf = parse_line_file(path)
-    G = load_group(_resolve(pf.path, pf.header("group", required=True)))
+    G = load_group(pf.ref("group"))
     rows = pf.block("weights", required=True)
     weights = [Fraction(0)] * G.order
     first_line = {}
@@ -353,8 +355,7 @@ def parse_inputs(paths, config=DEFAULT_CONFIG):
         if suffix not in kinds:
             raise ParseError(
                 f"unknown input extension {suffix!r} "
-                "(expected .group|.pair|.ring|.measure)",
-                path=str(p), line=0, column=0)
+                "(expected .group|.pair|.ring|.measure)", path=str(p))
         kind, load = kinds[suffix]
         obj = load(p)
         name = stem if suffix == ".measure" else obj.name or stem

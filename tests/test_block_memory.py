@@ -163,16 +163,16 @@ def test_fusion_sends_its_tensors_to_the_solver_in_bounded_runs(monkeypatch):
 
 def test_fusion_counts_one_left_factor_at_a_time(monkeypatch):
     """``kacforge fusion`` on conj-s4-s3 (n = 30 canonical irreps) passes
-    each tensor count the n^2 triples (z, u, w) of one left factor u, never
-    all n^3 triples at once."""
+    each ``fusion_counts`` call the n^2 triples (z, u, w) of one left factor
+    u, never all n^3 triples at once."""
     from kacforge import cli
-    real, calls = cli.tensor_mor_dims, []
+    real, calls = cli.fusion_counts, []
 
-    def spy(sources, factors, triples):
+    def spy(sources, factors, triples, chars):
         calls.append((len(triples[0]), set(triples[1].tolist())))
-        return real(sources, factors, triples)
+        return real(sources, factors, triples, chars)
 
-    monkeypatch.setattr(cli, "tensor_mor_dims", spy)
+    monkeypatch.setattr(cli, "fusion_counts", spy)
     report = cli.run_pipeline("fusion", _conj_s4_s3())
     assert report.entries()[0].status == "PASS"      # route-agreement
     assert calls == [(30 * 30, {u}) for u in range(30)]

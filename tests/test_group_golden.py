@@ -39,7 +39,8 @@ import pytest
 
 from kacforge import groups
 from kacforge.errors import KacforgeError
-from kacforge.groups import (conjugacy_and_center, dual_group, group_from_cayley,
+from kacforge.groups import (abelian_invariants, conjugacy_and_center,
+                             dual_group, group_from_cayley,
                              group_from_matrices_mod, group_from_permutations,
                              is_isomorphic_small, quotient_group)
 from kacforge.io_formats import load_group
@@ -106,7 +107,7 @@ def digests_of(G):
     comm = G.commutator_subgroup_elements()
     out["commutator"] = _sha([_ints(comm), _quotient(G, comm)])
     d = dual_group(G)
-    out["dual"] = _sha([str(d.abelian), d.group.cayley.tolist(),
+    out["dual"] = _sha([str(abelian_invariants(d.group)), d.group.cayley.tolist(),
                         _r9(d.characters)])
     data = conjugacy_and_center(G)
     out["centralizers"] = _sha([_ints(data.centralizer([cls[0]]))

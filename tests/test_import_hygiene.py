@@ -1,9 +1,9 @@
 """Import hygiene: every name a package module imports is used in it,
-every attribute it stores is read somewhere in the repository, every public
-name it defines is read by the package, a script or the benchmark (or is
-kept for a named test), no package code asks a corepresentation for its
-coefficients on every basis element, and no package code imports sympy,
-statically or on a command's path."""
+every attribute it stores and every public name it defines is read by the
+package, a script or the benchmark (or is kept for a named test), no
+package code asks a corepresentation for its coefficients on every basis
+element, and no package code imports sympy, statically or on a command's
+path."""
 
 import ast
 import json
@@ -49,6 +49,7 @@ def test_every_imported_name_is_used(path):
 
 ROOT = SRC.parent.parent
 READERS = ("src", "scripts", "perfbench", "tests")
+RUNS = ("src", "scripts", "perfbench")
 # read from outside the scanned trees: numpy's flag and the bundle's config
 # that the benchmark hands on
 WRITE_ONLY_ALLOWED = {"flags.writeable", "InputBundle.config"}
@@ -120,14 +121,59 @@ def test_scanner_finds_a_write_only_attribute():
         "line 4: R.dropped", "line 8: S.b", "line 14: c.tag"]
 
 
-def test_every_stored_attribute_is_read():
+def unread_fields(sources, readers):
+    """Stores of ``sources`` (module name -> source) whose name no source in
+    ``readers`` reads, as ``module: line N: owner.name``."""
     read = set()
-    for tree in READERS:
-        for path in sorted((ROOT / tree).rglob("*.py")):
-            read |= read_attributes(path.read_text())
-    found = {path.name: write_only_attributes(path.read_text(), read)
-             for path in sorted(SRC.glob("*.py"))}
-    assert {name: rows for name, rows in found.items() if rows} == {}
+    for text in readers:
+        read |= read_attributes(text)
+    return [f"{module}: {row}" for module, source in sources.items()
+            for row in write_only_attributes(source, read)]
+
+
+def _sources_of(trees):
+    return [path.read_text() for tree in trees
+            for path in sorted((ROOT / tree).rglob("*.py"))]
+
+
+def test_every_stored_attribute_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_fields(sources, _sources_of(READERS)) == []
+
+
+# stored fields that only tests read, each with the test that needs it
+KEPT_FIELDS = {
+    "CharacterTable.class_sizes": "test_groups' class-size tests",
+    "DistinctnessEntry.intertwiner": "acceptance criterion 04",
+    "InvariantGroups.intrinsic_model": "the pair golden",
+    "InvariantGroups.spectrum_model": "the pair golden",
+    "InvariantGroups.spectrum_vectors": "test_reps' spectrum tests",
+    "IrrepCatalog.equivalence_map": "test_reps' catalog identification",
+    "ParseError.line": "test_parse_errors_carry_line_and_column",
+    "ParseError.column": "test_parse_errors_carry_line_and_column",
+    "ValidationError.invariant": "test_crossed's named-invariant tests",
+}
+
+
+def test_scanner_finds_a_field_only_tests_read():
+    sources = {"a": ("@dataclass\nclass R:\n    run: int\n    test: int\n"
+                     "class S:\n    def __init__(self):\n"
+                     "        self.kept = 1\n")}
+    runs = ["def f(r, s):\n    return r.run\n"]
+    tests = ["def test(r, s):\n    assert r.test == s.kept\n"]
+    assert unread_fields(sources, runs + tests) == []
+    assert unread_fields(sources, runs) == ["a: line 4: R.test",
+                                            "a: line 7: S.kept"]
+
+
+def test_every_stored_field_is_read_by_a_run_or_kept():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = unread_fields(sources, _sources_of(RUNS))
+    unread = {row.rsplit(": ", 1)[1] for row in found}
+    assert [row for row in found
+            if row.rsplit(": ", 1)[1] not in KEPT_FIELDS] == []
+    # a kept field that gained a reader, or went, leaves the set
+    assert sorted(set(KEPT_FIELDS) - unread) == []
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +221,6 @@ def test_every_private_helper_is_referenced():
 # ---------------------------------------------------------------------------
 # public surface: a public name of src/kacforge that no run reads
 
-RUNS = ("src", "scripts", "perfbench")
 # public names that only tests read, each with the test that needs it
 KEPT_PUBLIC = {
     "coset_space_dimension": "acceptance criterion 14",
@@ -193,6 +238,7 @@ KEPT_PUBLIC = {
     "random_rational_measure": "the dual golden",
     "FusionRing.fuse": "the fusion golden",
     "FiniteGroup.exponent": "the group golden",
+    "abelian_invariants": "acceptance criterion 06",
     "ConjugacyData.centralizer": "the group golden",
     "dihedral_group": "the group golden",
     "quaternion_group": "the group golden",
@@ -261,9 +307,8 @@ def test_scanner_finds_an_unread_public_name():
 
 def test_every_public_name_is_read_or_kept():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    readers = [path.read_text() for tree in RUNS
-               for path in sorted((ROOT / tree).rglob("*.py"))]
-    found = unread_public_definitions(sources, readers, traced_names())
+    found = unread_public_definitions(sources, _sources_of(RUNS),
+                                      traced_names())
     unread = {row.rsplit(": ", 1)[1] for row in found}
     assert [row for row in found
             if row.rsplit(": ", 1)[1] not in KEPT_PUBLIC] == []
@@ -379,7 +424,8 @@ print(json.dumps(seen))
 
 def test_commands_never_load_sympy():
     # a fresh interpreter: the test session itself may have imported sympy;
-    # invariants reaches the Smith form, separation the linear-form route
+    # invariants reaches the dual groups and the isomorphism search,
+    # separation the linear-form route
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(_COMMANDS)],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,

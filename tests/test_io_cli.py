@@ -483,6 +483,41 @@ def test_cli_ring_spec_key_it_would_ignore_is_one_error_line(params, tmp_path,
     assert err.startswith("error: [ring-spec] ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["group", "dual-group"])
+def test_cli_ring_spec_without_a_group_file_is_one_error_line(kind, tmp_path,
+                                                              capsys):
+    ring = tmp_path / "r.ring"
+    ring.write_text(f"spec: {kind}:\n")
+    code = main(["validate", str(ring)])
+    assert (code, capsys.readouterr()) == (
+        1, ("", f"error: [ring-spec] {kind} needs a group file\n"))
+
+
+def test_ring_spec_group_file_resolves_like_pair_references(tmp_path,
+                                                            capsys):
+    """A ring's group file is resolved against the ring's directory, as a
+    pair's and a measure's are: the error names the resolved file."""
+    ring = tmp_path / "r.ring"
+    ring.write_text("spec: dual-group:sub/../nope.group\n")
+    code = main(["validate", str(ring)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / 'nope.group'}: cannot read "
+                          f"file: ")
+
+
+@pytest.mark.parametrize("name", ["nope.group", "input.txt"])
+def test_cli_file_level_parse_error_names_no_position(name, tmp_path,
+                                                      capsys):
+    """A file that cannot be read, or has no known extension, is named
+    without a line and column."""
+    path = tmp_path / name
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_cli_partial_ring_law_check_says_so(capsys):
     code = main(["fusion", str(SAMPLES / "free_o3.ring")])
     out = capsys.readouterr().out

@@ -28,9 +28,9 @@ from kacforge.matched import (beta_kernel_elements, compact_subpair,
                               derive_actions, orbit_space, orbits_fixed_sets)
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
                            candidate_corepresentation, check_corepresentation,
-                           decompose, enumerate_irreps, fusion_formula_table,
-                           invariant_groups, mor_dim_haar, mor_dim_solver,
-                           tensor_mor_dims)
+                           decompose, enumerate_irreps, fusion_counts,
+                           fusion_formula_table, invariant_groups,
+                           mor_dim_haar, mor_dim_solver)
 
 from .oracles import first_irrep_identification
 from .test_groups import _patched
@@ -431,10 +431,10 @@ def test_audit_flags_collapsed_candidates():
 @pytest.mark.parametrize("fname", ["s3_split_dual", "z2_on_z4"])
 def test_tensor_counts_equal_the_per_pair_routes(fname):
     """Each (z, u, w) of the canonical irreps, and each (candidate, orbit
-    matrix, orbit matrix), listed in a shuffled order: the tensor count is
+    matrix, orbit matrix), listed in a shuffled order: the solver count is
     the solver's on the built tensor, and the tensor's character is the
-    product of the factors' characters, so the Haar pairing with it is the
-    pairing with the product."""
+    product of the factors' characters, so the Haar count is the pairing
+    with the tensor and with the product."""
     A = build_algebra(load_pair(str(SAMPLES / f"{fname}.pair")))
     cat = enumerate_irreps(A)
     nx = len(cat.irreps)
@@ -443,14 +443,16 @@ def test_tensor_counts_equal_the_per_pair_routes(fname):
         shape = (len(sources), len(factors), len(factors))
         triples = np.unravel_index(
             np.random.default_rng(7).permutation(np.prod(shape)), shape)
-        solver = tensor_mor_dims(sources, factors, triples)
-        for (i, l, r), d in zip(zip(*(t.tolist() for t in triples)),
-                                solver.tolist()):
+        chars = [np.array([c.character() for c in cs])
+                 for cs in (sources, factors)]
+        haar, solver = fusion_counts(sources, factors, triples, chars)
+        for (i, l, r), h, d in zip(zip(*(t.tolist() for t in triples)),
+                                   haar.tolist(), solver.tolist()):
             target = factors[l].tensor(factors[r])
             product = A.mul_vec(factors[l].character(),
                                 factors[r].character())
             assert np.abs(target.character() - product).max() < 1e-9
-            assert mor_dim_haar(sources[i], target) == rounded_pairings(
+            assert h == mor_dim_haar(sources[i], target) == rounded_pairings(
                 [sources[i].character()], [product], A.nk)[0, 0]
             assert d == mor_dim_solver(sources[i], target)[0]
 
