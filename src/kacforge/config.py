@@ -21,6 +21,29 @@ TOL_MATCH = 1e-6
 #: gap between sorted eigenvalues at or below which a seeded split keeps
 #: them in one eigenspace
 TOL_EIGEN = 1e-6
+#: eigenvalue gap of a character-table draw, relative to 1 + the largest
+#: eigenvalue, below which the draw is retried as degenerate
+TOL_CLASS_GAP = 1e-6
+#: eigenvector entry on the identity class below which a draw is retried
+TOL_IDENTITY_ENTRY = 1e-10
+#: eigenvalue gap of a matrix irrep's seeded split, relative to 1 + the
+#: largest eigenvalue, at or below which two eigenvalues are one
+TOL_IRREP_SPLIT = 1e-7
+#: total coefficient magnitude on a basis element at or below which a
+#: corepresentation drops its entries there as round-off
+TOL_COEFF = 1e-14
+#: largest entry of a Fourier block at or below which the block is zero
+TOL_BLOCK = 1e-12
+#: dimension change that makes a ring action row break the dimensions
+TOL_RING_DIM = 1e-9
+#: negative value or triangle-law excess of a length function that is
+#: round-off, not a defect
+TOL_LENGTH = 1e-9
+#: move of a base length under the action that is round-off, not a break
+#: of invariance
+TOL_LENGTH_MOVE = 1e-9
+#: excess of a rapid-decay ratio over 1 that still passes
+TOL_RD = 1e-9
 
 #: default RNG seed for every randomized step
 DEFAULT_SEED = 0xC0FFEE

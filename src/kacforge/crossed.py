@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEED, RING_CAP, TOL_AXIOM, TOL_MATCH
+from .config import (DEFAULT_SEED, RING_CAP, TOL_AXIOM, TOL_BLOCK, TOL_LENGTH,
+                     TOL_LENGTH_MOVE, TOL_MATCH, TOL_RD, TOL_RING_DIM)
 from .errors import (ActionNotCompatible, IdentityViolated, SizeBound,
                      TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
@@ -236,7 +237,7 @@ def validate_ring_action(ring, action):
             raise ActionNotCompatible(f"row {g} moves the unit")
         if not np.array_equal(ring.dual[row], row[ring.dual]):
             raise ActionNotCompatible(f"row {g} breaks the dual")
-        if np.abs(ring.dims[row] - ring.dims).max() > 1e-9:
+        if np.abs(ring.dims[row] - ring.dims).max() > TOL_RING_DIM:
             raise ActionNotCompatible(f"row {g} changes dimensions")
         moved = ring.mult[np.ix_(row, row, row)]
         bad = np.argwhere((moved != ring.mult) & (ring.mult != 0))
@@ -384,7 +385,7 @@ def inverse_fourier(values, dual):
     blocks = {}
     for x, mx in enumerate(dual.irreps):
         acc = np.einsum("g,gji->ij", values, mx.matrices.conj()) / n
-        if np.abs(acc).max() > 1e-12:
+        if np.abs(acc).max() > TOL_BLOCK:
             blocks[x] = acc
     return DualElement(dual.ring, blocks)
 
@@ -525,8 +526,8 @@ def check_length(ring, v):
     x, y, z = np.nonzero(ring.mult > 0)
     excess = v[z] - (v[x] + v[y])
     return float(max(abs(v[ring.unit]), np.abs(v - v[ring.dual]).max(),
-                     np.where(v < -1e-9, -v, 0.0).max(),
-                     np.where(excess > 1e-9, excess, 0.0).max(initial=0.0)))
+                     np.where(v < -TOL_LENGTH, -v, 0.0).max(),
+                     np.where(excess > TOL_LENGTH, excess, 0.0).max(initial=0.0)))
 
 
 def word_length(ring, generators):
@@ -562,7 +563,7 @@ def length_l0(crossed, l_gamma, l_base):
     ``invariantize_length`` first when it is not.
     """
     moved = np.abs(l_base[crossed.action.perms] - l_base)
-    bad = (moved > 1e-9).any(1)
+    bad = (moved > TOL_LENGTH_MOVE).any(1)
     if bad.any():
         raise ValidationError("length-invariance",
                               f"base length moves under group element "
@@ -597,7 +598,7 @@ class RDReport:
 
     @property
     def passed(self):
-        return self.max_ratio <= 1.0 + 1e-9
+        return self.max_ratio <= 1.0 + TOL_RD
 
     def lines(self):
         s = "PASS" if self.passed else "FAIL"

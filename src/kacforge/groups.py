@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, IRREP_CAP,
-                     ISO_CAP, RETRY_BUDGET, TABLE_CAP, TOL_EQ, TOL_INT,
-                     TOL_MATCH, TOL_MULT)
+                     ISO_CAP, RETRY_BUDGET, TABLE_CAP, TOL_CLASS_GAP, TOL_EQ,
+                     TOL_IDENTITY_ENTRY, TOL_INT, TOL_IRREP_SPLIT, TOL_MATCH,
+                     TOL_MULT)
 from .errors import (ExtractionFailed, NonIntegral, NotAnAction,
                      SeedDegenerate, SizeBound, ValidationError)
 
@@ -176,9 +177,6 @@ class FiniteGroup:
                 raise ValidationError("associativity", f"({x},{a},{y}) fails")
 
     # -- elementwise operations --------------------------------------------
-
-    def mul(self, a, b):
-        return int(self.cayley[a, b])
 
     def inv(self, a):
         return int(self.inverse[a])
@@ -600,37 +598,8 @@ def _smith_invariants(rows, n_cols):
     return tuple(d for d in diag if d > 1), n_cols - len(diag)
 
 
-def _schreier_presentation(G):
-    """Abelianized presentation of an abelian group on its greedy generators.
-
-    With v[x] the exponent vector of the word that reaches x down the BFS
-    spanning tree of the Cayley graph, the Schreier relators are
-    v[x] + e_g - v[g x], one per element x and generator g (Sims,
-    *Computation with Finitely Presented Groups*, 1994, ch. 8); tree edges
-    give zero rows, which are dropped with the repeated ones.
-    """
-    if not G.is_abelian():
-        raise ValidationError("abelian", "group is not abelian")
-    if G.order == 1:
-        return Presentation(0, ())
-    gens = G.generators
-    elems, parent, via, left = _spanning_tree(
-        gens, lambda g, x: int(G.cayley[g, x]), G.identity, G.order)
-    k = len(gens)
-    v = np.zeros((len(elems), k), dtype=np.int64)
-    for y in range(1, len(elems)):
-        v[y] = v[parent[y]]
-        v[y, via[y]] += 1
-    rel = np.unique((v[:, None] + np.eye(k, dtype=np.int64)
-                     - v[left.T]).reshape(-1, k), axis=0)
-    return Presentation(k, tuple(map(tuple, rel[rel.any(1)].tolist())))
-
-
 def abelian_invariants(obj):
-    """Invariant factors of an abelianized presentation or an abelian group,
-    both by the Smith form; a group goes through its Schreier presentation."""
-    if isinstance(obj, FiniteGroup):
-        obj = _schreier_presentation(obj)
+    """Invariant factors of an abelianized presentation, by the Smith form."""
     if isinstance(obj, Presentation):
         return AbelianGroup(*_smith_invariants(obj.relators, obj.n_generators))
     raise TypeError(f"unsupported input {type(obj)!r}")
@@ -673,7 +642,7 @@ def _character_table(G, seed):
         vals, vecs = np.linalg.eig(M)
         scale = 1.0 + np.abs(vals).max()
         gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(k) * scale
-        if gaps.min() < 1e-6 * scale:
+        if gaps.min() < TOL_CLASS_GAP * scale:
             last_err = f"eigenvalue gap {gaps.min():.2e} too small"
             continue
         e_cls = int(class_of[G.identity])
@@ -681,7 +650,7 @@ def _character_table(G, seed):
         ok = True
         for c in range(k):
             v = vecs[:, c]
-            if abs(v[e_cls]) < 1e-10:
+            if abs(v[e_cls]) < TOL_IDENTITY_ENTRY:
                 ok = False
                 last_err = "eigenvector vanishes on the identity class"
                 break
@@ -766,7 +735,7 @@ def matrix_irreps(G, seed=DEFAULT_SEED):
             Y = c[C[inv]]                              # sum_g c[g] rho[g]
             Z = B.conj().T @ (Y + Y.conj().T) @ B
             vals2, vecs2 = np.linalg.eigh(Z)
-            groups = _eigen_groups(vals2, 1e-7 * (1 + np.abs(vals2).max()))
+            groups = _eigen_groups(vals2, TOL_IRREP_SPLIT * (1 + np.abs(vals2).max()))
             pick = next((g for g in groups if len(g) == d), None)
             if pick is None:
                 continue

@@ -93,13 +93,6 @@ def random_rational_measure(G, seed, zero_at=None, salt=()):
     return FiniteMeasure(G, tuple(Fraction(int(c), total) for c in counts))
 
 
-def tv_distance(mu, nu):
-    """Full coordinate sum of absolute weight differences (exact)."""
-    if mu.group.order != nu.group.order:
-        raise ValidationError("measure-group", "measures on different groups")
-    return sum(abs(a - b) for a, b in zip(mu.weights, nu.weights))
-
-
 # ---------------------------------------------------------------------------
 # the finite-scale separation certificate
 

@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive and shares no code with the package
-internals it checks: different algorithms, same answers.
+internals it checks: different algorithms, same answers.  From the package
+it reads stored data only (Cayley, inverse and action tables, entry arrays,
+labels) and imports only the names in ``ORACLE_IMPORTS`` of
+``tests/test_import_hygiene.py``, a rule that test checks.
 """
 
 import itertools
@@ -9,6 +12,9 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+
+from kacforge.config import TOL_EQ
+from kacforge.errors import NotAMorphism, ValidationError
 
 
 def snf_invariants_via_minors(rows, n_cols):
@@ -46,9 +52,51 @@ def _int_det(m):
     return total
 
 
+def abelian_invariants_by_orders(G):
+    """Invariant factors and free rank (0) of a finite abelian group, read
+    off its element-order counts.  For a prime p, the elements whose order
+    divides p^j number p^(s_j), where s_j sums min(a, j) over the cyclic
+    factors Z/p^a of the p-part; so s_j - s_(j-1) factors have a >= j.  The
+    k-th largest invariant factor is the product over p of the k-th largest
+    p^a."""
+    if (G.cayley != G.cayley.T).any():
+        raise ValueError("group is not abelian")
+    orders = []
+    for x in range(G.order):
+        y, k = x, 1
+        while y != G.identity:
+            y, k = int(G.cayley[y, x]), k + 1
+        orders.append(k)
+    factors = []                  # largest first
+    m, p = G.order, 1
+    while m > 1:                  # each p that divides m is a prime
+        p += 1
+        if m % p:
+            continue
+        while m % p == 0:
+            m //= p
+        s = [0]                   # s_j for j = 0, 1, ...
+        while True:
+            killed = sum(p ** len(s) % k == 0 for k in orders)
+            e = 0
+            while p ** e < killed:
+                e += 1
+            if e == s[-1]:
+                break
+            s.append(e)
+        at_least = [s[j] - s[j - 1] for j in range(1, len(s))]
+        for k in range(at_least[0]):
+            a = sum(c > k for c in at_least)
+            if k == len(factors):
+                factors.append(1)
+            factors[k] *= p ** a
+    return tuple(sorted(factors)), 0
+
+
 def brute_center(G):
     return sorted(z for z in range(G.order)
-                  if all(G.mul(z, x) == G.mul(x, z) for x in range(G.order)))
+                  if all(G.cayley[z, x] == G.cayley[x, z]
+                         for x in range(G.order)))
 
 
 def brute_conjugacy_classes(G):
@@ -56,7 +104,8 @@ def brute_conjugacy_classes(G):
     for x in range(G.order):
         if x in seen:
             continue
-        cls = sorted({G.mul(G.mul(g, x), G.inv(g)) for g in range(G.order)})
+        cls = sorted({int(G.cayley[G.cayley[g, x], G.inverse[g]])
+                      for g in range(G.order)})
         seen.update(cls)
         classes.append(cls)
     return classes
@@ -68,16 +117,16 @@ def brute_subgroup_generated(G, gens):
     while changed:
         changed = False
         for a in list(elems):
-            for g in list(gens) + [G.inv(g) for g in gens]:
-                y = G.mul(a, g)
+            for g in list(gens) + [G.inverse[g] for g in gens]:
+                y = int(G.cayley[a, g])
                 if y not in elems:
-                    elems.add(y)
+                    elems |= {y}
                     changed = True
     return sorted(elems)
 
 
 def brute_is_homomorphism(A, B, phi):
-    return all(phi[A.mul(x, y)] == B.mul(phi[x], phi[y])
+    return all(phi[A.cayley[x, y]] == B.cayley[phi[x], phi[y]]
                for x in range(A.order) for y in range(A.order))
 
 
@@ -105,15 +154,9 @@ def covariant_rep_partial_maps(mp):
         for g in range(nk):
             i = r * nk + g
             for s in range(nr):
-                x = int(mp.alpha[R.inv(s), g])
-                rep[i, s * nk + x] = R.mul(r, s) * nk + x
+                x = int(mp.alpha[R.inverse[s], g])
+                rep[i, s * nk + x] = R.cayley[r, s] * nk + x
     return rep
-
-
-def _compose_partial_maps(mi, mj):
-    """Composition mi after mj of partial maps given as -1-padded arrays."""
-    out = np.where(mj >= 0, mi[np.clip(mj, 0, None)], -1)
-    return np.where(mj >= 0, out, -1)
 
 
 def transpose_partial_map(mi, n):
@@ -124,46 +167,93 @@ def transpose_partial_map(mi, n):
     return t
 
 
+def _operator_tables(mp):
+    """Product and star of basis elements, read off the operator model.
+
+    Point p and basis element p share the index r*|K| + g, and the operator
+    of basis element j carries the one point of the identity fiber that it
+    moves, (e, h), to point j.  So the composite of i after j carries that
+    point to rep[i, j]: the product of i and j is basis element rep[i, j],
+    or None (zero) when i kills point j.  The adjoint of i carries the one
+    point that i sends into the identity fiber back to it, so that point is
+    the star of i.  Both are lists, read in plain loops.
+    """
+    rep = covariant_rep_partial_maps(mp).tolist()
+    nk, e = mp.compact.order, mp.discrete.identity
+    prod = [[None if m < 0 else m for m in row] for row in rep]
+    star = [next(p for p, m in enumerate(row) if m >= 0 and m // nk == e)
+            for row in rep]
+    return prod, star
+
+
+def _product(prod, x, y):
+    """Product of coefficient vectors, one basis pair (p, q) at a time over
+    their nonzero coefficients, each term added to basis prod[p][q] in
+    p-major order.  The terms x[p] * y are numpy's vector products, whose
+    rounding the package's products share (Python's complex product rounds
+    differently where numpy fuses a multiply and an add)."""
+    out = np.zeros(len(x), dtype=complex)
+    qs = np.flatnonzero(y).tolist()
+    for p in np.flatnonzero(x).tolist():
+        terms = x[p] * y
+        for q in qs:
+            if prod[p][q] is not None:
+                out[prod[p][q]] += terms[q]
+    return out
+
+
+def _star(star, x):
+    """Star of a coefficient vector: each conj(x[p]) added on basis star[p]."""
+    out = np.zeros(len(x), dtype=complex)
+    for p in np.flatnonzero(x).tolist():
+        out[star[p]] += np.conj(x[p])
+    return out
+
+
+def _label(A, i):
+    """The name u[r]d[g] of basis element i, from the groups' labels."""
+    r, g = divmod(int(i), A.nk)
+    return f"u[{A.pair.discrete.labels[r]}]d[{A.pair.compact.labels[g]}]"
+
+
+def _dense(c):
+    """The (dim, dim, algebra dim) coefficients of a corepresentation, one
+    stored entry at a time."""
+    out = np.zeros((c.dim, c.dim, c.algebra.dim), dtype=complex)
+    for i, j, t, v in zip(c.row.tolist(), c.col.tolist(), c.basis.tolist(),
+                          c.value.tolist()):
+        out[i, j, t] = v
+    return out
+
+
 def naive_law_violations(mp):
     """Violation counts of every structure law of the crossed product.
 
     A dense brute-force reference for small pairs (dims up to about 42).
-    The product of basis elements i and j is read off the operator model
-    ``covariant_rep_partial_maps``: the basis element whose partial map is
-    the composite, or None (zero) when the composite is empty; the star is
-    the operator adjoint.  The coproduct of u_r d_g comes from the group law
-    alone: every a, b with ab = g gives (u_r d_a) x (u_{beta_a(r)} d_b).
-    Every law is then counted in plain loops over basis elements, pairs or
-    triples; a count of 0 means the law holds.
+    Product and star come from the operator model (``_operator_tables``).
+    The coproduct of u_r d_g comes from the group law alone: every a, b
+    with ab = g gives (u_r d_a) x (u_{beta_a(r)} d_b).  Every law is then
+    counted in plain loops over basis elements, pairs or triples; a count
+    of 0 means the law holds.
     """
     from collections import Counter
 
     R, K = mp.discrete, mp.compact
     nr, nk = R.order, K.order
     n = nr * nk
-    rep = covariant_rep_partial_maps(mp)
-    row_of = {tuple(rep[i]): i for i in range(n)}
-
-    def lookup(m):
-        if (m < 0).all():
-            return None
-        return row_of[tuple(m)]
-
-    prod = [[lookup(_compose_partial_maps(rep[i], rep[j])) for j in range(n)]
-            for i in range(n)]
+    prod, star = _operator_tables(mp)
 
     def mul(i, j):
         return None if i is None or j is None else prod[i][j]
 
-    star = [lookup(transpose_partial_map(rep[i], n)) for i in range(n)]
     unit = [R.identity * nk + g for g in range(nk)]
     eps = [1 if i % nk == K.identity else 0 for i in range(n)]
     haar = [Fraction(1, nk) if i // nk == R.identity else Fraction(0)
             for i in range(n)]
     delta = [[(r * nk + a, int(mp.beta[a, r]) * nk + b)
-              for a in range(nk) for b in range(nk) if K.mul(a, b) == g]
+              for a in range(nk) for b in range(nk) if K.cayley[a, b] == g]
              for r in range(nr) for g in range(nk)]
-    anti = [R.inv(int(mp.beta[g, r])) * nk + K.inv(int(mp.alpha[r, g]))
+    anti = [int(R.inverse[mp.beta[g, r]] * nk + K.inverse[mp.alpha[r, g]])
             for r in range(nr) for g in range(nk)]
 
     def h(i):
@@ -263,6 +353,13 @@ def multiset_coalgebra_laws(A):
     unit = np.flatnonzero(A.unit_vec.real > 0.5)
     cayley = A.pair.compact.cayley
 
+    def times(i, j):
+        """Index of the product of basis elements i and j, n for zero:
+        i meets one basis element of j's block, partner[i, j // nk]."""
+        i, j = np.broadcast_arrays(i, j)
+        s = j // nk
+        return np.where(partner[i, s] == j, result[i, s], n)
+
     def key(*cols):
         cols = np.broadcast_arrays(*cols)
         return np.ravel_multi_index(tuple(c.ravel() for c in cols),
@@ -277,13 +374,12 @@ def multiset_coalgebra_laws(A):
 
     def first_row(bad):
         hits = np.flatnonzero(bad)
-        return float(len(hits)), (A.basis_label(hits[0]) if len(hits)
+        return float(len(hits)), (_label(A, hits[0]) if len(hits)
                                   else None)
 
     out = {}
     dev = 0.0
-    for prod in (A.mul_index(unit[:, None], rows),
-                 A.mul_index(rows, unit[:, None])):
+    for prod in (times(unit[:, None], rows), times(rows, unit[:, None])):
         live = prod < n
         _, net = changed(key(np.broadcast_to(rows, prod.shape)[live],
                              prod[live]), key(rows, rows))
@@ -309,7 +405,7 @@ def multiset_coalgebra_laws(A):
     witness = None
     if len(bad):
         i, j = divmod(int(bad[0]), n)
-        witness = (A.basis_label(i), A.basis_label(j))
+        witness = (_label(A, i), _label(A, j))
     out["coproduct-multiplicative"] = (float(len(bad)), witness)
 
     lhs = np.sort(key(ST[dl], ST[dr]).reshape(n, nk), 1)
@@ -319,7 +415,7 @@ def multiset_coalgebra_laws(A):
 
     want = np.where(eps[:, None] != 0, unit, n)
     bad = np.zeros(n, dtype=bool)
-    for prod in (A.mul_index(S[dl], dr), A.mul_index(dl, S[dr])):
+    for prod in (times(S[dl], dr), times(dl, S[dr])):
         bad |= (np.sort(prod, 1) != want).any(1)
     out["antipode-laws"] = first_row(bad)
     return out
@@ -376,16 +472,16 @@ def naive_corep_tensor(u, w):
     """Coefficient tensor of the tensor product of two corepresentations,
     one algebra product per matrix entry: entry ((i, k), (j, l)) is
     u_ij w_kl."""
-    A = u.algebra
+    prod, _ = _operator_tables(u.algebra.pair)
     d1, d2 = u.dim, w.dim
-    uc, wc = u.dense(), w.dense()
-    out = np.zeros((d1 * d2, d1 * d2, A.dim), dtype=complex)
+    uc, wc = _dense(u), _dense(w)
+    out = np.zeros((d1 * d2, d1 * d2, u.algebra.dim), dtype=complex)
     for i in range(d1):
         for j in range(d1):
             for k in range(d2):
                 for ell in range(d2):
-                    out[i * d2 + k, j * d2 + ell] = A.mul_vec(
-                        uc[i, j], wc[k, ell])
+                    out[i * d2 + k, j * d2 + ell] = _product(
+                        prod, uc[i, j], wc[k, ell])
     return out
 
 
@@ -397,8 +493,9 @@ def naive_corep_deviation(c):
     sum_k c_ki* c_kj against [i = j] times the unit."""
     A = c.algebra
     d, n = c.dim, A.dim
-    cc = c.dense()
-    cs = [[A.star_vec(cc[i, j]) for j in range(d)] for i in range(d)]
+    prod, star = _operator_tables(A.pair)
+    cc = _dense(c)
+    cs = [[_star(star, cc[i, j]) for j in range(d)] for i in range(d)]
     dev = 0.0
     for i in range(d):
         for j in range(d):
@@ -406,8 +503,8 @@ def naive_corep_deviation(c):
             np.add.at(delta, (A.delta_left, A.delta_right), cc[i, j, :, None])
             outer = sum(np.outer(cc[i, k], cc[k, j]) for k in range(d))
             one = A.unit_vec if i == j else np.zeros(n)
-            row = sum(A.mul_vec(cc[i, k], cs[j][k]) for k in range(d))
-            col = sum(A.mul_vec(cs[k][i], cc[k, j]) for k in range(d))
+            row = sum(_product(prod, cc[i, k], cs[j][k]) for k in range(d))
+            col = sum(_product(prod, cs[k][i], cc[k, j]) for k in range(d))
             dev = max(dev, np.abs(outer - delta).max(),
                       np.abs(row - one).max(), np.abs(col - one).max())
     return float(dev)
@@ -420,6 +517,7 @@ def naive_embedding_violations(A, tol=1e-9):
     u_r d_h u_r* != d_alpha_r(h)."""
     R, K = A.pair.discrete, A.pair.compact
     nr, nk = R.order, K.order
+    prod, star = _operator_tables(A.pair)
 
     def vec(*idx):
         v = np.zeros(A.dim, dtype=complex)
@@ -434,15 +532,16 @@ def naive_embedding_violations(A, tol=1e-9):
     d = [vec(R.identity * nk + g) for g in range(nk)]
     return {
         "discrete-product-embedding": sum(
-            differs(A.mul_vec(u[r], u[s]), u[R.mul(r, s)])
+            differs(_product(prod, u[r], u[s]), u[R.cayley[r, s]])
             for r in range(nr) for s in range(nr)),
         "discrete-star-embedding": sum(
-            differs(A.star_vec(u[r]), u[R.inv(r)]) for r in range(nr)),
+            differs(_star(star, u[r]), u[R.inverse[r]]) for r in range(nr)),
         "compact-idempotents": sum(
-            differs(A.mul_vec(d[g], d[h]), d[g] if g == h else 0 * d[g])
+            differs(_product(prod, d[g], d[h]), d[g] if g == h else 0 * d[g])
             for g in range(nk) for h in range(nk)),
         "covariance-relation": sum(
-            differs(A.mul_vec(A.mul_vec(u[r], d[h]), A.star_vec(u[r])),
+            differs(_product(prod, _product(prod, u[r], d[h]),
+                             _star(star, u[r])),
                     d[A.pair.alpha[r, h]])
             for r in range(nr) for h in range(nk)),
     }
@@ -480,7 +579,7 @@ def naive_magic_relations(mp, orbit):
             for a in range(K.order):
                 t = int(mp.beta[a, s])
                 for b in range(K.order):
-                    lhs = K.mul(a, b) in sets[(s, r)]
+                    lhs = K.cayley[a, b] in sets[(s, r)]
                     rhs = (t in orbit and a in sets[(s, t)]
                            and b in sets[(t, r)])
                     if lhs != rhs:
@@ -508,7 +607,7 @@ def naive_fusion_formula(mp, space, chi_x, gamma_orbit, r_orbit, s_orbit):
     total = 0j
     for r in space.orbits[r_orbit]:
         for s in space.orbits[s_orbit]:
-            if space.orbit_of[R.mul(r, s)] != gamma_orbit:
+            if space.orbit_of[R.cayley[r, s]] != gamma_orbit:
                 continue
             for g in range(nk):
                 if mp.beta[mp.alpha[s, g], r] == r and mp.beta[g, s] == s:
@@ -578,7 +677,7 @@ def naive_orbit_max(values, perms):
                 for row in perms:
                     z = int(row[y])
                     if z not in orbit:
-                        orbit.add(z)
+                        orbit |= {z}
                         nxt.append(z)
             frontier = nxt
         out.append(max(values[y] for y in orbit))
@@ -595,7 +694,7 @@ def naive_intertwiner_dim(u, w):
     relative cutoff would count round-off in a system that is all
     round-off)."""
     du, dw = u.dim, w.dim
-    uc, wc = u.dense(), w.dense()
+    uc, wc = _dense(u), _dense(w)
     rows = []
     for s in range(u.algebra.dim):
         if not (uc[:, :, s].any() or wc[:, :, s].any()):
@@ -624,19 +723,27 @@ def _naive_weight_grid(slots, denominator):
             yield (head,) + rest
 
 
-def naive_separation_grid(G, denominators):
-    """The separation grid one validated exact measure at a time: every
-    weight vector of the recursive grid becomes a ``FiniteMeasure`` of
-    ``Fraction``s, measured by ``tv_distance`` against the identity point
-    mass.  Returns (identity-free points, their least distance, points
-    checked against 2*(1 - mu(e)), largest deviation)."""
-    from kacforge.measures import FiniteMeasure, tv_distance
-    n = G.order
-    e = G.identity
-    w = [Fraction(0)] * n
-    w[e] = Fraction(1)
-    delta_e = FiniteMeasure(G, tuple(w))
+def _tv(a, b):
+    """Sum of absolute differences of two weight tuples."""
+    return sum(abs(x - y) for x, y in zip(a, b))
 
+
+def tv_distance(mu, nu):
+    """Full coordinate sum of absolute weight differences of two measures
+    (exact); measures on groups of different orders are refused."""
+    if mu.group.order != nu.group.order:
+        raise ValidationError("measure-group", "measures on different groups")
+    return _tv(mu.weights, nu.weights)
+
+
+def naive_separation_grid(G, denominators):
+    """The separation grid one exact weight tuple at a time: every weight
+    vector of the recursive grid, as ``Fraction``s, is at total-variation
+    distance ``_tv`` from the identity point mass.  Returns (identity-free
+    points, their least distance, points checked against 2*(1 - w(e)),
+    largest deviation)."""
+    n, e = G.order, G.identity
+    delta_e = tuple(Fraction(int(x == e)) for x in range(n))
     grid_min = None
     grid_points = 0
     mixed_checked = 0
@@ -644,11 +751,10 @@ def naive_separation_grid(G, denominators):
     for D in denominators:
         for counts in _naive_weight_grid(n, D):
             w = tuple(Fraction(c, D) for c in counts)
-            mu = FiniteMeasure(G, w)
-            d = tv_distance(mu, delta_e)
+            d = _tv(w, delta_e)
             mixed_checked += 1
-            mixed_dev = max(mixed_dev, abs(d - 2 * (1 - mu(e))))
-            if mu(e) == 0:
+            mixed_dev = max(mixed_dev, abs(d - 2 * (1 - w[e])))
+            if w[e] == 0:
                 grid_points += 1
                 grid_min = d if grid_min is None else min(grid_min, d)
     return grid_points, grid_min, mixed_checked, mixed_dev
@@ -660,36 +766,44 @@ def naive_convolve(G, a, b):
     out = [Fraction(0)] * G.order
     for x in range(G.order):
         for y in range(G.order):
-            out[G.mul(x, y)] += a[x] * b[y]
+            out[G.cayley[x, y]] += a[x] * b[y]
     return tuple(out)
 
 
 def dense_validate_morphism(A, B, M):
     """The dense validator of a linear map given by its (B.dim, A.dim)
-    matrix M, checked column by column at ``TOL_EQ``: True, or
-    ``NotAMorphism`` naming the first law that fails and where."""
-    from kacforge.config import TOL_EQ
-    from kacforge.errors import NotAMorphism
+    matrix M, checked column by column at ``TOL_EQ``, with each algebra's
+    product and star from its operator model: True, or ``NotAMorphism``
+    naming the first law that fails and where."""
     if M.shape != (B.dim, A.dim):
         raise NotAMorphism(f"matrix shape {M.shape} != ({B.dim},{A.dim})")
     if np.abs(M @ A.unit_vec - B.unit_vec).max() > TOL_EQ:
         raise NotAMorphism("unit is not preserved")
     if np.abs(B.counit_vec @ M - A.counit_vec).max() > TOL_EQ:
         raise NotAMorphism("counit is not preserved")
-    # star of basis i is basis star_index[i]; image columns are M[:, i]
-    bad = np.abs(M[:, A.star_index] - B.star_vec(M.T).T).max(0) > TOL_EQ
-    if bad.any():
-        raise NotAMorphism(
-            f"star fails at basis {A.basis_label(np.argmax(bad))}")
-    basis_images = np.vstack([M.T, np.zeros(B.dim)])   # row dim: the zero
+    prod_a, star_a = _operator_tables(A.pair)
+    prod_b, star_b = _operator_tables(B.pair)
+    # image columns are M[:, i]: M(x*) = M(x)* on every basis element
     for i in range(A.dim):
-        lhs = basis_images[A.mul_index(i, np.arange(A.dim))]
-        rhs = B.mul_vec(M[:, i], M.T)
-        bad = np.abs(lhs - rhs).max(1, initial=0.0) > TOL_EQ
+        if np.abs(M[:, star_a[i]] - _star(star_b, M[:, i])).max() > TOL_EQ:
+            raise NotAMorphism(f"star fails at basis {_label(A, i)}")
+    # M(e_i e_j) against M(e_i) M(e_j) for every j at once, the right side
+    # one basis pair (p, q) of B at a time
+    for i in range(A.dim):
+        lhs = np.zeros((B.dim, A.dim), dtype=complex)
+        rhs = np.zeros((B.dim, A.dim), dtype=complex)
+        for j in range(A.dim):
+            if prod_a[i][j] is not None:
+                lhs[:, j] = M[:, prod_a[i][j]]
+        for p in np.flatnonzero(M[:, i]).tolist():
+            for q in range(B.dim):
+                if prod_b[p][q] is not None:
+                    rhs[prod_b[p][q]] += M[p, i] * M[q]
+        bad = np.abs(lhs - rhs).max(0) > TOL_EQ
         if bad.any():
             raise NotAMorphism(
-                f"multiplicativity fails at ({A.basis_label(i)}, "
-                f"{A.basis_label(np.argmax(bad))})")
+                f"multiplicativity fails at ({_label(A, i)}, "
+                f"{_label(A, np.argmax(bad))})")
     # coproduct intertwining on every basis element (the coproduct terms of
     # distinct basis elements of B are distinct pairs)
     for i in range(A.dim):
@@ -697,26 +811,46 @@ def dense_validate_morphism(A, B, M):
         rhs = np.zeros((B.dim, B.dim), dtype=complex)
         rhs[B.delta_left, B.delta_right] = M[:, i, None]
         if np.abs(lhs - rhs).max() > TOL_EQ:
-            raise NotAMorphism(f"coproduct fails at basis {A.basis_label(i)}")
+            raise NotAMorphism(f"coproduct fails at basis {_label(A, i)}")
     return True
+
+
+def _character(c):
+    """The character of a corepresentation: its diagonal entries summed on
+    their basis elements, one stored entry at a time."""
+    out = np.zeros(c.algebra.dim, dtype=complex)
+    for i, j, t, v in zip(c.row.tolist(), c.col.tolist(), c.basis.tolist(),
+                          c.value.tolist()):
+        if i == j:
+            out[t] += v
+    return out
+
+
+def _pairing(x, y, n):
+    """vdot(x, y) / n rounded to the integer it must be near."""
+    v = np.vdot(x, y) / n
+    k = round(v.real)
+    if abs(v - k) > TOL_EQ:
+        raise AssertionError(f"character pairing {v} is not near an integer")
+    return k
 
 
 def first_irrep_identification(A, pieces_of, space):
     """The irrep catalog of the irreducible pieces of each candidate, by a
-    pieces x pieces table of which pieces pair and a loop in which each
-    piece is the first irrep found before it that it pairs with, or a new
-    one.  Returns (canonical, equivalence_map)."""
-    from kacforge.groups import rounded_pairings
+    pieces x pieces table of which pieces pair (pieces of one dimension on
+    one orbit whose characters have a Haar pairing of at least 1) and a
+    loop in which each piece is the first irrep found before it that it
+    pairs with, or a new one.  Returns (canonical, equivalence_map)."""
     pieces = [p for ps in pieces_of for p in ps]
-    dims = np.array([p.dim for p in pieces])
     orbit = space.orbit_of[A.gamma_of]                  # per basis element
-    on_orbit = np.array([orbit[p.support()[0]] for p in pieces])
-    same = np.zeros((len(pieces), len(pieces)), dtype=bool)
-    for o in np.unique(on_orbit).tolist():
-        at, on = np.flatnonzero(on_orbit == o), np.flatnonzero(orbit == o)
-        chars = np.array([pieces[n].character()[on] for n in at])
-        same[np.ix_(at, at)] = ((rounded_pairings(chars, chars, A.nk) >= 1)
-                                & (dims[at, None] == dims[at]))
+    # entries are stored in basis order: basis[0] is the least of the support
+    on_orbit = [orbit[p.basis[0]] for p in pieces]
+    chars = [_character(p) for p in pieces]
+    same = np.array([[on_orbit[a] == on_orbit[b] and p.dim == q.dim
+                      and _pairing(chars[a], chars[b], A.nk) >= 1
+                      for b, q in enumerate(pieces)]
+                     for a, p in enumerate(pieces)], dtype=bool).reshape(
+                         len(pieces), len(pieces))
     # each piece is the first irrep found before it that it pairs with, or
     # a new one; first[k] is the piece that found irrep k
     first, ident = [], []

@@ -17,7 +17,7 @@ cells giving the null vector exactly 1.  Splitting breadth-first, one End
 batch per level, must give the pieces and the catalog of
 candidate-by-candidate recursion, bit for bit.
 The coefficient span rank summed over orbit blocks must equal the rank of
-the whole stacked matrix.
+the whole stacked matrix, and the solver's row ranks np.unique's inverse.
 Every candidate, catalog irrep and orbit tensor is stored as its nonzero
 entries in (basis, row, col) order on its pruned support, and that storage
 agrees with the loop oracles, which read the dense tensors.
@@ -537,6 +537,19 @@ def test_solver_calls_are_batched(step, most, monkeypatch):
     else:
         assert reps.audit_fusion(A, catalog).oracle_consistent
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("keys", [
+    np.random.default_rng(3).integers(-40, 40, size=5000),
+    np.random.default_rng(4).integers(0, 2**62, size=3000).repeat(3)[::-1],
+    np.array([7, 7, 7]), np.zeros(0, dtype=np.int64)],
+    ids=["small-range", "wide-repeated", "one-value", "empty"])
+def test_distinct_ranks_equal_numpys_inverse(keys):
+    """The solver's row ranks are np.unique's inverse, in int32."""
+    rank, count = reps._distinct(keys)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    assert rank.dtype == np.int32 and count == len(uniq)
+    assert np.array_equal(rank, inverse)
 
 
 def _dropped(c, axis, at):

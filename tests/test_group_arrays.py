@@ -52,7 +52,7 @@ def _brute_orders(G):
     for a in range(G.order):
         k, x = 1, a
         while x != G.identity:
-            x, k = G.mul(x, a), k + 1
+            x, k = G.cayley[x, a], k + 1
         out.append(k)
     return out
 
@@ -63,9 +63,9 @@ def _brute_quotient(G, normal):
     for g in range(G.order):
         if proj[g] < 0:
             for k in normal:
-                proj[G.mul(g, k)] = len(reps)
+                proj[G.cayley[g, k]] = len(reps)
             reps.append(g)
-    table = [[proj[G.mul(a, b)] for b in reps] for a in reps]
+    table = [[proj[G.cayley[a, b]] for b in reps] for a in reps]
     return table, [G.labels[r] + "N" for r in reps], proj
 
 
@@ -79,8 +79,8 @@ def _check_subgroup_helpers(G, rng):
     N = G.closure(picks)
     assert N == brute_subgroup_generated(G, picks)
     for subset in (N, sorted(set(picks) | {G.identity})):
-        conj = {G.mul(G.mul(g, x), G.inv(g)) for g in range(G.order)
-                for x in subset}
+        conj = {int(G.cayley[G.cayley[g, x], G.inverse[g]])
+                for g in range(G.order) for x in subset}
         assert G.is_normal(subset) == conj.issubset(subset)
     if G.is_normal(N):
         Q, proj = groups.quotient_group(G, N)

@@ -1,9 +1,10 @@
 """Import hygiene: every name a package module imports is used in it,
 every attribute it stores and every public name it defines is read by the
-package, a script or the benchmark (or is kept for a named test), no
-package code asks a corepresentation for its coefficients on every basis
-element, and no package code imports sympy, statically or on a command's
-path."""
+package, a script or the benchmark (or is kept for a named test), the
+oracles read the package's data and none of its routes, no package code
+asks a corepresentation for its coefficients on every basis element or
+compares against an unnamed tolerance, and no package code imports sympy,
+statically or on a command's path."""
 
 import ast
 import json
@@ -242,8 +243,6 @@ KEPT_PUBLIC = {
     "ConjugacyData.centralizer": "the group golden",
     "dihedral_group": "the group golden",
     "quaternion_group": "the group golden",
-    "FiniteGroup.mul": "the oracles' group loops",
-    "tv_distance": "the oracle naive_separation_grid",
 }
 
 
@@ -345,6 +344,113 @@ def test_every_oracle_is_read_by_a_test():
     tests = ROOT / "tests"
     readers = [path.read_text() for path in sorted(tests.glob("test_*.py"))]
     assert unread_functions((tests / "oracles.py").read_text(), readers) == []
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: tests/oracles.py reads the package's stored data
+# (tables, entry arrays, labels) and calls none of its routes
+
+# the only package names tests/oracles.py imports, each with why it is data
+# or an error type and not a route to an answer
+ORACLE_IMPORTS = {
+    "TOL_EQ": "a number: the tolerance of the dense morphism validator and "
+              "of the pairing oracle's integrality check",
+    "NotAMorphism": "the error type the dense morphism validator raises",
+    "ValidationError": "the error type of tv_distance's measure-group "
+                       "refusal",
+}
+
+
+def package_methods(sources):
+    """Names of the methods defined on the classes of ``sources``."""
+    return {sub.name for text in sources
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            for sub in node.body if isinstance(sub, ast.FunctionDef)}
+
+
+def oracle_breaches(source, methods, allowed):
+    """Names ``source`` imports from kacforge outside ``allowed`` (all of
+    them for a plain ``import kacforge``), and calls ``x.m(...)`` with m in
+    ``methods`` where x is not rooted at an imported module such as ``np``
+    or ``np.linalg``, as ``line N: import name`` or ``line N: call x.m``."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] == "kacforge":
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names if alias.name not in allowed]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "kacforge"]
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in methods:
+            root = node.func.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                found.append((node.lineno,
+                              f"call {ast.unparse(node.func)}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scanner_finds_an_oracle_that_calls_the_package():
+    package = ("class KacAlgebra:\n    def mul_vec(self, a, b):\n"
+               "        pass\n    def norm(self):\n        pass\n")
+    source = ("import numpy as np\nfrom kacforge.config import TOL_EQ\n"
+              "from kacforge.groups import rounded_pairings\n"
+              "import kacforge.reps\n"
+              "def oracle(A, x, y):\n"
+              "    z = A.mul_vec(x, y) + A.pair.norm()\n"
+              "    return np.linalg.norm(z) < TOL_EQ, A.cayley[x, y]\n")
+    assert oracle_breaches(source, package_methods([package]),
+                           {"TOL_EQ"}) == [
+        "line 3: import rounded_pairings", "line 4: import kacforge.reps",
+        "line 6: call A.mul_vec", "line 6: call A.pair.norm"]
+
+
+def test_oracles_import_only_data_and_call_no_package_method():
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    methods = package_methods(path.read_text()
+                              for path in sorted(SRC.glob("*.py")))
+    assert oracle_breaches(source, methods, ORACLE_IMPORTS) == []
+    # an allowed name that the oracles no longer import leaves the dict
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(set(ORACLE_IMPORTS) - imported) == []
+
+
+# ---------------------------------------------------------------------------
+# named tolerances: a float threshold in src/ is a constant of config.py
+
+
+def small_float_literals(source):
+    """Lines of ``source`` with a float literal v, 0 < |v| < 1e-5, as
+    ``line N``, each line once: a threshold that belongs in config.py."""
+    return [f"line {line}" for line in sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0 < abs(node.value) < 1e-5})]
+
+
+def test_scanner_finds_a_literal_threshold():
+    source = ("x = 1e-9\nif y > 2.5e-6 * s and z < -1e-12:\n    pass\n"
+              "w = 1e-5\nv = 0.0\nu = 1e-9j\nt = '1e-9'\n")
+    assert small_float_literals(source) == ["line 1", "line 2"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "config.py"],
+                         ids=lambda p: p.name)
+def test_no_literal_threshold_outside_config(path):
+    assert small_float_literals(path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------

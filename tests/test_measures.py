@@ -25,10 +25,9 @@ from kacforge.measures import (ChebyshevState, FiniteMeasure, c0_profile,
                                chebyshev_state, chebyshev_values,
                                delta_measure, measure_fourier,
                                random_rational_measure, rel_T_obstruction,
-                               tv_distance, uniform_is_unit_projection,
-                               uniform_measure)
+                               uniform_is_unit_projection, uniform_measure)
 
-from .oracles import naive_convolve
+from .oracles import naive_convolve, tv_distance
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 

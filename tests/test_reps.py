@@ -400,7 +400,7 @@ def test_fusion_formula_split_pair_is_orbit_delta():
             for si in range(n_orb):
                 r = space.orbits[ri][0]
                 s = space.orbits[si][0]
-                want = int(space.orbit_of[mp.discrete.mul(r, s)] == gi)
+                want = int(space.orbit_of[mp.discrete.cayley[r, s]] == gi)
                 assert abs(formula[0, gi, ri, si] - want) < 1e-6
 
 
