@@ -21,7 +21,7 @@ from .errors import (ActionNotCompatible, IdentityViolated, SizeBound,
                      TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
                      matrix_irreps, permuted_rows, rng_from, rounded_pairings)
-from .hopf import build_algebra, plain_function_algebra
+from .hopf import build_algebra
 from .library import pair_conjugation
 from .reps import build_candidates
 
@@ -350,17 +350,15 @@ def random_dual_element(ring, labels, rng):
 
 @dataclass
 class ClassicalDual:
-    """Matrix-irrep data of a finite group, with its function algebra."""
+    """Matrix-irrep data of a finite group."""
     group: object
     ring: FusionRing
     irreps: list
-    algebra: object
 
 
 def classical_dual(G, seed=DEFAULT_SEED):
     return ClassicalDual(group=G, ring=irrep_fusion_ring(G, seed=seed),
-                         irreps=matrix_irreps(G, seed=seed),
-                         algebra=plain_function_algebra(G))
+                         irreps=matrix_irreps(G, seed=seed))
 
 
 def fourier_values(a, dual):
@@ -371,11 +369,6 @@ def fourier_values(a, dual):
         mx = dual.irreps[x]
         out += mx.dim * np.einsum("gij,ji->g", mx.matrices, mat)
     return out
-
-
-def fourier_transform(a, dual):
-    """F(a) as a coefficient vector of the function algebra of the group."""
-    return dual.algebra.compact_function(fourier_values(a, dual))
 
 
 def inverse_fourier(values, dual):
@@ -406,14 +399,9 @@ def sobolev0_norm(a):
 class CrossedInstance:
     pair: object
     algebra: object
-    base_ring: FusionRing
-    action: RingAction
-    ring: CrossedFusionRing
+    ring: CrossedFusionRing        # holds the base ring and the action
     dual: ClassicalDual
     candidates: list               # aligned with ring labels
-
-    def candidate(self, gamma, x):
-        return self.candidates[gamma * self.base_ring.n + x]
 
 
 def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
@@ -427,10 +415,9 @@ def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
     ring = CrossedFusionRing(base, action, name=name)
     A = build_algebra(mp)
     cands, _, irreps = build_candidates(A, seed=seed)
-    dual = ClassicalDual(group=mp.compact, ring=base,
-                         irreps=irreps, algebra=plain_function_algebra(mp.compact))
-    return CrossedInstance(pair=mp, algebra=A, base_ring=base, action=action,
-                           ring=ring, dual=dual, candidates=cands)
+    dual = ClassicalDual(group=mp.compact, ring=base, irreps=irreps)
+    return CrossedInstance(pair=mp, algebra=A, ring=ring, dual=dual,
+                           candidates=cands)
 
 
 def conj_action_builder(G, subgroup_elements, seed=DEFAULT_SEED, name=None):
@@ -438,8 +425,8 @@ def conj_action_builder(G, subgroup_elements, seed=DEFAULT_SEED, name=None):
     mp = pair_conjugation(G, subgroup_elements, name=name)
     inst = crossed_instance(mp, seed=seed, name=name)
     # conjugation fixes every character, so the label action must be trivial
-    if not np.array_equal(inst.action.perms,
-                          np.tile(np.arange(inst.base_ring.n),
+    if not np.array_equal(inst.ring.action.perms,
+                          np.tile(np.arange(inst.ring.base.n),
                                   (mp.discrete.order, 1))):
         raise ActionNotCompatible("conjugation moved an irrep label")
     return inst
@@ -461,9 +448,9 @@ def graded_parts(inst, a):
     """Split a crossed dual element into classical dual elements per grade."""
     parts = {}
     for lab, mat in a.blocks.items():
-        g, x = divmod(lab, inst.base_ring.n)
+        g, x = divmod(lab, inst.ring.base.n)
         parts.setdefault(g, {})[x] = mat
-    return {g: DualElement(inst.base_ring, blocks)
+    return {g: DualElement(inst.ring.base, blocks)
             for g, blocks in parts.items()}
 
 
@@ -574,10 +561,10 @@ def length_l0(crossed, l_gamma, l_base):
 def graded_word_length(inst):
     """The graded length of a crossed instance: the discrete group's word
     length on its non-identity elements plus the base ring's word length on
-    all of its labels."""
-    R, base = inst.pair.discrete, inst.base_ring
-    l_gamma = word_length(element_fusion_ring(R),
-                          np.flatnonzero(np.arange(R.order) != R.identity))
+    all of its labels.  With every non-identity element a generator, the
+    group's length is 1 off the identity."""
+    R, base = inst.pair.discrete, inst.ring.base
+    l_gamma = (np.arange(R.order) != R.identity).astype(float)
     return length_l0(inst.ring, l_gamma, word_length(base, np.arange(base.n)))
 
 

@@ -178,9 +178,6 @@ class FiniteGroup:
 
     # -- elementwise operations --------------------------------------------
 
-    def inv(self, a):
-        return int(self.inverse[a])
-
     def element_order(self, a):
         return int(self.element_orders()[a])
 

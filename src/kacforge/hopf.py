@@ -16,7 +16,7 @@ import numpy as np
 from .config import TOL_AXIOM
 from .errors import NotAMorphism
 from .groups import _row_blocks
-from .matched import MatchedPair, trivial_pair
+from .matched import MatchedPair
 
 
 class KacAlgebra:
@@ -182,11 +182,6 @@ def build_algebra(mp):
     return KacAlgebra(mp)
 
 
-def plain_function_algebra(K):
-    """C(K) with trivial discrete part — the classical baseline."""
-    return KacAlgebra(trivial_pair(K))
-
-
 # ---------------------------------------------------------------------------
 # axiom certification
 
@@ -200,7 +195,6 @@ class AxiomCheck:
 
 @dataclass
 class AxiomReport:
-    algebra: KacAlgebra
     checks: list
     tol: float
 
@@ -247,24 +241,37 @@ def _row_check(A, name, bad):
                       A.basis_label(hits[0]) if len(hits) else None)
 
 
-def _associativity_count(A):
-    """Violations of associativity over all basis triples, and the first
-    violating triple.  Triples with (ij)k != 0 are enumerated; of the
-    triples with i(jk) != 0 (counted through `lands`) those not enumerated
-    are violations too: n * nr^2 lookups."""
-    n, nr = A.dim, A.nr
+def _triple_counts(A, blocks):
+    """Per basis element x, over the triples (x, a, y) with a in the
+    discrete blocks ``blocks``: the listed triples (x, partner[x, s],
+    partner[xa, t]), s in ``blocks``, the only ones with (xa)y != 0, on
+    which x(ay) differs; and the triples with x(ay) != 0 (counted through
+    `lands`, per z the (a, y) with ay = z) less the listed ones with
+    x(ay) != 0.  n * |blocks| * nr lookups."""
+    n, nk, nr = A.dim, A.nk, A.nr
     rows = np.arange(n)
     partner = A.partner
-    lands = np.bincount(A.result.ravel(), minlength=n)
-    bad = np.zeros(n, dtype=np.int64)
-    for blk in _row_blocks(n, 8 * nr * nr):
-        m = A.result[blk]
-        k = partner[m]                                       # (b, nr, nr)
-        left = A.result[m]
+    members = (blocks[:, None] * nk + np.arange(nk)).ravel()
+    lands = np.bincount(A.result[members].ravel(), minlength=n)
+    differ = np.zeros(n, dtype=np.int64)
+    unlisted = np.zeros(n, dtype=np.int64)
+    for blk in _row_blocks(n, 8 * len(blocks) * nr):
+        xa = A.result[blk][:, blocks]                        # (b, |blocks|)
+        y = partner[xa]                                      # (b, |blocks|, nr)
         right = A.mul_index(rows[blk, None, None],
-                            A.mul_index(partner[blk][:, :, None], k))
-        bad[blk] = ((left != right).sum((1, 2)) - (right < n).sum((1, 2))
-                    + lands[partner[blk]].sum(1))
+                            A.mul_index(partner[blk][:, blocks, None], y))
+        differ[blk] = (A.result[xa] != right).sum((1, 2))
+        unlisted[blk] = lands[partner[blk]].sum(1) - (right < n).sum((1, 2))
+    return differ, unlisted
+
+
+def _associativity_count(A):
+    """Violations of associativity over all basis triples, and the first
+    violating triple: the two counts of `_triple_counts` over every
+    block."""
+    n = A.dim
+    rows = np.arange(n)
+    bad = sum(_triple_counts(A, np.arange(A.nr)))
     witness = None
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -288,13 +295,13 @@ def _light_associative(A):
     a with (xa)y = x(ay) for all x, y are closed under products (Clifford &
     Preston, The Algebraic Theory of Semigroups I, 1.2), so checking every
     a of a generating set G certifies every triple.  G is the u_s d_h, s a
-    generator of the discrete group and h in K.  For a in block s, xa != 0
-    only at a = partner[x, s], so the triples with (xa)y != 0 are
-    (x, partner[x, s], partner[xa, t]): n * |gens| * nr lookups against the
-    full count's n * nr^2, and closing G under right multiplication by G
-    costs n * |gens|.
+    generator of the discrete group and h in K: `_triple_counts` over the
+    generator blocks makes n * |gens| * nr lookups against the full
+    count's n * nr^2, and closing G under right multiplication by G costs
+    n * |gens|.  The two counts are checked apart, so that a stray partner
+    entry cannot offset a disagreement.
     """
-    n, nk, nr = A.dim, A.nk, A.nr
+    n, nk = A.dim, A.nk
     gens = np.array(A.pair.discrete.generators, dtype=np.int64)
     G = (gens[:, None] * nk + np.arange(nk)).ravel()
     reached = np.zeros(n, dtype=bool)
@@ -306,19 +313,8 @@ def _light_associative(A):
         reached[new] = True
     if not reached.all():
         return False
-    rows = np.arange(n)
-    partner = A.partner
-    for blk in _row_blocks(n, 8 * len(gens) * nr):
-        xa = A.result[blk][:, gens]                          # (b, |gens|)
-        y = partner[xa]                                      # (b, |gens|, nr)
-        right = A.mul_index(rows[blk, None, None],
-                            A.mul_index(partner[blk][:, gens, None], y))
-        if (A.result[xa] != right).any():
-            return False
-    # every enumerated triple has x(ay) != 0; no other triple may: the x
-    # with xz != 0 are counted per z by `meets`
-    meets = np.bincount(partner.ravel(), minlength=n)
-    return int(meets[A.result[G]].sum()) == n * len(gens) * nr
+    differ, unlisted = _triple_counts(A, gens)
+    return not differ.any() and int(unlisted.sum()) == 0
 
 
 def _coproduct_multiplicative(A):
@@ -471,7 +467,7 @@ def check_axioms(A):
     # ... and unital, counted exactly: |K| h(1) is an integer sum
     checks.append(AxiomCheck("haar-unital",
                              abs(int(A.haar_k[unit].sum()) - nk) / nk))
-    return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
+    return AxiomReport(checks=checks, tol=TOL_AXIOM)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +614,7 @@ def group_subalgebra_check(A):
            != A.pair.beta.T[:, None, :]).any((1, 2)).sum()
     checks.append(AxiomCheck("discrete-coproduct-form", float(bad)))
 
-    return AxiomReport(algebra=A, checks=checks, tol=TOL_AXIOM)
+    return AxiomReport(checks=checks, tol=TOL_AXIOM)
 
 
 # ---------------------------------------------------------------------------

@@ -278,8 +278,6 @@ def uniform_is_unit_projection(dual):
 
 @dataclass
 class ChebyshevState:
-    N: int
-    t: Fraction
     values: list               # Fractions, index k = 0..cutoff
 
     def c0_profile(self, eps):
@@ -320,5 +318,4 @@ def chebyshev_state(N, t, cutoff):
                           f"{limit}-digit limit of integer text")
     num = chebyshev_values(t, cutoff)
     den = chebyshev_values(N, cutoff)
-    return ChebyshevState(N=int(N), t=t,
-                          values=[a / b for a, b in zip(num, den)])
+    return ChebyshevState(values=[a / b for a, b in zip(num, den)])

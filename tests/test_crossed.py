@@ -6,7 +6,9 @@ reproduced them; the Fourier inverse normalization was fixed by Schur
 orthogonality round-trips before the tolerance went into the tests.
 """
 
+import copy
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacforge import crossed
+from kacforge.cli import main
 from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
                               FusionRing, RingAction,
                               action_from_pair, check_fusion_ring,
@@ -21,8 +24,8 @@ from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
                               classical_dual, conj_action_builder,
                               crossed_fourier, crossed_instance,
                               crude_poly_bound,
-                              element_fusion_ring, fourier_transform,
-                              fourier_values, free_orthogonal_ring,
+                              element_fusion_ring, fourier_values,
+                              free_orthogonal_ring,
                               graded_parts, graded_word_length,
                               inverse_fourier,
                               invariantize_length, irrep_fusion_ring,
@@ -32,14 +35,17 @@ from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
 from kacforge.errors import (ActionNotCompatible, IdentityViolated,
                              TruncationOverflow, ValidationError)
 from kacforge.groups import character_table, rng_from
-from kacforge.hopf import KacAlgebra
+from kacforge.hopf import KacAlgebra, build_algebra
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
                               quaternion_group, special_linear_group,
                               symmetric_group)
+from kacforge.matched import trivial_pair
 from kacforge.reps import Corepresentation, mor_dim_haar, mor_dim_solver
 
 from .oracles import brute_character_inner
 from .test_reps import corep_from_dense
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _state = {}
 
@@ -239,14 +245,14 @@ def test_free_ring_rejects_bad_parameters():
 def test_action_from_twisted_pair_swaps_conjugates():
     inst = twisted_instance()
     # inversion on the order-3 group swaps the two nontrivial characters
-    assert list(inst.action.perms[0]) == [0, 1, 2]
-    assert list(inst.action.perms[1]) == [0, 2, 1]
+    assert list(inst.ring.action.perms[0]) == [0, 1, 2]
+    assert list(inst.ring.action.perms[1]) == [0, 2, 1]
 
 
 def test_conjugation_acts_trivially_on_labels():
     inst = conj_instance()
-    for row in inst.action.perms:
-        assert list(row) == list(range(inst.base_ring.n))
+    for row in inst.ring.action.perms:
+        assert list(row) == list(range(inst.ring.base.n))
 
 
 def test_action_validation_rejects_bad_rows():
@@ -342,7 +348,7 @@ def test_crossed_rejects_graded_discrete_action():
 def test_crossed_ring_twist_visible():
     inst = twisted_instance()
     ring = inst.ring
-    nb = inst.base_ring.n             # label (g, x) has index g * nb + x
+    nb = inst.ring.base.n             # label (g, x) has index g * nb + x
     e_x1 = 0 * nb + 1
     t_x1 = 1 * nb + 1
     t_x2 = 1 * nb + 2
@@ -352,7 +358,7 @@ def test_crossed_ring_twist_visible():
     assert ring.fuse(t_x1, e_x1) == {t_x2: 1}
     assert ring.fuse(e_x1, t_x1) == {1 * nb + 0: 1}
     assert ring.labels[t_x2] == (f"{inst.pair.discrete.labels[1]}."
-                                 f"{inst.base_ring.labels[2]}")
+                                 f"{inst.ring.base.labels[2]}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +409,9 @@ def classical_of(key, G):
 
 def test_fourier_of_unit_is_algebra_one():
     dual = classical_of("dualS3", symmetric_group(3))
-    f = fourier_transform(unit_dual_element(dual.ring), dual)
-    assert np.abs(f - dual.algebra.unit_vec).max() < 1e-12
+    f = fourier_values(unit_dual_element(dual.ring), dual)
+    one = build_algebra(trivial_pair(dual.group)).unit_vec
+    assert np.abs(f - one).max() < 1e-12
 
 
 def test_fourier_of_identity_blocks_is_delta_at_identity():
@@ -436,8 +443,8 @@ def test_fourier_round_trip_no_dimension_factor():
 def test_inverse_accepts_algebra_elements():
     dual = classical_of("dualS3", symmetric_group(3))
     a = random_dual_element(dual.ring, seed=3)
-    f = fourier_transform(a, dual)
-    back = inverse_fourier(f, dual)
+    A = build_algebra(trivial_pair(dual.group))
+    back = inverse_fourier(A.compact_function(fourier_values(a, dual)), dual)
     dev = max(np.abs(back.block(x) - a.block(x)).max()
               for x in range(dual.ring.n))
     assert dev < 1e-9
@@ -489,7 +496,6 @@ def test_lemma_fourier_sparse_support():
 
 def test_lemma_fourier_raises_on_tampered_candidate():
     base = conj_instance()
-    import copy
     broken = copy.copy(base)
     broken.candidates = list(base.candidates)
     victim = base.candidates[4]
@@ -539,7 +545,7 @@ def test_word_length_unreachable_raises():
 
 def test_length_l0_frozen_and_triangle():
     inst = conj_instance()
-    lbase = word_length(inst.base_ring, [2])
+    lbase = word_length(inst.ring.base, [2])
     lgam = word_length(element_fusion_ring(inst.pair.discrete), [1])
     l0 = length_l0(inst.ring, lgam, lbase)
     assert list(l0) == [0, 2, 1, 1, 3, 2, 1, 3, 2]
@@ -552,7 +558,7 @@ def test_length_l0_requires_invariance():
     with pytest.raises(ValidationError):
         length_l0(inst.ring, np.zeros(2), skew)
     linv = length_l0(inst.ring, np.zeros(2),
-                     invariantize_length(skew, inst.action))
+                     invariantize_length(skew, inst.ring.action))
     assert list(linv) == [0.0, 2.0, 2.0, 0.0, 2.0, 2.0]
     assert check_length(inst.ring, linv) == 0.0
 
@@ -569,7 +575,7 @@ def test_check_length_flags_triangle_violation():
 
 def test_rd_crude_bound_passes():
     for inst in both_instances():
-        lbase = word_length(inst.base_ring, list(range(inst.base_ring.n)))
+        lbase = word_length(inst.ring.base, list(range(inst.ring.base.n)))
         lgam = word_length(element_fusion_ring(inst.pair.discrete),
                            list(range(1, inst.pair.discrete.order)))
         l0 = length_l0(inst.ring, lgam, lbase)
@@ -601,7 +607,7 @@ def test_rd_refuses_truncated():
 
 def test_rd_deterministic():
     inst = twisted_instance()
-    lbase = word_length(inst.base_ring, list(range(inst.base_ring.n)))
+    lbase = word_length(inst.ring.base, list(range(inst.ring.base.n)))
     lgam = word_length(element_fusion_ring(inst.pair.discrete), [1])
     l0 = length_l0(inst.ring, lgam, lbase)
     r1 = rd_inequality_sample(inst, l0, (4.0,), samples=6, seed=11)
@@ -627,6 +633,27 @@ def test_rd_sample_builds_no_dense_left_multiplication(monkeypatch):
     assert rep.passed and len(rep.samples) == 5
 
 
+def test_graded_length_builds_no_element_ring(monkeypatch, capsys):
+    """Every non-identity element of the discrete group is a generator, so
+    its word length is 1 off the identity: the graded length equals the one
+    through the element fusion ring, and `kacforge crossed` builds none."""
+    want = []
+    for inst in both_instances():
+        R, base = inst.pair.discrete, inst.ring.base
+        l_gamma = word_length(element_fusion_ring(R),
+                              [g for g in range(R.order) if g != R.identity])
+        want.append(length_l0(inst.ring, l_gamma,
+                              word_length(base, list(range(base.n)))))
+
+    def refuse(G):
+        raise AssertionError("element fusion ring built")
+    monkeypatch.setattr(crossed, "element_fusion_ring", refuse)
+    for inst, l0 in zip(both_instances(), want):
+        assert graded_word_length(inst).tobytes() == l0.tobytes()
+    assert main(["crossed", str(ROOT / "sample_inputs" / "conj_s3.pair")]) == 0
+    assert "polynomial-bound sample" in capsys.readouterr().out
+
+
 
 def test_irrep_ring_refuses_a_table_not_closed_under_conjugation(
         monkeypatch):
@@ -647,9 +674,10 @@ def test_conjugation_builder_refuses_an_action_that_moves_a_label(
     two one-dimensional irreps of S3 is refused."""
     def swapped(mp, seed, name, real=crossed.crossed_instance):
         inst = real(mp, seed=seed, name=name)
-        perms = inst.action.perms[:, [1, 0, 2]]
-        return dataclasses.replace(
-            inst, action=dataclasses.replace(inst.action, perms=perms))
+        ring = copy.copy(inst.ring)
+        ring.action = dataclasses.replace(
+            ring.action, perms=ring.action.perms[:, [1, 0, 2]])
+        return dataclasses.replace(inst, ring=ring)
     monkeypatch.setattr(crossed, "crossed_instance", swapped)
     S3 = symmetric_group(3)
     rot = [g for g in range(6) if S3.element_order(g) in (1, 3)]

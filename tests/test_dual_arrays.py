@@ -126,16 +126,16 @@ def test_invariantize_matches_orbit_bfs(data):
 @given(st.data())
 def test_length_l0_against_loops(data):
     inst = _instance(data.draw(st.sampled_from(_GRADED)))
-    base, nr = inst.base_ring, inst.pair.discrete.order
+    base, nr = inst.ring.base, inst.pair.discrete.order
     l_gamma = np.array(data.draw(st.lists(VALUES, min_size=nr, max_size=nr)))
     values = data.draw(st.lists(VALUES, min_size=base.n, max_size=base.n))
     l_base = np.array(values)
     # length_l0 allows a 1e-9 drift along an orbit
-    if (np.array(naive_orbit_max(values, inst.action.perms))
+    if (np.array(naive_orbit_max(values, inst.ring.action.perms))
             - values).max() > 1e-9:
         with pytest.raises(ValidationError, match="length-invariance"):
             length_l0(inst.ring, l_gamma, l_base)
-        l_base = invariantize_length(l_base, inst.action)
+        l_base = invariantize_length(l_base, inst.ring.action)
     l0 = length_l0(inst.ring, l_gamma, l_base)
     assert l0.tolist() == [l_gamma[g] + l_base[x]
                            for g in range(nr) for x in range(base.n)]

@@ -4,15 +4,17 @@ For every pair with trivial discrete-side action (the corpus pairs and the
 ``sample_inputs/*.pair`` files) the sha256 of each of the following must
 match the digest stored in ``tests/data/dual_digests.json``:
 
-* the crossed ring labels and ``candidate(g, x).label`` for every label;
+* the crossed ring labels and the label of ``candidates[g * base.n + x]``
+  for every label (g, x);
 * word lengths: the base ring on all labels and on each single label, the
   discrete group's element ring on its non-identity elements, and the
   crossed ring on each single label (values, or the error message);
 * ``length_l0`` of those lengths, and ``invariantize_length`` of seeded
   integer base lengths;
 * ``check_length`` of every length above and of seeded arbitrary vectors;
-* ``fourier_values`` and ``inverse_fourier`` (from values and from the
-  algebra element) of seeded dual elements of the compact side,
+* ``fourier_values`` and ``inverse_fourier`` of seeded dual elements of the
+  compact side (each row holds the inverse twice: the values are also the
+  coefficients of the transform in the function algebra),
   ``graded_parts`` and ``crossed_fourier`` of seeded crossed dual elements;
 * ``left_mult_matrix`` of seeded algebra vectors;
 * ``compact_restriction_morphism`` onto every cyclic compact subgroup (or
@@ -39,8 +41,8 @@ import pytest
 from kacforge.crossed import (DualElement, check_length, classical_dual,
                               crossed_fourier, crossed_instance,
                               crude_poly_bound,
-                              element_fusion_ring, fourier_transform,
-                              fourier_values, graded_parts, inverse_fourier,
+                              element_fusion_ring, fourier_values,
+                              graded_parts, inverse_fourier,
                               invariantize_length, length_l0,
                               rd_inequality_sample, word_length)
 from kacforge.errors import KacforgeError
@@ -49,7 +51,7 @@ from kacforge.hopf import build_algebra, compact_restriction_morphism
 from kacforge.io_formats import load_pair
 from kacforge.library import (corpus_pairs, dihedral_group, quaternion_group,
                               special_linear_group, symmetric_group)
-from kacforge.matched import compact_subpair
+from kacforge.matched import compact_subpair, trivial_pair
 from kacforge.measures import (delta_measure, measure_fourier,
                                random_rational_measure, uniform_measure)
 
@@ -108,7 +110,7 @@ def _transforms(dual, salt):
                             full=(t == 0))
         vals = fourier_values(a, dual)
         out.append([_r9(vals), _blocks(inverse_fourier(vals, dual)),
-                    _blocks(inverse_fourier(fourier_transform(a, dual), dual))])
+                    _blocks(inverse_fourier(vals, dual))])
     return out
 
 
@@ -142,9 +144,9 @@ def _beta_trivial_pairs():
 
 def crossed_digests(mp):
     inst = crossed_instance(mp)
-    ring, base, R = inst.ring, inst.base_ring, mp.discrete
+    ring, base, R = inst.ring, inst.ring.base, mp.discrete
     out = {"labels": _sha(ring.labels),
-           "candidates": _sha([inst.candidate(g, x).label
+           "candidates": _sha([inst.candidates[g * base.n + x].label
                                for g in range(R.order)
                                for x in range(base.n)])}
 
@@ -162,7 +164,7 @@ def crossed_digests(mp):
     seeded = [rng_from(SEED, 2, t).integers(0, 5, size=base.n).astype(float)
               for t in range(4)]
     out["invariantize"] = _sha([
-        _r9(invariantize_length(v, inst.action)) for v in seeded])
+        _r9(invariantize_length(v, ring.action)) for v in seeded])
 
     arbitrary = [(r, rng_from(SEED, 3, t, r.n).normal(size=r.n))
                  for t in range(3) for r in (base, ring)]
@@ -209,7 +211,7 @@ def classical_digests(G):
         random_rational_measure(G, SEED, salt=(t,)) for t in range(3)]
     out["measure-fourier"] = _sha([_blocks(measure_fourier(mu, dual))
                                    for mu in measures])
-    out["restriction"] = _sha(_restrictions(dual.algebra.pair))
+    out["restriction"] = _sha(_restrictions(trivial_pair(G)))
     return out
 
 

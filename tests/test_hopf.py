@@ -14,12 +14,12 @@ from kacforge.errors import NotAMorphism, NotMatched
 from kacforge.groups import group_from_cayley
 from kacforge.hopf import (Morphism, build_algebra, check_axioms,
                            compact_restriction_morphism, coset_space_dimension,
-                           group_subalgebra_check, plain_function_algebra,
-                           structure_dump, validate_morphism)
+                           group_subalgebra_check, structure_dump,
+                           validate_morphism)
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
                               stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import (MatchedPair, beta_kernel_elements,
-                              compact_subpair, derive_actions)
+                              compact_subpair, derive_actions, trivial_pair)
 
 from .oracles import (covariant_rep_partial_maps, dense_validate_morphism,
                       multiset_coalgebra_laws, naive_law_violations,
@@ -530,7 +530,7 @@ def test_classical_pieces_embed(name):
 
 
 def test_plain_function_algebra_is_commutative():
-    A = plain_function_algebra(symmetric_group(3))
+    A = build_algebra(trivial_pair(symmetric_group(3)))
     table = np.full((A.dim, A.dim), -1)
     table[np.arange(A.dim)[:, None], A.partner] = A.result
     assert np.array_equal(table, table.T)
@@ -652,7 +652,8 @@ def test_antipode_inverts_compact_points(name):
     K = A.pair.compact
     e = A.pair.discrete.identity
     for g in range(K.order):
-        assert A.antipode_index[e * A.nk + g] == e * A.nk + K.inv(g)
+        assert A.antipode_index[e * A.nk + g] == \
+            e * A.nk + K.inverse[g]
 
 
 def test_antipode_inverts_discrete_unitaries_when_action_one_sided():
@@ -663,7 +664,8 @@ def test_antipode_inverts_discrete_unitaries_when_action_one_sided():
         # the antipode maps that block onto the block of r^-1
         got = np.sort(A.antipode_index[A.discrete_unitary(r) != 0])
         assert np.array_equal(got,
-                              np.flatnonzero(A.discrete_unitary(R.inv(r))))
+                              np.flatnonzero(
+                                  A.discrete_unitary(R.inverse[r])))
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +732,12 @@ def _crafted(law):
     elif law == "multiplicativity":
         image[[1, 2]] = [2, 1]              # swap two of the d_g
     elif law == "coproduct":
-        A = plain_function_algebra(cyclic_group(4))
+        A = build_algebra(trivial_pair(cyclic_group(4)))
         image = np.array([0, 2, 1, 3])
     elif law == "coproduct-late":
         # d_1 <-> d_2 and d_3 <-> d_4 on C(Z5) commute with inversion, so
         # Delta(d_e) holds; Delta(d_1) fails
-        A = plain_function_algebra(cyclic_group(5))
+        A = build_algebra(trivial_pair(cyclic_group(5)))
         image = np.array([0, 2, 1, 4, 3])
     return A, image
 
@@ -767,7 +769,7 @@ def test_restriction_refuses_different_discrete_sides():
     A = algebra_of("s3-split")
     K = CORPUS["s3-split"].compact
     with pytest.raises(NotAMorphism, match="discrete sides differ"):
-        compact_restriction_morphism(A, plain_function_algebra(K),
+        compact_restriction_morphism(A, build_algebra(trivial_pair(K)),
                                      list(range(K.order)))
 
 
@@ -826,7 +828,8 @@ def test_quotient_by_kernel_of_discrete_action():
 def test_quotient_by_counit_is_everything():
     # the counit as a morphism onto the one-dimensional algebra
     A = algebra_of("s3-split-dual")
-    point = plain_function_algebra(group_from_cayley([[0]], labels=["e"]))
+    point = build_algebra(
+        trivial_pair(group_from_cayley([[0]], labels=["e"])))
     rho = Morphism(A, point, np.where(A.counit_vec != 0, 0, point.dim))
     assert coset_space_dimension(A, rho) == A.dim
 

@@ -74,29 +74,18 @@ def _r9(values):
 
 
 def _bset_members(mp):
-    """Sorted members of every B-set (r, s), r-major.  ``b_sets`` may give
-    a boolean (r, s, g) mask or a table of member sets keyed by (r, s)."""
+    """Sorted members of every B-set (r, s), r-major, from the boolean
+    (r, s, g) mask of ``b_sets``."""
     table = b_sets(mp)
-    if isinstance(table, np.ndarray):
-        return [np.flatnonzero(m).tolist()
-                for m in table.reshape(-1, table.shape[-1])]
-    nr = mp.discrete.order
-    return [sorted(table.sets[(r, s)]) for r in range(nr) for s in range(nr)]
+    return [np.flatnonzero(m).tolist()
+            for m in table.reshape(-1, table.shape[-1])]
 
 
 def _closed_form(mp, space):
-    """Closed-form fusion values indexed [x, gamma, r, s], from the table
-    builder or, where there is none, from the per-triple evaluator."""
+    """Closed-form fusion values indexed [x, gamma, r, s]."""
     table = character_table(mp.compact)
     chars = table.chars[:, table.classes.class_of]
-    if hasattr(reps, "fusion_formula_table"):
-        return reps.fusion_formula_table(mp, space, chars)
-    n = len(space.orbits)
-    bst = b_sets(mp)
-    return np.array([[[[reps.fusion_formula_value(mp, space, bst, chi, gi,
-                                                   ri, si)
-                        for si in range(n)] for ri in range(n)]
-                      for gi in range(n)] for chi in chars])
+    return reps.fusion_formula_table(mp, space, chars)
 
 
 def digests_of(mp):

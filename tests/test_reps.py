@@ -19,13 +19,13 @@ from kacforge.errors import (IdentityViolated, NonIntegral, PeterWeylMismatch,
                              SeedDegenerate, ValidationError)
 from kacforge.groups import (FiniteGroup, MatrixIrrep, character_table,
                              is_isomorphic_small, rounded_pairings)
-from kacforge.hopf import (build_algebra, compact_restriction_morphism,
-                           plain_function_algebra)
+from kacforge.hopf import build_algebra, compact_restriction_morphism
 from kacforge.io_formats import load_pair, parse_inputs
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
                               stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import (beta_kernel_elements, compact_subpair,
-                              derive_actions, orbit_space, orbits_fixed_sets)
+                              derive_actions, orbit_space, orbits_fixed_sets,
+                              trivial_pair)
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
                            candidate_corepresentation, check_corepresentation,
                            decompose, enumerate_irreps, fusion_counts,
@@ -197,7 +197,7 @@ def test_solver_matches_classical_clebsch_gordan():
     """On the plain function algebra the solver must reproduce the
     character-theoretic tensor multiplicities of the group."""
     G = symmetric_group(3)
-    A = plain_function_algebra(G)
+    A = build_algebra(trivial_pair(G))
     from kacforge.groups import matrix_irreps
     irreps = matrix_irreps(G)
     lifted = [lifted_irrep(A, mx) for mx in irreps]
