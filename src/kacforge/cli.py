@@ -203,17 +203,14 @@ def _cmd_audit(bundle, config, report, args):
         status = "PASS" if audit.oracle_consistent else "FAIL"
         report.add("audit", f"{name} solver-vs-haar", status,
                    witness=audit.coverage(f"{checked} triples"))
-        disagree = [e for e in audit.distinctness
-                    if e.status == "AUDIT-DISAGREE"]
-        for entry in disagree:
+        for entry in audit.distinctness:
             report.add("audit", f"{name} candidate-distinctness "
                        f"{entry.left} vs {entry.right}", "AUDIT-DISAGREE",
                        witness=f"shared morphism space of dimension "
                                f"{entry.mor_dim}")
-        if not disagree:
+        if not audit.distinctness:
             report.add("audit", f"{name} candidate-distinctness",
-                       "AUDIT-AGREE",
-                       witness=f"{len(audit.distinctness)} pairs")
+                       "AUDIT-AGREE", witness="0 pairs")
         for flip in audit.flips:
             report.add("audit", f"{name} twisted-factor {flip.candidate}",
                        "AUDIT-AGREE" if flip.partner else "AUDIT-DISAGREE",

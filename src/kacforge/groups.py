@@ -298,7 +298,6 @@ class ConjugacyData:
 
 @dataclass
 class CharacterTable:
-    group: FiniteGroup
     classes: ConjugacyData
     class_sizes: list
     chars: np.ndarray        # (n_irreps, n_classes) complex
@@ -679,7 +678,7 @@ def _character_table(G, seed):
         chars = chars[order]
         chars.flags.writeable = False
         dims_out = [int(round(dims[r].real)) for r in order]
-        return CharacterTable(group=G, classes=data,
+        return CharacterTable(classes=data,
                               class_sizes=[int(s) for s in sizes],
                               chars=chars, dims=dims_out)
     raise SeedDegenerate(f"character table failed after {RETRY_BUDGET} attempts: {last_err}")

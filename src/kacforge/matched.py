@@ -202,7 +202,6 @@ def compact_subpair(mp, subset_elements):
 
 @dataclass
 class OrbitSpace:
-    pair: MatchedPair
     orbits: list          # sorted element lists, ordered by min element
     orbit_of: np.ndarray  # discrete index -> orbit index
 
@@ -215,8 +214,7 @@ def orbit_space(mp):
     _, orbit_of = np.unique(mp.beta.min(0), return_inverse=True)
     orbits = [np.flatnonzero(orbit_of == oi).tolist()
               for oi in range(orbit_of.max() + 1)]
-    return OrbitSpace(pair=mp, orbits=orbits,
-                      orbit_of=orbit_of.astype(np.int32))
+    return OrbitSpace(orbits=orbits, orbit_of=orbit_of.astype(np.int32))
 
 
 def orbits_fixed_sets(mp):

@@ -129,7 +129,6 @@ def test_axioms_hold_exactly(name):
     report = check_axioms(algebra_of(name))
     assert report.passed, report.worst()
     assert report.worst().deviation == 0.0
-    assert all(line.startswith("PASS") for line in report.lines())
 
 
 def _corrupted_s4_cyclic4():
@@ -182,104 +181,88 @@ def _corrupted_table(name, table, seed, changes=2):
 
 
 # The failing checks of each corruption, as the dense-table implementation
-# of check_axioms reported them (names, deviations and witnesses).
+# of check_axioms reported them (names and deviations).
 CORRUPTED_TABLES = {
     ("s3-split", "partner", 1): [
-        ("product-associativity", 14.0,
-         ("u[e]d[(132)]", "u[e]d[(123)]", "u[(12)]d[(132)]")),
-        ("unit-element", 1.0, None),
-        ("star-antihomomorphism", 4.0, None),
-        ("coproduct-multiplicative", 12.0, ("u[e]d[e]", "u[(12)]d[e]"))],
+        ("product-associativity", 14.0),
+        ("unit-element", 1.0),
+        ("star-antihomomorphism", 4.0),
+        ("coproduct-multiplicative", 12.0)],
     ("conj-s3-rot", "partner", 2): [
-        ("product-associativity", 32.0,
-         ("u[e]d[(132)]", "u[e]d[(13)]", "u[(123)]d[(23)]")),
-        ("unit-element", 1.0, None),
-        ("star-antihomomorphism", 8.0, None),
-        ("coproduct-multiplicative", 29.0, ("u[e]d[e]", "u[(123)]d[e]"))],
+        ("product-associativity", 32.0),
+        ("unit-element", 1.0),
+        ("star-antihomomorphism", 8.0),
+        ("coproduct-multiplicative", 29.0)],
     ("s4-cyclic4", "partner", 3): [
-        ("product-associativity", 78.0,
-         ("u[(12)]d[(1234)]", "u[e]d[(1234)]", "u[(12)]d[(1432)]")),
-        ("star-antihomomorphism", 6.0, None),
-        ("coproduct-multiplicative", 22.0, ("u[(12)]d[e]", "u[(12)]d[e]")),
-        ("antipode-laws", 3.0, "u[(12)]d[e]"),
-        ("haar-trace", 4.0, None),
-        ("haar-positivity", 0.25, None)],
+        ("product-associativity", 78.0),
+        ("star-antihomomorphism", 6.0),
+        ("coproduct-multiplicative", 22.0),
+        ("antipode-laws", 3.0),
+        ("haar-trace", 4.0),
+        ("haar-positivity", 0.25)],
     ("double-s3-twist", "partner", 4): [
-        ("product-associativity", 560.0,
-         ("u[(e|(12))]d[e]", "u[((23)|(12))]d[e]", "u[((132)|(13))]d[e]")),
-        ("star-antihomomorphism", 8.0, None),
-        ("counit-multiplicative", 1.0, None),
-        ("coproduct-multiplicative", 43.0,
-         ("u[((13)|e)]d[e]", "u[((132)|(13))]d[e]"))],
+        ("product-associativity", 560.0),
+        ("star-antihomomorphism", 8.0),
+        ("counit-multiplicative", 1.0),
+        ("coproduct-multiplicative", 43.0)],
     ("s3-split-dual", "result", 5): [
-        ("product-associativity", 15.0,
-         ("u[e]d[e]", "u[(132)]d[e]", "u[(123)]d[e]")),
-        ("star-antihomomorphism", 3.0, None),
-        ("counit-multiplicative", 1.0, None),
-        ("coproduct-multiplicative", 6.0,
-         ("u[(123)]d[(12)]", "u[(123)]d[(12)]")),
-        ("antipode-laws", 2.0, "u[(123)]d[e]"),
-        ("haar-trace", 2.0, None),
-        ("haar-positivity", 0.5, None)],
+        ("product-associativity", 15.0),
+        ("star-antihomomorphism", 3.0),
+        ("counit-multiplicative", 1.0),
+        ("coproduct-multiplicative", 6.0),
+        ("antipode-laws", 2.0),
+        ("haar-trace", 2.0),
+        ("haar-positivity", 0.5)],
     ("conj-s3-rot", "result", 6): [
-        ("product-associativity", 18.0,
-         ("u[e]d[(12)]", "u[(123)]d[(123)]", "u[(123)]d[(123)]")),
-        ("star-antihomomorphism", 3.0, None),
-        ("coproduct-multiplicative", 12.0,
-         ("u[(123)]d[e]", "u[(123)]d[e]")),
-        ("antipode-laws", 2.0, "u[(123)]d[e]"),
-        ("haar-trace", 2.0, None),
-        ("haar-positivity", 1 / 6, None)],
+        ("product-associativity", 18.0),
+        ("star-antihomomorphism", 3.0),
+        ("coproduct-multiplicative", 12.0),
+        ("antipode-laws", 2.0),
+        ("haar-trace", 2.0),
+        ("haar-positivity", 1 / 6)],
     ("sign-on-z7", "result", 7): [
-        ("product-associativity", 64.0,
-         ("u[e]d[e]", "u[(132)]d[c4]", "u[(13)]d[c3]")),
-        ("star-antihomomorphism", 4.0, None),
-        ("counit-multiplicative", 1.0, None),
-        ("coproduct-multiplicative", 7.0, ("u[(132)]d[e]", "u[(13)]d[e]"))],
+        ("product-associativity", 64.0),
+        ("star-antihomomorphism", 4.0),
+        ("counit-multiplicative", 1.0),
+        ("coproduct-multiplicative", 7.0)],
     ("dihedral7-twist", "result", 8): [
-        ("product-associativity", 64.0,
-         ("u[e]d[(e|c2)]", "u[(23)]d[(e|c4)]", "u[(12)]d[(e|c3)]")),
-        ("star-antihomomorphism", 4.0, None),
-        ("coproduct-multiplicative", 42.0,
-         ("u[(123)]d[(e|e)]", "u[(12)]d[(e|e)]"))],
+        ("product-associativity", 64.0),
+        ("star-antihomomorphism", 4.0),
+        ("coproduct-multiplicative", 42.0)],
     # the cases below were pinned from the multiset (sorted-key) laws
     ("z6-abelian", "partner", 31, 2): [
-        ("product-associativity", 12.0,
-         ("u[e]d[e]", "u[e]d[e]", "u[c3]d[c4]")),
-        ("unit-element", 1.0, None),
-        ("star-antihomomorphism", 6.0, None),
-        ("counit-multiplicative", 2.0, None),
-        ("coproduct-multiplicative", 14.0, ("u[e]d[e]", "u[c3]d[e]")),
-        ("antipode-laws", 3.0, "u[c3]d[e]"),
-        ("haar-trace", 2.0, None),
-        ("haar-positivity", 1 / 3, None)],
+        ("product-associativity", 12.0),
+        ("unit-element", 1.0),
+        ("star-antihomomorphism", 6.0),
+        ("counit-multiplicative", 2.0),
+        ("coproduct-multiplicative", 14.0),
+        ("antipode-laws", 3.0),
+        ("haar-trace", 2.0),
+        ("haar-positivity", 1 / 3)],
     ("z6-abelian", "result", 26, 3): [
-        ("product-associativity", 21.0,
-         ("u[e]d[e]", "u[e]d[c2]", "u[e]d[c2]")),
-        ("unit-element", 1.0, None),
-        ("star-antihomomorphism", 2.0, None),
-        ("counit-multiplicative", 2.0, None),
-        ("coproduct-multiplicative", 9.0, ("u[e]d[e]", "u[e]d[e]")),
-        ("antipode-laws", 1.0, "u[e]d[e]")],
+        ("product-associativity", 21.0),
+        ("unit-element", 1.0),
+        ("star-antihomomorphism", 2.0),
+        ("counit-multiplicative", 2.0),
+        ("coproduct-multiplicative", 9.0),
+        ("antipode-laws", 1.0)],
     ("s5-cyclic5", "partner", 23, 3): [
-        ("product-associativity", 554.0,
-         ("u[e]d[(15432)]", "u[e]d[(14253)]", "u[(123)]d[(13524)]")),
-        ("unit-element", 1.0, None),
-        ("star-antihomomorphism", 10.0, None),
-        ("coproduct-multiplicative", 54.0, ("u[e]d[e]", "u[(234)]d[e]")),
-        ("antipode-laws", 3.0, "u[(23)]d[e]"),
-        ("haar-trace", 4.0, None),
-        ("haar-positivity", 1 / 5, None)],
+        ("product-associativity", 554.0),
+        ("unit-element", 1.0),
+        ("star-antihomomorphism", 10.0),
+        ("coproduct-multiplicative", 54.0),
+        ("antipode-laws", 3.0),
+        ("haar-trace", 4.0),
+        ("haar-positivity", 1 / 5)],
     ("s5-cyclic5", "result", 23, 3): [
-        ("product-associativity", 396.0,
-         ("u[e]d[e]", "u[e]d[(15432)]", "u[(123)]d[(15432)]")),
-        ("unit-element", 1.0, None),
-        ("star-antihomomorphism", 5.0, None),
-        ("counit-multiplicative", 2.0, None),
-        ("coproduct-multiplicative", 27.0, ("u[e]d[e]", "u[(234)]d[e]")),
-        ("antipode-laws", 2.0, "u[(23)]d[e]"),
-        ("haar-trace", 2.0, None),
-        ("haar-positivity", 1 / 5, None)],
+        ("product-associativity", 396.0),
+        ("unit-element", 1.0),
+        ("star-antihomomorphism", 5.0),
+        ("counit-multiplicative", 2.0),
+        ("coproduct-multiplicative", 27.0),
+        ("antipode-laws", 2.0),
+        ("haar-trace", 2.0),
+        ("haar-positivity", 1 / 5)],
 }
 
 
@@ -287,86 +270,84 @@ CORRUPTED_TABLES = {
                          ids=lambda case: "-".join(map(str, case)))
 def test_streamed_axiom_checks_keep_counts_and_witnesses(case):
     report = check_axioms(_corrupted_table(*case))
-    assert [(c.name, c.deviation, c.witness) for c in report.checks
+    assert [(c.name, c.deviation) for c in report.checks
             if c.deviation > 0] == CORRUPTED_TABLES[case]
 
 
 # The failing checks of `check_axioms` and `group_subalgebra_check` when one
 # to three seeded right legs of the coproduct move to another discrete
-# block, as the dense-leg tables reported them (names, deviations and
-# witnesses): every coalgebra law that reads the blocks is hit.
+# block, as the dense-leg tables reported them (names and deviations):
+# every coalgebra law that reads the blocks is hit.
 TAMPERED_BLOCKS = {
     ("z6-abelian", 11, 3): (
-        [("coassociativity", 6.0, "u[e]d[e]"),
-         ("counit-laws", 2.0, "u[e]d[e]"),
-         ("coproduct-multiplicative", 12.0, ("u[e]d[e]", "u[e]d[e]")),
-         ("antipode-laws", 1.0, "u[e]d[e]"),
-         ("haar-invariance", 3.0, "u[e]d[e]")],
-        [("compact-coproduct-form", 2.0, None),
-         ("discrete-coproduct-form", 2.0, None)]),
+        [("coassociativity", 6.0),
+         ("counit-laws", 2.0),
+         ("coproduct-multiplicative", 12.0),
+         ("antipode-laws", 1.0),
+         ("haar-invariance", 3.0)],
+        [("compact-coproduct-form", 2.0),
+         ("discrete-coproduct-form", 2.0)]),
     ("s3-split", 1, 2): (
-        [("coassociativity", 6.0, "u[e]d[e]"),
-         ("counit-laws", 1.0, "u[(12)]d[(132)]"),
-         ("coproduct-multiplicative", 20.0, ("u[e]d[e]", "u[e]d[e]")),
-         ("coproduct-star-compatible", 3.0, None),
-         ("antipode-laws", 1.0, "u[e]d[(132)]"),
-         ("haar-invariance", 2.0, "u[e]d[(132)]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 2.0, None)]),
+        [("coassociativity", 6.0),
+         ("counit-laws", 1.0),
+         ("coproduct-multiplicative", 20.0),
+         ("coproduct-star-compatible", 3.0),
+         ("antipode-laws", 1.0),
+         ("haar-invariance", 2.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 2.0)]),
     ("s3-split-dual", 11, 3): (
-        [("coassociativity", 6.0, "u[e]d[e]"),
-         ("counit-laws", 2.0, "u[e]d[e]"),
-         ("coproduct-multiplicative", 4.0, ("u[e]d[e]", "u[(123)]d[e]")),
-         ("coproduct-star-compatible", 3.0, None),
-         ("antipode-laws", 3.0, "u[e]d[e]"),
-         ("haar-invariance", 1.0, "u[e]d[e]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 3.0, None)]),
+        [("coassociativity", 6.0),
+         ("counit-laws", 2.0),
+         ("coproduct-multiplicative", 4.0),
+         ("coproduct-star-compatible", 3.0),
+         ("antipode-laws", 3.0),
+         ("haar-invariance", 1.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 3.0)]),
     ("conj-s3-rot", 11, 3): (
-        [("coassociativity", 12.0, "u[e]d[e]"),
-         ("counit-laws", 2.0, "u[e]d[(123)]"),
-         ("coproduct-multiplicative", 8.0, ("u[e]d[e]", "u[(132)]d[e]")),
-         ("coproduct-star-compatible", 3.0, None),
-         ("antipode-laws", 1.0, "u[(132)]d[e]"),
-         ("haar-invariance", 1.0, "u[e]d[(123)]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 2.0, None)]),
+        [("coassociativity", 12.0),
+         ("counit-laws", 2.0),
+         ("coproduct-multiplicative", 8.0),
+         ("coproduct-star-compatible", 3.0),
+         ("antipode-laws", 1.0),
+         ("haar-invariance", 1.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 2.0)]),
     ("s4-cyclic4", 14, 3): (
-        [("coassociativity", 11.0, "u[e]d[e]"),
-         ("counit-laws", 1.0, "u[(132)]d[e]"),
-         ("coproduct-multiplicative", 56.0, ("u[e]d[e]", "u[e]d[e]")),
-         ("coproduct-star-compatible", 2.0, None),
-         ("antipode-laws", 1.0, "u[(132)]d[e]"),
-         ("haar-invariance", 1.0, "u[e]d[(1432)]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 2.0, None)]),
+        [("coassociativity", 11.0),
+         ("counit-laws", 1.0),
+         ("coproduct-multiplicative", 56.0),
+         ("coproduct-star-compatible", 2.0),
+         ("antipode-laws", 1.0),
+         ("haar-invariance", 1.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 2.0)]),
     ("sign-on-z7", 11, 3): (
-        [("coassociativity", 21.0, "u[e]d[e]"),
-         ("counit-laws", 2.0, "u[e]d[c5]"),
-         ("coproduct-multiplicative", 100.0, ("u[e]d[e]", "u[(123)]d[e]")),
-         ("coproduct-star-compatible", 5.0, None),
-         ("haar-invariance", 1.0, "u[e]d[c5]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 3.0, None)]),
+        [("coassociativity", 21.0),
+         ("counit-laws", 2.0),
+         ("coproduct-multiplicative", 100.0),
+         ("coproduct-star-compatible", 5.0),
+         ("haar-invariance", 1.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 3.0)]),
     ("dihedral7-twist", 11, 3): (
-        [("coassociativity", 56.0, "u[e]d[(e|e)]"),
-         ("counit-laws", 1.0, "u[(23)]d[(e|c3)]"),
-         ("coproduct-multiplicative", 180.0,
-          ("u[e]d[(e|e)]", "u[(123)]d[(e|e)]")),
-         ("coproduct-star-compatible", 5.0, None),
-         ("haar-invariance", 1.0, "u[e]d[((12)|c4)]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 3.0, None)]),
+        [("coassociativity", 56.0),
+         ("counit-laws", 1.0),
+         ("coproduct-multiplicative", 180.0),
+         ("coproduct-star-compatible", 5.0),
+         ("haar-invariance", 1.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 3.0)]),
     ("double-s3-twist", 25, 2): (
-        [("coassociativity", 12.0, "u[(e|e)]d[e]"),
-         ("counit-laws", 1.0, "u[((13)|e)]d[e]"),
-         ("coproduct-multiplicative", 138.0,
-          ("u[(e|e)]d[e]", "u[(e|(12))]d[e]")),
-         ("coproduct-star-compatible", 1.0, None),
-         ("antipode-laws", 2.0, "u[(e|e)]d[e]"),
-         ("haar-invariance", 1.0, "u[(e|e)]d[e]")],
-        [("compact-coproduct-form", 1.0, None),
-         ("discrete-coproduct-form", 2.0, None)]),
+        [("coassociativity", 12.0),
+         ("counit-laws", 1.0),
+         ("coproduct-multiplicative", 138.0),
+         ("coproduct-star-compatible", 1.0),
+         ("antipode-laws", 2.0),
+         ("haar-invariance", 1.0)],
+        [("compact-coproduct-form", 1.0),
+         ("discrete-coproduct-form", 2.0)]),
 }
 
 
@@ -375,7 +356,7 @@ TAMPERED_BLOCKS = {
 def test_moved_blocks_keep_the_coalgebra_verdicts(case):
     name, seed, changes = case
     A = _corrupted_table(name, "delta_block", seed, changes)
-    got = tuple([(c.name, c.deviation, c.witness) for c in report.checks
+    got = tuple([(c.name, c.deviation) for c in report.checks
                  if c.deviation > 0]
                 for report in (check_axioms(A), group_subalgebra_check(A)))
     assert got == TAMPERED_BLOCKS[case]
@@ -389,18 +370,17 @@ MULTISET_LAWS = ["unit-element", "counit-multiplicative",
 def test_block_laws_match_the_multiset_oracle_on_a_seeded_sweep():
     """One to three entries of one table rewritten, on ten seeds of each
     corpus pair and s5-cyclic5: 360 tampered algebras, on which each of the
-    five laws gives the sorted-key oracle's deviation and witness."""
+    five laws gives the sorted-key oracle's deviation."""
     failing = collections.Counter()
     for name in list(CORPUS) + ["s5-cyclic5"]:
         for table in ("partner", "result", "delta_right", "delta_block"):
             for seed in range(10):
                 A = _corrupted_table(name, table, seed, 1 + seed % 3)
-                got = {c.name: (c.deviation, c.witness)
-                       for c in check_axioms(A).checks}
+                got = {c.name: c.deviation for c in check_axioms(A).checks}
                 want = multiset_coalgebra_laws(A)
                 assert {law: got[law] for law in want} == want, \
                     (name, table, seed)
-                failing.update(law for law in want if want[law][0] > 0)
+                failing.update(law for law in want if want[law] > 0)
     assert failing == {"unit-element": 39, "counit-multiplicative": 77,
                        "coproduct-multiplicative": 325,
                        "coproduct-star-compatible": 140,
@@ -419,8 +399,7 @@ def test_tampered_tables_fail_without_raising(table):
         for seed in range(10):
             A = _corrupted_table(name, table, seed, 1 + seed % 3)
             changed = not np.array_equal(getattr(A, attr), honest)
-            lines = check_axioms(A).lines()
-            assert any(line.startswith("FAIL") for line in lines) == changed
+            assert check_axioms(A).passed != changed
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +422,7 @@ def test_each_associativity_route(case):
     A = _corrupted_table(*case)
     certified, deviation = LIGHT_ROUTES[case]
     assert hopf._light_associative(A) == certified
-    assert hopf._associativity_count(A)[0] == deviation
-
-
-@pytest.mark.parametrize("name", ["conj-s3-rot", "s4-cyclic4",
-                                  "double-s3-twist"])
-def test_failing_associativity_always_names_a_witness(name):
-    """Rewritten offsets and results on thirty seeds each."""
-    for table in ("partner", "result"):
-        for seed in range(30):
-            A = _corrupted_table(name, table, seed, 1 + seed % 3)
-            deviation, witness = hopf._associativity_count(A)
-            assert (deviation == 0) == (witness is None)
+    assert hopf._associativity_count(A) == deviation
 
 
 def _c2_magma():
@@ -476,20 +444,19 @@ def test_light_test_counts_the_triples_it_does_not_enumerate():
     A = _c2_magma()
     assert not hopf._light_associative(A)
     got = check_axioms(A).checks[0]
-    assert (got.deviation, got.witness) == hopf._associativity_count(A)
-    assert got.deviation == 12.0
+    assert got.deviation == hopf._associativity_count(A) == 12.0
 
 
 def test_block_laws_match_the_multiset_oracle_on_repeated_terms():
     """In `_c2_magma` both units meet the same element of each block with
     the same product, so 1 u_c1 d_e is 2 u_e d_e, and several terms of one
     coproduct pair land on one product: the five laws still give the
-    sorted-key oracle's deviations and witnesses."""
+    sorted-key oracle's deviations."""
     A = _c2_magma()
-    got = {c.name: (c.deviation, c.witness) for c in check_axioms(A).checks}
+    got = {c.name: c.deviation for c in check_axioms(A).checks}
     want = multiset_coalgebra_laws(A)
     assert {law: got[law] for law in want} == want
-    assert want["unit-element"] == (2.0, None)
+    assert want["unit-element"] == 2.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -505,7 +472,7 @@ def test_light_test_reports_associativity_as_the_full_count(name, table,
     A = _corrupted_table(name, table, seed, changes)
     got = check_axioms(A).checks[0]
     assert got.name == "product-associativity"
-    assert (got.deviation, got.witness) == hopf._associativity_count(A)
+    assert got.deviation == hopf._associativity_count(A)
     if A.dim <= 150:
         x = np.arange(A.dim)
         assert got.deviation == sum(np.count_nonzero(

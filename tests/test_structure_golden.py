@@ -58,9 +58,11 @@ def _sha(text):
 
 
 def _report_text(report):
-    """Report lines, each with its exact deviation appended."""
-    return "\n".join(f"{line} [{c.deviation!r}]"
-                     for line, c in zip(report.lines(), report.checks))
+    """One line per check: its verdict, name and exact deviation."""
+    return "\n".join(
+        f"{'PASS' if c.deviation <= report.tol else 'FAIL'} {c.name}: "
+        f"deviation {c.deviation:.3e} [{c.deviation!r}]"
+        for c in report.checks)
 
 
 def digests_of(mp):
