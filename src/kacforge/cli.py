@@ -31,8 +31,18 @@ from .measures import (c0_profile, chebyshev_state, measure_fourier,
 from .reps import (audit_fusion, enumerate_irreps, fusion_counts,
                    invariant_groups)
 
-_PAIR_COMMANDS = ("validate", "build", "irreps", "fusion", "invariants",
-                  "deform", "crossed", "audit")
+# each pair command and the input kinds it reads, one of which it must be
+# given: a command with nothing to check refuses rather than print PASS
+_PAIR_COMMANDS = {
+    "validate": ("group", "pair", "ring", "measure"),
+    "build": ("pair",),
+    "irreps": ("pair",),
+    "fusion": ("pair", "ring"),
+    "invariants": ("pair",),
+    "deform": ("pair",),
+    "crossed": ("pair",),
+    "audit": ("pair",),
+}
 
 # errors that report a numeric tolerance breach (exit 2); every other
 # package error is an input fault (exit 1)
@@ -153,8 +163,6 @@ def _cmd_invariants(bundle, config, report, args):
 def _cmd_deform(bundle, config, report, args):
     # pairs produced by deformation recipes are already materialized at
     # load; this command certifies them like `build` and records sizes
-    if not bundle.pairs:
-        raise ValidationError("deform-inputs", "no pair files given")
     _cmd_build(bundle, config, report, args)
     for name, mp in sorted(bundle.pairs.items()):
         report.add("deform", f"{name} tables", "PASS",
@@ -269,12 +277,15 @@ _DISPATCH = {
 
 
 def run_pipeline(cmd, inputs, config=DEFAULT_CONFIG, args=None):
-    """Execute one subcommand over parsed inputs and return its report;
+    """Execute one subcommand over an ``InputBundle`` and return its report;
     ``args`` defaults to the command line ``kacforge <cmd>``."""
-    if isinstance(inputs, (list, tuple)):
-        inputs = parse_inputs(inputs, config=config)
     if args is None:
         args = _build_parser().parse_args([cmd])
+    kinds = _PAIR_COMMANDS.get(cmd, ())
+    if kinds and not any(getattr(inputs, f"{kind}s") for kind in kinds):
+        *rest, last = kinds
+        wanted = f"{', '.join(rest)} or {last}" if rest else last
+        raise ValidationError(f"{cmd}-inputs", f"no {wanted} files given")
     report = Report(command=cmd, seed=config.seed)
     _DISPATCH[cmd](inputs, config, report, args)
     return report

@@ -260,7 +260,7 @@ class CrossedFusionRing(FusionRing):
     Label (g, x) has index g * base.n + x.
     """
 
-    def __init__(self, base, action, name=None):
+    def __init__(self, base, action):
         validate_ring_action(base, action)
         G = action.group
         nr, nb = G.order, base.n
@@ -277,7 +277,7 @@ class CrossedFusionRing(FusionRing):
                          dual=dual, dims=np.tile(base.dims, nr),
                          mult=mult.reshape(nr * nb, nr * nb, nr * nb),
                          truncated=base.truncated,
-                         name=name or f"crossed[{base.name}]")
+                         name=f"crossed[{base.name}]")
 
     def _overflow_mask(self, dims):
         # (r, x) * (s, y) leaves the window exactly when act(s^-1, x) * y
@@ -299,7 +299,7 @@ def action_from_pair(mp, seed=DEFAULT_SEED):
     ring = irrep_fusion_ring(K, seed=seed)
     table = character_table(K, seed=seed)
     chars = table.chars[:, table.classes.class_of]
-    perms = permuted_rows(chars, mp.alpha[R.inverse], TOL_MATCH)
+    perms = permuted_rows(chars, mp.alpha[R.inverse])
     if (perms < 0).any():
         x = np.argwhere(perms < 0)[0, 1]
         raise ActionNotCompatible(f"twisted character of label {x} unmatched")
@@ -404,7 +404,7 @@ class CrossedInstance:
     candidates: list               # aligned with ring labels
 
 
-def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
+def crossed_instance(mp, seed=DEFAULT_SEED):
     """Bundle a trivially-graded pair into algebra + fusion data.
 
     Requires the discrete-side action of the pair to be trivial, so that
@@ -412,7 +412,7 @@ def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
     irrep) exactly like the crossed ring labels.
     """
     action, base = action_from_pair(mp, seed=seed)
-    ring = CrossedFusionRing(base, action, name=name)
+    ring = CrossedFusionRing(base, action)
     A = build_algebra(mp)
     cands, _, irreps = build_candidates(A, seed=seed)
     dual = ClassicalDual(group=mp.compact, ring=base, irreps=irreps)
@@ -420,14 +420,13 @@ def crossed_instance(mp, seed=DEFAULT_SEED, name=None):
                            candidates=cands)
 
 
-def conj_action_builder(G, subgroup_elements, seed=DEFAULT_SEED, name=None):
+def conj_action_builder(G, subgroup_elements):
     """Crossed product of a finite group by conjugation by a subgroup."""
-    mp = pair_conjugation(G, subgroup_elements, name=name)
-    inst = crossed_instance(mp, seed=seed, name=name)
+    inst = crossed_instance(pair_conjugation(G, subgroup_elements))
     # conjugation fixes every character, so the label action must be trivial
     if not np.array_equal(inst.ring.action.perms,
                           np.tile(np.arange(inst.ring.base.n),
-                                  (mp.discrete.order, 1))):
+                                  (inst.pair.discrete.order, 1))):
         raise ActionNotCompatible("conjugation moved an irrep label")
     return inst
 

@@ -96,12 +96,12 @@ def closure_table(vectors, row_products, tol, name, what):
     return table
 
 
-def permuted_rows(rows, points, tol):
+def permuted_rows(rows, points):
     """Index table [q, n]: the row of ``rows`` that row n composed with the
-    point map q (row q of ``points``) matches within ``tol``, or -1."""
+    point map q (row q of ``points``) matches within ``TOL_MATCH``, or -1."""
     moved = rows[:, points].transpose(1, 0, 2)          # [q, n, point]
     return match_rows(rows, moved.reshape(-1, rows.shape[1]),
-                      tol).reshape(len(points), len(rows))
+                      TOL_MATCH).reshape(len(points), len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .groups import _row_blocks, group_from_cayley
 class MatchedPair:
     """Two groups plus mutually twisted action tables, fully validated."""
 
-    def __init__(self, discrete, compact, alpha, beta, name=None, validate=True):
+    def __init__(self, discrete, compact, alpha, beta, name=None):
         self.discrete = discrete
         self.compact = compact
         for what, table in (("alpha", alpha), ("beta", beta)):
@@ -46,8 +46,7 @@ class MatchedPair:
                                   f"{self.beta.shape} != ({nk},{nr})")
         self.alpha.flags.writeable = False
         self.beta.flags.writeable = False
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structural checks --------------------------------------------------
 
@@ -95,7 +94,6 @@ class MatchedPair:
                     at[0] += blk.start
                     raise ValidationError(
                         law, f"({names})=({','.join(map(str, at))})")
-        return True
 
     # -- conveniences -------------------------------------------------------
 

@@ -24,6 +24,9 @@ from .groups import rng_from
 # int64 entries per row block of the separation grid, which keeps its
 # peak memory to a small multiple of this (2**18 raised exact-shadow RSS)
 _GRID_BLOCK = 2 ** 14
+# the separation grid's weight denominators, and the seeded draws beside it
+_GRID_DENOMINATORS = (1, 2, 3, 4)
+_SAMPLE_DRAWS = 25
 
 
 def _fraction(x):
@@ -99,10 +102,8 @@ def random_rational_measure(G, seed, zero_at=None, salt=()):
 
 @dataclass
 class SeparationReport:
-    grid_denominators: tuple
     grid_points: int
     grid_min_distance: Fraction
-    sample_points: int
     sample_min_distance: Fraction
     mixed_formula_checked: int
     mixed_formula_max_dev: Fraction
@@ -120,9 +121,9 @@ class SeparationReport:
         return [
             f"{s} separation: grid min {self.grid_min_distance} over "
             f"{self.grid_points} identity-free measures "
-            f"(denominators {list(self.grid_denominators)})",
+            f"(denominators {list(_GRID_DENOMINATORS)})",
             f"{s} seeded sample min {self.sample_min_distance} over "
-            f"{self.sample_points} draws",
+            f"{_SAMPLE_DRAWS} draws",
             f"{s} mixed-mass formula {self.symbolic_formula}: max deviation "
             f"{self.mixed_formula_max_dev} over {self.mixed_formula_checked} "
             f"points, symbolic derivation "
@@ -138,9 +139,6 @@ def _separation_grid(G, denominators):
     SEPARATION_CAP points is refused before any point is built."""
     from itertools import chain, combinations_with_replacement, islice
     n, e = G.order, G.identity
-    for D in denominators:
-        if D < 1:
-            raise DomainError(f"grid denominator must be >= 1, got {D}")
     size = sum(math.comb(n + D - 1, D) for D in denominators)
     if size > SEPARATION_CAP:
         raise SizeBound(f"separation grid of order {n} has {size} points, "
@@ -206,12 +204,12 @@ def _sample_distances(G, samples, seed):
     return out
 
 
-def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
-                      seed=DEFAULT_SEED):
+def rel_T_obstruction(G, seed=DEFAULT_SEED):
     """Certify that identity-free measures sit at exact distance 2 from the
     identity point mass, and that mixed measures obey 2*(1 - mass at e).
 
-    Three routes: an exhaustive rational grid, a seeded random sample, and
+    Three routes: an exhaustive rational grid (weights in (1/D)Z for each
+    D of _GRID_DENOMINATORS), _SAMPLE_DRAWS seeded random measures, and
     a derivation over integer linear forms in nonnegative masses, which
     proves the mixed-mass identity for every measure.
     """
@@ -219,9 +217,9 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
     if n < 2:
         raise DomainError("separation is vacuous below group order 2")
     grid_points, grid_min, mixed_checked, mixed_dev = \
-        _separation_grid(G, denominators)
+        _separation_grid(G, _GRID_DENOMINATORS)
 
-    sample_min = min(_sample_distances(G, samples, seed), default=None)
+    sample_min = min(_sample_distances(G, _SAMPLE_DRAWS, seed))
 
     # the generic measure, identity first, as linear forms in
     # (1, s_1, ..., s_{n-1}): mu(e) = 1 - sum s_i and mu(x_i) = s_i; the
@@ -233,9 +231,8 @@ def rel_T_obstruction(G, denominators=(1, 2, 3, 4), samples=25,
     symbolic_ok = _tv_identity_holds(forms, 0, rhs)
 
     return SeparationReport(
-        grid_denominators=tuple(denominators),
         grid_points=grid_points, grid_min_distance=grid_min,
-        sample_points=samples, sample_min_distance=sample_min,
+        sample_min_distance=sample_min,
         mixed_formula_checked=mixed_checked, mixed_formula_max_dev=mixed_dev,
         symbolic_formula="2*(1 - mu(e))", symbolic_ok=symbolic_ok)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import (AUDIT_TRIPLES, DEFAULT_SEED, INTERTWINER_CAP,
                      RETRY_BUDGET, TOL_COEFF, TOL_EIGEN, TOL_EQ, TOL_INT,
-                     TOL_MATCH, TOL_MULT)
+                     TOL_MULT)
 from .errors import (IdentityViolated, PeterWeylMismatch, SeedDegenerate,
                      SizeBound, ValidationError)
 from .groups import (_BLOCK, FiniteGroup, _components, _eigen_groups,
@@ -524,13 +524,19 @@ def _split_once(corep, basis, seed, depth, attempt):
         return None
     S = corep.support()
     dense = corep.dense(S)
+    subs = [np.einsum("ia,ijn,jb->abn", vecs[:, idxs].conj(), dense,
+                      vecs[:, idxs]) for idxs in groups]
+    # the parts in an order the draw does not choose: by dimension, then by
+    # character on S, real parts then imaginary parts, rounded to 8 decimals
+    chars = [np.einsum("aan->n", sub) for sub in subs]
+    order = sorted(range(len(subs)), key=lambda i: (
+        len(subs[i]), tuple(np.round(chars[i].real, 8)),
+        tuple(np.round(chars[i].imag, 8))))
     parts = []
-    for gi, idxs in enumerate(groups):
-        W = vecs[:, idxs]
-        sub = np.einsum("ia,ijn,jb->abn", W.conj(), dense, W)
-        a, b, n = np.indices(sub.shape).reshape(3, -1)
-        parts.append(Corepresentation(corep.algebra, len(idxs),
-                                      (a, b, S[n], sub.ravel()),
+    for gi, i in enumerate(order):
+        a, b, n = np.indices(subs[i].shape).reshape(3, -1)
+        parts.append(Corepresentation(corep.algebra, len(subs[i]),
+                                      (a, b, S[n], subs[i].ravel()),
                                       label=f"{corep.label}#p{gi}"))
     return parts
 
@@ -813,7 +819,7 @@ def _invariant_group(vectors, row_products, labels, name, what, dual, fixed,
     characters through the point maps ``points``, and their isomorphism."""
     group = FiniteGroup(closure_table(vectors, row_products, TOL_MULT,
                                       f"{name}-closure", what), labels=labels)
-    act = permuted_rows(dual.characters, points, TOL_MATCH)
+    act = permuted_rows(dual.characters, points)
     if (act < 0).any():
         raise ValidationError(f"{name}-model",
                               "twisted character escaped the dual")

@@ -23,6 +23,7 @@ entries in (basis, row, col) order on its pruned support, and that storage
 agrees with the loop oracles, which read the dense tensors.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -34,7 +35,7 @@ from kacforge import groups, reps
 from kacforge.config import DEFAULT_SEED, RETRY_BUDGET
 from kacforge.hopf import build_algebra, group_subalgebra_check
 from kacforge.library import corpus_pairs, stabilizer_and_cycle
-from kacforge.matched import MatchedPair, derive_actions
+from kacforge.matched import derive_actions
 from kacforge.errors import ValidationError
 from kacforge.groups import matrix_irreps
 from kacforge.reps import (Corepresentation, build_candidates,
@@ -106,8 +107,9 @@ def _collapsed_alpha(mp):
              if not np.array_equal(alpha[rr], np.arange(mp.compact.order)))
     g = next(gg for gg in range(mp.compact.order) if alpha[r, gg] != gg)
     alpha[r, g] = alpha[r, 0]
-    return MatchedPair(mp.discrete, mp.compact, alpha, mp.beta,
-                       name="alpha-collapsed", validate=False)
+    broken = copy.copy(mp)
+    broken.alpha, broken.name = alpha, "alpha-collapsed"
+    return broken
 
 
 def _embedding_counts(A):

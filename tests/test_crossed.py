@@ -315,9 +315,10 @@ def test_crossed_overflow_is_the_base_overflow_moved_by_the_action():
 def test_action_from_pair_names_an_unmatched_label():
     from kacforge.matched import MatchedPair
     R, K = cyclic_group(2), cyclic_group(3)
+    bad = MatchedPair(R, K, alpha=[[0, 1, 2]] * 2, beta=[[0, 1]] * 3,
+                      name="bad")
     # the generator of R "acts" by the non-bijection [0, 1, 1] of Z3
-    bad = MatchedPair(R, K, alpha=[[0, 1, 2], [0, 1, 1]],
-                      beta=[[0, 1]] * 3, name="bad", validate=False)
+    bad.alpha = np.array([[0, 1, 2], [0, 1, 1]], dtype=np.int32)
     with pytest.raises(ActionNotCompatible,
                        match="twisted character of label 1 unmatched"):
         action_from_pair(bad)
@@ -672,8 +673,8 @@ def test_conjugation_builder_refuses_an_action_that_moves_a_label(
         monkeypatch):
     """Conjugation fixes every character, so a label action that swaps the
     two one-dimensional irreps of S3 is refused."""
-    def swapped(mp, seed, name, real=crossed.crossed_instance):
-        inst = real(mp, seed=seed, name=name)
+    def swapped(mp, real=crossed.crossed_instance):
+        inst = real(mp)
         ring = copy.copy(inst.ring)
         ring.action = dataclasses.replace(
             ring.action, perms=ring.action.perms[:, [1, 0, 2]])

@@ -35,7 +35,7 @@ CHECKED_MAX = 24
 
 def _crossed(mp):
     action, base = action_from_pair(mp)
-    return CrossedFusionRing(base, action, name=mp.name)
+    return CrossedFusionRing(base, action)
 
 
 def _conj_s4_z4():

@@ -485,7 +485,7 @@ def test_permuted_rows_marks_an_unmatched_row():
     # inversion swaps the two faithful characters; [0, 1, 1] is no
     # automorphism, and only the trivial character survives it
     points = np.array([[0, 1, 2], [0, 2, 1], [0, 1, 1]])
-    assert permuted_rows(chars, points, 1e-6).tolist() == [
+    assert permuted_rows(chars, points).tolist() == [
         [0, 1, 2], [0, 2, 1], [0, -1, -1]]
 
 

@@ -3,6 +3,7 @@ independently built operator model, exhaustive axiom certification, embedded
 classical pieces, and quotient-space dimensions."""
 
 import collections
+import copy
 
 import numpy as np
 import pytest
@@ -139,8 +140,9 @@ def _corrupted_s4_cyclic4():
     g = next(gg for gg in range(mp.compact.order)
              if not np.array_equal(beta[gg], np.arange(nr)))
     beta[g, 0], beta[g, 1] = beta[g, 1], beta[g, 0]
-    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
-                       name="broken", validate=False)
+    broken = copy.copy(mp)
+    broken.beta, broken.name = beta, "broken"
+    return broken
 
 
 def test_corrupted_action_fails_axioms():

@@ -1,9 +1,10 @@
 """Import hygiene: every name a package module imports is used in it,
 every attribute it stores and every public name it defines is read by the
-package, a script or the benchmark (or is kept for a named test), the
-oracles read the package's data and none of its routes, no package code
-asks a corepresentation for its coefficients on every basis element or
-compares against an unnamed tolerance, and no package code imports sympy,
+package, a script or the benchmark (or is kept for a named test), every
+default of a parameter that a run reaches is set by some run, the oracles
+read the package's data and none of its routes, no package code asks a
+corepresentation for its coefficients on every basis element or compares
+against an unnamed tolerance, and no package code imports sympy,
 statically or on a command's path."""
 
 import ast
@@ -328,6 +329,95 @@ def test_every_public_name_is_read_or_kept():
             if row.rsplit(": ", 1)[1] not in KEPT_PUBLIC] == []
     # a kept name that gained a reader, or went, leaves the set
     assert sorted(set(KEPT_PUBLIC) - unread) == []
+
+
+# ---------------------------------------------------------------------------
+# unset parameters: a default of src/kacforge that every run leaves as it is
+
+
+def defaulted_parameters(source):
+    """The parameters with a default of the functions, methods and
+    constructors that ``source`` defines, as (line, name, parameter,
+    position): a method goes by its own name, an ``__init__`` by its
+    class's, and the position is the index of the call argument that sets
+    the parameter (None for a keyword-only one), so a bound ``self`` or
+    ``cls`` takes none."""
+    found = []
+
+    def visit(body, cls):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                visit(stmt.body, stmt.name)
+            elif isinstance(stmt, ast.FunctionDef):
+                args = stmt.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in stmt.decorator_list)
+                bound = int(bool(cls) and not static)
+                name = cls if cls and stmt.name == "__init__" else stmt.name
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found.extend((stmt.lineno, name, arg.arg, i - bound)
+                             for i, arg in enumerate(positional)
+                             if i >= first)
+                found.extend((stmt.lineno, name, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                             if default is not None)
+                visit(stmt.body, None)
+
+    visit(ast.parse(source).body, None)
+    return found
+
+
+def sets_parameter(call, parameter, position):
+    """Whether ``call`` sets ``parameter`` at ``position``: by keyword,
+    through ``**``, by position, or through a ``*`` at or before it."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == position:
+            return position is not None and i <= position
+    return False
+
+
+def unset_parameters(sources, runs):
+    """Parameters with a default of ``sources`` (module name -> source) that
+    some call in ``runs`` reaches by name, ``f(...)`` or ``x.f(...)``, and
+    none sets, as ``module: line N: name(parameter)``."""
+    calls = {}
+    for text in runs:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or \
+                    getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{module}: line {line}: {name}({parameter})"
+            for module, source in sources.items()
+            for line, name, parameter, position in defaulted_parameters(source)
+            if name in calls and not any(sets_parameter(c, parameter, position)
+                                         for c in calls[name])]
+
+
+def test_scanner_finds_a_parameter_no_call_sets():
+    sources = {"a": ("def f(a, b=1, *, c=2):\n    pass\n"
+                     "def never(k=1):\n    pass\n"
+                     "def spread(p=1, q=2):\n    pass\n"
+                     "class Box:\n    def __init__(self, x, y=0):\n"
+                     "        pass\n"
+                     "    def m(self, z=3, w=4):\n        pass\n"
+                     "    @staticmethod\n    def s(v=1):\n        pass\n")}
+    runs = ["f(1, 2)\nf(*args)\nspread(**opts)\nBox(1)\n"
+            "box.m(w=1)\nBox.s(1)\n"]
+    assert unset_parameters(sources, runs) == [
+        "a: line 1: f(c)", "a: line 8: Box(y)", "a: line 10: m(z)"]
+    # a call through ``*`` sets its position and every later one
+    assert unset_parameters(sources, runs + ["box.m(*zw)\nf(c=0)\n"]) == [
+        "a: line 8: Box(y)"]
+
+
+def test_every_parameter_a_run_reaches_is_set_by_one():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unset_parameters(sources, _sources_of(RUNS)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Input parsing, report rendering, pipeline commands, CLI entry point."""
 
+import copy
 import glob
 import json
 import os
@@ -183,8 +184,8 @@ def test_report_text_and_json_round_trip():
 
 def test_reports_byte_identical_across_runs():
     paths = [str(SAMPLES / "s3_split.pair")]
-    a = run_pipeline("invariants", paths).render_text()
-    b = run_pipeline("invariants", paths).render_text()
+    a = run_pipeline("invariants", parse_inputs(paths)).render_text()
+    b = run_pipeline("invariants", parse_inputs(paths)).render_text()
     assert a == b
 
 
@@ -201,33 +202,37 @@ def test_pipeline_validate_reports_partition_matrices():
 
 def test_pipeline_build_certifies_samples():
     paths = [str(SAMPLES / "s4_s3_z4.pair"), str(SAMPLES / "v4_twist.pair")]
-    rep = run_pipeline("build", paths)
+    rep = run_pipeline("build", parse_inputs(paths))
     assert rep.exit_code() == 0
     assert all(e.status == "PASS" for e in rep.entries())
     assert any("axioms" in e.name for e in rep.entries())
 
 
 def test_pipeline_irreps_prints_catalog():
-    rep = run_pipeline("irreps", [str(SAMPLES / "s3_split_dual.pair")])
+    rep = run_pipeline("irreps",
+                       parse_inputs([str(SAMPLES / "s3_split_dual.pair")]))
     entry = next(e for e in rep.entries() if "catalog" in e.name)
     assert "dims [1, 1, 2]" in entry.witness
 
 
 def test_pipeline_fusion_agrees_between_routes():
-    rep = run_pipeline("fusion", [str(SAMPLES / "s3_split_dual.pair")])
+    rep = run_pipeline("fusion",
+                       parse_inputs([str(SAMPLES / "s3_split_dual.pair")]))
     entry = next(e for e in rep.entries() if "route-agreement" in e.name)
     assert entry.status == "PASS" and entry.residual == 0.0
 
 
 def test_pipeline_invariants_matches_models():
-    rep = run_pipeline("invariants", [str(SAMPLES / "s3_split.pair")])
+    rep = run_pipeline("invariants",
+                       parse_inputs([str(SAMPLES / "s3_split.pair")]))
     texts = {e.name: e.witness for e in rep.entries()}
     assert any("order 6" in w for w in texts.values())
     assert all(e.status == "PASS" for e in rep.entries())
 
 
 def test_pipeline_audit_logs_the_distinctness_finding():
-    rep = run_pipeline("audit", [str(SAMPLES / "s3_split_dual.pair")])
+    rep = run_pipeline("audit",
+                       parse_inputs([str(SAMPLES / "s3_split_dual.pair")]))
     statuses = {e.status for e in rep.entries()}
     assert "AUDIT-DISAGREE" in statuses
     assert rep.exit_code() == 0         # audit-only findings exit clean
@@ -236,7 +241,8 @@ def test_pipeline_audit_logs_the_distinctness_finding():
 
 
 def test_pipeline_crossed_runs_conjugation_sample():
-    rep = run_pipeline("crossed", [str(SAMPLES / "conj_s3.pair")])
+    rep = run_pipeline("crossed",
+                       parse_inputs([str(SAMPLES / "conj_s3.pair")]))
     assert rep.exit_code() == 0
     assert any("transform-decomposition" in e.name for e in rep.entries())
     assert any("polynomial-bound" in e.name for e in rep.entries())
@@ -245,19 +251,19 @@ def test_pipeline_crossed_runs_conjugation_sample():
 def test_pipeline_defaults_are_the_command_line_defaults(capsys):
     path = str(SAMPLES / "conj_s3.pair")
     assert main(["crossed", path]) == 0
-    assert run_pipeline("crossed", [path]).render("text") == \
+    assert run_pipeline("crossed", parse_inputs([path])).render("text") == \
         capsys.readouterr().out
 
 
 def test_pipeline_flags_breaches_with_exit_two():
-    # a deliberately corrupted pair (constructed unvalidated, bypassing the
-    # loaders) must surface as FAIL entries and exit code 2
-    from kacforge.matched import MatchedPair
+    # a deliberately corrupted pair (an honest pair copied with its beta
+    # rebound, bypassing validation) must surface as FAIL entries and exit
+    # code 2
     base = bundle().pairs["split-sample"]
     beta_bad = np.array(base.beta)
     beta_bad[1] = beta_bad[1][::-1]
-    broken = MatchedPair(base.discrete, base.compact, base.alpha, beta_bad,
-                         name="broken", validate=False)
+    broken = copy.copy(base)
+    broken.beta, broken.name = beta_bad, "broken"
     fake = InputBundle(pairs={"broken": broken}, config=DEFAULT_CONFIG)
     rep = run_pipeline("build", fake)
     assert rep.failed and rep.exit_code() == 2
@@ -532,10 +538,10 @@ def test_cli_partial_ring_law_check_says_so(capsys):
 
 def test_audit_witnesses_say_when_the_audit_was_sampled(monkeypatch):
     from kacforge import reps
-    path = [str(SAMPLES / "s4_s3_z4.pair")]
-    full = {e.name: e.witness for e in run_pipeline("audit", path).entries()}
+    inputs = parse_inputs([str(SAMPLES / "s4_s3_z4.pair")])
+    full = {e.name: e.witness for e in run_pipeline("audit", inputs).entries()}
     monkeypatch.setattr(reps, "AUDIT_TRIPLES", 10)
-    part = {e.name: e.witness for e in run_pipeline("audit", path).entries()}
+    part = {e.name: e.witness for e in run_pipeline("audit", inputs).entries()}
     name = next(n for n in full if n.endswith("solver-vs-haar"))
     total = int(full[name].split()[0])
     assert total > 10 and part.keys() == full.keys()
@@ -690,6 +696,37 @@ def test_cli_argument_error_is_one_error_line(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd, files, wanted", [
+    pytest.param(*case, id=case[0]) for case in (
+        ("validate", [], "group, pair, ring or measure"),
+        ("build", [], "pair"),
+        ("irreps", ["s3.group"], "pair"),
+        ("fusion", ["s3.group"], "pair or ring"),
+        ("invariants", ["uniform_s3.measure"], "pair"),
+        ("deform", [], "pair"),
+        ("crossed", ["s3_irreps.ring"], "pair"),
+        ("audit", ["free_o3.ring"], "pair"))])
+def test_pair_command_with_nothing_to_check_refuses(cmd, files, wanted,
+                                                    capsys):
+    """A pair command given none of the inputs it reads prints one error
+    line and exits 1, rather than a PASS over nothing."""
+    code = main([cmd] + [str(SAMPLES / name) for name in files])
+    assert (code, capsys.readouterr()) == (
+        1, ("", f"error: [{cmd}-inputs] no {wanted} files given\n"))
+
+
+def test_cli_deform_chi_of_the_wrong_shape_is_one_error_line(tmp_path,
+                                                               capsys):
+    for sample in ("z2.group", "z4.group", "z2_on_z4.pair"):
+        (tmp_path / sample).write_text((SAMPLES / sample).read_text())
+    path = tmp_path / "d.pair"
+    path.write_text("kind: deform\nbase: z2_on_z4.pair\nside: compact\n"
+                    "chi:\n0 1 0\n")
+    code = main(["deform", str(path)])
+    assert (code, capsys.readouterr()) == (
+        1, ("", "error: chi has shape (3,), expected (4,)\n"))
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["shadow", "--help"]],
                          ids=["top", "subcommand"])
 def test_cli_help_still_exits_zero(argv, capsys):
@@ -833,13 +870,13 @@ def test_validate_names_each_broken_partition_relation():
     by beta of c1 on s4-cyclic4), kept unchecked, fails the partition
     matrices of two orbits, and the report names each relation there."""
     from kacforge.library import pair_s4
-    from kacforge.matched import MatchedPair
     mp = pair_s4()
     beta = mp.beta.copy()
     beta[2] = beta[1]
+    broken = copy.copy(mp)
+    broken.beta, broken.name = beta, "broken"
     b = InputBundle()
-    b.pairs["broken"] = MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
-                                    name="broken", validate=False)
+    b.pairs["broken"] = broken
     report = run_pipeline("validate", b)
     entry = report.entries()[-1]
     assert report.exit_code() == 2

@@ -1,5 +1,6 @@
 """Matched-pair layer: factorizations, orbits, indicator matrices, twists."""
 
+import copy
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -222,8 +223,8 @@ def test_magic_relations_catch_corruption():
     r2 = next(r for r in range(mp.discrete.order)
               if r != r1 and r != mp.discrete.identity)
     bad[g, r1], bad[g, r2] = bad[g, r2], bad[g, r1]   # rows stay bijections
-    broken = MatchedPair(mp.discrete, mp.compact, mp.alpha, bad,
-                         validate=False)
+    broken = copy.copy(mp)
+    broken.beta = bad
     # orbit data from the honest pair, sets from the corrupted one
     space = orbit_space(mp)
     orb = space.orbits[space.orbit_of[r1]]

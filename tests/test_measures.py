@@ -129,20 +129,21 @@ def test_tv_metric_properties(sa, sb, sc):
 
 
 def test_separation_report_s3():
-    rep = rel_T_obstruction(s3(), denominators=(1, 2, 3), samples=10)
+    # (identity-free points, their least distance, points checked, largest
+    # deviation): compositions of 1, 2, 3 into 5 slots, and into all 6
+    assert measures._separation_grid(s3(), (1, 2, 3)) == (55, 2, 83, 0)
+    assert min(measures._sample_distances(s3(), 10, 0xC0FFEE)) == 2
+    rep = rel_T_obstruction(s3())
     assert rep.passed
     assert rep.grid_min_distance == 2
     assert rep.sample_min_distance == 2
-    assert rep.grid_points == 55          # compositions of 1,2,3 into 5 slots
-    assert rep.mixed_formula_checked == 83
     assert rep.mixed_formula_max_dev == 0
     assert rep.symbolic_ok
     assert any("2*(1 - mu(e))" in ln for ln in rep.lines())
 
 
 def test_separation_report_cyclic():
-    rep = rel_T_obstruction(cyclic_group(6), denominators=(1, 2, 3, 4),
-                            samples=8)
+    rep = rel_T_obstruction(cyclic_group(6))
     assert rep.passed
     assert rep.grid_min_distance == 2 and rep.mixed_formula_max_dev == 0
 
@@ -160,7 +161,7 @@ def test_sampled_distances_equal_those_of_the_seeded_measures(fname):
                         delta_measure(G, e)) for t in range(25)]
     assert got == want
     assert all(isinstance(d, Fraction) for d in got)
-    rep = rel_T_obstruction(G, denominators=(1,), seed=seed)
+    rep = rel_T_obstruction(G, seed=seed)
     assert rep.sample_min_distance == min(want)
 
 
@@ -189,7 +190,7 @@ def test_linear_form_derivation_agrees_with_a_symbolic_one(n):
     mass_e = 1 - sympy.Add(*rest)
     tv_expr = sympy.Abs(mass_e - 1) + sympy.Add(*rest)
     expected = sympy.simplify(tv_expr - 2 * (1 - mass_e)) == 0
-    rep = rel_T_obstruction(cyclic_group(n), denominators=(1,), samples=1)
+    rep = rel_T_obstruction(cyclic_group(n))
     assert expected
     assert rep.symbolic_ok == expected
 
@@ -216,7 +217,7 @@ def test_linear_form_derivation_can_fail():
     # absolute values would give 2*s_1 on the left and pass
     unsigned = [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
     assert not measures._tv_identity_holds(unsigned, 0, [0, 2, 0])
-    rep = rel_T_obstruction(s3(), denominators=(1,), samples=1)
+    rep = rel_T_obstruction(s3())
     failed = replace(rep, symbolic_ok=measures._tv_identity_holds(
         unsigned, 0, [0, 2, 0]))
     assert not failed.passed

@@ -6,6 +6,7 @@ Python sets (``tests/oracles.py``) on the corpus pairs with seeded ``beta``
 corruptions (rows that are no longer bijections included).
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from kacforge import groups
 from kacforge.groups import character_table, match_rows
 from kacforge.library import corpus_pairs
-from kacforge.matched import MatchedPair, magic_relations_report, orbit_space
+from kacforge.matched import magic_relations_report, orbit_space
 from kacforge.reps import fusion_formula_table
 
 from .oracles import naive_fusion_formula, naive_magic_relations
@@ -33,8 +34,9 @@ def seeded_corruption(mp, seed):
         beta[g, r1], beta[g, r2] = beta[g, r2], beta[g, r1]
     else:
         beta[g, r2] = beta[g, r1]
-    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
-                       validate=False)
+    bad = copy.copy(mp)
+    bad.beta = beta
+    return bad
 
 
 @settings(deadline=None, max_examples=40)

@@ -4,7 +4,8 @@ For every corpus pair the sha256 of each of the following must match the
 digest stored in ``tests/data/pair_digests.json``:
 
 * the ``magic_relations_report`` triples of every orbit, for the pair and
-  for two corrupted copies of it (``validate=False``; orbits taken from the
+  for two corrupted copies of it (the honest pair copied with its ``beta``
+  rebound, as no constructed pair may break the laws; orbits taken from the
   honest pair): one swaps two entries of a ``beta`` row, the other collapses
   one entry of that row onto another;
 * the members of every B-set (r, s);
@@ -21,6 +22,7 @@ Regenerate the file (only when a change of output is intended) with
 ``PYTHONPATH=src python -m tests.test_pair_golden``.
 """
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -33,7 +35,7 @@ from kacforge.crossed import action_from_pair
 from kacforge.groups import AbelianGroup, character_table, dual_group
 from kacforge.hopf import build_algebra
 from kacforge.library import corpus_pairs
-from kacforge.matched import (MatchedPair, b_sets, magic_relations_report,
+from kacforge.matched import (b_sets, magic_relations_report,
                               orbits_fixed_sets)
 
 from .oracles import abelian_invariants_by_orders
@@ -57,8 +59,9 @@ def corrupted(mp, kind):
         beta[g, r1], beta[g, r2] = beta[g, r2], beta[g, r1]
     else:
         beta[g, r2] = beta[g, r1]
-    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
-                       name=f"{mp.name}-{kind}", validate=False)
+    bad = copy.copy(mp)
+    bad.beta, bad.name = beta, f"{mp.name}-{kind}"
+    return bad
 
 
 def _sha(obj):

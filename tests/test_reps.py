@@ -477,7 +477,8 @@ def test_audit_catches_a_tensor_with_swapped_factors(name, monkeypatch):
 def test_fusion_catches_a_tensor_with_swapped_factors(monkeypatch):
     from kacforge import cli
     _swapped_tensor(monkeypatch)
-    report = cli.run_pipeline("fusion", [str(SAMPLES / "s4_s3_z4.pair")])
+    report = cli.run_pipeline("fusion",
+                              parse_inputs([str(SAMPLES / "s4_s3_z4.pair")]))
     agreement = report.entries()[0]
     assert agreement.name.endswith("route-agreement")
     assert agreement.status == "FAIL"
@@ -501,7 +502,8 @@ def test_fusion_routes_read_no_tensor_character(monkeypatch):
     monkeypatch.setattr(Corepresentation, "character", spy)
     monkeypatch.setattr(Corepresentation, "tensor", tensor_spy)
     audit_fusion(algebra_of("s3-split"), catalog_of("s3-split"))
-    cli.run_pipeline("fusion", [str(SAMPLES / "s3_split_dual.pair")])
+    cli.run_pipeline("fusion",
+                     parse_inputs([str(SAMPLES / "s3_split_dual.pair")]))
     assert read and built
     assert not [label for label in read if "(x)" in label]
 
@@ -527,7 +529,8 @@ def test_audit_counts_a_solver_mismatch_on_a_candidate_pair(monkeypatch):
     assert [(d.mor_dim, d.solver) for d in report.distinctness] == [(1, 2)]
     assert not report.oracle_consistent
     monkeypatch.setattr(cli, "_algebra_and_catalog", lambda mp, seed: (A, cat))
-    rep = cli.run_pipeline("audit", [str(SAMPLES / "s3_split_dual.pair")])
+    rep = cli.run_pipeline("audit",
+                           parse_inputs([str(SAMPLES / "s3_split_dual.pair")]))
     assert {e.name: e.status for e in rep.entries()}[
         "dual-sample solver-vs-haar"] == "FAIL"
     assert rep.exit_code() == 2

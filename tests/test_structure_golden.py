@@ -11,6 +11,7 @@ Regenerate the file (only when a change of output is intended) with
 ``PYTHONPATH=src python -m tests.test_structure_golden``.
 """
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -22,7 +23,7 @@ from kacforge.hopf import (build_algebra, check_axioms, group_subalgebra_check,
                            structure_dump)
 from kacforge.library import (corpus_pairs, pair_conjugation,
                               stabilizer_and_cycle, symmetric_group)
-from kacforge.matched import MatchedPair, derive_actions
+from kacforge.matched import derive_actions
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "structure_digests.json"
 
@@ -40,8 +41,9 @@ def _corrupted_s4_cyclic4(mp):
     g = next(gg for gg in range(mp.compact.order)
              if not np.array_equal(beta[gg], np.arange(nr)))
     beta[g, 0], beta[g, 1] = beta[g, 1], beta[g, 0]
-    return MatchedPair(mp.discrete, mp.compact, mp.alpha, beta,
-                       name="broken", validate=False)
+    broken = copy.copy(mp)
+    broken.beta, broken.name = beta, "broken"
+    return broken
 
 
 def golden_pairs():
