@@ -18,6 +18,15 @@ TOL_MULT = 1e-7
 #: max-abs distance within which two rows of values (characters, dual
 #: labels, twisted characters) are the same row
 TOL_MATCH = 1e-6
+#: ulps of slack, per row entry and per unit of the rows' 1-norms, that
+#: `groups.match_rows` adds to its projection window for the round-off of
+#: the two projections and of the max-abs test
+MATCH_SLACK = 8
+#: entries of the queries x table x row-length difference array up to
+#: which `groups.match_rows` compares every pair at once: on the
+#: certify-audit calls that costs 8-60 us up to 3,456 entries, against
+#: 43-90 us for the projection window, and the window wins past 20,000
+MATCH_PAIRWISE = 8192
 #: gap between sorted eigenvalues at or below which a seeded split keeps
 #: them in one eigenspace
 TOL_EIGEN = 1e-6

@@ -6,15 +6,18 @@ All randomized steps (character tables, irrep extraction) take an explicit
 seed and retry deterministically.
 """
 
+import ctypes
+import functools
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, IRREP_CAP,
-                     ISO_CAP, RETRY_BUDGET, TABLE_CAP, TOL_CLASS_GAP, TOL_EQ,
-                     TOL_IDENTITY_ENTRY, TOL_INT, TOL_IRREP_SPLIT, TOL_MATCH,
-                     TOL_MULT)
+                     ISO_CAP, MATCH_PAIRWISE, MATCH_SLACK, RETRY_BUDGET,
+                     TABLE_CAP, TOL_CLASS_GAP, TOL_EQ, TOL_IDENTITY_ENTRY,
+                     TOL_INT, TOL_IRREP_SPLIT, TOL_MATCH, TOL_MULT)
 from .errors import (ExtractionFailed, NonIntegral, NotAnAction,
                      SeedDegenerate, SizeBound, ValidationError)
 
@@ -41,11 +44,53 @@ def _blockwise(n, per_row, fn):
 def match_rows(table, queries, tol):
     """For each query row, the index of the single row of ``table`` within
     ``tol`` of it in max-abs, or -1 when no row or more than one row is
-    that close.  Temporaries stay in row blocks of bounded size."""
+    that close.
+
+    Rows are first compared on one number each, the real part of their
+    product with a fixed unit-modulus vector w.  A table row t within
+    ``tol`` of a query q has |<q - t, w>| <= d * tol, d the row length, and
+    each computed product is off by at most a few ulps of d times the
+    row's 1-norm (MATCH_SLACK bounds both), so only the table rows in that
+    window of the sorted projections are compared in max-abs; a window
+    that is not finite takes the whole table.  The result is that of
+    comparing every pair, which is done at once when there are at most
+    MATCH_PAIRWISE entries to compare, fewer than the window saves.
+    Temporaries stay in blocks of bounded size."""
     out = np.full(len(queries), -1, dtype=np.int64)
-    for blk in _row_blocks(len(queries), table.size):
-        close = np.abs(queries[blk, None] - table).max(2, initial=0.0) <= tol
-        out[blk] = np.where(close.sum(1) == 1, close.argmax(1), -1)
+    if not len(table) or not len(queries):
+        return out
+    if len(queries) * table.size <= MATCH_PAIRWISE:
+        close = np.abs(queries[:, None] - table).max(2, initial=0.0) <= tol
+        return np.where(close.sum(1) == 1, close.argmax(1), -1)
+    d = table.shape[1]
+    w = np.exp(1j * np.pi * (np.sqrt(5) - 1) * np.arange(d))
+    with one_blas_thread():
+        key, proj = (table @ w).real, (queries @ w).real
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ulp = MATCH_SLACK * np.finfo(float).eps
+    half = d * (tol + ulp * (tol + np.abs(queries).sum(1)
+                             + np.abs(table).sum(1).max()))
+    below, above = proj - half, proj + half
+    lo = np.searchsorted(key, below, "left")
+    count = np.searchsorted(key, above, "right") - lo
+    wide = ~np.isfinite(below + above)
+    if wide.any():
+        lo[wide], count[wide] = 0, len(table)
+    first = np.cumsum(count) - count           # each query's first pair
+    step = max(1, _BLOCK // max(d, 1))
+    q0 = 0
+    while q0 < len(queries):
+        # the queries from q0 whose pairs start within one block
+        q1 = int(np.searchsorted(first, first[q0] + step, "left"))
+        qi = np.repeat(np.arange(q0, q1), count[q0:q1])
+        ti = order[np.arange(len(qi)) + (first[q0] - first[qi] + lo[qi])]
+        close = np.abs(queries[qi] - table[ti]).max(1, initial=0.0) <= tol
+        hits = np.bincount(qi[close] - q0, minlength=q1 - q0)
+        found = np.zeros(q1 - q0, dtype=np.int64)
+        found[qi[close] - q0] = ti[close]
+        out[q0:q1] = np.where(hits == 1, found, -1)
+        q0 = q1
     return out
 
 
@@ -70,11 +115,53 @@ def _components(n, a, b):
             label = up
 
 
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of the loaded OpenBLAS, or None when
+    no loaded library exports them.  Looked up once per process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    get = ctypes.CFUNCTYPE(ctypes.c_int)
+    put = ctypes.CFUNCTYPE(None, ctypes.c_int)
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        try:
+            return (get(("scipy_openblas_get_num_threads64_", lib)),
+                    put(("scipy_openblas_set_num_threads64_", lib)))
+        except AttributeError:
+            continue
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block at one OpenBLAS thread, then restore the count found.
+
+    A small product at two threads can wait milliseconds on the second
+    thread, a hundred times its own cost, and the large solves keep every
+    thread; so the callers of small products wrap them in this.  Without
+    the exported thread calls it does nothing."""
+    calls = _blas_thread_calls()
+    was = calls[0]() if calls else 1
+    if was != 1:
+        calls[1](1)
+    try:
+        yield
+    finally:
+        if was != 1:
+            calls[1](was)
+
+
 def rounded_pairings(left, right, n):
     """Integer matrix of vdot(left[i], right[j]) / n, the Haar pairings of
     two stacks of characters; every entry must lie within TOL_INT of an
     integer, else NonIntegral names the first one that does not."""
-    vals = np.conj(left) @ np.asarray(right).T / n
+    with one_blas_thread():
+        vals = np.conj(left) @ np.asarray(right).T / n
     out = np.rint(vals.real)
     bad = np.argwhere(np.abs(vals - out) > TOL_INT)
     if len(bad):
@@ -779,7 +866,9 @@ def _irrep_ok(G, M, chi):
 def dual_group(G, seed=DEFAULT_SEED):
     """Characters of G (pulled back from the abelianization) as a group."""
     comm = G.commutator_subgroup_elements()
-    Q, proj = quotient_group(G, comm)
+    # G/{e} is G, with the same table: its kept character table serves
+    Q, proj = ((G, np.arange(G.order)) if len(comm) == 1
+               else quotient_group(G, comm))
     tq = character_table(Q, seed=seed)
     chars = tq.chars[:, tq.classes.class_of]     # rows -> functions on Q
     pulled = chars[:, proj]                      # functions on G
@@ -808,12 +897,17 @@ def _invariant_profile(G):
 
 
 def _generating_sequence(G):
-    """Greedy generators: each is the least element not yet generated."""
+    """Greedy generators: each is the least element not yet generated.
+    The subgroup grows from the last one, each round taking x to x g for
+    every generator g at once (y is reached when y g^-1 was), until a
+    round adds nothing."""
     gens, reached = [], np.zeros(G.order, dtype=bool)
     reached[G.identity] = True
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        reached[G.closure(gens)] = True
+        back = G.cayley[:, G.inverse[gens]]              # [y, g] = y g^-1
+        while (grown := reached | reached[back].any(1)).sum() > reached.sum():
+            reached = grown
     return tuple(gens)
 
 

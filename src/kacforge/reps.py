@@ -34,7 +34,6 @@ class Corepresentation:
     on a basis element of total magnitude at most TOL_COEFF, are dropped."""
 
     def __init__(self, algebra, dim, entries, label=None):
-        self.algebra, self.dim = algebra, int(dim)
         row, col, basis = (np.asarray(a, dtype=np.int64).ravel()
                            for a in entries[:3])
         value = np.asarray(entries[3], dtype=complex).ravel()
@@ -45,16 +44,33 @@ class Corepresentation:
             raise ValidationError("corep-support", "not basis indices")
         key = (basis * dim + row) * dim + col
         order = np.argsort(key, kind="stable")
-        if (key[order[1:]] == key[order[:-1]]).any():
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
             raise ValidationError("corep-shape", "an entry given twice")
-        order = order[value[order] != 0]
-        # each basis element sums its magnitudes in (row, col) order
-        big = np.bincount(basis[order], np.abs(value[order]),
+        self._store(algebra, dim, key, value[order], label)
+
+    @classmethod
+    def _of_keys(cls, algebra, dim, key, value, label):
+        """The corepresentation of the entries with the distinct ascending
+        keys (basis * dim + row) * dim + col, each of a basis element and
+        a cell in range, as ``tensor`` and ``candidate_corepresentation``
+        build them: the constructor less its sort and checks."""
+        out = cls.__new__(cls)
+        out._store(algebra, dim, key, value, label)
+        return out
+
+    def _store(self, algebra, dim, key, value, label):
+        self.algebra, self.dim = algebra, int(dim)
+        basis = key // (self.dim * self.dim)
+        # each basis element sums its magnitudes in (row, col) order; a
+        # zero adds nothing to its sum
+        big = np.bincount(basis, np.abs(value),
                           minlength=algebra.dim) > TOL_COEFF
-        order = order[big[basis[order]]]
-        self.row, self.col = row[order].astype(np.int32), \
-            col[order].astype(np.int32)
-        self.basis, self.value = basis[order], value[order]
+        keep = (value != 0) & big[basis]
+        key = key[keep]
+        self.row = (key // self.dim % self.dim).astype(np.int32)
+        self.col = (key % self.dim).astype(np.int32)
+        self.basis, self.value = basis[keep], value[keep]
         self._support = np.flatnonzero(big)
         for a in (self.row, self.col, self.basis, self.value, self._support):
             a.flags.writeable = False
@@ -86,20 +102,24 @@ class Corepresentation:
         A = self.algebra
         if other.algebra is not A:
             raise ValidationError("corep-tensor", "different algebras")
-        d2, D = other.dim, self.dim * other.dim
-        # entry e (on p) times entry f (on partner[p, s]), listed by (e, s,
-        # f): each cell adds its terms p-major, s-minor, as A.mul_vec does
-        es, f = _join(A.partner[self.basis].ravel(), other.basis)
-        e = es // A.nr
+        d2, D, nb = other.dim, self.dim * other.dim, len(other.basis)
+        # entry e (on p) times entry f (on q) is nonzero when q is the
+        # factor of p in q's block s, offset[p, s] = q - s * nk.  The pairs
+        # are listed e-major, f-minor, and f runs over the blocks in order:
+        # each cell adds its terms p-major, s-minor, as A.mul_vec does
+        s, off = np.divmod(other.basis, A.nk)
+        pairs = [blk.start * nb + np.flatnonzero(
+            A.offset[self.basis[blk, None], s] == off)
+            for blk in _row_blocks(len(self.basis), nb)]
+        e, f = np.divmod(np.concatenate(pairs or [np.zeros(0, np.int64)]), nb)
         cell, at = np.unique(
-            (A.result[self.basis].ravel()[es].astype(np.int64) * D
+            (A.result[self.basis[e], s[f]].astype(np.int64) * D
              + self.row[e] * d2 + other.row[f]) * D
             + self.col[e] * d2 + other.col[f], return_inverse=True)
         value = np.zeros(len(cell), dtype=complex)
         np.add.at(value, at, self.value[e] * other.value[f])
-        entries = (cell // D % D, cell % D, cell // (D * D), value)
-        return Corepresentation(A, D, entries,
-                                label=f"{self.label}(x){other.label}")
+        return Corepresentation._of_keys(A, D, cell, value,
+                                         f"{self.label}(x){other.label}")
 
     def __repr__(self):
         return f"Corepresentation({self.label!r}, dim={self.dim})"
@@ -162,13 +182,17 @@ def candidate_corepresentation(A, orbit, mx, label=None):
     s = A.pair.beta[g[None, :], orbit[:, None]]              # (do, nk)
     if (pos[s] < 0).any():
         raise ValidationError("orbit", f"{orbit.tolist()} is not closed")
-    i = np.arange(dx)[:, None]
+    D, i = do * dx, np.arange(dx)[:, None]
     rows = np.arange(do)[:, None, None, None] * dx + i
     cols = (pos[s] * dx)[..., None, None] + i.T
     basis = (orbit[:, None] * A.nk + g)[..., None, None]   # (do, nk, 1, 1)
-    # the cells are distinct; adding to 0.0 turns -0.0 parts into 0.0
-    entries = np.broadcast_arrays(rows, cols, basis, 0.0 + mx.matrices)
-    return Corepresentation(A, do * dx, entries, label=label)
+    # the cells are distinct and in range; adding to 0.0 turns -0.0 parts
+    # into 0.0
+    key = ((basis * D + rows) * D + cols).ravel()
+    order = np.argsort(key, kind="stable")
+    value = np.broadcast_to(np.asarray(0.0 + mx.matrices, dtype=complex),
+                            (do, A.nk, dx, dx)).ravel()
+    return Corepresentation._of_keys(A, D, key[order], value[order], label)
 
 
 def build_candidates(A, seed=DEFAULT_SEED):
@@ -758,15 +782,16 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
     gi, xi, ri, si = np.unravel_index(picks, shape)
     haar, solver = fusion_counts(cands, cands[::nx], (gi * nx + xi, ri, si),
                                  (chars, chars[::nx]))
-    entries = []
-    for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
-                                si.tolist(), solver.tolist(), haar.tolist()):
-        formula = closed[x, g, r, s]
-        agree = abs(formula - d) < TOL_INT
-        entries.append(FusionAuditEntry(
-            gamma_orbit=g, x_label=catalog.irreps[x].label, r_orbit=r,
-            s_orbit=s, solver=d, haar=h, formula=float(formula.real),
-            status="AUDIT-AGREE" if agree else "AUDIT-DISAGREE"))
+    formula = closed[xi, gi, ri, si]
+    agree = np.abs(formula - solver) < TOL_INT
+    entries = [FusionAuditEntry(
+        gamma_orbit=g, x_label=catalog.irreps[x].label, r_orbit=r,
+        s_orbit=s, solver=d, haar=h, formula=f,
+        status="AUDIT-AGREE" if ok else "AUDIT-DISAGREE")
+        for g, x, r, s, d, h, f, ok in zip(
+            gi.tolist(), xi.tolist(), ri.tolist(), si.tolist(),
+            solver.tolist(), haar.tolist(), formula.real.tolist(),
+            agree.tolist())]
 
     # distinctness of candidates with different construction labels: the
     # pairs i < j of the Gram matrix with an intertwiner, row-major, solved

@@ -653,6 +653,34 @@ def naive_word_length(mult, dual, unit, generators):
     return dist
 
 
+def naive_match_rows(table, queries, tol):
+    """For each query row, the one row of ``table`` that is within ``tol``
+    of it in every entry, compared pair by pair in Python complex
+    arithmetic, else -1 (no such row, or more than one)."""
+    out = []
+    for q in queries:
+        hits = [k for k, t in enumerate(table)
+                if all(abs(complex(a) - complex(b)) <= tol
+                       for a, b in zip(q, t))]
+        out.append(hits[0] if len(hits) == 1 else -1)
+    return out
+
+
+def naive_generating_sequence(cayley, identity):
+    """Greedy generators of the group with table ``cayley``: each is the
+    least element outside the subgroup generated so far, that subgroup
+    grown as a Python set by right products with every generator."""
+    cayley = [list(map(int, row)) for row in np.asarray(cayley)]
+    gens, reached = [], {int(identity)}
+    while len(reached) < len(cayley):
+        gens.append(min(set(range(len(cayley))) - reached))
+        frontier = set(reached)
+        while frontier:
+            frontier = {cayley[x][g] for x in frontier for g in gens} - reached
+            reached |= frontier
+    return tuple(gens)
+
+
 def naive_orbit_max(values, perms):
     """For each label, the largest value over its orbit, the orbit grown by
     applying every permutation row until nothing new appears."""

@@ -7,13 +7,16 @@ rings with one corrupted multiplicity.  Truncation is decided from exact
 integer dimensions, and every ring builder refuses more than ``RING_CAP``
 labels before it allocates anything of that size.  The float64 products
 used under the exactness bound give the same counts as the int64 ones, and
-a ring past the bound is counted exactly.
+a ring past the bound is counted exactly, and the counts do not depend on
+the BLAS thread count.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
-from kacforge import crossed
+from kacforge import crossed, groups
 from kacforge.config import RING_CAP
 from kacforge.crossed import (CrossedFusionRing, FusionRing, RingAction,
                               check_fusion_ring, element_fusion_ring,
@@ -138,3 +141,25 @@ def test_ring_past_the_float_bound_is_counted_exactly(K):
                        != np.einsum("bcy,yd->bcd", F, F[a])).sum())
                   for a in range(3))
     assert rounded < got["associativity"]
+
+
+def test_ring_law_counts_do_not_depend_on_the_blas_thread_count(monkeypatch):
+    """``check_fusion_ring`` runs its products at one OpenBLAS thread; with
+    that helper made a no-op at two threads, an honest and a corrupted
+    free-orthogonal ring and a corrupted irrep ring give the same four
+    counts."""
+    rings = [free_orthogonal_ring(3, 40),
+             bumped(free_orthogonal_ring(3, 40), 1, 2, 3),
+             bumped(irrep_fusion_ring(symmetric_group(4)), 2, 3, 4)]
+    at_one = [check_fusion_ring(ring) for ring in rings]
+    assert at_one[1]["frobenius"] > 0 and at_one[2]["associativity"] > 0
+    calls = groups._blas_thread_calls()
+    before = calls[0]() if calls else None
+    monkeypatch.setattr(crossed, "one_blas_thread", contextlib.nullcontext)
+    try:
+        if calls:
+            calls[1](2)
+        assert [check_fusion_ring(ring) for ring in rings] == at_one
+    finally:
+        if calls:
+            calls[1](before)

@@ -27,7 +27,7 @@ from kacforge.library import (cyclic_group, dihedral_group, quaternion_group,
 
 from .oracles import (abelian_invariants_by_orders, brute_center,
                       brute_conjugacy_classes, brute_is_homomorphism,
-                      snf_invariants_via_minors)
+                      naive_generating_sequence, snf_invariants_via_minors)
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -211,6 +211,19 @@ def test_group_invariants_equal_minors_of_the_diagonal_presentation(orders,
                 for i, n in enumerate(orders)]
     assert AbelianGroup(*abelian_invariants_by_orders(H)) == AbelianGroup(
         *snf_invariants_via_minors(diagonal, len(orders)))
+
+
+@pytest.mark.parametrize("G", POOL + [symmetric_group(5)],
+                         ids=lambda G: f"order{G.order}")
+def test_generators_are_the_greedy_sequence(G):
+    """The kept generating sequence, grown as a mask, equals the greedy
+    sequence of a Python-set closure, also on a relabelled copy whose
+    identity is not element 0."""
+    p = np.random.default_rng(G.order).permutation(G.order)
+    H = FiniteGroup(p[G.cayley[np.argsort(p)][:, np.argsort(p)]])
+    for K in (G, H):
+        assert K.generators == naive_generating_sequence(K.cayley, K.identity)
+        assert K.closure(K.generators) == list(range(K.order))
 
 
 # ---------------------------------------------------------------------------

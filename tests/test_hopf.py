@@ -492,6 +492,67 @@ def test_honest_pairs_never_fall_back_to_the_full_count(name, monkeypatch):
     assert check_axioms(A).passed
 
 
+# ---------------------------------------------------------------------------
+# coproduct multiplicativity on Light's generators
+
+
+def _full_multiplicative(A):
+    return float(hopf._coproduct_multiplicative(A, np.arange(A.nr)))
+
+
+def _reported_multiplicative(A):
+    return {c.name: c.deviation for c in check_axioms(A).checks}[
+        "coproduct-multiplicative"]
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["s5-cyclic5", "s6-cyclic6",
+                                                 "conj-s4-s3"])
+def test_honest_pairs_never_reach_the_full_multiplicative_count(name,
+                                                                monkeypatch):
+    A = build_algebra(pair_of(name))
+    count = hopf._coproduct_multiplicative
+
+    def generators_only(B, blocks):
+        if len(blocks) == B.nr:
+            raise AssertionError("full multiplicativity count")
+        return count(B, blocks)
+    monkeypatch.setattr(hopf, "_coproduct_multiplicative", generators_only)
+    assert check_axioms(A).passed
+
+
+@pytest.mark.parametrize("case", list(CORRUPTED_TABLES) + [
+    ("delta_block",) + case for case in TAMPERED_BLOCKS],
+    ids=lambda case: "-".join(map(str, case)))
+def test_pinned_corruptions_report_the_full_multiplicative_count(case):
+    if case[0] == "delta_block":
+        _, name, seed, changes = case
+        A = _corrupted_table(name, "delta_block", seed, changes)
+    else:
+        A = _corrupted_table(*case)
+    assert _reported_multiplicative(A) == _full_multiplicative(A)
+
+
+def test_multiplicativity_gate_reports_the_full_count_on_a_seeded_sweep():
+    """One to three coproduct entries rewritten (``delta_block`` or
+    ``delta_right``), on 20 seeds of each corpus pair and s5-cyclic5: the
+    product is untouched, so Light's test certifies it and the generators
+    decide; the report equals the full count on every one, and the
+    generators catch every failure the full count sees (314 of the 360)."""
+    caught = 0
+    for name in list(CORPUS) + ["s5-cyclic5"]:
+        for table in ("delta_block", "delta_right"):
+            for seed in range(20):
+                A = _corrupted_table(name, table, seed, 1 + seed % 3)
+                assert hopf._light_associative(A), (name, table, seed)
+                full = _full_multiplicative(A)
+                assert _reported_multiplicative(A) == full, (name, table, seed)
+                gens = np.array(A.pair.discrete.generators)
+                on_gens = hopf._coproduct_multiplicative(A, gens)
+                assert (on_gens > 0) == (full > 0), (name, table, seed)
+                caught += full > 0
+    assert caught == 314
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_classical_pieces_embed(name):
     report = group_subalgebra_check(algebra_of(name))

@@ -3,13 +3,19 @@
 Indicator-matrix relation reports and closed-form fusion values are read
 from the action tables as array work; here they must equal plain loops over
 Python sets (``tests/oracles.py``) on the corpus pairs with seeded ``beta``
-corruptions (rows that are no longer bijections included).
+corruptions (rows that are no longer bijections included).  The row
+matcher, which compares every pair at once up to ``MATCH_PAIRWISE``
+entries and past it only the rows its projection window admits, must equal
+the pairwise oracle on near ties, repeated rows and large entries by both
+routes.
 """
 
 import copy
 import itertools
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacforge import groups
@@ -18,7 +24,8 @@ from kacforge.library import corpus_pairs
 from kacforge.matched import magic_relations_report, orbit_space
 from kacforge.reps import fusion_formula_table
 
-from .oracles import naive_fusion_formula, naive_magic_relations
+from .oracles import (naive_fusion_formula, naive_magic_relations,
+                      naive_match_rows)
 
 CORPUS = {mp.name: mp for mp in corpus_pairs()}
 
@@ -89,3 +96,93 @@ def test_match_rows_across_row_blocks_equals_brute_force():
         assert k == (hits[0] if len(hits) == 1 else -1)
     assert len(queries) * table.size > groups._BLOCK      # several blocks
     assert (got == -1).any() and (got >= 0).any()
+
+
+def _near(row, tol, factor, at=0, imag=False):
+    """``row`` with entry ``at`` moved by ``factor * tol``."""
+    moved = np.array(row, dtype=complex)
+    moved[at] += factor * tol * (1j if imag else 1)
+    return moved
+
+
+_TOL = 1e-6
+_BASE = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [3.0, 1.0, -1.0]])
+
+# (table, queries) of each case the projection filter must keep exact
+MATCH_CASES = {
+    "near-ties": (_BASE, [_near(_BASE[0], _TOL, 1 - 1e-3),
+                          _near(_BASE[0], _TOL, 1 + 1e-3),
+                          _near(_BASE[1], _TOL, -(1 - 1e-3), at=2),
+                          _near(_BASE[2], _TOL, 1 - 1e-3, at=1, imag=True),
+                          _near(_BASE[2], _TOL, 1 + 1e-3, at=1, imag=True)]),
+    "duplicate-rows": (np.vstack([_BASE, _BASE[1]]), _BASE),
+    "no-match": (_BASE, _BASE + 0.5),
+    "empty-table": (np.zeros((0, 3)), _BASE),
+    "no-queries": (_BASE, np.zeros((0, 3))),
+    "one-column": (np.array([[0.0], [1.0], [1.0 + 3e-6], [-2.0]]),
+                   np.array([[1.0 + 1e-6], [1.0 + 2e-6], [-2.0 - 9.99e-7],
+                             [5.0]])),
+    "large-magnitudes": (_BASE * 1e12, [_BASE[0] * 1e12,
+                                        _near(_BASE[1] * 1e12, 2e5, 1),
+                                        _near(_BASE[2] * 1e9, _TOL, 1 - 1e-3)]),
+}
+
+
+# the all-pairs route, and the projection window for every size
+ROUTES = {"pairwise": groups.MATCH_PAIRWISE, "window": 0}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_match_rows_cases_equal_the_pairwise_oracle(route):
+    with mock.patch.object(groups, "MATCH_PAIRWISE", ROUTES[route]):
+        for name, (table, queries) in MATCH_CASES.items():
+            table, queries = np.asarray(table), np.asarray(queries)
+            got = match_rows(table, queries, _TOL).tolist()
+            assert got == naive_match_rows(table, queries, _TOL), name
+        table, queries = MATCH_CASES["near-ties"]
+        assert match_rows(table, np.array(queries), _TOL).tolist() == [
+            0, -1, 1, 2, -1]
+        assert (match_rows(*MATCH_CASES["duplicate-rows"], _TOL)
+                == [0, -1, 2]).all()
+
+
+_entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1j, -1j, 0.5 + 0.5j])
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(1, 5), n=st.integers(0, 10),
+       scale=st.sampled_from([1.0, 1e-3, 1e6, 1e12]),
+       tol=st.sampled_from([1e-8, 1e-6, 1e-2]),
+       data=st.data())
+def test_filtered_match_rows_equals_the_pairwise_oracle(route, d, n, scale,
+                                                        tol, data):
+    """Rows drawn from a small alphabet, so that rows repeat, and queries
+    that copy a table row, move one entry of it by tol * (1 +- 1e-3) or by
+    an arbitrary amount, or are drawn afresh."""
+    pool = data.draw(st.lists(st.lists(_entries, min_size=d, max_size=d),
+                              min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=n, max_size=n))
+    table = np.array([pool[k] for k in picks], dtype=complex).reshape(n, d)
+    table *= scale
+    queries = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = data.draw(st.sampled_from(["copy", "near", "moved", "fresh"]))
+        if kind == "fresh" or not n:
+            row = np.array(data.draw(st.lists(_entries, min_size=d,
+                                              max_size=d))) * scale
+        else:
+            row = table[data.draw(st.integers(0, n - 1))].copy()
+            at = data.draw(st.integers(0, d - 1))
+            imag = data.draw(st.booleans())
+            if kind == "near":
+                row = _near(row, tol, data.draw(st.sampled_from(
+                    [1 - 1e-3, 1 + 1e-3, -(1 - 1e-3), -(1 + 1e-3)])), at, imag)
+            elif kind == "moved":
+                row = _near(row, 1.0, data.draw(st.floats(-3, 3)), at, imag)
+        queries.append(row)
+    queries = np.array(queries, dtype=complex).reshape(len(queries), d)
+    with mock.patch.object(groups, "MATCH_PAIRWISE", ROUTES[route]):
+        got = match_rows(table, queries, tol).tolist()
+    assert got == naive_match_rows(table, queries, tol)
