@@ -22,11 +22,6 @@ TOL_MATCH = 1e-6
 #: `groups.match_rows` adds to its projection window for the round-off of
 #: the two projections and of the max-abs test
 MATCH_SLACK = 8
-#: entries of the queries x table x row-length difference array up to
-#: which `groups.match_rows` compares every pair at once: on the
-#: certify-audit calls that costs 8-60 us up to 3,456 entries, against
-#: 43-90 us for the projection window, and the window wins past 20,000
-MATCH_PAIRWISE = 8192
 #: gap between sorted eigenvalues at or below which a seeded split keeps
 #: them in one eigenspace
 TOL_EIGEN = 1e-6

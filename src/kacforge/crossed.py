@@ -20,8 +20,7 @@ from .config import (DEFAULT_SEED, RING_CAP, TOL_AXIOM, TOL_BLOCK, TOL_LENGTH,
 from .errors import (ActionNotCompatible, IdentityViolated, SizeBound,
                      TruncationOverflow, ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
-                     matrix_irreps, one_blas_thread, permuted_rows, rng_from,
-                     rounded_pairings)
+                     matrix_irreps, permuted_rows, rng_from, rounded_pairings)
 from .hopf import build_algebra
 from .library import pair_conjugation
 from .reps import build_candidates
@@ -139,9 +138,8 @@ def check_fusion_ring(ring):
     assoc_bad = skipped = 0
     for a in range(n):
         # (b, c, d) tensors of (a*b)*c and a*(b*c)
-        with one_blas_thread():
-            left = (P[a] @ P.reshape(n, n * n)).reshape(n, n, n)
-            right = (P.reshape(n * n, n) @ P[a]).reshape(n, n, n)
+        left = (P[a] @ P.reshape(n, n * n)).reshape(n, n, n)
+        right = (P.reshape(n * n, n) @ P[a]).reshape(n, n, n)
         skip = O[a][:, None] | O | (support[a] @ O) | (support @ O[a])
         assoc_bad += int((left != right).sum(axis=2)[~skip].sum())
         skipped += int(skip.sum())

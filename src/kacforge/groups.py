@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (CHARTABLE_CAP, CLOSURE_CAP, DEFAULT_SEED, IRREP_CAP,
-                     ISO_CAP, MATCH_PAIRWISE, MATCH_SLACK, RETRY_BUDGET,
-                     TABLE_CAP, TOL_CLASS_GAP, TOL_EQ, TOL_IDENTITY_ENTRY,
-                     TOL_INT, TOL_IRREP_SPLIT, TOL_MATCH, TOL_MULT)
+                     ISO_CAP, MATCH_SLACK, RETRY_BUDGET, TABLE_CAP,
+                     TOL_CLASS_GAP, TOL_EQ, TOL_IDENTITY_ENTRY, TOL_INT,
+                     TOL_IRREP_SPLIT, TOL_MATCH, TOL_MULT)
 from .errors import (ExtractionFailed, NonIntegral, NotAnAction,
                      SeedDegenerate, SizeBound, ValidationError)
 
@@ -53,45 +53,53 @@ def match_rows(table, queries, tol):
     row's 1-norm (MATCH_SLACK bounds both), so only the table rows in that
     window of the sorted projections are compared in max-abs; a window
     that is not finite takes the whole table.  The result is that of
-    comparing every pair, which is done at once when there are at most
-    MATCH_PAIRWISE entries to compare, fewer than the window saves.
-    Temporaries stay in blocks of bounded size."""
-    out = np.full(len(queries), -1, dtype=np.int64)
-    if not len(table) or not len(queries):
-        return out
-    if len(queries) * table.size <= MATCH_PAIRWISE:
-        close = np.abs(queries[:, None] - table).max(2, initial=0.0) <= tol
-        return np.where(close.sum(1) == 1, close.argmax(1), -1)
+    comparing every pair.  Temporaries stay in blocks of bounded size."""
+    return row_matcher(table, tol)(queries)
+
+
+def row_matcher(table, tol):
+    """``match_rows(table, queries, tol)`` as a function of the queries,
+    with the table's side (its sorted projections and largest 1-norm)
+    computed once, for callers that match many query blocks against one
+    table."""
     d = table.shape[1]
     w = np.exp(1j * np.pi * (np.sqrt(5) - 1) * np.arange(d))
     with one_blas_thread():
-        key, proj = (table @ w).real, (queries @ w).real
+        key = (table @ w).real
     order = np.argsort(key, kind="stable")
     key = key[order]
     ulp = MATCH_SLACK * np.finfo(float).eps
-    half = d * (tol + ulp * (tol + np.abs(queries).sum(1)
-                             + np.abs(table).sum(1).max()))
-    below, above = proj - half, proj + half
-    lo = np.searchsorted(key, below, "left")
-    count = np.searchsorted(key, above, "right") - lo
-    wide = ~np.isfinite(below + above)
-    if wide.any():
-        lo[wide], count[wide] = 0, len(table)
-    first = np.cumsum(count) - count           # each query's first pair
-    step = max(1, _BLOCK // max(d, 1))
-    q0 = 0
-    while q0 < len(queries):
-        # the queries from q0 whose pairs start within one block
-        q1 = int(np.searchsorted(first, first[q0] + step, "left"))
-        qi = np.repeat(np.arange(q0, q1), count[q0:q1])
-        ti = order[np.arange(len(qi)) + (first[q0] - first[qi] + lo[qi])]
-        close = np.abs(queries[qi] - table[ti]).max(1, initial=0.0) <= tol
-        hits = np.bincount(qi[close] - q0, minlength=q1 - q0)
-        found = np.zeros(q1 - q0, dtype=np.int64)
-        found[qi[close] - q0] = ti[close]
-        out[q0:q1] = np.where(hits == 1, found, -1)
-        q0 = q1
-    return out
+    norm = np.abs(table).sum(1).max(initial=0.0)
+
+    def match(queries):
+        out = np.full(len(queries), -1, dtype=np.int64)
+        if not len(table) or not len(queries):
+            return out
+        with one_blas_thread():
+            proj = (queries @ w).real
+        half = d * (tol + ulp * (tol + np.abs(queries).sum(1) + norm))
+        below, above = proj - half, proj + half
+        lo = np.searchsorted(key, below, "left")
+        count = np.searchsorted(key, above, "right") - lo
+        wide = ~np.isfinite(below + above)
+        if wide.any():
+            lo[wide], count[wide] = 0, len(table)
+        first = np.cumsum(count) - count       # each query's first pair
+        step = max(1, _BLOCK // max(d, 1))
+        q0 = 0
+        while q0 < len(queries):
+            # the queries from q0 whose pairs start within one block
+            q1 = int(np.searchsorted(first, first[q0] + step, "left"))
+            qi = np.repeat(np.arange(q0, q1), count[q0:q1])
+            ti = order[np.arange(len(qi)) + (first[q0] - first[qi] + lo[qi])]
+            close = np.abs(queries[qi] - table[ti]).max(1, initial=0.0) <= tol
+            hits = np.bincount(qi[close] - q0, minlength=q1 - q0)
+            found = np.zeros(q1 - q0, dtype=np.int64)
+            found[qi[close] - q0] = ti[close]
+            out[q0:q1] = np.where(hits == 1, found, -1)
+            q0 = q1
+        return out
+    return match
 
 
 def _components(n, a, b):
@@ -175,8 +183,8 @@ def closure_table(vectors, row_products, tol, name, what):
     """Cayley table of a finite set of vectors closed under a product: row i
     matches ``row_products(i)``, the products of vector i with every vector,
     within ``tol``.  A product that leaves the set raises ``name``."""
-    table = np.stack([match_rows(vectors, row_products(i), tol)
-                      for i in range(len(vectors))])
+    match = row_matcher(vectors, tol)
+    table = np.stack([match(row_products(i)) for i in range(len(vectors))])
     if (table < 0).any():
         i, j = np.argwhere(table < 0)[0]
         raise ValidationError(name, f"{what} {i}*{j} left the set")
@@ -866,9 +874,7 @@ def _irrep_ok(G, M, chi):
 def dual_group(G, seed=DEFAULT_SEED):
     """Characters of G (pulled back from the abelianization) as a group."""
     comm = G.commutator_subgroup_elements()
-    # G/{e} is G, with the same table: its kept character table serves
-    Q, proj = ((G, np.arange(G.order)) if len(comm) == 1
-               else quotient_group(G, comm))
+    Q, proj = quotient_group(G, comm)
     tq = character_table(Q, seed=seed)
     chars = tq.chars[:, tq.classes.class_of]     # rows -> functions on Q
     pulled = chars[:, proj]                      # functions on G
@@ -897,17 +903,12 @@ def _invariant_profile(G):
 
 
 def _generating_sequence(G):
-    """Greedy generators: each is the least element not yet generated.
-    The subgroup grows from the last one, each round taking x to x g for
-    every generator g at once (y is reached when y g^-1 was), until a
-    round adds nothing."""
+    """Greedy generators: each is the least element not yet generated."""
     gens, reached = [], np.zeros(G.order, dtype=bool)
     reached[G.identity] = True
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        back = G.cayley[:, G.inverse[gens]]              # [y, g] = y g^-1
-        while (grown := reached | reached[back].any(1)).sum() > reached.sum():
-            reached = grown
+        reached[G.closure(gens)] = True
     return tuple(gens)
 
 

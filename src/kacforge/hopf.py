@@ -374,6 +374,7 @@ def check_axioms(A):
     for blk in _row_blocks(n, nk * nk):
         bad[blk] |= (flat[rows[blk, None, None] * nk + K.cayley]
                      != blocks[dr[blk]]).any((1, 2))
+    coassociative = not bad.any()
     checks.append(AxiomCheck("coassociativity", float(bad.sum())))
 
     # counit laws: the term a = e of each row is the row itself
@@ -389,10 +390,13 @@ def check_axioms(A):
 
     # once the product associates, the j with Delta(ij) = Delta(i) Delta(j)
     # for every i are closed under products, so Light's generating set
-    # certifies every j; a pair it fails on, or a product not certified,
-    # takes the full count
+    # certifies every j.  The count reads that property off the table only
+    # when the coproduct is coassociative (see _coproduct_multiplicative),
+    # so the generators serve when both laws hold; a pair they fail on, or
+    # a law that fails, takes the full count
     gens = np.array(R.generators, dtype=np.int64)
-    on_gens = associative and _coproduct_multiplicative(A, gens) == 0
+    on_gens = (associative and coassociative
+               and _coproduct_multiplicative(A, gens) == 0)
     bad = 0 if on_gens else _coproduct_multiplicative(A, np.arange(nr))
     checks.append(AxiomCheck("coproduct-multiplicative", float(bad)))
 

@@ -11,8 +11,6 @@ a ring past the bound is counted exactly, and the counts do not depend on
 the BLAS thread count.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -143,19 +141,18 @@ def test_ring_past_the_float_bound_is_counted_exactly(K):
     assert rounded < got["associativity"]
 
 
-def test_ring_law_counts_do_not_depend_on_the_blas_thread_count(monkeypatch):
-    """``check_fusion_ring`` runs its products at one OpenBLAS thread; with
-    that helper made a no-op at two threads, an honest and a corrupted
-    free-orthogonal ring and a corrupted irrep ring give the same four
-    counts."""
+def test_ring_law_counts_do_not_depend_on_the_blas_thread_count():
+    """An honest and a corrupted free-orthogonal ring and a corrupted irrep
+    ring give the same four ``check_fusion_ring`` counts at one OpenBLAS
+    thread and at two."""
     rings = [free_orthogonal_ring(3, 40),
              bumped(free_orthogonal_ring(3, 40), 1, 2, 3),
              bumped(irrep_fusion_ring(symmetric_group(4)), 2, 3, 4)]
-    at_one = [check_fusion_ring(ring) for ring in rings]
+    with groups.one_blas_thread():
+        at_one = [check_fusion_ring(ring) for ring in rings]
     assert at_one[1]["frobenius"] > 0 and at_one[2]["associativity"] > 0
     calls = groups._blas_thread_calls()
     before = calls[0]() if calls else None
-    monkeypatch.setattr(crossed, "one_blas_thread", contextlib.nullcontext)
     try:
         if calls:
             calls[1](2)

@@ -535,9 +535,10 @@ def test_pinned_corruptions_report_the_full_multiplicative_count(case):
 def test_multiplicativity_gate_reports_the_full_count_on_a_seeded_sweep():
     """One to three coproduct entries rewritten (``delta_block`` or
     ``delta_right``), on 20 seeds of each corpus pair and s5-cyclic5: the
-    product is untouched, so Light's test certifies it and the generators
-    decide; the report equals the full count on every one, and the
-    generators catch every failure the full count sees (314 of the 360)."""
+    product is untouched, so Light's test certifies it, and the generators
+    decide where the coproduct stays coassociative; the report equals the
+    full count on every one, and the generators alone catch every failure
+    the full count sees (314 of the 360)."""
     caught = 0
     for name in list(CORPUS) + ["s5-cyclic5"]:
         for table in ("delta_block", "delta_right"):

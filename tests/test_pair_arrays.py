@@ -4,15 +4,12 @@ Indicator-matrix relation reports and closed-form fusion values are read
 from the action tables as array work; here they must equal plain loops over
 Python sets (``tests/oracles.py``) on the corpus pairs with seeded ``beta``
 corruptions (rows that are no longer bijections included).  The row
-matcher, which compares every pair at once up to ``MATCH_PAIRWISE``
-entries and past it only the rows its projection window admits, must equal
-the pairwise oracle on near ties, repeated rows and large entries by both
-routes.
+matcher, which compares only the rows its projection window admits, must
+equal the pairwise oracle on near ties, repeated rows and large entries.
 """
 
 import copy
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,35 +125,28 @@ MATCH_CASES = {
 }
 
 
-# the all-pairs route, and the projection window for every size
-ROUTES = {"pairwise": groups.MATCH_PAIRWISE, "window": 0}
-
-
-@pytest.mark.parametrize("route", ROUTES)
-def test_match_rows_cases_equal_the_pairwise_oracle(route):
-    with mock.patch.object(groups, "MATCH_PAIRWISE", ROUTES[route]):
-        for name, (table, queries) in MATCH_CASES.items():
-            table, queries = np.asarray(table), np.asarray(queries)
-            got = match_rows(table, queries, _TOL).tolist()
-            assert got == naive_match_rows(table, queries, _TOL), name
-        table, queries = MATCH_CASES["near-ties"]
-        assert match_rows(table, np.array(queries), _TOL).tolist() == [
-            0, -1, 1, 2, -1]
-        assert (match_rows(*MATCH_CASES["duplicate-rows"], _TOL)
-                == [0, -1, 2]).all()
+def test_match_rows_cases_equal_the_pairwise_oracle():
+    for name, (table, queries) in MATCH_CASES.items():
+        table, queries = np.asarray(table), np.asarray(queries)
+        got = match_rows(table, queries, _TOL).tolist()
+        assert got == naive_match_rows(table, queries, _TOL), name
+    table, queries = MATCH_CASES["near-ties"]
+    assert match_rows(table, np.array(queries), _TOL).tolist() == [
+        0, -1, 1, 2, -1]
+    assert (match_rows(*MATCH_CASES["duplicate-rows"], _TOL)
+            == [0, -1, 2]).all()
 
 
 _entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1j, -1j, 0.5 + 0.5j])
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @settings(deadline=None, max_examples=200)
 @given(d=st.integers(1, 5), n=st.integers(0, 10),
        scale=st.sampled_from([1.0, 1e-3, 1e6, 1e12]),
        tol=st.sampled_from([1e-8, 1e-6, 1e-2]),
        data=st.data())
-def test_filtered_match_rows_equals_the_pairwise_oracle(route, d, n, scale,
-                                                        tol, data):
+def test_filtered_match_rows_equals_the_pairwise_oracle(d, n, scale, tol,
+                                                        data):
     """Rows drawn from a small alphabet, so that rows repeat, and queries
     that copy a table row, move one entry of it by tol * (1 +- 1e-3) or by
     an arbitrary amount, or are drawn afresh."""
@@ -183,6 +173,5 @@ def test_filtered_match_rows_equals_the_pairwise_oracle(route, d, n, scale,
                 row = _near(row, 1.0, data.draw(st.floats(-3, 3)), at, imag)
         queries.append(row)
     queries = np.array(queries, dtype=complex).reshape(len(queries), d)
-    with mock.patch.object(groups, "MATCH_PAIRWISE", ROUTES[route]):
-        got = match_rows(table, queries, tol).tolist()
+    got = match_rows(table, queries, tol).tolist()
     assert got == naive_match_rows(table, queries, tol)

@@ -695,8 +695,9 @@ def test_invariant_groups_name_the_stage_that_fails(code):
     assert A.pair.compact.order != nr and not _same(ones, spectrum)
     if code.endswith("closure"):
         vectors = ones if code.startswith("intrinsic") else spectrum
-        patch = mock.patch.object(groups, "match_rows", _failing(
-            groups.match_rows, lambda table, *_: _same(table, vectors)))
+        real = groups.row_matcher     # closure_table's matcher per table
+        patch = mock.patch.object(groups, "row_matcher", lambda table, tol: (
+            _failing(real(table, tol), lambda *_: _same(table, vectors))))
     else:
         on_r = code.startswith("spectrum")
         patch = mock.patch.object(reps, "permuted_rows", _failing(
