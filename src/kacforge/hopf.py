@@ -115,15 +115,11 @@ class KacAlgebra:
         product is 0; either operand may itself be dim (the zero element).
         A zero operand is clamped into the table and its lookup discarded:
         j = dim reads offset nk in the last block, which no offset holds,
-        and a clamped i fails ``ii == i``.  Both tables are read at one
-        flat index, which costs half of a two-index lookup; it is int32
-        when the tables allow."""
+        and a clamped i fails ``ii == i``."""
         ii = np.minimum(i, self.dim - 1)
         s = np.minimum(np.asarray(j) // self.nk, self.nr - 1)
-        at = (ii * self.nr + s).astype(
-            np.int32 if self.offset.size < 2 ** 31 else np.int64)
-        hit = (self.offset.take(at) == j - s * self.nk) & (ii == i)
-        return np.where(hit, self.result.take(at), self.dim)
+        hit = (self.offset[ii, s] == j - s * self.nk) & (ii == i)
+        return np.where(hit, self.result[ii, s], self.dim)
 
     def mul_vec(self, a, b):
         """Product of coefficient vectors, broadcast over leading axes.

@@ -782,16 +782,15 @@ def audit_fusion(A, catalog, seed=DEFAULT_SEED):
     gi, xi, ri, si = np.unravel_index(picks, shape)
     haar, solver = fusion_counts(cands, cands[::nx], (gi * nx + xi, ri, si),
                                  (chars, chars[::nx]))
-    formula = closed[xi, gi, ri, si]
-    agree = np.abs(formula - solver) < TOL_INT
-    entries = [FusionAuditEntry(
-        gamma_orbit=g, x_label=catalog.irreps[x].label, r_orbit=r,
-        s_orbit=s, solver=d, haar=h, formula=f,
-        status="AUDIT-AGREE" if ok else "AUDIT-DISAGREE")
-        for g, x, r, s, d, h, f, ok in zip(
-            gi.tolist(), xi.tolist(), ri.tolist(), si.tolist(),
-            solver.tolist(), haar.tolist(), formula.real.tolist(),
-            agree.tolist())]
+    entries = []
+    for g, x, r, s, d, h in zip(gi.tolist(), xi.tolist(), ri.tolist(),
+                                si.tolist(), solver.tolist(), haar.tolist()):
+        formula = closed[x, g, r, s]
+        agree = abs(formula - d) < TOL_INT
+        entries.append(FusionAuditEntry(
+            gamma_orbit=g, x_label=catalog.irreps[x].label, r_orbit=r,
+            s_orbit=s, solver=d, haar=h, formula=float(formula.real),
+            status="AUDIT-AGREE" if agree else "AUDIT-DISAGREE"))
 
     # distinctness of candidates with different construction labels: the
     # pairs i < j of the Gram matrix with an intertwiner, row-major, solved
