@@ -18,7 +18,7 @@ import numpy as np
 from .config import (DEFAULT_SEED, RING_CAP, TOL_AXIOM, TOL_BLOCK, TOL_LENGTH,
                      TOL_LENGTH_MOVE, TOL_MATCH, TOL_RD, TOL_RING_DIM)
 from .errors import (ActionNotCompatible, IdentityViolated, SizeBound,
-                     TruncationOverflow, ValidationError)
+                     ValidationError)
 from .groups import (character_table, conjugacy_and_center, match_rows,
                      matrix_irreps, permuted_rows, rng_from, rounded_pairings)
 from .hopf import build_algebra
@@ -56,8 +56,13 @@ class FusionRing:
         self.truncated = truncated
         self.name = name or f"ring({self.n})"
         self._validate_basic()
-        self.overflow = (self._overflow_mask(dims) if truncated
-                         else np.zeros((self.n, self.n), dtype=bool))
+        self.overflow = np.zeros((self.n, self.n), dtype=bool)
+        if truncated:
+            # Python-int dimensions: products of large labels pass 2**53
+            exact = np.array([int(d) for d in dims], dtype=object)
+            self.overflow = np.array(
+                [self.mult[x].astype(object) @ exact != exact[x] * exact
+                 for x in range(self.n)], dtype=bool)
 
     def _validate_basic(self):
         n, M, u = self.n, self.mult, self.unit
@@ -85,21 +90,6 @@ class FusionRing:
             y = np.flatnonzero(dual_bad[x])[0]
             raise ValidationError("ring-dual-law",
                                   f"dual pairing fails at ({x},{y})")
-
-    def _overflow_mask(self, dims):
-        # Python-int dimensions: products of large labels pass 2**53
-        exact = np.array([int(d) for d in dims], dtype=object)
-        return np.array([self.mult[x].astype(object) @ exact != exact[x] * exact
-                         for x in range(self.n)], dtype=bool)
-
-    def fuse(self, x, y, allow_truncation=False):
-        """{z: multiplicity} of the product of labels x and y, z ascending."""
-        if self.overflow[x, y] and not allow_truncation:
-            raise TruncationOverflow(
-                f"product of {self.labels[x]} and {self.labels[y]} "
-                f"leaves the cutoff window")
-        row = self.mult[x, y]
-        return {int(z): int(row[z]) for z in np.flatnonzero(row)}
 
     def __repr__(self):
         return f"FusionRing({self.name!r}, n={self.n})"
@@ -257,10 +247,14 @@ class CrossedFusionRing(FusionRing):
     """Labels (group element, base label) with action-twisted fusion:
     (r, x) * (s, y) = sum over z of base(act(s^-1, x) * y, z) (rs, z).
 
-    Label (g, x) has index g * base.n + x.
+    Label (g, x) has index g * base.n + x.  The base must be whole: over a
+    truncated base the twisted products would leave the window unseen.
     """
 
     def __init__(self, base, action):
+        if base.truncated:
+            raise ValidationError("crossed-truncated",
+                                  f"{base.name} is truncated")
         validate_ring_action(base, action)
         G = action.group
         nr, nb = G.order, base.n
@@ -276,17 +270,7 @@ class CrossedFusionRing(FusionRing):
         super().__init__(labels=labels, unit=G.identity * nb + base.unit,
                          dual=dual, dims=np.tile(base.dims, nr),
                          mult=mult.reshape(nr * nb, nr * nb, nr * nb),
-                         truncated=base.truncated,
                          name=f"crossed[{base.name}]")
-
-    def _overflow_mask(self, dims):
-        # (r, x) * (s, y) leaves the window exactly when act(s^-1, x) * y
-        # does, which the base decided from its exact dimensions
-        G, nb = self.action.group, self.base.n
-        moved = self.action.perms[G.inverse]                   # (s, x)
-        over = self.base.overflow[moved].transpose(1, 0, 2)    # (x, s, y)
-        return np.broadcast_to(over, (G.order,) + over.shape).reshape(
-            G.order * nb, G.order * nb)
 
 
 def action_from_pair(mp, seed=DEFAULT_SEED):
@@ -602,13 +586,9 @@ def rd_inequality_sample(inst, l0, poly_coeffs, samples=20,
     """Sample dual elements in length bands and compare the operator norm
     of the transform against P(band) times the weighted coefficient norm.
 
-    Report-only: never raises on a bound violation.  Refuses truncated
-    rings, where left multiplication does not see the whole product.
+    Report-only: never raises on a bound violation.
     """
     ring = inst.ring
-    if ring.truncated:
-        raise ValidationError("rd-truncated",
-                              "operator norms are not faithful under truncation")
     A = inst.algebra
     bands = {}
     for lab in range(ring.n):

@@ -49,10 +49,6 @@ class ActionNotCompatible(KacforgeError):
     """A ring action does not preserve unit, duals, or structure constants."""
 
 
-class TruncationOverflow(KacforgeError):
-    """A product in a truncated ring needs labels beyond the cutoff."""
-
-
 class IdentityViolated(KacforgeError):
     """A cross-checked identity between two computation routes fails."""
 

@@ -293,9 +293,6 @@ class FiniteGroup:
     def is_abelian(self):
         return np.array_equal(self.cayley, self.cayley.T)
 
-    def exponent(self):
-        return int(np.lcm.reduce(self.element_orders()))
-
     # -- subgroup machinery -------------------------------------------------
 
     def closure(self, gens):
@@ -378,17 +375,9 @@ class Presentation:
 
 @dataclass
 class ConjugacyData:
-    group: FiniteGroup
     classes: list            # list of sorted element lists, identity class first
     class_of: np.ndarray     # element index -> class index
     center: list             # sorted central element indices
-
-    def centralizer(self, elements):
-        """Elements commuting with every member of ``elements``."""
-        C = self.group.cayley
-        elems = np.fromiter(elements, dtype=np.intp)
-        return np.flatnonzero(_blockwise(len(C), len(elems), lambda blk: (
-            C[blk][:, elems] == C[elems, blk].T).all(1))).tolist()
 
 
 @dataclass
@@ -634,7 +623,7 @@ def conjugacy_and_center(G):
     raw = [c.tolist() for c in np.split(np.argsort(class_of, kind="stable"),
                                         np.cumsum(sizes[order])[:-1])]
     center = np.flatnonzero(sizes[lead_at] == 1).tolist()
-    data = ConjugacyData(group=G, classes=raw, class_of=class_of, center=center)
+    data = ConjugacyData(classes=raw, class_of=class_of, center=center)
     G._class_cache = data
     return data
 

@@ -9,7 +9,6 @@ on top of them.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -152,17 +151,9 @@ class KacAlgebra:
         """Invariant-state inner product h(a* b)."""
         return self.haar(self.mul_vec(self.star_vec(a), b))
 
-    def left_mult_matrix(self, a):
-        """Matrix of x -> a x in the standard basis."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        # basis i sends partner[i, s] to result[i, s]; these cells are
-        # distinct over all (i, s)
-        i = np.flatnonzero(a)
-        out[self.result[i], self.partner[i]] += a[i, None]
-        return out
-
     def left_mult_blocks(self, a):
-        """The (nk, nr, nr) diagonal blocks of ``left_mult_matrix(a)``.
+        """The (nk, nr, nr) diagonal blocks of the matrix of x -> a x in
+        the standard basis.
 
         x -> a x keeps the compact index: its matrix has no entry outside
         the cells (u_t d_h, u_s d_h), so block h holds, at [t, s], the entry
@@ -590,28 +581,3 @@ def group_subalgebra_check(A):
     checks.append(AxiomCheck("discrete-coproduct-form", float(bad)))
 
     return AxiomReport(checks=checks, tol=TOL_AXIOM)
-
-
-# ---------------------------------------------------------------------------
-# deterministic structure dump
-
-
-def structure_dump(A):
-    """Plain-text structure constants, stable across runs, for diffing."""
-    lines = [f"# algebra {A.pair.name} dim {A.dim}"]
-    for i in range(A.dim):
-        lines.append(f"basis {i} {A.basis_label(i)}")
-    partner = A.partner
-    for i in range(A.dim):
-        terms = [f"{j}:{m}" for j, m in zip(partner[i].tolist(), A.result[i].tolist())]
-        lines.append(f"mul {i} " + " ".join(terms))
-    lines.append("star " + " ".join(str(int(v)) for v in A.star_index))
-    lines.append("antipode " + " ".join(str(int(v)) for v in A.antipode_index))
-    dl, dr = A.delta_left.tolist(), A.delta_right.tolist()
-    for i in range(A.dim):
-        pairs = ";".join(f"{j},{k}" for j, k in zip(dl[i], dr[i]))
-        lines.append(f"delta {i} {pairs}")
-    lines.append("counit " + " ".join(str(int(v)) for v in A.counit_vec))
-    lines.append("haar " + " ".join(str(Fraction(int(h), A.nk))
-                                    for h in A.haar_k))
-    return "\n".join(lines) + "\n"

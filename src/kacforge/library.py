@@ -34,22 +34,6 @@ def stabilizer_and_cycle(n):
     return S, stab, S.closure([cycle])
 
 
-def dihedral_group(n):
-    """Symmetries of the n-gon, order 2n, as permutations of the vertices."""
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    return group_from_permutations([rot, ref], degree=n)
-
-
-def quaternion_group():
-    """Order-8 quaternion group, realized inside 2x2 matrices over Z/3."""
-    i_mat = [[0, 2], [1, 0]]   # i^2 = -1
-    j_mat = [[1, 1], [1, 2]]   # j^2 = -1, j i j^-1 = i^-1
-    G = group_from_matrices_mod([i_mat, j_mat], modulus=3)
-    assert G.order == 8
-    return G
-
-
 def special_linear_group(n, p):
     """SL_n over the field with p elements, generated by elementary matrices."""
     gens = []

@@ -162,14 +162,6 @@ def matched_pair_from_discrete_action(R, K, beta, name=None):
     return MatchedPair(R, K, alpha, beta, name=name)
 
 
-def trivial_pair(K):
-    """Discrete side trivial: plain function algebra of K downstream."""
-    R = group_from_cayley([[0]], labels=["e"])
-    return matched_pair_from_compact_action(
-        R, K, np.arange(K.order, dtype=np.int32)[None, :],
-        name=f"plain({K.order})")
-
-
 def beta_kernel_elements(mp):
     """Compact elements acting trivially on the discrete side (a subgroup)."""
     return np.flatnonzero(

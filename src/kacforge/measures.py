@@ -57,9 +57,6 @@ class FiniteMeasure:
         if sum(w) != 1:
             raise ValidationError("measure-mass", f"total mass {sum(w)}")
 
-    def __call__(self, g):
-        return self.weights[g]
-
     def support(self):
         return [g for g, x in enumerate(self.weights) if x != 0]
 
@@ -68,16 +65,10 @@ def uniform_measure(G):
     return FiniteMeasure(G, (Fraction(1, G.order),) * G.order)
 
 
-def delta_measure(G, g):
-    w = [Fraction(0)] * G.order
-    w[g] = Fraction(1)
-    return FiniteMeasure(G, tuple(w))
-
-
 def _random_counts(G, seed, zero_at=None, salt=()):
-    """The seeded integer counts behind ``random_rational_measure``: an
-    int64 row of G.order counts in 0..60, zero on ``zero_at``, with a
-    positive sum (the measure is counts / sum)."""
+    """The seeded integer counts of an exact measure: an int64 row of
+    G.order counts in 0..60, zero on ``zero_at``, with a positive sum (the
+    measure is counts / sum)."""
     rng = rng_from(seed, 31, *salt)
     counts = rng.integers(0, 61, size=G.order)          # counts 0..60
     zero = set(zero_at or ())
@@ -88,13 +79,6 @@ def _random_counts(G, seed, zero_at=None, salt=()):
     if counts.sum() == 0:
         counts[min(set(range(G.order)) - zero)] = 1
     return counts
-
-
-def random_rational_measure(G, seed, zero_at=None, salt=()):
-    """Seeded exact measure; optionally forced to vanish at given points."""
-    counts = _random_counts(G, seed, zero_at, salt)
-    total = int(counts.sum())
-    return FiniteMeasure(G, tuple(Fraction(int(c), total) for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +177,9 @@ def _tv_identity_holds(mu, e, rhs):
 
 def _sample_distances(G, samples, seed):
     """Exact distances to delta_e of the seeded identity-free measures of
-    ``random_rational_measure`` (salt (13, t) for draw t), read from their
-    integer counts c of total T as sum |c - T delta_e| / T, summed
-    coordinate by coordinate as on the grid."""
+    ``_random_counts`` (salt (13, t) for draw t), read from their integer
+    counts c of total T as sum |c - T delta_e| / T, summed coordinate by
+    coordinate as on the grid."""
     e = G.identity
     point_e = np.arange(G.order) == e
     out = []

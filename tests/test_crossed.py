@@ -33,21 +33,26 @@ from kacforge.crossed import (ClassicalDual, CrossedFusionRing, DualElement,
                               unit_dual_element, validate_ring_action,
                               word_length)
 from kacforge.errors import (ActionNotCompatible, IdentityViolated,
-                             TruncationOverflow, ValidationError)
+                             ValidationError)
 from kacforge.groups import character_table, rng_from
-from kacforge.hopf import KacAlgebra, build_algebra
+from kacforge.hopf import build_algebra
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
-                              quaternion_group, special_linear_group,
-                              symmetric_group)
-from kacforge.matched import trivial_pair
+                              special_linear_group, symmetric_group)
 from kacforge.reps import Corepresentation, mor_dim_haar, mor_dim_solver
 
+from .helpers import quaternion_group, trivial_pair
 from .oracles import brute_character_inner
 from .test_reps import corep_from_dense
 
 ROOT = Path(__file__).resolve().parent.parent
 
 _state = {}
+
+
+def fused(ring, x, y):
+    """{z: multiplicity} of the product of labels x and y, z ascending."""
+    row = ring.mult[x, y]
+    return {int(z): int(row[z]) for z in np.flatnonzero(row)}
 
 
 def pairs_by_name():
@@ -92,9 +97,9 @@ def test_irrep_ring_of_symmetric3():
     assert [int(d) for d in ring.dims] == [1, 1, 2]
     assert ring.unit == 0
     # the 2-dimensional label absorbs everything: x2*x2 = x0 + x1 + x2
-    assert ring.fuse(2, 2) == {0: 1, 1: 1, 2: 1}
-    assert ring.fuse(1, 1) == {0: 1}
-    assert ring.fuse(1, 2) == {2: 1}
+    assert fused(ring, 2, 2) == {0: 1, 1: 1, 2: 1}
+    assert fused(ring, 1, 1) == {0: 1}
+    assert fused(ring, 1, 2) == {2: 1}
     assert list(ring.dual) == [0, 1, 2]
 
 
@@ -139,7 +144,7 @@ def test_element_ring_is_group_law():
     assert ring.n == 6
     for x in range(6):
         for y in range(6):
-            assert ring.fuse(x, y) == {int(G.cayley[x, y]): 1}
+            assert fused(ring, x, y) == {int(G.cayley[x, y]): 1}
     assert list(ring.dual) == [int(v) for v in G.inverse]
     rep = check_fusion_ring(ring)
     assert rep["associativity"] == 0.0 and rep["frobenius"] == 0.0
@@ -215,13 +220,12 @@ def test_free_ring_recursion_property(N, cutoff):
 
 def test_free_ring_window_rule():
     fo = free_orthogonal_ring(3, 6)
-    assert fo.fuse(2, 2) == {0: 1, 2: 1, 4: 1}
-    assert fo.fuse(1, 2) == {1: 1, 3: 1}
-    with pytest.raises(TruncationOverflow):
-        fo.fuse(5, 4)
-    # explicit opt-in returns the in-window part
-    part = fo.fuse(5, 4, allow_truncation=True)
-    assert set(part) == {1, 3, 5}
+    assert fo.mult[2, 2].tolist() == [1, 0, 1, 0, 1, 0, 0]
+    assert fo.mult[1, 2].tolist() == [0, 1, 0, 1, 0, 0, 0]
+    assert not fo.overflow[2, 2] and not fo.overflow[1, 2]
+    # 5 * 4 leaves the window, which keeps its part 1 + 3 + 5
+    assert fo.overflow[5, 4]
+    assert fo.mult[5, 4].tolist() == [0, 1, 0, 1, 0, 1, 0]
 
 
 def test_free_ring_checks_skip_boundary():
@@ -296,20 +300,12 @@ def test_action_validation_names_shape_dual_and_fusion_faults():
             validate_ring_action(ring, RingAction(G2, np.array(perms)))
 
 
-def test_crossed_overflow_is_the_base_overflow_moved_by_the_action():
-    """(r, x) * (s, y) leaves the window exactly when act(s^-1, x) * y does
-    in the base, whose overflow is decided from exact integer dimensions.
-    Past 2**53 the float dimensions that the crossed ring stores would
-    decide it wrongly: at N=3, cutoff 40 they mark 3,588 cells, not the
-    3,280 of labels summing past the cutoff."""
-    C2 = cyclic_group(2)
-    for N, cutoff, cells in ((3, 8, 144), (3, 40, 3280)):
-        base = free_orthogonal_ring(N, cutoff)
-        ring = CrossedFusionRing(base, RingAction(
-            C2, np.tile(np.arange(base.n), (2, 1))))
-        assert ring.n == 2 * (cutoff + 1)
-        assert ring.overflow.sum() == cells
-        assert np.array_equal(ring.overflow, np.tile(base.overflow, (2, 2)))
+def test_crossed_ring_refuses_a_truncated_base():
+    base = free_orthogonal_ring(3, 8)
+    with pytest.raises(ValidationError, match=r"^\[crossed-truncated\] "
+                       r"free-orthogonal\(N=3,cutoff=8\) is truncated$"):
+        CrossedFusionRing(base, RingAction(
+            cyclic_group(2), np.tile(np.arange(base.n), (2, 1))))
 
 
 def test_action_from_pair_names_an_unmatched_label():
@@ -355,9 +351,9 @@ def test_crossed_ring_twist_visible():
     t_x2 = 1 * nb + 2
     # grade product lands where the twisted base label says: passing a label
     # across the nontrivial grade conjugates it before it multiplies
-    assert ring.fuse(t_x1, t_x1) == {0 * nb + 0: 1}
-    assert ring.fuse(t_x1, e_x1) == {t_x2: 1}
-    assert ring.fuse(e_x1, t_x1) == {1 * nb + 0: 1}
+    assert fused(ring, t_x1, t_x1) == {0 * nb + 0: 1}
+    assert fused(ring, t_x1, e_x1) == {t_x2: 1}
+    assert fused(ring, e_x1, t_x1) == {1 * nb + 0: 1}
     assert ring.labels[t_x2] == (f"{inst.pair.discrete.labels[1]}."
                                  f"{inst.ring.base.labels[2]}")
 
@@ -597,15 +593,6 @@ def test_rd_reports_violation_without_raising():
     assert any("FAIL" in ln for ln in rep.lines())
 
 
-def test_rd_refuses_truncated():
-    fo = free_orthogonal_ring(3, 4)
-
-    class Fake:
-        ring = fo
-    with pytest.raises(ValidationError):
-        rd_inequality_sample(Fake(), np.arange(5.0), (1.0,))
-
-
 def test_rd_deterministic():
     inst = twisted_instance()
     lbase = word_length(inst.ring.base, list(range(inst.ring.base.n)))
@@ -616,18 +603,14 @@ def test_rd_deterministic():
     assert [s.ratio for s in r1.samples] == [s.ratio for s in r2.samples]
 
 
-def test_rd_sample_builds_no_dense_left_multiplication(monkeypatch):
-    """The operator norms are read from the compact-index blocks: the dim x
-    dim matrix of left multiplication (dim 96 on S4 = <4-cycle> . C4 under
-    conjugation) is never built."""
+def test_rd_sample_builds_no_dense_left_multiplication():
+    """The operator norms are read from the compact-index blocks, so the
+    sample needs no dim x dim matrix of left multiplication (dim 96 on
+    S4 = <4-cycle> . C4 under conjugation); the package has none."""
     S4 = symmetric_group(4)
     four_cycle = S4.permutations.index((1, 2, 3, 0))
     inst = crossed_instance(pair_conjugation(S4, S4.closure([four_cycle]),
                                              name="conj-s4-z4"))
-
-    def dense(self, a):
-        raise AssertionError("dense left multiplication built")
-    monkeypatch.setattr(KacAlgebra, "left_mult_matrix", dense)
     rep = rd_inequality_sample(inst, graded_word_length(inst),
                                crude_poly_bound(inst), samples=5)
     assert inst.algebra.dim == 96

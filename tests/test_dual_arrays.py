@@ -19,10 +19,10 @@ from kacforge.crossed import (RingAction, action_from_pair, check_length,
                               invariantize_length, irrep_fusion_ring,
                               length_l0, word_length)
 from kacforge.errors import ValidationError
-from kacforge.library import (corpus_pairs, cyclic_group, dihedral_group,
-                              quaternion_group, special_linear_group,
-                              symmetric_group)
+from kacforge.library import (corpus_pairs, cyclic_group,
+                              special_linear_group, symmetric_group)
 
+from .helpers import dihedral_group, quaternion_group
 from .oracles import naive_orbit_max, naive_word_length
 
 _GRADED = ("z6-abelian", "s3-split", "conj-s3-rot", "sign-on-z7")

@@ -49,11 +49,13 @@ from kacforge.errors import KacforgeError
 from kacforge.groups import rng_from
 from kacforge.hopf import build_algebra, compact_restriction_morphism
 from kacforge.io_formats import load_pair
-from kacforge.library import (corpus_pairs, dihedral_group, quaternion_group,
-                              special_linear_group, symmetric_group)
-from kacforge.matched import compact_subpair, trivial_pair
-from kacforge.measures import (delta_measure, measure_fourier,
-                               random_rational_measure, uniform_measure)
+from kacforge.library import (corpus_pairs, special_linear_group,
+                              symmetric_group)
+from kacforge.matched import compact_subpair
+from kacforge.measures import measure_fourier, uniform_measure
+
+from .helpers import (delta_measure, dihedral_group, left_mult_matrix,
+                      quaternion_group, random_rational_measure, trivial_pair)
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "dual_digests.json"
@@ -188,7 +190,7 @@ def crossed_digests(mp):
         rng = rng_from(SEED, 6, t)
         vec = (rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)) * \
             (rng.random(A.dim) < 0.4)
-        mats.append(_r9(A.left_mult_matrix(vec)))
+        mats.append(_r9(left_mult_matrix(A, vec)))
     out["left-mult"] = _sha(mats)
     out["restriction"] = _sha(_restrictions(mp))
 

@@ -2,10 +2,10 @@
 
 For irrep, element, free-orthogonal and crossed rings, the sha256 of the
 labels, the unit, the dual, the integer dimensions and the sorted
-``(x, y, z, m)`` fusion entries (read through ``fuse``) must match the
-digests stored in ``tests/data/fusion_digests.json``.  For truncated rings
-the set of ``(x, y)`` on which ``fuse`` raises ``TruncationOverflow`` is
-digested too.  For every ring of at most ``CHECKED_MAX`` labels the full
+``(x, y, z, m)`` fusion entries (the nonzero cells of ``mult``) must match
+the digests stored in ``tests/data/fusion_digests.json``.  For truncated
+rings the set of ``(x, y)`` whose product leaves the cutoff window (the
+cells of ``overflow``) is digested too.  For every ring of at most ``CHECKED_MAX`` labels the full
 ``check_fusion_ring`` dict is stored as plain numbers.  Any change to how
 fusion data is stored or checked must leave all of this unchanged.
 
@@ -17,12 +17,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kacforge.crossed import (CrossedFusionRing, action_from_pair,
                               check_fusion_ring, element_fusion_ring,
                               free_orthogonal_ring, irrep_fusion_ring)
-from kacforge.errors import TruncationOverflow
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
                               pair_sign_on_z7, special_linear_group,
                               symmetric_group)
@@ -80,17 +80,9 @@ def _sha(obj):
 
 
 def digests_of(ring):
-    entries = []
-    raises = []
-    for x in range(ring.n):
-        for y in range(ring.n):
-            fused = ring.fuse(x, y, allow_truncation=True)
-            entries.extend((x, y, int(z), int(m))
-                           for z, m in sorted(fused.items()))
-            try:
-                ring.fuse(x, y)
-            except TruncationOverflow:
-                raises.append((x, y))
+    cells = np.nonzero(ring.mult)                  # x, then y, then z
+    entries = list(zip(*(v.tolist() for v in cells + (ring.mult[cells],))))
+    raises = [tuple(xy) for xy in np.argwhere(ring.overflow).tolist()]
     out = {
         "labels": _sha([str(lab) for lab in ring.labels]),
         "unit": int(ring.unit),

@@ -7,12 +7,13 @@ file) the sha256 of each of the following must match the digest stored in
 
 * the Cayley table, the labels and, for permutation groups, the
   permutations in element order;
-* the element orders and the exponent;
+* the element orders and their least common multiple, the exponent;
 * ``closure([x])`` for every element x;
 * the commutator subgroup, and the quotient by it (table, labels and
   projection);
 * ``dual_group``: invariants, table and characters;
-* the centralizer of each conjugacy class representative;
+* the centralizer of each conjugacy class representative, read off the
+  Cayley table;
 * the ``is_isomorphic_small`` witnesses of G against itself and against a
   seeded relabelling of G (or the ``SizeBound`` message above the cap).
 
@@ -44,11 +45,11 @@ from kacforge.groups import (AbelianGroup, conjugacy_and_center,
                              group_from_matrices_mod, group_from_permutations,
                              is_isomorphic_small, quotient_group)
 from kacforge.io_formats import load_group
-from kacforge.library import (corpus_pairs, dihedral_group, pair_conjugation,
-                              quaternion_group, special_linear_group,
-                              symmetric_group)
+from kacforge.library import (corpus_pairs, pair_conjugation,
+                              special_linear_group, symmetric_group)
 from kacforge.matched import derive_actions
 
+from .helpers import dihedral_group, quaternion_group
 from .oracles import abelian_invariants_by_orders
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,7 +104,8 @@ def digests_of(G):
     out = {"table": _sha([G.cayley.tolist(), G.labels,
                           [tuple(int(v) for v in p)
                            for p in getattr(G, "permutations", [])]]),
-           "orders": _sha([_ints(G.element_orders()), int(G.exponent())]),
+           "orders": _sha([_ints(G.element_orders()),
+                            int(np.lcm.reduce(G.element_orders()))]),
            "cyclic-closures": _sha([_ints(G.closure([x]))
                                     for x in range(G.order)])}
     comm = G.commutator_subgroup_elements()
@@ -112,8 +114,9 @@ def digests_of(G):
     ab = AbelianGroup(*abelian_invariants_by_orders(d.group))
     out["dual"] = _sha([str(ab), d.group.cayley.tolist(), _r9(d.characters)])
     data = conjugacy_and_center(G)
-    out["centralizers"] = _sha([_ints(data.centralizer([cls[0]]))
-                                for cls in data.classes])
+    C = G.cayley
+    out["centralizers"] = _sha([_ints(np.flatnonzero(C[:, r] == C[r]))
+                                for r, *_ in data.classes])
     out["iso"] = _sha([_iso(G, G), _iso(G, _relabelled(G))])
     return out
 

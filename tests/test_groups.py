@@ -22,9 +22,10 @@ from kacforge.groups import (AbelianGroup, FiniteGroup, Presentation,
                              is_isomorphic_small, matrix_irreps,
                              permuted_rows, quotient_group,
                              rounded_pairings, semidirect_product)
-from kacforge.library import (cyclic_group, dihedral_group, quaternion_group,
-                              special_linear_group, symmetric_group)
+from kacforge.library import (cyclic_group, special_linear_group,
+                              symmetric_group)
 
+from .helpers import dihedral_group, quaternion_group
 from .oracles import (abelian_invariants_by_orders, brute_center,
                       brute_conjugacy_classes, brute_is_homomorphism,
                       naive_generating_sequence, snf_invariants_via_minors)
@@ -241,11 +242,6 @@ def test_s3_classes_and_center():
 def test_s4_class_sizes():
     data = conjugacy_and_center(S4)
     assert sorted(len(c) for c in data.classes) == [1, 3, 6, 6, 8]
-
-
-def test_centralizer_of_everything_is_center():
-    data = conjugacy_and_center(Q8)
-    assert data.centralizer(range(Q8.order)) == data.center
 
 
 @pytest.mark.parametrize("n,p,expected_center_order", [

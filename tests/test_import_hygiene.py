@@ -1,13 +1,15 @@
 """Import hygiene: every name a package module imports is used in it,
 every attribute it stores and every public name it defines is read by the
 package, a script or the benchmark (or is kept for a named test), every
-default of a parameter that a run reaches is set by some run, the oracles
+default of a parameter or dataclass field that a run reaches is set by
+some run, every name the benchmark's tracer wraps exists, the oracles
 read the package's data and none of its routes, no package code asks a
 corepresentation for its coefficients on every basis element or compares
 against an unnamed tolerance, and no package code imports sympy,
 statically or on a command's path."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -231,19 +233,9 @@ KEPT_PUBLIC = {
     "compact_subpair": "acceptance criterion 14",
     "inverse_fourier": "acceptance criterion 10",
     "special_linear_group": "acceptance criterion 7",
-    "structure_dump": "the structure golden",
-    "trivial_pair": "the dual golden",
+    "abelian_invariants": "acceptance criterion 06",
     "check_length": "the dual golden",
     "invariantize_length": "the dual golden",
-    "KacAlgebra.left_mult_matrix": "the dual golden",
-    "delta_measure": "the dual golden",
-    "random_rational_measure": "the dual golden",
-    "FusionRing.fuse": "the fusion golden",
-    "FiniteGroup.exponent": "the group golden",
-    "abelian_invariants": "acceptance criterion 06",
-    "ConjugacyData.centralizer": "the group golden",
-    "dihedral_group": "the group golden",
-    "quaternion_group": "the group golden",
 }
 
 
@@ -284,16 +276,47 @@ def unread_public_definitions(sources, readers, looked_up=()):
             not in (attrs if "." in name else names | attrs)]
 
 
-def traced_names():
-    """Names the benchmark's tracer looks up with ``getattr``: the entries
-    of the literal ``TRACED`` table in perfbench/tracing.py."""
+def traced_table():
+    """The literal ``TRACED`` table of perfbench/tracing.py: layer -> the
+    names the benchmark's tracer looks up there with ``getattr``."""
     for stmt in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
         if isinstance(stmt, ast.Assign) and \
                 [ast.unparse(t) for t in stmt.targets] == ["TRACED"]:
-            return {name.rsplit(".", 1)[-1]
-                    for names in ast.literal_eval(stmt.value).values()
-                    for name in names}
+            return ast.literal_eval(stmt.value)
     raise AssertionError("perfbench/tracing.py has no TRACED table")
+
+
+def traced_names():
+    """The last part of every name in the ``TRACED`` table."""
+    return {name.rsplit(".", 1)[-1]
+            for names in traced_table().values() for name in names}
+
+
+def unresolved_traced_names(table):
+    """Entries ``layer.name`` of ``table`` that do not resolve on their
+    module ``kacforge.<layer>`` (a ``Class.method`` on its class), where
+    ``Tracer.install`` would raise ``AttributeError``."""
+    missing = []
+    for layer, names in table.items():
+        module = importlib.import_module(f"kacforge.{layer}")
+        for name in names:
+            owner = module
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{layer}.{name}")
+    return missing
+
+
+def test_scanner_finds_a_traced_name_that_is_gone():
+    table = {"hopf": ["build_algebra", "no_such_function"],
+             "reps": ["IrrepCatalog.dims", "IrrepCatalog.no_such_method"]}
+    assert unresolved_traced_names(table) == [
+        "hopf.no_such_function", "reps.IrrepCatalog.no_such_method"]
+
+
+def test_every_traced_name_resolves():
+    assert unresolved_traced_names(traced_table()) == []
 
 
 def test_scanner_finds_an_unread_public_name():
@@ -335,10 +358,46 @@ def test_every_public_name_is_read_or_kept():
 # unset parameters: a default of src/kacforge that every run leaves as it is
 
 
+def _callee(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def dataclass_fields(cls):
+    """The fields of the dataclass ``cls`` (an ``ast.ClassDef``) with a plain
+    default, as (line, field, routes): its constructor sets the field at
+    the field's position, and a method that returns ``replace(self, **kw)``
+    sets it by keyword.  A ``default_factory`` field is filled after
+    construction and a ``ClassVar`` is no field, so neither is listed."""
+    forwards = [(stmt.name, None) for stmt in cls.body
+                if isinstance(stmt, ast.FunctionDef)
+                and any(isinstance(node, ast.Call)
+                        and _callee(node.func) == "replace"
+                        and ast.unparse(node.args[:1]) == "self"
+                        for node in ast.walk(stmt))]
+    found, position = [], 0
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign) or \
+                not isinstance(stmt.target, ast.Name) or \
+                "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value, plain = stmt.value, stmt.value is not None
+        if isinstance(value, ast.Call) and _callee(value.func) == "field":
+            options = {kw.arg: ast.unparse(kw.value) for kw in value.keywords}
+            if options.get("init") == "False":
+                continue
+            plain = "default" in options
+        if plain:
+            found.append((stmt.lineno, stmt.target.id,
+                          ((cls.name, position),) + tuple(forwards)))
+        position += 1
+    return found
+
+
 def defaulted_parameters(source):
-    """The parameters with a default of the functions, methods and
-    constructors that ``source`` defines, as (line, name, parameter,
-    position): a method goes by its own name, an ``__init__`` by its
+    """The parameters with a default of the functions, methods, constructors
+    and dataclass fields that ``source`` defines, as (line, name, parameter,
+    routes), each route a (callee, position) through which a call sets the
+    parameter: a method goes by its own name, an ``__init__`` by its
     class's, and the position is the index of the call argument that sets
     the parameter (None for a keyword-only one), so a bound ``self`` or
     ``cls`` takes none."""
@@ -347,6 +406,11 @@ def defaulted_parameters(source):
     def visit(body, cls):
         for stmt in body:
             if isinstance(stmt, ast.ClassDef):
+                if any(_callee(getattr(d, "func", d)) == "dataclass"
+                       for d in stmt.decorator_list):
+                    found.extend((line, stmt.name, field, routes)
+                                 for line, field, routes
+                                 in dataclass_fields(stmt))
                 visit(stmt.body, stmt.name)
             elif isinstance(stmt, ast.FunctionDef):
                 args = stmt.args
@@ -356,10 +420,11 @@ def defaulted_parameters(source):
                 name = cls if cls and stmt.name == "__init__" else stmt.name
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)
-                found.extend((stmt.lineno, name, arg.arg, i - bound)
+                found.extend((stmt.lineno, name, arg.arg,
+                              ((name, i - bound),))
                              for i, arg in enumerate(positional)
                              if i >= first)
-                found.extend((stmt.lineno, name, arg.arg, None)
+                found.extend((stmt.lineno, name, arg.arg, ((name, None),))
                              for arg, default in zip(args.kwonlyargs,
                                                      args.kw_defaults)
                              if default is not None)
@@ -388,14 +453,14 @@ def unset_parameters(sources, runs):
     for text in runs:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or \
-                    getattr(node.func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(_callee(node.func), []).append(node)
     return [f"{module}: line {line}: {name}({parameter})"
             for module, source in sources.items()
-            for line, name, parameter, position in defaulted_parameters(source)
-            if name in calls and not any(sets_parameter(c, parameter, position)
-                                         for c in calls[name])]
+            for line, name, parameter, routes in defaulted_parameters(source)
+            if any(callee in calls for callee, _ in routes)
+            and not any(sets_parameter(c, parameter, position)
+                        for callee, position in routes
+                        for c in calls.get(callee, ()))]
 
 
 def test_scanner_finds_a_parameter_no_call_sets():
@@ -413,6 +478,27 @@ def test_scanner_finds_a_parameter_no_call_sets():
     # a call through ``*`` sets its position and every later one
     assert unset_parameters(sources, runs + ["box.m(*zw)\nf(c=0)\n"]) == [
         "a: line 8: Box(y)"]
+
+
+def test_scanner_finds_a_dataclass_field_no_call_sets():
+    sources = {"a": ("@dataclass(frozen=True)\nclass Cfg:\n"
+                     "    seed: int = 1\n    out: str = 't'\n"
+                     "    tag: str = field(default='x')\n"
+                     "    rows: list = field(default_factory=list)\n"
+                     "    kind: ClassVar[str] = 'k'\n"
+                     "    def with_(self, **kw):\n"
+                     "        return replace(self, **kw)\n"
+                     "@dataclass\nclass Row:\n    name: str\n"
+                     "    value: int = 0\n    note: str = ''\n"
+                     "class Plain:\n    size: int = 0\n")}
+    runs = ["Cfg()\ncfg.with_(seed=2)\nRow('a')\nRow('b', 1)\nPlain()\n"]
+    # a default_factory field, a ClassVar and a plain class attribute are no
+    # constructor defaults; with_ sets seed, the position 1 value
+    assert unset_parameters(sources, runs) == [
+        "a: line 4: Cfg(out)", "a: line 5: Cfg(tag)", "a: line 14: Row(note)"]
+    # a field is set as a parameter is: through *, ** or a keyword
+    assert unset_parameters(sources, runs + [
+        "Cfg(**kw)\nRow(*cells)\n"]) == []
 
 
 def test_every_parameter_a_run_reaches_is_set_by_one():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kacforge import groups
 from kacforge.errors import NotCrossedHom, NotMatched, ValidationError
 from kacforge.groups import dual_group, is_isomorphic_small
-from kacforge.library import (corpus_pairs, cyclic_group, dihedral_group,
+from kacforge.library import (corpus_pairs, cyclic_group,
                               pair_conj_s3_rotations, pair_conjugation,
                               pair_dihedral7_twist, pair_double_s3_twist,
                               pair_s3_split,
@@ -22,8 +22,9 @@ from kacforge.library import (corpus_pairs, cyclic_group, dihedral_group,
                               symmetric_group)
 from kacforge.matched import (MatchedPair, b_sets, deform_by_chi_G,
                               derive_actions, magic_relations_report,
-                              orbit_space, orbits_fixed_sets, trivial_pair)
+                              orbit_space, orbits_fixed_sets)
 
+from .helpers import dihedral_group, trivial_pair
 from .oracles import abelian_invariants_by_orders, burnside_orbit_counts
 
 CORPUS = corpus_pairs()

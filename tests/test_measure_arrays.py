@@ -19,9 +19,10 @@ from kacforge import measures
 from kacforge.errors import DomainError, SizeBound, ValidationError
 from kacforge.groups import direct_product
 from kacforge.io_formats import parse_inputs
-from kacforge.library import cyclic_group, dihedral_group, symmetric_group
-from kacforge.measures import random_rational_measure, rel_T_obstruction
+from kacforge.library import cyclic_group, symmetric_group
+from kacforge.measures import rel_T_obstruction
 
+from .helpers import dihedral_group, random_rational_measure
 from .oracles import naive_separation_grid
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"

@@ -24,14 +24,14 @@ from kacforge.io_formats import load_pair, parse_inputs
 from kacforge.library import (corpus_pairs, cyclic_group, pair_conjugation,
                               stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import (beta_kernel_elements, compact_subpair,
-                              derive_actions, orbit_space, orbits_fixed_sets,
-                              trivial_pair)
+                              derive_actions, orbit_space, orbits_fixed_sets)
 from kacforge.reps import (Corepresentation, audit_fusion, build_candidates,
                            candidate_corepresentation, check_corepresentation,
                            decompose, enumerate_irreps, fusion_counts,
                            fusion_formula_table, invariant_groups,
                            mor_dim_haar, mor_dim_solver)
 
+from .helpers import trivial_pair
 from .oracles import first_irrep_identification
 from .test_groups import _patched
 from .test_scripts import load_script

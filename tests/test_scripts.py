@@ -26,9 +26,19 @@ def run_script(name, argv, capsys):
     return code, capsys.readouterr().out.splitlines()
 
 
+# the script and argv of each in-process smoke test below
+IN_PROCESS = {
+    "corpus-audit": ("corpus_report", ["--name", "s3-split", "--audit"]),
+    "decay-level-five": ("decay_profile", ["--cutoff", "5"]),
+    "decay-over-cap": ("decay_profile", ["--t", "5/2", "--cutoff", "6000"]),
+    "decay-digits": ("decay_profile", ["--N", "100000000000000000000",
+                                       "--t", "1", "--cutoff", "255"]),
+    "rd-two": ("rd_scan", ["--samples", "2"]),
+}
+
+
 def test_corpus_report_audit_row_per_matching_instance(capsys):
-    code, lines = run_script("corpus_report", ["--name", "s3-split",
-                                               "--audit"], capsys)
+    code, lines = run_script(*IN_PROCESS["corpus-audit"], capsys)
     assert code == 0
     assert lines[0].split()[-1] == "audit"
     rows = lines[2:-1]
@@ -39,24 +49,21 @@ def test_corpus_report_audit_row_per_matching_instance(capsys):
 
 
 def test_decay_profile_level_five(capsys):
-    code, lines = run_script("decay_profile", ["--cutoff", "5"], capsys)
+    code, lines = run_script(*IN_PROCESS["decay-level-five"], capsys)
     assert code == 0
     row = next(line.split() for line in lines if line.strip().startswith("k=5"))
     assert row[1] == "1/24"
 
 
 def test_decay_profile_rejects_a_cutoff_over_the_ring_cap(capsys):
-    code, lines = run_script("decay_profile", ["--t", "5/2", "--cutoff",
-                                               "6000"], capsys)
+    code, lines = run_script(*IN_PROCESS["decay-over-cap"], capsys)
     assert code == 0
     assert lines == ["t = 5/2: rejected (cutoff 6000 gives 6001 labels, "
                      "over the ring cap 256)"]
 
 
 def test_decay_profile_rejects_values_past_the_digit_limit(capsys):
-    code, lines = run_script("decay_profile", [
-        "--N", "100000000000000000000", "--t", "1", "--cutoff", "255"],
-        capsys)
+    code, lines = run_script(*IN_PROCESS["decay-digits"], capsys)
     assert code == 0
     assert len(lines) == 1
     assert lines[0].startswith("t = 1: rejected (cutoff 255 at N=")
@@ -64,7 +71,7 @@ def test_decay_profile_rejects_values_past_the_digit_limit(capsys):
 
 
 def test_rd_scan_two_instances_pass_the_bound(capsys):
-    code, lines = run_script("rd_scan", ["--samples", "2"], capsys)
+    code, lines = run_script(*IN_PROCESS["rd-two"], capsys)
     assert code == 0
     heads = [line for line in lines if line and not line.startswith(" ")]
     assert len(heads) == 2

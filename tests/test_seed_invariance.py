@@ -78,9 +78,13 @@ def seed_independent(cmd, lines):
     return [ln for ln in lines if not any(p.search(ln) for p in drop)]
 
 
-@pytest.mark.parametrize("name, cmd", [
-    (name, cmd) for name in list(_FILES) + list(_CORPUS)
-    for cmd in _PAIR_COMMANDS] + [(name, "shadow") for name in _SHADOW])
+# (case name, command) of every case: each pair command on each pair, and
+# each shadow case
+CASES = [(name, cmd) for name in list(_FILES) + list(_CORPUS)
+         for cmd in _PAIR_COMMANDS] + [(name, "shadow") for name in _SHADOW]
+
+
+@pytest.mark.parametrize("name, cmd", CASES)
 def test_report_is_seed_invariant(name, cmd):
     first = seed_independent(cmd, report_lines(cmd, name, SEEDS[0]))
     for seed in SEEDS[1:]:

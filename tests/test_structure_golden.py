@@ -1,9 +1,10 @@
 """Golden digests of the structure tables and of the law reports.
 
 For every corpus pair, two larger ladder pairs and a deliberately corrupted
-pair, the sha256 of ``structure_dump``, of the ``check_axioms`` report lines
-and of the ``group_subalgebra_check`` report lines must match the digests
-stored in ``tests/data/structure_digests.json``.  Any change to how the
+pair, the sha256 of ``structure_dump`` (in ``tests/helpers.py``), of the
+``check_axioms`` report lines and of the ``group_subalgebra_check`` report
+lines must match the digests stored in
+``tests/data/structure_digests.json``.  Any change to how the
 algebra is stored or checked must leave all three texts byte-identical,
 including the deviation counts on the corrupted pair.
 
@@ -19,11 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kacforge.hopf import (build_algebra, check_axioms, group_subalgebra_check,
-                           structure_dump)
+from kacforge.hopf import build_algebra, check_axioms, group_subalgebra_check
 from kacforge.library import (corpus_pairs, pair_conjugation,
                               stabilizer_and_cycle, symmetric_group)
 from kacforge.matched import derive_actions
+
+from .helpers import structure_dump
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "structure_digests.json"
 
